@@ -15,11 +15,12 @@ from .evaluation import (
     average_precision,
     compare_reports,
     evaluate,
+    greedy_match,
     match_frame,
     point_metrics,
     trade_off,
 )
-from .geometry import Box3D, ego_distance, iou_3d, iou_bev
+from .geometry import Box3D, ego_distance, iou_3d, iou_bev, iou_matrix
 from .kitti_io import (
     DatasetError,
     FramePair,
@@ -75,8 +76,10 @@ __all__ = [
     "evaluate",
     "fit_quadratic",
     "generate",
+    "greedy_match",
     "iou_3d",
     "iou_bev",
+    "iou_matrix",
     "known_optimal_counts",
     "load_dataset",
     "match_frame",

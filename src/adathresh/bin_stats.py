@@ -155,7 +155,10 @@ def compute_bin_stats(
             out.append(BinStats(index, 0, None, None))
             continue
         mean = math.fsum(scores) / n
-        variance = math.fsum((s - mean) ** 2 for s in scores) / n
+        # A product, not ** 2: libm pow need not round correctly, and
+        # then scaling every score by a power of two would not scale
+        # the variance exactly.
+        variance = math.fsum((s - mean) * (s - mean) for s in scores) / n
         std = math.sqrt(variance)
         if normalize_std:
             std = std / mean if mean > 0.0 else 0.0

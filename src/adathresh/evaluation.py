@@ -13,15 +13,30 @@ or 40 recall points; it is reported as a percentage.
 
 Per-bin rows attribute matched pairs and misses to the ground-truth
 box's distance bin and false positives to the detection's bin.
+
+Every metric is driven by one IoU matrix per frame (geometry.iou_matrix),
+in which a pair whose footprints' bounding circles are provably apart is
+0 without clipping, and greedy_match is the only matcher. evaluate builds
+the matrix on a frame's unfiltered detections (ap_frames) and matches
+twice: on the whole matrix for the unfiltered AP, and on the rows of the
+detections that survived the threshold for the point metrics, the per-bin
+rows and the filtered AP. Matching never crosses frames, and the global
+sweep order restricted to one frame is that frame's matching order
+(-score, then position), so per-frame match flags merged in the global
+(-score, frame_id, position) order are exactly the flags of a global
+score-sorted sweep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .bin_stats import BinSpec, assign_bin
-from .geometry import Box3D, iou_3d, iou_bev
+from .geometry import Box3D, iou_3d, iou_bev, iou_matrix
 from .kitti_io import DONT_CARE, FramePair, KittiRecord, MissingScoreError
 
 ELEVEN_POINT = "eleven_point"
@@ -135,38 +150,63 @@ def _score_of(record: KittiRecord) -> float:
     return record.score
 
 
-def match_frame(
+def greedy_match(
+    iou: np.ndarray, scores: Sequence[float], threshold: float
+) -> list[tuple[int, int, float]]:
+    """Greedy matching of one frame from its [n_det, n_gt] IoU matrix.
+
+    Rows are taken in (-score, row) order; each takes the free column of
+    highest IoU at or above threshold, the lowest column on ties.
+    Returns (det_idx, gt_idx, iou) in the order the matches were made.
+    """
+    rows, cols = np.nonzero(iou >= threshold)
+    candidates: dict[int, list[tuple[int, float]]] = {}
+    for row, col, value in zip(rows.tolist(), cols.tolist(), iou[rows, cols].tolist()):
+        candidates.setdefault(row, []).append((col, value))
+    taken: set[int] = set()
+    matches: list[tuple[int, int, float]] = []
+    for det_idx in sorted(candidates, key=lambda i: (-scores[i], i)):
+        best_gt = -1
+        best_iou = 0.0
+        for gt_idx, value in candidates[det_idx]:
+            if gt_idx not in taken and value > best_iou:
+                best_gt = gt_idx
+                best_iou = value
+        if best_gt >= 0:
+            taken.add(best_gt)
+            matches.append((det_idx, best_gt, best_iou))
+    return matches
+
+
+def _frame_iou(
     gt: Sequence[KittiRecord], det: Sequence[KittiRecord], config: MatchConfig
+) -> np.ndarray:
+    """The configured IoU of every detection with every gt box, [n_det, n_gt]."""
+    return iou_matrix([r.to_box3d() for r in gt], [r.to_box3d() for r in det], config.iou_kind)
+
+
+def match_frame(
+    gt: Sequence[KittiRecord],
+    det: Sequence[KittiRecord],
+    config: MatchConfig,
+    iou: np.ndarray | None = None,
 ) -> FrameMatch:
     """Greedy score-descending matching of one frame.
 
     Both lists must already be filtered to the class under evaluation
-    (see eval_lists); DontCare rows are not expected here.
+    (see eval_lists); DontCare rows are not expected here. iou, when
+    given, is the [n_det, n_gt] matrix of config.iou_kind IoU between
+    det and gt, already computed; otherwise it is computed here.
     """
-    iou = config.iou_fn()
-    gt_boxes = [r.to_box3d() for r in gt]
-    det_boxes = [r.to_box3d() for r in det]
-    order = sorted(range(len(det)), key=lambda i: (-_score_of(det[i]), i))
-    taken = [False] * len(gt)
-    matches: list[tuple[int, int, float]] = []
-    for det_idx in order:
-        best_gt = -1
-        best_iou = 0.0
-        for gt_idx in range(len(gt)):
-            if taken[gt_idx]:
-                continue
-            value = iou(det_boxes[det_idx], gt_boxes[gt_idx])
-            if value >= config.iou_threshold and value > best_iou:
-                best_gt = gt_idx
-                best_iou = value
-        if best_gt >= 0:
-            taken[best_gt] = True
-            matches.append((det_idx, best_gt, best_iou))
-    matched_dets = {m[0] for m in matches}
+    if iou is None:
+        iou = _frame_iou(gt, det, config)
+    matches = greedy_match(iou, [_score_of(r) for r in det], config.iou_threshold)
+    matched_gt = {m[1] for m in matches}
+    matched_det = {m[0] for m in matches}
     return FrameMatch(
         matches=tuple(matches),
-        unmatched_gt=tuple(i for i in range(len(gt)) if not taken[i]),
-        unmatched_det=tuple(i for i in range(len(det)) if i not in matched_dets),
+        unmatched_gt=tuple(i for i in range(len(gt)) if i not in matched_gt),
+        unmatched_det=tuple(i for i in range(len(det)) if i not in matched_det),
     )
 
 
@@ -202,6 +242,57 @@ def _interpolation_points(kind: str) -> list[float]:
     return [i / 40.0 for i in range(1, 41)]
 
 
+# One detection of an AP sweep: (-score, frame_id, det_idx, frame_pos, is_tp).
+# Sorting these tuples gives the global sweep order; frame_pos only breaks
+# ties between frames that share a frame_id.
+_SweepEntry = tuple[float, str, int, int, bool]
+
+
+def _sweep_entries(
+    frame_pos: int,
+    frame_id: str,
+    det: Sequence[KittiRecord],
+    matches: Sequence[tuple[int, int, float]],
+) -> list[_SweepEntry]:
+    matched = {m[0] for m in matches}
+    return [
+        (-_score_of(record), frame_id, det_idx, frame_pos, det_idx in matched)
+        for det_idx, record in enumerate(det)
+    ]
+
+
+def _interpolated_ap(tp_flags: Sequence[bool], total_gt: int, kind: str) -> float:
+    """AP (percent) of a sweep given as TP flags in rank order.
+
+    The interpolated precision at a recall point is the best precision
+    at that recall or beyond: a reverse running maximum of the precision
+    curve, read at the first rank whose recall reaches the point.
+    """
+    if total_gt == 0:
+        raise EvaluationError("average precision is undefined without ground truth")
+    recalls: list[float] = []
+    best_after: list[float] = []
+    cum_tp = 0
+    for rank, is_tp in enumerate(tp_flags, start=1):
+        cum_tp += is_tp
+        recalls.append(cum_tp / total_gt)
+        best_after.append(cum_tp / rank)
+    for i in range(len(best_after) - 2, -1, -1):
+        if best_after[i + 1] > best_after[i]:
+            best_after[i] = best_after[i + 1]
+    points = _interpolation_points(kind)
+    total = 0.0
+    for point in points:
+        i = bisect_left(recalls, point)
+        total += best_after[i] if i < len(best_after) else 0.0
+    return 100.0 * total / len(points)
+
+
+def _sweep_ap(entries: list[_SweepEntry], total_gt: int, kind: str) -> float:
+    """AP of the global sweep over entries, sorted into sweep order."""
+    return _interpolated_ap([entry[4] for entry in sorted(entries)], total_gt, kind)
+
+
 def average_precision(frames: Sequence[FramePair], config: MatchConfig) -> float:
     """Interpolated average precision as a percentage in [0, 100].
 
@@ -211,56 +302,14 @@ def average_precision(frames: Sequence[FramePair], config: MatchConfig) -> float
     With distinct scores the result does not depend on record order
     inside detection files.
     """
-    per_frame: list[tuple[list[Box3D], list[bool]]] = []
-    entries: list[tuple[float, str, int, int, Box3D]] = []
+    entries: list[_SweepEntry] = []
     total_gt = 0
     for frame_pos, frame in enumerate(frames):
         gt, det = eval_lists(frame, config)
-        gt_boxes = [r.to_box3d() for r in gt]
-        per_frame.append((gt_boxes, [False] * len(gt_boxes)))
-        total_gt += len(gt_boxes)
-        for det_idx, record in enumerate(det):
-            entries.append(
-                (_score_of(record), frame.frame_id, det_idx, frame_pos, record.to_box3d())
-            )
-    if total_gt == 0:
-        raise EvaluationError("average precision is undefined without ground truth")
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    iou = config.iou_fn()
-    tp_flags: list[bool] = []
-    for _, _, _, frame_pos, det_box in entries:
-        gt_boxes, taken = per_frame[frame_pos]
-        best_gt = -1
-        best_iou = 0.0
-        for gt_idx, gt_box in enumerate(gt_boxes):
-            if taken[gt_idx]:
-                continue
-            value = iou(det_box, gt_box)
-            if value >= config.iou_threshold and value > best_iou:
-                best_gt = gt_idx
-                best_iou = value
-        if best_gt >= 0:
-            taken[best_gt] = True
-            tp_flags.append(True)
-        else:
-            tp_flags.append(False)
-    recalls: list[float] = []
-    precisions: list[float] = []
-    cum_tp = 0
-    for rank, is_tp in enumerate(tp_flags, start=1):
-        if is_tp:
-            cum_tp += 1
-        recalls.append(cum_tp / total_gt)
-        precisions.append(cum_tp / rank)
-    points = _interpolation_points(config.ap_interpolation)
-    total = 0.0
-    for point in points:
-        best = 0.0
-        for recall, precision in zip(recalls, precisions):
-            if recall >= point and precision > best:
-                best = precision
-        total += best
-    return 100.0 * total / len(points)
+        result = match_frame(gt, det, config)
+        entries += _sweep_entries(frame_pos, frame.frame_id, det, result.matches)
+        total_gt += len(gt)
+    return _sweep_ap(entries, total_gt, config.ap_interpolation)
 
 
 @dataclass(frozen=True)
@@ -355,6 +404,27 @@ class EvalReport:
         )
 
 
+def _kept_rows(
+    source: Sequence[KittiRecord], kept: Sequence[KittiRecord]
+) -> list[int] | None:
+    """Positions in source of the kept records (by identity), or None
+    when kept is not an in-order subsequence of source."""
+    rows: list[int] = []
+    pos = 0
+    for record in kept:
+        while pos < len(source) and source[pos] is not record:
+            pos += 1
+        if pos == len(source):
+            return None
+        rows.append(pos)
+        pos += 1
+    return rows
+
+
+def _same_records(a: Sequence[KittiRecord], b: Sequence[KittiRecord]) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
 def evaluate(
     frames: Sequence[FramePair],
     config: MatchConfig,
@@ -367,6 +437,11 @@ def evaluate(
     is computed on ap_frames when given (the unfiltered detections, so
     the sweep covers the full score range) and on `frames` otherwise; in
     the former case the filtered set's AP is reported separately.
+
+    Each frame's IoU matrix is built once, on its ap_frames detections
+    when the frame's filtered detections are an in-order subsequence of
+    them (the same record objects, the same ground truth), and is shared
+    by both matchings; any other frame gets a matrix of its own.
     """
     spec = bin_spec if bin_spec is not None else BinSpec()
     overflow = spec.n_bins
@@ -378,15 +453,47 @@ def evaluate(
         index = assign_bin(record.ego_distance(), spec)
         return overflow if index is None else index
 
-    for frame in frames:
+    sources = list(ap_frames) if ap_frames is not None else []
+    source_pos: dict[str, int] = {}
+    for pos, source in enumerate(sources):
+        source_pos.setdefault(source.frame_id, pos)
+    swept: set[int] = set()
+    entries: list[_SweepEntry] = []
+    ap_entries: list[_SweepEntry] = []
+    ap_gt = 0
+
+    def sweep_source(
+        pos: int, gt: list[KittiRecord], det: list[KittiRecord], iou: np.ndarray
+    ) -> None:
+        nonlocal ap_gt
+        matches = greedy_match(iou, [_score_of(r) for r in det], config.iou_threshold)
+        ap_entries.extend(_sweep_entries(pos, sources[pos].frame_id, det, matches))
+        ap_gt += len(gt)
+        swept.add(pos)
+
+    for frame_pos, frame in enumerate(frames):
         gt, det = eval_lists(frame, config)
-        result = match_frame(gt, det, config)
+        iou = None
+        pos = source_pos.get(frame.frame_id)
+        if pos is not None and pos not in swept:
+            source_gt, source_det = eval_lists(sources[pos], config)
+            kept = _kept_rows(source_det, det) if _same_records(source_gt, gt) else None
+            if kept is not None:
+                source_iou = _frame_iou(source_gt, source_det, config)
+                sweep_source(pos, source_gt, source_det, source_iou)
+                iou = source_iou[kept]
+        result = match_frame(gt, det, config, iou)
+        entries.extend(_sweep_entries(frame_pos, frame.frame_id, det, result.matches))
         for _, gt_idx, _ in result.matches:
             tp_by_bin[bin_of(gt[gt_idx])] += 1
         for gt_idx in result.unmatched_gt:
             fn_by_bin[bin_of(gt[gt_idx])] += 1
         for det_idx in result.unmatched_det:
             fp_by_bin[bin_of(det[det_idx])] += 1
+    for pos, source in enumerate(sources):
+        if pos not in swept:
+            gt, det = eval_lists(source, config)
+            sweep_source(pos, gt, det, _frame_iou(gt, det, config))
 
     tp = sum(tp_by_bin)
     fp = sum(fp_by_bin)
@@ -416,12 +523,11 @@ def evaluate(
             )
         )
 
+    ap_filtered = _sweep_ap(entries, tp + fn, config.ap_interpolation)
     if ap_frames is not None:
-        ap = average_precision(ap_frames, config)
-        ap_filtered = average_precision(frames, config)
+        ap = _sweep_ap(ap_entries, ap_gt, config.ap_interpolation)
     else:
-        ap = average_precision(frames, config)
-        ap_filtered = None
+        ap, ap_filtered = ap_filtered, None
     return EvalReport(
         config=config,
         tp=tp,

@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 # Intersection areas below this are noise from collinear clipping edges.
 _DEGENERATE_AREA = 1e-12
+
+# iou_matrix skips a pair only when its footprints' bounding circles are
+# apart by more than this fraction of the pair's combined radii and centre
+# magnitudes, far above the rounding of the footprint vertices.
+_PRUNE_SLACK = 1e-9
 
 
 def ground_distance(x: float, z: float) -> float:
@@ -62,6 +71,16 @@ class Box3D:
     @property
     def length(self) -> float:
         return self.dims[2]
+
+    @cached_property
+    def footprint(self) -> Polygon2D:
+        """bev_polygon(self), built once per box."""
+        return bev_polygon(self)
+
+    @cached_property
+    def footprint_area(self) -> float:
+        """Area of the footprint, computed once per box."""
+        return self.footprint.area()
 
 
 def ego_distance(box: Box3D) -> float:
@@ -180,12 +199,10 @@ def _edge_point(
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Bird's-eye-view IoU of two boxes, in [0, 1]."""
-    pa = bev_polygon(a)
-    pb = bev_polygon(b)
-    inter = polygon_intersection_area(pa, pb)
+    inter = polygon_intersection_area(a.footprint, b.footprint)
     if inter <= 0.0:
         return 0.0
-    union = pa.area() + pb.area() - inter
+    union = a.footprint_area + b.footprint_area - inter
     if union <= 0.0:
         return 0.0
     return min(inter / union, 1.0)
@@ -193,9 +210,7 @@ def iou_bev(a: Box3D, b: Box3D) -> float:
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """3D IoU of two boxes whose vertical extent is [y - h, y]."""
-    pa = bev_polygon(a)
-    pb = bev_polygon(b)
-    inter_bev = polygon_intersection_area(pa, pb)
+    inter_bev = polygon_intersection_area(a.footprint, b.footprint)
     if inter_bev <= 0.0:
         return 0.0
     ya = a.center[1]
@@ -204,9 +219,34 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     if overlap <= 0.0:
         return 0.0
     inter_vol = inter_bev * overlap
-    vol_a = pa.area() * a.dims[0]
-    vol_b = pb.area() * b.dims[0]
+    vol_a = a.footprint_area * a.dims[0]
+    vol_b = b.footprint_area * b.dims[0]
     union = vol_a + vol_b - inter_vol
     if union <= 0.0:
         return 0.0
     return min(inter_vol / union, 1.0)
+
+
+def iou_matrix(gt: Sequence[Box3D], det: Sequence[Box3D], kind: str) -> np.ndarray:
+    """IoU of every detection with every ground-truth box, shape [n_det, n_gt].
+
+    kind is "bev" or "3d". A pair whose footprints' bounding circles
+    (radius half the footprint diagonal) are provably apart is 0 without
+    clipping; every other pair is iou_bev or iou_3d of (det, gt), so each
+    entry equals the scalar IoU bit for bit. Non-finite inputs are never
+    pruned. Footprints and their areas are built once per box.
+    """
+    if kind not in ("bev", "3d"):
+        raise ValueError(f"kind must be 'bev' or '3d', got {kind!r}")
+    out = np.zeros((len(det), len(gt)))
+    if not gt or not det:
+        return out
+    iou = iou_bev if kind == "bev" else iou_3d
+    g = np.array([(b.center[0], b.center[2], b.width, b.length) for b in gt])
+    d = np.array([(b.center[0], b.center[2], b.width, b.length) for b in det])
+    reach = 0.5 * np.hypot(d[:, 2], d[:, 3])[:, None] + 0.5 * np.hypot(g[:, 2], g[:, 3])
+    gap = np.hypot(d[:, 0, None] - g[:, 0], d[:, 1, None] - g[:, 1]) - reach
+    scale = reach + np.hypot(d[:, 0], d[:, 1])[:, None] + np.hypot(g[:, 0], g[:, 1])
+    rows, cols = np.nonzero(~(gap > _PRUNE_SLACK * scale))
+    out[rows, cols] = [iou(det[r], gt[c]) for r, c in zip(rows.tolist(), cols.tolist())]
+    return out

@@ -2,8 +2,9 @@
 
 The oracles deliberately re-derive results through different means than
 the library: Monte-Carlo point inclusion instead of polygon clipping, a
-from-scratch greedy matcher, and exhaustive search over one-to-one
-assignments.
+from-scratch greedy matcher, exhaustive search over one-to-one
+assignments, and the scalar three-pass evaluation with its brute-force
+AP interpolation.
 """
 
 from __future__ import annotations
@@ -14,8 +15,16 @@ from functools import lru_cache
 
 import numpy as np
 
+from adathresh.bin_stats import BinSpec, assign_bin
+from adathresh.evaluation import (
+    BinBreakdown,
+    EvalReport,
+    EvaluationError,
+    eval_lists,
+    trade_off,
+)
 from adathresh.geometry import Box3D
-from adathresh.kitti_io import KittiRecord
+from adathresh.kitti_io import KittiRecord, MissingScoreError
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
 
@@ -207,3 +216,140 @@ def random_scene(
                 )
             )
     return gt, det
+
+
+def three_pass_evaluate(frames, config, bin_spec=None, ap_frames=None):
+    """Reference evaluate(): the scalar three-pass implementation.
+
+    One greedy pass over `frames` gives the point metrics and per-bin
+    rows; each average precision is a separate global score-sorted sweep
+    that calls the scalar IoU for every (detection, free gt) pair and
+    interpolates with a loop over all curve points. The library computes
+    one IoU matrix per frame instead and must give the same report.
+    """
+    iou = config.iou_fn()
+
+    def score_of(record):
+        if record.score is None:
+            raise MissingScoreError("detection record has no score")
+        return record.score
+
+    def ratio(numerator, denominator):
+        return numerator / denominator if denominator > 0 else 1.0
+
+    def greedy(det_order, det_boxes, gt_boxes, taken):
+        """Yield (det_idx, gt_idx or -1) in det_order, updating taken."""
+        for det_idx in det_order:
+            best_gt, best_iou = -1, 0.0
+            for gt_idx, gt_box in enumerate(gt_boxes):
+                if taken[gt_idx]:
+                    continue
+                value = iou(det_boxes[det_idx], gt_box)
+                if value >= config.iou_threshold and value > best_iou:
+                    best_gt, best_iou = gt_idx, value
+            if best_gt >= 0:
+                taken[best_gt] = True
+            yield det_idx, best_gt
+
+    def sweep(sweep_frames):
+        per_frame, entries, total_gt = [], [], 0
+        for frame_pos, frame in enumerate(sweep_frames):
+            gt, det = eval_lists(frame, config)
+            gt_boxes = [r.to_box3d() for r in gt]
+            per_frame.append((gt_boxes, [False] * len(gt)))
+            total_gt += len(gt)
+            for det_idx, record in enumerate(det):
+                entries.append(
+                    (score_of(record), frame.frame_id, det_idx, frame_pos, record.to_box3d())
+                )
+        if total_gt == 0:
+            raise EvaluationError("average precision is undefined without ground truth")
+        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+        flags = []
+        for entry in entries:
+            gt_boxes, taken = per_frame[entry[3]]
+            _, gt_idx = next(greedy([0], [entry[4]], gt_boxes, taken))
+            flags.append(gt_idx >= 0)
+        return loop_interpolated_ap(flags, total_gt, config.ap_interpolation)
+
+    spec = bin_spec if bin_spec is not None else BinSpec()
+    overflow = spec.n_bins
+    tp_by_bin = [0] * (spec.n_bins + 1)
+    fp_by_bin = [0] * (spec.n_bins + 1)
+    fn_by_bin = [0] * (spec.n_bins + 1)
+
+    def bin_of(record):
+        index = assign_bin(record.ego_distance(), spec)
+        return overflow if index is None else index
+
+    for frame in frames:
+        gt, det = eval_lists(frame, config)
+        gt_boxes = [r.to_box3d() for r in gt]
+        det_boxes = [r.to_box3d() for r in det]
+        order = sorted(range(len(det)), key=lambda i: (-score_of(det[i]), i))
+        taken = [False] * len(gt)
+        for det_idx, gt_idx in greedy(order, det_boxes, gt_boxes, taken):
+            if gt_idx >= 0:
+                tp_by_bin[bin_of(gt[gt_idx])] += 1
+            else:
+                fp_by_bin[bin_of(det[det_idx])] += 1
+        for gt_idx, was_taken in enumerate(taken):
+            if not was_taken:
+                fn_by_bin[bin_of(gt[gt_idx])] += 1
+
+    tp, fp, fn = sum(tp_by_bin), sum(fp_by_bin), sum(fn_by_bin)
+    recall, precision = ratio(tp, tp + fn), ratio(tp, tp + fp)
+    rows = []
+    for index in range(spec.n_bins + 1):
+        b_tp, b_fp, b_fn = tp_by_bin[index], fp_by_bin[index], fn_by_bin[index]
+        if index == overflow and not (b_tp or b_fp or b_fn):
+            continue
+        lo, hi = (spec.max_distance, None) if index == overflow else spec.edges(index)
+        rows.append(
+            BinBreakdown(
+                index, lo, hi, b_tp, b_fp, b_fn, ratio(b_tp, b_tp + b_fn), ratio(b_tp, b_tp + b_fp)
+            )
+        )
+    if ap_frames is not None:
+        ap, ap_filtered = sweep(ap_frames), sweep(frames)
+    else:
+        ap, ap_filtered = sweep(frames), None
+    return EvalReport(
+        config=config,
+        tp=tp,
+        fp=fp,
+        fn=fn,
+        recall=recall,
+        precision=precision,
+        trade_off=trade_off(recall, precision),
+        average_precision=ap,
+        average_precision_filtered=ap_filtered,
+        per_bin=tuple(rows),
+    )
+
+
+def loop_interpolated_ap(tp_flags, total_gt: int, interpolation: str) -> float:
+    """Interpolated AP (percent) of a ranked TP/FP sweep, by brute force.
+
+    At each recall point, scans the whole curve for the best precision
+    at or beyond that recall.
+    """
+    if interpolation == "eleven_point":
+        points = [i / 10.0 for i in range(11)]
+    else:
+        points = [i / 40.0 for i in range(1, 41)]
+    recalls, precisions = [], []
+    cum_tp = 0
+    for rank, is_tp in enumerate(tp_flags, start=1):
+        if is_tp:
+            cum_tp += 1
+        recalls.append(cum_tp / total_gt)
+        precisions.append(cum_tp / rank)
+    total = 0.0
+    for point in points:
+        best = 0.0
+        for recall, precision in zip(recalls, precisions):
+            if recall >= point and precision > best:
+                best = precision
+        total += best
+    return 100.0 * total / len(points)

@@ -2,9 +2,10 @@
 
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adathresh.bin_stats import (
     BinSpec,
@@ -20,6 +21,22 @@ DEFAULT = BinSpec()
 samples_strategy = st.lists(
     st.tuples(st.floats(0.0, 80.0), st.floats(0.0, 1.0)), max_size=60
 )
+# Scaling by a power of two is exact only while every intermediate stays
+# a normal float, squared deviations from the bin mean included. So
+# nonzero scores here are at least 2**-400; their squared deviations stay
+# far above the smallest normal.
+normal_scores = st.just(0.0) | st.floats(2.0**-400, 1.0)
+normal_samples_strategy = st.lists(
+    st.tuples(st.floats(0.0, 80.0), normal_scores), max_size=60
+)
+subnormal_samples_strategy = st.lists(
+    st.tuples(
+        st.floats(0.0, 80.0),
+        normal_scores | st.floats(0.0, sys.float_info.min, exclude_max=True),
+    ),
+    max_size=60,
+)
+POWERS_OF_TWO = [1.0, 0.5, 0.25, 0.125]
 
 
 class TestBinSpec:
@@ -139,10 +156,11 @@ class TestComputeBinStats:
                 assert 0.0 <= entry.mean <= 1.0
                 assert entry.std >= 0.0
 
-    @given(samples_strategy, st.sampled_from([1.0, 0.5, 0.25, 0.125]))
+    @given(normal_samples_strategy, st.sampled_from(POWERS_OF_TWO))
+    @example([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.9999999999999999)], 0.5)
     def test_scaling_scores_scales_stats_exactly(self, samples, factor):
-        # Powers of two rescale floats without rounding, so the check
-        # can demand exact equality.
+        # Powers of two rescale normal floats without rounding, so the
+        # check can demand exact equality.
         base = compute_bin_stats(samples, DEFAULT)
         scaled = compute_bin_stats([(d, s * factor) for d, s in samples], DEFAULT)
         for b, s in zip(base, scaled):
@@ -150,6 +168,19 @@ class TestComputeBinStats:
             if b.count:
                 assert s.mean == b.mean * factor
                 assert s.std == b.std * factor
+
+    @given(subnormal_samples_strategy, st.sampled_from(POWERS_OF_TWO))
+    @example([(0.0, 0.7632867076148406), (0.0, 0.5815989369683127), (0.0, 5e-324)], 0.5)
+    def test_scaling_subnormal_scores_within_one_ulp(self, samples, factor):
+        # Scaling a subnormal drops its low bits (0.5 * 5e-324 is 0), so
+        # with subnormal scores the stats may move by one ulp.
+        base = compute_bin_stats(samples, DEFAULT)
+        scaled = compute_bin_stats([(d, s * factor) for d, s in samples], DEFAULT)
+        for b, s in zip(base, scaled):
+            assert s.count == b.count
+            if b.count:
+                assert abs(s.mean - b.mean * factor) <= math.ulp(b.mean * factor)
+                assert abs(s.std - b.std * factor) <= math.ulp(b.std * factor)
 
     @given(samples_strategy, st.randoms(use_true_random=False))
     def test_permutation_invariance_exact(self, samples, rng):

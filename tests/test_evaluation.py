@@ -1,8 +1,10 @@
 """Matching, point metrics, interpolated AP, and report comparison."""
 
+import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,16 +14,24 @@ from adathresh.evaluation import (
     EvaluationError,
     MatchConfig,
     MetricDelta,
+    _interpolated_ap,
     average_precision,
     compare_reports,
     evaluate,
+    greedy_match,
     match_frame,
     point_metrics,
     trade_off,
 )
 from adathresh.kitti_io import FramePair, MissingScoreError
 from adathresh.threshold import apply_single
-from helpers import brute_force_match, make_record, random_scene
+from helpers import (
+    brute_force_match,
+    loop_interpolated_ap,
+    make_record,
+    random_scene,
+    three_pass_evaluate,
+)
 
 BEV_CFG = MatchConfig(iou_kind="bev", iou_threshold=0.5)
 
@@ -76,6 +86,25 @@ class TestTradeOff:
     def test_absolute_gap(self):
         assert trade_off(0.786, 0.813) == pytest.approx(0.027, abs=1e-12)
         assert trade_off(0.813, 0.786) == pytest.approx(0.027, abs=1e-12)
+
+
+class TestGreedyMatch:
+    def test_rows_in_score_order_take_best_free_column(self):
+        iou = np.array([[0.8, 0.9], [0.95, 0.0]])
+        assert greedy_match(iou, [0.5, 0.9], 0.5) == [(1, 0, 0.95), (0, 1, 0.9)]
+
+    def test_ties_go_to_lower_row_and_lower_column(self):
+        iou = np.array([[0.7, 0.7], [0.7, 0.7]])
+        assert greedy_match(iou, [0.6, 0.6], 0.5) == [(0, 0, 0.7), (1, 1, 0.7)]
+
+    def test_threshold_is_inclusive(self):
+        iou = np.array([[0.5, 0.4999999999999999]])
+        assert greedy_match(iou, [0.9], 0.5) == [(0, 0, 0.5)]
+        assert greedy_match(iou, [0.9], 0.6) == []
+
+    def test_empty_matrices(self):
+        assert greedy_match(np.zeros((0, 3)), [], 0.5) == []
+        assert greedy_match(np.zeros((2, 0)), [0.9, 0.8], 0.5) == []
 
 
 class TestMatchFrame:
@@ -331,6 +360,115 @@ class TestAveragePrecision:
             gt = [make_record(0.0, 10.0)]
         ap = average_precision(single_frame(gt, det), BEV_CFG)
         assert 0.0 <= ap <= 100.0
+
+
+class TestInterpolatedAp:
+    @pytest.mark.parametrize("kind", ["eleven_point", "forty_point"])
+    @given(flags=st.lists(st.booleans(), max_size=80), extra_gt=st.integers(0, 5))
+    def test_equals_full_scan_of_the_curve(self, kind, flags, extra_gt):
+        total_gt = max(sum(flags) + extra_gt, 1)
+        expected = loop_interpolated_ap(flags, total_gt, kind)
+        assert _interpolated_ap(flags, total_gt, kind) == expected
+
+    @pytest.mark.parametrize("kind", ["eleven_point", "forty_point"])
+    def test_all_false_positive_and_empty_sweeps(self, kind):
+        for flags in ([], [False], [False] * 7):
+            assert _interpolated_ap(flags, 3, kind) == loop_interpolated_ap(flags, 3, kind) == 0.0
+
+    def test_no_ground_truth_raises(self):
+        with pytest.raises(EvaluationError):
+            _interpolated_ap([False], 0, "eleven_point")
+
+
+def _renewed(records):
+    """Equal records that are new objects."""
+    return [dataclasses.replace(r) for r in records]
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """(frames, ap_frames or None, config) over random multi-frame scenes.
+
+    Scores are sometimes rounded to one decimal to force ties. frames is
+    either the unfiltered set, or a per-frame threshold filter of it; a
+    drawn share of its frames use new record objects, reversed order, or
+    other ground truth, or drop out of ap_frames, so that evaluate must
+    fall back to a matrix of their own.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    config = MatchConfig(
+        iou_kind=draw(st.sampled_from(["bev", "3d"])),
+        iou_threshold=draw(st.sampled_from([0.3, 0.5, 0.7])),
+        ap_interpolation=draw(st.sampled_from(["eleven_point", "forty_point"])),
+    )
+    raw = []
+    for index in range(rng.randint(1, 6)):
+        gt, det = random_scene(rng)
+        if rng.random() < 0.4:
+            det = [dataclasses.replace(r, score=round(r.score, 1)) for r in det]
+        raw.append(frame(f"{index:06d}", gt, det))
+    raw.append(frame("000099", [make_record(0.0, 12.0)], []))
+    if not draw(st.booleans()):
+        return raw, None, config
+    filtered = []
+    for f in raw:
+        kept = apply_single(list(f.detections), rng.random())
+        how = rng.choice(["same", "same", "renewed", "reversed", "regrounded", "dropped"])
+        gt = f.ground_truth[1:] if how == "regrounded" else f.ground_truth
+        if how == "renewed":
+            kept = _renewed(kept)
+        elif how == "reversed":
+            kept = kept[::-1]
+        filtered.append(frame(f.frame_id, gt, kept))
+        if how == "dropped" and f.frame_id != "000099":
+            raw = [r for r in raw if r is not f]
+    return filtered, raw, config
+
+
+class TestEvaluateEquivalence:
+    @given(evaluation_inputs())
+    def test_report_equals_three_pass_oracle(self, inputs):
+        frames, ap_frames, config = inputs
+        try:
+            expected = three_pass_evaluate(frames, config, ap_frames=ap_frames)
+        except EvaluationError:
+            with pytest.raises(EvaluationError):
+                evaluate(frames, config, ap_frames=ap_frames)
+            return
+        assert evaluate(frames, config, ap_frames=ap_frames) == expected
+
+    def test_shared_frame_ids_and_renewed_ground_truth(self):
+        # Tied scores across frames of one frame_id leave only the frames'
+        # positions to order the AP sweep.
+        rng = random.Random(3)
+        raw = []
+        for _ in range(6):
+            gt, det = random_scene(rng)
+            det = [dataclasses.replace(r, score=round(r.score, 1)) for r in det]
+            raw.append(frame("000001", gt + [make_record(0.0, 12.0)], det))
+        filtered = [
+            frame(
+                f.frame_id,
+                _renewed(f.ground_truth) if i % 2 else f.ground_truth,
+                apply_single(list(f.detections), 0.3),
+            )
+            for i, f in enumerate(raw)
+        ]
+        for ap_frames in (raw, None):
+            assert evaluate(filtered, BEV_CFG, ap_frames=ap_frames) == three_pass_evaluate(
+                filtered, BEV_CFG, ap_frames=ap_frames
+            )
+
+    def test_missing_score_raises(self):
+        gt = [make_record(0.0, 10.0)]
+        scored = single_frame(gt, [make_record(0.0, 10.0, score=0.9)])
+        unscored = single_frame(gt, [make_record(0.0, 10.0)])
+        with pytest.raises(MissingScoreError):
+            evaluate(unscored, BEV_CFG)
+        with pytest.raises(MissingScoreError):
+            evaluate(scored, BEV_CFG, ap_frames=unscored)
+        with pytest.raises(MissingScoreError):
+            evaluate(unscored, BEV_CFG, ap_frames=scored)
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from adathresh.geometry import (
     ego_distance,
     iou_3d,
     iou_bev,
+    iou_matrix,
     normalize_angle,
     polygon_intersection_area,
 )
@@ -243,3 +245,92 @@ class TestIou3d:
         same_h = Box3D(b.center, (a.dims[0], b.dims[1], b.dims[2]), b.yaw)
         aligned = Box3D((same_h.center[0], a.center[1], same_h.center[2]), same_h.dims, same_h.yaw)
         assert iou_3d(a, aligned) == pytest.approx(iou_bev(a, aligned), abs=1e-9)
+
+
+def _radius(box):
+    return 0.5 * math.hypot(box.width, box.length)
+
+
+@st.composite
+def box_frames(draw):
+    """(gt, det) box lists; detections are random, coincident with a gt
+    box, or placed so that the two bounding circles (nearly) touch."""
+    near = st.floats(-6.0, 6.0)
+    gt = draw(st.lists(boxes(x=near, z=near), max_size=5))
+    det = []
+    for kind in draw(st.lists(st.sampled_from(["random", "coincident", "tangent"]), max_size=6)):
+        if kind == "random" or not gt:
+            det.append(draw(boxes(x=near, z=near)))
+            continue
+        g = draw(st.sampled_from(gt))
+        if kind == "coincident":
+            det.append(Box3D(g.center, g.dims, g.yaw))
+            continue
+        dims, yaw = draw(box_dims), draw(yaws)
+        angle = draw(st.floats(-math.pi, math.pi))
+        stretch = draw(st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 2e-9]))
+        reach = stretch * (_radius(g) + 0.5 * math.hypot(dims[1], dims[2]))
+        x = g.center[0] + reach * math.cos(angle)
+        z = g.center[2] + reach * math.sin(angle)
+        det.append(Box3D((x, g.center[1], z), dims, yaw))
+    return gt, det
+
+
+def scalar_matrix(gt, det, iou):
+    return [[iou(d, g) for g in gt] for d in det]
+
+
+class TestIouMatrix:
+    @pytest.mark.parametrize("kind, iou", [("bev", iou_bev), ("3d", iou_3d)])
+    @given(frame=box_frames())
+    def test_equals_scalar_iou_exactly(self, kind, iou, frame):
+        gt, det = frame
+        matrix = iou_matrix(gt, det, kind)
+        assert matrix.shape == (len(det), len(gt))
+        fresh = [Box3D(b.center, b.dims, b.yaw) for b in gt]
+        assert matrix.tolist() == scalar_matrix(fresh, det, iou)
+
+    @pytest.mark.parametrize("overlap", [0.0, 1e-5])
+    def test_corners_meeting_where_bounding_circles_touch(self, overlap):
+        # Unit squares one diagonal apart have tangent bounding circles
+        # and touching corners; moved closer by `overlap` along the
+        # diagonal, the corners overlap by overlap**2 square metres.
+        # The same for two squares turned 45 degrees, along the x axis.
+        quarter = math.pi / 4
+        step = 1.0 - overlap
+        cases = [
+            (unit_box(), unit_box(step, step)),
+            (unit_box(yaw=quarter), unit_box(math.sqrt(2.0) * step, 0.0, yaw=quarter)),
+        ]
+        for g, d in cases:
+            matrix = iou_matrix([g], [d], "bev")
+            assert matrix.tolist() == [[iou_bev(d, g)]]
+            assert (matrix[0, 0] > 0.0) == (overlap > 0.0)
+
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    def test_empty_lists(self, kind):
+        some = [unit_box(), unit_box(0.5)]
+        assert iou_matrix([], some, kind).shape == (2, 0)
+        assert iou_matrix(some, [], kind).shape == (0, 2)
+        assert iou_matrix([], [], kind).shape == (0, 0)
+
+    def test_disjoint_pairs_skip_the_clipper(self, monkeypatch):
+        import adathresh.geometry as geometry
+
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return iou_bev(a, b)
+
+        monkeypatch.setattr(geometry, "iou_bev", counting)
+        gt = [make_box(0.0, 10.0), make_box(0.0, 30.0)]
+        det = [make_box(0.2, 10.0), make_box(0.0, 50.0)]
+        matrix = iou_matrix(gt, det, "bev")
+        assert [(det.index(d), gt.index(g)) for d, g in calls] == [(0, 0)]
+        assert matrix[0, 0] == iou_bev(det[0], gt[0]) > 0.0
+        assert np.count_nonzero(matrix) == 1
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            iou_matrix([unit_box()], [unit_box()], "2d")
