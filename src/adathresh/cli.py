@@ -14,9 +14,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +35,7 @@ from .kitti_io import (
     load_dataset,
     parse_label_file,
     write_label_file,
+    write_text_atomic,
 )
 from .report import render_summary_md, render_threshold_svg
 from .synthetic import ScenarioSpec, generate, scenario_totals
@@ -80,23 +79,8 @@ def _err(message: object) -> None:
     print(f"adathresh: error: {message}", file=sys.stderr)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _write_json(path: Path, payload: object) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
@@ -104,7 +88,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
     writer = csv.writer(buffer)
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(path, buffer.getvalue())
+    write_text_atomic(path, buffer.getvalue())
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -524,8 +508,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise DatasetError(f"stats file {stats_path} has an unexpected shape: {exc}") from exc
     svg_path = out_dir / "threshold_curve.svg"
     md_path = out_dir / "summary.md"
-    _write_text(svg_path, render_threshold_svg(model, bins, spec))
-    _write_text(md_path, render_summary_md(model, bins, spec))
+    write_text_atomic(svg_path, render_threshold_svg(model, bins, spec))
+    write_text_atomic(md_path, render_summary_md(model, bins, spec))
     print(f"wrote {svg_path} and {md_path}")
     return EXIT_OK
 

@@ -14,29 +14,31 @@ or 40 recall points; it is reported as a percentage.
 Per-bin rows attribute matched pairs and misses to the ground-truth
 box's distance bin and false positives to the detection's bin.
 
-Every metric is driven by one IoU matrix per frame (geometry.iou_matrix),
-in which a pair whose footprints' bounding circles are provably apart is
-0 without clipping, and greedy_match is the only matcher. evaluate builds
-the matrix on a frame's unfiltered detections (ap_frames) and matches
-twice: on the whole matrix for the unfiltered AP, and on the rows of the
-detections that survived the threshold for the point metrics, the per-bin
-rows and the filtered AP. Matching never crosses frames, and the global
+Every metric comes from one matching pass per detection set. The
+set's boxes go to geometry.pair_iou in batches of whole frames, which
+gives the IoU of every same-frame pair that the bounding-circle prune
+keeps, bit for bit equal to the scalar IoU; one sparse greedy loop
+(_greedy) then matches the pairs at or above the threshold, all frames
+at once. evaluate runs this pass on the (filtered) frames for the point
+metrics, the per-bin rows and the filtered AP, and again on ap_frames
+for the unfiltered AP. Matching never crosses frames, and the global
 sweep order restricted to one frame is that frame's matching order
-(-score, then position), so per-frame match flags merged in the global
-(-score, frame_id, position) order are exactly the flags of a global
-score-sorted sweep.
+(-score, then position), so the match flags sorted in the global
+(-score, frame_id, position, frame position) order are exactly the
+flags of a global score-sorted sweep.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bin_stats import BinSpec, assign_bin
-from .geometry import Box3D, iou_3d, iou_bev, iou_matrix
+from .geometry import Box3D, iou_3d, iou_bev, pair_iou, raw_box_array
 from .kitti_io import DONT_CARE, FramePair, KittiRecord, MissingScoreError
 
 ELEVEN_POINT = "eleven_point"
@@ -144,10 +146,40 @@ def eval_lists(
     return gt, det
 
 
-def _score_of(record: KittiRecord) -> float:
-    if record.score is None:
-        raise MissingScoreError("detection record has no score")
-    return record.score
+# Whole frames go to the IoU kernel together until the next frame would
+# pass this many candidate pairs, which bounds its temporary arrays; a
+# larger frame goes alone.
+_BLOCK_PAIRS = 4096
+
+
+def _greedy(
+    det_idx: np.ndarray,
+    gt_idx: np.ndarray,
+    iou: np.ndarray,
+    scores: np.ndarray,
+    threshold: float,
+) -> list[tuple[int, int, float]]:
+    """The greedy matcher, over sparse (det_idx, gt_idx, iou) pairs.
+
+    Detections are taken in (-score, index) order; each takes the free
+    ground truth of highest IoU at or above threshold, the lowest index
+    on ties. Indices may span many frames as long as no ground-truth
+    index is shared between frames. Returns (det_idx, gt_idx, iou) in
+    the order the matches were made.
+    """
+    det_idx, gt_idx, iou = (np.asarray(a) for a in (det_idx, gt_idx, iou))
+    usable = (iou >= threshold) & (iou > 0.0)
+    det_idx, gt_idx, iou = det_idx[usable], gt_idx[usable], iou[usable]
+    order = np.lexsort((gt_idx, -iou, det_idx, -scores[det_idx]))
+    done: set[int] = set()
+    taken: set[int] = set()
+    matches: list[tuple[int, int, float]] = []
+    for d, g, value in zip(det_idx[order].tolist(), gt_idx[order].tolist(), iou[order].tolist()):
+        if d not in done and g not in taken:
+            done.add(d)
+            taken.add(g)
+            matches.append((d, g, value))
+    return matches
 
 
 def greedy_match(
@@ -159,30 +191,24 @@ def greedy_match(
     highest IoU at or above threshold, the lowest column on ties.
     Returns (det_idx, gt_idx, iou) in the order the matches were made.
     """
-    rows, cols = np.nonzero(iou >= threshold)
-    candidates: dict[int, list[tuple[int, float]]] = {}
-    for row, col, value in zip(rows.tolist(), cols.tolist(), iou[rows, cols].tolist()):
-        candidates.setdefault(row, []).append((col, value))
-    taken: set[int] = set()
-    matches: list[tuple[int, int, float]] = []
-    for det_idx in sorted(candidates, key=lambda i: (-scores[i], i)):
-        best_gt = -1
-        best_iou = 0.0
-        for gt_idx, value in candidates[det_idx]:
-            if gt_idx not in taken and value > best_iou:
-                best_gt = gt_idx
-                best_iou = value
-        if best_gt >= 0:
-            taken.add(best_gt)
-            matches.append((det_idx, best_gt, best_iou))
-    return matches
+    rows, cols = np.nonzero(iou)
+    return _greedy(rows, cols, iou[rows, cols], np.asarray(scores, dtype=float), threshold)
 
 
-def _frame_iou(
-    gt: Sequence[KittiRecord], det: Sequence[KittiRecord], config: MatchConfig
-) -> np.ndarray:
-    """The configured IoU of every detection with every gt box, [n_det, n_gt]."""
-    return iou_matrix([r.to_box3d() for r in gt], [r.to_box3d() for r in det], config.iou_kind)
+def _box_array(records: Sequence[KittiRecord]) -> np.ndarray:
+    """The records' boxes (KittiRecord.to_box3d) as a geometry box array."""
+    n = len(records)
+    location = np.fromiter(chain.from_iterable(map(attrgetter("location"), records)), float, 3 * n)
+    dims = np.fromiter(chain.from_iterable(map(attrgetter("dimensions"), records)), float, 3 * n)
+    yaw = np.fromiter(map(attrgetter("rotation_y"), records), float, n)
+    return raw_box_array(np.column_stack([location.reshape(n, 3), dims.reshape(n, 3), yaw]))
+
+
+def _scores(det: Sequence[KittiRecord]) -> np.ndarray:
+    scores = [r.score for r in det]
+    if None in scores:
+        raise MissingScoreError("detection record has no score")
+    return np.array(scores, dtype=float)
 
 
 def match_frame(
@@ -199,8 +225,13 @@ def match_frame(
     det and gt, already computed; otherwise it is computed here.
     """
     if iou is None:
-        iou = _frame_iou(gt, det, config)
-    matches = greedy_match(iou, [_score_of(r) for r in det], config.iou_threshold)
+        pairs = pair_iou(
+            _box_array(det), [0, len(det)], _box_array(gt), [0, len(gt)], config.iou_kind
+        )
+    else:
+        rows, cols = np.nonzero(iou)
+        pairs = rows, cols, iou[rows, cols]
+    matches = _greedy(*pairs, _scores(det), config.iou_threshold)
     matched_gt = {m[1] for m in matches}
     matched_det = {m[0] for m in matches}
     return FrameMatch(
@@ -208,6 +239,79 @@ def match_frame(
         unmatched_gt=tuple(i for i in range(len(gt)) if i not in matched_gt),
         unmatched_det=tuple(i for i in range(len(det)) if i not in matched_det),
     )
+
+
+@dataclass(frozen=True)
+class _SetMatch:
+    """The matching pass over one detection set, flattened in frame order.
+
+    gt and det hold every frame's eval_lists; gt_hit and det_hit flag the
+    matched ones; sweep is the positions in det in global AP sweep order.
+    """
+
+    gt: list[KittiRecord]
+    det: list[KittiRecord]
+    gt_hit: np.ndarray
+    det_hit: np.ndarray
+    sweep: np.ndarray
+
+    def average_precision(self, kind: str) -> float:
+        return _interpolated_ap(self.det_hit[self.sweep].tolist(), len(self.gt), kind)
+
+
+def _blocks(pair_counts: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) frame ranges of at most _BLOCK_PAIRS candidate pairs,
+    except a single frame with more."""
+    blocks: list[tuple[int, int]] = []
+    start, total = 0, 0
+    for frame, count in enumerate(pair_counts.tolist()):
+        if total + count > _BLOCK_PAIRS and frame > start:
+            blocks.append((start, frame))
+            start, total = frame, 0
+        total += count
+    if start < len(pair_counts):
+        blocks.append((start, len(pair_counts)))
+    return blocks
+
+
+def _match_set(frames: Sequence[FramePair], config: MatchConfig) -> _SetMatch:
+    """Match every frame: the IoU kernel in blocks of whole frames, then one
+    greedy pass over all pairs."""
+    gt: list[KittiRecord] = []
+    det: list[KittiRecord] = []
+    gt_offsets, det_offsets = [0], [0]
+    for frame in frames:
+        frame_gt, frame_det = eval_lists(frame, config)
+        gt += frame_gt
+        det += frame_det
+        gt_offsets.append(len(gt))
+        det_offsets.append(len(det))
+    scores = _scores(det)
+    go, do = np.array(gt_offsets), np.array(det_offsets)
+    pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for start, stop in _blocks(np.diff(go) * np.diff(do)):
+        d, g, iou = pair_iou(
+            _box_array(det[do[start] : do[stop]]),
+            do[start : stop + 1] - do[start],
+            _box_array(gt[go[start] : go[stop]]),
+            go[start : stop + 1] - go[start],
+            config.iou_kind,
+        )
+        pairs.append((d + do[start], g + go[start], iou))
+    gt_hit = np.zeros(len(gt), dtype=bool)
+    det_hit = np.zeros(len(det), dtype=bool)
+    if pairs:
+        for d, g, _ in _greedy(*map(np.concatenate, zip(*pairs)), scores, config.iou_threshold):
+            det_hit[d] = gt_hit[g] = True
+    # Global sweep order: (-score, frame_id, position in frame, frame position).
+    per_frame = np.diff(do)
+    frame_ids = [frame.frame_id for frame in frames]
+    rank = {frame_id: i for i, frame_id in enumerate(sorted(set(frame_ids)))}
+    frame_pos = np.repeat(np.arange(len(frames)), per_frame)
+    position = np.arange(len(det)) - np.repeat(do[:-1], per_frame)
+    frame_rank = np.repeat(np.array([rank[i] for i in frame_ids], dtype=int), per_frame)
+    sweep = np.lexsort((frame_pos, position, frame_rank, -scores))
+    return _SetMatch(gt, det, gt_hit, det_hit, sweep)
 
 
 def _ratio(numerator: int, denominator: int) -> float:
@@ -224,13 +328,10 @@ def point_metrics(
     under test. With no ground truth and no detections at all, recall
     and precision are both 1.0.
     """
-    tp = fp = fn = 0
-    for frame in frames:
-        gt, det = eval_lists(frame, config)
-        result = match_frame(gt, det, config)
-        tp += len(result.matches)
-        fn += len(result.unmatched_gt)
-        fp += len(result.unmatched_det)
+    matched = _match_set(frames, config)
+    tp = int(matched.gt_hit.sum())
+    fn = len(matched.gt) - tp
+    fp = len(matched.det) - tp
     recall = _ratio(tp, tp + fn)
     precision = _ratio(tp, tp + fp)
     return recall, precision, trade_off(recall, precision)
@@ -242,25 +343,6 @@ def _interpolation_points(kind: str) -> list[float]:
     return [i / 40.0 for i in range(1, 41)]
 
 
-# One detection of an AP sweep: (-score, frame_id, det_idx, frame_pos, is_tp).
-# Sorting these tuples gives the global sweep order; frame_pos only breaks
-# ties between frames that share a frame_id.
-_SweepEntry = tuple[float, str, int, int, bool]
-
-
-def _sweep_entries(
-    frame_pos: int,
-    frame_id: str,
-    det: Sequence[KittiRecord],
-    matches: Sequence[tuple[int, int, float]],
-) -> list[_SweepEntry]:
-    matched = {m[0] for m in matches}
-    return [
-        (-_score_of(record), frame_id, det_idx, frame_pos, det_idx in matched)
-        for det_idx, record in enumerate(det)
-    ]
-
-
 def _interpolated_ap(tp_flags: Sequence[bool], total_gt: int, kind: str) -> float:
     """AP (percent) of a sweep given as TP flags in rank order.
 
@@ -270,27 +352,14 @@ def _interpolated_ap(tp_flags: Sequence[bool], total_gt: int, kind: str) -> floa
     """
     if total_gt == 0:
         raise EvaluationError("average precision is undefined without ground truth")
-    recalls: list[float] = []
-    best_after: list[float] = []
-    cum_tp = 0
-    for rank, is_tp in enumerate(tp_flags, start=1):
-        cum_tp += is_tp
-        recalls.append(cum_tp / total_gt)
-        best_after.append(cum_tp / rank)
-    for i in range(len(best_after) - 2, -1, -1):
-        if best_after[i + 1] > best_after[i]:
-            best_after[i] = best_after[i + 1]
+    cum_tp = np.cumsum(np.asarray(tp_flags, dtype=bool))
+    recalls = cum_tp / total_gt
+    best_after = np.maximum.accumulate((cum_tp / np.arange(1, len(cum_tp) + 1))[::-1])[::-1]
     points = _interpolation_points(kind)
     total = 0.0
-    for point in points:
-        i = bisect_left(recalls, point)
+    for i in np.searchsorted(recalls, points).tolist():
         total += best_after[i] if i < len(best_after) else 0.0
     return 100.0 * total / len(points)
-
-
-def _sweep_ap(entries: list[_SweepEntry], total_gt: int, kind: str) -> float:
-    """AP of the global sweep over entries, sorted into sweep order."""
-    return _interpolated_ap([entry[4] for entry in sorted(entries)], total_gt, kind)
 
 
 def average_precision(frames: Sequence[FramePair], config: MatchConfig) -> float:
@@ -302,14 +371,7 @@ def average_precision(frames: Sequence[FramePair], config: MatchConfig) -> float
     With distinct scores the result does not depend on record order
     inside detection files.
     """
-    entries: list[_SweepEntry] = []
-    total_gt = 0
-    for frame_pos, frame in enumerate(frames):
-        gt, det = eval_lists(frame, config)
-        result = match_frame(gt, det, config)
-        entries += _sweep_entries(frame_pos, frame.frame_id, det, result.matches)
-        total_gt += len(gt)
-    return _sweep_ap(entries, total_gt, config.ap_interpolation)
+    return _match_set(frames, config).average_precision(config.ap_interpolation)
 
 
 @dataclass(frozen=True)
@@ -404,27 +466,6 @@ class EvalReport:
         )
 
 
-def _kept_rows(
-    source: Sequence[KittiRecord], kept: Sequence[KittiRecord]
-) -> list[int] | None:
-    """Positions in source of the kept records (by identity), or None
-    when kept is not an in-order subsequence of source."""
-    rows: list[int] = []
-    pos = 0
-    for record in kept:
-        while pos < len(source) and source[pos] is not record:
-            pos += 1
-        if pos == len(source):
-            return None
-        rows.append(pos)
-        pos += 1
-    return rows
-
-
-def _same_records(a: Sequence[KittiRecord], b: Sequence[KittiRecord]) -> bool:
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
-
-
 def evaluate(
     frames: Sequence[FramePair],
     config: MatchConfig,
@@ -437,11 +478,6 @@ def evaluate(
     is computed on ap_frames when given (the unfiltered detections, so
     the sweep covers the full score range) and on `frames` otherwise; in
     the former case the filtered set's AP is reported separately.
-
-    Each frame's IoU matrix is built once, on its ap_frames detections
-    when the frame's filtered detections are an in-order subsequence of
-    them (the same record objects, the same ground truth), and is shared
-    by both matchings; any other frame gets a matrix of its own.
     """
     spec = bin_spec if bin_spec is not None else BinSpec()
     overflow = spec.n_bins
@@ -453,47 +489,15 @@ def evaluate(
         index = assign_bin(record.ego_distance(), spec)
         return overflow if index is None else index
 
-    sources = list(ap_frames) if ap_frames is not None else []
-    source_pos: dict[str, int] = {}
-    for pos, source in enumerate(sources):
-        source_pos.setdefault(source.frame_id, pos)
-    swept: set[int] = set()
-    entries: list[_SweepEntry] = []
-    ap_entries: list[_SweepEntry] = []
-    ap_gt = 0
-
-    def sweep_source(
-        pos: int, gt: list[KittiRecord], det: list[KittiRecord], iou: np.ndarray
-    ) -> None:
-        nonlocal ap_gt
-        matches = greedy_match(iou, [_score_of(r) for r in det], config.iou_threshold)
-        ap_entries.extend(_sweep_entries(pos, sources[pos].frame_id, det, matches))
-        ap_gt += len(gt)
-        swept.add(pos)
-
-    for frame_pos, frame in enumerate(frames):
-        gt, det = eval_lists(frame, config)
-        iou = None
-        pos = source_pos.get(frame.frame_id)
-        if pos is not None and pos not in swept:
-            source_gt, source_det = eval_lists(sources[pos], config)
-            kept = _kept_rows(source_det, det) if _same_records(source_gt, gt) else None
-            if kept is not None:
-                source_iou = _frame_iou(source_gt, source_det, config)
-                sweep_source(pos, source_gt, source_det, source_iou)
-                iou = source_iou[kept]
-        result = match_frame(gt, det, config, iou)
-        entries.extend(_sweep_entries(frame_pos, frame.frame_id, det, result.matches))
-        for _, gt_idx, _ in result.matches:
-            tp_by_bin[bin_of(gt[gt_idx])] += 1
-        for gt_idx in result.unmatched_gt:
-            fn_by_bin[bin_of(gt[gt_idx])] += 1
-        for det_idx in result.unmatched_det:
-            fp_by_bin[bin_of(det[det_idx])] += 1
-    for pos, source in enumerate(sources):
-        if pos not in swept:
-            gt, det = eval_lists(source, config)
-            sweep_source(pos, gt, det, _frame_iou(gt, det, config))
+    matched = _match_set(frames, config)
+    for record, hit in zip(matched.gt, matched.gt_hit.tolist()):
+        if hit:
+            tp_by_bin[bin_of(record)] += 1
+        else:
+            fn_by_bin[bin_of(record)] += 1
+    for record, hit in zip(matched.det, matched.det_hit.tolist()):
+        if not hit:
+            fp_by_bin[bin_of(record)] += 1
 
     tp = sum(tp_by_bin)
     fp = sum(fp_by_bin)
@@ -523,9 +527,9 @@ def evaluate(
             )
         )
 
-    ap_filtered = _sweep_ap(entries, tp + fn, config.ap_interpolation)
+    ap_filtered = matched.average_precision(config.ap_interpolation)
     if ap_frames is not None:
-        ap = _sweep_ap(ap_entries, ap_gt, config.ap_interpolation)
+        ap = _match_set(ap_frames, config).average_precision(config.ap_interpolation)
     else:
         ap, ap_filtered = ap_filtered, None
     return EvalReport(

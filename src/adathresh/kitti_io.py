@@ -93,9 +93,9 @@ class KittiRecord:
     score: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bbox_2d", tuple(float(v) for v in self.bbox_2d))
-        object.__setattr__(self, "dimensions", tuple(float(v) for v in self.dimensions))
-        object.__setattr__(self, "location", tuple(float(v) for v in self.location))
+        object.__setattr__(self, "bbox_2d", tuple(map(float, self.bbox_2d)))
+        object.__setattr__(self, "dimensions", tuple(map(float, self.dimensions)))
+        object.__setattr__(self, "location", tuple(map(float, self.location)))
 
     @property
     def is_dontcare(self) -> bool:
@@ -171,7 +171,17 @@ def parse_label_file(text: str, expect_score: bool) -> list[KittiRecord]:
 
 
 def _parse_reals(tokens: list[str], line_no: int) -> list[float]:
-    out: list[float] = []
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        _raise_first_bad(tokens, line_no)
+    return values
+
+
+def _raise_first_bad(tokens: list[str], line_no: int) -> None:
+    """Raise for the first token that is non-numeric or non-finite."""
     for tok in tokens:
         try:
             v = float(tok)
@@ -179,8 +189,6 @@ def _parse_reals(tokens: list[str], line_no: int) -> list[float]:
             raise LabelParseError(f"non-numeric field {tok!r}", line_no=line_no) from None
         if not math.isfinite(v):
             raise LabelParseError(f"non-finite field {tok!r}", line_no=line_no)
-        out.append(v)
-    return out
 
 
 def _check_invariants(record: KittiRecord, line_no: int) -> None:
@@ -224,12 +232,18 @@ def serialize_records(records: list[KittiRecord]) -> str:
 
 def write_label_file(path: str | Path, records: list[KittiRecord]) -> None:
     """Serialize records to path atomically (temp file + rename)."""
+    write_text_atomic(path, serialize_records(records))
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text (UTF-8, newlines as given) to a temp file beside path,
+    then rename it over path; parent directories are created."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(serialize_records(records))
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:

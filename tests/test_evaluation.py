@@ -14,9 +14,12 @@ from adathresh.evaluation import (
     EvaluationError,
     MatchConfig,
     MetricDelta,
+    _BLOCK_PAIRS,
+    _blocks,
     _interpolated_ap,
     average_precision,
     compare_reports,
+    eval_lists,
     evaluate,
     greedy_match,
     match_frame,
@@ -469,6 +472,61 @@ class TestEvaluateEquivalence:
             evaluate(scored, BEV_CFG, ap_frames=unscored)
         with pytest.raises(MissingScoreError):
             evaluate(unscored, BEV_CFG, ap_frames=scored)
+
+
+def _pair_counts(frames, config):
+    return np.array([len(g) * len(d) for g, d in (eval_lists(f, config) for f in frames)])
+
+
+class TestBlocks:
+    def test_whole_frames_up_to_the_block_size(self):
+        counts = np.array([3000, 2000, 5000, 0, 100, 4096])
+        assert _BLOCK_PAIRS == 4096
+        assert _blocks(counts) == [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
+        assert _blocks(np.array([0, 0, 7])) == [(0, 3)]
+        assert _blocks(np.array([4000, 96, 1])) == [(0, 2), (2, 3)]
+        assert _blocks(np.array([], dtype=int)) == []
+
+    def test_set_spanning_several_blocks(self):
+        rng = random.Random(11)
+        raw = []
+        while _pair_counts(raw, BEV_CFG).sum() < 3 * _BLOCK_PAIRS:
+            gt, det = random_scene(rng, max_gt=12, max_det=12)
+            raw.append(frame(f"{len(raw):06d}", gt, det))
+        assert len(_blocks(_pair_counts(raw, BEV_CFG))) >= 3
+        filtered = [
+            frame(f.frame_id, f.ground_truth, apply_single(list(f.detections), 0.4)) for f in raw
+        ]
+        for config in (BEV_CFG, MatchConfig(iou_kind="3d", iou_threshold=0.3)):
+            assert evaluate(filtered, config, ap_frames=raw) == three_pass_evaluate(
+                filtered, config, ap_frames=raw
+            )
+
+    def test_frame_larger_than_a_block(self):
+        rng = random.Random(12)
+        gt = [make_record(x, z) for x in (-9.0, -6.5, -4.0, -1.5, 1.0, 3.5, 6.0, 8.5)
+              for z in (8.0, 13.0, 18.0, 23.0, 28.0, 33.0, 38.0, 43.0)]
+        det = [
+            make_record(
+                g.location[0] + rng.uniform(-1.0, 1.0),
+                g.location[2] + rng.uniform(-1.0, 1.0),
+                yaw=rng.uniform(-0.3, 0.3),
+                score=rng.random(),
+            )
+            for g in gt + rng.sample(gt, 6)
+        ]
+        small = random_scene(rng)
+        raw = [frame("000000", *small), frame("000001", gt, det), frame("000002", *small)]
+        counts = _pair_counts(raw, BEV_CFG)
+        assert counts[1] > _BLOCK_PAIRS
+        assert (1, 2) in _blocks(counts)
+        filtered = [
+            frame(f.frame_id, f.ground_truth, apply_single(list(f.detections), 0.5)) for f in raw
+        ]
+        for config in (BEV_CFG, MatchConfig(iou_kind="3d", iou_threshold=0.3)):
+            assert evaluate(filtered, config, ap_frames=raw) == three_pass_evaluate(
+                filtered, config, ap_frames=raw
+            )
 
 
 class TestEvaluate:

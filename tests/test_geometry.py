@@ -10,12 +10,16 @@ from adathresh.geometry import (
     Box3D,
     Polygon2D,
     bev_polygon,
+    box_array,
     ego_distance,
     iou_3d,
     iou_bev,
     iou_matrix,
     normalize_angle,
+    normalize_angles,
+    pair_iou,
     polygon_intersection_area,
+    raw_box_array,
 )
 from helpers import make_box, mc_iou_bev
 
@@ -318,19 +322,142 @@ class TestIouMatrix:
         import adathresh.geometry as geometry
 
         calls = []
+        clip = geometry._intersection_areas
 
         def counting(a, b):
-            calls.append((a, b))
-            return iou_bev(a, b)
+            calls.extend(zip(a.tolist(), b.tolist()))
+            return clip(a, b)
 
-        monkeypatch.setattr(geometry, "iou_bev", counting)
+        monkeypatch.setattr(geometry, "_intersection_areas", counting)
         gt = [make_box(0.0, 10.0), make_box(0.0, 30.0)]
         det = [make_box(0.2, 10.0), make_box(0.0, 50.0)]
         matrix = iou_matrix(gt, det, "bev")
-        assert [(det.index(d), gt.index(g)) for d, g in calls] == [(0, 0)]
+
+        def footprint(box):
+            return [list(v) for v in box.footprint.vertices]
+
+        det_fp, gt_fp = [footprint(d) for d in det], [footprint(g) for g in gt]
+        clipped = [(det_fp.index(a), gt_fp.index(b)) for a, b in calls]
+        assert clipped == [(0, 0)]
         assert matrix[0, 0] == iou_bev(det[0], gt[0]) > 0.0
         assert np.count_nonzero(matrix) == 1
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             iou_matrix([unit_box()], [unit_box()], "2d")
+
+
+def assert_pairs_equal_scalar(frames, kind):
+    """pair_iou over [(gt, det), ...] frames gives, for every same-frame
+    pair in (frame, det, gt) order, the scalar IoU bit for bit; a pair it
+    leaves out has scalar IoU 0."""
+    gt = [b for g, _ in frames for b in g]
+    det = [b for _, d in frames for b in d]
+    gt_offsets = np.cumsum([0] + [len(g) for g, _ in frames])
+    det_offsets = np.cumsum([0] + [len(d) for _, d in frames])
+    rows, cols, values = pair_iou(box_array(det), det_offsets, box_array(gt), gt_offsets, kind)
+    got = list(zip(rows.tolist(), cols.tolist()))
+    assert got == sorted(got)
+    kept = dict(zip(got, values.tolist()))
+    iou = iou_bev if kind == "bev" else iou_3d
+    same_frame = []
+    for f in range(len(frames)):
+        for r in range(det_offsets[f], det_offsets[f + 1]):
+            for c in range(gt_offsets[f], gt_offsets[f + 1]):
+                same_frame.append((r, c))
+                assert kept.get((r, c), 0.0) == iou(det[r], gt[c]), (f, r, c)
+    assert set(kept) <= set(same_frame)
+    return kept
+
+
+def _box(x, z, w, l, yaw=0.0, y=1.0, h=1.0):
+    return make_box(x, z, y=y, dims=(h, w, l), yaw=yaw)
+
+
+# (name, a, b, bev IoU or None): footprints at yaw 0 have vertices
+# (x+l/2, z+w/2), (x-l/2, z+w/2), (x-l/2, z-w/2), (x+l/2, z-w/2).
+EDGE_CASES = [
+    ("coincident", _box(0.0, 0.0, 2.0, 2.0), _box(0.0, 0.0, 2.0, 2.0), 1.0),
+    # B shares A's first vertex (1, 1) and is inside A: the canonical
+    # swap has to compare the second vertex's x.
+    ("one shared vertex, contained", _box(0.0, 0.0, 2.0, 2.0), _box(0.5, 0.5, 1.0, 1.0), 0.25),
+    # C shares A's first two vertices: the swap compares the third z.
+    ("two shared vertices, contained", _box(0.0, 0.0, 2.0, 2.0), _box(0.0, 0.5, 1.0, 2.0), 0.5),
+    ("edge touching", _box(0.0, 0.0, 2.0, 2.0), _box(2.0, 0.0, 2.0, 2.0), 0.0),
+    # Corners overlapping by about 1e-14 square metres: below the
+    # degenerate-area cut, so the intersection counts as empty.
+    ("corner sliver", _box(0.0, 0.0, 1.0, 1.0), _box(1.0 - 1e-7, 1.0 - 1e-7, 1.0, 1.0), 0.0),
+    ("yaw +pi and -pi", _box(0.0, 0.0, 1.7, 4.0, math.pi), _box(0.3, 0.1, 1.7, 4.0, -math.pi),
+     None),
+    ("thin, crossed", _box(0.0, 0.0, 1e-3, 4.0, 0.3), _box(0.0, 0.0, 1e-3, 4.0, 0.3 + math.pi / 2),
+     None),
+    ("thin, parallel", _box(0.0, 0.0, 1e-3, 4.0, 0.3), _box(1e-4, 0.0, 1e-3, 4.0, 0.3), None),
+    ("vertical offset", _box(0.0, 0.0, 2.0, 4.0, 0.5), _box(0.2, 0.1, 2.0, 4.0, 0.6, y=1.6), None),
+]
+
+
+class TestPairIou:
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    @given(frames=st.lists(box_frames(), max_size=4))
+    def test_equals_scalar_iou_exactly(self, kind, frames):
+        assert_pairs_equal_scalar(frames, kind)
+
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    @pytest.mark.parametrize("name, a, b, expected", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+    def test_edge_cases_both_orders(self, kind, name, a, b, expected):
+        for g, d in ((a, b), (b, a)):
+            kept = assert_pairs_equal_scalar([([g], [d])], kind)
+            if expected is not None and kind == "bev":
+                assert kept[0, 0] == expected
+
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    def test_rotated_footprints_sharing_the_first_vertex(self, kind):
+        # Equal first vertices make the canonical swap decide on later
+        # coordinates; the boxes are turned, so the two clip orders round
+        # differently and a wrong swap shows.
+        family = []
+        for i, yaw in enumerate(np.linspace(-3.0, 3.0, 41).tolist()):
+            dims = (1.5, 1.4 + 0.05 * (i % 5), 3.5 + 0.1 * (i % 7))
+            c, s = math.cos(normalize_angle(yaw)), math.sin(normalize_angle(yaw))
+            hu, hv = 0.5 * dims[2], 0.5 * dims[1]
+            box = Box3D((10.0 - (hu * c + hv * s), 1.0, 20.0 + hu * s - hv * c), dims, yaw)
+            if box.footprint.vertices[0] == (10.0, 20.0):
+                family.append(box)
+        assert len(family) >= 10
+        assert_pairs_equal_scalar([(family[::2], family[1::2]), (family[1::2], family[::2])], kind)
+
+    def test_frames_without_gt_or_detections(self):
+        boxes = [_box(0.0, 0.0, 2.0, 4.0), _box(0.5, 0.0, 2.0, 4.0)]
+        frames = [([], boxes), (boxes, []), ([], []), (boxes, boxes[::-1])]
+        kept = assert_pairs_equal_scalar(frames, "bev")
+        assert sorted(kept) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+    def test_rejects_unknown_kind(self):
+        one = box_array([unit_box()])
+        with pytest.raises(ValueError):
+            pair_iou(one, [0, 1], one, [0, 1], "2d")
+
+
+class TestBoxArrays:
+    @given(st.floats(-1e9, 1e9))
+    def test_normalize_angles_matches_scalar(self, angle):
+        for value in (angle, math.pi, -math.pi, 3 * math.pi, -7 * math.pi / 2):
+            assert normalize_angles(np.array([value])).tolist() == [normalize_angle(value)]
+
+    @given(boxes())
+    def test_raw_rows_become_the_box3d_values(self, box):
+        # Box3D normalizes its yaw once; raw rows are normalized once too.
+        raw_yaw = box.yaw + 4 * math.pi
+        rebuilt = Box3D(box.center, box.dims, raw_yaw)
+        rows = raw_box_array([(*box.center, *box.dims, raw_yaw)])
+        assert rows.tolist() == box_array([rebuilt]).tolist()
+
+    @pytest.mark.parametrize(
+        "row",
+        [(0, 0, 0, 1.0, 0.0, 1.0, 0.0), (0, 0, 0, 1.0, 1.0, -1.0, 0.0), (0, 0, 0, 1, 1, 1, math.inf)],
+    )
+    def test_raw_rows_rejected_like_box3d(self, row):
+        with pytest.raises(ValueError):
+            Box3D(row[:3], row[3:6], row[6])
+        with pytest.raises(ValueError):
+            raw_box_array([row])

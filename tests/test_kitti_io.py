@@ -79,6 +79,32 @@ class TestParse:
         with pytest.raises(LabelParseError):
             parse_label_file(bad, expect_score=False)
 
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("nan", "oops", "non-finite field 'nan'"),
+            ("oops", "nan", "non-numeric field 'oops'"),
+            ("-inf", "1e999", "non-finite field '-inf'"),
+        ],
+    )
+    def test_message_names_the_first_bad_token(self, first, second, message):
+        # The whole line is converted in one call; the message must still
+        # name the first bad token in line order, whichever kind it is.
+        tokens = GT_LINE.split()
+        tokens[3], tokens[12] = first, second
+        text = f"{GT_LINE}\n\n{' '.join(tokens)}\n"
+        with pytest.raises(LabelParseError) as exc:
+            parse_label_file(text, expect_score=False)
+        assert exc.value.message == message
+        assert str(exc.value) == f"line 3: {message}"
+
+    def test_fractional_occlusion_message(self):
+        tokens = GT_LINE.split()
+        tokens[2] = "0.5"
+        with pytest.raises(LabelFormatError) as exc:
+            parse_label_file(f"{GT_LINE}\n{' '.join(tokens)}\n", expect_score=False)
+        assert str(exc.value) == "line 2: occluded must be one of -1,0,1,2,3, got '0.5'"
+
     def test_score_expected_but_missing(self):
         with pytest.raises(LabelFormatError):
             parse_label_file(GT_LINE, expect_score=True)
