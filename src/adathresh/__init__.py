@@ -5,88 +5,70 @@ piecewise model (quadratic up to a cutover distance, constant beyond),
 fits that model from distance-binned score statistics, and evaluates
 the effect with matched precision/recall and interpolated average
 precision.
+
+The names below load on first access (PEP 562), so ``import adathresh``
+imports no submodule and no numpy until a name that needs it is used.
 """
 
-from .bin_stats import BinSpec, BinStats, PreFilter, assign_bin, compute_bin_stats
-from .evaluation import (
-    EvalReport,
-    EvaluationError,
-    MatchConfig,
-    average_precision,
-    compare_reports,
-    evaluate,
-    greedy_match,
-    match_frame,
-    point_metrics,
-    trade_off,
-)
-from .geometry import Box3D, ego_distance, iou_3d, iou_bev, iou_matrix
-from .kitti_io import (
-    DatasetError,
-    FramePair,
-    KittiIOError,
-    KittiRecord,
-    LabelError,
-    load_dataset,
-    parse_label_file,
-    serialize_records,
-    write_label_file,
-)
-from .synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
-from .threshold import (
-    FitError,
-    FitResult,
-    ModelRangeError,
-    ThresholdModel,
-    apply_adaptive,
-    apply_single,
-    fit_quadratic,
-    threshold_at,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinSpec",
-    "BinStats",
-    "Box3D",
-    "DatasetError",
-    "EvalReport",
-    "EvaluationError",
-    "FitError",
-    "FitResult",
-    "FramePair",
-    "KittiIOError",
-    "KittiRecord",
-    "LabelError",
-    "MatchConfig",
-    "ModelRangeError",
-    "PreFilter",
-    "ScenarioSpec",
-    "ScoreModel",
-    "ThresholdModel",
-    "__version__",
-    "apply_adaptive",
-    "apply_single",
-    "assign_bin",
-    "average_precision",
-    "compare_reports",
-    "compute_bin_stats",
-    "ego_distance",
-    "evaluate",
-    "fit_quadratic",
-    "generate",
-    "greedy_match",
-    "iou_3d",
-    "iou_bev",
-    "iou_matrix",
-    "known_optimal_counts",
-    "load_dataset",
-    "match_frame",
-    "parse_label_file",
-    "point_metrics",
-    "serialize_records",
-    "threshold_at",
-    "trade_off",
-    "write_label_file",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BinSpec": "bin_stats",
+    "BinStats": "bin_stats",
+    "PreFilter": "bin_stats",
+    "assign_bin": "bin_stats",
+    "compute_bin_stats": "bin_stats",
+    "EvalReport": "evaluation",
+    "EvaluationError": "evaluation",
+    "MatchConfig": "evaluation",
+    "average_precision": "evaluation",
+    "compare_reports": "evaluation",
+    "evaluate": "evaluation",
+    "greedy_match": "evaluation",
+    "match_frame": "evaluation",
+    "point_metrics": "evaluation",
+    "trade_off": "evaluation",
+    "Box3D": "geometry",
+    "ego_distance": "geometry",
+    "iou_3d": "geometry",
+    "iou_bev": "geometry",
+    "iou_matrix": "geometry",
+    "DatasetError": "kitti_io",
+    "FramePair": "kitti_io",
+    "KittiIOError": "kitti_io",
+    "KittiRecord": "kitti_io",
+    "LabelError": "kitti_io",
+    "load_dataset": "kitti_io",
+    "parse_label_file": "kitti_io",
+    "serialize_records": "kitti_io",
+    "write_label_file": "kitti_io",
+    "ScenarioSpec": "synthetic",
+    "ScoreModel": "synthetic",
+    "generate": "synthetic",
+    "known_optimal_counts": "synthetic",
+    "FitError": "threshold",
+    "FitResult": "threshold",
+    "ModelRangeError": "threshold",
+    "ThresholdModel": "threshold",
+    "apply_adaptive": "threshold",
+    "apply_single": "threshold",
+    "fit_quadratic": "threshold",
+    "threshold_at": "threshold",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

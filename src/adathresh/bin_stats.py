@@ -3,6 +3,8 @@
 Detections are grouped into half-open distance bins [i*w, (i+1)*w) and
 each occupied bin gets the mean and the population standard deviation of
 its scores. Sums use math.fsum, so results do not depend on input order.
+A distance is the ground-plane distance from the ego vehicle
+(ground_distance), the one measure every module bins and thresholds by.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+
+def ground_distance(x: float, z: float) -> float:
+    """Horizontal distance from the ego vehicle to a ground-plane point."""
+    return math.hypot(x, z)
 
 
 @dataclass(frozen=True)

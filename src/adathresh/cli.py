@@ -15,17 +15,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .bin_stats import BinSpec, BinStats, PreFilter, compute_bin_stats
-from .evaluation import (
-    EvalReport,
-    EvaluationError,
-    MatchConfig,
-    compare_reports,
-    evaluate,
-)
 from .kitti_io import (
     DatasetError,
     FramePair,
@@ -37,8 +30,6 @@ from .kitti_io import (
     write_label_file,
     write_text_atomic,
 )
-from .report import render_summary_md, render_threshold_svg
-from .synthetic import ScenarioSpec, generate, scenario_totals
 from .threshold import (
     FitError,
     ModelRangeError,
@@ -47,6 +38,11 @@ from .threshold import (
     apply_single,
     fit_quadratic,
 )
+
+# evaluation, synthetic and report load inside the commands that use them:
+# the first two import numpy, which stats, filter and report never need.
+if TYPE_CHECKING:
+    from .evaluation import EvalReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,21 +54,6 @@ _AP_MODES = {"11": "eleven_point", "40": "forty_point"}
 
 class _UsageError(ValueError):
     """Bad flag or config value; maps to exit code 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one invocation."""
-
-    gt_dir: Path | None
-    det_dir: Path | None
-    out_dir: Path | None
-    class_name: str
-    bin_spec: BinSpec
-    pre_filter: PreFilter | None
-    match_config: MatchConfig
-    threshold_mode: tuple[str, object]
-    jobs: int
 
 
 def _err(message: object) -> None:
@@ -329,6 +310,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if not det_dir.is_dir():
         raise DatasetError(f"detection directory not found: {det_dir}")
     apply_mode = _mode_filter(mode)
+    out_dir.mkdir(parents=True, exist_ok=True)  # exists even when det_dir holds no file
     total = kept = 0
     for path in sorted(det_dir.glob("*.txt")):
         try:
@@ -353,6 +335,8 @@ def _apply_mode_to_frames(frames: list[FramePair], mode: tuple[str, object]) -> 
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import MatchConfig, evaluate
+
     file_cfg = _load_config_file(args.config)
     gt_dir = Path(_resolve(args, file_cfg, "gt_dir", required=True))
     det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
@@ -414,6 +398,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _load_report(path: str) -> EvalReport:
+    from .evaluation import EvalReport
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -427,6 +413,8 @@ def _load_report(path: str) -> EvalReport:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .evaluation import compare_reports
+
     file_cfg = _load_config_file(args.config)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     baseline = _load_report(args.baseline)
@@ -452,6 +440,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synthetic import ScenarioSpec, generate, scenario_totals
+
     file_cfg = _load_config_file(args.config)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     spec_path = _resolve(args, file_cfg, "spec", required=True)
@@ -480,6 +470,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .report import render_summary_md, render_threshold_svg
+
     file_cfg = _load_config_file(args.config)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     model = _load_model(_resolve(args, file_cfg, "model", required=True))
@@ -638,15 +630,19 @@ def main(argv: list[str] | None = None) -> int:
     except (FitError, ModelRangeError) as exc:
         _err(exc)
         return EXIT_NUMERIC
-    except (KittiIOError, EvaluationError) as exc:
-        _err(exc)
-        return EXIT_DATA
-    except OSError as exc:
+    except (KittiIOError, OSError) as exc:
         _err(exc)
         return EXIT_DATA
     except ValueError as exc:
         _err(exc)
-        return EXIT_USAGE
+        return EXIT_DATA if _is_evaluation_error(exc) else EXIT_USAGE
+
+
+def _is_evaluation_error(exc: ValueError) -> bool:
+    """Whether exc is an EvaluationError, without importing numpy to ask:
+    only a command that loaded the evaluation module can raise one."""
+    evaluation = sys.modules.get(f"{__package__}.evaluation")
+    return evaluation is not None and isinstance(exc, evaluation.EvaluationError)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .bin_stats import ground_distance
+
 # Intersection areas below this are noise from collinear clipping edges.
 _DEGENERATE_AREA = 1e-12
 
@@ -22,11 +24,6 @@ _DEGENERATE_AREA = 1e-12
 # apart by more than this fraction of the pair's combined radii and centre
 # magnitudes, far above the rounding of the footprint vertices.
 _PRUNE_SLACK = 1e-9
-
-
-def ground_distance(x: float, z: float) -> float:
-    """Horizontal distance from the ego vehicle to a ground-plane point."""
-    return math.hypot(x, z)
 
 
 def normalize_angle(angle: float) -> float:

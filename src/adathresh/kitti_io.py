@@ -28,11 +28,14 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .geometry import Box3D, ground_distance
+from .bin_stats import ground_distance
+
+if TYPE_CHECKING:
+    from .geometry import Box3D
 
 DONT_CARE = "DontCare"
 
@@ -107,6 +110,8 @@ class KittiRecord:
 
     def to_box3d(self) -> Box3D:
         """Oriented box for this record. Fails for DontCare rows (dims <= 0)."""
+        from .geometry import Box3D  # numpy; stats and filter never build boxes
+
         return Box3D(center=self.location, dims=self.dimensions, yaw=self.rotation_y)
 
 
@@ -284,6 +289,8 @@ def load_dataset(gt_dir: str | Path, det_dir: str | Path, jobs: int = 1) -> list
         return FramePair(frame_id, gt, det)
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_load, frame_ids))
     return [_load(frame_id) for frame_id in frame_ids]

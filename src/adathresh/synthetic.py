@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bin_stats import BinSpec
-from .geometry import ground_distance, normalize_angle
+from .bin_stats import BinSpec, ground_distance
+from .geometry import normalize_angle
 from .kitti_io import FramePair, KittiRecord
 from .threshold import ThresholdModel, threshold_at
 

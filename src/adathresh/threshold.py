@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .bin_stats import BinSpec, BinStats
 from .kitti_io import KittiRecord, MissingScoreError
 
@@ -178,6 +176,8 @@ def fit_quadratic(
     FitError; a fitted curve leaving [0, 1] on [0, delta] raises
     ModelRangeError from model construction.
     """
+    import numpy as np  # only the fit needs numpy; filtering stays numpy-free
+
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive")
     usable = [s for s in stats if s.count > 0]

@@ -191,6 +191,23 @@ class TestPipeline:
             survivors = apply_adaptive(records, model)
             assert (out / path.name).read_text() == serialize_records(survivors)
 
+    def test_filter_of_empty_det_dir_writes_an_evaluable_out_dir(self, tmp_path):
+        gt_dir = tmp_path / "gt"
+        det_dir = tmp_path / "det"
+        write_label_file(gt_dir / "000000.txt", [make_record(0.0, 10.0)])
+        det_dir.mkdir()
+        out = tmp_path / "filtered"
+        assert run(
+            "filter", "--det-dir", str(det_dir), "--out-dir", str(out), "--threshold-mode", "none"
+        ) == 0
+        assert out.is_dir() and not any(out.iterdir())
+        report_dir = tmp_path / "eval"
+        assert run(
+            "eval", "--gt-dir", str(gt_dir), "--det-dir", str(out), "--out-dir", str(report_dir)
+        ) == 0
+        payload = json.loads((report_dir / "eval_report.json").read_text())
+        assert (payload["tp"], payload["fp"], payload["fn"]) == (0, 0, 1)
+
     def test_fit_matches_library(self, tmp_path, dataset):
         fit_dir = tmp_path / "fit"
         assert run(

@@ -1,0 +1,119 @@
+"""What each entry point imports, and exit codes, checked in fresh interpreters.
+
+The test process has imported every module long before these tests run,
+so each check starts its own ``python`` and reports ``sys.modules`` back.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from adathresh.kitti_io import write_label_file
+from adathresh.threshold import ThresholdModel
+from helpers import make_record
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('adathresh'))))"
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+def loaded_after(code: str) -> set[str]:
+    proc = python("-c", f"{code}\n{LOADED}")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+@pytest.fixture
+def data(tmp_path):
+    """Ground truth, detections and a model file for every command."""
+    write_label_file(tmp_path / "gt" / "000000.txt", [make_record(0.0, 5.0), make_record(0.0, 25.0)])
+    # One detection in each of four 10 m bins, means falling 0.1 a bin.
+    write_label_file(
+        tmp_path / "det" / "000000.txt",
+        [make_record(0.0, z, score=score) for z, score in ((5.0, 0.9), (15.0, 0.8), (25.0, 0.7), (35.0, 0.6))],
+    )
+    model = ThresholdModel(alpha=0.0, beta=-0.005, gamma=0.8, delta=60.0, k=0.5)
+    (tmp_path / "model.json").write_text(json.dumps(model.to_dict()), encoding="utf-8")
+    return tmp_path
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import adathresh") == {"adathresh"}
+
+
+def test_every_public_name_resolves_and_is_listed():
+    proc = python(
+        "-c",
+        "import json, adathresh\n"
+        "unlisted = [n for n in adathresh.__all__ if n not in dir(adathresh)]\n"
+        "unresolved = [n for n in adathresh.__all__ if not hasattr(adathresh, n)]\n"
+        "print(json.dumps([unlisted, unresolved, len(adathresh.__all__)]))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    unlisted, unresolved, n_names = json.loads(proc.stdout)
+    assert unlisted == [] and unresolved == []
+    assert n_names > 40
+
+
+def test_cli_import_loads_no_numpy():
+    assert "numpy" not in loaded_after("import adathresh.cli")
+
+
+def _commands(data: Path) -> dict[str, list[str]]:
+    io = ["--gt-dir", str(data / "gt"), "--det-dir", str(data / "det")]
+    return {
+        "stats": ["stats", *io, "--out-dir", str(data / "stats")],
+        "filter": [
+            "filter", "--det-dir", str(data / "det"), "--out-dir", str(data / "filtered"),
+            "--threshold-mode", f"adaptive:{data / 'model.json'}",
+        ],
+        "report": ["report", "--model", str(data / "model.json"), "--out-dir", str(data / "report")],
+        "fit": ["fit", *io, "--out-dir", str(data / "fit"), "--pre-filter", "none"],
+        "eval": ["eval", *io, "--out-dir", str(data / "eval")],
+    }
+
+
+# Modules each command must leave unloaded.
+NOT_LOADED = {
+    "stats": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "filter": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "report": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic"},
+    "fit": {"adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "eval": {"adathresh.synthetic", "adathresh.report"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_command_loads_only_what_it_runs(data, command):
+    argv = _commands(data)[command]
+    loaded = loaded_after(f"from adathresh.cli import main\nassert main({argv!r}) == 0")
+    assert not loaded & NOT_LOADED[command]
+
+
+def test_eval_without_ground_truth_of_the_class_exits_2(tmp_path):
+    write_label_file(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0, class_name="Pedestrian")])
+    write_label_file(tmp_path / "det" / "000000.txt", [make_record(0.0, 10.0, score=0.9)])
+    proc = python(
+        "-m", "adathresh.cli", "eval",
+        "--gt-dir", str(tmp_path / "gt"),
+        "--det-dir", str(tmp_path / "det"),
+        "--out-dir", str(tmp_path / "out"),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "average precision is undefined without ground truth" in proc.stderr
+    assert "Traceback" not in proc.stderr
