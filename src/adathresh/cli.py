@@ -24,9 +24,9 @@ from .kitti_io import (
     FramePair,
     KittiIOError,
     KittiRecord,
-    LabelError,
+    label_file_names,
     load_dataset,
-    parse_label_file,
+    read_label_file,
     write_label_file,
     write_text_atomic,
 )
@@ -307,21 +307,16 @@ def cmd_filter(args: argparse.Namespace) -> int:
     det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     mode = _parse_threshold_mode(_resolve(args, file_cfg, "threshold_mode", required=True))
-    if not det_dir.is_dir():
-        raise DatasetError(f"detection directory not found: {det_dir}")
+    names = sorted(label_file_names(det_dir, "detection"))
     apply_mode = _mode_filter(mode)
     out_dir.mkdir(parents=True, exist_ok=True)  # exists even when det_dir holds no file
     total = kept = 0
-    for path in sorted(det_dir.glob("*.txt")):
-        try:
-            records = parse_label_file(path.read_text(encoding="utf-8"), expect_score=True)
-        except LabelError as exc:
-            exc.path = str(path)
-            raise
+    for name in names:
+        records = read_label_file(det_dir / name, expect_score=True)
         survivors = apply_mode(records)
         total += len(records)
         kept += len(survivors)
-        write_label_file(out_dir / path.name, survivors)
+        write_label_file(out_dir / name, survivors)
     print(f"kept {kept} of {total} detections under mode {_mode_label(mode)}; wrote {out_dir}")
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,6 +41,7 @@ DONT_CARE = "DontCare"
 
 _GT_FIELDS = 15
 _DET_FIELDS = 16
+_OCCLUSION_LEVELS = (-1, 0, 1, 2, 3)
 
 
 class KittiIOError(Exception):
@@ -115,6 +116,9 @@ class KittiRecord:
         return Box3D(center=self.location, dims=self.dimensions, yaw=self.rotation_y)
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(KittiRecord))
+
+
 @dataclass(frozen=True)
 class FramePair:
     """Ground truth and detections for one frame, matched by frame id."""
@@ -137,51 +141,68 @@ def parse_label_file(text: str, expect_score: bool) -> list[KittiRecord]:
     LabelFormatError, any other malformed line a LabelParseError. Both
     carry the 1-based line number.
     """
+    n_fields = _DET_FIELDS if expect_score else _GT_FIELDS
+    new_record, set_field = object.__new__, object.__setattr__
     records: list[KittiRecord] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if len(tokens) not in (_GT_FIELDS, _DET_FIELDS):
-            raise LabelParseError(
-                f"expected 15 or 16 fields, got {len(tokens)}", line_no=line_no
-            )
-        has_score = len(tokens) == _DET_FIELDS
-        if has_score != expect_score:
-            wanted = "16 fields (with score)" if expect_score else "15 fields (no score)"
-            raise LabelFormatError(
-                f"expected {wanted}, got {len(tokens)}", line_no=line_no
-            )
-        values = _parse_reals(tokens[1:], line_no)
+        if len(tokens) != n_fields:
+            _raise_field_count(len(tokens), expect_score, line_no)
+        values = _parse_reals(tokens, line_no)
         occluded = values[1]
-        if occluded != int(occluded) or int(occluded) not in (-1, 0, 1, 2, 3):
+        if occluded not in _OCCLUSION_LEVELS:
             raise LabelFormatError(
                 f"occluded must be one of -1,0,1,2,3, got {tokens[2]!r}", line_no=line_no
             )
-        record = KittiRecord(
-            class_name=tokens[0],
-            truncated=values[0],
-            occluded=int(occluded),
-            alpha=values[2],
-            bbox_2d=tuple(values[3:7]),
-            dimensions=tuple(values[7:10]),
-            location=tuple(values[10:13]),
-            rotation_y=values[13],
-            score=values[14] if has_score else None,
+        class_name = tokens[0]
+        dimensions = (values[7], values[8], values[9])
+        if class_name != DONT_CARE and min(dimensions) <= 0.0:
+            raise LabelFormatError(
+                f"non-positive dimensions {dimensions} for class {class_name!r}",
+                line_no=line_no,
+            )
+        bbox_2d = (values[3], values[4], values[5], values[6])
+        if values[5] < values[3] or values[6] < values[4]:
+            raise LabelFormatError(f"inverted 2D bbox {bbox_2d}", line_no=line_no)
+        # Every value is already in the form __post_init__ would store, so
+        # the fields are set directly, not converted again by the
+        # constructor. Setting them one by one, as the constructor does,
+        # keeps the instance without a dict of its own (about 170 bytes a record).
+        stored = (
+            class_name,
+            values[0],
+            int(occluded),
+            values[2],
+            bbox_2d,
+            dimensions,
+            (values[10], values[11], values[12]),
+            values[13],
+            values[14] if expect_score else None,
         )
-        _check_invariants(record, line_no)
+        record = new_record(KittiRecord)
+        for name, value in zip(_RECORD_FIELDS, stored):
+            set_field(record, name, value)
         records.append(record)
     return records
 
 
+def _raise_field_count(n_tokens: int, expect_score: bool, line_no: int) -> None:
+    if n_tokens not in (_GT_FIELDS, _DET_FIELDS):
+        raise LabelParseError(f"expected 15 or 16 fields, got {n_tokens}", line_no=line_no)
+    wanted = "16 fields (with score)" if expect_score else "15 fields (no score)"
+    raise LabelFormatError(f"expected {wanted}, got {n_tokens}", line_no=line_no)
+
+
 def _parse_reals(tokens: list[str], line_no: int) -> list[float]:
+    """The line's fields after the class name as floats, all finite."""
     try:
-        values = list(map(float, tokens))
+        values = list(map(float, tokens[1:]))
     except ValueError:
         values = None
     if values is None or not all(map(math.isfinite, values)):
-        _raise_first_bad(tokens, line_no)
+        _raise_first_bad(tokens[1:], line_no)
     return values
 
 
@@ -196,38 +217,26 @@ def _raise_first_bad(tokens: list[str], line_no: int) -> None:
             raise LabelParseError(f"non-finite field {tok!r}", line_no=line_no)
 
 
-def _check_invariants(record: KittiRecord, line_no: int) -> None:
-    if not record.is_dontcare and min(record.dimensions) <= 0.0:
-        raise LabelFormatError(
-            f"non-positive dimensions {record.dimensions} for class {record.class_name!r}",
-            line_no=line_no,
-        )
-    left, top, right, bottom = record.bbox_2d
-    if right < left or bottom < top:
-        raise LabelFormatError(
-            f"inverted 2D bbox {record.bbox_2d}", line_no=line_no
-        )
+# One %-format per layout; reals carry six fractional digits.
+_GT_FORMAT = "%s %.6f %s" + " %.6f" * 12
+_DET_FORMAT = _GT_FORMAT + " %.6f"
 
 
 def serialize_record(record: KittiRecord) -> str:
     """One label line; reals carry six fractional digits."""
-    fields = [
+    columns = (
         record.class_name,
-        _fmt(record.truncated),
-        str(record.occluded),
-        _fmt(record.alpha),
-        *(_fmt(v) for v in record.bbox_2d),
-        *(_fmt(v) for v in record.dimensions),
-        *(_fmt(v) for v in record.location),
-        _fmt(record.rotation_y),
-    ]
-    if record.score is not None:
-        fields.append(_fmt(record.score))
-    return " ".join(fields)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+        record.truncated,
+        record.occluded,
+        record.alpha,
+        *record.bbox_2d,
+        *record.dimensions,
+        *record.location,
+        record.rotation_y,
+    )
+    if record.score is None:
+        return _GT_FORMAT % columns
+    return _DET_FORMAT % (*columns, record.score)
 
 
 def serialize_records(records: list[KittiRecord]) -> str:
@@ -267,12 +276,10 @@ def load_dataset(gt_dir: str | Path, det_dir: str | Path, jobs: int = 1) -> list
     """
     gt_dir = Path(gt_dir)
     det_dir = Path(det_dir)
-    if not gt_dir.is_dir():
-        raise DatasetError(f"ground-truth directory not found: {gt_dir}")
-    if not det_dir.is_dir():
-        raise DatasetError(f"detection directory not found: {det_dir}")
-    gt_files = {p.stem: p for p in gt_dir.glob("*.txt")}
-    det_files = {p.stem: p for p in det_dir.glob("*.txt")}
+    gt_names = label_file_names(gt_dir, "ground-truth")
+    det_names = label_file_names(det_dir, "detection")
+    gt_files = {_frame_id(name): gt_dir / name for name in gt_names}
+    det_files = {_frame_id(name): det_dir / name for name in det_names}
     orphans = sorted(set(det_files) - set(gt_files))
     if orphans:
         raise DatasetError(
@@ -281,9 +288,9 @@ def load_dataset(gt_dir: str | Path, det_dir: str | Path, jobs: int = 1) -> list
     frame_ids = sorted(gt_files)
 
     def _load(frame_id: str) -> FramePair:
-        gt = _read_records(gt_files[frame_id], expect_score=False)
+        gt = read_label_file(gt_files[frame_id], expect_score=False)
         if frame_id in det_files:
-            det = _read_records(det_files[frame_id], expect_score=True)
+            det = read_label_file(det_files[frame_id], expect_score=True)
         else:
             det = []
         return FramePair(frame_id, gt, det)
@@ -296,10 +303,30 @@ def load_dataset(gt_dir: str | Path, det_dir: str | Path, jobs: int = 1) -> list
     return [_load(frame_id) for frame_id in frame_ids]
 
 
-def _read_records(path: Path, expect_score: bool) -> list[KittiRecord]:
+def label_file_names(directory: Path, role: str) -> list[str]:
+    """Names in directory ending in ".txt", from one listing.
+
+    This is the set Path.glob("*.txt") yields: case-sensitive, hidden
+    names included. A missing directory is a DatasetError naming role.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        with os.scandir(directory) as entries:
+            return [entry.name for entry in entries if entry.name.endswith(".txt")]
+    except (FileNotFoundError, NotADirectoryError):
+        raise DatasetError(f"{role} directory not found: {directory}") from None
+
+
+def _frame_id(name: str) -> str:
+    """Path(name).stem for a name ending in ".txt"; ".txt" itself is its own stem."""
+    return name[:-4] or name
+
+
+def read_label_file(path: Path, expect_score: bool) -> list[KittiRecord]:
+    """Read and parse one label file; errors name the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_label_file(text, expect_score=expect_score)

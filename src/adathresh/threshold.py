@@ -8,11 +8,12 @@ The threshold schedule is
 A detection survives when its score is greater than or equal to the
 threshold at its ego distance. Fitting recovers (alpha, beta, gamma)
 from binned score statistics by weighted least squares with weights
-1 / max(std, sigma_floor)^2 at the bin centers.
+1 / max(std, sigma_floor)^2 at the bin centers, solved exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,41 +171,91 @@ def fit_quadratic(
 ) -> FitResult:
     """Weighted least-squares quadratic through occupied bin means.
 
-    Abscissas are bin centers, weights 1 / max(std, sigma_floor)^2.
-    Pass k=None to set the flat tail by continuity, k = q(delta).
-    Fewer than 3 occupied bins or a rank-deficient system raise
-    FitError; a fitted curve leaving [0, 1] on [0, delta] raises
-    ModelRangeError from model construction.
+    Abscissas are bin centers, weights 1 / max(std, sigma_floor)^2. The
+    normal equations are solved exactly over the float inputs, so each
+    coefficient is the correctly rounded least-squares solution, the
+    same on every platform. Pass k=None to set the flat tail by
+    continuity, k = q(delta). sigma_floor must be finite and positive
+    (ValueError). Fewer than 3 occupied bins, a weight that is not
+    finite, or singular normal equations raise FitError; a fitted curve
+    leaving [0, 1] on [0, delta] raises ModelRangeError from model
+    construction.
     """
-    import numpy as np  # only the fit needs numpy; filtering stays numpy-free
-
-    if sigma_floor <= 0.0:
-        raise ValueError("sigma_floor must be positive")
+    if not (math.isfinite(sigma_floor) and sigma_floor > 0.0):
+        raise ValueError(f"sigma_floor must be finite and positive, got {sigma_floor!r}")
     usable = [s for s in stats if s.count > 0]
     if len(usable) < 3:
         raise FitError(f"need at least 3 occupied bins, got {len(usable)}")
-    x = np.array([spec.center(s.bin_index) for s in usable], dtype=float)
-    means = np.array([s.mean for s in usable], dtype=float)
-    stds = np.array([s.std for s in usable], dtype=float)
-    weights = 1.0 / np.maximum(stds, sigma_floor) ** 2
-    sw = np.sqrt(weights)
-    design = np.stack([x * x, x, np.ones_like(x)], axis=1) * sw[:, None]
-    target = means * sw
-    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < 3:
-        raise FitError("singular normal equations: bin abscissas do not span a quadratic")
-    alpha, beta, gamma = (float(c) for c in coeffs)
-    fitted = alpha * x * x + beta * x + gamma
-    residuals = means - fitted
-    weighted_rmse = float(np.sqrt(np.sum(weights * residuals**2) / np.sum(weights)))
+    x = [spec.center(s.bin_index) for s in usable]
+    means = [s.mean for s in usable]
+    weights = [_weight(s, sigma_floor) for s in usable]
+    alpha, beta, gamma = _solve_weighted_quadratic(x, means, weights)
+    fitted = [alpha * v * v + beta * v + gamma for v in x]
+    residuals = [m - f for m, f in zip(means, fitted)]
+    weighted_rmse = math.sqrt(sum(w * r * r for w, r in zip(weights, residuals)) / sum(weights))
     k_value = _quadratic(alpha, beta, gamma, delta) if k is None else float(k)
     model = ThresholdModel(alpha=alpha, beta=beta, gamma=gamma, delta=delta, k=k_value)
     return FitResult(
         model=model,
         bin_indices=tuple(s.bin_index for s in usable),
-        abscissas=tuple(float(v) for v in x),
-        fitted=tuple(float(v) for v in fitted),
-        residuals=tuple(float(v) for v in residuals),
+        abscissas=tuple(x),
+        fitted=tuple(fitted),
+        residuals=tuple(residuals),
         weighted_rmse=weighted_rmse,
         bins_used=len(usable),
     )
+
+
+def _weight(entry: BinStats, sigma_floor: float) -> float:
+    """1 / max(std, sigma_floor)^2; FitError when that is not a finite float."""
+    scale = max(entry.std, sigma_floor)
+    variance = scale * scale  # not ** 2, which raises OverflowError past 1e154
+    weight = 1.0 / variance if variance > 0.0 else math.inf
+    if not math.isfinite(weight):
+        raise FitError(
+            f"bin {entry.bin_index}: weight 1/max(std, sigma_floor)^2 is {weight} "
+            f"(std {entry.std!r}, sigma_floor {sigma_floor!r}); raise --sigma-floor"
+        )
+    return weight
+
+
+def _solve_weighted_quadratic(
+    x: Sequence[float], y: Sequence[float], w: Sequence[float]
+) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) minimizing sum w*(y - alpha*x^2 - beta*x - gamma)^2.
+
+    The 3x3 normal equations are formed and solved by Cramer's rule in
+    exact rational arithmetic over the float inputs; each coefficient is
+    rounded to float once.
+    """
+    from fractions import Fraction  # loads decimal; filter and eval never need it
+
+    moments = [Fraction(0)] * 5  # sum w x^j, j = 0..4
+    rhs = [Fraction(0)] * 3  # sum w y x^j, j = 0..2
+    for xi, yi, wi in zip(map(Fraction, x), map(Fraction, y), map(Fraction, w)):
+        term = wi
+        for j in range(5):
+            moments[j] += term
+            if j < 3:
+                rhs[j] += term * yi
+            term *= xi
+    s0, s1, s2, s3, s4 = moments
+    t0, t1, t2 = rhs
+    det = _det3(s4, s3, s2, s3, s2, s1, s2, s1, s0)
+    if det == 0:
+        raise FitError("singular normal equations: bin abscissas do not span a quadratic")
+    numerators = (
+        _det3(t2, s3, s2, t1, s2, s1, t0, s1, s0),
+        _det3(s4, t2, s2, s3, t1, s1, s2, t0, s0),
+        _det3(s4, s3, t2, s3, s2, t1, s2, s1, t0),
+    )
+    try:
+        alpha, beta, gamma = (float(n / det) for n in numerators)
+    except OverflowError:
+        raise FitError("fitted coefficients exceed the float range") from None
+    return alpha, beta, gamma
+
+
+def _det3(a, b, c, d, e, f, g, h, i):
+    """Determinant of the row-major 3x3 matrix [[a, b, c], [d, e, f], [g, h, i]]."""
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

@@ -3,14 +3,15 @@
 The oracles deliberately re-derive results through different means than
 the library: Monte-Carlo point inclusion instead of polygon clipping, a
 from-scratch greedy matcher, exhaustive search over one-to-one
-assignments, and the scalar three-pass evaluation with its brute-force
-AP interpolation.
+assignments, the scalar three-pass evaluation with its brute-force
+AP interpolation, and Gaussian elimination over fractions for the fit.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -353,3 +354,33 @@ def loop_interpolated_ap(tp_flags, total_gt: int, interpolation: str) -> float:
                 best = precision
         total += best
     return 100.0 * total / len(points)
+
+
+def exact_quadratic_fit(xs, ys, weights) -> tuple[float, float, float]:
+    """Weighted least-squares (alpha, beta, gamma), each correctly rounded.
+
+    Builds the normal equations D^T W D c = D^T W y over fractions, with
+    design rows (x^2, x, 1), and solves them by Gaussian elimination;
+    raises ZeroDivisionError when they are singular.
+    """
+    rows = [(Fraction(x) ** 2, Fraction(x), Fraction(1)) for x in xs]
+    ws = [Fraction(w) for w in weights]
+    ys = [Fraction(y) for y in ys]
+    system = [
+        [sum(w * r[i] * r[j] for w, r in zip(ws, rows)) for j in range(3)]
+        + [sum(w * r[i] * y for w, r, y in zip(ws, rows, ys))]
+        for i in range(3)
+    ]
+    for col in range(3):
+        pivot = next((r for r in range(col, 3) if system[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular normal equations")
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(col + 1, 3):
+            factor = system[r][col] / system[col][col]
+            system[r] = [a - factor * b for a, b in zip(system[r], system[col])]
+    coeffs = [Fraction(0)] * 3
+    for r in (2, 1, 0):
+        known = sum(system[r][j] * coeffs[j] for j in range(r + 1, 3))
+        coeffs[r] = (system[r][3] - known) / system[r][r]
+    return tuple(float(c) for c in coeffs)

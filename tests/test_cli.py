@@ -208,6 +208,16 @@ class TestPipeline:
         payload = json.loads((report_dir / "eval_report.json").read_text())
         assert (payload["tp"], payload["fp"], payload["fn"]) == (0, 0, 1)
 
+    def test_filter_reads_the_files_glob_lists(self, tmp_path):
+        det_dir = tmp_path / "det"
+        names = ("a.txt", ".b.txt", "c.TXT", "d.txt.tmp", ".txt")
+        for name in names:
+            write_label_file(det_dir / name, [make_record(0.0, 10.0, score=0.9)])
+        out = tmp_path / "filtered"
+        assert run("filter", "--det-dir", str(det_dir), "--out-dir", str(out), "--threshold-mode", "none") == 0
+        listed = sorted(p.name for p in det_dir.glob("*.txt"))
+        assert sorted(p.name for p in out.iterdir()) == listed == [".b.txt", ".txt", "a.txt"]
+
     def test_fit_matches_library(self, tmp_path, dataset):
         fit_dir = tmp_path / "fit"
         assert run(
@@ -421,6 +431,14 @@ class TestExitCodes:
         assert "000000.txt" in err
         assert "line 2" in err
 
+    def test_label_file_that_is_not_utf8_is_a_data_error_naming_it(self, tmp_path, capsys):
+        det_dir = tmp_path / "det"
+        det_dir.mkdir()
+        (det_dir / "000000.txt").write_bytes(b"\xff\n")
+        rc = run("filter", "--det-dir", str(det_dir), "--out-dir", str(tmp_path / "o"), "--threshold-mode", "none")
+        assert rc == 2
+        assert "000000.txt" in capsys.readouterr().err
+
     def test_corrupt_model_file(self, tmp_path, dataset):
         bad = tmp_path / "model.json"
         bad.write_text("{not json")
@@ -474,6 +492,18 @@ class TestExitCodes:
             "--pre-filter", "none",
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("sigma_floor", ["nan", "inf", "0", "-1"])
+    def test_fit_with_sigma_floor_that_is_not_finite_and_positive(self, tmp_path, dataset, capsys, sigma_floor):
+        rc = run(
+            "fit",
+            "--gt-dir", str(dataset / "gt"),
+            "--det-dir", str(dataset / "det"),
+            "--out-dir", str(tmp_path / "o"),
+            f"--sigma-floor={sigma_floor}",
+        )
+        assert rc == 1
+        assert "sigma_floor must be finite and positive" in capsys.readouterr().err
 
     def test_fit_leaving_unit_interval(self, tmp_path):
         # Means 0.9 / 0.5 / 0.1 at 5 / 15 / 25 m extrapolate to 1.1 at

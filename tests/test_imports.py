@@ -21,14 +21,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('adathresh'))))"
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
+def python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -93,7 +93,7 @@ NOT_LOADED = {
     "stats": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
     "filter": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
     "report": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic"},
-    "fit": {"adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "fit": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
     "eval": {"adathresh.synthetic", "adathresh.report"},
 }
 
@@ -116,4 +116,28 @@ def test_eval_without_ground_truth_of_the_class_exits_2(tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert "average precision is undefined without ground truth" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_fit_of_collinear_means_has_alpha_exactly_0(data):
+    proc = python("-m", "adathresh.cli", *_commands(data)["fit"])
+    assert proc.returncode == 0, proc.stderr
+    model = json.loads((data / "fit" / "model.json").read_text(encoding="utf-8"))
+    assert model["alpha"] == 0.0
+
+
+@pytest.mark.parametrize("det", ["one_bin_without_spread", "no_bin_with_spread"])
+def test_fit_with_a_weight_that_overflows_exits_3(data, det):
+    # The fixture's det file has one detection per bin, so every bin's std
+    # is 0; the other keeps that only for the 5 m bin.
+    if det == "one_bin_without_spread":
+        scored = ((5.0, 0.9), (15.0, 0.8), (15.0, 0.7), (25.0, 0.7), (25.0, 0.6), (35.0, 0.6), (35.0, 0.5))
+        write_label_file(data / "det" / "000000.txt", [make_record(0.0, z, score=s) for z, s in scored])
+    # With sigma floor 1e-160, 1 / floor^2 overflows to inf; the timeout
+    # bounds a least-squares solver that never returns on such a weight.
+    proc = python(
+        "-m", "adathresh.cli", *_commands(data)["fit"], "--sigma-floor", "1e-160", timeout=30
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "--sigma-floor" in proc.stderr
     assert "Traceback" not in proc.stderr

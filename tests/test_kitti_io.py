@@ -164,6 +164,78 @@ class TestRecord:
             FramePair("", (), ())
 
 
+def real_token(lo: float, hi: float):
+    """Text of a real in [lo, hi], spelled as files spell reals."""
+    return st.one_of(
+        st.floats(lo, hi).map(repr),
+        st.floats(lo, hi).map("{:.6f}".format),
+        st.integers(math.ceil(lo), math.floor(hi)).map(str),
+    )
+
+
+@st.composite
+def label_files(draw, with_score: bool):
+    """(file text, its non-blank lines) with mixed separators, blank lines and CRLF."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        class_name = draw(st.sampled_from(["Car", "Pedestrian", "DontCare"]))
+        dims = real_token(-1.0, -1.0) if class_name == "DontCare" else real_token(0.01, 10.0)
+        left, right = sorted((draw(real_token(0.0, 1200.0)), draw(real_token(0.0, 1200.0))), key=float)
+        top, bottom = sorted((draw(real_token(0.0, 400.0)), draw(real_token(0.0, 400.0))), key=float)
+        tokens = [
+            class_name,
+            draw(real_token(0.0, 1.0)),
+            draw(st.sampled_from(["-1", "0", "1", "2", "3", "2.0", "-0"])),
+            draw(real_token(-4.0, 4.0)),
+            left, top, right, bottom,
+            *(draw(dims) for _ in range(3)),
+            *(draw(real_token(-100.0, 100.0)) for _ in range(3)),
+            draw(real_token(-4.0, 4.0)),
+        ]
+        if with_score:
+            tokens.append(draw(real_token(0.0, 1.0)))
+        line = "".join(tok + draw(st.sampled_from([" ", "\t", "  "])) for tok in tokens)
+        lines.append(draw(st.sampled_from(["", " "])) + line)
+    text = ""
+    for line in lines:
+        text += draw(st.sampled_from(["", "\n", " \n"])) + line + draw(st.sampled_from(["\n", "\r\n"]))
+    return text, lines
+
+
+def constructed(line: str) -> KittiRecord:
+    """The record the public constructor builds from a line's tokens."""
+    tokens = line.split()
+    return KittiRecord(
+        class_name=tokens[0],
+        truncated=float(tokens[1]),
+        occluded=int(float(tokens[2])),
+        alpha=float(tokens[3]),
+        bbox_2d=tokens[4:8],
+        dimensions=tokens[8:11],
+        location=tokens[11:14],
+        rotation_y=float(tokens[14]),
+        score=float(tokens[15]) if len(tokens) == 16 else None,
+    )
+
+
+class TestParsedRecords:
+    @given(st.booleans().flatmap(lambda with_score: st.tuples(st.just(with_score), label_files(with_score))))
+    def test_parsed_records_equal_constructed_ones(self, case):
+        with_score, (text, lines) = case
+        parsed = parse_label_file(text, expect_score=with_score)
+        expected = [constructed(line) for line in lines]
+        assert parsed == expected
+        assert [hash(r) for r in parsed] == [hash(r) for r in expected]
+        for record in parsed:
+            reals = [record.truncated, record.alpha, *record.bbox_2d, *record.dimensions]
+            reals += [*record.location, record.rotation_y]
+            if with_score:
+                reals.append(record.score)
+            assert all(type(v) is float for v in reals)
+            assert type(record.occluded) is int
+            assert all(type(t) is tuple for t in (record.bbox_2d, record.dimensions, record.location))
+
+
 record_values = st.floats(-100.0, 100.0)
 
 
@@ -276,6 +348,16 @@ class TestDataset:
         serial = load_dataset(tmp_path / "gt", tmp_path / "det", jobs=1)
         parallel = load_dataset(tmp_path / "gt", tmp_path / "det", jobs=4)
         assert parallel == serial
+
+    def test_frame_ids_are_the_stems_glob_lists(self, tmp_path):
+        for name in ("a.txt", ".b.txt", "c.TXT", "d.txt.tmp", ".txt"):
+            self._write(tmp_path, f"gt/{name}", GT_LINE + "\n")
+        (tmp_path / "det").mkdir()
+        frames = load_dataset(tmp_path / "gt", tmp_path / "det")
+        ids = [frame.frame_id for frame in frames]
+        assert ids == sorted(p.stem for p in (tmp_path / "gt").glob("*.txt"))
+        assert ids == [".b", ".txt", "a"]
+        assert all(frame.ground_truth == (constructed(GT_LINE),) for frame in frames)
 
     def test_parse_error_names_file(self, tmp_path):
         self._write(tmp_path, "gt/000000.txt", "Car 1 2\n")

@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 from adathresh.bin_stats import BinSpec, BinStats
 from adathresh.kitti_io import MissingScoreError
 from adathresh.threshold import (
+    SIGMA_FLOOR,
     FitError,
     FitResult,
     ModelRangeError,
@@ -18,7 +19,7 @@ from adathresh.threshold import (
     fit_quadratic,
     threshold_at,
 )
-from helpers import make_record
+from helpers import exact_quadratic_fit, make_record
 
 # The tuned reference parameterization used throughout the docs.
 REFERENCE = ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6)
@@ -204,7 +205,52 @@ def make_stats(means, stds=None, counts=None, first_bin=0):
     ]
 
 
+@st.composite
+def noisy_bins(draw):
+    """3 to 12 occupied 10 m bins of 0-120 m. Means lie within 0.02 of a
+    quadratic through values in [0.2, 0.8] at 0, 60 and 120 m; stds
+    include 0 and values below the sigma floor."""
+    indices = sorted(draw(st.lists(st.integers(0, 11), min_size=3, max_size=12, unique=True)))
+    y0, y_mid, y_end = (draw(st.floats(0.2, 0.8)) for _ in range(3))
+    alpha = (y0 - 2.0 * y_mid + y_end) / 7200.0
+    beta = (y_end - y0) / 120.0 - 120.0 * alpha
+    stds = st.one_of(st.just(0.0), st.floats(0.0, SIGMA_FLOOR), st.floats(SIGMA_FLOOR, 0.3))
+    stats = []
+    for i in indices:
+        x = 10.0 * i + 5.0
+        mean = (alpha * x + beta) * x + y0 + draw(st.floats(-0.02, 0.02))
+        stats.append(BinStats(i, draw(st.integers(1, 50)), mean, draw(stds)))
+    return stats
+
+
 class TestFitQuadratic:
+    @given(noisy_bins())
+    def test_coefficients_are_the_correctly_rounded_exact_solution(self, stats):
+        spec = BinSpec(bin_width=10.0, max_distance=120.0)
+        try:
+            result = fit_quadratic(stats, spec, delta=120.0, k=0.5)
+        except ModelRangeError:
+            assume(False)
+        x = [spec.center(s.bin_index) for s in stats]
+        means = [s.mean for s in stats]
+        scales = [max(s.std, SIGMA_FLOOR) for s in stats]
+        got = (result.model.alpha, result.model.beta, result.model.gamma)
+        assert got == exact_quadratic_fit(x, means, [1.0 / (m * m) for m in scales])
+        xs, sw = np.array(x), 1.0 / np.array(scales)
+        design = np.stack([xs * xs, xs, np.ones_like(xs)], axis=1) * sw[:, None]
+        expected = np.linalg.lstsq(design, np.array(means) * sw, rcond=None)[0]
+        assert got == pytest.approx(tuple(expected), abs=1e-9)
+
+    def test_dyadic_quadratic_is_recovered_bit_exactly(self):
+        alpha, beta, gamma = -(2.0**-14), -(2.0**-8), 0.75
+        spec = BinSpec()
+        means = [(alpha * x + beta) * x + gamma for x in (spec.center(i) for i in range(6))]
+        stds = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2]
+        result = fit_quadratic(make_stats(means, stds=stds), spec, delta=60.0, k=0.5)
+        assert (result.model.alpha, result.model.beta, result.model.gamma) == (alpha, beta, gamma)
+        assert result.residuals == (0.0,) * 6
+        assert result.weighted_rmse == 0.0
+
     def test_three_point_interpolation(self):
         # Quadratic through (5, 0.7), (15, 0.6), (25, 0.4); cross-checked
         # against an independent linear solve below.
@@ -361,6 +407,29 @@ class TestFitQuadratic:
     def test_sigma_floor_must_be_positive(self):
         with pytest.raises(ValueError):
             fit_quadratic(make_stats([0.7, 0.6, 0.4]), BinSpec(10.0, 30.0), sigma_floor=0.0)
+
+    @pytest.mark.parametrize("sigma_floor", [math.nan, math.inf])
+    def test_sigma_floor_must_be_finite(self, sigma_floor):
+        with pytest.raises(ValueError, match="finite"):
+            fit_quadratic(make_stats([0.7, 0.6, 0.4]), BinSpec(10.0, 30.0), sigma_floor=sigma_floor)
+
+    @pytest.mark.parametrize(
+        "sigma_floor, stds",
+        [
+            (1e-160, [0.0, 0.1, 0.1, 0.1]),  # 1 / 1e-320 overflows to inf
+            (1e-160, [0.0, 0.0, 0.0, 0.0]),
+            (1e-170, [0.0, 0.1, 0.1, 0.1]),  # the floor squares to 0
+        ],
+    )
+    def test_weight_that_is_not_finite_is_a_fit_error(self, sigma_floor, stds):
+        with pytest.raises(FitError, match="--sigma-floor"):
+            fit_quadratic(make_stats([0.9, 0.8, 0.7, 0.6], stds=stds), BinSpec(), sigma_floor=sigma_floor)
+
+    def test_coefficient_beyond_the_float_range_is_a_fit_error(self):
+        # The interpolating alpha is 4 * 1.7e308 / 2, past the largest float.
+        spec = BinSpec(bin_width=1.0, max_distance=3.0)
+        with pytest.raises(FitError, match="float range"):
+            fit_quadratic(make_stats([1.7e308, -1.7e308, 1.7e308]), spec, delta=3.0)
 
     def test_out_of_range_fit_is_loud(self):
         # Steep drop: the interpolating quadratic crosses 1 on [0, 60].
