@@ -18,10 +18,10 @@ import argparse
 import sys
 from dataclasses import replace
 
-from adathresh.bin_stats import BinSpec, compute_bin_stats
+from adathresh.bin_stats import collect_samples, compute_bin_stats
 from adathresh.evaluation import EvalReport, MatchConfig, evaluate
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate
-from adathresh.threshold import apply_adaptive, apply_single, fit_quadratic
+from adathresh.threshold import SingleThreshold, fit_quadratic, keep
 
 
 def build_spec(seed: int, n_frames: int) -> ScenarioSpec:
@@ -75,28 +75,16 @@ def main(argv: list[str] | None = None) -> int:
     config = MatchConfig(iou_threshold=args.iou_thr)
     bin_spec = spec.bin_spec
 
-    samples = [
-        (det.ego_distance(), det.score)
-        for pair in frames
-        for det in pair.detections
-        if det.score is not None
-    ]
+    samples = collect_samples(frames, config.class_name, pre_filter=None)
     stats = compute_bin_stats(samples, bin_spec)
     fit = fit_quadratic(stats, bin_spec, delta=bin_spec.max_distance, k=None)
     model = fit.model
 
+    schedules = [(f"single {float(t):.2f}", SingleThreshold(float(t))) for t in args.thresholds.split(",")]
     rows = []
-    for text in args.thresholds.split(","):
-        threshold = float(text)
-        filtered = [
-            replace(pair, detections=apply_single(pair.detections, threshold)) for pair in frames
-        ]
-        report = evaluate(filtered, config, bin_spec)
-        rows.append((f"single {threshold:.2f}", report))
-    adaptive = [
-        replace(pair, detections=apply_adaptive(pair.detections, model)) for pair in frames
-    ]
-    rows.append(("adaptive", evaluate(adaptive, config, bin_spec)))
+    for name, schedule in schedules + [("adaptive", model)]:
+        filtered = [replace(pair, detections=keep(pair.detections, schedule)) for pair in frames]
+        rows.append((name, evaluate(filtered, config, bin_spec)))
 
     print(
         f"fitted model: alpha={model.alpha:.6g} beta={model.beta:.6g} "

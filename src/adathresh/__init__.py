@@ -20,22 +20,17 @@ _EXPORTS = {
     "BinStats": "bin_stats",
     "PreFilter": "bin_stats",
     "assign_bin": "bin_stats",
+    "collect_samples": "bin_stats",
     "compute_bin_stats": "bin_stats",
     "EvalReport": "evaluation",
     "EvaluationError": "evaluation",
     "MatchConfig": "evaluation",
-    "average_precision": "evaluation",
     "compare_reports": "evaluation",
     "evaluate": "evaluation",
-    "greedy_match": "evaluation",
-    "match_frame": "evaluation",
-    "point_metrics": "evaluation",
     "trade_off": "evaluation",
     "Box3D": "geometry",
-    "ego_distance": "geometry",
     "iou_3d": "geometry",
     "iou_bev": "geometry",
-    "iou_matrix": "geometry",
     "DatasetError": "kitti_io",
     "FramePair": "kitti_io",
     "KittiIOError": "kitti_io",
@@ -52,11 +47,10 @@ _EXPORTS = {
     "FitError": "threshold",
     "FitResult": "threshold",
     "ModelRangeError": "threshold",
+    "SingleThreshold": "threshold",
     "ThresholdModel": "threshold",
-    "apply_adaptive": "threshold",
-    "apply_single": "threshold",
     "fit_quadratic": "threshold",
-    "threshold_at": "threshold",
+    "keep": "threshold",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .kitti_io import FramePair
 
 
 def ground_distance(x: float, z: float) -> float:
@@ -106,13 +109,10 @@ class PreFilter:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {value}")
 
-    def threshold_for(self, distance: float) -> float:
+    def threshold_at(self, distance: float) -> float:
         if distance < 0.0:
             raise ValueError(f"distance must be non-negative, got {distance}")
         return self.high_threshold if distance < self.distance_cutoff else self.low_threshold
-
-    def keeps(self, distance: float, score: float) -> bool:
-        return score >= self.threshold_for(distance)
 
     def to_dict(self) -> dict:
         return {
@@ -130,11 +130,24 @@ class PreFilter:
         )
 
 
-def apply_pre_filter(
-    samples: Iterable[tuple[float, float]], pre_filter: PreFilter
+def collect_samples(
+    frames: Iterable[FramePair], class_name: str, pre_filter: PreFilter | None
 ) -> list[tuple[float, float]]:
-    """Keep (distance, score) samples passing the pre-filter, order preserved."""
-    return [(d, s) for d, s in samples if pre_filter.keeps(d, s)]
+    """(distance, score) of every class_name detection the pre-filter keeps.
+
+    The pre-filter, when given, keeps a detection scoring at least its
+    threshold_at the detection's ego distance. Order is frame order,
+    then file order.
+    """
+    samples: list[tuple[float, float]] = []
+    for frame in frames:
+        for record in frame.detections:
+            if record.class_name != class_name:
+                continue
+            distance = record.ego_distance()
+            if pre_filter is None or record.score >= pre_filter.threshold_at(distance):
+                samples.append((distance, record.score))
+    return samples
 
 
 def compute_bin_stats(

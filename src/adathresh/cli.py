@@ -18,12 +18,11 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .bin_stats import BinSpec, BinStats, PreFilter, compute_bin_stats
+from .bin_stats import BinSpec, BinStats, PreFilter, collect_samples, compute_bin_stats
 from .kitti_io import (
     DatasetError,
     FramePair,
     KittiIOError,
-    KittiRecord,
     label_file_names,
     load_dataset,
     read_label_file,
@@ -33,10 +32,11 @@ from .kitti_io import (
 from .threshold import (
     FitError,
     ModelRangeError,
+    Schedule,
+    SingleThreshold,
     ThresholdModel,
-    apply_adaptive,
-    apply_single,
     fit_quadratic,
+    keep,
 )
 
 # evaluation, synthetic and report load inside the commands that use them:
@@ -72,15 +72,32 @@ def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
     write_text_atomic(path, buffer.getvalue())
 
 
+def _read_json(path: str | Path, kind: str):
+    """The JSON value in a `kind` file; DatasetError naming the file otherwise."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DatasetError(f"cannot read {kind} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
+def _load_json(path: str | Path, kind: str, from_dict):
+    """from_dict of a `kind` file's JSON. A missing key or a bad value is a
+    DatasetError naming the file; a ModelRangeError passes through (exit 3)."""
+    data = _read_json(path, kind)
+    try:
+        return from_dict(data)
+    except ModelRangeError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(f"{kind} file {path} has a missing or bad value: {exc}") from exc
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DatasetError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"config file {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise DatasetError(f"config file {path} must hold a JSON object")
     return data
@@ -119,10 +136,12 @@ def _parse_pre_filter(value) -> PreFilter | None:
         raise _UsageError(f"bad --pre-filter value {value!r}: {exc}") from exc
 
 
-def _parse_threshold_mode(value: str) -> tuple[str, object]:
+def _parse_threshold_mode(value: str) -> tuple[str, Schedule | None]:
+    """The report label and the schedule of a --threshold-mode value;
+    'none' has no schedule."""
     text = str(value).strip()
     if text.lower() == "none":
-        return ("none", None)
+        return "none", None
     kind, sep, payload = text.partition(":")
     if not sep:
         raise _UsageError(
@@ -130,50 +149,19 @@ def _parse_threshold_mode(value: str) -> tuple[str, object]:
         )
     if kind == "single":
         try:
-            threshold = float(payload)
+            schedule = SingleThreshold(float(payload))
         except ValueError as exc:
-            raise _UsageError(f"bad single threshold {payload!r}") from exc
-        if not 0.0 <= threshold <= 1.0:
-            raise _UsageError(f"single threshold must lie in [0, 1], got {threshold}")
-        return ("single", threshold)
+            raise _UsageError(f"bad single threshold {payload!r}: {exc}") from exc
+        return f"single:{schedule.threshold}", schedule
     if kind == "adaptive":
         if not payload:
             raise _UsageError("adaptive mode needs a model file: adaptive:<model.json>")
-        return ("adaptive", payload)
+        return f"adaptive:{payload}", _load_model(payload)
     raise _UsageError(f"unknown threshold mode {kind!r}")
 
 
 def _load_model(path: str | Path) -> ThresholdModel:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DatasetError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"model file {path} is not valid JSON: {exc}") from exc
-    try:
-        return ThresholdModel.from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise DatasetError(f"model file {path} is missing or mistyping keys: {exc}") from exc
-
-
-def _mode_filter(mode: tuple[str, object]):
-    """Callable applying the threshold mode to a list of detection records."""
-    kind, payload = mode
-    if kind == "none":
-        return lambda records: list(records)
-    if kind == "single":
-        return lambda records: apply_single(records, payload)
-    model = _load_model(payload)
-    return lambda records: apply_adaptive(records, model)
-
-
-def _mode_label(mode: tuple[str, object]) -> str:
-    kind, payload = mode
-    if kind == "none":
-        return "none"
-    if kind == "single":
-        return f"single:{payload}"
-    return f"adaptive:{payload}"
+    return _load_json(path, "model", ThresholdModel.from_dict)
 
 
 def _bin_spec_from(args: argparse.Namespace, file_cfg: dict) -> BinSpec:
@@ -185,31 +173,15 @@ def _bin_spec_from(args: argparse.Namespace, file_cfg: dict) -> BinSpec:
         raise _UsageError(str(exc)) from exc
 
 
-def _collect_samples(
-    frames: list[FramePair], class_name: str, pre_filter: PreFilter | None
-) -> list[tuple[float, float]]:
-    samples: list[tuple[float, float]] = []
-    for frame in frames:
-        for record in frame.detections:
-            if record.class_name != class_name:
-                continue
-            distance = record.ego_distance()
-            if pre_filter is not None and not pre_filter.keeps(distance, record.score):
-                continue
-            samples.append((distance, record.score))
-    return samples
-
-
 def _stats_pipeline(args: argparse.Namespace, file_cfg: dict):
     gt_dir = Path(_resolve(args, file_cfg, "gt_dir", required=True))
     det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
     class_name = str(_resolve(args, file_cfg, "class_name", "Car"))
-    jobs = int(_resolve(args, file_cfg, "jobs", 1))
     spec = _bin_spec_from(args, file_cfg)
     pre_filter = _parse_pre_filter(_resolve(args, file_cfg, "pre_filter"))
     normalize = bool(_resolve(args, file_cfg, "normalized_std", False))
-    frames = load_dataset(gt_dir, det_dir, jobs=jobs)
-    samples = _collect_samples(frames, class_name, pre_filter)
+    frames = load_dataset(gt_dir, det_dir)
+    samples = collect_samples(frames, class_name, pre_filter)
     stats = compute_bin_stats(samples, spec, normalize_std=normalize)
     return stats, spec, pre_filter, class_name, normalize, len(samples)
 
@@ -306,27 +278,18 @@ def cmd_filter(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
-    mode = _parse_threshold_mode(_resolve(args, file_cfg, "threshold_mode", required=True))
+    label, schedule = _parse_threshold_mode(_resolve(args, file_cfg, "threshold_mode", required=True))
     names = sorted(label_file_names(det_dir, "detection"))
-    apply_mode = _mode_filter(mode)
     out_dir.mkdir(parents=True, exist_ok=True)  # exists even when det_dir holds no file
     total = kept = 0
     for name in names:
         records = read_label_file(det_dir / name, expect_score=True)
-        survivors = apply_mode(records)
+        survivors = records if schedule is None else keep(records, schedule)
         total += len(records)
         kept += len(survivors)
         write_label_file(out_dir / name, survivors)
-    print(f"kept {kept} of {total} detections under mode {_mode_label(mode)}; wrote {out_dir}")
+    print(f"kept {kept} of {total} detections under mode {label}; wrote {out_dir}")
     return EXIT_OK
-
-
-def _apply_mode_to_frames(frames: list[FramePair], mode: tuple[str, object]) -> list[FramePair]:
-    apply_mode = _mode_filter(mode)
-    return [
-        FramePair(frame.frame_id, frame.ground_truth, apply_mode(list(frame.detections)))
-        for frame in frames
-    ]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -336,9 +299,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gt_dir = Path(_resolve(args, file_cfg, "gt_dir", required=True))
     det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
-    jobs = int(_resolve(args, file_cfg, "jobs", 1))
     spec = _bin_spec_from(args, file_cfg)
-    mode = _parse_threshold_mode(_resolve(args, file_cfg, "threshold_mode", "none"))
+    label, schedule = _parse_threshold_mode(_resolve(args, file_cfg, "threshold_mode", "none"))
     ap_key = str(_resolve(args, file_cfg, "ap", "11"))
     if ap_key not in _AP_MODES:
         raise _UsageError(f"--ap must be 11 or 40, got {ap_key!r}")
@@ -352,12 +314,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    frames = load_dataset(gt_dir, det_dir, jobs=jobs)
-    filtered = _apply_mode_to_frames(frames, mode)
-    ap_frames = frames if mode[0] != "none" else None
-    report = evaluate(filtered, config, spec, ap_frames=ap_frames)
+    frames = load_dataset(gt_dir, det_dir)
+    if schedule is None:
+        report = evaluate(frames, config, spec)
+    else:
+        filtered = [FramePair(f.frame_id, f.ground_truth, keep(f.detections, schedule)) for f in frames]
+        report = evaluate(filtered, config, spec, ap_frames=frames)
     payload = report.to_dict()
-    payload["threshold_mode"] = _mode_label(mode)
+    payload["threshold_mode"] = label
     payload["n_frames"] = len(frames)
     json_path = out_dir / "eval_report.json"
     csv_path = out_dir / "eval_report.csv"
@@ -385,7 +349,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else f" ap_filtered={report.average_precision_filtered:.2f}"
     )
     print(
-        f"mode {_mode_label(mode)}: recall={report.recall:.3f} precision={report.precision:.3f} "
+        f"mode {label}: recall={report.recall:.3f} precision={report.precision:.3f} "
         f"trade_off={report.trade_off:.3f} ap={report.average_precision:.2f}{filtered_note}"
     )
     print(f"wrote {json_path} and {csv_path}")
@@ -395,16 +359,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _load_report(path: str) -> EvalReport:
     from .evaluation import EvalReport
 
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DatasetError(f"cannot read report file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"report file {path} is not valid JSON: {exc}") from exc
-    try:
-        return EvalReport.from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise DatasetError(f"report file {path} is missing keys: {exc}") from exc
+    return _load_json(path, "report", EvalReport.from_dict)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -439,17 +394,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     file_cfg = _load_config_file(args.config)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
-    spec_path = _resolve(args, file_cfg, "spec", required=True)
-    try:
-        data = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DatasetError(f"cannot read scenario file {spec_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"scenario file {spec_path} is not valid JSON: {exc}") from exc
-    try:
-        spec = ScenarioSpec.from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise DatasetError(f"scenario file {spec_path} is missing keys: {exc}") from exc
+    spec = _load_json(_resolve(args, file_cfg, "spec", required=True), "scenario", ScenarioSpec.from_dict)
     frames = generate(spec)
     for frame in frames:
         write_label_file(out_dir / "gt" / f"{frame.frame_id}.txt", list(frame.ground_truth))
@@ -474,12 +419,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     bins: list[BinStats] = []
     spec = BinSpec()
     if stats_path is not None:
-        try:
-            data = json.loads(Path(stats_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DatasetError(f"cannot read stats file {stats_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"stats file {stats_path} is not valid JSON: {exc}") from exc
+        data = _read_json(stats_path, "stats")
         try:
             spec = BinSpec(bin_width=float(data["bin_width"]), max_distance=float(data["max_distance"]))
             bins = [
@@ -529,7 +469,6 @@ def _add_binning_flags(parser: argparse.ArgumentParser) -> None:
         dest="pre_filter",
         help="'CUTOFF:LOW:HIGH' score pre-filter (default 40:0.3:0.5) or 'none'",
     )
-    parser.add_argument("--jobs", type=int, help="parallel file-loading workers (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

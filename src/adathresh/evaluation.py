@@ -33,12 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bin_stats import BinSpec, assign_bin
-from .geometry import Box3D, iou_3d, iou_bev, pair_iou, raw_box_array
+from .geometry import pair_iou, raw_box_array
 from .kitti_io import DONT_CARE, FramePair, KittiRecord, MissingScoreError
 
 ELEVEN_POINT = "eleven_point"
@@ -78,9 +78,6 @@ class MatchConfig:
         if self.difficulty is not None and self.difficulty not in _DIFFICULTY_LIMITS:
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
 
-    def iou_fn(self) -> Callable[[Box3D, Box3D], float]:
-        return iou_bev if self.iou_kind == "bev" else iou_3d
-
     def to_dict(self) -> dict:
         return {
             "iou_kind": self.iou_kind,
@@ -99,15 +96,6 @@ class MatchConfig:
             ap_interpolation=data["ap_interpolation"],
             difficulty=data.get("difficulty"),
         )
-
-
-@dataclass(frozen=True)
-class FrameMatch:
-    """Greedy matching outcome for one frame; indices are list positions."""
-
-    matches: tuple[tuple[int, int, float], ...]  # (det_idx, gt_idx, iou)
-    unmatched_gt: tuple[int, ...]
-    unmatched_det: tuple[int, ...]
 
 
 def trade_off(recall: float, precision: float) -> float:
@@ -182,19 +170,6 @@ def _greedy(
     return matches
 
 
-def greedy_match(
-    iou: np.ndarray, scores: Sequence[float], threshold: float
-) -> list[tuple[int, int, float]]:
-    """Greedy matching of one frame from its [n_det, n_gt] IoU matrix.
-
-    Rows are taken in (-score, row) order; each takes the free column of
-    highest IoU at or above threshold, the lowest column on ties.
-    Returns (det_idx, gt_idx, iou) in the order the matches were made.
-    """
-    rows, cols = np.nonzero(iou)
-    return _greedy(rows, cols, iou[rows, cols], np.asarray(scores, dtype=float), threshold)
-
-
 def _box_array(records: Sequence[KittiRecord]) -> np.ndarray:
     """The records' boxes (KittiRecord.to_box3d) as a geometry box array."""
     n = len(records)
@@ -209,36 +184,6 @@ def _scores(det: Sequence[KittiRecord]) -> np.ndarray:
     if None in scores:
         raise MissingScoreError("detection record has no score")
     return np.array(scores, dtype=float)
-
-
-def match_frame(
-    gt: Sequence[KittiRecord],
-    det: Sequence[KittiRecord],
-    config: MatchConfig,
-    iou: np.ndarray | None = None,
-) -> FrameMatch:
-    """Greedy score-descending matching of one frame.
-
-    Both lists must already be filtered to the class under evaluation
-    (see eval_lists); DontCare rows are not expected here. iou, when
-    given, is the [n_det, n_gt] matrix of config.iou_kind IoU between
-    det and gt, already computed; otherwise it is computed here.
-    """
-    if iou is None:
-        pairs = pair_iou(
-            _box_array(det), [0, len(det)], _box_array(gt), [0, len(gt)], config.iou_kind
-        )
-    else:
-        rows, cols = np.nonzero(iou)
-        pairs = rows, cols, iou[rows, cols]
-    matches = _greedy(*pairs, _scores(det), config.iou_threshold)
-    matched_gt = {m[1] for m in matches}
-    matched_det = {m[0] for m in matches}
-    return FrameMatch(
-        matches=tuple(matches),
-        unmatched_gt=tuple(i for i in range(len(gt)) if i not in matched_gt),
-        unmatched_det=tuple(i for i in range(len(det)) if i not in matched_det),
-    )
 
 
 @dataclass(frozen=True)
@@ -319,24 +264,6 @@ def _ratio(numerator: int, denominator: int) -> float:
     return numerator / denominator if denominator > 0 else 1.0
 
 
-def point_metrics(
-    frames: Sequence[FramePair], config: MatchConfig
-) -> tuple[float, float, float]:
-    """Micro-averaged (recall, precision, trade_off) over all frames.
-
-    Detections are evaluated as given; apply a threshold first if one is
-    under test. With no ground truth and no detections at all, recall
-    and precision are both 1.0.
-    """
-    matched = _match_set(frames, config)
-    tp = int(matched.gt_hit.sum())
-    fn = len(matched.gt) - tp
-    fp = len(matched.det) - tp
-    recall = _ratio(tp, tp + fn)
-    precision = _ratio(tp, tp + fp)
-    return recall, precision, trade_off(recall, precision)
-
-
 def _interpolation_points(kind: str) -> list[float]:
     if kind == ELEVEN_POINT:
         return [i / 10.0 for i in range(11)]
@@ -360,18 +287,6 @@ def _interpolated_ap(tp_flags: Sequence[bool], total_gt: int, kind: str) -> floa
     for i in np.searchsorted(recalls, points).tolist():
         total += best_after[i] if i < len(best_after) else 0.0
     return 100.0 * total / len(points)
-
-
-def average_precision(frames: Sequence[FramePair], config: MatchConfig) -> float:
-    """Interpolated average precision as a percentage in [0, 100].
-
-    Sweeps all detections in a single global score-descending pass (ties
-    broken by frame_id, then by record position) without any score
-    threshold. Raises EvaluationError when there is no ground truth.
-    With distinct scores the result does not depend on record order
-    inside detection files.
-    """
-    return _match_set(frames, config).average_precision(config.ap_interpolation)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Oriented 3D boxes, ego distance, and rotated-rectangle IoU.
+"""Oriented 3D boxes and rotated-rectangle IoU.
 
 Coordinates follow the KITTI camera frame: x right, y down, z forward.
 The ground plane is (x, z). A box ``center`` sits at the middle of its
@@ -15,12 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bin_stats import ground_distance
-
 # Intersection areas below this are noise from collinear clipping edges.
 _DEGENERATE_AREA = 1e-12
 
-# iou_matrix skips a pair only when its footprints' bounding circles are
+# pair_iou skips a pair only when its footprints' bounding circles are
 # apart by more than this fraction of the pair's combined radii and centre
 # magnitudes, far above the rounding of the footprint vertices.
 _PRUNE_SLACK = 1e-9
@@ -78,11 +76,6 @@ class Box3D:
     def footprint_area(self) -> float:
         """Area of the footprint, computed once per box."""
         return self.footprint.area()
-
-
-def ego_distance(box: Box3D) -> float:
-    """Ground-plane distance from the ego origin to the box center."""
-    return ground_distance(box.center[0], box.center[2])
 
 
 @dataclass(frozen=True)
@@ -250,22 +243,6 @@ def raw_box_array(rows: np.ndarray) -> np.ndarray:
         raise ValueError("box dims must be positive")
     rows[:, 6] = normalize_angles(rows[:, 6])
     return rows
-
-
-def iou_matrix(gt: Sequence[Box3D], det: Sequence[Box3D], kind: str) -> np.ndarray:
-    """IoU of every detection with every ground-truth box, shape [n_det, n_gt].
-
-    kind is "bev" or "3d". This is pair_iou on one frame: every entry
-    equals iou_bev or iou_3d of (det, gt) bit for bit, and pairs the
-    bounding-circle prune rejects are 0 without clipping.
-    """
-    _check_kind(kind)
-    out = np.zeros((len(det), len(gt)))
-    if not gt or not det:
-        return out
-    rows, cols, values = pair_iou(box_array(det), [0, len(det)], box_array(gt), [0, len(gt)], kind)
-    out[rows, cols] = values
-    return out
 
 
 def pair_iou(

@@ -267,12 +267,12 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def load_dataset(gt_dir: str | Path, det_dir: str | Path, jobs: int = 1) -> list[FramePair]:
+def load_dataset(gt_dir: str | Path, det_dir: str | Path) -> list[FramePair]:
     """Load matching <frame_id>.txt files from both directories.
 
     Frames present only in gt_dir get empty detections; a detection file
     without a ground-truth counterpart is a DatasetError naming the
-    frame. The result is sorted by frame_id regardless of jobs.
+    frame. The result is sorted by frame_id.
     """
     gt_dir = Path(gt_dir)
     det_dir = Path(det_dir)
@@ -285,22 +285,14 @@ def load_dataset(gt_dir: str | Path, det_dir: str | Path, jobs: int = 1) -> list
         raise DatasetError(
             "detection files without ground-truth counterparts: " + ", ".join(orphans)
         )
-    frame_ids = sorted(gt_files)
-
-    def _load(frame_id: str) -> FramePair:
-        gt = read_label_file(gt_files[frame_id], expect_score=False)
-        if frame_id in det_files:
-            det = read_label_file(det_files[frame_id], expect_score=True)
-        else:
-            det = []
-        return FramePair(frame_id, gt, det)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_load, frame_ids))
-    return [_load(frame_id) for frame_id in frame_ids]
+    return [
+        FramePair(
+            frame_id,
+            read_label_file(gt_files[frame_id], expect_score=False),
+            read_label_file(det_files[frame_id], expect_score=True) if frame_id in det_files else (),
+        )
+        for frame_id in sorted(gt_files)
+    ]
 
 
 def label_file_names(directory: Path, role: str) -> list[str]:

@@ -8,7 +8,7 @@ diffs cleanly in golden tests.
 from __future__ import annotations
 
 from .bin_stats import BinSpec, BinStats
-from .threshold import ThresholdModel, threshold_at
+from .threshold import ThresholdModel
 
 _WIDTH = 720
 _HEIGHT = 440
@@ -101,7 +101,7 @@ def render_threshold_svg(
     # threshold curve: quadratic branch, then the flat tail beyond delta
     quad_end = min(model.delta, x_max)
     samples = _sample_range(0.0, quad_end, step=0.5)
-    curve = " ".join(f"{sx(d):.2f},{sy(threshold_at(model, d)):.2f}" for d in samples)
+    curve = " ".join(f"{sx(d):.2f},{sy(model.threshold_at(d)):.2f}" for d in samples)
     parts.append(
         f'<polyline points="{curve}" fill="none" stroke="{_CURVE_COLOR}" stroke-width="2"/>'
     )
@@ -197,8 +197,8 @@ def render_summary_md(
         lines.append(f"| {name} | {getattr(model, name):.6g} |")
     lines.append("")
     lines.append(
-        f"Threshold runs from {threshold_at(model, 0.0):.4f} at 0 m to "
-        f"{threshold_at(model, model.delta):.4f} at {model.delta:.0f} m, then holds at "
+        f"Threshold runs from {model.threshold_at(0.0):.4f} at 0 m to "
+        f"{model.threshold_at(model.delta):.4f} at {model.delta:.0f} m, then holds at "
         f"{model.k:.4f}."
     )
     lines.append("")

@@ -35,7 +35,7 @@ import numpy as np
 from .bin_stats import BinSpec, ground_distance
 from .geometry import normalize_angle
 from .kitti_io import FramePair, KittiRecord
-from .threshold import ThresholdModel, threshold_at
+from .threshold import ThresholdModel, keep
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length (meters)
 MIN_SEPARATION = 6.0
@@ -303,15 +303,11 @@ def known_optimal_counts(
     frames, truths = _generate(spec)
     tp = fp = fn = 0
     for frame, kinds in zip(frames, truths):
-        surviving_tp = 0
-        for record, kind in zip(frame.detections, kinds):
-            if record.score < threshold_at(model, record.ego_distance()):
-                continue
-            if kind == TRUE_POSITIVE:
-                surviving_tp += 1
-            else:
-                fp += 1
+        kind_of = dict(zip(map(id, frame.detections), kinds))
+        surviving = [kind_of[id(record)] for record in keep(frame.detections, model)]
+        surviving_tp = surviving.count(TRUE_POSITIVE)
         tp += surviving_tp
+        fp += len(surviving) - surviving_tp
         fn += len(frame.ground_truth) - surviving_tp
     return tp, fp, fn
 

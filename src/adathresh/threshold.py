@@ -6,7 +6,9 @@ The threshold schedule is
     t(d) = k                            for d > delta
 
 A detection survives when its score is greater than or equal to the
-threshold at its ego distance. Fitting recovers (alpha, beta, gamma)
+threshold at its ego distance. That one rule, keep(), serves every
+schedule: this model, the constant SingleThreshold baseline, and the
+near/far bin_stats.PreFilter. Fitting recovers (alpha, beta, gamma)
 from binned score statistics by weighted least squares with weights
 1 / max(std, sigma_floor)^2 at the bin centers, solved exactly.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Protocol, Sequence
 
 from .bin_stats import BinSpec, BinStats
 from .kitti_io import KittiRecord, MissingScoreError
@@ -76,6 +78,14 @@ class ThresholdModel:
                 values.append(_quadratic(self.alpha, self.beta, self.gamma, vertex))
         return min(values), max(values)
 
+    def threshold_at(self, distance: float) -> float:
+        """Threshold value at a distance; gamma at d=0, k beyond delta."""
+        if distance < 0.0:
+            raise ValueError(f"distance must be non-negative, got {distance}")
+        if distance <= self.delta:
+            return _quadratic(self.alpha, self.beta, self.gamma, distance)
+        return self.k
+
     def quadratic_at(self, d: float) -> float:
         """The quadratic branch evaluated at d, ignoring the k cutover."""
         return _quadratic(self.alpha, self.beta, self.gamma, d)
@@ -100,41 +110,38 @@ class ThresholdModel:
         )
 
 
-def threshold_at(model: ThresholdModel, distance: float) -> float:
-    """Threshold value at a distance; gamma at d=0, k beyond delta."""
-    if distance < 0.0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
-    if distance <= model.delta:
-        return _quadratic(model.alpha, model.beta, model.gamma, distance)
-    return model.k
+@dataclass(frozen=True)
+class SingleThreshold:
+    """The constant baseline: the same threshold at every distance."""
+
+    threshold: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"single threshold must lie in [0, 1], got {self.threshold}")
+
+    def threshold_at(self, distance: float) -> float:
+        return self.threshold
 
 
-def apply_adaptive(
-    records: Sequence[KittiRecord], model: ThresholdModel
-) -> list[KittiRecord]:
-    """Keep records scoring at least the threshold at their ego distance.
+class Schedule(Protocol):
+    """A score threshold as a function of ego distance."""
+
+    def threshold_at(self, distance: float) -> float: ...
+
+
+def keep(records: Sequence[KittiRecord], schedule: Schedule) -> list[KittiRecord]:
+    """The records scoring at least schedule.threshold_at(their ego distance).
 
     Order is preserved and the input is not mutated. Records without a
     score raise MissingScoreError.
     """
-    kept: list[KittiRecord] = []
-    for record in records:
-        if record.score is None:
-            raise MissingScoreError("record has no score; adaptive filtering needs one")
-        if record.score >= threshold_at(model, record.ego_distance()):
-            kept.append(record)
-    return kept
-
-
-def apply_single(records: Sequence[KittiRecord], threshold: float) -> list[KittiRecord]:
-    """Keep records with score >= threshold; threshold must lie in [0, 1]."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+    threshold_at = schedule.threshold_at
     kept: list[KittiRecord] = []
     for record in records:
         if record.score is None:
             raise MissingScoreError("record has no score; filtering needs one")
-        if record.score >= threshold:
+        if record.score >= threshold_at(record.ego_distance()):
             kept.append(record)
     return kept
 

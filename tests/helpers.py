@@ -24,7 +24,7 @@ from adathresh.evaluation import (
     eval_lists,
     trade_off,
 )
-from adathresh.geometry import Box3D
+from adathresh.geometry import Box3D, iou_3d, iou_bev
 from adathresh.kitti_io import KittiRecord, MissingScoreError
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
@@ -228,7 +228,7 @@ def three_pass_evaluate(frames, config, bin_spec=None, ap_frames=None):
     interpolates with a loop over all curve points. The library computes
     one IoU matrix per frame instead and must give the same report.
     """
-    iou = config.iou_fn()
+    iou = iou_bev if config.iou_kind == "bev" else iou_3d
 
     def score_of(record):
         if record.score is None:

@@ -16,21 +16,21 @@ import numpy as np
 from adathresh.bin_stats import BinSpec, BinStats, compute_bin_stats
 from adathresh.evaluation import (
     MatchConfig,
-    average_precision,
+    _box_array,
+    _greedy,
+    _scores,
     evaluate,
-    match_frame,
     trade_off,
 )
-from adathresh.geometry import iou_bev
+from adathresh.geometry import iou_bev, pair_iou
 from adathresh.kitti_io import FramePair, parse_label_file, serialize_records
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
 from adathresh.threshold import (
     ModelRangeError,
+    SingleThreshold,
     ThresholdModel,
-    apply_adaptive,
-    apply_single,
     fit_quadratic,
-    threshold_at,
+    keep,
 )
 from helpers import (
     brute_force_match,
@@ -92,9 +92,9 @@ def test_acceptance_1_trade_off_identity():
 def test_acceptance_2_threshold_curve_values():
     with criterion(2, "threshold curve evaluation"):
         model = ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6)
-        assert threshold_at(model, 0.0) == 0.6828
-        assert abs(threshold_at(model, 40.0) - 0.4068) <= 1e-9
-        assert abs(threshold_at(model, 60.0) - 0.2448) <= 1e-9
+        assert model.threshold_at(0.0) == 0.6828
+        assert abs(model.threshold_at(40.0) - 0.4068) <= 1e-9
+        assert abs(model.threshold_at(60.0) - 0.2448) <= 1e-9
 
 
 def _random_quadratic(rng):
@@ -183,16 +183,16 @@ def test_acceptance_4_geometry_oracle():
 def test_acceptance_5_matching_oracle():
     with criterion(5, "matching oracle"):
         config = MatchConfig(iou_kind="bev", iou_threshold=0.5)
-        iou = config.iou_fn()
         optimal_hits = 0
         for seed in range(500):
             rng = random.Random(seed)
             gt, det = random_scene(rng)
-            result = match_frame(gt, det, config)
-            greedy_pairs = [(d, g) for d, g, _ in result.matches]
-            assert greedy_pairs == brute_force_match(gt, det, iou, config.iou_threshold)
+            pairs = pair_iou(_box_array(det), [0, len(det)], _box_array(gt), [0, len(gt)], "bev")
+            matches = _greedy(*pairs, _scores(det), config.iou_threshold)
+            greedy_pairs = [(d, g) for d, g, _ in matches]
+            assert greedy_pairs == brute_force_match(gt, det, iou_bev, config.iou_threshold)
 
-            matrix = [[iou(d.to_box3d(), g.to_box3d()) for g in gt] for d in det]
+            matrix = [[iou_bev(d.to_box3d(), g.to_box3d()) for g in gt] for d in det]
             best_count, _ = optimal_assignment(matrix, config.iou_threshold)
             assert len(greedy_pairs) <= best_count
             if len(greedy_pairs) == best_count:
@@ -237,14 +237,11 @@ def test_acceptance_6_end_to_end_synthetic():
         frames = generate(SCENARIO)
         config = MatchConfig(iou_kind="bev", iou_threshold=0.7)
 
-        def eval_with(filter_fn):
-            filtered = [
-                FramePair(f.frame_id, f.ground_truth, tuple(filter_fn(list(f.detections))))
-                for f in frames
-            ]
+        def eval_with(schedule):
+            filtered = [FramePair(f.frame_id, f.ground_truth, keep(f.detections, schedule)) for f in frames]
             return evaluate(filtered, config)
 
-        adaptive = eval_with(lambda det: apply_adaptive(det, ADAPTIVE_MODEL))
+        adaptive = eval_with(ADAPTIVE_MODEL)
         oracle = known_optimal_counts(SCENARIO, ADAPTIVE_MODEL)
         assert oracle == (adaptive.tp, adaptive.fp, adaptive.fn)
 
@@ -255,7 +252,7 @@ def test_acceptance_6_end_to_end_synthetic():
         adaptive_far_recall = far_tp / (far_tp + far_fn)
 
         for constant in (0.3, 0.5, 0.7):
-            report = eval_with(lambda det, t=constant: apply_single(det, t))
+            report = eval_with(SingleThreshold(constant))
             tp, fp, _ = _pooled(report, "near")
             assert tp + fp > 0
             assert adaptive_near_precision > tp / (tp + fp), f"near precision vs {constant}"
@@ -285,15 +282,15 @@ def test_acceptance_7_average_precision_fixture():
             fp_rate_per_bin=(0.0,) * 6,
             fn_rate_per_bin=(0.0,) * 6,
         )
-        assert average_precision(generate(perfect_spec), config) == 100.0
+        assert evaluate(generate(perfect_spec), config).average_precision == 100.0
 
         noisy = generate(SCENARIO)[:80]
-        baseline = average_precision(noisy, config)
+        baseline = evaluate(noisy, config).average_precision
         reordered = [
             FramePair(f.frame_id, f.ground_truth, tuple(reversed(f.detections)))
             for f in noisy
         ]
-        assert abs(average_precision(reordered, config) - baseline) <= 1e-9
+        assert abs(evaluate(reordered, config).average_precision - baseline) <= 1e-9
 
 
 def _corpus_files(rng):

@@ -1,7 +1,6 @@
 """Distance binning and per-bin score statistics."""
 
 import math
-import random
 import sys
 
 import pytest
@@ -11,10 +10,13 @@ from adathresh.bin_stats import (
     BinSpec,
     BinStats,
     PreFilter,
-    apply_pre_filter,
     assign_bin,
+    collect_samples,
     compute_bin_stats,
 )
+from adathresh.kitti_io import FramePair, MissingScoreError
+from adathresh.threshold import keep
+from helpers import make_record
 
 DEFAULT = BinSpec()
 
@@ -208,16 +210,23 @@ class TestPreFilter:
 
     def test_threshold_by_distance(self):
         pf = PreFilter()
-        assert pf.threshold_for(0.0) == 0.5
-        assert pf.threshold_for(39.999) == 0.5
-        assert pf.threshold_for(40.0) == 0.3
-        assert pf.threshold_for(60.0) == 0.3
+        assert pf.threshold_at(0.0) == 0.5
+        assert pf.threshold_at(39.999) == 0.5
+        assert pf.threshold_at(40.0) == 0.3
+        assert pf.threshold_at(60.0) == 0.3
+        with pytest.raises(ValueError):
+            pf.threshold_at(-1.0)
 
     def test_keeps_on_equality(self):
         pf = PreFilter()
-        assert pf.keeps(10.0, 0.5)
-        assert not pf.keeps(10.0, 0.49999)
-        assert pf.keeps(45.0, 0.3)
+        records = [make_record(0.0, 10.0, score=0.5), make_record(0.0, 45.0, score=0.3)]
+        assert keep(records, pf) == records
+        assert keep([make_record(0.0, 10.0, score=0.49999)], pf) == []
+        # At the cutoff itself the low threshold applies.
+        at_cutoff = make_record(0.0, 40.0, score=0.3)
+        assert keep([make_record(0.0, 39.999, score=0.4), at_cutoff], pf) == [at_cutoff]
+        with pytest.raises(MissingScoreError):
+            keep([make_record(0.0, 5.0)], pf)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -229,8 +238,11 @@ class TestPreFilter:
 
     def test_apply_preserves_order(self):
         samples = [(10.0, 0.6), (10.0, 0.4), (50.0, 0.4), (50.0, 0.2)]
-        kept = apply_pre_filter(samples, PreFilter())
-        assert kept == [(10.0, 0.6), (50.0, 0.4)]
+        pedestrian = make_record(0.0, 10.0, score=0.9, class_name="Pedestrian")
+        detections = [make_record(0.0, d, score=s) for d, s in samples]
+        frames = [FramePair("000000", (), detections[:2] + [pedestrian]), FramePair("000001", (), detections[2:])]
+        assert collect_samples(frames, "Car", PreFilter()) == [(10.0, 0.6), (50.0, 0.4)]
+        assert collect_samples(frames, "Car", None) == samples
 
     def test_dict_round_trip(self):
         pf = PreFilter(distance_cutoff=35.0, low_threshold=0.2, high_threshold=0.6)
@@ -239,4 +251,5 @@ class TestPreFilter:
     @given(st.floats(0.0, 100.0), st.floats(0.0, 1.0))
     def test_keeps_matches_threshold_for(self, distance, score):
         pf = PreFilter()
-        assert pf.keeps(distance, score) == (score >= pf.threshold_for(distance))
+        record = make_record(0.0, distance, score=score)
+        assert (keep([record], pf) == [record]) == (score >= pf.threshold_at(distance))

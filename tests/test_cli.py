@@ -2,15 +2,13 @@
 
 import csv
 import json
-from pathlib import Path
 
 import pytest
 
 from adathresh.bin_stats import BinSpec, compute_bin_stats
 from adathresh.cli import main
 from adathresh.kitti_io import load_dataset, parse_label_file, serialize_records, write_label_file
-from adathresh.synthetic import ScenarioSpec, ScoreModel
-from adathresh.threshold import ThresholdModel, apply_adaptive, fit_quadratic
+from adathresh.threshold import ThresholdModel, fit_quadratic, keep
 from helpers import make_record
 
 
@@ -188,8 +186,17 @@ class TestPipeline:
         ) == 0
         for path in sorted((dataset / "det").glob("*.txt")):
             records = parse_label_file(path.read_text(), expect_score=True)
-            survivors = apply_adaptive(records, model)
+            survivors = keep(records, model)
             assert (out / path.name).read_text() == serialize_records(survivors)
+
+    def test_filter_none_keeps_a_negative_score_and_single_zero_drops_it(self, tmp_path):
+        det_dir = tmp_path / "det"
+        negative, positive = make_record(0.0, 10.0, score=-0.25), make_record(0.0, 20.0, score=0.0)
+        write_label_file(det_dir / "000000.txt", [negative, positive])
+        for mode, survivors in (("none", [negative, positive]), ("single:0", [positive])):
+            out = tmp_path / mode.replace(":", "_")
+            assert run("filter", "--det-dir", str(det_dir), "--out-dir", str(out), "--threshold-mode", mode) == 0
+            assert (out / "000000.txt").read_text() == serialize_records(survivors)
 
     def test_filter_of_empty_det_dir_writes_an_evaluable_out_dir(self, tmp_path):
         gt_dir = tmp_path / "gt"
@@ -286,22 +293,6 @@ class TestPipeline:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
         assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
-
-    def test_stats_jobs_do_not_change_output(self, tmp_path, dataset):
-        outs = []
-        for jobs in ("1", "4"):
-            out = tmp_path / f"stats_{jobs}"
-            assert run(
-                "stats",
-                "--gt-dir", str(dataset / "gt"),
-                "--det-dir", str(dataset / "det"),
-                "--out-dir", str(out),
-                "--pre-filter", "none",
-                "--jobs", jobs,
-            ) == 0
-            outs.append(out)
-        assert (outs[0] / "bin_stats.json").read_bytes() == (outs[1] / "bin_stats.json").read_bytes()
-        assert (outs[0] / "bin_stats.csv").read_bytes() == (outs[1] / "bin_stats.csv").read_bytes()
 
     def test_report_without_stats(self, tmp_path):
         model_path = write_json(
@@ -449,6 +440,36 @@ class TestExitCodes:
             "--threshold-mode", f"adaptive:{bad}",
         )
         assert rc == 2
+
+    def test_bad_value_in_model_file_is_a_data_error_naming_it(self, tmp_path, dataset, capsys):
+        bad = write_json(
+            tmp_path / "model.json",
+            {"alpha": "abc", "beta": 0.0, "gamma": 0.5, "delta": 60.0, "k": 0.5},
+        )
+        rc = run(
+            "filter",
+            "--det-dir", str(dataset / "det"),
+            "--out-dir", str(tmp_path / "o"),
+            "--threshold-mode", f"adaptive:{bad}",
+        )
+        assert rc == 2
+        assert f"model file {bad}" in capsys.readouterr().err
+
+    def test_bad_value_in_scenario_file_is_a_data_error_naming_it(self, tmp_path, capsys):
+        for n_frames in (0, float("inf")):  # inf: int() raises OverflowError
+            bad = write_json(tmp_path / "scenario.json", scenario_payload(n_frames=n_frames))
+            assert run("synth", "--spec", bad, "--out-dir", str(tmp_path / "o")) == 2
+            assert f"scenario file {bad}" in capsys.readouterr().err
+
+    def test_bad_value_in_report_file_is_a_data_error_naming_it(self, tmp_path, dataset, capsys):
+        good = tmp_path / "eval" / "eval_report.json"
+        common = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+        assert run("eval", *common, "--out-dir", str(good.parent)) == 0
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        payload["config"]["iou_kind"] = "2d"
+        bad = write_json(tmp_path / "bad_report.json", payload)
+        assert run("compare", str(good), bad, "--out-dir", str(tmp_path / "cmp")) == 2
+        assert f"report file {bad}" in capsys.readouterr().err
 
     def test_corrupt_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

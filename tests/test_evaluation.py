@@ -16,18 +16,20 @@ from adathresh.evaluation import (
     MetricDelta,
     _BLOCK_PAIRS,
     _blocks,
+    _box_array,
+    _greedy,
     _interpolated_ap,
-    average_precision,
+    _match_set,
+    _ratio,
+    _scores,
     compare_reports,
     eval_lists,
     evaluate,
-    greedy_match,
-    match_frame,
-    point_metrics,
     trade_off,
 )
+from adathresh.geometry import iou_bev, pair_iou
 from adathresh.kitti_io import FramePair, MissingScoreError
-from adathresh.threshold import apply_single
+from adathresh.threshold import SingleThreshold, keep
 from helpers import (
     brute_force_match,
     loop_interpolated_ap,
@@ -45,6 +47,16 @@ def frame(frame_id, gt, det):
 
 def single_frame(gt, det):
     return [frame("000000", gt, det)]
+
+
+def frame_matches(gt, det):
+    """_greedy over one frame's BEV pair_iou: (det_idx, gt_idx, iou) in match order."""
+    pairs = pair_iou(_box_array(det), [0, len(det)], _box_array(gt), [0, len(gt)], "bev")
+    return _greedy(*pairs, _scores(det), BEV_CFG.iou_threshold)
+
+
+def point(report):
+    return report.recall, report.precision, report.trade_off
 
 
 class TestMatchConfig:
@@ -92,32 +104,38 @@ class TestTradeOff:
 
 
 class TestGreedyMatch:
+    """_greedy over sparse (det_idx, gt_idx, iou) pairs."""
+
     def test_rows_in_score_order_take_best_free_column(self):
-        iou = np.array([[0.8, 0.9], [0.95, 0.0]])
-        assert greedy_match(iou, [0.5, 0.9], 0.5) == [(1, 0, 0.95), (0, 1, 0.9)]
+        # The IoU matrix [[0.8, 0.9], [0.95, 0.0]], row = detection.
+        matches = _greedy([0, 0, 1], [0, 1, 0], [0.8, 0.9, 0.95], np.array([0.5, 0.9]), 0.5)
+        assert matches == [(1, 0, 0.95), (0, 1, 0.9)]
 
     def test_ties_go_to_lower_row_and_lower_column(self):
-        iou = np.array([[0.7, 0.7], [0.7, 0.7]])
-        assert greedy_match(iou, [0.6, 0.6], 0.5) == [(0, 0, 0.7), (1, 1, 0.7)]
+        matches = _greedy([0, 0, 1, 1], [0, 1, 0, 1], [0.7] * 4, np.array([0.6, 0.6]), 0.5)
+        assert matches == [(0, 0, 0.7), (1, 1, 0.7)]
 
     def test_threshold_is_inclusive(self):
-        iou = np.array([[0.5, 0.4999999999999999]])
-        assert greedy_match(iou, [0.9], 0.5) == [(0, 0, 0.5)]
-        assert greedy_match(iou, [0.9], 0.6) == []
+        pairs = ([0, 0], [0, 1], [0.5, 0.4999999999999999])
+        assert _greedy(*pairs, np.array([0.9]), 0.5) == [(0, 0, 0.5)]
+        assert _greedy(*pairs, np.array([0.9]), 0.6) == []
 
     def test_empty_matrices(self):
-        assert greedy_match(np.zeros((0, 3)), [], 0.5) == []
-        assert greedy_match(np.zeros((2, 0)), [0.9, 0.8], 0.5) == []
+        none = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        assert _greedy(*none, np.zeros(0), 0.5) == []
+        assert _greedy(*none, np.array([0.9, 0.8]), 0.5) == []
 
 
 class TestMatchFrame:
+    """One frame through pair_iou and _greedy, and through _match_set."""
+
     def test_single_pair(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 10.0, score=0.9)]
-        result = match_frame(gt, det, BEV_CFG)
-        assert result.matches == ((0, 0, 1.0),)
-        assert result.unmatched_gt == ()
-        assert result.unmatched_det == ()
+        assert frame_matches(gt, det) == [(0, 0, 1.0)]
+        matched = _match_set(single_frame(gt, det), BEV_CFG)
+        assert matched.gt_hit.tolist() == [True]
+        assert matched.det_hit.tolist() == [True]
 
     def test_higher_score_wins_regardless_of_position(self):
         gt = [make_record(0.0, 10.0)]
@@ -125,9 +143,8 @@ class TestMatchFrame:
             make_record(0.1, 10.0, score=0.8),
             make_record(0.0, 10.0, score=0.9),
         ]
-        result = match_frame(gt, det, BEV_CFG)
-        assert [(d, g) for d, g, _ in result.matches] == [(1, 0)]
-        assert result.unmatched_det == (0,)
+        assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(1, 0)]
+        assert _match_set(single_frame(gt, det), BEV_CFG).det_hit.tolist() == [False, True]
 
     def test_equal_scores_favor_lower_detection_index(self):
         gt = [make_record(0.0, 10.0)]
@@ -135,63 +152,69 @@ class TestMatchFrame:
             make_record(0.1, 10.0, score=0.8),
             make_record(0.0, 10.0, score=0.8),
         ]
-        result = match_frame(gt, det, BEV_CFG)
-        assert [(d, g) for d, g, _ in result.matches] == [(0, 0)]
+        assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(0, 0)]
 
     def test_detection_takes_highest_iou_ground_truth(self):
         # At yaw 0 the 1.7 m width lies along z; the detection overlaps
         # both boxes but the second (IoU 0.89 vs 0.62) more.
         gt = [make_record(0.0, 10.0), make_record(0.0, 10.5)]
         det = [make_record(0.0, 10.4, score=0.9)]
-        result = match_frame(gt, det, BEV_CFG)
-        assert [(d, g) for d, g, _ in result.matches] == [(0, 1)]
-        assert result.unmatched_gt == (0,)
+        assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(0, 1)]
+        assert _match_set(single_frame(gt, det), BEV_CFG).gt_hit.tolist() == [False, True]
 
     def test_iou_below_threshold_not_matched(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 11.4, score=0.9)]
-        result = match_frame(gt, det, BEV_CFG)
-        assert result.matches == ()
-        assert result.unmatched_gt == (0,)
-        assert result.unmatched_det == (0,)
+        assert frame_matches(gt, det) == []
+        matched = _match_set(single_frame(gt, det), BEV_CFG)
+        assert matched.gt_hit.tolist() == [False]
+        assert matched.det_hit.tolist() == [False]
 
     def test_missing_score_raises(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 10.0)]
         with pytest.raises(MissingScoreError):
-            match_frame(gt, det, BEV_CFG)
+            _match_set(single_frame(gt, det), BEV_CFG)
 
     def test_agrees_with_reference_matcher(self):
         for seed in range(25):
             rng = random.Random(seed)
             gt, det = random_scene(rng)
-            result = match_frame(gt, det, BEV_CFG)
-            expected = brute_force_match(gt, det, BEV_CFG.iou_fn(), BEV_CFG.iou_threshold)
-            assert [(d, g) for d, g, _ in result.matches] == expected, f"seed {seed}"
+            matches = frame_matches(gt, det)
+            expected = brute_force_match(gt, det, iou_bev, BEV_CFG.iou_threshold)
+            assert [(d, g) for d, g, _ in matches] == expected, f"seed {seed}"
 
     @given(st.integers(0, 2**32 - 1))
     def test_conservation(self, seed):
         rng = random.Random(seed)
         gt, det = random_scene(rng)
-        result = match_frame(gt, det, BEV_CFG)
-        matched_gt = [g for _, g, _ in result.matches]
-        matched_det = [d for d, _, _ in result.matches]
+        matches = frame_matches(gt, det)
+        matched = _match_set(single_frame(gt, det), BEV_CFG)
+        matched_gt = [g for _, g, _ in matches]
+        matched_det = [d for d, _, _ in matches]
+        unmatched_gt = np.flatnonzero(~matched.gt_hit).tolist()
+        unmatched_det = np.flatnonzero(~matched.det_hit).tolist()
         assert len(set(matched_gt)) == len(matched_gt)
         assert len(set(matched_det)) == len(matched_det)
-        assert sorted(matched_gt + list(result.unmatched_gt)) == list(range(len(gt)))
-        assert sorted(matched_det + list(result.unmatched_det)) == list(range(len(det)))
-        assert all(iou >= BEV_CFG.iou_threshold for _, _, iou in result.matches)
+        assert sorted(matched_gt + unmatched_gt) == list(range(len(gt)))
+        assert sorted(matched_det + unmatched_det) == list(range(len(det)))
+        assert all(iou >= BEV_CFG.iou_threshold for _, _, iou in matches)
 
 
 class TestPointMetrics:
+    """evaluate's recall, precision and trade-off; _match_set's hits where
+    no ground truth is left, since AP is undefined there."""
+
     def test_no_frames_is_vacuously_perfect(self):
-        assert point_metrics([], BEV_CFG) == (1.0, 1.0, 0.0)
+        matched = _match_set([], BEV_CFG)
+        assert (matched.gt, matched.det) == ([], [])
+        assert (_ratio(0, 0), _ratio(0, 0), trade_off(1.0, 1.0)) == (1.0, 1.0, 0.0)
 
     def test_perfect_detector(self):
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
         det = [make_record(0.0, 10.0, score=0.9), make_record(0.0, 25.0, score=0.8)]
         frames = [frame("000000", gt, det), frame("000001", gt, det)]
-        assert point_metrics(frames, BEV_CFG) == (1.0, 1.0, 0.0)
+        assert point(evaluate(frames, BEV_CFG)) == (1.0, 1.0, 0.0)
 
     def test_micro_average_over_frames(self):
         # Frame 1: one of two gts found, plus a false positive.
@@ -207,7 +230,7 @@ class TestPointMetrics:
             [make_record(0.0, 15.0)],
             [make_record(0.0, 15.0, score=0.8), make_record(-8.0, 50.0, score=0.6)],
         )
-        recall, precision, gap = point_metrics([f1, f2], BEV_CFG)
+        recall, precision, gap = point(evaluate([f1, f2], BEV_CFG))
         assert recall == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert precision == pytest.approx(0.5, abs=1e-12)
         assert gap == pytest.approx(2.0 / 3.0 - 0.5, abs=1e-12)
@@ -221,7 +244,7 @@ class TestPointMetrics:
             make_record(0.0, 10.0, score=0.9),
             make_record(0.0, 25.0, score=0.9, class_name="Pedestrian", dims=(1.8, 0.6, 0.8)),
         ]
-        recall, precision, gap = point_metrics(single_frame(gt, det), BEV_CFG)
+        recall, precision, gap = point(evaluate(single_frame(gt, det), BEV_CFG))
         assert (recall, precision, gap) == (1.0, 1.0, 0.0)
 
     def test_dontcare_rows_never_count_as_misses(self):
@@ -230,13 +253,13 @@ class TestPointMetrics:
             make_record(0.0, 30.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0)),
         ]
         det = [make_record(0.0, 10.0, score=0.9)]
-        assert point_metrics(single_frame(gt, det), BEV_CFG) == (1.0, 1.0, 0.0)
+        assert point(evaluate(single_frame(gt, det), BEV_CFG)) == (1.0, 1.0, 0.0)
 
     def test_dontcare_excluded_even_as_target_class(self):
         cfg = MatchConfig(iou_kind="bev", iou_threshold=0.5, class_name="DontCare")
         gt = [make_record(0.0, 10.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0))]
-        recall, precision, gap = point_metrics(single_frame(gt, []), cfg)
-        assert recall == 1.0  # no gt survives the filter, vacuous
+        matched = _match_set(single_frame(gt, []), cfg)
+        assert matched.gt == []  # no gt survives the filter: recall is vacuous
 
     def test_difficulty_strata(self):
         # 30 px tall 2D box: hard and moderate keep it, easy does not.
@@ -244,24 +267,23 @@ class TestPointMetrics:
         gt = [make_record(0.0, 10.0, bbox=short_box)]
         det = [make_record(0.0, 10.0, score=0.9)]
 
-        def metrics_at(difficulty):
-            cfg = MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty=difficulty)
-            return point_metrics(single_frame(gt, det), cfg)
+        def config_at(difficulty):
+            return MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty=difficulty)
 
-        assert metrics_at(None) == (1.0, 1.0, 0.0)
-        assert metrics_at("hard") == (1.0, 1.0, 0.0)
-        recall, precision, _ = metrics_at("easy")
-        assert recall == 1.0  # vacuous: no gt in stratum
-        assert precision == 0.0  # the detection is now a false positive
+        assert point(evaluate(single_frame(gt, det), config_at(None))) == (1.0, 1.0, 0.0)
+        assert point(evaluate(single_frame(gt, det), config_at("hard"))) == (1.0, 1.0, 0.0)
+        easy = _match_set(single_frame(gt, det), config_at("easy"))
+        assert easy.gt == []  # vacuous recall: no gt in stratum
+        assert easy.det_hit.tolist() == [False]  # the detection is now a false positive
 
     def test_occlusion_limits(self):
         gt = [make_record(0.0, 10.0, occluded=2)]
         det = [make_record(0.0, 10.0, score=0.9)]
         hard = MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty="hard")
         moderate = MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty="moderate")
-        assert point_metrics(single_frame(gt, det), hard) == (1.0, 1.0, 0.0)
-        _, precision, _ = point_metrics(single_frame(gt, det), moderate)
-        assert precision == 0.0
+        assert point(evaluate(single_frame(gt, det), hard)) == (1.0, 1.0, 0.0)
+        matched = _match_set(single_frame(gt, det), moderate)
+        assert matched.det_hit.tolist() == [False]  # precision 0
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_raising_threshold_never_increases_tp_or_fp(self, seed, t_a, t_b):
@@ -273,13 +295,10 @@ class TestPointMetrics:
             frames.append(frame(f"{i:06d}", gt, det))
 
         def counts(threshold):
-            tp = fp = 0
-            for f in frames:
-                kept = apply_single(list(f.detections), threshold)
-                result = match_frame(list(f.ground_truth), kept, BEV_CFG)
-                tp += len(result.matches)
-                fp += len(result.unmatched_det)
-            return tp, fp
+            schedule = SingleThreshold(threshold)
+            kept = [frame(f.frame_id, f.ground_truth, keep(f.detections, schedule)) for f in frames]
+            matched = _match_set(kept, BEV_CFG)
+            return int(matched.det_hit.sum()), int((~matched.det_hit).sum())
 
         tp_lo, fp_lo = counts(t_lo)
         tp_hi, fp_hi = counts(t_hi)
@@ -288,33 +307,35 @@ class TestPointMetrics:
 
 
 class TestAveragePrecision:
+    """evaluate's average_precision: one unfiltered sweep."""
+
     def test_perfect_detector_is_exactly_100(self):
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
         det = [make_record(0.0, 10.0, score=0.9), make_record(0.0, 25.0, score=0.8)]
-        assert average_precision(single_frame(gt, det), BEV_CFG) == 100.0
+        assert evaluate(single_frame(gt, det), BEV_CFG).average_precision == 100.0
 
     def test_no_ground_truth_raises(self):
         with pytest.raises(EvaluationError):
-            average_precision(single_frame([], [make_record(0.0, 10.0, score=0.9)]), BEV_CFG)
+            evaluate(single_frame([], [make_record(0.0, 10.0, score=0.9)]), BEV_CFG)
 
     def test_trailing_false_positive_does_not_hurt(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 10.0, score=0.9), make_record(8.0, 40.0, score=0.5)]
-        assert average_precision(single_frame(gt, det), BEV_CFG) == 100.0
+        assert evaluate(single_frame(gt, det), BEV_CFG).average_precision == 100.0
 
     def test_half_recall_eleven_point(self):
         # One of two gts found at full precision: 6 of 11 recall points
         # (0.0 through 0.5) interpolate to 1, the rest to 0.
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
         det = [make_record(0.0, 10.0, score=0.9)]
-        ap = average_precision(single_frame(gt, det), BEV_CFG)
+        ap = evaluate(single_frame(gt, det), BEV_CFG).average_precision
         assert ap == pytest.approx(600.0 / 11.0, abs=1e-9)
 
     def test_half_recall_forty_point(self):
         cfg = MatchConfig(iou_kind="bev", iou_threshold=0.5, ap_interpolation="forty_point")
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
         det = [make_record(0.0, 10.0, score=0.9)]
-        assert average_precision(single_frame(gt, det), cfg) == pytest.approx(50.0, abs=1e-9)
+        assert evaluate(single_frame(gt, det), cfg).average_precision == pytest.approx(50.0, abs=1e-9)
 
     def test_high_scoring_false_positive_hurts(self):
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
@@ -322,12 +343,12 @@ class TestAveragePrecision:
             make_record(8.0, 40.0, score=0.95),
             make_record(0.0, 10.0, score=0.9),
         ]
-        ap = average_precision(single_frame(gt, det), BEV_CFG)
+        ap = evaluate(single_frame(gt, det), BEV_CFG).average_precision
         assert ap == pytest.approx(300.0 / 11.0, abs=1e-9)
 
     def test_no_detections_gives_zero(self):
         gt = [make_record(0.0, 10.0)]
-        assert average_precision(single_frame(gt, []), BEV_CFG) == 0.0
+        assert evaluate(single_frame(gt, []), BEV_CFG).average_precision == 0.0
 
     def test_invariant_under_record_order(self):
         rng = random.Random(7)
@@ -348,12 +369,12 @@ class TestAveragePrecision:
             frames.append(frame(f"{i:06d}", gt, det))
         # Guarantees ground truth even if every random draw came up empty.
         frames.append(frame("000099", [make_record(0.0, 12.0)], []))
-        baseline = average_precision(frames, BEV_CFG)
+        baseline = evaluate(frames, BEV_CFG).average_precision
         shuffled = [
             frame(f.frame_id, f.ground_truth, tuple(reversed(f.detections)))
             for f in frames
         ]
-        assert average_precision(shuffled, BEV_CFG) == baseline
+        assert evaluate(shuffled, BEV_CFG).average_precision == baseline
 
     @given(st.integers(0, 2**32 - 1))
     def test_bounded(self, seed):
@@ -361,7 +382,7 @@ class TestAveragePrecision:
         gt, det = random_scene(rng)
         if not gt:
             gt = [make_record(0.0, 10.0)]
-        ap = average_precision(single_frame(gt, det), BEV_CFG)
+        ap = evaluate(single_frame(gt, det), BEV_CFG).average_precision
         assert 0.0 <= ap <= 100.0
 
 
@@ -415,7 +436,7 @@ def evaluation_inputs(draw):
         return raw, None, config
     filtered = []
     for f in raw:
-        kept = apply_single(list(f.detections), rng.random())
+        kept = keep(f.detections, SingleThreshold(rng.random()))
         how = rng.choice(["same", "same", "renewed", "reversed", "regrounded", "dropped"])
         gt = f.ground_truth[1:] if how == "regrounded" else f.ground_truth
         if how == "renewed":
@@ -453,7 +474,7 @@ class TestEvaluateEquivalence:
             frame(
                 f.frame_id,
                 _renewed(f.ground_truth) if i % 2 else f.ground_truth,
-                apply_single(list(f.detections), 0.3),
+                keep(f.detections, SingleThreshold(0.3)),
             )
             for i, f in enumerate(raw)
         ]
@@ -495,7 +516,7 @@ class TestBlocks:
             raw.append(frame(f"{len(raw):06d}", gt, det))
         assert len(_blocks(_pair_counts(raw, BEV_CFG))) >= 3
         filtered = [
-            frame(f.frame_id, f.ground_truth, apply_single(list(f.detections), 0.4)) for f in raw
+            frame(f.frame_id, f.ground_truth, keep(f.detections, SingleThreshold(0.4))) for f in raw
         ]
         for config in (BEV_CFG, MatchConfig(iou_kind="3d", iou_threshold=0.3)):
             assert evaluate(filtered, config, ap_frames=raw) == three_pass_evaluate(
@@ -521,7 +542,7 @@ class TestBlocks:
         assert counts[1] > _BLOCK_PAIRS
         assert (1, 2) in _blocks(counts)
         filtered = [
-            frame(f.frame_id, f.ground_truth, apply_single(list(f.detections), 0.5)) for f in raw
+            frame(f.frame_id, f.ground_truth, keep(f.detections, SingleThreshold(0.5))) for f in raw
         ]
         for config in (BEV_CFG, MatchConfig(iou_kind="3d", iou_threshold=0.3)):
             assert evaluate(filtered, config, ap_frames=raw) == three_pass_evaluate(
@@ -599,7 +620,7 @@ class TestEvaluate:
             make_record(0.0, 10.0, score=0.9),
         ]
         raw = single_frame(gt, det)
-        filtered = [frame("000000", gt, apply_single(det, 0.97))]
+        filtered = [frame("000000", gt, keep(det, SingleThreshold(0.97)))]
         report = evaluate(filtered, BEV_CFG, ap_frames=raw)
         assert report.tp == 0 and report.fp == 0 and report.fn == 2
         assert report.average_precision == pytest.approx(300.0 / 11.0, abs=1e-9)

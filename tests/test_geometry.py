@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from adathresh.bin_stats import ground_distance
 from adathresh.geometry import (
     Box3D,
     Polygon2D,
     bev_polygon,
     box_array,
-    ego_distance,
     iou_3d,
     iou_bev,
-    iou_matrix,
     normalize_angle,
     normalize_angles,
     pair_iou,
@@ -78,14 +77,16 @@ class TestBox3D:
 
 
 class TestEgoDistance:
+    """The ground-plane distance of a box center (x, z): center[::2]."""
+
     def test_on_axis(self):
-        assert ego_distance(make_box(0.0, 10.0, y=1.7)) == 10.0
+        assert ground_distance(*make_box(0.0, 10.0, y=1.7).center[::2]) == 10.0
 
     def test_three_four_five(self):
-        assert ego_distance(make_box(3.0, 4.0, y=1.7)) == 5.0
+        assert ground_distance(*make_box(3.0, 4.0, y=1.7).center[::2]) == 5.0
 
     def test_origin(self):
-        assert ego_distance(Box3D(center=(0, 0, 0), dims=(1, 1, 1), yaw=0)) == 0.0
+        assert ground_distance(*Box3D(center=(0, 0, 0), dims=(1, 1, 1), yaw=0).center[::2]) == 0.0
 
 
 class TestNormalizeAngle:
@@ -284,15 +285,25 @@ def scalar_matrix(gt, det, iou):
     return [[iou(d, g) for g in gt] for d in det]
 
 
+def one_frame_iou(gt, det, kind):
+    """pair_iou of one frame as {(det_idx, gt_idx): iou}."""
+    rows, cols, values = pair_iou(box_array(det), [0, len(det)], box_array(gt), [0, len(gt)], kind)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
+
+
 class TestIouMatrix:
+    """pair_iou on a single frame."""
+
     @pytest.mark.parametrize("kind, iou", [("bev", iou_bev), ("3d", iou_3d)])
     @given(frame=box_frames())
     def test_equals_scalar_iou_exactly(self, kind, iou, frame):
         gt, det = frame
-        matrix = iou_matrix(gt, det, kind)
-        assert matrix.shape == (len(det), len(gt))
+        pairs = one_frame_iou(gt, det, kind)
+        assert set(pairs) <= {(d, g) for d in range(len(det)) for g in range(len(gt))}
         fresh = [Box3D(b.center, b.dims, b.yaw) for b in gt]
-        assert matrix.tolist() == scalar_matrix(fresh, det, iou)
+        assert [[pairs.get((d, g), 0.0) for g in range(len(gt))] for d in range(len(det))] == (
+            scalar_matrix(fresh, det, iou)
+        )
 
     @pytest.mark.parametrize("overlap", [0.0, 1e-5])
     def test_corners_meeting_where_bounding_circles_touch(self, overlap):
@@ -307,16 +318,16 @@ class TestIouMatrix:
             (unit_box(yaw=quarter), unit_box(math.sqrt(2.0) * step, 0.0, yaw=quarter)),
         ]
         for g, d in cases:
-            matrix = iou_matrix([g], [d], "bev")
-            assert matrix.tolist() == [[iou_bev(d, g)]]
-            assert (matrix[0, 0] > 0.0) == (overlap > 0.0)
+            value = one_frame_iou([g], [d], "bev").get((0, 0), 0.0)
+            assert value == iou_bev(d, g)
+            assert (value > 0.0) == (overlap > 0.0)
 
     @pytest.mark.parametrize("kind", ["bev", "3d"])
     def test_empty_lists(self, kind):
         some = [unit_box(), unit_box(0.5)]
-        assert iou_matrix([], some, kind).shape == (2, 0)
-        assert iou_matrix(some, [], kind).shape == (0, 2)
-        assert iou_matrix([], [], kind).shape == (0, 0)
+        assert one_frame_iou([], some, kind) == {}
+        assert one_frame_iou(some, [], kind) == {}
+        assert one_frame_iou([], [], kind) == {}
 
     def test_disjoint_pairs_skip_the_clipper(self, monkeypatch):
         import adathresh.geometry as geometry
@@ -331,7 +342,7 @@ class TestIouMatrix:
         monkeypatch.setattr(geometry, "_intersection_areas", counting)
         gt = [make_box(0.0, 10.0), make_box(0.0, 30.0)]
         det = [make_box(0.2, 10.0), make_box(0.0, 50.0)]
-        matrix = iou_matrix(gt, det, "bev")
+        pairs = one_frame_iou(gt, det, "bev")
 
         def footprint(box):
             return [list(v) for v in box.footprint.vertices]
@@ -339,12 +350,12 @@ class TestIouMatrix:
         det_fp, gt_fp = [footprint(d) for d in det], [footprint(g) for g in gt]
         clipped = [(det_fp.index(a), gt_fp.index(b)) for a, b in calls]
         assert clipped == [(0, 0)]
-        assert matrix[0, 0] == iou_bev(det[0], gt[0]) > 0.0
-        assert np.count_nonzero(matrix) == 1
+        assert pairs[0, 0] == iou_bev(det[0], gt[0]) > 0.0
+        assert [key for key, value in pairs.items() if value != 0.0] == [(0, 0)]
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            iou_matrix([unit_box()], [unit_box()], "2d")
+            one_frame_iou([unit_box()], [unit_box()], "2d")
 
 
 def assert_pairs_equal_scalar(frames, kind):

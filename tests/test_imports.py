@@ -67,7 +67,7 @@ def test_every_public_name_resolves_and_is_listed():
     assert proc.returncode == 0, proc.stderr
     unlisted, unresolved, n_names = json.loads(proc.stdout)
     assert unlisted == [] and unresolved == []
-    assert n_names > 40
+    assert n_names >= 36  # 35 public names and __version__
 
 
 def test_cli_import_loads_no_numpy():

@@ -341,14 +341,6 @@ class TestDataset:
         frames = load_dataset(tmp_path / "gt", tmp_path / "det")
         assert [f.frame_id for f in frames] == ["000000", "000001", "000002"]
 
-    def test_parallel_load_matches_serial(self, tmp_path):
-        for i in range(12):
-            self._write(tmp_path, f"gt/{i:06d}.txt", GT_LINE + "\n")
-            self._write(tmp_path, f"det/{i:06d}.txt", DET_LINE + "\n")
-        serial = load_dataset(tmp_path / "gt", tmp_path / "det", jobs=1)
-        parallel = load_dataset(tmp_path / "gt", tmp_path / "det", jobs=4)
-        assert parallel == serial
-
     def test_frame_ids_are_the_stems_glob_lists(self, tmp_path):
         for name in ("a.txt", ".b.txt", "c.TXT", "d.txt.tmp", ".txt"):
             self._write(tmp_path, f"gt/{name}", GT_LINE + "\n")

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from adathresh.bin_stats import BinSpec, compute_bin_stats
+from adathresh.bin_stats import compute_bin_stats
 from adathresh.evaluation import MatchConfig, evaluate
 from adathresh.geometry import iou_bev
 from adathresh.kitti_io import FramePair, serialize_records
@@ -18,7 +18,7 @@ from adathresh.synthetic import (
     known_optimal_counts,
     scenario_totals,
 )
-from adathresh.threshold import ThresholdModel, apply_adaptive
+from adathresh.threshold import ThresholdModel, keep
 
 BASE_MODEL = ScoreModel(a=-0.00004, b=-0.0075, c=0.92, noise_std=(0.02,) * 6)
 
@@ -248,7 +248,7 @@ class TestKnownOptimalCounts:
         model = ThresholdModel(alpha=-0.0001, beta=-0.004, gamma=0.75, delta=60.0, k=0.35)
         frames = generate(spec)
         filtered = [
-            FramePair(f.frame_id, f.ground_truth, tuple(apply_adaptive(list(f.detections), model)))
+            FramePair(f.frame_id, f.ground_truth, tuple(keep(f.detections, model)))
             for f in frames
         ]
         report = evaluate(filtered, MatchConfig(iou_kind="bev", iou_threshold=0.7))

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from adathresh.bin_stats import BinSpec, BinStats
+from adathresh.bin_stats import BinSpec, BinStats, PreFilter
 from adathresh.kitti_io import MissingScoreError
 from adathresh.threshold import (
     SIGMA_FLOOR,
     FitError,
     FitResult,
     ModelRangeError,
+    SingleThreshold,
     ThresholdModel,
-    apply_adaptive,
-    apply_single,
     fit_quadratic,
-    threshold_at,
+    keep,
 )
 from helpers import exact_quadratic_fit, make_record
 
@@ -103,88 +102,110 @@ class TestThresholdModelConstruction:
 
 class TestThresholdAt:
     def test_reference_value_at_zero(self):
-        assert threshold_at(REFERENCE, 0.0) == 0.6828
+        assert REFERENCE.threshold_at(0.0) == 0.6828
 
     def test_reference_value_at_forty(self):
-        assert threshold_at(REFERENCE, 40.0) == pytest.approx(0.4068, abs=1e-9)
+        assert REFERENCE.threshold_at(40.0) == pytest.approx(0.4068, abs=1e-9)
 
     def test_reference_value_at_sixty(self):
-        assert threshold_at(REFERENCE, 60.0) == pytest.approx(0.2448, abs=1e-9)
+        assert REFERENCE.threshold_at(60.0) == pytest.approx(0.2448, abs=1e-9)
 
     def test_constant_beyond_delta(self):
-        assert threshold_at(REFERENCE, 60.000001) == 0.6
-        assert threshold_at(REFERENCE, 1000.0) == 0.6
+        assert REFERENCE.threshold_at(60.000001) == 0.6
+        assert REFERENCE.threshold_at(1000.0) == 0.6
 
     def test_negative_distance_raises(self):
         with pytest.raises(ValueError):
-            threshold_at(REFERENCE, -1.0)
+            REFERENCE.threshold_at(-1.0)
 
     def test_constant_model_reduces_to_single_value(self):
         flat = ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, k=0.5)
         for d in (0.0, 13.0, 59.9, 60.0, 75.0):
-            assert threshold_at(flat, d) == 0.5
+            assert flat.threshold_at(d) == 0.5
 
     @given(threshold_models(), distances)
     def test_always_within_unit_interval(self, model, d):
-        assert -1e-9 <= threshold_at(model, d) <= 1.0 + 1e-9
+        assert -1e-9 <= model.threshold_at(d) <= 1.0 + 1e-9
+
+
+class TestKeepBoundaries:
+    @pytest.mark.parametrize(
+        "schedule", [SingleThreshold(0.5), REFERENCE, PreFilter()], ids=["single", "adaptive", "pre_filter"]
+    )
+    @pytest.mark.parametrize("distance", [0.0, 12.5, 40.0, 60.0, 75.0])
+    def test_score_equal_to_the_threshold_is_kept(self, schedule, distance):
+        t = schedule.threshold_at(distance)
+        at, below = make_record(0.0, distance, score=t), make_record(0.0, distance, score=t - 1e-9)
+        assert keep([at, below], schedule) == [at]
+
+    def test_model_uses_the_quadratic_at_delta_and_k_beyond(self):
+        # q(60) is 0.2448 and k is 0.6: a 0.3 score passes at delta only.
+        at_delta = make_record(0.0, 60.0, score=0.3)
+        beyond = make_record(0.0, 60.001, score=0.3)
+        assert keep([at_delta, beyond], REFERENCE) == [at_delta]
+        assert keep([make_record(0.0, 60.001, score=0.6)], REFERENCE) != []
+
+    def test_single_zero_drops_a_negative_score(self):
+        # 'none' has no schedule and keeps it (test_cli).
+        assert keep([make_record(0.0, 10.0, score=-0.25)], SingleThreshold(0.0)) == []
 
 
 class TestApplySingle:
     def test_zero_keeps_all(self):
         recs = det_records([(5.0, 0.1), (50.0, 0.9)])
-        assert apply_single(recs, 0.0) == recs
+        assert keep(recs, SingleThreshold(0.0)) == recs
 
     def test_out_of_range_threshold_rejected(self):
         with pytest.raises(ValueError):
-            apply_single([], 1.0 + 1e-9)
+            SingleThreshold(1.0 + 1e-9)
         with pytest.raises(ValueError):
-            apply_single([], -0.1)
+            SingleThreshold(-0.1)
 
     def test_keeps_on_equality(self):
         recs = det_records([(5.0, 0.3), (5.0, 0.5), (5.0, 0.7)])
-        kept = apply_single(recs, 0.5)
+        kept = keep(recs, SingleThreshold(0.5))
         assert [r.score for r in kept] == [0.5, 0.7]
 
     def test_missing_score_raises(self):
         with pytest.raises(MissingScoreError):
-            apply_single([make_record(0.0, 5.0)], 0.5)
+            keep([make_record(0.0, 5.0)], SingleThreshold(0.5))
 
 
 class TestApplyAdaptive:
     def test_drops_score_below_near_threshold(self):
         # Threshold at d = 5 is 0.6518; a 0.65 score goes.
         rec = make_record(0.0, 5.0, score=0.65)
-        assert apply_adaptive([rec], REFERENCE) == []
+        assert keep([rec], REFERENCE) == []
 
     def test_keeps_score_above_far_threshold(self):
         # Threshold at d = 40 is about 0.4068; a 0.45 score stays.
         rec = make_record(0.0, 40.0, score=0.45)
-        assert apply_adaptive([rec], REFERENCE) == [rec]
+        assert keep([rec], REFERENCE) == [rec]
 
     def test_empty_input(self):
-        assert apply_adaptive([], REFERENCE) == []
+        assert keep([], REFERENCE) == []
 
     def test_missing_score_raises(self):
         with pytest.raises(MissingScoreError):
-            apply_adaptive([make_record(0.0, 5.0)], REFERENCE)
+            keep([make_record(0.0, 5.0)], REFERENCE)
 
     def test_order_preserved(self):
         recs = det_records([(40.0, 0.9), (40.0, 0.5), (40.0, 0.8)])
-        assert [r.score for r in apply_adaptive(recs, REFERENCE)] == [0.9, 0.5, 0.8]
+        assert [r.score for r in keep(recs, REFERENCE)] == [0.9, 0.5, 0.8]
 
     @given(record_lists(), scores)
     def test_reduces_to_single_threshold(self, records, t):
         flat = ThresholdModel(alpha=0.0, beta=0.0, gamma=t, k=t)
-        assert apply_adaptive(records, flat) == apply_single(records, t)
+        assert keep(records, flat) == keep(records, SingleThreshold(t))
 
     @given(record_lists(), threshold_models())
     def test_idempotent(self, records, model):
-        once = apply_adaptive(records, model)
-        assert apply_adaptive(once, model) == once
+        once = keep(records, model)
+        assert keep(once, model) == once
 
     @given(record_lists(), threshold_models())
     def test_survivors_is_order_preserving_subsequence(self, records, model):
-        kept = apply_adaptive(records, model)
+        kept = keep(records, model)
         it = iter(records)
         assert all(any(r is k for r in it) for k in kept)
 
@@ -192,8 +213,8 @@ class TestApplyAdaptive:
     def test_raising_the_curve_never_adds_survivors(self, records, gamma, lift):
         low = ThresholdModel(alpha=0.0, beta=0.0, gamma=gamma, k=gamma)
         high = ThresholdModel(alpha=0.0, beta=0.0, gamma=gamma + lift, k=gamma + lift)
-        low_ids = {id(r) for r in apply_adaptive(records, low)}
-        high_ids = {id(r) for r in apply_adaptive(records, high)}
+        low_ids = {id(r) for r in keep(records, low)}
+        high_ids = {id(r) for r in keep(records, high)}
         assert high_ids <= low_ids
 
 
