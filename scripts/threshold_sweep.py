@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from adathresh.bin_stats import collect_samples, compute_bin_stats
-from adathresh.evaluation import EvalReport, MatchConfig, evaluate
+from adathresh.bin_stats import compute_bin_stats, table_samples
+from adathresh.evaluation import EvalReport, MatchConfig, evaluate_tables
+from adathresh.kitti_io import LabelTable
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate
-from adathresh.threshold import SingleThreshold, fit_quadratic, keep
+from adathresh.threshold import SingleThreshold, fit_quadratic, keep_rows
 
 
 def build_spec(seed: int, n_frames: int) -> ScenarioSpec:
@@ -71,11 +71,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = build_spec(args.seed, args.n_frames)
-    frames = generate(spec)
+    gt, det = LabelTable.from_frames(generate(spec))
     config = MatchConfig(iou_threshold=args.iou_thr)
     bin_spec = spec.bin_spec
 
-    samples = collect_samples(frames, config.class_name, pre_filter=None)
+    samples = table_samples(det, config.class_name, pre_filter=None)
     stats = compute_bin_stats(samples, bin_spec)
     fit = fit_quadratic(stats, bin_spec, delta=bin_spec.max_distance, k=None)
     model = fit.model
@@ -83,8 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     schedules = [(f"single {float(t):.2f}", SingleThreshold(float(t))) for t in args.thresholds.split(",")]
     rows = []
     for name, schedule in schedules + [("adaptive", model)]:
-        filtered = [replace(pair, detections=keep(pair.detections, schedule)) for pair in frames]
-        rows.append((name, evaluate(filtered, config, bin_spec)))
+        rows.append((name, evaluate_tables(gt, det, config, bin_spec, keep_rows(det, schedule))))
 
     print(
         f"fitted model: alpha={model.alpha:.6g} beta={model.beta:.6g} "

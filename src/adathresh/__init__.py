@@ -22,11 +22,13 @@ _EXPORTS = {
     "assign_bin": "bin_stats",
     "collect_samples": "bin_stats",
     "compute_bin_stats": "bin_stats",
+    "table_samples": "bin_stats",
     "EvalReport": "evaluation",
     "EvaluationError": "evaluation",
     "MatchConfig": "evaluation",
     "compare_reports": "evaluation",
     "evaluate": "evaluation",
+    "evaluate_tables": "evaluation",
     "trade_off": "evaluation",
     "Box3D": "geometry",
     "iou_3d": "geometry",
@@ -36,8 +38,11 @@ _EXPORTS = {
     "KittiIOError": "kitti_io",
     "KittiRecord": "kitti_io",
     "LabelError": "kitti_io",
+    "LabelTable": "kitti_io",
     "load_dataset": "kitti_io",
+    "load_tables": "kitti_io",
     "parse_label_file": "kitti_io",
+    "read_label_table": "kitti_io",
     "serialize_records": "kitti_io",
     "write_label_file": "kitti_io",
     "ScenarioSpec": "synthetic",
@@ -51,6 +56,7 @@ _EXPORTS = {
     "ThresholdModel": "threshold",
     "fit_quadratic": "threshold",
     "keep": "threshold",
+    "keep_rows": "threshold",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
-    from .kitti_io import FramePair
+    from .kitti_io import FramePair, LabelTable
 
 
 def ground_distance(x: float, z: float) -> float:
@@ -102,6 +104,8 @@ class PreFilter:
     high_threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.distance_cutoff):
+            raise ValueError(f"distance_cutoff must be finite, got {self.distance_cutoff}")
         if self.distance_cutoff < 0.0:
             raise ValueError("distance_cutoff must be non-negative")
         for name in ("low_threshold", "high_threshold"):
@@ -133,21 +137,29 @@ class PreFilter:
 def collect_samples(
     frames: Iterable[FramePair], class_name: str, pre_filter: PreFilter | None
 ) -> list[tuple[float, float]]:
-    """(distance, score) of every class_name detection the pre-filter keeps.
+    """table_samples of the frames' detections."""
+    from .kitti_io import LabelTable
 
-    The pre-filter, when given, keeps a detection scoring at least its
-    threshold_at the detection's ego distance. Order is frame order,
-    then file order.
+    frames = list(frames)
+    detections = [frame.detections for frame in frames]
+    table = LabelTable.from_records([frame.frame_id for frame in frames], detections, with_score=True)
+    return table_samples(table, class_name, pre_filter)
+
+
+def table_samples(
+    detections: LabelTable, class_name: str, pre_filter: PreFilter | None
+) -> list[tuple[float, float]]:
+    """(distance, score) of every class_name row the pre-filter keeps.
+
+    The pre-filter, when given, keeps what threshold.keep_rows keeps.
+    Order is row order: frame order, then file order.
     """
-    samples: list[tuple[float, float]] = []
-    for frame in frames:
-        for record in frame.detections:
-            if record.class_name != class_name:
-                continue
-            distance = record.ego_distance()
-            if pre_filter is None or record.score >= pre_filter.threshold_at(distance):
-                samples.append((distance, record.score))
-    return samples
+    from .threshold import keep_rows  # threshold imports this module
+
+    wanted = list(map(class_name.__eq__, detections.class_names))
+    if pre_filter is not None:
+        wanted = list(map(and_, wanted, keep_rows(detections, pre_filter)))
+    return list(compress(zip(detections.distances(), detections.scores()), wanted))
 
 
 def compute_bin_stats(

@@ -15,17 +15,16 @@ import csv
 import io
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .bin_stats import BinSpec, BinStats, PreFilter, collect_samples, compute_bin_stats
+from .bin_stats import BinSpec, BinStats, PreFilter, compute_bin_stats, table_samples
 from .kitti_io import (
     DatasetError,
-    FramePair,
     KittiIOError,
-    label_file_names,
-    load_dataset,
-    read_label_file,
+    load_tables,
+    read_label_table,
     write_label_file,
     write_text_atomic,
 )
@@ -36,7 +35,7 @@ from .threshold import (
     SingleThreshold,
     ThresholdModel,
     fit_quadratic,
-    keep,
+    keep_rows,
 )
 
 # evaluation, synthetic and report load inside the commands that use them:
@@ -94,12 +93,18 @@ def _load_json(path: str | Path, kind: str, from_dict):
         raise DatasetError(f"{kind} file {path} has a missing or bad value: {exc}") from exc
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
+def _load_config_file(args: argparse.Namespace) -> dict:
+    """The --config file's object. A key that names none of the command's
+    options is a usage error."""
+    if args.config is None:
         return {}
-    data = _read_json(path, "config")
+    data = _read_json(args.config, "config")
     if not isinstance(data, dict):
-        raise DatasetError(f"config file {path} must hold a JSON object")
+        raise DatasetError(f"config file {args.config} must hold a JSON object")
+    unknown = sorted(set(data) - (set(vars(args)) - {"command"}))
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise _UsageError(f"config file {args.config} has keys that name no {args.command} option: {names}")
     return data
 
 
@@ -114,26 +119,37 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default=None, r
 
 
 def _parse_pre_filter(value) -> PreFilter | None:
+    """The schedule of a pre_filter value: 'CUTOFF:LOW:HIGH', 'none', a
+    dict of PreFilter fields, or None for the default; ValueError otherwise."""
     if value is None:
         return PreFilter()
     if isinstance(value, dict):
         try:
             return PreFilter.from_dict(value)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _UsageError(f"bad pre_filter config value: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"expected distance_cutoff, low_threshold and high_threshold: {exc}") from exc
     text = str(value).strip()
     if text.lower() == "none":
         return None
     parts = text.split(":")
     if len(parts) != 3:
-        raise _UsageError(
-            f"--pre-filter expects 'CUTOFF:LOW:HIGH' or 'none', got {value!r}"
-        )
+        raise ValueError("expected 'CUTOFF:LOW:HIGH' or 'none'")
+    cutoff, low, high = (float(p) for p in parts)
+    return PreFilter(distance_cutoff=cutoff, low_threshold=low, high_threshold=high)
+
+
+def _pre_filter_from(args: argparse.Namespace, file_cfg: dict) -> PreFilter | None:
+    """The --pre-filter flag's schedule, else the config file's. A bad flag
+    is a usage error, a bad config value a DatasetError naming the file."""
+    if args.pre_filter is None and file_cfg.get("pre_filter") is not None:
+        try:
+            return _parse_pre_filter(file_cfg["pre_filter"])
+        except ValueError as exc:
+            raise DatasetError(f"config file {args.config} has a bad pre_filter value: {exc}") from exc
     try:
-        cutoff, low, high = (float(p) for p in parts)
-        return PreFilter(distance_cutoff=cutoff, low_threshold=low, high_threshold=high)
+        return _parse_pre_filter(args.pre_filter)
     except ValueError as exc:
-        raise _UsageError(f"bad --pre-filter value {value!r}: {exc}") from exc
+        raise _UsageError(f"bad --pre-filter value {args.pre_filter!r}: {exc}") from exc
 
 
 def _parse_threshold_mode(value: str) -> tuple[str, Schedule | None]:
@@ -178,10 +194,10 @@ def _stats_pipeline(args: argparse.Namespace, file_cfg: dict):
     det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
     class_name = str(_resolve(args, file_cfg, "class_name", "Car"))
     spec = _bin_spec_from(args, file_cfg)
-    pre_filter = _parse_pre_filter(_resolve(args, file_cfg, "pre_filter"))
+    pre_filter = _pre_filter_from(args, file_cfg)
     normalize = bool(_resolve(args, file_cfg, "normalized_std", False))
-    frames = load_dataset(gt_dir, det_dir)
-    samples = collect_samples(frames, class_name, pre_filter)
+    _, detections = load_tables(gt_dir, det_dir)
+    samples = table_samples(detections, class_name, pre_filter)
     stats = compute_bin_stats(samples, spec, normalize_std=normalize)
     return stats, spec, pre_filter, class_name, normalize, len(samples)
 
@@ -226,7 +242,7 @@ def _stats_payload(stats, spec, pre_filter, class_name, normalize, n_used) -> di
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     stats, spec, pre_filter, class_name, normalize, n_used = _stats_pipeline(args, file_cfg)
     csv_path = out_dir / "bin_stats.csv"
@@ -239,7 +255,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     delta = float(_resolve(args, file_cfg, "delta", 60.0))
     k_raw = _resolve(args, file_cfg, "k", 0.6)
@@ -275,27 +291,25 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     label, schedule = _parse_threshold_mode(_resolve(args, file_cfg, "threshold_mode", required=True))
-    names = sorted(label_file_names(det_dir, "detection"))
+    table = read_label_table(det_dir, "detection", expect_score=True)
+    kept = [True] * len(table) if schedule is None else keep_rows(table, schedule)
     out_dir.mkdir(parents=True, exist_ok=True)  # exists even when det_dir holds no file
-    total = kept = 0
-    for name in names:
-        records = read_label_file(det_dir / name, expect_score=True)
-        survivors = records if schedule is None else keep(records, schedule)
-        total += len(records)
-        kept += len(survivors)
-        write_label_file(out_dir / name, survivors)
-    print(f"kept {kept} of {total} detections under mode {label}; wrote {out_dir}")
+    # Each kept line is written as read, with an LF ending.
+    for name, start, stop in zip(table.files, table.offsets, table.offsets[1:]):
+        lines = compress(table.lines[start:stop], kept[start:stop])
+        write_text_atomic(out_dir / name, "".join(line + "\n" for line in lines))
+    print(f"kept {sum(kept)} of {len(table)} detections under mode {label}; wrote {out_dir}")
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .evaluation import MatchConfig, evaluate
+    from .evaluation import MatchConfig, evaluate_tables
 
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     gt_dir = Path(_resolve(args, file_cfg, "gt_dir", required=True))
     det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
@@ -314,15 +328,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    frames = load_dataset(gt_dir, det_dir)
-    if schedule is None:
-        report = evaluate(frames, config, spec)
-    else:
-        filtered = [FramePair(f.frame_id, f.ground_truth, keep(f.detections, schedule)) for f in frames]
-        report = evaluate(filtered, config, spec, ap_frames=frames)
+    gt, det = load_tables(gt_dir, det_dir)
+    kept = None if schedule is None else keep_rows(det, schedule)
+    report = evaluate_tables(gt, det, config, spec, kept)
     payload = report.to_dict()
     payload["threshold_mode"] = label
-    payload["n_frames"] = len(frames)
+    payload["n_frames"] = len(gt.frame_ids)
     json_path = out_dir / "eval_report.json"
     csv_path = out_dir / "eval_report.csv"
     _write_json(json_path, payload)
@@ -365,7 +376,7 @@ def _load_report(path: str) -> EvalReport:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .evaluation import compare_reports
 
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     baseline = _load_report(args.baseline)
     candidate = _load_report(args.candidate)
@@ -392,7 +403,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synthetic import ScenarioSpec, generate, scenario_totals
 
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     spec = _load_json(_resolve(args, file_cfg, "spec", required=True), "scenario", ScenarioSpec.from_dict)
     frames = generate(spec)
@@ -412,7 +423,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .report import render_summary_md, render_threshold_svg
 
-    file_cfg = _load_config_file(args.config)
+    file_cfg = _load_config_file(args)
     out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
     model = _load_model(_resolve(args, file_cfg, "model", required=True))
     stats_path = _resolve(args, file_cfg, "stats")

@@ -14,32 +14,33 @@ or 40 recall points; it is reported as a percentage.
 Per-bin rows attribute matched pairs and misses to the ground-truth
 box's distance bin and false positives to the detection's bin.
 
-Every metric comes from one matching pass per detection set. The
-set's boxes go to geometry.pair_iou in batches of whole frames, which
-gives the IoU of every same-frame pair that the bounding-circle prune
-keeps, bit for bit equal to the scalar IoU; one sparse greedy loop
-(_greedy) then matches the pairs at or above the threshold, all frames
-at once. evaluate runs this pass on the (filtered) frames for the point
-metrics, the per-bin rows and the filtered AP, and again on ap_frames
-for the unfiltered AP. Matching never crosses frames, and the global
-sweep order restricted to one frame is that frame's matching order
-(-score, then position), so the match flags sorted in the global
-(-score, frame_id, position, frame position) order are exactly the
-flags of a global score-sorted sweep.
+Every metric comes from columns of kitti_io.LabelTable: evaluate
+converts its frames to tables, evaluate_tables takes them as read. The
+evaluated rows' boxes go to geometry.pair_iou in batches of whole
+frames, which gives the IoU of every same-frame pair that the
+bounding-circle prune keeps, bit for bit equal to the scalar IoU; one
+sparse greedy loop (_greedy) then matches the pairs at or above the
+threshold, all frames at once. A threshold filter selects detection
+rows, whose pairs are a subset of all pairs, so the kernel runs once
+for the filtered point metrics, per-bin rows and AP and the unfiltered
+AP. Matching never crosses frames, and the global sweep order
+restricted to one frame is that frame's matching order (-score, then
+position), so the match flags sorted in the global (-score, frame_id,
+position, frame position) order are exactly the flags of a global
+score-sorted sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .bin_stats import BinSpec, assign_bin
+from .bin_stats import BinSpec, assign_bin, ground_distance
 from .geometry import pair_iou, raw_box_array
-from .kitti_io import DONT_CARE, FramePair, KittiRecord, MissingScoreError
+from .kitti_io import DONT_CARE, FramePair, LabelTable
 
 ELEVEN_POINT = "eleven_point"
 FORTY_POINT = "forty_point"
@@ -103,35 +104,25 @@ def trade_off(recall: float, precision: float) -> float:
     return abs(recall - precision)
 
 
-def _passes_difficulty(record: KittiRecord, difficulty: str | None) -> bool:
-    if difficulty is None:
-        return True
-    min_height, max_occlusion, max_truncation = _DIFFICULTY_LIMITS[difficulty]
-    height = record.bbox_2d[3] - record.bbox_2d[1]
-    return (
-        height >= min_height
-        and record.occluded <= max_occlusion
-        and record.truncated <= max_truncation
-    )
+def _column(table: LabelTable, name: str) -> np.ndarray:
+    return np.frombuffer(table.column(name), dtype=float)
 
 
-def eval_lists(
-    frame: FramePair, config: MatchConfig
-) -> tuple[list[KittiRecord], list[KittiRecord]]:
-    """Ground truth and detections of the configured class.
+def _eval_rows(gt: LabelTable, det: LabelTable, config: MatchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows of the ground truth and the detections to evaluate.
 
-    DontCare rows and, when a difficulty stratum is set, ground truth
-    outside it are dropped from the ground-truth list.
+    Both are the configured class. Ground truth also drops DontCare rows
+    and, when a difficulty stratum is set, rows outside it.
     """
-    gt = [
-        r
-        for r in frame.ground_truth
-        if r.class_name == config.class_name
-        and r.class_name != DONT_CARE
-        and _passes_difficulty(r, config.difficulty)
-    ]
-    det = [r for r in frame.detections if r.class_name == config.class_name]
-    return gt, det
+    name = config.class_name
+    gt_mask = np.fromiter(map(name.__eq__, gt.class_names), bool, len(gt)) & (name != DONT_CARE)
+    if config.difficulty is not None:
+        min_height, max_occlusion, max_truncation = _DIFFICULTY_LIMITS[config.difficulty]
+        gt_mask &= _column(gt, "bottom") - _column(gt, "top") >= min_height
+        gt_mask &= _column(gt, "occluded") <= max_occlusion
+        gt_mask &= _column(gt, "truncated") <= max_truncation
+    det_mask = np.fromiter(map(name.__eq__, det.class_names), bool, len(det))
+    return np.flatnonzero(gt_mask), np.flatnonzero(det_mask)
 
 
 # Whole frames go to the IoU kernel together until the next frame would
@@ -170,38 +161,34 @@ def _greedy(
     return matches
 
 
-def _box_array(records: Sequence[KittiRecord]) -> np.ndarray:
-    """The records' boxes (KittiRecord.to_box3d) as a geometry box array."""
-    n = len(records)
-    location = np.fromiter(chain.from_iterable(map(attrgetter("location"), records)), float, 3 * n)
-    dims = np.fromiter(chain.from_iterable(map(attrgetter("dimensions"), records)), float, 3 * n)
-    yaw = np.fromiter(map(attrgetter("rotation_y"), records), float, n)
-    return raw_box_array(np.column_stack([location.reshape(n, 3), dims.reshape(n, 3), yaw]))
+def _box_array(table: LabelTable, rows: np.ndarray) -> np.ndarray:
+    """The rows' boxes (KittiRecord.to_box3d) as a geometry box array."""
+    names = ("x", "y", "z", "height", "width", "length", "rotation_y")
+    return raw_box_array(np.column_stack([_column(table, name)[rows] for name in names]))
 
 
-def _scores(det: Sequence[KittiRecord]) -> np.ndarray:
-    scores = [r.score for r in det]
-    if None in scores:
-        raise MissingScoreError("detection record has no score")
-    return np.array(scores, dtype=float)
+def _frame_of(table: LabelTable, rows: np.ndarray) -> np.ndarray:
+    """The index of the frame holding each row."""
+    return np.searchsorted(np.asarray(table.offsets), rows, side="right") - 1
 
 
 @dataclass(frozen=True)
 class _SetMatch:
-    """The matching pass over one detection set, flattened in frame order.
+    """The matching pass over one detection set.
 
-    gt and det hold every frame's eval_lists; gt_hit and det_hit flag the
-    matched ones; sweep is the positions in det in global AP sweep order.
+    gt_rows and det_rows are the evaluated table rows in frame order;
+    gt_hit and det_hit flag the matched ones; sweep is the positions in
+    det_rows in global AP sweep order.
     """
 
-    gt: list[KittiRecord]
-    det: list[KittiRecord]
+    gt_rows: np.ndarray
+    det_rows: np.ndarray
     gt_hit: np.ndarray
     det_hit: np.ndarray
     sweep: np.ndarray
 
     def average_precision(self, kind: str) -> float:
-        return _interpolated_ap(self.det_hit[self.sweep].tolist(), len(self.gt), kind)
+        return _interpolated_ap(self.det_hit[self.sweep].tolist(), len(self.gt_rows), kind)
 
 
 def _blocks(pair_counts: np.ndarray) -> list[tuple[int, int]]:
@@ -219,44 +206,83 @@ def _blocks(pair_counts: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def _match_set(frames: Sequence[FramePair], config: MatchConfig) -> _SetMatch:
-    """Match every frame: the IoU kernel in blocks of whole frames, then one
-    greedy pass over all pairs."""
-    gt: list[KittiRecord] = []
-    det: list[KittiRecord] = []
-    gt_offsets, det_offsets = [0], [0]
-    for frame in frames:
-        frame_gt, frame_det = eval_lists(frame, config)
-        gt += frame_gt
-        det += frame_det
-        gt_offsets.append(len(gt))
-        det_offsets.append(len(det))
-    scores = _scores(det)
-    go, do = np.array(gt_offsets), np.array(det_offsets)
-    pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+@dataclass(frozen=True)
+class _Candidates:
+    """The evaluated rows of a ground-truth and detection table pair, and
+    the IoU of every same-frame pair of them that the prune keeps.
+
+    det_idx and gt_idx index gt_rows and det_rows; det_frame is each
+    detection's frame and frame_rank each frame's rank by frame_id.
+    """
+
+    gt_rows: np.ndarray
+    det_rows: np.ndarray
+    det_frame: np.ndarray
+    frame_rank: np.ndarray
+    scores: np.ndarray
+    det_idx: np.ndarray
+    gt_idx: np.ndarray
+    iou: np.ndarray
+    threshold: float
+
+    def match(self, kept: np.ndarray | None = None) -> _SetMatch:
+        """One greedy pass over the detections, or over those flagged in kept.
+
+        A subset's pairs are a subset of the pairs, so the IoU kernel
+        runs once for both.
+        """
+        det_idx, gt_idx, iou = self.det_idx, self.gt_idx, self.iou
+        scores, det_frame, det_rows = self.scores, self.det_frame, self.det_rows
+        if kept is not None:
+            renumbered = np.cumsum(kept) - 1
+            in_set = kept[det_idx]
+            det_idx, gt_idx, iou = renumbered[det_idx[in_set]], gt_idx[in_set], iou[in_set]
+            scores, det_frame, det_rows = scores[kept], det_frame[kept], det_rows[kept]
+        gt_hit = np.zeros(len(self.gt_rows), dtype=bool)
+        det_hit = np.zeros(len(det_rows), dtype=bool)
+        for d, g, _ in _greedy(det_idx, gt_idx, iou, scores, self.threshold):
+            det_hit[d] = gt_hit[g] = True
+        # Global sweep order: (-score, frame_id, position in frame, frame position).
+        position = np.arange(len(det_rows)) - np.searchsorted(det_frame, det_frame)
+        sweep = np.lexsort((det_frame, position, self.frame_rank[det_frame], -scores))
+        return _SetMatch(self.gt_rows, det_rows, gt_hit, det_hit, sweep)
+
+
+def _candidates(gt: LabelTable, det: LabelTable, config: MatchConfig) -> _Candidates:
+    """The IoU kernel over every frame of a table pair, in blocks of whole
+    frames. gt and det hold the same frames."""
+    gt_rows, det_rows = _eval_rows(gt, det, config)
+    scores = np.frombuffer(det.scores(), dtype=float)[det_rows]
+    n_frames = len(gt.frame_ids)
+    gt_frame, det_frame = _frame_of(gt, gt_rows), _frame_of(det, det_rows)
+    go = np.concatenate([[0], np.cumsum(np.bincount(gt_frame, minlength=n_frames))])
+    do = np.concatenate([[0], np.cumsum(np.bincount(det_frame, minlength=n_frames))])
+    gt_boxes, det_boxes = _box_array(gt, gt_rows), _box_array(det, det_rows)
+    pairs = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
     for start, stop in _blocks(np.diff(go) * np.diff(do)):
         d, g, iou = pair_iou(
-            _box_array(det[do[start] : do[stop]]),
+            det_boxes[do[start] : do[stop]],
             do[start : stop + 1] - do[start],
-            _box_array(gt[go[start] : go[stop]]),
+            gt_boxes[go[start] : go[stop]],
             go[start : stop + 1] - go[start],
             config.iou_kind,
         )
         pairs.append((d + do[start], g + go[start], iou))
-    gt_hit = np.zeros(len(gt), dtype=bool)
-    det_hit = np.zeros(len(det), dtype=bool)
-    if pairs:
-        for d, g, _ in _greedy(*map(np.concatenate, zip(*pairs)), scores, config.iou_threshold):
-            det_hit[d] = gt_hit[g] = True
-    # Global sweep order: (-score, frame_id, position in frame, frame position).
-    per_frame = np.diff(do)
-    frame_ids = [frame.frame_id for frame in frames]
-    rank = {frame_id: i for i, frame_id in enumerate(sorted(set(frame_ids)))}
-    frame_pos = np.repeat(np.arange(len(frames)), per_frame)
-    position = np.arange(len(det)) - np.repeat(do[:-1], per_frame)
-    frame_rank = np.repeat(np.array([rank[i] for i in frame_ids], dtype=int), per_frame)
-    sweep = np.lexsort((frame_pos, position, frame_rank, -scores))
-    return _SetMatch(gt, det, gt_hit, det_hit, sweep)
+    rank = {frame_id: i for i, frame_id in enumerate(sorted(set(gt.frame_ids)))}
+    frame_rank = np.array([rank[frame_id] for frame_id in gt.frame_ids], dtype=int)
+    det_idx, gt_idx, iou = map(np.concatenate, zip(*pairs))
+    return _Candidates(
+        gt_rows, det_rows, det_frame, frame_rank, scores, det_idx, gt_idx, iou, config.iou_threshold
+    )
+
+
+def _bins(table: LabelTable, rows: np.ndarray, spec: BinSpec) -> np.ndarray:
+    """Each row's assign_bin of its ground_distance; spec.n_bins beyond the range."""
+    x, z = table.column("x"), table.column("z")
+    rows = rows.tolist()
+    distances = map(ground_distance, map(x.__getitem__, rows), map(z.__getitem__, rows))
+    bins = map(assign_bin, distances, repeat(spec))
+    return np.array([spec.n_bins if b is None else b for b in bins], dtype=int)
 
 
 def _ratio(numerator: int, denominator: int) -> float:
@@ -394,25 +420,41 @@ def evaluate(
     the sweep covers the full score range) and on `frames` otherwise; in
     the former case the filtered set's AP is reported separately.
     """
+    report = evaluate_tables(*LabelTable.from_frames(frames), config, bin_spec)
+    if ap_frames is None:
+        return report
+    unfiltered = _candidates(*LabelTable.from_frames(ap_frames), config).match()
+    return replace(
+        report,
+        average_precision=unfiltered.average_precision(config.ap_interpolation),
+        average_precision_filtered=report.average_precision,
+    )
+
+
+def evaluate_tables(
+    gt: LabelTable,
+    det: LabelTable,
+    config: MatchConfig,
+    bin_spec: BinSpec | None = None,
+    kept: Sequence[bool] | None = None,
+) -> EvalReport:
+    """evaluate over tables of the same frames (kitti_io.load_tables).
+
+    Without kept, every detection row is evaluated and average_precision
+    sweeps them. With kept (one flag per row, threshold.keep_rows), point
+    metrics, per-bin rows and average_precision_filtered come from the
+    kept rows and average_precision sweeps every row.
+    """
     spec = bin_spec if bin_spec is not None else BinSpec()
+    candidates = _candidates(gt, det, config)
+    subset = None if kept is None else np.asarray(kept, dtype=bool)[candidates.det_rows]
+    matched = candidates.match(subset)
     overflow = spec.n_bins
-    tp_by_bin = [0] * (spec.n_bins + 1)
-    fp_by_bin = [0] * (spec.n_bins + 1)
-    fn_by_bin = [0] * (spec.n_bins + 1)
-
-    def bin_of(record: KittiRecord) -> int:
-        index = assign_bin(record.ego_distance(), spec)
-        return overflow if index is None else index
-
-    matched = _match_set(frames, config)
-    for record, hit in zip(matched.gt, matched.gt_hit.tolist()):
-        if hit:
-            tp_by_bin[bin_of(record)] += 1
-        else:
-            fn_by_bin[bin_of(record)] += 1
-    for record, hit in zip(matched.det, matched.det_hit.tolist()):
-        if not hit:
-            fp_by_bin[bin_of(record)] += 1
+    gt_bins = _bins(gt, matched.gt_rows, spec)
+    det_bins = _bins(det, matched.det_rows, spec)
+    tp_by_bin = np.bincount(gt_bins[matched.gt_hit], minlength=overflow + 1).tolist()
+    fn_by_bin = np.bincount(gt_bins[~matched.gt_hit], minlength=overflow + 1).tolist()
+    fp_by_bin = np.bincount(det_bins[~matched.det_hit], minlength=overflow + 1).tolist()
 
     tp = sum(tp_by_bin)
     fp = sum(fp_by_bin)
@@ -443,8 +485,8 @@ def evaluate(
         )
 
     ap_filtered = matched.average_precision(config.ap_interpolation)
-    if ap_frames is not None:
-        ap = _match_set(ap_frames, config).average_precision(config.ap_interpolation)
+    if kept is not None:
+        ap = candidates.match().average_precision(config.ap_interpolation)
     else:
         ap, ap_filtered = ap_filtered, None
     return EvalReport(

@@ -6,9 +6,10 @@ The threshold schedule is
     t(d) = k                            for d > delta
 
 A detection survives when its score is greater than or equal to the
-threshold at its ego distance. That one rule, keep(), serves every
-schedule: this model, the constant SingleThreshold baseline, and the
-near/far bin_stats.PreFilter. Fitting recovers (alpha, beta, gamma)
+threshold at its ego distance. That one rule, keep_rows() over a
+kitti_io.LabelTable, serves every schedule: this model, the constant
+SingleThreshold baseline, and the near/far bin_stats.PreFilter; keep()
+applies it to records. Fitting recovers (alpha, beta, gamma)
 from binned score statistics by weighted least squares with weights
 1 / max(std, sigma_floor)^2 at the bin centers, solved exactly.
 """
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import ge
 from typing import Protocol, Sequence
 
 from .bin_stats import BinSpec, BinStats
-from .kitti_io import KittiRecord, MissingScoreError
+from .kitti_io import KittiRecord, LabelTable
 
 SIGMA_FLOOR = 1e-3
 
@@ -43,9 +46,10 @@ def _quadratic(alpha: float, beta: float, gamma: float, d: float) -> float:
 class ThresholdModel:
     """Distance-adaptive threshold parameters.
 
-    Construction validates delta > 0, k in [0, 1], and that the
-    quadratic stays within [0, 1] on [0, delta]; violations raise
-    ModelRangeError rather than being clamped.
+    Construction validates that alpha, beta and gamma are finite,
+    delta > 0, k in [0, 1], and that the quadratic stays within [0, 1]
+    on [0, delta]; violations raise ModelRangeError rather than being
+    clamped.
     """
 
     alpha: float
@@ -57,6 +61,9 @@ class ThresholdModel:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta", "k"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelRangeError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta > 0.0:
             raise ModelRangeError(f"delta must be positive, got {self.delta}")
         if not 0.0 <= self.k <= 1.0:
@@ -130,20 +137,16 @@ class Schedule(Protocol):
     def threshold_at(self, distance: float) -> float: ...
 
 
-def keep(records: Sequence[KittiRecord], schedule: Schedule) -> list[KittiRecord]:
-    """The records scoring at least schedule.threshold_at(their ego distance).
+def keep_rows(table: LabelTable, schedule: Schedule) -> list[bool]:
+    """Whether each row of table scores at least schedule.threshold_at(its
+    ego distance). A row without a score raises MissingScoreError."""
+    return list(map(ge, table.scores(), map(schedule.threshold_at, table.distances())))
 
-    Order is preserved and the input is not mutated. Records without a
-    score raise MissingScoreError.
-    """
-    threshold_at = schedule.threshold_at
-    kept: list[KittiRecord] = []
-    for record in records:
-        if record.score is None:
-            raise MissingScoreError("record has no score; filtering needs one")
-        if record.score >= threshold_at(record.ego_distance()):
-            kept.append(record)
-    return kept
+
+def keep(records: Sequence[KittiRecord], schedule: Schedule) -> list[KittiRecord]:
+    """The records keep_rows keeps, in order; the input is not mutated."""
+    table = LabelTable.from_records([""], [records], with_score=True)
+    return list(compress(records, keep_rows(table, schedule)))
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ import numpy as np
 
 from adathresh.bin_stats import BinSpec, assign_bin
 from adathresh.evaluation import (
+    _DIFFICULTY_LIMITS,
     BinBreakdown,
     EvalReport,
     EvaluationError,
-    eval_lists,
     trade_off,
 )
-from adathresh.geometry import Box3D, iou_3d, iou_bev
-from adathresh.kitti_io import KittiRecord, MissingScoreError
+from adathresh.geometry import Box3D, iou_3d, iou_bev, raw_box_array
+from adathresh.kitti_io import DONT_CARE, FramePair, KittiRecord, MissingScoreError
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
 
@@ -65,6 +65,35 @@ def make_record(
         rotation_y=yaw,
         score=score,
     )
+
+
+def box_array(records: list[KittiRecord]) -> np.ndarray:
+    """The records' boxes (KittiRecord.to_box3d) as a geometry box array."""
+    return raw_box_array([(*r.location, *r.dimensions, r.rotation_y) for r in records])
+
+
+def score_array(records: list[KittiRecord]) -> np.ndarray:
+    return np.array([r.score for r in records], dtype=float)
+
+
+def eval_lists(frame: FramePair, config) -> tuple[list[KittiRecord], list[KittiRecord]]:
+    """The frame's ground truth and detections that evaluation uses, record
+    by record: the configured class, and for ground truth neither DontCare
+    nor outside the difficulty stratum (height, occlusion, truncation)."""
+
+    def in_stratum(r: KittiRecord) -> bool:
+        if config.difficulty is None:
+            return True
+        min_height, max_occlusion, max_truncation = _DIFFICULTY_LIMITS[config.difficulty]
+        height = r.bbox_2d[3] - r.bbox_2d[1]
+        return height >= min_height and r.occluded <= max_occlusion and r.truncated <= max_truncation
+
+    gt = [
+        r
+        for r in frame.ground_truth
+        if r.class_name == config.class_name and r.class_name != DONT_CARE and in_stratum(r)
+    ]
+    return gt, [r for r in frame.detections if r.class_name == config.class_name]
 
 
 def footprint_corners(box: Box3D) -> list[tuple[float, float]]:

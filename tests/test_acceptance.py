@@ -14,14 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from adathresh.bin_stats import BinSpec, BinStats, compute_bin_stats
-from adathresh.evaluation import (
-    MatchConfig,
-    _box_array,
-    _greedy,
-    _scores,
-    evaluate,
-    trade_off,
-)
+from adathresh.evaluation import MatchConfig, _greedy, evaluate, trade_off
 from adathresh.geometry import iou_bev, pair_iou
 from adathresh.kitti_io import FramePair, parse_label_file, serialize_records
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
@@ -33,12 +26,14 @@ from adathresh.threshold import (
     keep,
 )
 from helpers import (
+    box_array,
     brute_force_match,
     make_box,
     make_record,
     mc_iou_bev,
     optimal_assignment,
     random_scene,
+    score_array,
 )
 
 
@@ -187,8 +182,8 @@ def test_acceptance_5_matching_oracle():
         for seed in range(500):
             rng = random.Random(seed)
             gt, det = random_scene(rng)
-            pairs = pair_iou(_box_array(det), [0, len(det)], _box_array(gt), [0, len(gt)], "bev")
-            matches = _greedy(*pairs, _scores(det), config.iou_threshold)
+            pairs = pair_iou(box_array(det), [0, len(det)], box_array(gt), [0, len(gt)], "bev")
+            matches = _greedy(*pairs, score_array(det), config.iou_threshold)
             greedy_pairs = [(d, g) for d, g, _ in matches]
             assert greedy_pairs == brute_force_match(gt, det, iou_bev, config.iou_threshold)
 

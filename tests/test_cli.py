@@ -225,6 +225,29 @@ class TestPipeline:
         listed = sorted(p.name for p in det_dir.glob("*.txt"))
         assert sorted(p.name for p in out.iterdir()) == listed == [".b.txt", ".txt", "a.txt"]
 
+    def test_filter_writes_kept_lines_as_read(self, tmp_path):
+        # Reals with 4 and 8 decimals, tab separators and CRLF endings.
+        det_dir = tmp_path / "det"
+        det_dir.mkdir()
+        near_low = "Car\t0.0000\t0\t0.0000\t100.0000\t100.0000\t200.0000\t160.0000\t1.5000\t1.7000\t4.0000\t0.0000\t1.6500\t5.0000\t0.0000\t0.4000"
+        near_high = "Car 0.00000000 0 0.12345678 100.00000000 100.00000000 200.00000000 160.00000000 1.50000000 1.70000000 4.00000000 0.00000000 1.65000000 10.00000000 0.00000000 0.90000000"
+        far_low = " Car  0 1 0.5 100 100 200 160 1.5 1.7 4 3.25 1.65 50.125 0.1 0.35 "
+        (det_dir / "000000.txt").write_bytes(f"{near_low}\r\n{near_high}\r\n\r\n{far_low}\r\n".encode())
+        out = tmp_path / "filtered"
+        assert run("filter", "--det-dir", str(det_dir), "--out-dir", str(out), "--threshold-mode", "single:0.38") == 0
+        assert (out / "000000.txt").read_bytes() == f"{near_low}\n{near_high}\n".encode()
+        pf = tmp_path / "pf"
+        model = write_json(tmp_path / "model.json", {"alpha": 0.0, "beta": -0.01, "gamma": 0.8, "delta": 40.0, "k": 0.3})
+        assert run("filter", "--det-dir", str(det_dir), "--out-dir", str(pf), "--threshold-mode", f"adaptive:{model}") == 0
+        assert (pf / "000000.txt").read_bytes() == f"{near_high}\n{far_low}\n".encode()
+
+    def test_filter_none_copies_synth_output_byte_for_byte(self, tmp_path, dataset):
+        out = tmp_path / "copy"
+        assert run("filter", "--det-dir", str(dataset / "det"), "--out-dir", str(out), "--threshold-mode", "none") == 0
+        inputs = sorted((dataset / "det").iterdir())
+        assert [p.name for p in inputs] == sorted(p.name for p in out.iterdir())
+        assert all((out / p.name).read_bytes() == p.read_bytes() for p in inputs)
+
     def test_fit_matches_library(self, tmp_path, dataset):
         fit_dir = tmp_path / "fit"
         assert run(
@@ -470,6 +493,47 @@ class TestExitCodes:
         bad = write_json(tmp_path / "bad_report.json", payload)
         assert run("compare", str(good), bad, "--out-dir", str(tmp_path / "cmp")) == 2
         assert f"report file {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["bin_widht", "jobs"])
+    def test_unknown_config_key_is_a_usage_error_naming_it(self, tmp_path, dataset, capsys, key):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det"), key: 5},
+        )
+        assert run("stats", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_keys_are_the_commands_options(self, tmp_path, dataset):
+        cfg = write_json(tmp_path / "cfg.json", {"det_dir": str(dataset / "det"), "gt_dir": "gt"})
+        # filter has no --gt-dir.
+        assert run("filter", "--config", cfg, "--out-dir", str(tmp_path / "o"), "--threshold-mode", "none") == 1
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_model_parameter_exits_3(self, tmp_path, dataset, capsys, name, value):
+        params = {"alpha": 0.0, "beta": 0.0, "gamma": 0.5, "delta": 60.0, "k": 0.5, name: value}
+        bad = write_json(tmp_path / "model.json", params)  # json writes NaN and Infinity
+        rc = run(
+            "filter",
+            "--det-dir", str(dataset / "det"),
+            "--out-dir", str(tmp_path / "o"),
+            "--threshold-mode", f"adaptive:{bad}",
+        )
+        assert rc == 3
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf"])
+    def test_non_finite_pre_filter_cutoff(self, tmp_path, dataset, capsys, cutoff):
+        io_flags = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+        assert run("stats", *io_flags, "--out-dir", str(tmp_path / "o"), "--pre-filter", f"{cutoff}:0.3:0.5") == 1
+        assert "distance_cutoff must be finite" in capsys.readouterr().err
+        for value in (f"{cutoff}:0.3:0.5", {"distance_cutoff": float(cutoff), "low_threshold": 0.3, "high_threshold": 0.5}):
+            cfg = write_json(tmp_path / "cfg.json", {"pre_filter": value})
+            assert run("stats", *io_flags, "--config", cfg, "--out-dir", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert f"config file {cfg}" in err and "distance_cutoff must be finite" in err
+        assert not (tmp_path / "o").exists()
 
     def test_corrupt_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -16,25 +16,25 @@ from adathresh.evaluation import (
     MetricDelta,
     _BLOCK_PAIRS,
     _blocks,
-    _box_array,
+    _candidates,
     _greedy,
     _interpolated_ap,
-    _match_set,
     _ratio,
-    _scores,
     compare_reports,
-    eval_lists,
     evaluate,
     trade_off,
 )
 from adathresh.geometry import iou_bev, pair_iou
-from adathresh.kitti_io import FramePair, MissingScoreError
+from adathresh.kitti_io import FramePair, LabelTable, MissingScoreError
 from adathresh.threshold import SingleThreshold, keep
 from helpers import (
+    box_array,
     brute_force_match,
+    eval_lists,
     loop_interpolated_ap,
     make_record,
     random_scene,
+    score_array,
     three_pass_evaluate,
 )
 
@@ -51,8 +51,13 @@ def single_frame(gt, det):
 
 def frame_matches(gt, det):
     """_greedy over one frame's BEV pair_iou: (det_idx, gt_idx, iou) in match order."""
-    pairs = pair_iou(_box_array(det), [0, len(det)], _box_array(gt), [0, len(gt)], "bev")
-    return _greedy(*pairs, _scores(det), BEV_CFG.iou_threshold)
+    pairs = pair_iou(box_array(det), [0, len(det)], box_array(gt), [0, len(gt)], "bev")
+    return _greedy(*pairs, score_array(det), BEV_CFG.iou_threshold)
+
+
+def _match_set(frames, config):
+    """The matching pass evaluate makes over the frames' tables."""
+    return _candidates(*LabelTable.from_frames(frames), config).match()
 
 
 def point(report):
@@ -127,7 +132,7 @@ class TestGreedyMatch:
 
 
 class TestMatchFrame:
-    """One frame through pair_iou and _greedy, and through _match_set."""
+    """One frame through pair_iou and _greedy, and through the table matching pass."""
 
     def test_single_pair(self):
         gt = [make_record(0.0, 10.0)]
@@ -207,7 +212,7 @@ class TestPointMetrics:
 
     def test_no_frames_is_vacuously_perfect(self):
         matched = _match_set([], BEV_CFG)
-        assert (matched.gt, matched.det) == ([], [])
+        assert (len(matched.gt_rows), len(matched.det_rows)) == (0, 0)
         assert (_ratio(0, 0), _ratio(0, 0), trade_off(1.0, 1.0)) == (1.0, 1.0, 0.0)
 
     def test_perfect_detector(self):
@@ -259,7 +264,7 @@ class TestPointMetrics:
         cfg = MatchConfig(iou_kind="bev", iou_threshold=0.5, class_name="DontCare")
         gt = [make_record(0.0, 10.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0))]
         matched = _match_set(single_frame(gt, []), cfg)
-        assert matched.gt == []  # no gt survives the filter: recall is vacuous
+        assert len(matched.gt_rows) == 0  # no gt survives the filter: recall is vacuous
 
     def test_difficulty_strata(self):
         # 30 px tall 2D box: hard and moderate keep it, easy does not.
@@ -273,7 +278,7 @@ class TestPointMetrics:
         assert point(evaluate(single_frame(gt, det), config_at(None))) == (1.0, 1.0, 0.0)
         assert point(evaluate(single_frame(gt, det), config_at("hard"))) == (1.0, 1.0, 0.0)
         easy = _match_set(single_frame(gt, det), config_at("easy"))
-        assert easy.gt == []  # vacuous recall: no gt in stratum
+        assert len(easy.gt_rows) == 0  # vacuous recall: no gt in stratum
         assert easy.det_hit.tolist() == [False]  # the detection is now a false positive
 
     def test_occlusion_limits(self):

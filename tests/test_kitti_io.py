@@ -1,6 +1,8 @@
 """Label parsing, serialization, and dataset loading."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +13,11 @@ from adathresh.kitti_io import (
     KittiRecord,
     LabelFormatError,
     LabelParseError,
+    LabelTable,
     load_dataset,
+    load_tables,
     parse_label_file,
+    read_label_table,
     serialize_record,
     serialize_records,
     write_label_file,
@@ -376,3 +381,125 @@ class TestWriteLabelFile:
         write_label_file(target, parse_label_file(GT_LINE, expect_score=False))
         write_label_file(target, [])
         assert target.read_text() == ""
+
+
+@st.composite
+def label_dirs(draw):
+    """{relative path: file text} for a gt/ and a det/ directory: frame
+    names hidden or not, some frames without detections, files drawn by
+    label_files."""
+    stems = draw(st.lists(st.sampled_from(["000000", "000010", ".a", "a-b", "a"]), unique=True, max_size=3))
+    files = {}
+    for stem in stems:
+        files[f"gt/{stem}.txt"] = draw(label_files(with_score=False))[0]
+        if draw(st.booleans()):
+            files[f"det/{stem}.txt"] = draw(label_files(with_score=True))[0]
+    return files
+
+
+def _write_tree(root: Path, files: dict) -> None:
+    for sub in ("gt", "det"):
+        (root / sub).mkdir()
+    for name, text in files.items():
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (root / name).write_bytes(data)
+
+
+class TestLabelTable:
+    """The bulk reader against parse_label_file, file by file."""
+
+    @given(label_dirs())
+    def test_load_dataset_equals_per_file_parse(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _write_tree(root, files)
+            frames = load_dataset(root / "gt", root / "det")
+            gt_table, det_table = load_tables(root / "gt", root / "det")
+            det_dir_table = read_label_table(root / "det", "detection", expect_score=True)
+        stems = sorted(name[3:-4] for name in files if name.startswith("gt/"))
+        expected = [
+            FramePair(
+                stem,
+                parse_label_file(files[f"gt/{stem}.txt"], expect_score=False),
+                parse_label_file(files.get(f"det/{stem}.txt", ""), expect_score=True),
+            )
+            for stem in stems
+        ]
+        assert frames == expected
+        assert gt_table.frame_ids == det_table.frame_ids == stems
+        # Each row keeps its line as read, without the line break.
+        det_texts = [files[f"det/{stem}.txt"] for stem in stems if f"det/{stem}.txt" in files]
+        assert det_dir_table.lines == [
+            line for text in det_texts for line in text.splitlines() if line.split()
+        ]
+
+    def test_from_frames_round_trips_records(self):
+        frame = FramePair("000000", tuple(parse_label_file(f"{GT_LINE}\n{DONTCARE_LINE}", False)),
+                          tuple(parse_label_file(DET_LINE, True)))
+        gt, det = LabelTable.from_frames([frame])
+        assert (gt.records(), det.records()) == (list(frame.ground_truth), list(frame.detections))
+        assert det.lines == [serialize_record(frame.detections[0])]
+
+    def test_field_counts_are_checked_per_line(self, tmp_path):
+        # 17 + 15 fields make two 16-field lines' worth of tokens.
+        tokens = DET_LINE.split()
+        _write_tree(tmp_path, {"gt/000000.txt": GT_LINE, "det/000000.txt": " ".join(tokens + ["0.5"]) + "\n" + GT_LINE})
+        for read in (
+            lambda: load_dataset(tmp_path / "gt", tmp_path / "det"),
+            lambda: read_label_table(tmp_path / "det", "detection", expect_score=True),
+        ):
+            with pytest.raises(LabelParseError) as exc:
+                read()
+            assert exc.value.line_no == 1
+            assert exc.value.message == "expected 15 or 16 fields, got 17"
+            assert exc.value.path == str(tmp_path / "det" / "000000.txt")
+
+    @pytest.mark.parametrize("class_name", ["1.5", "nan", "-1"])
+    def test_numeric_class_token_is_a_class_name(self, tmp_path, class_name):
+        line = DET_LINE.replace("Car", class_name, 1)
+        _write_tree(tmp_path, {"gt/000000.txt": GT_LINE, "det/000000.txt": line})
+        frames = load_dataset(tmp_path / "gt", tmp_path / "det")
+        assert frames[0].detections == tuple(parse_label_file(line, expect_score=True))
+        assert frames[0].detections[0].class_name == class_name
+
+    BAD_LINE = GT_LINE.replace("46.70", "oops")
+    BAD_DET = DET_LINE.replace("587.01 173.33 614.12", "614.12 173.33 587.01")
+
+    @pytest.mark.parametrize(
+        "files, error, path, line_no",
+        [
+            # Frame order first: a's detections before b's ground truth.
+            ({"gt/b.txt": f"{GT_LINE}\n{BAD_LINE}", "det/a.txt": BAD_DET}, LabelFormatError, "det/a.txt", 1),
+            # Within a frame, ground truth first.
+            ({"gt/a.txt": f"{GT_LINE}\n{BAD_LINE}", "det/a.txt": BAD_DET}, LabelParseError, "gt/a.txt", 2),
+            # A file that is not UTF-8 in its place in that order.
+            ({"det/a.txt": b"\xff\n", "gt/b.txt": BAD_LINE}, DatasetError, "det/a.txt", None),
+            ({"gt/b.txt": b"\xff\n", "det/b.txt": BAD_DET, "det/a.txt": BAD_DET}, LabelFormatError, "det/a.txt", 1),
+            # A read error (a directory named like a label file) likewise.
+            ({"gt/b.txt": None, "det/c.txt": BAD_DET}, DatasetError, "gt/b.txt", None),
+        ],
+    )
+    def test_first_bad_file_is_reported(self, tmp_path, files, error, path, line_no):
+        tree = {"gt/a.txt": GT_LINE, "gt/b.txt": GT_LINE, "gt/c.txt": GT_LINE}
+        tree.update(files)
+        directories = [name for name, text in tree.items() if text is None]
+        _write_tree(tmp_path, {name: text for name, text in tree.items() if text is not None})
+        for name in directories:
+            (tmp_path / name).mkdir()
+        with pytest.raises(error) as exc:
+            load_dataset(tmp_path / "gt", tmp_path / "det")
+        assert str(tmp_path / path) in str(exc.value)
+        if line_no is not None:
+            assert (exc.value.line_no, exc.value.path) == (line_no, str(tmp_path / path))
+
+    def test_read_label_table_reports_the_first_bad_file_by_name(self, tmp_path):
+        # "a-b.txt" sorts before "a.txt" by name but after it by frame id.
+        _write_tree(tmp_path, {"det/a.txt": self.BAD_DET, "det/a-b.txt": b"\xff"})
+        with pytest.raises(DatasetError, match="a-b.txt"):
+            read_label_table(tmp_path / "det", "detection", expect_score=True)
+        table_dir = tmp_path / "ok"
+        table_dir.mkdir()
+        (table_dir / "a.txt").write_text(DET_LINE)
+        (table_dir / "a-b.txt").write_text("")
+        table = read_label_table(table_dir, "detection", expect_score=True)
+        assert (table.frame_ids, table.files, table.offsets) == (["a", "a-b"], ["a.txt", "a-b.txt"], [0, 1, 1])
