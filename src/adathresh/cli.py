@@ -39,7 +39,8 @@ from .threshold import (
 )
 
 # evaluation, synthetic and report load inside the commands that use them:
-# the first two import numpy, which stats, filter and report never need.
+# synthetic imports numpy, which only synth needs, and stats, fit and
+# filter never load the IoU and matching code.
 if TYPE_CHECKING:
     from .evaluation import EvalReport
 
@@ -108,14 +109,39 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default=None, required=False):
+def _flag(key: str) -> str:
+    return "--class" if key == "class_name" else "--" + key.replace("_", "-")
+
+
+def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default=None, required=False, convert=None):
+    """The key's flag value, else its config-file value, else default,
+    passed through convert under _checked when convert is given."""
     value = getattr(args, key, None)
     if value is None:
         value = file_cfg.get(key, default)
     if required and value is None:
-        flag = "--" + key.replace("_", "-")
-        raise _UsageError(f"missing required option {flag} (or config key '{key}')")
-    return value
+        raise _UsageError(f"missing required option {_flag(key)} (or config key '{key}')")
+    if convert is None:
+        return value
+    return _checked(args, file_cfg, (key,), lambda: convert(value))
+
+
+def _checked(args: argparse.Namespace, file_cfg: dict, keys: tuple[str, ...], build):
+    """build(), which converts and checks the values of keys. A bad value
+    (ValueError, TypeError, OverflowError) is a DatasetError naming the
+    --config file when one of keys took its value from that file, and a
+    usage error otherwise. A ModelRangeError passes through (exit 3)."""
+    try:
+        return build()
+    except ModelRangeError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        from_file = [key for key in keys if getattr(args, key, None) is None and key in file_cfg]
+        if from_file:
+            names = ", ".join(from_file)
+            raise DatasetError(f"config file {args.config} has a bad {names} value: {exc}") from exc
+        flags = ", ".join(_flag(key) for key in keys if getattr(args, key, None) is not None)
+        raise _UsageError(f"bad {flags} value: {exc}" if flags else str(exc)) from exc
 
 
 def _parse_pre_filter(value) -> PreFilter | None:
@@ -138,42 +164,23 @@ def _parse_pre_filter(value) -> PreFilter | None:
     return PreFilter(distance_cutoff=cutoff, low_threshold=low, high_threshold=high)
 
 
-def _pre_filter_from(args: argparse.Namespace, file_cfg: dict) -> PreFilter | None:
-    """The --pre-filter flag's schedule, else the config file's. A bad flag
-    is a usage error, a bad config value a DatasetError naming the file."""
-    if args.pre_filter is None and file_cfg.get("pre_filter") is not None:
-        try:
-            return _parse_pre_filter(file_cfg["pre_filter"])
-        except ValueError as exc:
-            raise DatasetError(f"config file {args.config} has a bad pre_filter value: {exc}") from exc
-    try:
-        return _parse_pre_filter(args.pre_filter)
-    except ValueError as exc:
-        raise _UsageError(f"bad --pre-filter value {args.pre_filter!r}: {exc}") from exc
-
-
 def _parse_threshold_mode(value: str) -> tuple[str, Schedule | None]:
     """The report label and the schedule of a --threshold-mode value;
-    'none' has no schedule."""
+    'none' has no schedule. ValueError for a bad value."""
     text = str(value).strip()
     if text.lower() == "none":
         return "none", None
     kind, sep, payload = text.partition(":")
     if not sep:
-        raise _UsageError(
-            f"--threshold-mode expects 'none', 'single:<t>' or 'adaptive:<model.json>', got {value!r}"
-        )
+        raise ValueError(f"expected 'none', 'single:<t>' or 'adaptive:<model.json>', got {value!r}")
     if kind == "single":
-        try:
-            schedule = SingleThreshold(float(payload))
-        except ValueError as exc:
-            raise _UsageError(f"bad single threshold {payload!r}: {exc}") from exc
+        schedule = SingleThreshold(float(payload))
         return f"single:{schedule.threshold}", schedule
     if kind == "adaptive":
         if not payload:
-            raise _UsageError("adaptive mode needs a model file: adaptive:<model.json>")
+            raise ValueError("adaptive mode needs a model file: adaptive:<model.json>")
         return f"adaptive:{payload}", _load_model(payload)
-    raise _UsageError(f"unknown threshold mode {kind!r}")
+    raise ValueError(f"unknown threshold mode {kind!r}")
 
 
 def _load_model(path: str | Path) -> ThresholdModel:
@@ -181,21 +188,23 @@ def _load_model(path: str | Path) -> ThresholdModel:
 
 
 def _bin_spec_from(args: argparse.Namespace, file_cfg: dict) -> BinSpec:
-    width = float(_resolve(args, file_cfg, "bin_width", 10.0))
-    max_distance = float(_resolve(args, file_cfg, "max_distance", 60.0))
-    try:
-        return BinSpec(bin_width=width, max_distance=max_distance)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    width = _resolve(args, file_cfg, "bin_width", 10.0)
+    max_distance = _resolve(args, file_cfg, "max_distance", 60.0)
+    return _checked(
+        args,
+        file_cfg,
+        ("bin_width", "max_distance"),
+        lambda: BinSpec(bin_width=float(width), max_distance=float(max_distance)),
+    )
 
 
 def _stats_pipeline(args: argparse.Namespace, file_cfg: dict):
-    gt_dir = Path(_resolve(args, file_cfg, "gt_dir", required=True))
-    det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
-    class_name = str(_resolve(args, file_cfg, "class_name", "Car"))
+    gt_dir = _resolve(args, file_cfg, "gt_dir", required=True, convert=Path)
+    det_dir = _resolve(args, file_cfg, "det_dir", required=True, convert=Path)
+    class_name = _resolve(args, file_cfg, "class_name", "Car", convert=str)
     spec = _bin_spec_from(args, file_cfg)
-    pre_filter = _pre_filter_from(args, file_cfg)
-    normalize = bool(_resolve(args, file_cfg, "normalized_std", False))
+    pre_filter = _resolve(args, file_cfg, "pre_filter", convert=_parse_pre_filter)
+    normalize = _resolve(args, file_cfg, "normalized_std", False, convert=bool)
     _, detections = load_tables(gt_dir, det_dir)
     samples = table_samples(detections, class_name, pre_filter)
     stats = compute_bin_stats(samples, spec, normalize_std=normalize)
@@ -243,7 +252,7 @@ def _stats_payload(stats, spec, pre_filter, class_name, normalize, n_used) -> di
 
 def cmd_stats(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args)
-    out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
+    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
     stats, spec, pre_filter, class_name, normalize, n_used = _stats_pipeline(args, file_cfg)
     csv_path = out_dir / "bin_stats.csv"
     json_path = out_dir / "bin_stats.json"
@@ -254,21 +263,30 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_k(value) -> float | None:
+    """A --k value: a number, or None for 'continuity'."""
+    if isinstance(value, str) and value.strip().lower() == "continuity":
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected a number or 'continuity', got {value!r}") from exc
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args)
-    out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
-    delta = float(_resolve(args, file_cfg, "delta", 60.0))
-    k_raw = _resolve(args, file_cfg, "k", 0.6)
-    if isinstance(k_raw, str) and k_raw.strip().lower() == "continuity":
-        k = None
-    else:
-        try:
-            k = float(k_raw)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"--k expects a number or 'continuity', got {k_raw!r}") from exc
-    sigma_floor = float(_resolve(args, file_cfg, "sigma_floor", 1e-3))
+    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
+    delta = _resolve(args, file_cfg, "delta", 60.0, convert=float)
+    k = _resolve(args, file_cfg, "k", 0.6, convert=_parse_k)
+    sigma_floor = _resolve(args, file_cfg, "sigma_floor", 1e-3, convert=float)
     stats, spec, _, _, _, _ = _stats_pipeline(args, file_cfg)
-    result = fit_quadratic(stats, spec, delta=delta, k=k, sigma_floor=sigma_floor)
+    # fit_quadratic checks sigma_floor; a fit failure is a FitError.
+    result = _checked(
+        args,
+        file_cfg,
+        ("sigma_floor",),
+        lambda: fit_quadratic(stats, spec, delta=delta, k=k, sigma_floor=sigma_floor),
+    )
     model_path = out_dir / "model.json"
     report_path = out_dir / "fit_report.csv"
     _write_json(model_path, result.model.to_dict())
@@ -292,9 +310,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args)
-    det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
-    out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
-    label, schedule = _parse_threshold_mode(_resolve(args, file_cfg, "threshold_mode", required=True))
+    det_dir = _resolve(args, file_cfg, "det_dir", required=True, convert=Path)
+    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
+    label, schedule = _resolve(args, file_cfg, "threshold_mode", required=True, convert=_parse_threshold_mode)
     table = read_label_table(det_dir, "detection", expect_score=True)
     kept = [True] * len(table) if schedule is None else keep_rows(table, schedule)
     out_dir.mkdir(parents=True, exist_ok=True)  # exists even when det_dir holds no file
@@ -306,28 +324,36 @@ def cmd_filter(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_ap(value) -> str:
+    """The ap_interpolation of an --ap value."""
+    key = str(value)
+    if key not in _AP_MODES:
+        raise ValueError(f"expected 11 or 40, got {key!r}")
+    return _AP_MODES[key]
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import MatchConfig, evaluate_tables
 
     file_cfg = _load_config_file(args)
-    gt_dir = Path(_resolve(args, file_cfg, "gt_dir", required=True))
-    det_dir = Path(_resolve(args, file_cfg, "det_dir", required=True))
-    out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
+    gt_dir = _resolve(args, file_cfg, "gt_dir", required=True, convert=Path)
+    det_dir = _resolve(args, file_cfg, "det_dir", required=True, convert=Path)
+    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
     spec = _bin_spec_from(args, file_cfg)
-    label, schedule = _parse_threshold_mode(_resolve(args, file_cfg, "threshold_mode", "none"))
-    ap_key = str(_resolve(args, file_cfg, "ap", "11"))
-    if ap_key not in _AP_MODES:
-        raise _UsageError(f"--ap must be 11 or 40, got {ap_key!r}")
-    try:
-        config = MatchConfig(
+    label, schedule = _resolve(args, file_cfg, "threshold_mode", "none", convert=_parse_threshold_mode)
+    ap_interpolation = _resolve(args, file_cfg, "ap", "11", convert=_parse_ap)
+    config = _checked(
+        args,
+        file_cfg,
+        ("iou", "iou_thr", "class_name", "difficulty"),
+        lambda: MatchConfig(
             iou_kind=str(_resolve(args, file_cfg, "iou", "bev")),
             iou_threshold=float(_resolve(args, file_cfg, "iou_thr", 0.7)),
             class_name=str(_resolve(args, file_cfg, "class_name", "Car")),
-            ap_interpolation=_AP_MODES[ap_key],
+            ap_interpolation=ap_interpolation,
             difficulty=_resolve(args, file_cfg, "difficulty"),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        ),
+    )
     gt, det = load_tables(gt_dir, det_dir)
     kept = None if schedule is None else keep_rows(det, schedule)
     report = evaluate_tables(gt, det, config, spec, kept)
@@ -377,7 +403,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .evaluation import compare_reports
 
     file_cfg = _load_config_file(args)
-    out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
+    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
     baseline = _load_report(args.baseline)
     candidate = _load_report(args.candidate)
     rows = compare_reports(baseline, candidate)
@@ -404,8 +430,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synthetic import ScenarioSpec, generate, scenario_totals
 
     file_cfg = _load_config_file(args)
-    out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
-    spec = _load_json(_resolve(args, file_cfg, "spec", required=True), "scenario", ScenarioSpec.from_dict)
+    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
+    spec_path = _resolve(args, file_cfg, "spec", required=True, convert=Path)
+    spec = _load_json(spec_path, "scenario", ScenarioSpec.from_dict)
     frames = generate(spec)
     for frame in frames:
         write_label_file(out_dir / "gt" / f"{frame.frame_id}.txt", list(frame.ground_truth))
@@ -424,9 +451,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .report import render_summary_md, render_threshold_svg
 
     file_cfg = _load_config_file(args)
-    out_dir = Path(_resolve(args, file_cfg, "out_dir", required=True))
-    model = _load_model(_resolve(args, file_cfg, "model", required=True))
-    stats_path = _resolve(args, file_cfg, "stats")
+    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
+    model = _load_model(_resolve(args, file_cfg, "model", required=True, convert=Path))
+    stats_path = _resolve(args, file_cfg, "stats", convert=lambda value: None if value is None else Path(value))
     bins: list[BinStats] = []
     spec = BinSpec()
     if stats_path is not None:
@@ -584,8 +611,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _is_evaluation_error(exc: ValueError) -> bool:
-    """Whether exc is an EvaluationError, without importing numpy to ask:
-    only a command that loaded the evaluation module can raise one."""
+    """Whether exc is an EvaluationError, without importing the evaluation
+    module to ask: only a command that loaded it can raise one."""
     evaluation = sys.modules.get(f"{__package__}.evaluation")
     return evaluation is not None and isinstance(exc, evaluation.EvaluationError)
 

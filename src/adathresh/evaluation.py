@@ -16,30 +16,28 @@ box's distance bin and false positives to the detection's bin.
 
 Every metric comes from columns of kitti_io.LabelTable: evaluate
 converts its frames to tables, evaluate_tables takes them as read. The
-evaluated rows' boxes go to geometry.pair_iou in batches of whole
-frames, which gives the IoU of every same-frame pair that the
-bounding-circle prune keeps, bit for bit equal to the scalar IoU; one
-sparse greedy loop (_greedy) then matches the pairs at or above the
-threshold, all frames at once. A threshold filter selects detection
-rows, whose pairs are a subset of all pairs, so the kernel runs once
-for the filtered point metrics, per-bin rows and AP and the unfiltered
-AP. Matching never crosses frames, and the global sweep order
-restricted to one frame is that frame's matching order (-score, then
-position), so the match flags sorted in the global (-score, frame_id,
-position, frame position) order are exactly the flags of a global
-score-sorted sweep.
+evaluated rows' boxes go to geometry.pair_iou once, which gives the IoU
+of every same-frame pair that the bounding-circle prune keeps, bit for
+bit equal to the scalar IoU; one sparse greedy loop (_greedy) then
+matches the pairs at or above the threshold, all frames at once. A
+threshold filter selects detection rows, whose pairs are a subset of all
+pairs, so the kernel runs once for the filtered point metrics, per-bin
+rows and AP and the unfiltered AP. Matching never crosses frames, and
+the global sweep order restricted to one frame is that frame's matching
+order (-score, then position), so the match flags sorted in the global
+(-score, frame_id, position, frame position) order are exactly the flags
+of a global score-sorted sweep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import accumulate, compress, repeat
 from typing import Sequence
 
-import numpy as np
-
 from .bin_stats import BinSpec, assign_bin, ground_distance
-from .geometry import pair_iou, raw_box_array
+from .geometry import pair_iou
 from .kitti_io import DONT_CARE, FramePair, LabelTable
 
 ELEVEN_POINT = "eleven_point"
@@ -104,38 +102,34 @@ def trade_off(recall: float, precision: float) -> float:
     return abs(recall - precision)
 
 
-def _column(table: LabelTable, name: str) -> np.ndarray:
-    return np.frombuffer(table.column(name), dtype=float)
-
-
-def _eval_rows(gt: LabelTable, det: LabelTable, config: MatchConfig) -> tuple[np.ndarray, np.ndarray]:
+def _eval_rows(gt: LabelTable, det: LabelTable, config: MatchConfig) -> tuple[list[int], list[int]]:
     """The table rows of the ground truth and the detections to evaluate.
 
     Both are the configured class. Ground truth also drops DontCare rows
     and, when a difficulty stratum is set, rows outside it.
     """
     name = config.class_name
-    gt_mask = np.fromiter(map(name.__eq__, gt.class_names), bool, len(gt)) & (name != DONT_CARE)
+    gt_rows = [] if name == DONT_CARE else [i for i, c in enumerate(gt.class_names) if c == name]
     if config.difficulty is not None:
         min_height, max_occlusion, max_truncation = _DIFFICULTY_LIMITS[config.difficulty]
-        gt_mask &= _column(gt, "bottom") - _column(gt, "top") >= min_height
-        gt_mask &= _column(gt, "occluded") <= max_occlusion
-        gt_mask &= _column(gt, "truncated") <= max_truncation
-    det_mask = np.fromiter(map(name.__eq__, det.class_names), bool, len(det))
-    return np.flatnonzero(gt_mask), np.flatnonzero(det_mask)
-
-
-# Whole frames go to the IoU kernel together until the next frame would
-# pass this many candidate pairs, which bounds its temporary arrays; a
-# larger frame goes alone.
-_BLOCK_PAIRS = 4096
+        top, bottom = gt.column("top"), gt.column("bottom")
+        occluded, truncated = gt.column("occluded"), gt.column("truncated")
+        gt_rows = [
+            i
+            for i in gt_rows
+            if bottom[i] - top[i] >= min_height
+            and occluded[i] <= max_occlusion
+            and truncated[i] <= max_truncation
+        ]
+    det_rows = [i for i, c in enumerate(det.class_names) if c == name]
+    return gt_rows, det_rows
 
 
 def _greedy(
-    det_idx: np.ndarray,
-    gt_idx: np.ndarray,
-    iou: np.ndarray,
-    scores: np.ndarray,
+    det_idx: Sequence[int],
+    gt_idx: Sequence[int],
+    iou: Sequence[float],
+    scores: Sequence[float],
     threshold: float,
 ) -> list[tuple[int, int, float]]:
     """The greedy matcher, over sparse (det_idx, gt_idx, iou) pairs.
@@ -146,30 +140,31 @@ def _greedy(
     index is shared between frames. Returns (det_idx, gt_idx, iou) in
     the order the matches were made.
     """
-    det_idx, gt_idx, iou = (np.asarray(a) for a in (det_idx, gt_idx, iou))
-    usable = (iou >= threshold) & (iou > 0.0)
-    det_idx, gt_idx, iou = det_idx[usable], gt_idx[usable], iou[usable]
-    order = np.lexsort((gt_idx, -iou, det_idx, -scores[det_idx]))
+    order = sorted(
+        (-scores[d], d, -value, g)
+        for d, g, value in zip(det_idx, gt_idx, iou)
+        if value >= threshold and value > 0.0
+    )
     done: set[int] = set()
     taken: set[int] = set()
     matches: list[tuple[int, int, float]] = []
-    for d, g, value in zip(det_idx[order].tolist(), gt_idx[order].tolist(), iou[order].tolist()):
+    for _, d, negated, g in order:
         if d not in done and g not in taken:
             done.add(d)
             taken.add(g)
-            matches.append((d, g, value))
+            matches.append((d, g, -negated))
     return matches
 
 
-def _box_array(table: LabelTable, rows: np.ndarray) -> np.ndarray:
-    """The rows' boxes (KittiRecord.to_box3d) as a geometry box array."""
+def _box_rows(table: LabelTable, rows: list[int]) -> list[tuple[float, ...]]:
+    """The rows' boxes (KittiRecord.to_box3d) as pair_iou rows."""
     names = ("x", "y", "z", "height", "width", "length", "rotation_y")
-    return raw_box_array(np.column_stack([_column(table, name)[rows] for name in names]))
+    return list(zip(*(map(table.column(name).__getitem__, rows) for name in names)))
 
 
-def _frame_of(table: LabelTable, rows: np.ndarray) -> np.ndarray:
-    """The index of the frame holding each row."""
-    return np.searchsorted(np.asarray(table.offsets), rows, side="right") - 1
+def _offsets(table: LabelTable, rows: list[int]) -> list[int]:
+    """The frame offsets into rows, an ascending selection of table rows."""
+    return [bisect_left(rows, start) for start in table.offsets]
 
 
 @dataclass(frozen=True)
@@ -181,29 +176,14 @@ class _SetMatch:
     det_rows in global AP sweep order.
     """
 
-    gt_rows: np.ndarray
-    det_rows: np.ndarray
-    gt_hit: np.ndarray
-    det_hit: np.ndarray
-    sweep: np.ndarray
+    gt_rows: list[int]
+    det_rows: list[int]
+    gt_hit: list[bool]
+    det_hit: list[bool]
+    sweep: list[int]
 
     def average_precision(self, kind: str) -> float:
-        return _interpolated_ap(self.det_hit[self.sweep].tolist(), len(self.gt_rows), kind)
-
-
-def _blocks(pair_counts: np.ndarray) -> list[tuple[int, int]]:
-    """[start, stop) frame ranges of at most _BLOCK_PAIRS candidate pairs,
-    except a single frame with more."""
-    blocks: list[tuple[int, int]] = []
-    start, total = 0, 0
-    for frame, count in enumerate(pair_counts.tolist()):
-        if total + count > _BLOCK_PAIRS and frame > start:
-            blocks.append((start, frame))
-            start, total = frame, 0
-        total += count
-    if start < len(pair_counts):
-        blocks.append((start, len(pair_counts)))
-    return blocks
+        return _interpolated_ap([self.det_hit[i] for i in self.sweep], len(self.gt_rows), kind)
 
 
 @dataclass(frozen=True)
@@ -211,21 +191,21 @@ class _Candidates:
     """The evaluated rows of a ground-truth and detection table pair, and
     the IoU of every same-frame pair of them that the prune keeps.
 
-    det_idx and gt_idx index gt_rows and det_rows; det_frame is each
+    det_idx and gt_idx index det_rows and gt_rows; det_frame is each
     detection's frame and frame_rank each frame's rank by frame_id.
     """
 
-    gt_rows: np.ndarray
-    det_rows: np.ndarray
-    det_frame: np.ndarray
-    frame_rank: np.ndarray
-    scores: np.ndarray
-    det_idx: np.ndarray
-    gt_idx: np.ndarray
-    iou: np.ndarray
+    gt_rows: list[int]
+    det_rows: list[int]
+    det_frame: list[int]
+    frame_rank: list[int]
+    scores: list[float]
+    det_idx: list[int]
+    gt_idx: list[int]
+    iou: list[float]
     threshold: float
 
-    def match(self, kept: np.ndarray | None = None) -> _SetMatch:
+    def match(self, kept: Sequence[bool] | None = None) -> _SetMatch:
         """One greedy pass over the detections, or over those flagged in kept.
 
         A subset's pairs are a subset of the pairs, so the IoU kernel
@@ -234,55 +214,50 @@ class _Candidates:
         det_idx, gt_idx, iou = self.det_idx, self.gt_idx, self.iou
         scores, det_frame, det_rows = self.scores, self.det_frame, self.det_rows
         if kept is not None:
-            renumbered = np.cumsum(kept) - 1
-            in_set = kept[det_idx]
-            det_idx, gt_idx, iou = renumbered[det_idx[in_set]], gt_idx[in_set], iou[in_set]
-            scores, det_frame, det_rows = scores[kept], det_frame[kept], det_rows[kept]
-        gt_hit = np.zeros(len(self.gt_rows), dtype=bool)
-        det_hit = np.zeros(len(det_rows), dtype=bool)
+            renumbered = [n - 1 for n in accumulate(map(int, kept))]
+            in_set = [kept[d] for d in det_idx]
+            det_idx = [renumbered[d] for d in compress(det_idx, in_set)]
+            gt_idx, iou = list(compress(gt_idx, in_set)), list(compress(iou, in_set))
+            scores, det_frame, det_rows = (list(compress(a, kept)) for a in (scores, det_frame, det_rows))
+        gt_hit = [False] * len(self.gt_rows)
+        det_hit = [False] * len(det_rows)
         for d, g, _ in _greedy(det_idx, gt_idx, iou, scores, self.threshold):
             det_hit[d] = gt_hit[g] = True
         # Global sweep order: (-score, frame_id, position in frame, frame position).
-        position = np.arange(len(det_rows)) - np.searchsorted(det_frame, det_frame)
-        sweep = np.lexsort((det_frame, position, self.frame_rank[det_frame], -scores))
+        first: dict[int, int] = {}
+        position = [i - first.setdefault(f, i) for i, f in enumerate(det_frame)]
+        rank = self.frame_rank
+        sweep = sorted(
+            range(len(det_rows)),
+            key=lambda i: (-scores[i], rank[det_frame[i]], position[i], det_frame[i]),
+        )
         return _SetMatch(self.gt_rows, det_rows, gt_hit, det_hit, sweep)
 
 
 def _candidates(gt: LabelTable, det: LabelTable, config: MatchConfig) -> _Candidates:
-    """The IoU kernel over every frame of a table pair, in blocks of whole
-    frames. gt and det hold the same frames."""
+    """The IoU kernel over every frame of a table pair. gt and det hold
+    the same frames."""
     gt_rows, det_rows = _eval_rows(gt, det, config)
-    scores = np.frombuffer(det.scores(), dtype=float)[det_rows]
-    n_frames = len(gt.frame_ids)
-    gt_frame, det_frame = _frame_of(gt, gt_rows), _frame_of(det, det_rows)
-    go = np.concatenate([[0], np.cumsum(np.bincount(gt_frame, minlength=n_frames))])
-    do = np.concatenate([[0], np.cumsum(np.bincount(det_frame, minlength=n_frames))])
-    gt_boxes, det_boxes = _box_array(gt, gt_rows), _box_array(det, det_rows)
-    pairs = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
-    for start, stop in _blocks(np.diff(go) * np.diff(do)):
-        d, g, iou = pair_iou(
-            det_boxes[do[start] : do[stop]],
-            do[start : stop + 1] - do[start],
-            gt_boxes[go[start] : go[stop]],
-            go[start : stop + 1] - go[start],
-            config.iou_kind,
-        )
-        pairs.append((d + do[start], g + go[start], iou))
+    score_column = det.scores()
+    scores = [score_column[r] for r in det_rows]
+    det_offsets = _offsets(det, det_rows)
+    det_idx, gt_idx, iou = pair_iou(
+        _box_rows(det, det_rows), det_offsets, _box_rows(gt, gt_rows), _offsets(gt, gt_rows), config.iou_kind
+    )
+    det_frame = [f for f in range(len(det_offsets) - 1) for _ in range(det_offsets[f], det_offsets[f + 1])]
     rank = {frame_id: i for i, frame_id in enumerate(sorted(set(gt.frame_ids)))}
-    frame_rank = np.array([rank[frame_id] for frame_id in gt.frame_ids], dtype=int)
-    det_idx, gt_idx, iou = map(np.concatenate, zip(*pairs))
+    frame_rank = [rank[frame_id] for frame_id in gt.frame_ids]
     return _Candidates(
         gt_rows, det_rows, det_frame, frame_rank, scores, det_idx, gt_idx, iou, config.iou_threshold
     )
 
 
-def _bins(table: LabelTable, rows: np.ndarray, spec: BinSpec) -> np.ndarray:
+def _bins(table: LabelTable, rows: list[int], spec: BinSpec) -> list[int]:
     """Each row's assign_bin of its ground_distance; spec.n_bins beyond the range."""
     x, z = table.column("x"), table.column("z")
-    rows = rows.tolist()
     distances = map(ground_distance, map(x.__getitem__, rows), map(z.__getitem__, rows))
     bins = map(assign_bin, distances, repeat(spec))
-    return np.array([spec.n_bins if b is None else b for b in bins], dtype=int)
+    return [spec.n_bins if b is None else b for b in bins]
 
 
 def _ratio(numerator: int, denominator: int) -> float:
@@ -305,12 +280,14 @@ def _interpolated_ap(tp_flags: Sequence[bool], total_gt: int, kind: str) -> floa
     """
     if total_gt == 0:
         raise EvaluationError("average precision is undefined without ground truth")
-    cum_tp = np.cumsum(np.asarray(tp_flags, dtype=bool))
-    recalls = cum_tp / total_gt
-    best_after = np.maximum.accumulate((cum_tp / np.arange(1, len(cum_tp) + 1))[::-1])[::-1]
+    cum_tp = list(accumulate(map(int, map(bool, tp_flags))))
+    recalls = [tp / total_gt for tp in cum_tp]
+    precisions = [tp / rank for rank, tp in enumerate(cum_tp, start=1)]
+    best_after = list(accumulate(reversed(precisions), max))[::-1]
     points = _interpolation_points(kind)
     total = 0.0
-    for i in np.searchsorted(recalls, points).tolist():
+    for point in points:
+        i = bisect_left(recalls, point)
         total += best_after[i] if i < len(best_after) else 0.0
     return 100.0 * total / len(points)
 
@@ -447,14 +424,15 @@ def evaluate_tables(
     """
     spec = bin_spec if bin_spec is not None else BinSpec()
     candidates = _candidates(gt, det, config)
-    subset = None if kept is None else np.asarray(kept, dtype=bool)[candidates.det_rows]
+    subset = None if kept is None else [bool(kept[r]) for r in candidates.det_rows]
     matched = candidates.match(subset)
     overflow = spec.n_bins
-    gt_bins = _bins(gt, matched.gt_rows, spec)
-    det_bins = _bins(det, matched.det_rows, spec)
-    tp_by_bin = np.bincount(gt_bins[matched.gt_hit], minlength=overflow + 1).tolist()
-    fn_by_bin = np.bincount(gt_bins[~matched.gt_hit], minlength=overflow + 1).tolist()
-    fp_by_bin = np.bincount(det_bins[~matched.det_hit], minlength=overflow + 1).tolist()
+    tp_by_bin, fn_by_bin, fp_by_bin = ([0] * (overflow + 1) for _ in range(3))
+    for b, hit in zip(_bins(gt, matched.gt_rows, spec), matched.gt_hit):
+        (tp_by_bin if hit else fn_by_bin)[b] += 1
+    for b, hit in zip(_bins(det, matched.det_rows, spec), matched.det_hit):
+        if not hit:
+            fp_by_bin[b] += 1
 
     tp = sum(tp_by_bin)
     fp = sum(fp_by_bin)

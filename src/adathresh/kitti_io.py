@@ -122,7 +122,7 @@ class KittiRecord:
 
     def to_box3d(self) -> Box3D:
         """Oriented box for this record. Fails for DontCare rows (dims <= 0)."""
-        from .geometry import Box3D  # numpy; stats and filter never build boxes
+        from .geometry import Box3D  # on use: stats, fit and filter never build boxes
 
         return Box3D(center=self.location, dims=self.dimensions, yaw=self.rotation_y)
 

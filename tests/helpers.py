@@ -24,7 +24,7 @@ from adathresh.evaluation import (
     EvaluationError,
     trade_off,
 )
-from adathresh.geometry import Box3D, iou_3d, iou_bev, raw_box_array
+from adathresh.geometry import Box3D, iou_3d, iou_bev
 from adathresh.kitti_io import DONT_CARE, FramePair, KittiRecord, MissingScoreError
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
@@ -67,13 +67,13 @@ def make_record(
     )
 
 
-def box_array(records: list[KittiRecord]) -> np.ndarray:
-    """The records' boxes (KittiRecord.to_box3d) as a geometry box array."""
-    return raw_box_array([(*r.location, *r.dimensions, r.rotation_y) for r in records])
+def box_rows(records: list[KittiRecord]) -> list[tuple[float, ...]]:
+    """The records' boxes (KittiRecord.to_box3d) as geometry.pair_iou rows."""
+    return [(*r.location, *r.dimensions, r.rotation_y) for r in records]
 
 
-def score_array(records: list[KittiRecord]) -> np.ndarray:
-    return np.array([r.score for r in records], dtype=float)
+def score_list(records: list[KittiRecord]) -> list[float]:
+    return [r.score for r in records]
 
 
 def eval_lists(frame: FramePair, config) -> tuple[list[KittiRecord], list[KittiRecord]]:

@@ -26,14 +26,14 @@ from adathresh.threshold import (
     keep,
 )
 from helpers import (
-    box_array,
+    box_rows,
     brute_force_match,
     make_box,
     make_record,
     mc_iou_bev,
     optimal_assignment,
     random_scene,
-    score_array,
+    score_list,
 )
 
 
@@ -182,8 +182,8 @@ def test_acceptance_5_matching_oracle():
         for seed in range(500):
             rng = random.Random(seed)
             gt, det = random_scene(rng)
-            pairs = pair_iou(box_array(det), [0, len(det)], box_array(gt), [0, len(gt)], "bev")
-            matches = _greedy(*pairs, score_array(det), config.iou_threshold)
+            pairs = pair_iou(box_rows(det), [0, len(det)], box_rows(gt), [0, len(gt)], "bev")
+            matches = _greedy(*pairs, score_list(det), config.iou_threshold)
             greedy_pairs = [(d, g) for d, g, _ in matches]
             assert greedy_pairs == brute_force_match(gt, det, iou_bev, config.iou_threshold)
 

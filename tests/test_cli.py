@@ -535,6 +535,54 @@ class TestExitCodes:
             assert f"config file {cfg}" in err and "distance_cutoff must be finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("stats", "bin_width", -5, "bin_width must be positive"),
+            ("stats", "gt_dir", 5, ""),
+            ("stats", "max_distance", 25, "not a multiple of bin_width"),
+            ("stats", "pre_filter", "1:2", "expected 'CUTOFF:LOW:HIGH'"),
+            ("fit", "delta", "far", ""),
+            ("fit", "k", [0.5], "expected a number or 'continuity'"),
+            ("fit", "sigma_floor", -1, "sigma_floor must be finite and positive"),
+            ("filter", "threshold_mode", "single:abc", ""),
+            ("eval", "iou_thr", "abc", "could not convert string to float: 'abc'"),
+            ("eval", "iou", "2d", ""),
+            ("eval", "ap", 12, "expected 11 or 40"),
+            ("eval", "difficulty", "extreme", ""),
+            ("eval", "class_name", "", "class_name must be non-empty"),
+            ("eval", "threshold_mode", "bogus:1", "unknown threshold mode"),
+            ("synth", "spec", 5, ""),
+            ("report", "stats", 5, ""),
+        ],
+    )
+    def test_bad_config_value_is_a_data_error_naming_the_file(
+        self, tmp_path, dataset, capsys, command, key, value, message
+    ):
+        model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict())
+        options = {
+            "filter": {"det_dir": str(dataset / "det")},
+            "synth": {},
+            "report": {"model": model},
+        }.get(command, {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")})
+        cfg = write_json(tmp_path / "cfg.json", {**options, "out_dir": str(tmp_path / "o"), key: value})
+        assert run(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg} has a bad {key} value" in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_value_as_a_flag_stays_a_usage_error(self, tmp_path, dataset, capsys):
+        io_flags = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+        assert run("stats", *io_flags, "--out-dir", str(tmp_path / "o"), "--bin-width", "-5") == 1
+        assert "bin_width must be positive" in capsys.readouterr().err
+        assert run("eval", *io_flags, "--out-dir", str(tmp_path / "o"), "--iou-thr", "abc") == 1
+        assert "--iou-thr" in capsys.readouterr().err
+        # A flag overrides the config file's value, good or bad.
+        cfg = write_json(tmp_path / "cfg.json", {"bin_width": 20.0})
+        assert run("stats", *io_flags, "--config", cfg, "--out-dir", str(tmp_path / "o"), "--bin-width", "-5") == 1
+        cfg = write_json(tmp_path / "cfg.json", {"bin_width": -5})
+        assert run("stats", *io_flags, "--config", cfg, "--out-dir", str(tmp_path / "o"), "--bin-width", "20") == 0
+
     def test_corrupt_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2, 3]")

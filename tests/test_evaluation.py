@@ -4,7 +4,6 @@ import dataclasses
 import json
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,8 +13,6 @@ from adathresh.evaluation import (
     EvaluationError,
     MatchConfig,
     MetricDelta,
-    _BLOCK_PAIRS,
-    _blocks,
     _candidates,
     _greedy,
     _interpolated_ap,
@@ -28,13 +25,12 @@ from adathresh.geometry import iou_bev, pair_iou
 from adathresh.kitti_io import FramePair, LabelTable, MissingScoreError
 from adathresh.threshold import SingleThreshold, keep
 from helpers import (
-    box_array,
+    box_rows,
     brute_force_match,
-    eval_lists,
     loop_interpolated_ap,
     make_record,
     random_scene,
-    score_array,
+    score_list,
     three_pass_evaluate,
 )
 
@@ -51,8 +47,8 @@ def single_frame(gt, det):
 
 def frame_matches(gt, det):
     """_greedy over one frame's BEV pair_iou: (det_idx, gt_idx, iou) in match order."""
-    pairs = pair_iou(box_array(det), [0, len(det)], box_array(gt), [0, len(gt)], "bev")
-    return _greedy(*pairs, score_array(det), BEV_CFG.iou_threshold)
+    pairs = pair_iou(box_rows(det), [0, len(det)], box_rows(gt), [0, len(gt)], "bev")
+    return _greedy(*pairs, score_list(det), BEV_CFG.iou_threshold)
 
 
 def _match_set(frames, config):
@@ -113,22 +109,22 @@ class TestGreedyMatch:
 
     def test_rows_in_score_order_take_best_free_column(self):
         # The IoU matrix [[0.8, 0.9], [0.95, 0.0]], row = detection.
-        matches = _greedy([0, 0, 1], [0, 1, 0], [0.8, 0.9, 0.95], np.array([0.5, 0.9]), 0.5)
+        matches = _greedy([0, 0, 1], [0, 1, 0], [0.8, 0.9, 0.95], [0.5, 0.9], 0.5)
         assert matches == [(1, 0, 0.95), (0, 1, 0.9)]
 
     def test_ties_go_to_lower_row_and_lower_column(self):
-        matches = _greedy([0, 0, 1, 1], [0, 1, 0, 1], [0.7] * 4, np.array([0.6, 0.6]), 0.5)
+        matches = _greedy([0, 0, 1, 1], [0, 1, 0, 1], [0.7] * 4, [0.6, 0.6], 0.5)
         assert matches == [(0, 0, 0.7), (1, 1, 0.7)]
 
     def test_threshold_is_inclusive(self):
         pairs = ([0, 0], [0, 1], [0.5, 0.4999999999999999])
-        assert _greedy(*pairs, np.array([0.9]), 0.5) == [(0, 0, 0.5)]
-        assert _greedy(*pairs, np.array([0.9]), 0.6) == []
+        assert _greedy(*pairs, [0.9], 0.5) == [(0, 0, 0.5)]
+        assert _greedy(*pairs, [0.9], 0.6) == []
 
     def test_empty_matrices(self):
-        none = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-        assert _greedy(*none, np.zeros(0), 0.5) == []
-        assert _greedy(*none, np.array([0.9, 0.8]), 0.5) == []
+        none = ([], [], [])
+        assert _greedy(*none, [], 0.5) == []
+        assert _greedy(*none, [0.9, 0.8], 0.5) == []
 
 
 class TestMatchFrame:
@@ -139,8 +135,8 @@ class TestMatchFrame:
         det = [make_record(0.0, 10.0, score=0.9)]
         assert frame_matches(gt, det) == [(0, 0, 1.0)]
         matched = _match_set(single_frame(gt, det), BEV_CFG)
-        assert matched.gt_hit.tolist() == [True]
-        assert matched.det_hit.tolist() == [True]
+        assert matched.gt_hit == [True]
+        assert matched.det_hit == [True]
 
     def test_higher_score_wins_regardless_of_position(self):
         gt = [make_record(0.0, 10.0)]
@@ -149,7 +145,7 @@ class TestMatchFrame:
             make_record(0.0, 10.0, score=0.9),
         ]
         assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(1, 0)]
-        assert _match_set(single_frame(gt, det), BEV_CFG).det_hit.tolist() == [False, True]
+        assert _match_set(single_frame(gt, det), BEV_CFG).det_hit == [False, True]
 
     def test_equal_scores_favor_lower_detection_index(self):
         gt = [make_record(0.0, 10.0)]
@@ -165,15 +161,15 @@ class TestMatchFrame:
         gt = [make_record(0.0, 10.0), make_record(0.0, 10.5)]
         det = [make_record(0.0, 10.4, score=0.9)]
         assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(0, 1)]
-        assert _match_set(single_frame(gt, det), BEV_CFG).gt_hit.tolist() == [False, True]
+        assert _match_set(single_frame(gt, det), BEV_CFG).gt_hit == [False, True]
 
     def test_iou_below_threshold_not_matched(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 11.4, score=0.9)]
         assert frame_matches(gt, det) == []
         matched = _match_set(single_frame(gt, det), BEV_CFG)
-        assert matched.gt_hit.tolist() == [False]
-        assert matched.det_hit.tolist() == [False]
+        assert matched.gt_hit == [False]
+        assert matched.det_hit == [False]
 
     def test_missing_score_raises(self):
         gt = [make_record(0.0, 10.0)]
@@ -197,8 +193,8 @@ class TestMatchFrame:
         matched = _match_set(single_frame(gt, det), BEV_CFG)
         matched_gt = [g for _, g, _ in matches]
         matched_det = [d for d, _, _ in matches]
-        unmatched_gt = np.flatnonzero(~matched.gt_hit).tolist()
-        unmatched_det = np.flatnonzero(~matched.det_hit).tolist()
+        unmatched_gt = [g for g, hit in enumerate(matched.gt_hit) if not hit]
+        unmatched_det = [d for d, hit in enumerate(matched.det_hit) if not hit]
         assert len(set(matched_gt)) == len(matched_gt)
         assert len(set(matched_det)) == len(matched_det)
         assert sorted(matched_gt + unmatched_gt) == list(range(len(gt)))
@@ -279,7 +275,7 @@ class TestPointMetrics:
         assert point(evaluate(single_frame(gt, det), config_at("hard"))) == (1.0, 1.0, 0.0)
         easy = _match_set(single_frame(gt, det), config_at("easy"))
         assert len(easy.gt_rows) == 0  # vacuous recall: no gt in stratum
-        assert easy.det_hit.tolist() == [False]  # the detection is now a false positive
+        assert easy.det_hit == [False]  # the detection is now a false positive
 
     def test_occlusion_limits(self):
         gt = [make_record(0.0, 10.0, occluded=2)]
@@ -288,7 +284,7 @@ class TestPointMetrics:
         moderate = MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty="moderate")
         assert point(evaluate(single_frame(gt, det), hard)) == (1.0, 1.0, 0.0)
         matched = _match_set(single_frame(gt, det), moderate)
-        assert matched.det_hit.tolist() == [False]  # precision 0
+        assert matched.det_hit == [False]  # precision 0
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_raising_threshold_never_increases_tp_or_fp(self, seed, t_a, t_b):
@@ -303,7 +299,7 @@ class TestPointMetrics:
             schedule = SingleThreshold(threshold)
             kept = [frame(f.frame_id, f.ground_truth, keep(f.detections, schedule)) for f in frames]
             matched = _match_set(kept, BEV_CFG)
-            return int(matched.det_hit.sum()), int((~matched.det_hit).sum())
+            return matched.det_hit.count(True), matched.det_hit.count(False)
 
         tp_lo, fp_lo = counts(t_lo)
         tp_hi, fp_hi = counts(t_hi)
@@ -498,61 +494,6 @@ class TestEvaluateEquivalence:
             evaluate(scored, BEV_CFG, ap_frames=unscored)
         with pytest.raises(MissingScoreError):
             evaluate(unscored, BEV_CFG, ap_frames=scored)
-
-
-def _pair_counts(frames, config):
-    return np.array([len(g) * len(d) for g, d in (eval_lists(f, config) for f in frames)])
-
-
-class TestBlocks:
-    def test_whole_frames_up_to_the_block_size(self):
-        counts = np.array([3000, 2000, 5000, 0, 100, 4096])
-        assert _BLOCK_PAIRS == 4096
-        assert _blocks(counts) == [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
-        assert _blocks(np.array([0, 0, 7])) == [(0, 3)]
-        assert _blocks(np.array([4000, 96, 1])) == [(0, 2), (2, 3)]
-        assert _blocks(np.array([], dtype=int)) == []
-
-    def test_set_spanning_several_blocks(self):
-        rng = random.Random(11)
-        raw = []
-        while _pair_counts(raw, BEV_CFG).sum() < 3 * _BLOCK_PAIRS:
-            gt, det = random_scene(rng, max_gt=12, max_det=12)
-            raw.append(frame(f"{len(raw):06d}", gt, det))
-        assert len(_blocks(_pair_counts(raw, BEV_CFG))) >= 3
-        filtered = [
-            frame(f.frame_id, f.ground_truth, keep(f.detections, SingleThreshold(0.4))) for f in raw
-        ]
-        for config in (BEV_CFG, MatchConfig(iou_kind="3d", iou_threshold=0.3)):
-            assert evaluate(filtered, config, ap_frames=raw) == three_pass_evaluate(
-                filtered, config, ap_frames=raw
-            )
-
-    def test_frame_larger_than_a_block(self):
-        rng = random.Random(12)
-        gt = [make_record(x, z) for x in (-9.0, -6.5, -4.0, -1.5, 1.0, 3.5, 6.0, 8.5)
-              for z in (8.0, 13.0, 18.0, 23.0, 28.0, 33.0, 38.0, 43.0)]
-        det = [
-            make_record(
-                g.location[0] + rng.uniform(-1.0, 1.0),
-                g.location[2] + rng.uniform(-1.0, 1.0),
-                yaw=rng.uniform(-0.3, 0.3),
-                score=rng.random(),
-            )
-            for g in gt + rng.sample(gt, 6)
-        ]
-        small = random_scene(rng)
-        raw = [frame("000000", *small), frame("000001", gt, det), frame("000002", *small)]
-        counts = _pair_counts(raw, BEV_CFG)
-        assert counts[1] > _BLOCK_PAIRS
-        assert (1, 2) in _blocks(counts)
-        filtered = [
-            frame(f.frame_id, f.ground_truth, keep(f.detections, SingleThreshold(0.5))) for f in raw
-        ]
-        for config in (BEV_CFG, MatchConfig(iou_kind="3d", iou_threshold=0.3)):
-            assert evaluate(filtered, config, ap_frames=raw) == three_pass_evaluate(
-                filtered, config, ap_frames=raw
-            )
 
 
 class TestEvaluate:

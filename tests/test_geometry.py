@@ -1,6 +1,7 @@
 """Geometry: boxes, footprints, polygon clipping, IoU."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,14 +12,11 @@ from adathresh.geometry import (
     Box3D,
     Polygon2D,
     bev_polygon,
-    box_array,
     iou_3d,
     iou_bev,
     normalize_angle,
-    normalize_angles,
     pair_iou,
     polygon_intersection_area,
-    raw_box_array,
 )
 from helpers import make_box, mc_iou_bev
 
@@ -259,17 +257,30 @@ def _radius(box):
 @st.composite
 def box_frames(draw):
     """(gt, det) box lists; detections are random, coincident with a gt
-    box, or placed so that the two bounding circles (nearly) touch."""
+    box, turned about its centre, abutting it along its length, or
+    placed so that the two bounding circles (nearly) touch."""
     near = st.floats(-6.0, 6.0)
     gt = draw(st.lists(boxes(x=near, z=near), max_size=5))
     det = []
-    for kind in draw(st.lists(st.sampled_from(["random", "coincident", "tangent"]), max_size=6)):
+    kinds = st.sampled_from(["random", "coincident", "turned", "abutting", "tangent"])
+    for kind in draw(st.lists(kinds, max_size=6)):
         if kind == "random" or not gt:
             det.append(draw(boxes(x=near, z=near)))
             continue
         g = draw(st.sampled_from(gt))
         if kind == "coincident":
             det.append(Box3D(g.center, g.dims, g.yaw))
+            continue
+        if kind == "turned":
+            det.append(Box3D(g.center, g.dims, draw(yaws)))
+            continue
+        if kind == "abutting":
+            # The length runs along (cos, -sin) in (x, z): one length on,
+            # the footprints share an edge up to rounding.
+            step = g.length * draw(st.sampled_from([-1.0, 1.0]))
+            x = g.center[0] + step * math.cos(g.yaw)
+            z = g.center[2] - step * math.sin(g.yaw)
+            det.append(Box3D((x, g.center[1], z), g.dims, g.yaw))
             continue
         dims, yaw = draw(box_dims), draw(yaws)
         angle = draw(st.floats(-math.pi, math.pi))
@@ -281,14 +292,24 @@ def box_frames(draw):
     return gt, det
 
 
+def row(box):
+    """The (x, y, z, height, width, length, yaw) row pair_iou takes."""
+    return (*box.center, *box.dims, box.yaw)
+
+
+def box_of(values):
+    """The Box3D of a pair_iou row: the scalar IoU's view of it."""
+    return Box3D(values[:3], values[3:6], values[6])
+
+
 def scalar_matrix(gt, det, iou):
     return [[iou(d, g) for g in gt] for d in det]
 
 
 def one_frame_iou(gt, det, kind):
-    """pair_iou of one frame as {(det_idx, gt_idx): iou}."""
-    rows, cols, values = pair_iou(box_array(det), [0, len(det)], box_array(gt), [0, len(gt)], kind)
-    return dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
+    """pair_iou of one frame's boxes as {(det_idx, gt_idx): iou}."""
+    rows, cols, values = pair_iou([row(b) for b in det], [0, len(det)], [row(b) for b in gt], [0, len(gt)], kind)
+    return dict(zip(zip(rows, cols), values))
 
 
 class TestIouMatrix:
@@ -300,9 +321,9 @@ class TestIouMatrix:
         gt, det = frame
         pairs = one_frame_iou(gt, det, kind)
         assert set(pairs) <= {(d, g) for d in range(len(det)) for g in range(len(gt))}
-        fresh = [Box3D(b.center, b.dims, b.yaw) for b in gt]
+        fresh_gt, fresh_det = [box_of(row(b)) for b in gt], [box_of(row(b)) for b in det]
         assert [[pairs.get((d, g), 0.0) for g in range(len(gt))] for d in range(len(det))] == (
-            scalar_matrix(fresh, det, iou)
+            scalar_matrix(fresh_gt, fresh_det, iou)
         )
 
     @pytest.mark.parametrize("overlap", [0.0, 1e-5])
@@ -319,7 +340,7 @@ class TestIouMatrix:
         ]
         for g, d in cases:
             value = one_frame_iou([g], [d], "bev").get((0, 0), 0.0)
-            assert value == iou_bev(d, g)
+            assert value == iou_bev(box_of(row(d)), box_of(row(g)))
             assert (value > 0.0) == (overlap > 0.0)
 
     @pytest.mark.parametrize("kind", ["bev", "3d"])
@@ -333,21 +354,18 @@ class TestIouMatrix:
         import adathresh.geometry as geometry
 
         calls = []
-        clip = geometry._intersection_areas
+        clip = geometry._intersection_area
 
         def counting(a, b):
-            calls.extend(zip(a.tolist(), b.tolist()))
+            calls.append((a, b))
             return clip(a, b)
 
-        monkeypatch.setattr(geometry, "_intersection_areas", counting)
+        monkeypatch.setattr(geometry, "_intersection_area", counting)
         gt = [make_box(0.0, 10.0), make_box(0.0, 30.0)]
         det = [make_box(0.2, 10.0), make_box(0.0, 50.0)]
         pairs = one_frame_iou(gt, det, "bev")
 
-        def footprint(box):
-            return [list(v) for v in box.footprint.vertices]
-
-        det_fp, gt_fp = [footprint(d) for d in det], [footprint(g) for g in gt]
+        det_fp, gt_fp = [d.footprint.vertices for d in det], [g.footprint.vertices for g in gt]
         clipped = [(det_fp.index(a), gt_fp.index(b)) for a, b in calls]
         assert clipped == [(0, 0)]
         assert pairs[0, 0] == iou_bev(det[0], gt[0]) > 0.0
@@ -359,30 +377,36 @@ class TestIouMatrix:
 
 
 def assert_pairs_equal_scalar(frames, kind):
-    """pair_iou over [(gt, det), ...] frames gives, for every same-frame
-    pair in (frame, det, gt) order, the scalar IoU bit for bit; a pair it
-    leaves out has scalar IoU 0."""
+    """pair_iou over [(gt, det), ...] frames of pair_iou rows gives, for
+    every same-frame pair in (frame, det, gt) order, the scalar IoU of
+    the rows' Box3D bit for bit; a pair it leaves out has scalar IoU 0."""
     gt = [b for g, _ in frames for b in g]
     det = [b for _, d in frames for b in d]
-    gt_offsets = np.cumsum([0] + [len(g) for g, _ in frames])
-    det_offsets = np.cumsum([0] + [len(d) for _, d in frames])
-    rows, cols, values = pair_iou(box_array(det), det_offsets, box_array(gt), gt_offsets, kind)
-    got = list(zip(rows.tolist(), cols.tolist()))
+    gt_offsets = [0, *accumulate(len(g) for g, _ in frames)]
+    det_offsets = [0, *accumulate(len(d) for _, d in frames)]
+    rows, cols, values = pair_iou(det, det_offsets, gt, gt_offsets, kind)
+    got = list(zip(rows, cols))
     assert got == sorted(got)
-    kept = dict(zip(got, values.tolist()))
+    kept = dict(zip(got, values))
     iou = iou_bev if kind == "bev" else iou_3d
     same_frame = []
     for f in range(len(frames)):
         for r in range(det_offsets[f], det_offsets[f + 1]):
             for c in range(gt_offsets[f], gt_offsets[f + 1]):
                 same_frame.append((r, c))
-                assert kept.get((r, c), 0.0) == iou(det[r], gt[c]), (f, r, c)
+                assert kept.get((r, c), 0.0) == iou(box_of(det[r]), box_of(gt[c])), (f, r, c)
     assert set(kept) <= set(same_frame)
     return kept
 
 
+def box_frame_rows(frames):
+    """box_frames output as frames of pair_iou rows."""
+    return [([row(b) for b in g], [row(b) for b in d]) for g, d in frames]
+
+
 def _box(x, z, w, l, yaw=0.0, y=1.0, h=1.0):
-    return make_box(x, z, y=y, dims=(h, w, l), yaw=yaw)
+    """The pair_iou row of a box (as given, not normalized)."""
+    return (x, y, z, h, w, l, yaw)
 
 
 # (name, a, b, bev IoU or None): footprints at yaw 0 have vertices
@@ -411,7 +435,7 @@ class TestPairIou:
     @pytest.mark.parametrize("kind", ["bev", "3d"])
     @given(frames=st.lists(box_frames(), max_size=4))
     def test_equals_scalar_iou_exactly(self, kind, frames):
-        assert_pairs_equal_scalar(frames, kind)
+        assert_pairs_equal_scalar(box_frame_rows(frames), kind)
 
     @pytest.mark.parametrize("kind", ["bev", "3d"])
     @pytest.mark.parametrize("name, a, b, expected", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
@@ -431,9 +455,9 @@ class TestPairIou:
             dims = (1.5, 1.4 + 0.05 * (i % 5), 3.5 + 0.1 * (i % 7))
             c, s = math.cos(normalize_angle(yaw)), math.sin(normalize_angle(yaw))
             hu, hv = 0.5 * dims[2], 0.5 * dims[1]
-            box = Box3D((10.0 - (hu * c + hv * s), 1.0, 20.0 + hu * s - hv * c), dims, yaw)
-            if box.footprint.vertices[0] == (10.0, 20.0):
-                family.append(box)
+            values = (10.0 - (hu * c + hv * s), 1.0, 20.0 + hu * s - hv * c, *dims, yaw)
+            if box_of(values).footprint.vertices[0] == (10.0, 20.0):
+                family.append(values)
         assert len(family) >= 10
         assert_pairs_equal_scalar([(family[::2], family[1::2]), (family[1::2], family[::2])], kind)
 
@@ -444,24 +468,33 @@ class TestPairIou:
         assert sorted(kept) == [(2, 2), (2, 3), (3, 2), (3, 3)]
 
     def test_rejects_unknown_kind(self):
-        one = box_array([unit_box()])
+        one = [row(unit_box())]
         with pytest.raises(ValueError):
             pair_iou(one, [0, 1], one, [0, 1], "2d")
 
 
 class TestBoxArrays:
+    """pair_iou's box rows hold what Box3D(center, dims, yaw) takes."""
+
     @given(st.floats(-1e9, 1e9))
-    def test_normalize_angles_matches_scalar(self, angle):
+    def test_yaw_is_normalized_like_box3d(self, angle):
+        other = (0.5, 1.0, 0.3, 1.5, 1.7, 4.0, 0.2)
         for value in (angle, math.pi, -math.pi, 3 * math.pi, -7 * math.pi / 2):
-            assert normalize_angles(np.array([value])).tolist() == [normalize_angle(value)]
+            box = (0.0, 1.0, 0.0, 1.5, 1.7, 4.0, value)
+            for kind, iou in (("bev", iou_bev), ("3d", iou_3d)):
+                _, _, values = pair_iou([box], [0, 1], [other], [0, 1], kind)
+                assert values == [iou(box_of(box), box_of(other))]
 
     @given(boxes())
     def test_raw_rows_become_the_box3d_values(self, box):
         # Box3D normalizes its yaw once; raw rows are normalized once too.
         raw_yaw = box.yaw + 4 * math.pi
         rebuilt = Box3D(box.center, box.dims, raw_yaw)
-        rows = raw_box_array([(*box.center, *box.dims, raw_yaw)])
-        assert rows.tolist() == box_array([rebuilt]).tolist()
+        raw = (*box.center, *box.dims, raw_yaw)
+        beside = Box3D((box.center[0] + 0.3, box.center[1], box.center[2] - 0.2), box.dims, 0.1)
+        for kind, iou in (("bev", iou_bev), ("3d", iou_3d)):
+            _, _, values = pair_iou([raw], [0, 1], [row(beside)], [0, 1], kind)
+            assert values == [iou(rebuilt, box_of(row(beside)))]
 
     @pytest.mark.parametrize(
         "row",
@@ -471,4 +504,6 @@ class TestBoxArrays:
         with pytest.raises(ValueError):
             Box3D(row[:3], row[3:6], row[6])
         with pytest.raises(ValueError):
-            raw_box_array([row])
+            pair_iou([row], [0, 1], [], [0, 0], "bev")
+        with pytest.raises(ValueError):
+            pair_iou([], [0, 0], [row], [0, 1], "bev")

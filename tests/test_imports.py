@@ -76,15 +76,15 @@ def test_cli_import_loads_no_numpy():
 
 def _commands(data: Path) -> dict[str, list[str]]:
     io = ["--gt-dir", str(data / "gt"), "--det-dir", str(data / "det")]
+    model = f"adaptive:{data / 'model.json'}"
     return {
         "stats": ["stats", *io, "--out-dir", str(data / "stats")],
-        "filter": [
-            "filter", "--det-dir", str(data / "det"), "--out-dir", str(data / "filtered"),
-            "--threshold-mode", f"adaptive:{data / 'model.json'}",
-        ],
+        "filter": ["filter", "--det-dir", str(data / "det"), "--out-dir", str(data / "filtered"), "--threshold-mode", model],
         "report": ["report", "--model", str(data / "model.json"), "--out-dir", str(data / "report")],
         "fit": ["fit", *io, "--out-dir", str(data / "fit"), "--pre-filter", "none"],
         "eval": ["eval", *io, "--out-dir", str(data / "eval")],
+        "eval-adaptive-3d": ["eval", *io, "--out-dir", str(data / "eval3d"), "--threshold-mode", model, "--iou", "3d"],
+        "compare": ["compare", str(data / "baseline.json"), str(data / "baseline.json"), "--out-dir", str(data / "compare")],
     }
 
 
@@ -94,12 +94,19 @@ NOT_LOADED = {
     "filter": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
     "report": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic"},
     "fit": {"numpy", "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
-    "eval": {"adathresh.synthetic", "adathresh.report"},
+    "eval": {"numpy", "adathresh.synthetic", "adathresh.report"},
+    "eval-adaptive-3d": {"numpy", "adathresh.synthetic", "adathresh.report"},
+    "compare": {"numpy", "adathresh.synthetic", "adathresh.report"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(NOT_LOADED))
 def test_command_loads_only_what_it_runs(data, command):
+    if command == "compare":
+        from adathresh.cli import main
+
+        assert main(_commands(data)["eval"]) == 0
+        (data / "eval" / "eval_report.json").rename(data / "baseline.json")
     argv = _commands(data)[command]
     loaded = loaded_after(f"from adathresh.cli import main\nassert main({argv!r}) == 0")
     assert not loaded & NOT_LOADED[command]
