@@ -5,15 +5,18 @@ each occupied bin gets the mean and the population standard deviation of
 its scores. Sums use math.fsum, so results do not depend on input order.
 A distance is the ground-plane distance from the ego vehicle
 (ground_distance), the one measure every module bins and thresholds by.
+JsonCodec gives every dataclass that is written to or read from a JSON
+file its to_dict/from_dict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache
 from itertools import compress
 from operator import and_
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
     from .kitti_io import FramePair, LabelTable
@@ -24,8 +27,57 @@ def ground_distance(x: float, z: float) -> float:
     return math.hypot(x, z)
 
 
+class JsonCodec:
+    """to_dict/from_dict for a dataclass that is written to and read from JSON.
+
+    from_dict coerces each value by its field's annotation: float and int
+    with float() and int(), X | None keeps None, tuple[T, ...] and
+    tuple[T, U] element by element, and a nested dataclass through its
+    own from_dict; a str passes through unchanged. Keys that name no
+    field are ignored. A key may be missing only when its field defaults
+    to None or has a default_factory; any other missing key raises
+    KeyError.
+    """
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        values = {}
+        for f, hint in _field_hints(cls):
+            if f.name in data:
+                values[f.name] = _decode(hint, data[f.name])
+            elif f.default is not None and f.default_factory is MISSING:
+                raise KeyError(f.name)
+        return cls(**values)
+
+
+@cache
+def _field_hints(cls: type) -> tuple:
+    """(field, resolved annotation) of each field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def _decode(hint, value):
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in value)
+        return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
+    if is_dataclass(hint):
+        return hint.from_dict(value)
+    return hint(value) if hint in (float, int) else value
+
+
 @dataclass(frozen=True)
-class BinSpec:
+class BinSpec(JsonCodec):
     """Uniform binning of [0, max_distance) into bins of bin_width meters."""
 
     bin_width: float = 10.0
@@ -56,13 +108,6 @@ class BinSpec:
         lo, hi = self.edges(bin_index)
         return 0.5 * (lo + hi)
 
-    def to_dict(self) -> dict:
-        return {"bin_width": self.bin_width, "max_distance": self.max_distance}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BinSpec":
-        return cls(bin_width=float(data["bin_width"]), max_distance=float(data["max_distance"]))
-
 
 def assign_bin(distance: float, spec: BinSpec) -> int | None:
     """Bin index for a distance; None when at or beyond max_distance."""
@@ -74,7 +119,7 @@ def assign_bin(distance: float, spec: BinSpec) -> int | None:
 
 
 @dataclass(frozen=True)
-class BinStats:
+class BinStats(JsonCodec):
     """Score statistics for one bin; mean and std are None when empty."""
 
     bin_index: int
@@ -92,7 +137,7 @@ class BinStats:
 
 
 @dataclass(frozen=True)
-class PreFilter:
+class PreFilter(JsonCodec):
     """Single-threshold pre-filter with a near/far split.
 
     Detections closer than distance_cutoff must score at least
@@ -117,21 +162,6 @@ class PreFilter:
         if distance < 0.0:
             raise ValueError(f"distance must be non-negative, got {distance}")
         return self.high_threshold if distance < self.distance_cutoff else self.low_threshold
-
-    def to_dict(self) -> dict:
-        return {
-            "distance_cutoff": self.distance_cutoff,
-            "low_threshold": self.low_threshold,
-            "high_threshold": self.high_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PreFilter":
-        return cls(
-            distance_cutoff=float(data["distance_cutoff"]),
-            low_threshold=float(data["low_threshold"]),
-            high_threshold=float(data["high_threshold"]),
-        )
 
 
 def collect_samples(

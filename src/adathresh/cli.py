@@ -1,11 +1,16 @@
 """Command-line interface.
 
-Subcommands: stats, fit, filter, eval, compare, synth, report. Options
-resolve with precedence CLI flag > config file (--config, JSON keyed by
-the flag names with dashes as underscores) > built-in default. Exit
-codes: 0 success, 1 usage error, 2 data or parse error, 3 numerical
-failure. Every output file is written atomically (temp file + rename);
-CSV uses RFC 4180 quoting and JSON a stable key order.
+Subcommands: stats, fit, filter, eval, compare, synth, report. Every
+option is one row of _OPTIONS: its config key (the dest), flag, default,
+converter and help. An option resolves with precedence CLI flag > config
+file (--config, a JSON object keyed by the dests) > the row's default,
+and the row's converter turns a flag's string and a config value alike
+into the value the command uses. A switch's config value is a JSON
+boolean. Exit codes: 0 success, 1 usage error (including a bad flag
+value), 2 data or parse error (including a bad config-file value, named
+with its file), 3 numerical failure. Every output file is written
+atomically (temp file + rename); CSV uses RFC 4180 quoting and JSON a
+stable key order.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 from itertools import compress
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Any, Callable, NamedTuple
 
 from .bin_stats import BinSpec, BinStats, PreFilter, compute_bin_stats, table_samples
 from .kitti_io import (
@@ -29,6 +35,7 @@ from .kitti_io import (
     write_text_atomic,
 )
 from .threshold import (
+    SIGMA_FLOOR,
     FitError,
     ModelRangeError,
     Schedule,
@@ -41,8 +48,6 @@ from .threshold import (
 # evaluation, synthetic and report load inside the commands that use them:
 # synthetic imports numpy, which only synth needs, and stats, fit and
 # filter never load the IoU and matching code.
-if TYPE_CHECKING:
-    from .evaluation import EvalReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,39 +114,8 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     return data
 
 
-def _flag(key: str) -> str:
-    return "--class" if key == "class_name" else "--" + key.replace("_", "-")
-
-
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default=None, required=False, convert=None):
-    """The key's flag value, else its config-file value, else default,
-    passed through convert under _checked when convert is given."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = file_cfg.get(key, default)
-    if required and value is None:
-        raise _UsageError(f"missing required option {_flag(key)} (or config key '{key}')")
-    if convert is None:
-        return value
-    return _checked(args, file_cfg, (key,), lambda: convert(value))
-
-
-def _checked(args: argparse.Namespace, file_cfg: dict, keys: tuple[str, ...], build):
-    """build(), which converts and checks the values of keys. A bad value
-    (ValueError, TypeError, OverflowError) is a DatasetError naming the
-    --config file when one of keys took its value from that file, and a
-    usage error otherwise. A ModelRangeError passes through (exit 3)."""
-    try:
-        return build()
-    except ModelRangeError:
-        raise
-    except (ValueError, TypeError, OverflowError) as exc:
-        from_file = [key for key in keys if getattr(args, key, None) is None and key in file_cfg]
-        if from_file:
-            names = ", ".join(from_file)
-            raise DatasetError(f"config file {args.config} has a bad {names} value: {exc}") from exc
-        flags = ", ".join(_flag(key) for key in keys if getattr(args, key, None) is not None)
-        raise _UsageError(f"bad {flags} value: {exc}" if flags else str(exc)) from exc
+def _load_model(path: str | Path) -> ThresholdModel:
+    return _load_json(path, "model", ThresholdModel.from_dict)
 
 
 def _parse_pre_filter(value) -> PreFilter | None:
@@ -183,32 +157,165 @@ def _parse_threshold_mode(value: str) -> tuple[str, Schedule | None]:
     raise ValueError(f"unknown threshold mode {kind!r}")
 
 
-def _load_model(path: str | Path) -> ThresholdModel:
-    return _load_json(path, "model", ThresholdModel.from_dict)
+def _parse_k(value) -> float | None:
+    """A --k value: a number, or None for 'continuity'."""
+    if isinstance(value, str) and value.strip().lower() == "continuity":
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected a number or 'continuity', got {value!r}") from exc
 
 
-def _bin_spec_from(args: argparse.Namespace, file_cfg: dict) -> BinSpec:
-    width = _resolve(args, file_cfg, "bin_width", 10.0)
-    max_distance = _resolve(args, file_cfg, "max_distance", 60.0)
-    return _checked(
-        args,
-        file_cfg,
-        ("bin_width", "max_distance"),
-        lambda: BinSpec(bin_width=float(width), max_distance=float(max_distance)),
-    )
+def _parse_ap(value) -> str:
+    """The ap_interpolation of an --ap value."""
+    key = str(value)
+    if key not in _AP_MODES:
+        raise ValueError(f"expected 11 or 40, got {key!r}")
+    return _AP_MODES[key]
 
 
-def _stats_pipeline(args: argparse.Namespace, file_cfg: dict):
-    gt_dir = _resolve(args, file_cfg, "gt_dir", required=True, convert=Path)
-    det_dir = _resolve(args, file_cfg, "det_dir", required=True, convert=Path)
-    class_name = _resolve(args, file_cfg, "class_name", "Car", convert=str)
-    spec = _bin_spec_from(args, file_cfg)
-    pre_filter = _resolve(args, file_cfg, "pre_filter", convert=_parse_pre_filter)
-    normalize = _resolve(args, file_cfg, "normalized_std", False, convert=bool)
-    _, detections = load_tables(gt_dir, det_dir)
-    samples = table_samples(detections, class_name, pre_filter)
-    stats = compute_bin_stats(samples, spec, normalize_std=normalize)
-    return stats, spec, pre_filter, class_name, normalize, len(samples)
+def _parse_switch(value) -> bool:
+    """A switch: the flag gives True, a config value must be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else convert(value)
+
+
+_REQUIRED = object()
+
+
+class _Option(NamedTuple):
+    """One option: its config key, its flag (a name without dashes is a
+    positional argument), its default as a flag would spell it (or
+    _REQUIRED), the converter of a flag's string and of a config value,
+    and its help."""
+
+    dest: str
+    flag: str
+    default: Any
+    convert: Callable[[Any], Any]
+    help: str
+
+
+_GT_DIR = _Option("gt_dir", "--gt-dir", _REQUIRED, Path, "directory of ground-truth label files")
+_DET_DIR = _Option("det_dir", "--det-dir", _REQUIRED, Path, "directory of detection files")
+_OUT_DIR = _Option("out_dir", "--out-dir", _REQUIRED, Path, "directory for outputs")
+_IO = (_GT_DIR, _DET_DIR, _OUT_DIR)
+_BINNING = (
+    _Option("class_name", "--class", "Car", str, "object class to use"),
+    _Option("bin_width", "--bin-width", "10", float, "bin width in meters"),
+    _Option("max_distance", "--max-distance", "60", float, "binning range end in meters"),
+    _Option(
+        "pre_filter",
+        "--pre-filter",
+        "40:0.3:0.5",
+        _parse_pre_filter,
+        "'CUTOFF:LOW:HIGH' score pre-filter or 'none'",
+    ),
+)
+_THRESHOLD_MODE = _Option(
+    "threshold_mode",
+    "--threshold-mode",
+    _REQUIRED,
+    _parse_threshold_mode,
+    "'none', 'single:<t>' or 'adaptive:<model.json>'",
+)
+
+_OPTIONS: dict[str, tuple[_Option, ...]] = {
+    "stats": (
+        *_IO,
+        *_BINNING,
+        _Option(
+            "normalized_std", "--normalized-std", False, _parse_switch, "divide each bin's std by its mean"
+        ),
+    ),
+    "fit": (
+        *_IO,
+        *_BINNING,
+        _Option("delta", "--delta", "60", float, "quadratic/constant cutover distance"),
+        _Option("k", "--k", "0.6", _parse_k, "far-range constant threshold, or 'continuity'"),
+        _Option("sigma_floor", "--sigma-floor", str(SIGMA_FLOOR), float, "minimum std used in weights"),
+    ),
+    "filter": (_DET_DIR, _OUT_DIR, _THRESHOLD_MODE),
+    "eval": (
+        *_IO,
+        *_BINNING,
+        _Option("iou", "--iou", "bev", str, "IoU kind: bev or 3d"),
+        _Option("iou_thr", "--iou-thr", "0.7", float, "matching IoU threshold"),
+        _Option("ap", "--ap", "11", _parse_ap, "AP interpolation points: 11 or 40"),
+        _Option(
+            "difficulty", "--difficulty", None, _optional(str), "ground-truth stratum: easy, moderate or hard"
+        ),
+        _THRESHOLD_MODE._replace(default="none"),
+    ),
+    "compare": (
+        _Option("baseline", "baseline", _REQUIRED, Path, "baseline eval_report.json"),
+        _Option("candidate", "candidate", _REQUIRED, Path, "candidate eval_report.json"),
+        _OUT_DIR._replace(help="directory for compare.csv"),
+    ),
+    "synth": (
+        _Option("spec", "--spec", _REQUIRED, Path, "scenario JSON file"),
+        _OUT_DIR._replace(help="output directory (gt/, det/, manifest.json)"),
+    ),
+    "report": (
+        _Option("model", "--model", _REQUIRED, Path, "model JSON file"),
+        _Option("stats", "--stats", None, _optional(Path), "bin_stats.json to overlay (optional)"),
+        _OUT_DIR._replace(help="directory for SVG and markdown"),
+    ),
+}
+
+
+class _Options:
+    """A command's option values, as attributes named by the dests."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        file_cfg = _load_config_file(args)
+        self._config = args.config
+        self._from_flag: dict[str, str] = {}  # dest -> flag
+        self._from_file: set[str] = set()
+        for row in _OPTIONS[args.command]:
+            value = getattr(args, row.dest)
+            if value is not None:
+                self._from_flag[row.dest] = row.flag
+            elif row.dest in file_cfg:
+                value = file_cfg[row.dest]
+                self._from_file.add(row.dest)
+            else:
+                value = row.default
+            if value is _REQUIRED or (value is None and row.default is _REQUIRED):
+                raise _UsageError(f"missing required option {row.flag} (or config key '{row.dest}')")
+            setattr(self, row.dest, self.checked((row.dest,), partial(row.convert, value)))
+
+    def checked(self, dests: tuple[str, ...], build):
+        """build(), which converts and checks the values of dests. A bad
+        value (ValueError, TypeError, OverflowError) is a DatasetError
+        naming the --config file when one of dests took its value from
+        that file, and a usage error otherwise. A ModelRangeError passes
+        through (exit 3)."""
+        try:
+            return build()
+        except ModelRangeError:
+            raise
+        except (ValueError, TypeError, OverflowError) as exc:
+            from_file = [dest for dest in dests if dest in self._from_file]
+            if from_file:
+                names = ", ".join(from_file)
+                raise DatasetError(f"config file {self._config} has a bad {names} value: {exc}") from exc
+            flags = ", ".join(self._from_flag[dest] for dest in dests if dest in self._from_flag)
+            raise _UsageError(f"bad {flags} value: {exc}" if flags else str(exc)) from exc
+
+
+def _stats_pipeline(opts: _Options, normalize_std: bool = False) -> tuple[list[BinStats], BinSpec, int]:
+    spec = opts.checked(("bin_width", "max_distance"), lambda: BinSpec(opts.bin_width, opts.max_distance))
+    _, detections = load_tables(opts.gt_dir, opts.det_dir)
+    samples = table_samples(detections, opts.class_name, opts.pre_filter)
+    stats = compute_bin_stats(samples, spec, normalize_std=normalize_std)
+    return stats, spec, len(samples)
 
 
 def _stats_rows(stats: list[BinStats], spec: BinSpec) -> list[list[object]]:
@@ -228,67 +335,38 @@ def _stats_rows(stats: list[BinStats], spec: BinSpec) -> list[list[object]]:
     return rows
 
 
-def _stats_payload(stats, spec, pre_filter, class_name, normalize, n_used) -> dict:
-    return {
-        "class_name": class_name,
-        "bin_width": spec.bin_width,
-        "max_distance": spec.max_distance,
-        "normalized_std": normalize,
-        "pre_filter": None if pre_filter is None else pre_filter.to_dict(),
+def cmd_stats(opts: _Options) -> int:
+    """distance-binned score statistics"""
+    stats, spec, n_used = _stats_pipeline(opts, opts.normalized_std)
+    payload = {
+        **spec.to_dict(),
+        "class_name": opts.class_name,
+        "normalized_std": opts.normalized_std,
+        "pre_filter": None if opts.pre_filter is None else opts.pre_filter.to_dict(),
         "n_detections_used": n_used,
         "bins": [
-            {
-                "bin_index": entry.bin_index,
-                "lo_m": spec.edges(entry.bin_index)[0],
-                "hi_m": spec.edges(entry.bin_index)[1],
-                "count": entry.count,
-                "mean": entry.mean,
-                "std": entry.std,
-            }
-            for entry in stats
+            dict(zip(("lo_m", "hi_m"), spec.edges(entry.bin_index)), **entry.to_dict()) for entry in stats
         ],
     }
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args)
-    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
-    stats, spec, pre_filter, class_name, normalize, n_used = _stats_pipeline(args, file_cfg)
-    csv_path = out_dir / "bin_stats.csv"
-    json_path = out_dir / "bin_stats.json"
+    csv_path = opts.out_dir / "bin_stats.csv"
+    json_path = opts.out_dir / "bin_stats.json"
     _write_csv(csv_path, ["bin_index", "lo_m", "hi_m", "count", "mean", "std"], _stats_rows(stats, spec))
-    _write_json(json_path, _stats_payload(stats, spec, pre_filter, class_name, normalize, n_used))
-    print(f"binned {n_used} {class_name} detections into {spec.n_bins} bins")
+    _write_json(json_path, payload)
+    print(f"binned {n_used} {opts.class_name} detections into {spec.n_bins} bins")
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
 
-def _parse_k(value) -> float | None:
-    """A --k value: a number, or None for 'continuity'."""
-    if isinstance(value, str) and value.strip().lower() == "continuity":
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"expected a number or 'continuity', got {value!r}") from exc
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args)
-    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
-    delta = _resolve(args, file_cfg, "delta", 60.0, convert=float)
-    k = _resolve(args, file_cfg, "k", 0.6, convert=_parse_k)
-    sigma_floor = _resolve(args, file_cfg, "sigma_floor", 1e-3, convert=float)
-    stats, spec, _, _, _, _ = _stats_pipeline(args, file_cfg)
+def cmd_fit(opts: _Options) -> int:
+    """fit the quadratic threshold to binned statistics"""
+    stats, spec, _ = _stats_pipeline(opts)
     # fit_quadratic checks sigma_floor; a fit failure is a FitError.
-    result = _checked(
-        args,
-        file_cfg,
+    result = opts.checked(
         ("sigma_floor",),
-        lambda: fit_quadratic(stats, spec, delta=delta, k=k, sigma_floor=sigma_floor),
+        lambda: fit_quadratic(stats, spec, delta=opts.delta, k=opts.k, sigma_floor=opts.sigma_floor),
     )
-    model_path = out_dir / "model.json"
-    report_path = out_dir / "fit_report.csv"
+    model_path = opts.out_dir / "model.json"
+    report_path = opts.out_dir / "fit_report.csv"
     _write_json(model_path, result.model.to_dict())
     by_index = {entry.bin_index: entry for entry in stats}
     rows: list[list[object]] = []
@@ -308,60 +386,42 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args)
-    det_dir = _resolve(args, file_cfg, "det_dir", required=True, convert=Path)
-    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
-    label, schedule = _resolve(args, file_cfg, "threshold_mode", required=True, convert=_parse_threshold_mode)
-    table = read_label_table(det_dir, "detection", expect_score=True)
+def cmd_filter(opts: _Options) -> int:
+    """write threshold-filtered copies of detection files"""
+    label, schedule = opts.threshold_mode
+    table = read_label_table(opts.det_dir, "detection", expect_score=True)
     kept = [True] * len(table) if schedule is None else keep_rows(table, schedule)
-    out_dir.mkdir(parents=True, exist_ok=True)  # exists even when det_dir holds no file
+    opts.out_dir.mkdir(parents=True, exist_ok=True)  # exists even when det_dir holds no file
     # Each kept line is written as read, with an LF ending.
     for name, start, stop in zip(table.files, table.offsets, table.offsets[1:]):
         lines = compress(table.lines[start:stop], kept[start:stop])
-        write_text_atomic(out_dir / name, "".join(line + "\n" for line in lines))
-    print(f"kept {sum(kept)} of {len(table)} detections under mode {label}; wrote {out_dir}")
+        write_text_atomic(opts.out_dir / name, "".join(line + "\n" for line in lines))
+    print(f"kept {sum(kept)} of {len(table)} detections under mode {label}; wrote {opts.out_dir}")
     return EXIT_OK
 
 
-def _parse_ap(value) -> str:
-    """The ap_interpolation of an --ap value."""
-    key = str(value)
-    if key not in _AP_MODES:
-        raise ValueError(f"expected 11 or 40, got {key!r}")
-    return _AP_MODES[key]
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(opts: _Options) -> int:
+    """match detections against ground truth and report metrics"""
     from .evaluation import MatchConfig, evaluate_tables
 
-    file_cfg = _load_config_file(args)
-    gt_dir = _resolve(args, file_cfg, "gt_dir", required=True, convert=Path)
-    det_dir = _resolve(args, file_cfg, "det_dir", required=True, convert=Path)
-    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
-    spec = _bin_spec_from(args, file_cfg)
-    label, schedule = _resolve(args, file_cfg, "threshold_mode", "none", convert=_parse_threshold_mode)
-    ap_interpolation = _resolve(args, file_cfg, "ap", "11", convert=_parse_ap)
-    config = _checked(
-        args,
-        file_cfg,
+    spec = opts.checked(("bin_width", "max_distance"), lambda: BinSpec(opts.bin_width, opts.max_distance))
+    label, schedule = opts.threshold_mode
+    config = opts.checked(
         ("iou", "iou_thr", "class_name", "difficulty"),
         lambda: MatchConfig(
-            iou_kind=str(_resolve(args, file_cfg, "iou", "bev")),
-            iou_threshold=float(_resolve(args, file_cfg, "iou_thr", 0.7)),
-            class_name=str(_resolve(args, file_cfg, "class_name", "Car")),
-            ap_interpolation=ap_interpolation,
-            difficulty=_resolve(args, file_cfg, "difficulty"),
+            iou_kind=opts.iou,
+            iou_threshold=opts.iou_thr,
+            class_name=opts.class_name,
+            ap_interpolation=opts.ap,
+            difficulty=opts.difficulty,
         ),
     )
-    gt, det = load_tables(gt_dir, det_dir)
+    gt, det = load_tables(opts.gt_dir, opts.det_dir)
     kept = None if schedule is None else keep_rows(det, schedule)
     report = evaluate_tables(gt, det, config, spec, kept)
-    payload = report.to_dict()
-    payload["threshold_mode"] = label
-    payload["n_frames"] = len(gt.frame_ids)
-    json_path = out_dir / "eval_report.json"
-    csv_path = out_dir / "eval_report.csv"
+    payload = {**report.to_dict(), "threshold_mode": label, "n_frames": len(gt.frame_ids)}
+    json_path = opts.out_dir / "eval_report.json"
+    csv_path = opts.out_dir / "eval_report.csv"
     _write_json(json_path, payload)
     rows: list[list[object]] = [
         ["all", "", "", report.tp, report.fp, report.fn, repr(report.recall), repr(report.precision)]
@@ -393,19 +453,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_report(path: str) -> EvalReport:
-    from .evaluation import EvalReport
+def cmd_compare(opts: _Options) -> int:
+    """delta table between two eval reports"""
+    from .evaluation import EvalReport, compare_reports
 
-    return _load_json(path, "report", EvalReport.from_dict)
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    from .evaluation import compare_reports
-
-    file_cfg = _load_config_file(args)
-    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
-    baseline = _load_report(args.baseline)
-    candidate = _load_report(args.candidate)
+    baseline = _load_json(opts.baseline, "report", EvalReport.from_dict)
+    candidate = _load_json(opts.candidate, "report", EvalReport.from_dict)
     rows = compare_reports(baseline, candidate)
     csv_rows: list[list[object]] = []
     print(f"{'metric':<28}{'baseline':>12}{'candidate':>12}{'delta':>12}")
@@ -420,19 +473,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"{row.metric:<28}{base:>12d}{cand:>12d}{formatted:>12}")
         else:
             print(f"{row.metric:<28}{base:>12.3f}{cand:>12.3f}{formatted:>12}")
-    csv_path = out_dir / "compare.csv"
+    csv_path = opts.out_dir / "compare.csv"
     _write_csv(csv_path, ["metric", "baseline", "candidate", "delta", "formatted"], csv_rows)
     print(f"wrote {csv_path}")
     return EXIT_OK
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(opts: _Options) -> int:
+    """generate a synthetic dataset from a scenario file"""
     from .synthetic import ScenarioSpec, generate, scenario_totals
 
-    file_cfg = _load_config_file(args)
-    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
-    spec_path = _resolve(args, file_cfg, "spec", required=True, convert=Path)
-    spec = _load_json(spec_path, "scenario", ScenarioSpec.from_dict)
+    out_dir = opts.out_dir
+    spec = _load_json(opts.spec, "scenario", ScenarioSpec.from_dict)
     frames = generate(spec)
     for frame in frames:
         write_label_file(out_dir / "gt" / f"{frame.frame_id}.txt", list(frame.ground_truth))
@@ -447,134 +499,30 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _decode_stats(data: dict) -> tuple[BinSpec, list[BinStats]]:
+    """The BinSpec and the bins of a bin_stats.json object; ValueError for a
+    bin outside that spec."""
+    spec = BinSpec.from_dict(data)
+    bins = [BinStats.from_dict(entry) for entry in data["bins"]]
+    for entry in bins:
+        spec.edges(entry.bin_index)
+    return spec, bins
+
+
+def cmd_report(opts: _Options) -> int:
+    """render the threshold curve and a summary"""
     from .report import render_summary_md, render_threshold_svg
 
-    file_cfg = _load_config_file(args)
-    out_dir = _resolve(args, file_cfg, "out_dir", required=True, convert=Path)
-    model = _load_model(_resolve(args, file_cfg, "model", required=True, convert=Path))
-    stats_path = _resolve(args, file_cfg, "stats", convert=lambda value: None if value is None else Path(value))
-    bins: list[BinStats] = []
-    spec = BinSpec()
-    if stats_path is not None:
-        data = _read_json(stats_path, "stats")
-        try:
-            spec = BinSpec(bin_width=float(data["bin_width"]), max_distance=float(data["max_distance"]))
-            bins = [
-                BinStats(
-                    bin_index=int(entry["bin_index"]),
-                    count=int(entry["count"]),
-                    mean=entry["mean"],
-                    std=entry["std"],
-                )
-                for entry in data["bins"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"stats file {stats_path} has an unexpected shape: {exc}") from exc
-    svg_path = out_dir / "threshold_curve.svg"
-    md_path = out_dir / "summary.md"
+    model = _load_model(opts.model)
+    spec, bins = BinSpec(), []
+    if opts.stats is not None:
+        spec, bins = _load_json(opts.stats, "stats", _decode_stats)
+    svg_path = opts.out_dir / "threshold_curve.svg"
+    md_path = opts.out_dir / "summary.md"
     write_text_atomic(svg_path, render_threshold_svg(model, bins, spec))
     write_text_atomic(md_path, render_summary_md(model, bins, spec))
     print(f"wrote {svg_path} and {md_path}")
     return EXIT_OK
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; this project uses 1."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _add_io_flags(parser: argparse.ArgumentParser, *, gt: bool = True, det: bool = True) -> None:
-    if gt:
-        parser.add_argument("--gt-dir", dest="gt_dir", help="directory of ground-truth label files")
-    if det:
-        parser.add_argument("--det-dir", dest="det_dir", help="directory of detection files")
-    parser.add_argument("--out-dir", dest="out_dir", help="directory for outputs")
-    parser.add_argument("--config", help="JSON config file; CLI flags override its keys")
-
-
-def _add_binning_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--class", dest="class_name", help="object class to use (default Car)")
-    parser.add_argument("--bin-width", dest="bin_width", type=float, help="bin width in meters (default 10)")
-    parser.add_argument(
-        "--max-distance", dest="max_distance", type=float, help="binning range end in meters (default 60)"
-    )
-    parser.add_argument(
-        "--pre-filter",
-        dest="pre_filter",
-        help="'CUTOFF:LOW:HIGH' score pre-filter (default 40:0.3:0.5) or 'none'",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="adathresh",
-        description="Distance-adaptive confidence thresholding and evaluation for KITTI-format detections.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
-
-    p_stats = sub.add_parser("stats", help="distance-binned score statistics")
-    _add_io_flags(p_stats)
-    _add_binning_flags(p_stats)
-    p_stats.add_argument(
-        "--normalized-std",
-        dest="normalized_std",
-        action="store_const",
-        const=True,
-        help="divide each bin's std by its mean",
-    )
-
-    p_fit = sub.add_parser("fit", help="fit the quadratic threshold to binned statistics")
-    _add_io_flags(p_fit)
-    _add_binning_flags(p_fit)
-    p_fit.add_argument("--delta", type=float, help="quadratic/constant cutover distance (default 60)")
-    p_fit.add_argument("--k", help="far-range constant threshold, or 'continuity' (default 0.6)")
-    p_fit.add_argument("--sigma-floor", dest="sigma_floor", type=float, help="minimum std used in weights")
-
-    p_filter = sub.add_parser("filter", help="write threshold-filtered copies of detection files")
-    _add_io_flags(p_filter, gt=False)
-    p_filter.add_argument(
-        "--threshold-mode",
-        dest="threshold_mode",
-        help="'none', 'single:<t>' or 'adaptive:<model.json>'",
-    )
-
-    p_eval = sub.add_parser("eval", help="match detections against ground truth and report metrics")
-    _add_io_flags(p_eval)
-    _add_binning_flags(p_eval)
-    p_eval.add_argument("--iou", choices=("bev", "3d"), help="IoU kind (default bev)")
-    p_eval.add_argument("--iou-thr", dest="iou_thr", type=float, help="matching IoU threshold (default 0.7)")
-    p_eval.add_argument("--ap", choices=("11", "40"), help="AP interpolation points (default 11)")
-    p_eval.add_argument(
-        "--difficulty", choices=("easy", "moderate", "hard"), help="optional ground-truth stratum filter"
-    )
-    p_eval.add_argument(
-        "--threshold-mode",
-        dest="threshold_mode",
-        help="'none' (default), 'single:<t>' or 'adaptive:<model.json>'",
-    )
-
-    p_compare = sub.add_parser("compare", help="delta table between two eval reports")
-    p_compare.add_argument("baseline", help="baseline eval_report.json")
-    p_compare.add_argument("candidate", help="candidate eval_report.json")
-    p_compare.add_argument("--out-dir", dest="out_dir", help="directory for compare.csv")
-    p_compare.add_argument("--config", help="JSON config file")
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset from a scenario file")
-    p_synth.add_argument("--spec", help="scenario JSON file")
-    p_synth.add_argument("--out-dir", dest="out_dir", help="output directory (gt/, det/, manifest.json)")
-    p_synth.add_argument("--config", help="JSON config file")
-
-    p_report = sub.add_parser("report", help="render the threshold curve and a summary")
-    p_report.add_argument("--model", help="model JSON file")
-    p_report.add_argument("--stats", help="bin_stats.json to overlay (optional)")
-    p_report.add_argument("--out-dir", dest="out_dir", help="directory for SVG and markdown")
-    p_report.add_argument("--config", help="JSON config file")
-
-    return parser
 
 
 _COMMANDS = {
@@ -588,6 +536,37 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits with 2 on usage errors; this project uses 1."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, one argument per _OPTIONS row. Every
+    argument collects the raw string (a switch collects True); _Options
+    converts it."""
+    parser = _ArgumentParser(
+        prog="adathresh",
+        description="Distance-adaptive confidence thresholding and evaluation for KITTI-format detections.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        for row in _OPTIONS[command]:
+            text = f"{row.help} (default {row.default})" if isinstance(row.default, str) else row.help
+            if row.flag == row.dest:
+                p.add_argument(row.dest, help=text)
+            elif row.convert is _parse_switch:
+                p.add_argument(row.flag, dest=row.dest, action="store_const", const=True, help=text)
+            else:
+                p.add_argument(row.flag, dest=row.dest, help=text)
+        p.add_argument("--config", help="JSON config file; CLI flags override its keys")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -595,26 +574,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_Options(args))
     except _UsageError as exc:
         _err(exc)
         return EXIT_USAGE
     except (FitError, ModelRangeError) as exc:
         _err(exc)
         return EXIT_NUMERIC
-    except (KittiIOError, OSError) as exc:
+    except (KittiIOError, OSError, ValueError) as exc:
         _err(exc)
         return EXIT_DATA
-    except ValueError as exc:
-        _err(exc)
-        return EXIT_DATA if _is_evaluation_error(exc) else EXIT_USAGE
-
-
-def _is_evaluation_error(exc: ValueError) -> bool:
-    """Whether exc is an EvaluationError, without importing the evaluation
-    module to ask: only a command that loaded it can raise one."""
-    evaluation = sys.modules.get(f"{__package__}.evaluation")
-    return evaluation is not None and isinstance(exc, evaluation.EvaluationError)
 
 
 if __name__ == "__main__":

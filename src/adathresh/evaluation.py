@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress, repeat
 from typing import Sequence
 
-from .bin_stats import BinSpec, assign_bin, ground_distance
+from .bin_stats import BinSpec, JsonCodec, assign_bin, ground_distance
 from .geometry import pair_iou
 from .kitti_io import DONT_CARE, FramePair, LabelTable
 
@@ -56,7 +56,7 @@ class EvaluationError(ValueError):
 
 
 @dataclass(frozen=True)
-class MatchConfig:
+class MatchConfig(JsonCodec):
     """Matching and AP settings shared by all evaluation entry points."""
 
     iou_kind: str = "bev"
@@ -77,25 +77,6 @@ class MatchConfig:
         if self.difficulty is not None and self.difficulty not in _DIFFICULTY_LIMITS:
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "iou_kind": self.iou_kind,
-            "iou_threshold": self.iou_threshold,
-            "class_name": self.class_name,
-            "ap_interpolation": self.ap_interpolation,
-            "difficulty": self.difficulty,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MatchConfig":
-        return cls(
-            iou_kind=data["iou_kind"],
-            iou_threshold=float(data["iou_threshold"]),
-            class_name=data["class_name"],
-            ap_interpolation=data["ap_interpolation"],
-            difficulty=data.get("difficulty"),
-        )
-
 
 def trade_off(recall: float, precision: float) -> float:
     """Absolute recall/precision gap; 0 means perfectly balanced."""
@@ -105,11 +86,14 @@ def trade_off(recall: float, precision: float) -> float:
 def _eval_rows(gt: LabelTable, det: LabelTable, config: MatchConfig) -> tuple[list[int], list[int]]:
     """The table rows of the ground truth and the detections to evaluate.
 
-    Both are the configured class. Ground truth also drops DontCare rows
-    and, when a difficulty stratum is set, rows outside it.
+    Both are the configured class, and neither side has DontCare rows.
+    Ground truth also drops, when a difficulty stratum is set, rows
+    outside it.
     """
     name = config.class_name
-    gt_rows = [] if name == DONT_CARE else [i for i, c in enumerate(gt.class_names) if c == name]
+    if name == DONT_CARE:
+        return [], []
+    gt_rows = [i for i, c in enumerate(gt.class_names) if c == name]
     if config.difficulty is not None:
         min_height, max_occlusion, max_truncation = _DIFFICULTY_LIMITS[config.difficulty]
         top, bottom = gt.column("top"), gt.column("bottom")
@@ -293,7 +277,7 @@ def _interpolated_ap(tp_flags: Sequence[bool], total_gt: int, kind: str) -> floa
 
 
 @dataclass(frozen=True)
-class BinBreakdown:
+class BinBreakdown(JsonCodec):
     """Counts and point metrics for one distance bin.
 
     hi_m is None for the overflow bin collecting objects at or beyond
@@ -309,34 +293,9 @@ class BinBreakdown:
     recall: float
     precision: float
 
-    def to_dict(self) -> dict:
-        return {
-            "bin_index": self.bin_index,
-            "lo_m": self.lo_m,
-            "hi_m": self.hi_m,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "recall": self.recall,
-            "precision": self.precision,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BinBreakdown":
-        return cls(
-            bin_index=int(data["bin_index"]),
-            lo_m=float(data["lo_m"]),
-            hi_m=None if data["hi_m"] is None else float(data["hi_m"]),
-            tp=int(data["tp"]),
-            fp=int(data["fp"]),
-            fn=int(data["fn"]),
-            recall=float(data["recall"]),
-            precision=float(data["precision"]),
-        )
-
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(JsonCodec):
     """Complete evaluation outcome for one detection set."""
 
     config: MatchConfig
@@ -347,41 +306,8 @@ class EvalReport:
     precision: float
     trade_off: float
     average_precision: float
-    average_precision_filtered: float | None
+    average_precision_filtered: float | None = None
     per_bin: tuple[BinBreakdown, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "recall": self.recall,
-            "precision": self.precision,
-            "trade_off": self.trade_off,
-            "average_precision": self.average_precision,
-            "average_precision_filtered": self.average_precision_filtered,
-            "per_bin": [row.to_dict() for row in self.per_bin],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(
-            config=MatchConfig.from_dict(data["config"]),
-            tp=int(data["tp"]),
-            fp=int(data["fp"]),
-            fn=int(data["fn"]),
-            recall=float(data["recall"]),
-            precision=float(data["precision"]),
-            trade_off=float(data["trade_off"]),
-            average_precision=float(data["average_precision"]),
-            average_precision_filtered=(
-                None
-                if data.get("average_precision_filtered") is None
-                else float(data["average_precision_filtered"])
-            ),
-            per_bin=tuple(BinBreakdown.from_dict(row) for row in data.get("per_bin", [])),
-        )
 
 
 def evaluate(

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bin_stats import BinSpec, ground_distance
+from .bin_stats import BinSpec, JsonCodec, ground_distance
 from .geometry import normalize_angle
 from .kitti_io import FramePair, KittiRecord
 from .threshold import ThresholdModel, keep
@@ -53,7 +53,7 @@ FALSE_POSITIVE = "fp"
 
 
 @dataclass(frozen=True)
-class ScoreModel:
+class ScoreModel(JsonCodec):
     """Quadratic mean score over distance plus per-bin Gaussian noise."""
 
     a: float
@@ -70,21 +70,9 @@ class ScoreModel:
         """Unclamped mean score at a distance."""
         return (self.a * distance + self.b) * distance + self.c
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "noise_std": list(self.noise_std)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScoreModel":
-        return cls(
-            a=float(data["a"]),
-            b=float(data["b"]),
-            c=float(data["c"]),
-            noise_std=tuple(float(v) for v in data["noise_std"]),
-        )
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(JsonCodec):
     """Everything needed to regenerate a synthetic dataset."""
 
     seed: int
@@ -120,31 +108,6 @@ class ScenarioSpec:
             raise ValueError(
                 f"score_model.noise_std needs {n_bins} entries, got {len(self.score_model.noise_std)}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_frames": self.n_frames,
-            "objects_per_frame": list(self.objects_per_frame),
-            "distance_range": list(self.distance_range),
-            "score_model": self.score_model.to_dict(),
-            "fp_rate_per_bin": list(self.fp_rate_per_bin),
-            "fn_rate_per_bin": list(self.fn_rate_per_bin),
-            "bin_spec": self.bin_spec.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        return cls(
-            seed=int(data["seed"]),
-            n_frames=int(data["n_frames"]),
-            objects_per_frame=tuple(data["objects_per_frame"]),
-            distance_range=tuple(data["distance_range"]),
-            score_model=ScoreModel.from_dict(data["score_model"]),
-            fp_rate_per_bin=tuple(data["fp_rate_per_bin"]),
-            fn_rate_per_bin=tuple(data["fn_rate_per_bin"]),
-            bin_spec=BinSpec.from_dict(data["bin_spec"]) if "bin_spec" in data else BinSpec(),
-        )
 
 
 def _rate_bin(distance: float, spec: BinSpec) -> int:

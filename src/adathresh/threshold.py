@@ -22,7 +22,7 @@ from itertools import compress
 from operator import ge
 from typing import Protocol, Sequence
 
-from .bin_stats import BinSpec, BinStats
+from .bin_stats import BinSpec, BinStats, JsonCodec
 from .kitti_io import KittiRecord, LabelTable
 
 SIGMA_FLOOR = 1e-3
@@ -43,7 +43,7 @@ def _quadratic(alpha: float, beta: float, gamma: float, d: float) -> float:
 
 
 @dataclass(frozen=True)
-class ThresholdModel:
+class ThresholdModel(JsonCodec):
     """Distance-adaptive threshold parameters.
 
     Construction validates that alpha, beta and gamma are finite,
@@ -96,25 +96,6 @@ class ThresholdModel:
     def quadratic_at(self, d: float) -> float:
         """The quadratic branch evaluated at d, ignoring the k cutover."""
         return _quadratic(self.alpha, self.beta, self.gamma, d)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "k": self.k,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ThresholdModel":
-        return cls(
-            alpha=float(data["alpha"]),
-            beta=float(data["beta"]),
-            gamma=float(data["gamma"]),
-            delta=float(data["delta"]),
-            k=float(data["k"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Distance binning and per-bin score statistics."""
 
+import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,8 +16,10 @@ from adathresh.bin_stats import (
     collect_samples,
     compute_bin_stats,
 )
+from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig
 from adathresh.kitti_io import FramePair, MissingScoreError
-from adathresh.threshold import keep
+from adathresh.synthetic import ScenarioSpec, ScoreModel
+from adathresh.threshold import ThresholdModel, keep
 from helpers import make_record
 
 DEFAULT = BinSpec()
@@ -253,3 +257,84 @@ class TestPreFilter:
         pf = PreFilter()
         record = make_record(0.0, distance, score=score)
         assert (keep([record], pf) == [record]) == (score >= pf.threshold_at(distance))
+
+
+class TestJsonCodec:
+    """The one to_dict/from_dict pair behind every JSON file."""
+
+    INSTANCES = [
+        BinSpec(bin_width=5.0, max_distance=40.0),
+        BinStats(bin_index=2, count=3, mean=0.5, std=0.1),
+        PreFilter(distance_cutoff=35.0, low_threshold=0.2, high_threshold=0.6),
+        MatchConfig(iou_kind="3d", iou_threshold=0.5, class_name="Van", ap_interpolation="forty_point", difficulty="hard"),
+        BinBreakdown(bin_index=6, lo_m=60.0, hi_m=None, tp=3, fp=1, fn=2, recall=0.6, precision=0.75),
+        EvalReport(
+            config=MatchConfig(),
+            tp=3,
+            fp=1,
+            fn=2,
+            recall=0.6,
+            precision=0.75,
+            trade_off=0.15,
+            average_precision=54.5,
+            average_precision_filtered=50.0,
+            per_bin=(BinBreakdown(0, 0.0, 10.0, 3, 1, 2, 0.6, 0.75),),
+        ),
+        ScoreModel(a=-4e-05, b=-0.0075, c=0.92, noise_std=(0.02,) * 6),
+        ScenarioSpec(
+            seed=7,
+            n_frames=3,
+            objects_per_frame=(2, 5),
+            distance_range=(2.0, 58.0),
+            score_model=ScoreModel(a=-4e-05, b=-0.0075, c=0.92, noise_std=(0.02,) * 6),
+            fp_rate_per_bin=(0.3,) * 6,
+            fn_rate_per_bin=(0.1,) * 6,
+            bin_spec=BinSpec(bin_width=20.0, max_distance=120.0),
+        ),
+        ThresholdModel(alpha=-2e-05, beta=-0.0061, gamma=0.6828, delta=50.0, k=0.4),
+    ]
+    # The keys each from_dict has let be missing, and the value it takes
+    # then; every other key is required.
+    OPTIONAL = {
+        MatchConfig: {"difficulty": None},
+        EvalReport: {"average_precision_filtered": None, "per_bin": ()},
+        ScenarioSpec: {"bin_spec": BinSpec()},
+    }
+
+    @pytest.mark.parametrize("instance", INSTANCES, ids=lambda instance: type(instance).__name__)
+    def test_a_missing_key_is_a_key_error_unless_optional(self, instance):
+        cls = type(instance)
+        data = json.loads(json.dumps(instance.to_dict()))
+        assert cls.from_dict(data) == instance
+        optional = self.OPTIONAL.get(cls, {})
+        for key in data:
+            rest = {k: v for k, v in data.items() if k != key}
+            if key in optional:
+                assert cls.from_dict(rest) == replace(instance, **{key: optional[key]})
+            else:
+                with pytest.raises(KeyError) as excinfo:
+                    cls.from_dict(rest)
+                assert excinfo.value.args == (key,)
+
+    def test_values_are_coerced_by_annotation(self):
+        row = BinBreakdown.from_dict(
+            {"bin_index": 6.0, "lo_m": 60, "hi_m": None, "tp": "3", "fp": 1, "fn": 2, "recall": 1, "precision": "0.5"}
+        )
+        assert row == BinBreakdown(6, 60.0, None, 3, 1, 2, 1.0, 0.5)
+        assert [type(v) for v in (row.bin_index, row.lo_m, row.tp, row.recall)] == [int, float, int, float]
+        stats = BinStats.from_dict({"bin_index": 1, "count": 2, "mean": 1, "std": 0})
+        assert type(stats.mean) is float and type(stats.std) is float
+
+    def test_tuples_and_nested_dataclasses_are_decoded(self):
+        data = TestJsonCodec.INSTANCES[7].to_dict()
+        data.update(objects_per_frame=[2.0, 5.0], distance_range=[2, 58], bin_spec={"bin_width": 20, "max_distance": 120})
+        spec = ScenarioSpec.from_dict(data)
+        assert spec == TestJsonCodec.INSTANCES[7]
+        assert type(spec.objects_per_frame[0]) is int and type(spec.distance_range[0]) is float
+        with pytest.raises(ValueError):
+            ScenarioSpec.from_dict({**data, "objects_per_frame": [1, 2, 3]})
+
+    def test_strings_pass_through_and_unknown_keys_are_ignored(self):
+        assert BinSpec.from_dict({"bin_width": 5, "max_distance": 40, "lo_m": 0.0}) == BinSpec(5.0, 40.0)
+        with pytest.raises(ValueError, match="iou_kind"):
+            MatchConfig.from_dict({**MatchConfig().to_dict(), "iou_kind": 3})

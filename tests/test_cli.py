@@ -1,11 +1,14 @@
 """End-to-end CLI coverage: pipelines, config precedence, exit codes."""
 
+import argparse
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
-from adathresh.bin_stats import BinSpec, compute_bin_stats
+from adathresh import cli
+from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats
 from adathresh.cli import main
 from adathresh.kitti_io import load_dataset, parse_label_file, serialize_records, write_label_file
 from adathresh.threshold import ThresholdModel, fit_quadratic, keep
@@ -316,6 +319,14 @@ class TestPipeline:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
         assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+
+    def test_synth_manifest_writes_whole_numbers_of_float_fields_as_floats(self, tmp_path):
+        payload = scenario_payload(n_frames=2, distance_range=[2, 58], bin_spec={"bin_width": 10, "max_distance": 60})
+        spec_path = write_json(tmp_path / "scenario.json", payload)
+        assert run("synth", "--spec", spec_path, "--out-dir", str(tmp_path / "o")) == 0
+        expected = {**payload, "distance_range": [2.0, 58.0], "bin_spec": {"bin_width": 10.0, "max_distance": 60.0}}
+        manifest = (tmp_path / "o" / "manifest.json").read_text(encoding="utf-8")
+        assert manifest == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_report_without_stats(self, tmp_path):
         model_path = write_json(
@@ -677,3 +688,180 @@ class TestExitCodes:
             "--threshold-mode", f"adaptive:{bad}",
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1, None])
+    def test_config_switch_must_be_a_json_boolean(self, tmp_path, dataset, capsys, value):
+        io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
+        cfg = write_json(tmp_path / "cfg.json", {**io, "normalized_std": value})
+        assert run("stats", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 2
+        assert f"config file {cfg} has a bad normalized_std value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        for switch in (False, True):
+            cfg = write_json(tmp_path / "cfg.json", {**io, "normalized_std": switch})
+            assert run("stats", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 0
+            assert json.loads((tmp_path / "o" / "bin_stats.json").read_text())["normalized_std"] is switch
+
+    @pytest.mark.parametrize("change", ["bin_index", "bin_width"])
+    def test_stats_file_with_a_bin_outside_its_spec_is_a_data_error_naming_it(self, tmp_path, dataset, capsys, change):
+        assert run("stats", "--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "bin_stats.json").read_text())
+        if change == "bin_index":
+            payload["bins"][2]["bin_index"] = 99
+        else:
+            payload["bin_width"] = 20
+        stats = write_json(tmp_path / "bad_stats.json", payload)
+        model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict())
+        assert run("report", "--model", model, "--stats", stats, "--out-dir", str(tmp_path / "rpt")) == 2
+        err = capsys.readouterr().err
+        assert f"stats file {stats}" in err and "out of range" in err
+        assert not (tmp_path / "rpt").exists()
+
+    def test_eval_of_the_dontcare_class_has_no_ground_truth(self, tmp_path, capsys):
+        dont_care = make_record(0.0, 30.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0))
+        write_label_file(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0), dont_care])
+        write_label_file(tmp_path / "det" / "000000.txt", [make_record(0.0, 10.0, score=0.9), replace(dont_care, score=0.5)])
+        common = ("--gt-dir", str(tmp_path / "gt"), "--det-dir", str(tmp_path / "det"), "--out-dir", str(tmp_path / "o"))
+        assert run("eval", *common, "--class", "DontCare") == 2
+        assert "average precision is undefined without ground truth" in capsys.readouterr().err
+
+    def test_any_other_value_error_is_a_data_error(self, tmp_path, dataset, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ValueError("no such statistic")
+
+        monkeypatch.setattr(cli, "compute_bin_stats", fail)
+        rc = run("stats", "--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert capsys.readouterr().err == "adathresh: error: no such statistic\n"
+
+
+class TestOptionTable:
+    # Each command's flags and their dests, as the parser took them before
+    # the options moved into one table; compare's positional report files
+    # are listed under their names.
+    SURFACE = {
+        "stats": {
+            "--gt-dir": "gt_dir", "--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config",
+            "--class": "class_name", "--bin-width": "bin_width", "--max-distance": "max_distance",
+            "--pre-filter": "pre_filter", "--normalized-std": "normalized_std",
+        },
+        "fit": {
+            "--gt-dir": "gt_dir", "--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config",
+            "--class": "class_name", "--bin-width": "bin_width", "--max-distance": "max_distance",
+            "--pre-filter": "pre_filter", "--delta": "delta", "--k": "k", "--sigma-floor": "sigma_floor",
+        },
+        "filter": {"--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config", "--threshold-mode": "threshold_mode"},
+        "eval": {
+            "--gt-dir": "gt_dir", "--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config",
+            "--class": "class_name", "--bin-width": "bin_width", "--max-distance": "max_distance",
+            "--pre-filter": "pre_filter", "--iou": "iou", "--iou-thr": "iou_thr", "--ap": "ap",
+            "--difficulty": "difficulty", "--threshold-mode": "threshold_mode",
+        },
+        "compare": {"baseline": "baseline", "candidate": "candidate", "--out-dir": "out_dir", "--config": "config"},
+        "synth": {"--spec": "spec", "--out-dir": "out_dir", "--config": "config"},
+        "report": {"--model": "model", "--stats": "stats", "--out-dir": "out_dir", "--config": "config"},
+    }
+    BINNING = {"class_name": "Car", "bin_width": 10.0, "max_distance": 60.0, "pre_filter": PreFilter(40.0, 0.3, 0.5)}
+    # The value of each option that neither a flag nor a config key gives;
+    # every other option but --config is required.
+    DEFAULTS = {
+        "stats": {**BINNING, "normalized_std": False},
+        "fit": {**BINNING, "delta": 60.0, "k": 0.6, "sigma_floor": 1e-3},
+        "filter": {},
+        "eval": {
+            **BINNING,
+            "iou": "bev",
+            "iou_thr": 0.7,
+            "ap": "eleven_point",
+            "difficulty": None,
+            "threshold_mode": ("none", None),
+        },
+        "compare": {},
+        "synth": {},
+        "report": {"stats": None},
+    }
+    REQUIRED_FLAGS = {
+        "stats": ["--gt-dir", "g", "--det-dir", "d", "--out-dir", "o"],
+        "fit": ["--gt-dir", "g", "--det-dir", "d", "--out-dir", "o"],
+        "filter": ["--det-dir", "d", "--out-dir", "o", "--threshold-mode", "none"],
+        "eval": ["--gt-dir", "g", "--det-dir", "d", "--out-dir", "o"],
+        "compare": ["a.json", "b.json", "--out-dir", "o"],
+        "synth": ["--spec", "s.json", "--out-dir", "o"],
+        "report": ["--model", "m.json", "--out-dir", "o"],
+    }
+
+    def test_each_commands_flags_and_dests_are_pinned(self):
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(subparsers.choices) == list(self.SURFACE)
+        for command, subparser in subparsers.choices.items():
+            flags = {(a.option_strings or [a.dest])[0]: a.dest for a in subparser._actions if a.dest != "help"}
+            assert flags == self.SURFACE[command], command
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_each_commands_defaults_are_pinned(self, command):
+        opts = cli._Options(cli.build_parser().parse_args([command, *self.REQUIRED_FLAGS[command]]))
+        assert {dest: getattr(opts, dest) for dest in self.DEFAULTS[command]} == self.DEFAULTS[command]
+        required = {row.dest for row in cli._OPTIONS[command] if row.default is cli._REQUIRED}
+        assert required == set(self.SURFACE[command].values()) - {"config"} - set(self.DEFAULTS[command])
+
+
+# A non-default value of each option that has a default, as a flag spells
+# it and as a config file gives it; None is a switch given as a flag.
+PARITY = {
+    "class_name": ("Car", "Car"),
+    "bin_width": ("20", 20),
+    "max_distance": ("40", 40),
+    "pre_filter": ("30:0.2:0.4", {"distance_cutoff": 30, "low_threshold": 0.2, "high_threshold": 0.4}),
+    "normalized_std": (None, True),
+    "delta": ("50", 50),
+    "k": ("continuity", "continuity"),
+    "sigma_floor": ("0.01", 0.01),
+    "iou": ("3d", "3d"),
+    "iou_thr": ("0.5", 0.5),
+    "ap": ("40", 40),
+    "difficulty": ("hard", "hard"),
+    "threshold_mode": ("single:0.5", "single:0.5"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, row",
+    [
+        pytest.param(command, row, id=f"{command}-{row.dest}")
+        for command, rows in cli._OPTIONS.items()
+        for row in rows
+        if row.flag != row.dest  # a positional argument always comes from its flag
+    ],
+)
+def test_a_value_as_a_flag_or_a_config_key_writes_the_same_files(tmp_path, dataset, command, row):
+    common = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+    model = write_json(tmp_path / "model.json", ThresholdModel(-1e-4, -4e-3, 0.75, 60.0, 0.35).to_dict())
+    paths = {
+        "gt_dir": str(dataset / "gt"),
+        "det_dir": str(dataset / "det"),
+        "threshold_mode": f"adaptive:{model}",
+        "spec": str(tmp_path / "scenario.json"),
+        "model": model,
+        "stats": str(tmp_path / "stats" / "bin_stats.json"),
+    }
+    positional = []
+    if command == "compare":
+        assert run("eval", *common, "--out-dir", str(tmp_path / "eval")) == 0
+        positional = [str(tmp_path / "eval" / "eval_report.json")] * 2
+    if command == "report":
+        assert run("stats", *common, "--out-dir", str(tmp_path / "stats")) == 0
+    written = []
+    for how in ("flag", "config"):
+        out = tmp_path / how
+        values = {**paths, "out_dir": str(out)}
+        argv = [command, *positional]
+        for other in cli._OPTIONS[command]:
+            if other.default is cli._REQUIRED and other.flag != other.dest and other is not row:
+                argv += [other.flag, values[other.dest]]
+        flag_value, config_value = PARITY.get(row.dest, (values.get(row.dest),) * 2)
+        if how == "flag":
+            argv += [row.flag] if flag_value is None else [row.flag, flag_value]
+        else:
+            argv += ["--config", write_json(tmp_path / "cfg.json", {row.dest: config_value})]
+        assert run(*argv) == 0, argv
+        written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert written[0] == written[1] and written[0]
