@@ -19,7 +19,6 @@ import sys
 
 from adathresh.bin_stats import compute_bin_stats, table_samples
 from adathresh.evaluation import EvalReport, MatchConfig, evaluate_tables
-from adathresh.kitti_io import LabelTable
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate
 from adathresh.threshold import SingleThreshold, fit_quadratic, keep_rows
 
@@ -71,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = build_spec(args.seed, args.n_frames)
-    gt, det = LabelTable.from_frames(generate(spec))
+    gt, det = generate(spec)
     config = MatchConfig(iou_threshold=args.iou_thr)
     bin_spec = spec.bin_spec
 

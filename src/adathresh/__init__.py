@@ -20,31 +20,25 @@ _EXPORTS = {
     "BinStats": "bin_stats",
     "PreFilter": "bin_stats",
     "assign_bin": "bin_stats",
-    "collect_samples": "bin_stats",
     "compute_bin_stats": "bin_stats",
     "table_samples": "bin_stats",
     "EvalReport": "evaluation",
     "EvaluationError": "evaluation",
     "MatchConfig": "evaluation",
     "compare_reports": "evaluation",
-    "evaluate": "evaluation",
     "evaluate_tables": "evaluation",
     "trade_off": "evaluation",
     "Box3D": "geometry",
     "iou_3d": "geometry",
     "iou_bev": "geometry",
     "DatasetError": "kitti_io",
-    "FramePair": "kitti_io",
     "KittiIOError": "kitti_io",
     "KittiRecord": "kitti_io",
     "LabelError": "kitti_io",
     "LabelTable": "kitti_io",
-    "load_dataset": "kitti_io",
     "load_tables": "kitti_io",
     "parse_label_file": "kitti_io",
     "read_label_table": "kitti_io",
-    "serialize_records": "kitti_io",
-    "write_label_file": "kitti_io",
     "ScenarioSpec": "synthetic",
     "ScoreModel": "synthetic",
     "generate": "synthetic",
@@ -55,7 +49,6 @@ _EXPORTS = {
     "SingleThreshold": "threshold",
     "ThresholdModel": "threshold",
     "fit_quadratic": "threshold",
-    "keep": "threshold",
     "keep_rows": "threshold",
 }
 

@@ -19,7 +19,7 @@ from operator import and_
 from typing import TYPE_CHECKING, Iterable, get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
-    from .kitti_io import FramePair, LabelTable
+    from .kitti_io import LabelTable
 
 
 def ground_distance(x: float, z: float) -> float:
@@ -162,18 +162,6 @@ class PreFilter(JsonCodec):
         if distance < 0.0:
             raise ValueError(f"distance must be non-negative, got {distance}")
         return self.high_threshold if distance < self.distance_cutoff else self.low_threshold
-
-
-def collect_samples(
-    frames: Iterable[FramePair], class_name: str, pre_filter: PreFilter | None
-) -> list[tuple[float, float]]:
-    """table_samples of the frames' detections."""
-    from .kitti_io import LabelTable
-
-    frames = list(frames)
-    detections = [frame.detections for frame in frames]
-    table = LabelTable.from_records([frame.frame_id for frame in frames], detections, with_score=True)
-    return table_samples(table, class_name, pre_filter)
 
 
 def table_samples(

@@ -3,9 +3,10 @@
 Subcommands: stats, fit, filter, eval, compare, synth, report. Every
 option is one row of _OPTIONS: its config key (the dest), flag, default,
 converter and help. An option resolves with precedence CLI flag > config
-file (--config, a JSON object keyed by the dests) > the row's default,
-and the row's converter turns a flag's string and a config value alike
-into the value the command uses. A switch's config value is a JSON
+file (--config, a JSON object keyed by the dests; a null value counts
+as not given) > the row's default, and the row's converter turns a
+flag's string and a config value alike into the value the command uses;
+a None default stays None. A switch's config value is a JSON
 boolean. Exit codes: 0 success, 1 usage error (including a bad flag
 value), 2 data or parse error (including a bad config-file value, named
 with its file), 3 numerical failure. Every output file is written
@@ -21,7 +22,6 @@ import io
 import json
 import sys
 from functools import partial
-from itertools import compress
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -31,7 +31,7 @@ from .kitti_io import (
     KittiIOError,
     load_tables,
     read_label_table,
-    write_label_file,
+    write_frames,
     write_text_atomic,
 )
 from .threshold import (
@@ -119,10 +119,8 @@ def _load_model(path: str | Path) -> ThresholdModel:
 
 
 def _parse_pre_filter(value) -> PreFilter | None:
-    """The schedule of a pre_filter value: 'CUTOFF:LOW:HIGH', 'none', a
-    dict of PreFilter fields, or None for the default; ValueError otherwise."""
-    if value is None:
-        return PreFilter()
+    """The schedule of a pre_filter value: 'CUTOFF:LOW:HIGH', 'none' or a
+    dict of PreFilter fields; ValueError otherwise."""
     if isinstance(value, dict):
         try:
             return PreFilter.from_dict(value)
@@ -180,10 +178,6 @@ def _parse_switch(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
-
-
-def _optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    return lambda value: None if value is None else convert(value)
 
 
 _REQUIRED = object()
@@ -249,7 +243,7 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
         _Option("iou_thr", "--iou-thr", "0.7", float, "matching IoU threshold"),
         _Option("ap", "--ap", "11", _parse_ap, "AP interpolation points: 11 or 40"),
         _Option(
-            "difficulty", "--difficulty", None, _optional(str), "ground-truth stratum: easy, moderate or hard"
+            "difficulty", "--difficulty", None, str, "ground-truth stratum: easy, moderate or hard"
         ),
         _THRESHOLD_MODE._replace(default="none"),
     ),
@@ -264,7 +258,7 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
     ),
     "report": (
         _Option("model", "--model", _REQUIRED, Path, "model JSON file"),
-        _Option("stats", "--stats", None, _optional(Path), "bin_stats.json to overlay (optional)"),
+        _Option("stats", "--stats", None, Path, "bin_stats.json to overlay (optional)"),
         _OUT_DIR._replace(help="directory for SVG and markdown"),
     ),
 }
@@ -282,14 +276,16 @@ class _Options:
             value = getattr(args, row.dest)
             if value is not None:
                 self._from_flag[row.dest] = row.flag
-            elif row.dest in file_cfg:
+            elif file_cfg.get(row.dest) is not None:
                 value = file_cfg[row.dest]
                 self._from_file.add(row.dest)
             else:
                 value = row.default
-            if value is _REQUIRED or (value is None and row.default is _REQUIRED):
+            if value is _REQUIRED:
                 raise _UsageError(f"missing required option {row.flag} (or config key '{row.dest}')")
-            setattr(self, row.dest, self.checked((row.dest,), partial(row.convert, value)))
+            if value is not None:
+                value = self.checked((row.dest,), partial(row.convert, value))
+            setattr(self, row.dest, value)
 
     def checked(self, dests: tuple[str, ...], build):
         """build(), which converts and checks the values of dests. A bad
@@ -391,11 +387,7 @@ def cmd_filter(opts: _Options) -> int:
     label, schedule = opts.threshold_mode
     table = read_label_table(opts.det_dir, "detection", expect_score=True)
     kept = [True] * len(table) if schedule is None else keep_rows(table, schedule)
-    opts.out_dir.mkdir(parents=True, exist_ok=True)  # exists even when det_dir holds no file
-    # Each kept line is written as read, with an LF ending.
-    for name, start, stop in zip(table.files, table.offsets, table.offsets[1:]):
-        lines = compress(table.lines[start:stop], kept[start:stop])
-        write_text_atomic(opts.out_dir / name, "".join(line + "\n" for line in lines))
+    write_frames(table, opts.out_dir, kept)  # each kept line as read, LF-terminated
     print(f"kept {sum(kept)} of {len(table)} detections under mode {label}; wrote {opts.out_dir}")
     return EXIT_OK
 
@@ -481,18 +473,16 @@ def cmd_compare(opts: _Options) -> int:
 
 def cmd_synth(opts: _Options) -> int:
     """generate a synthetic dataset from a scenario file"""
-    from .synthetic import ScenarioSpec, generate, scenario_totals
+    from .synthetic import ScenarioSpec, generate
 
     out_dir = opts.out_dir
     spec = _load_json(opts.spec, "scenario", ScenarioSpec.from_dict)
-    frames = generate(spec)
-    for frame in frames:
-        write_label_file(out_dir / "gt" / f"{frame.frame_id}.txt", list(frame.ground_truth))
-        write_label_file(out_dir / "det" / f"{frame.frame_id}.txt", list(frame.detections))
+    gt, det = generate(spec)
+    write_frames(gt, out_dir / "gt")
+    write_frames(det, out_dir / "det")
     _write_json(out_dir / "manifest.json", spec.to_dict())
-    n_gt, n_det = scenario_totals(frames)
     print(
-        f"generated {len(frames)} frames ({n_gt} ground-truth objects, {n_det} detections) "
+        f"generated {len(gt.frame_ids)} frames ({len(gt)} ground-truth objects, {len(det)} detections) "
         f"from seed {spec.seed}"
     )
     print(f"wrote {out_dir / 'gt'}, {out_dir / 'det'}, {out_dir / 'manifest.json'}")

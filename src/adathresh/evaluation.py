@@ -14,31 +14,30 @@ or 40 recall points; it is reported as a percentage.
 Per-bin rows attribute matched pairs and misses to the ground-truth
 box's distance bin and false positives to the detection's bin.
 
-Every metric comes from columns of kitti_io.LabelTable: evaluate
-converts its frames to tables, evaluate_tables takes them as read. The
-evaluated rows' boxes go to geometry.pair_iou once, which gives the IoU
-of every same-frame pair that the bounding-circle prune keeps, bit for
-bit equal to the scalar IoU; one sparse greedy loop (_greedy) then
-matches the pairs at or above the threshold, all frames at once. A
-threshold filter selects detection rows, whose pairs are a subset of all
-pairs, so the kernel runs once for the filtered point metrics, per-bin
-rows and AP and the unfiltered AP. Matching never crosses frames, and
-the global sweep order restricted to one frame is that frame's matching
-order (-score, then position), so the match flags sorted in the global
-(-score, frame_id, position, frame position) order are exactly the flags
-of a global score-sorted sweep.
+Every metric comes from columns of kitti_io.LabelTable. The evaluated
+rows' boxes go to geometry.pair_iou once, which gives the IoU of every
+same-frame pair that the bounding-circle prune keeps, bit for bit equal
+to the scalar IoU; one sparse greedy loop (_greedy) then matches the
+pairs at or above the threshold, all frames at once. A threshold filter
+selects detection rows, whose pairs are a subset of all pairs, so the
+kernel runs once for the filtered point metrics, per-bin rows and AP and
+the unfiltered AP. Matching never crosses frames, and the global sweep
+order restricted to one frame is that frame's matching order (-score,
+then position), so the match flags sorted in the global (-score,
+frame_id, position, frame position) order are exactly the flags of a
+global score-sorted sweep.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 from typing import Sequence
 
 from .bin_stats import BinSpec, JsonCodec, assign_bin, ground_distance
 from .geometry import pair_iou
-from .kitti_io import DONT_CARE, FramePair, LabelTable
+from .kitti_io import DONT_CARE, LabelTable
 
 ELEVEN_POINT = "eleven_point"
 FORTY_POINT = "forty_point"
@@ -310,30 +309,6 @@ class EvalReport(JsonCodec):
     per_bin: tuple[BinBreakdown, ...] = field(default_factory=tuple)
 
 
-def evaluate(
-    frames: Sequence[FramePair],
-    config: MatchConfig,
-    bin_spec: BinSpec | None = None,
-    ap_frames: Sequence[FramePair] | None = None,
-) -> EvalReport:
-    """Build a full report for a (possibly threshold-filtered) detection set.
-
-    Point metrics and per-bin rows come from `frames`. average_precision
-    is computed on ap_frames when given (the unfiltered detections, so
-    the sweep covers the full score range) and on `frames` otherwise; in
-    the former case the filtered set's AP is reported separately.
-    """
-    report = evaluate_tables(*LabelTable.from_frames(frames), config, bin_spec)
-    if ap_frames is None:
-        return report
-    unfiltered = _candidates(*LabelTable.from_frames(ap_frames), config).match()
-    return replace(
-        report,
-        average_precision=unfiltered.average_precision(config.ap_interpolation),
-        average_precision_filtered=report.average_precision,
-    )
-
-
 def evaluate_tables(
     gt: LabelTable,
     det: LabelTable,
@@ -341,12 +316,14 @@ def evaluate_tables(
     bin_spec: BinSpec | None = None,
     kept: Sequence[bool] | None = None,
 ) -> EvalReport:
-    """evaluate over tables of the same frames (kitti_io.load_tables).
+    """The full report for the detections of det against the ground truth
+    of gt, two tables of the same frames (kitti_io.load_tables).
 
     Without kept, every detection row is evaluated and average_precision
     sweeps them. With kept (one flag per row, threshold.keep_rows), point
     metrics, per-bin rows and average_precision_filtered come from the
-    kept rows and average_precision sweeps every row.
+    kept rows, and average_precision sweeps every row, so that the sweep
+    covers the full score range.
     """
     spec = bin_spec if bin_spec is not None else BinSpec()
     candidates = _candidates(gt, det, config)

@@ -28,6 +28,8 @@ directories into a LabelTable, one row per line held by column, without
 building records: each check runs once over all rows, and when any
 fails the files are parsed again one by one, so the error raised is
 the one parse_label_file raises for the first bad file.
+LabelTable.from_records builds a table from records, and write_frames
+writes a table's frames back to files.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import os
 import sys
 import tempfile
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 from operator import lt
 from pathlib import Path
@@ -112,10 +114,6 @@ class KittiRecord:
         object.__setattr__(self, "dimensions", tuple(map(float, self.dimensions)))
         object.__setattr__(self, "location", tuple(map(float, self.location)))
 
-    @property
-    def is_dontcare(self) -> bool:
-        return self.class_name == DONT_CARE
-
     def ego_distance(self) -> float:
         """Ground-plane distance from the ego vehicle, sqrt(x^2 + z^2)."""
         return ground_distance(self.location[0], self.location[2])
@@ -125,25 +123,6 @@ class KittiRecord:
         from .geometry import Box3D  # on use: stats, fit and filter never build boxes
 
         return Box3D(center=self.location, dims=self.dimensions, yaw=self.rotation_y)
-
-
-_RECORD_FIELDS = tuple(f.name for f in fields(KittiRecord))
-_new_record, _set_field = object.__new__, object.__setattr__
-
-
-@dataclass(frozen=True)
-class FramePair:
-    """Ground truth and detections for one frame, matched by frame id."""
-
-    frame_id: str
-    ground_truth: tuple[KittiRecord, ...] = field(default_factory=tuple)
-    detections: tuple[KittiRecord, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not self.frame_id:
-            raise ValueError("frame_id must be non-empty")
-        object.__setattr__(self, "ground_truth", tuple(self.ground_truth))
-        object.__setattr__(self, "detections", tuple(self.detections))
 
 
 # The reals of a label line, in file order: every field after the class
@@ -162,7 +141,8 @@ class LabelTable:
     """The label lines of a sequence of frames, one row per line, by column.
 
     Frame i owns rows offsets[i] to offsets[i + 1]; files[i] is the name
-    of the file it was read from, None for a frame without one. columns
+    of the file it was read from (None for a frame without one), or
+    <frame_id>.txt in a table built from records. columns
     holds one array('d') per name in COLUMNS, the score only in a
     detection table, where NaN marks a record without a score. lines
     holds each row's line as read, without its line break.
@@ -191,16 +171,12 @@ class LabelTable:
             raise MissingScoreError("detection record has no score")
         return self.columns[-1]
 
-    def records(self) -> list[KittiRecord]:
-        """One KittiRecord per row, equal to the one parse_label_file builds."""
-        with_score = len(self.columns) == len(COLUMNS)
-        return [_record(*row, with_score) for row in zip(self.class_names, zip(*self.columns))]
-
     @classmethod
     def from_records(
         cls, frame_ids: Sequence[str], records: Sequence[Sequence[KittiRecord]], with_score: bool
     ) -> LabelTable:
-        """The table of frames holding records[i] each; lines are serialize_record's."""
+        """The table of frames holding records[i] each. Frame i's file is
+        named <frame_ids[i]>.txt, and each row's line is serialize_record's."""
         rows = list(chain.from_iterable(records))
         values = array("d")
         for r in rows:
@@ -211,20 +187,11 @@ class LabelTable:
         width = len(COLUMNS) if with_score else len(COLUMNS) - 1
         return cls(
             list(frame_ids),
-            [None] * len(frame_ids),
+            [f"{frame_id}.txt" for frame_id in frame_ids],
             [0, *accumulate(map(len, records))],
             [r.class_name for r in rows],
             tuple(values[j::width] for j in range(width)),
             list(map(serialize_record, rows)),
-        )
-
-    @classmethod
-    def from_frames(cls, frames: Sequence[FramePair]) -> tuple[LabelTable, LabelTable]:
-        """The ground-truth and the detection table of frames, in their order."""
-        ids = [frame.frame_id for frame in frames]
-        return (
-            cls.from_records(ids, [frame.ground_truth for frame in frames], with_score=False),
-            cls.from_records(ids, [frame.detections for frame in frames], with_score=True),
         )
 
 
@@ -257,31 +224,20 @@ def parse_label_file(text: str, expect_score: bool) -> list[KittiRecord]:
             )
         if values[5] < values[3] or values[6] < values[4]:
             raise LabelFormatError(f"inverted 2D bbox {tuple(values[3:7])}", line_no=line_no)
-        records.append(_record(class_name, values, expect_score))
+        records.append(
+            KittiRecord(
+                class_name,
+                values[0],
+                int(values[1]),
+                values[2],
+                values[3:7],
+                dimensions,
+                values[10:13],
+                values[13],
+                values[14] if expect_score else None,
+            )
+        )
     return records
-
-
-def _record(class_name: str, values: Sequence[float], with_score: bool) -> KittiRecord:
-    """The record of a valid line: its class name, then its reals in file order."""
-    # Every value is already in the form __post_init__ would store, so
-    # the fields are set directly, not converted again by the
-    # constructor. Setting them one by one, as the constructor does,
-    # keeps the instance without a dict of its own (about 170 bytes a record).
-    stored = (
-        class_name,
-        values[0],
-        int(values[1]),
-        values[2],
-        (values[3], values[4], values[5], values[6]),
-        (values[7], values[8], values[9]),
-        (values[10], values[11], values[12]),
-        values[13],
-        values[14] if with_score else None,
-    )
-    record = _new_record(KittiRecord)
-    for name, value in zip(_RECORD_FIELDS, stored):
-        _set_field(record, name, value)
-    return record
 
 
 def _raise_field_count(n_tokens: int, expect_score: bool, line_no: int) -> None:
@@ -335,14 +291,16 @@ def serialize_record(record: KittiRecord) -> str:
     return _DET_FORMAT % (*columns, record.score)
 
 
-def serialize_records(records: list[KittiRecord]) -> str:
-    """Serialize records one per line with LF endings; empty list gives ''."""
-    return "".join(serialize_record(r) + "\n" for r in records)
-
-
-def write_label_file(path: str | Path, records: list[KittiRecord]) -> None:
-    """Serialize records to path atomically (temp file + rename)."""
-    write_text_atomic(path, serialize_records(records))
+def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | None = None) -> None:
+    """Write each frame's file of table into out_dir, which is created even
+    for a table without frames: the lines of the rows flagged in kept (all
+    rows without kept) as held, LF-terminated, one write_text_atomic per file."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    kept = [True] * len(table) if kept is None else kept
+    for name, start, stop in zip(table.files, table.offsets, table.offsets[1:]):
+        lines = compress(table.lines[start:stop], kept[start:stop])
+        write_text_atomic(out_dir / name, "".join(line + "\n" for line in lines))
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -361,19 +319,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def load_dataset(gt_dir: str | Path, det_dir: str | Path) -> list[FramePair]:
-    """The frames of load_tables as records: one FramePair per ground-truth
-    file, sorted by frame_id, its detections empty when it has no file."""
-    gt, det = load_tables(gt_dir, det_dir)
-    gt_records, det_records = gt.records(), det.records()
-    return [
-        FramePair(frame_id, gt_records[start:stop], det_records[det_start:det_stop])
-        for frame_id, start, stop, det_start, det_stop in zip(
-            gt.frame_ids, gt.offsets, gt.offsets[1:], det.offsets, det.offsets[1:]
-        )
-    ]
 
 
 def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, LabelTable]:

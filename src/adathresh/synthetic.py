@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain, compress
 
 import numpy as np
 
 from .bin_stats import BinSpec, JsonCodec, ground_distance
 from .geometry import normalize_angle
-from .kitti_io import FramePair, KittiRecord
-from .threshold import ThresholdModel, keep
+from .kitti_io import KittiRecord, LabelTable
+from .threshold import ThresholdModel, keep_rows
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length (meters)
 MIN_SEPARATION = 6.0
@@ -232,25 +232,23 @@ def _generate_frame(
     return gt_records, det_records, kinds
 
 
-def _generate(spec: ScenarioSpec) -> tuple[list[FramePair], list[tuple[str, ...]]]:
+def generate(spec: ScenarioSpec) -> tuple[LabelTable, LabelTable]:
+    """The ground-truth and the detection table of a scenario, frames
+    000000, 000001, ... in order; identical for identical specs."""
+    gt, det, _ = generate_with_truth(spec)
+    return gt, det
+
+
+def generate_with_truth(spec: ScenarioSpec) -> tuple[LabelTable, LabelTable, list[str]]:
+    """generate's tables, and each detection row's kind ('tp' or 'fp')."""
     rng = np.random.Generator(np.random.Philox(spec.seed))
-    frames: list[FramePair] = []
-    truths: list[tuple[str, ...]] = []
-    for index in range(spec.n_frames):
-        gt, det, kinds = _generate_frame(spec, rng)
-        frames.append(FramePair(f"{index:06d}", gt, det))
-        truths.append(tuple(kinds))
-    return frames, truths
-
-
-def generate(spec: ScenarioSpec) -> list[FramePair]:
-    """Generate the dataset for a scenario; identical for identical specs."""
-    return _generate(spec)[0]
-
-
-def generate_with_truth(spec: ScenarioSpec) -> tuple[list[FramePair], list[tuple[str, ...]]]:
-    """Like generate, also returning each detection's kind ('tp' or 'fp')."""
-    return _generate(spec)
+    gt, det, kinds = zip(*(_generate_frame(spec, rng) for _ in range(spec.n_frames)))
+    frame_ids = [f"{index:06d}" for index in range(spec.n_frames)]
+    return (
+        LabelTable.from_records(frame_ids, gt, with_score=False),
+        LabelTable.from_records(frame_ids, det, with_score=True),
+        list(chain.from_iterable(kinds)),
+    )
 
 
 def known_optimal_counts(
@@ -263,21 +261,7 @@ def known_optimal_counts(
     surviving false positive matches nothing, so the counts follow
     directly from which detections pass the threshold.
     """
-    frames, truths = _generate(spec)
-    tp = fp = fn = 0
-    for frame, kinds in zip(frames, truths):
-        kind_of = dict(zip(map(id, frame.detections), kinds))
-        surviving = [kind_of[id(record)] for record in keep(frame.detections, model)]
-        surviving_tp = surviving.count(TRUE_POSITIVE)
-        tp += surviving_tp
-        fp += len(surviving) - surviving_tp
-        fn += len(frame.ground_truth) - surviving_tp
-    return tp, fp, fn
-
-
-def scenario_totals(frames: Sequence[FramePair]) -> tuple[int, int]:
-    """(total ground-truth objects, total detections) in a dataset."""
-    return (
-        sum(len(f.ground_truth) for f in frames),
-        sum(len(f.detections) for f in frames),
-    )
+    gt, det, kinds = generate_with_truth(spec)
+    surviving = list(compress(kinds, keep_rows(det, model)))
+    tp = surviving.count(TRUE_POSITIVE)
+    return tp, len(surviving) - tp, len(gt) - tp

@@ -8,22 +8,21 @@ The threshold schedule is
 A detection survives when its score is greater than or equal to the
 threshold at its ego distance. That one rule, keep_rows() over a
 kitti_io.LabelTable, serves every schedule: this model, the constant
-SingleThreshold baseline, and the near/far bin_stats.PreFilter; keep()
-applies it to records. Fitting recovers (alpha, beta, gamma)
-from binned score statistics by weighted least squares with weights
-1 / max(std, sigma_floor)^2 at the bin centers, solved exactly.
+SingleThreshold baseline, and the near/far bin_stats.PreFilter. Fitting
+recovers (alpha, beta, gamma) from binned score statistics by weighted
+least squares with weights 1 / max(std, sigma_floor)^2 at the bin
+centers, solved exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from operator import ge
 from typing import Protocol, Sequence
 
 from .bin_stats import BinSpec, BinStats, JsonCodec
-from .kitti_io import KittiRecord, LabelTable
+from .kitti_io import LabelTable
 
 SIGMA_FLOOR = 1e-3
 
@@ -122,12 +121,6 @@ def keep_rows(table: LabelTable, schedule: Schedule) -> list[bool]:
     """Whether each row of table scores at least schedule.threshold_at(its
     ego distance). A row without a score raises MissingScoreError."""
     return list(map(ge, table.scores(), map(schedule.threshold_at, table.distances())))
-
-
-def keep(records: Sequence[KittiRecord], schedule: Schedule) -> list[KittiRecord]:
-    """The records keep_rows keeps, in order; the input is not mutated."""
-    table = LabelTable.from_records([""], [records], with_score=True)
-    return list(compress(records, keep_rows(table, schedule)))
 
 
 @dataclass(frozen=True)

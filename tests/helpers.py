@@ -1,4 +1,4 @@
-"""Record builders and independent oracles shared across test modules.
+"""Record and table builders and independent oracles shared across test modules.
 
 The oracles deliberately re-derive results through different means than
 the library: Monte-Carlo point inclusion instead of polygon clipping, a
@@ -13,6 +13,9 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from adathresh.evaluation import (
     trade_off,
 )
 from adathresh.geometry import Box3D, iou_3d, iou_bev
-from adathresh.kitti_io import DONT_CARE, FramePair, KittiRecord, MissingScoreError
+from adathresh.kitti_io import DONT_CARE, KittiRecord, LabelTable, MissingScoreError, serialize_record
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
 
@@ -67,6 +70,46 @@ def make_record(
     )
 
 
+class Frame(NamedTuple):
+    """The records of one frame, which tables() turns into table rows."""
+
+    frame_id: str
+    ground_truth: Sequence[KittiRecord] = ()
+    detections: Sequence[KittiRecord] = ()
+
+
+def tables(frames: Sequence[Frame]) -> tuple[LabelTable, LabelTable]:
+    """The ground-truth and the detection LabelTable of frames, in their order."""
+    ids = [frame.frame_id for frame in frames]
+    return (
+        LabelTable.from_records(ids, [frame.ground_truth for frame in frames], with_score=False),
+        LabelTable.from_records(ids, [frame.detections for frame in frames], with_score=True),
+    )
+
+
+def detections(records: Sequence[KittiRecord]) -> LabelTable:
+    """The detection table of one frame holding records."""
+    return tables([Frame("000000", (), records)])[1]
+
+
+def filtered(frames: Sequence[Frame], kept: Sequence[bool]) -> list[Frame]:
+    """frames with only the detections flagged in kept, one flag per
+    detection row of tables(frames)."""
+    flags = iter(kept)  # compress takes one flag per detection, frame by frame
+    return [f._replace(detections=tuple(compress(f.detections, flags))) for f in frames]
+
+
+def label_text(records: Sequence[KittiRecord]) -> str:
+    """records as a label file: serialize_record's lines, LF-terminated."""
+    return "".join(serialize_record(r) + "\n" for r in records)
+
+
+def write_label(path: Path, records: Sequence[KittiRecord]) -> None:
+    """Write label_text(records) to path, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(label_text(records), encoding="utf-8")
+
+
 def box_rows(records: list[KittiRecord]) -> list[tuple[float, ...]]:
     """The records' boxes (KittiRecord.to_box3d) as geometry.pair_iou rows."""
     return [(*r.location, *r.dimensions, r.rotation_y) for r in records]
@@ -76,7 +119,7 @@ def score_list(records: list[KittiRecord]) -> list[float]:
     return [r.score for r in records]
 
 
-def eval_lists(frame: FramePair, config) -> tuple[list[KittiRecord], list[KittiRecord]]:
+def eval_lists(frame: Frame, config) -> tuple[list[KittiRecord], list[KittiRecord]]:
     """The frame's ground truth and detections that evaluation uses, record
     by record: the configured class, and for ground truth neither DontCare
     nor outside the difficulty stratum (height, occlusion, truncation)."""

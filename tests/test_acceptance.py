@@ -9,25 +9,28 @@ budget where one applies.
 import math
 import random
 import time
+from array import array
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from adathresh.bin_stats import BinSpec, BinStats, compute_bin_stats
-from adathresh.evaluation import MatchConfig, _greedy, evaluate, trade_off
+from adathresh.evaluation import MatchConfig, _greedy, evaluate_tables, trade_off
 from adathresh.geometry import iou_bev, pair_iou
-from adathresh.kitti_io import FramePair, parse_label_file, serialize_records
+from adathresh.kitti_io import LabelTable, parse_label_file
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
 from adathresh.threshold import (
     ModelRangeError,
     SingleThreshold,
     ThresholdModel,
     fit_quadratic,
-    keep,
+    keep_rows,
 )
 from helpers import (
     box_rows,
     brute_force_match,
+    label_text,
     make_box,
     make_record,
     mc_iou_bev,
@@ -229,12 +232,11 @@ def _pooled(report, which):
 
 def test_acceptance_6_end_to_end_synthetic():
     with criterion(6, "end-to-end synthetic dominance"):
-        frames = generate(SCENARIO)
+        gt, det = generate(SCENARIO)
         config = MatchConfig(iou_kind="bev", iou_threshold=0.7)
 
         def eval_with(schedule):
-            filtered = [FramePair(f.frame_id, f.ground_truth, keep(f.detections, schedule)) for f in frames]
-            return evaluate(filtered, config)
+            return evaluate_tables(gt, det, config, kept=keep_rows(det, schedule))
 
         adaptive = eval_with(ADAPTIVE_MODEL)
         oracle = known_optimal_counts(SCENARIO, ADAPTIVE_MODEL)
@@ -277,15 +279,25 @@ def test_acceptance_7_average_precision_fixture():
             fp_rate_per_bin=(0.0,) * 6,
             fn_rate_per_bin=(0.0,) * 6,
         )
-        assert evaluate(generate(perfect_spec), config).average_precision == 100.0
+        assert evaluate_tables(*generate(perfect_spec), config).average_precision == 100.0
 
-        noisy = generate(SCENARIO)[:80]
-        baseline = evaluate(noisy, config).average_precision
-        reordered = [
-            FramePair(f.frame_id, f.ground_truth, tuple(reversed(f.detections)))
-            for f in noisy
-        ]
-        assert abs(evaluate(reordered, config).average_precision - baseline) <= 1e-9
+        # The first 80 frames of SCENARIO: frames are drawn one after another.
+        gt, noisy = generate(replace(SCENARIO, n_frames=80))
+        baseline = evaluate_tables(gt, noisy, config).average_precision
+        assert abs(evaluate_tables(gt, _reversed_frames(noisy), config).average_precision - baseline) <= 1e-9
+
+
+def _reversed_frames(table):
+    """table with each frame's rows in reverse order."""
+    order = [row for start, stop in zip(table.offsets, table.offsets[1:]) for row in reversed(range(start, stop))]
+    return LabelTable(
+        table.frame_ids,
+        table.files,
+        table.offsets,
+        [table.class_names[row] for row in order],
+        tuple(array("d", map(column.__getitem__, order)) for column in table.columns),
+        [table.lines[row] for row in order],
+    )
 
 
 def _corpus_files(rng):
@@ -314,7 +326,7 @@ def _corpus_files(rng):
                     class_name="DontCare",
                 )
             )
-        text = serialize_records(records)
+        text = label_text(records)
         if index % 3 == 0:
             text = text.replace("\n", "\r\n")
         files.append((text, with_score))
@@ -331,6 +343,6 @@ def test_acceptance_8_parser_round_trip():
             saw_crlf = saw_crlf or "\r\n" in text
             first = parse_label_file(text, expect_score=with_score)
             saw_dontcare = saw_dontcare or any(r.class_name == "DontCare" for r in first)
-            again = parse_label_file(serialize_records(first), expect_score=with_score)
+            again = parse_label_file(label_text(first), expect_score=with_score)
             assert again == first
         assert saw_dontcare and saw_crlf

@@ -13,14 +13,14 @@ from adathresh.bin_stats import (
     BinStats,
     PreFilter,
     assign_bin,
-    collect_samples,
     compute_bin_stats,
+    table_samples,
 )
 from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig
-from adathresh.kitti_io import FramePair, MissingScoreError
+from adathresh.kitti_io import MissingScoreError
 from adathresh.synthetic import ScenarioSpec, ScoreModel
-from adathresh.threshold import ThresholdModel, keep
-from helpers import make_record
+from adathresh.threshold import ThresholdModel, keep_rows
+from helpers import Frame, detections, make_record, tables
 
 DEFAULT = BinSpec()
 
@@ -224,13 +224,13 @@ class TestPreFilter:
     def test_keeps_on_equality(self):
         pf = PreFilter()
         records = [make_record(0.0, 10.0, score=0.5), make_record(0.0, 45.0, score=0.3)]
-        assert keep(records, pf) == records
-        assert keep([make_record(0.0, 10.0, score=0.49999)], pf) == []
+        assert keep_rows(detections(records), pf) == [True, True]
+        assert keep_rows(detections([make_record(0.0, 10.0, score=0.49999)]), pf) == [False]
         # At the cutoff itself the low threshold applies.
         at_cutoff = make_record(0.0, 40.0, score=0.3)
-        assert keep([make_record(0.0, 39.999, score=0.4), at_cutoff], pf) == [at_cutoff]
+        assert keep_rows(detections([make_record(0.0, 39.999, score=0.4), at_cutoff]), pf) == [False, True]
         with pytest.raises(MissingScoreError):
-            keep([make_record(0.0, 5.0)], pf)
+            keep_rows(detections([make_record(0.0, 5.0)]), pf)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -243,10 +243,10 @@ class TestPreFilter:
     def test_apply_preserves_order(self):
         samples = [(10.0, 0.6), (10.0, 0.4), (50.0, 0.4), (50.0, 0.2)]
         pedestrian = make_record(0.0, 10.0, score=0.9, class_name="Pedestrian")
-        detections = [make_record(0.0, d, score=s) for d, s in samples]
-        frames = [FramePair("000000", (), detections[:2] + [pedestrian]), FramePair("000001", (), detections[2:])]
-        assert collect_samples(frames, "Car", PreFilter()) == [(10.0, 0.6), (50.0, 0.4)]
-        assert collect_samples(frames, "Car", None) == samples
+        cars = [make_record(0.0, d, score=s) for d, s in samples]
+        _, table = tables([Frame("000000", (), cars[:2] + [pedestrian]), Frame("000001", (), cars[2:])])
+        assert table_samples(table, "Car", PreFilter()) == [(10.0, 0.6), (50.0, 0.4)]
+        assert table_samples(table, "Car", None) == samples
 
     def test_dict_round_trip(self):
         pf = PreFilter(distance_cutoff=35.0, low_threshold=0.2, high_threshold=0.6)
@@ -256,7 +256,7 @@ class TestPreFilter:
     def test_keeps_matches_threshold_for(self, distance, score):
         pf = PreFilter()
         record = make_record(0.0, distance, score=score)
-        assert (keep([record], pf) == [record]) == (score >= pf.threshold_at(distance))
+        assert keep_rows(detections([record]), pf) == [score >= pf.threshold_at(distance)]
 
 
 class TestJsonCodec:

@@ -2,17 +2,19 @@
 
 import argparse
 import csv
+import hashlib
 import json
 from dataclasses import replace
+from itertools import compress
 
 import pytest
 
 from adathresh import cli
 from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats
 from adathresh.cli import main
-from adathresh.kitti_io import load_dataset, parse_label_file, serialize_records, write_label_file
-from adathresh.threshold import ThresholdModel, fit_quadratic, keep
-from helpers import make_record
+from adathresh.kitti_io import parse_label_file
+from adathresh.threshold import ThresholdModel, fit_quadratic, keep_rows
+from helpers import detections, label_text, make_record, write_label
 
 
 def run(*argv):
@@ -38,6 +40,17 @@ def scenario_payload(**overrides):
     )
     spec.update(overrides)
     return spec
+
+
+def tree_digest(root):
+    """sha256 over the sorted relative paths and bytes of every file under root."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 @pytest.fixture
@@ -162,11 +175,10 @@ class TestPipeline:
             "--pre-filter", "none",
         ) == 0
         payload = json.loads((out / "bin_stats.json").read_text())
-        frames = load_dataset(dataset / "gt", dataset / "det")
         samples = [
             (r.ego_distance(), r.score)
-            for f in frames
-            for r in f.detections
+            for path in sorted((dataset / "det").glob("*.txt"))
+            for r in parse_label_file(path.read_text(), expect_score=True)
             if r.class_name == "Car"
         ]
         expected = compute_bin_stats(samples, BinSpec())
@@ -189,22 +201,22 @@ class TestPipeline:
         ) == 0
         for path in sorted((dataset / "det").glob("*.txt")):
             records = parse_label_file(path.read_text(), expect_score=True)
-            survivors = keep(records, model)
-            assert (out / path.name).read_text() == serialize_records(survivors)
+            survivors = compress(records, keep_rows(detections(records), model))
+            assert (out / path.name).read_text() == label_text(survivors)
 
     def test_filter_none_keeps_a_negative_score_and_single_zero_drops_it(self, tmp_path):
         det_dir = tmp_path / "det"
         negative, positive = make_record(0.0, 10.0, score=-0.25), make_record(0.0, 20.0, score=0.0)
-        write_label_file(det_dir / "000000.txt", [negative, positive])
+        write_label(det_dir / "000000.txt", [negative, positive])
         for mode, survivors in (("none", [negative, positive]), ("single:0", [positive])):
             out = tmp_path / mode.replace(":", "_")
             assert run("filter", "--det-dir", str(det_dir), "--out-dir", str(out), "--threshold-mode", mode) == 0
-            assert (out / "000000.txt").read_text() == serialize_records(survivors)
+            assert (out / "000000.txt").read_text() == label_text(survivors)
 
     def test_filter_of_empty_det_dir_writes_an_evaluable_out_dir(self, tmp_path):
         gt_dir = tmp_path / "gt"
         det_dir = tmp_path / "det"
-        write_label_file(gt_dir / "000000.txt", [make_record(0.0, 10.0)])
+        write_label(gt_dir / "000000.txt", [make_record(0.0, 10.0)])
         det_dir.mkdir()
         out = tmp_path / "filtered"
         assert run(
@@ -222,7 +234,7 @@ class TestPipeline:
         det_dir = tmp_path / "det"
         names = ("a.txt", ".b.txt", "c.TXT", "d.txt.tmp", ".txt")
         for name in names:
-            write_label_file(det_dir / name, [make_record(0.0, 10.0, score=0.9)])
+            write_label(det_dir / name, [make_record(0.0, 10.0, score=0.9)])
         out = tmp_path / "filtered"
         assert run("filter", "--det-dir", str(det_dir), "--out-dir", str(out), "--threshold-mode", "none") == 0
         listed = sorted(p.name for p in det_dir.glob("*.txt"))
@@ -261,11 +273,10 @@ class TestPipeline:
             "--pre-filter", "none",
             "--k", "0.35",
         ) == 0
-        frames = load_dataset(dataset / "gt", dataset / "det")
         samples = [
             (r.ego_distance(), r.score)
-            for f in frames
-            for r in f.detections
+            for path in sorted((dataset / "det").glob("*.txt"))
+            for r in parse_label_file(path.read_text(), expect_score=True)
             if r.class_name == "Car"
         ]
         stats = compute_bin_stats(samples, BinSpec())
@@ -319,6 +330,17 @@ class TestPipeline:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
         assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+
+    def test_synth_writes_pinned_bytes(self, tmp_path):
+        # Frame 000002 has no objects and three frames have no detections,
+        # so the trees hold empty files of both kinds.
+        payload = scenario_payload(n_frames=6, objects_per_frame=[0, 3], fp_rate_per_bin=[0.1] * 6, fn_rate_per_bin=[0.3] * 6)
+        spec_path = write_json(tmp_path / "scenario.json", payload)
+        assert run("synth", "--spec", spec_path, "--out-dir", str(tmp_path / "o")) == 0
+        sizes = {sub: [p.stat().st_size for p in sorted((tmp_path / "o" / sub).iterdir())] for sub in ("gt", "det")}
+        assert sizes == {"gt": [267, 402, 0, 397, 136, 136], "det": [141, 287, 0, 847, 0, 0]}
+        assert tree_digest(tmp_path / "o" / "gt") == "e984716a5c59727bff1143ad0abbab22fa8d3dc4a0d14c2e51c8e2a8383d4d51"
+        assert tree_digest(tmp_path / "o" / "det") == "90d278760ebe07196c954fcdc08da37201d1560fda378a89e1d17fae3d67fba3"
 
     def test_synth_manifest_writes_whole_numbers_of_float_fields_as_floats(self, tmp_path):
         payload = scenario_payload(n_frames=2, distance_range=[2, 58], bin_spec={"bin_width": 10, "max_distance": 60})
@@ -387,6 +409,23 @@ class TestConfigPrecedence:
         ) == 0
         assert json.loads((no_cfg / "bin_stats.json").read_text())["bin_width"] == 10.0
 
+    @pytest.mark.parametrize("key", ["class_name", "bin_width", "pre_filter", "normalized_std"])
+    def test_a_null_config_value_is_not_given(self, tmp_path, dataset, capsys, key):
+        io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
+        for name, payload in (("absent", io), ("null", {**io, key: None})):
+            cfg = write_json(tmp_path / f"{name}.json", payload)
+            assert run("stats", "--config", cfg, "--out-dir", str(tmp_path / name)) == 0
+        out = capsys.readouterr().out
+        assert out.count("binned 91 Car detections into 6 bins") == 2
+        for name in ("bin_stats.json", "bin_stats.csv"):
+            assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "absent" / name).read_bytes()
+
+    def test_a_null_required_config_value_is_missing(self, tmp_path, dataset, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"gt_dir": None, "det_dir": str(dataset / "det")})
+        assert run("stats", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 1
+        assert "missing required option --gt-dir (or config key 'gt_dir')" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestExitCodes:
     def test_missing_required_option_is_usage_error(self, tmp_path, capsys):
@@ -428,9 +467,9 @@ class TestExitCodes:
     def test_orphan_detection_file(self, tmp_path, capsys):
         gt_dir = tmp_path / "gt"
         det_dir = tmp_path / "det"
-        write_label_file(gt_dir / "000000.txt", [make_record(0.0, 10.0)])
-        write_label_file(det_dir / "000000.txt", [make_record(0.0, 10.0, score=0.9)])
-        write_label_file(det_dir / "000042.txt", [make_record(0.0, 12.0, score=0.8)])
+        write_label(gt_dir / "000000.txt", [make_record(0.0, 10.0)])
+        write_label(det_dir / "000000.txt", [make_record(0.0, 10.0, score=0.9)])
+        write_label(det_dir / "000042.txt", [make_record(0.0, 12.0, score=0.8)])
         rc = run(
             "eval",
             "--gt-dir", str(gt_dir),
@@ -443,7 +482,7 @@ class TestExitCodes:
     def test_parse_error_names_file_and_line(self, tmp_path, capsys):
         det_dir = tmp_path / "det"
         det_dir.mkdir()
-        good = serialize_records([make_record(0.0, 10.0, score=0.9)])
+        good = label_text([make_record(0.0, 10.0, score=0.9)])
         (det_dir / "000000.txt").write_text(good + "Car not a number\n")
         rc = run(
             "filter",
@@ -619,8 +658,8 @@ class TestExitCodes:
     def test_fit_with_too_few_bins(self, tmp_path):
         gt_dir = tmp_path / "gt"
         det_dir = tmp_path / "det"
-        write_label_file(gt_dir / "000000.txt", [])
-        write_label_file(
+        write_label(gt_dir / "000000.txt", [])
+        write_label(
             det_dir / "000000.txt",
             [
                 make_record(0.0, 5.0, score=0.9),
@@ -654,8 +693,8 @@ class TestExitCodes:
         # zero distance, which the model rejects.
         gt_dir = tmp_path / "gt"
         det_dir = tmp_path / "det"
-        write_label_file(gt_dir / "000000.txt", [])
-        write_label_file(
+        write_label(gt_dir / "000000.txt", [])
+        write_label(
             det_dir / "000000.txt",
             [
                 make_record(0.0, 5.0, score=0.9),
@@ -689,7 +728,7 @@ class TestExitCodes:
         )
         assert rc == 3
 
-    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1, None])
+    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1])
     def test_config_switch_must_be_a_json_boolean(self, tmp_path, dataset, capsys, value):
         io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
         cfg = write_json(tmp_path / "cfg.json", {**io, "normalized_std": value})
@@ -718,8 +757,8 @@ class TestExitCodes:
 
     def test_eval_of_the_dontcare_class_has_no_ground_truth(self, tmp_path, capsys):
         dont_care = make_record(0.0, 30.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0))
-        write_label_file(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0), dont_care])
-        write_label_file(tmp_path / "det" / "000000.txt", [make_record(0.0, 10.0, score=0.9), replace(dont_care, score=0.5)])
+        write_label(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0), dont_care])
+        write_label(tmp_path / "det" / "000000.txt", [make_record(0.0, 10.0, score=0.9), replace(dont_care, score=0.5)])
         common = ("--gt-dir", str(tmp_path / "gt"), "--det-dir", str(tmp_path / "det"), "--out-dir", str(tmp_path / "o"))
         assert run("eval", *common, "--class", "DontCare") == 2
         assert "average precision is undefined without ground truth" in capsys.readouterr().err

@@ -18,19 +18,23 @@ from adathresh.evaluation import (
     _interpolated_ap,
     _ratio,
     compare_reports,
-    evaluate,
+    evaluate_tables,
     trade_off,
 )
 from adathresh.geometry import iou_bev, pair_iou
-from adathresh.kitti_io import FramePair, LabelTable, MissingScoreError
-from adathresh.threshold import SingleThreshold, keep
+from adathresh.kitti_io import MissingScoreError
+from adathresh.threshold import SingleThreshold, keep_rows
 from helpers import (
+    Frame,
     box_rows,
     brute_force_match,
+    detections,
+    filtered,
     loop_interpolated_ap,
     make_record,
     random_scene,
     score_list,
+    tables,
     three_pass_evaluate,
 )
 
@@ -38,7 +42,7 @@ BEV_CFG = MatchConfig(iou_kind="bev", iou_threshold=0.5)
 
 
 def frame(frame_id, gt, det):
-    return FramePair(frame_id=frame_id, ground_truth=tuple(gt), detections=tuple(det))
+    return Frame(frame_id, tuple(gt), tuple(det))
 
 
 def single_frame(gt, det):
@@ -52,8 +56,13 @@ def frame_matches(gt, det):
 
 
 def _match_set(frames, config):
-    """The matching pass evaluate makes over the frames' tables."""
-    return _candidates(*LabelTable.from_frames(frames), config).match()
+    """The matching pass evaluate_tables makes over the frames' tables."""
+    return _candidates(*tables(frames), config).match()
+
+
+def evaluate_frames(frames, config, bin_spec=None, kept=None):
+    """evaluate_tables over the frames' tables."""
+    return evaluate_tables(*tables(frames), config, bin_spec, kept)
 
 
 def point(report):
@@ -215,7 +224,7 @@ class TestPointMetrics:
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
         det = [make_record(0.0, 10.0, score=0.9), make_record(0.0, 25.0, score=0.8)]
         frames = [frame("000000", gt, det), frame("000001", gt, det)]
-        assert point(evaluate(frames, BEV_CFG)) == (1.0, 1.0, 0.0)
+        assert point(evaluate_frames(frames, BEV_CFG)) == (1.0, 1.0, 0.0)
 
     def test_micro_average_over_frames(self):
         # Frame 1: one of two gts found, plus a false positive.
@@ -231,7 +240,7 @@ class TestPointMetrics:
             [make_record(0.0, 15.0)],
             [make_record(0.0, 15.0, score=0.8), make_record(-8.0, 50.0, score=0.6)],
         )
-        recall, precision, gap = point(evaluate([f1, f2], BEV_CFG))
+        recall, precision, gap = point(evaluate_frames([f1, f2], BEV_CFG))
         assert recall == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert precision == pytest.approx(0.5, abs=1e-12)
         assert gap == pytest.approx(2.0 / 3.0 - 0.5, abs=1e-12)
@@ -245,7 +254,7 @@ class TestPointMetrics:
             make_record(0.0, 10.0, score=0.9),
             make_record(0.0, 25.0, score=0.9, class_name="Pedestrian", dims=(1.8, 0.6, 0.8)),
         ]
-        recall, precision, gap = point(evaluate(single_frame(gt, det), BEV_CFG))
+        recall, precision, gap = point(evaluate_frames(single_frame(gt, det), BEV_CFG))
         assert (recall, precision, gap) == (1.0, 1.0, 0.0)
 
     def test_dontcare_rows_never_count_as_misses(self):
@@ -254,7 +263,7 @@ class TestPointMetrics:
             make_record(0.0, 30.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0)),
         ]
         det = [make_record(0.0, 10.0, score=0.9)]
-        assert point(evaluate(single_frame(gt, det), BEV_CFG)) == (1.0, 1.0, 0.0)
+        assert point(evaluate_frames(single_frame(gt, det), BEV_CFG)) == (1.0, 1.0, 0.0)
 
     def test_dontcare_excluded_even_as_target_class(self):
         cfg = MatchConfig(iou_kind="bev", iou_threshold=0.5, class_name="DontCare")
@@ -271,8 +280,8 @@ class TestPointMetrics:
         def config_at(difficulty):
             return MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty=difficulty)
 
-        assert point(evaluate(single_frame(gt, det), config_at(None))) == (1.0, 1.0, 0.0)
-        assert point(evaluate(single_frame(gt, det), config_at("hard"))) == (1.0, 1.0, 0.0)
+        assert point(evaluate_frames(single_frame(gt, det), config_at(None))) == (1.0, 1.0, 0.0)
+        assert point(evaluate_frames(single_frame(gt, det), config_at("hard"))) == (1.0, 1.0, 0.0)
         easy = _match_set(single_frame(gt, det), config_at("easy"))
         assert len(easy.gt_rows) == 0  # vacuous recall: no gt in stratum
         assert easy.det_hit == [False]  # the detection is now a false positive
@@ -282,7 +291,7 @@ class TestPointMetrics:
         det = [make_record(0.0, 10.0, score=0.9)]
         hard = MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty="hard")
         moderate = MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty="moderate")
-        assert point(evaluate(single_frame(gt, det), hard)) == (1.0, 1.0, 0.0)
+        assert point(evaluate_frames(single_frame(gt, det), hard)) == (1.0, 1.0, 0.0)
         matched = _match_set(single_frame(gt, det), moderate)
         assert matched.det_hit == [False]  # precision 0
 
@@ -296,9 +305,8 @@ class TestPointMetrics:
             frames.append(frame(f"{i:06d}", gt, det))
 
         def counts(threshold):
-            schedule = SingleThreshold(threshold)
-            kept = [frame(f.frame_id, f.ground_truth, keep(f.detections, schedule)) for f in frames]
-            matched = _match_set(kept, BEV_CFG)
+            kept = keep_rows(tables(frames)[1], SingleThreshold(threshold))
+            matched = _match_set(filtered(frames, kept), BEV_CFG)
             return matched.det_hit.count(True), matched.det_hit.count(False)
 
         tp_lo, fp_lo = counts(t_lo)
@@ -313,30 +321,30 @@ class TestAveragePrecision:
     def test_perfect_detector_is_exactly_100(self):
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
         det = [make_record(0.0, 10.0, score=0.9), make_record(0.0, 25.0, score=0.8)]
-        assert evaluate(single_frame(gt, det), BEV_CFG).average_precision == 100.0
+        assert evaluate_frames(single_frame(gt, det), BEV_CFG).average_precision == 100.0
 
     def test_no_ground_truth_raises(self):
         with pytest.raises(EvaluationError):
-            evaluate(single_frame([], [make_record(0.0, 10.0, score=0.9)]), BEV_CFG)
+            evaluate_frames(single_frame([], [make_record(0.0, 10.0, score=0.9)]), BEV_CFG)
 
     def test_trailing_false_positive_does_not_hurt(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 10.0, score=0.9), make_record(8.0, 40.0, score=0.5)]
-        assert evaluate(single_frame(gt, det), BEV_CFG).average_precision == 100.0
+        assert evaluate_frames(single_frame(gt, det), BEV_CFG).average_precision == 100.0
 
     def test_half_recall_eleven_point(self):
         # One of two gts found at full precision: 6 of 11 recall points
         # (0.0 through 0.5) interpolate to 1, the rest to 0.
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
         det = [make_record(0.0, 10.0, score=0.9)]
-        ap = evaluate(single_frame(gt, det), BEV_CFG).average_precision
+        ap = evaluate_frames(single_frame(gt, det), BEV_CFG).average_precision
         assert ap == pytest.approx(600.0 / 11.0, abs=1e-9)
 
     def test_half_recall_forty_point(self):
         cfg = MatchConfig(iou_kind="bev", iou_threshold=0.5, ap_interpolation="forty_point")
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
         det = [make_record(0.0, 10.0, score=0.9)]
-        assert evaluate(single_frame(gt, det), cfg).average_precision == pytest.approx(50.0, abs=1e-9)
+        assert evaluate_frames(single_frame(gt, det), cfg).average_precision == pytest.approx(50.0, abs=1e-9)
 
     def test_high_scoring_false_positive_hurts(self):
         gt = [make_record(0.0, 10.0), make_record(0.0, 25.0)]
@@ -344,12 +352,12 @@ class TestAveragePrecision:
             make_record(8.0, 40.0, score=0.95),
             make_record(0.0, 10.0, score=0.9),
         ]
-        ap = evaluate(single_frame(gt, det), BEV_CFG).average_precision
+        ap = evaluate_frames(single_frame(gt, det), BEV_CFG).average_precision
         assert ap == pytest.approx(300.0 / 11.0, abs=1e-9)
 
     def test_no_detections_gives_zero(self):
         gt = [make_record(0.0, 10.0)]
-        assert evaluate(single_frame(gt, []), BEV_CFG).average_precision == 0.0
+        assert evaluate_frames(single_frame(gt, []), BEV_CFG).average_precision == 0.0
 
     def test_invariant_under_record_order(self):
         rng = random.Random(7)
@@ -370,12 +378,12 @@ class TestAveragePrecision:
             frames.append(frame(f"{i:06d}", gt, det))
         # Guarantees ground truth even if every random draw came up empty.
         frames.append(frame("000099", [make_record(0.0, 12.0)], []))
-        baseline = evaluate(frames, BEV_CFG).average_precision
+        baseline = evaluate_frames(frames, BEV_CFG).average_precision
         shuffled = [
             frame(f.frame_id, f.ground_truth, tuple(reversed(f.detections)))
             for f in frames
         ]
-        assert evaluate(shuffled, BEV_CFG).average_precision == baseline
+        assert evaluate_frames(shuffled, BEV_CFG).average_precision == baseline
 
     @given(st.integers(0, 2**32 - 1))
     def test_bounded(self, seed):
@@ -383,7 +391,7 @@ class TestAveragePrecision:
         gt, det = random_scene(rng)
         if not gt:
             gt = [make_record(0.0, 10.0)]
-        ap = evaluate(single_frame(gt, det), BEV_CFG).average_precision
+        ap = evaluate_frames(single_frame(gt, det), BEV_CFG).average_precision
         assert 0.0 <= ap <= 100.0
 
 
@@ -412,13 +420,10 @@ def _renewed(records):
 
 @st.composite
 def evaluation_inputs(draw):
-    """(frames, ap_frames or None, config) over random multi-frame scenes.
+    """(frames, kept or None, config) over random multi-frame scenes.
 
-    Scores are sometimes rounded to one decimal to force ties. frames is
-    either the unfiltered set, or a per-frame threshold filter of it; a
-    drawn share of its frames use new record objects, reversed order, or
-    other ground truth, or drop out of ap_frames, so that evaluate must
-    fall back to a matrix of their own.
+    Scores are sometimes rounded to one decimal to force ties. kept, when
+    drawn, flags the detections a threshold drawn per frame keeps.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     config = MatchConfig(
@@ -435,32 +440,26 @@ def evaluation_inputs(draw):
     raw.append(frame("000099", [make_record(0.0, 12.0)], []))
     if not draw(st.booleans()):
         return raw, None, config
-    filtered = []
+    kept = []
     for f in raw:
-        kept = keep(f.detections, SingleThreshold(rng.random()))
-        how = rng.choice(["same", "same", "renewed", "reversed", "regrounded", "dropped"])
-        gt = f.ground_truth[1:] if how == "regrounded" else f.ground_truth
-        if how == "renewed":
-            kept = _renewed(kept)
-        elif how == "reversed":
-            kept = kept[::-1]
-        filtered.append(frame(f.frame_id, gt, kept))
-        if how == "dropped" and f.frame_id != "000099":
-            raw = [r for r in raw if r is not f]
-    return filtered, raw, config
+        kept += keep_rows(detections(f.detections), SingleThreshold(rng.random()))
+    return raw, kept, config
 
 
 class TestEvaluateEquivalence:
     @given(evaluation_inputs())
     def test_report_equals_three_pass_oracle(self, inputs):
-        frames, ap_frames, config = inputs
+        frames, kept, config = inputs
+        # With kept, the oracle's point metrics see the kept detections and
+        # its unfiltered AP sweep sees them all.
+        subset, ap_frames = (frames, None) if kept is None else (filtered(frames, kept), frames)
         try:
-            expected = three_pass_evaluate(frames, config, ap_frames=ap_frames)
+            expected = three_pass_evaluate(subset, config, ap_frames=ap_frames)
         except EvaluationError:
             with pytest.raises(EvaluationError):
-                evaluate(frames, config, ap_frames=ap_frames)
+                evaluate_frames(frames, config, kept=kept)
             return
-        assert evaluate(frames, config, ap_frames=ap_frames) == expected
+        assert evaluate_frames(frames, config, kept=kept) == expected
 
     def test_shared_frame_ids_and_renewed_ground_truth(self):
         # Tied scores across frames of one frame_id leave only the frames'
@@ -471,29 +470,23 @@ class TestEvaluateEquivalence:
             gt, det = random_scene(rng)
             det = [dataclasses.replace(r, score=round(r.score, 1)) for r in det]
             raw.append(frame("000001", gt + [make_record(0.0, 12.0)], det))
-        filtered = [
-            frame(
-                f.frame_id,
-                _renewed(f.ground_truth) if i % 2 else f.ground_truth,
-                keep(f.detections, SingleThreshold(0.3)),
-            )
-            for i, f in enumerate(raw)
+        kept = keep_rows(tables(raw)[1], SingleThreshold(0.3))
+        subset = [
+            f._replace(ground_truth=_renewed(f.ground_truth)) if i % 2 else f
+            for i, f in enumerate(filtered(raw, kept))
         ]
-        for ap_frames in (raw, None):
-            assert evaluate(filtered, BEV_CFG, ap_frames=ap_frames) == three_pass_evaluate(
-                filtered, BEV_CFG, ap_frames=ap_frames
-            )
+        assert evaluate_frames(raw, BEV_CFG, kept=kept) == three_pass_evaluate(subset, BEV_CFG, ap_frames=raw)
+        assert evaluate_frames(subset, BEV_CFG) == three_pass_evaluate(subset, BEV_CFG)
 
     def test_missing_score_raises(self):
         gt = [make_record(0.0, 10.0)]
-        scored = single_frame(gt, [make_record(0.0, 10.0, score=0.9)])
-        unscored = single_frame(gt, [make_record(0.0, 10.0)])
+        unscored = single_frame(gt, [make_record(0.0, 10.0, score=0.9), make_record(0.0, 10.0)])
         with pytest.raises(MissingScoreError):
-            evaluate(unscored, BEV_CFG)
-        with pytest.raises(MissingScoreError):
-            evaluate(scored, BEV_CFG, ap_frames=unscored)
-        with pytest.raises(MissingScoreError):
-            evaluate(unscored, BEV_CFG, ap_frames=scored)
+            evaluate_frames(unscored, BEV_CFG)
+        # Kept or not, a row without a score is in the unfiltered sweep.
+        for kept in ([True, False], [False, True]):
+            with pytest.raises(MissingScoreError):
+                evaluate_frames(unscored, BEV_CFG, kept=kept)
 
 
 class TestEvaluate:
@@ -503,7 +496,7 @@ class TestEvaluate:
             make_record(0.0, 5.0, score=0.9),  # tp, gt bin 0
             make_record(8.0, 45.0, score=0.8),  # fp, det bin 4
         ]
-        report = evaluate(single_frame(gt, det), BEV_CFG)
+        report = evaluate_frames(single_frame(gt, det), BEV_CFG)
         assert report.tp == 1 and report.fp == 1 and report.fn == 1
         rows = {row.bin_index: row for row in report.per_bin}
         assert set(rows) == {0, 1, 2, 3, 4, 5}
@@ -517,12 +510,12 @@ class TestEvaluate:
 
     def test_overflow_row_only_when_occupied(self):
         gt = [make_record(0.0, 5.0)]
-        near_only = evaluate(
+        near_only = evaluate_frames(
             single_frame(gt, [make_record(0.0, 5.0, score=0.9)]), BEV_CFG
         )
         assert all(row.bin_index <= 5 for row in near_only.per_bin)
 
-        with_far_fp = evaluate(
+        with_far_fp = evaluate_frames(
             single_frame(
                 gt,
                 [make_record(0.0, 5.0, score=0.9), make_record(8.0, 70.0, score=0.8)],
@@ -543,7 +536,7 @@ class TestEvaluate:
             frames.append(frame(f"{i:06d}", gt, det))
         if not any(f.ground_truth for f in frames):
             pytest.skip("degenerate draw")
-        report = evaluate(frames, BEV_CFG)
+        report = evaluate_frames(frames, BEV_CFG)
         assert report.tp == sum(row.tp for row in report.per_bin)
         assert report.fp == sum(row.fp for row in report.per_bin)
         assert report.fn == sum(row.fn for row in report.per_bin)
@@ -551,7 +544,7 @@ class TestEvaluate:
     def test_custom_bin_spec(self):
         gt = [make_record(0.0, 5.0)]
         det = [make_record(0.0, 5.0, score=0.9)]
-        report = evaluate(
+        report = evaluate_frames(
             single_frame(gt, det), BEV_CFG, bin_spec=BinSpec(bin_width=15.0, max_distance=30.0)
         )
         assert [row.bin_index for row in report.per_bin] == [0, 1]
@@ -566,8 +559,7 @@ class TestEvaluate:
             make_record(0.0, 10.0, score=0.9),
         ]
         raw = single_frame(gt, det)
-        filtered = [frame("000000", gt, keep(det, SingleThreshold(0.97)))]
-        report = evaluate(filtered, BEV_CFG, ap_frames=raw)
+        report = evaluate_frames(raw, BEV_CFG, kept=keep_rows(detections(det), SingleThreshold(0.97)))
         assert report.tp == 0 and report.fp == 0 and report.fn == 2
         assert report.average_precision == pytest.approx(300.0 / 11.0, abs=1e-9)
         assert report.average_precision_filtered == 0.0
@@ -575,20 +567,20 @@ class TestEvaluate:
     def test_without_ap_frames_filtered_ap_is_none(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 10.0, score=0.9)]
-        report = evaluate(single_frame(gt, det), BEV_CFG)
+        report = evaluate_frames(single_frame(gt, det), BEV_CFG)
         assert report.average_precision == 100.0
         assert report.average_precision_filtered is None
 
     def test_report_json_round_trip(self):
         gt = [make_record(0.0, 5.0), make_record(0.0, 55.0)]
         det = [make_record(0.0, 5.0, score=0.9), make_record(8.0, 70.0, score=0.8)]
-        report = evaluate(single_frame(gt, det), BEV_CFG, ap_frames=single_frame(gt, det))
+        report = evaluate_frames(single_frame(gt, det), BEV_CFG, kept=[True, True])
         payload = json.loads(json.dumps(report.to_dict()))
         assert EvalReport.from_dict(payload) == report
 
     def test_report_round_trip_preserves_none_fields(self):
         gt = [make_record(0.0, 5.0)]
-        report = evaluate(single_frame(gt, [make_record(0.0, 5.0, score=0.9)]), BEV_CFG)
+        report = evaluate_frames(single_frame(gt, [make_record(0.0, 5.0, score=0.9)]), BEV_CFG)
         restored = EvalReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert restored.average_precision_filtered is None
         assert restored == report

@@ -7,7 +7,7 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # threshold_sweep.py's output with its default arguments, captured before
-# the script moved onto threshold.keep and bin_stats.collect_samples.
+# the script moved onto the LabelTable pipeline steps.
 SWEEP_DEFAULT_OUTPUT = textwrap.dedent(
     """\
     fitted model: alpha=-5.93743e-05 beta=-0.00365797 gamma=0.745975 delta=60 k=0.312749

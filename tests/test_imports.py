@@ -12,9 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from adathresh.kitti_io import write_label_file
 from adathresh.threshold import ThresholdModel
-from helpers import make_record
+from helpers import make_record, write_label
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -41,9 +40,9 @@ def loaded_after(code: str) -> set[str]:
 @pytest.fixture
 def data(tmp_path):
     """Ground truth, detections and a model file for every command."""
-    write_label_file(tmp_path / "gt" / "000000.txt", [make_record(0.0, 5.0), make_record(0.0, 25.0)])
+    write_label(tmp_path / "gt" / "000000.txt", [make_record(0.0, 5.0), make_record(0.0, 25.0)])
     # One detection in each of four 10 m bins, means falling 0.1 a bin.
-    write_label_file(
+    write_label(
         tmp_path / "det" / "000000.txt",
         [make_record(0.0, z, score=score) for z, score in ((5.0, 0.9), (15.0, 0.8), (25.0, 0.7), (35.0, 0.6))],
     )
@@ -62,12 +61,20 @@ def test_every_public_name_resolves_and_is_listed():
         "import json, adathresh\n"
         "unlisted = [n for n in adathresh.__all__ if n not in dir(adathresh)]\n"
         "unresolved = [n for n in adathresh.__all__ if not hasattr(adathresh, n)]\n"
-        "print(json.dumps([unlisted, unresolved, len(adathresh.__all__)]))",
+        "print(json.dumps([unlisted, unresolved, adathresh.__all__]))",
     )
     assert proc.returncode == 0, proc.stderr
-    unlisted, unresolved, n_names = json.loads(proc.stdout)
+    unlisted, unresolved, names = json.loads(proc.stdout)
     assert unlisted == [] and unresolved == []
-    assert n_names >= 36  # 35 public names and __version__
+    # Adding or dropping an export is an edit of this list.
+    assert names == [
+        "BinSpec", "BinStats", "Box3D", "DatasetError", "EvalReport", "EvaluationError", "FitError",
+        "FitResult", "KittiIOError", "KittiRecord", "LabelError", "LabelTable", "MatchConfig",
+        "ModelRangeError", "PreFilter", "ScenarioSpec", "ScoreModel", "SingleThreshold", "ThresholdModel",
+        "__version__", "assign_bin", "compare_reports", "compute_bin_stats", "evaluate_tables",
+        "fit_quadratic", "generate", "iou_3d", "iou_bev", "keep_rows", "known_optimal_counts",
+        "load_tables", "parse_label_file", "read_label_table", "table_samples", "trade_off",
+    ]
 
 
 def test_cli_import_loads_no_numpy():
@@ -113,8 +120,8 @@ def test_command_loads_only_what_it_runs(data, command):
 
 
 def test_eval_without_ground_truth_of_the_class_exits_2(tmp_path):
-    write_label_file(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0, class_name="Pedestrian")])
-    write_label_file(tmp_path / "det" / "000000.txt", [make_record(0.0, 10.0, score=0.9)])
+    write_label(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0, class_name="Pedestrian")])
+    write_label(tmp_path / "det" / "000000.txt", [make_record(0.0, 10.0, score=0.9)])
     proc = python(
         "-m", "adathresh.cli", "eval",
         "--gt-dir", str(tmp_path / "gt"),
@@ -139,7 +146,7 @@ def test_fit_with_a_weight_that_overflows_exits_3(data, det):
     # is 0; the other keeps that only for the 5 m bin.
     if det == "one_bin_without_spread":
         scored = ((5.0, 0.9), (15.0, 0.8), (15.0, 0.7), (25.0, 0.7), (25.0, 0.6), (35.0, 0.6), (35.0, 0.5))
-        write_label_file(data / "det" / "000000.txt", [make_record(0.0, z, score=s) for z, s in scored])
+        write_label(data / "det" / "000000.txt", [make_record(0.0, z, score=s) for z, s in scored])
     # With sigma floor 1e-160, 1 / floor^2 overflows to inf; the timeout
     # bounds a least-squares solver that never returns on such a weight.
     proc = python(

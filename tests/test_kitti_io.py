@@ -8,20 +8,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adathresh.kitti_io import (
+    DONT_CARE,
     DatasetError,
-    FramePair,
     KittiRecord,
     LabelFormatError,
     LabelParseError,
     LabelTable,
-    load_dataset,
     load_tables,
     parse_label_file,
     read_label_table,
     serialize_record,
-    serialize_records,
-    write_label_file,
+    write_frames,
 )
+from helpers import Frame, label_text, tables
 
 GT_LINE = (
     "Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
@@ -139,7 +138,7 @@ class TestParse:
 
     def test_dontcare_with_negative_dims_parses(self):
         rec = parse_label_file(DONTCARE_LINE, expect_score=False)[0]
-        assert rec.is_dontcare
+        assert rec.class_name == DONT_CARE
         assert rec.dimensions == (-1.0, -1.0, -1.0)
 
     def test_non_positive_dims_rejected_outside_dontcare(self):
@@ -163,10 +162,6 @@ class TestRecord:
         box = rec.to_box3d()
         assert box.center == (-0.65, 1.71, 46.70)
         assert box.dims == (1.65, 1.67, 3.64)
-
-    def test_frame_pair_requires_id(self):
-        with pytest.raises(ValueError):
-            FramePair("", (), ())
 
 
 def real_token(lo: float, hi: float):
@@ -261,9 +256,26 @@ def records(draw, with_score: bool):
     )
 
 
+def written(directory: Path, records) -> str:
+    """The text write_frames writes for one frame of records."""
+    write_frames(LabelTable.from_records(["000000"], [records], with_score=True), directory)
+    return (directory / "000000.txt").read_bytes().decode("utf-8")
+
+
+def rewritten(records) -> str:
+    """written(records), in a directory of its own."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return written(Path(tmp), records)
+
+
+def same_rows(a: LabelTable, b: LabelTable) -> bool:
+    """Whether two tables hold the same frames, class names and values."""
+    return (a.frame_ids, a.offsets, a.class_names, a.columns) == (b.frame_ids, b.offsets, b.class_names, b.columns)
+
+
 class TestSerialize:
-    def test_empty_list(self):
-        assert serialize_records([]) == ""
+    def test_empty_list(self, tmp_path):
+        assert written(tmp_path, []) == ""
 
     def test_field_counts(self):
         gt = parse_label_file(GT_LINE, expect_score=False)[0]
@@ -273,7 +285,7 @@ class TestSerialize:
 
     def test_lf_line_endings(self):
         gt = parse_label_file(GT_LINE, expect_score=False)
-        text = serialize_records(gt * 2)
+        text = rewritten(gt * 2)
         assert "\r" not in text
         assert text.endswith("\n")
 
@@ -281,14 +293,14 @@ class TestSerialize:
     def test_round_trip_stabilizes_after_one_pass(self, recs):
         # First serialization rounds to 6 decimals; after that the text
         # and values are fixed points of parse/serialize.
-        once = parse_label_file(serialize_records(recs), expect_score=True)
-        twice = parse_label_file(serialize_records(once), expect_score=True)
+        once = parse_label_file(rewritten(recs), expect_score=True)
+        twice = parse_label_file(rewritten(once), expect_score=True)
         assert twice == once
-        assert serialize_records(twice) == serialize_records(once)
+        assert rewritten(twice) == rewritten(once)
 
     @given(st.lists(records(with_score=True), max_size=8))
     def test_round_trip_values_within_format_precision(self, recs):
-        parsed = parse_label_file(serialize_records(recs), expect_score=True)
+        parsed = parse_label_file(rewritten(recs), expect_score=True)
         assert len(parsed) == len(recs)
         for before, after in zip(recs, parsed):
             assert after.class_name == before.class_name
@@ -299,7 +311,7 @@ class TestSerialize:
 
     def test_order_preserved(self):
         recs = parse_label_file(f"{GT_LINE}\n{DONTCARE_LINE}", expect_score=False)
-        lines = serialize_records(recs).splitlines()
+        lines = rewritten(recs).splitlines()
         assert lines[0].startswith("Car ")
         assert lines[1].startswith("DontCare ")
 
@@ -314,73 +326,84 @@ class TestDataset:
     def test_matching_pairs(self, tmp_path):
         self._write(tmp_path, "gt/000000.txt", GT_LINE + "\n")
         self._write(tmp_path, "det/000000.txt", DET_LINE + "\n")
-        frames = load_dataset(tmp_path / "gt", tmp_path / "det")
-        assert len(frames) == 1
-        assert frames[0].frame_id == "000000"
-        assert len(frames[0].ground_truth) == 1
-        assert len(frames[0].detections) == 1
+        gt, det = load_tables(tmp_path / "gt", tmp_path / "det")
+        assert gt.frame_ids == det.frame_ids == ["000000"]
+        assert len(gt) == 1
+        assert len(det) == 1
 
     def test_gt_without_det_gets_empty_detections(self, tmp_path):
         self._write(tmp_path, "gt/000000.txt", GT_LINE + "\n")
         (tmp_path / "det").mkdir()
-        frames = load_dataset(tmp_path / "gt", tmp_path / "det")
-        assert frames[0].detections == ()
+        _, det = load_tables(tmp_path / "gt", tmp_path / "det")
+        assert (det.frame_ids, det.files, det.offsets) == (["000000"], [None], [0, 0])
 
     def test_orphan_detection_is_error_naming_frame(self, tmp_path):
         (tmp_path / "gt").mkdir()
         self._write(tmp_path, "det/000042.txt", DET_LINE + "\n")
         with pytest.raises(DatasetError, match="000042"):
-            load_dataset(tmp_path / "gt", tmp_path / "det")
+            load_tables(tmp_path / "gt", tmp_path / "det")
 
     def test_missing_directories(self, tmp_path):
         (tmp_path / "gt").mkdir()
         with pytest.raises(DatasetError):
-            load_dataset(tmp_path / "nope", tmp_path / "gt")
+            load_tables(tmp_path / "nope", tmp_path / "gt")
         with pytest.raises(DatasetError):
-            load_dataset(tmp_path / "gt", tmp_path / "nope")
+            load_tables(tmp_path / "gt", tmp_path / "nope")
 
     def test_sorted_by_frame_id(self, tmp_path):
         for frame in ("000002", "000000", "000001"):
             self._write(tmp_path, f"gt/{frame}.txt", GT_LINE + "\n")
             self._write(tmp_path, f"det/{frame}.txt", DET_LINE + "\n")
-        frames = load_dataset(tmp_path / "gt", tmp_path / "det")
-        assert [f.frame_id for f in frames] == ["000000", "000001", "000002"]
+        gt, det = load_tables(tmp_path / "gt", tmp_path / "det")
+        assert gt.frame_ids == det.frame_ids == ["000000", "000001", "000002"]
 
     def test_frame_ids_are_the_stems_glob_lists(self, tmp_path):
         for name in ("a.txt", ".b.txt", "c.TXT", "d.txt.tmp", ".txt"):
             self._write(tmp_path, f"gt/{name}", GT_LINE + "\n")
         (tmp_path / "det").mkdir()
-        frames = load_dataset(tmp_path / "gt", tmp_path / "det")
-        ids = [frame.frame_id for frame in frames]
+        gt, _ = load_tables(tmp_path / "gt", tmp_path / "det")
+        ids = gt.frame_ids
         assert ids == sorted(p.stem for p in (tmp_path / "gt").glob("*.txt"))
         assert ids == [".b", ".txt", "a"]
-        assert all(frame.ground_truth == (constructed(GT_LINE),) for frame in frames)
+        assert same_rows(gt, tables([Frame(i, [constructed(GT_LINE)]) for i in ids])[0])
 
     def test_parse_error_names_file(self, tmp_path):
         self._write(tmp_path, "gt/000000.txt", "Car 1 2\n")
         (tmp_path / "det").mkdir()
         with pytest.raises(LabelParseError) as exc:
-            load_dataset(tmp_path / "gt", tmp_path / "det")
+            load_tables(tmp_path / "gt", tmp_path / "det")
         assert "000000.txt" in str(exc.value)
 
 
 class TestWriteLabelFile:
+    """write_frames: one label file per frame of a table."""
+
     def test_writes_parseable_file(self, tmp_path):
         records = parse_label_file(DET_LINE, expect_score=True)
-        target = tmp_path / "out" / "000000.txt"
-        write_label_file(target, records)
-        assert parse_label_file(target.read_text(), expect_score=True) == records
+        assert parse_label_file(written(tmp_path / "out", records), expect_score=True) == records
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        write_label_file(tmp_path / "a.txt", parse_label_file(GT_LINE, expect_score=False))
-        leftovers = [p for p in tmp_path.iterdir() if p.name != "a.txt"]
+        written(tmp_path, parse_label_file(GT_LINE, expect_score=False))
+        leftovers = [p for p in tmp_path.iterdir() if p.name != "000000.txt"]
         assert leftovers == []
 
     def test_overwrites_atomically(self, tmp_path):
-        target = tmp_path / "a.txt"
-        write_label_file(target, parse_label_file(GT_LINE, expect_score=False))
-        write_label_file(target, [])
-        assert target.read_text() == ""
+        written(tmp_path, parse_label_file(GT_LINE, expect_score=False))
+        assert written(tmp_path, []) == ""
+
+    def test_writes_the_flagged_lines_of_every_frame(self, tmp_path):
+        det = parse_label_file(DET_LINE, expect_score=True)[0]
+        _, table = tables([Frame("a", (), [det, det]), Frame("b"), Frame("c", (), [det])])
+        write_frames(table, tmp_path / "all")
+        write_frames(table, tmp_path / "kept", [False, True, False])
+        assert {p.name: p.read_text() for p in (tmp_path / "all").iterdir()} == {
+            "a.txt": label_text([det, det]), "b.txt": "", "c.txt": label_text([det])
+        }
+        assert {p.name: p.read_text() for p in (tmp_path / "kept").iterdir()} == {
+            "a.txt": label_text([det]), "b.txt": "", "c.txt": ""
+        }
+        write_frames(tables([])[0], tmp_path / "none")
+        assert (tmp_path / "none").is_dir() and not any((tmp_path / "none").iterdir())
 
 
 @st.composite
@@ -409,23 +432,23 @@ class TestLabelTable:
     """The bulk reader against parse_label_file, file by file."""
 
     @given(label_dirs())
-    def test_load_dataset_equals_per_file_parse(self, files):
+    def test_load_tables_equals_per_file_parse(self, files):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             _write_tree(root, files)
-            frames = load_dataset(root / "gt", root / "det")
             gt_table, det_table = load_tables(root / "gt", root / "det")
             det_dir_table = read_label_table(root / "det", "detection", expect_score=True)
         stems = sorted(name[3:-4] for name in files if name.startswith("gt/"))
         expected = [
-            FramePair(
+            Frame(
                 stem,
                 parse_label_file(files[f"gt/{stem}.txt"], expect_score=False),
                 parse_label_file(files.get(f"det/{stem}.txt", ""), expect_score=True),
             )
             for stem in stems
         ]
-        assert frames == expected
+        expected_gt, expected_det = tables(expected)
+        assert same_rows(gt_table, expected_gt) and same_rows(det_table, expected_det)
         assert gt_table.frame_ids == det_table.frame_ids == stems
         # Each row keeps its line as read, without the line break.
         det_texts = [files[f"det/{stem}.txt"] for stem in stems if f"det/{stem}.txt" in files]
@@ -433,19 +456,22 @@ class TestLabelTable:
             line for text in det_texts for line in text.splitlines() if line.split()
         ]
 
-    def test_from_frames_round_trips_records(self):
-        frame = FramePair("000000", tuple(parse_label_file(f"{GT_LINE}\n{DONTCARE_LINE}", False)),
-                          tuple(parse_label_file(DET_LINE, True)))
-        gt, det = LabelTable.from_frames([frame])
-        assert (gt.records(), det.records()) == (list(frame.ground_truth), list(frame.detections))
-        assert det.lines == [serialize_record(frame.detections[0])]
+    def test_from_records_round_trips_records(self, tmp_path):
+        frame = Frame("000000", parse_label_file(f"{GT_LINE}\n{DONTCARE_LINE}", False), parse_label_file(DET_LINE, True))
+        gt, det = tables([frame])
+        assert (gt.files, det.lines) == (["000000.txt"], [serialize_record(frame.detections[0])])
+        write_frames(gt, tmp_path / "gt")
+        write_frames(det, tmp_path / "det")
+        assert same_rows(load_tables(tmp_path / "gt", tmp_path / "det")[0], gt)
+        records = [parse_label_file((tmp_path / name / "000000.txt").read_text(), name == "det") for name in ("gt", "det")]
+        assert records == [frame.ground_truth, frame.detections]
 
     def test_field_counts_are_checked_per_line(self, tmp_path):
         # 17 + 15 fields make two 16-field lines' worth of tokens.
         tokens = DET_LINE.split()
         _write_tree(tmp_path, {"gt/000000.txt": GT_LINE, "det/000000.txt": " ".join(tokens + ["0.5"]) + "\n" + GT_LINE})
         for read in (
-            lambda: load_dataset(tmp_path / "gt", tmp_path / "det"),
+            lambda: load_tables(tmp_path / "gt", tmp_path / "det"),
             lambda: read_label_table(tmp_path / "det", "detection", expect_score=True),
         ):
             with pytest.raises(LabelParseError) as exc:
@@ -458,9 +484,9 @@ class TestLabelTable:
     def test_numeric_class_token_is_a_class_name(self, tmp_path, class_name):
         line = DET_LINE.replace("Car", class_name, 1)
         _write_tree(tmp_path, {"gt/000000.txt": GT_LINE, "det/000000.txt": line})
-        frames = load_dataset(tmp_path / "gt", tmp_path / "det")
-        assert frames[0].detections == tuple(parse_label_file(line, expect_score=True))
-        assert frames[0].detections[0].class_name == class_name
+        _, det = load_tables(tmp_path / "gt", tmp_path / "det")
+        assert same_rows(det, tables([Frame("000000", (), parse_label_file(line, expect_score=True))])[1])
+        assert det.class_names == [class_name]
 
     BAD_LINE = GT_LINE.replace("46.70", "oops")
     BAD_DET = DET_LINE.replace("587.01 173.33 614.12", "614.12 173.33 587.01")
@@ -487,7 +513,7 @@ class TestLabelTable:
         for name in directories:
             (tmp_path / name).mkdir()
         with pytest.raises(error) as exc:
-            load_dataset(tmp_path / "gt", tmp_path / "det")
+            load_tables(tmp_path / "gt", tmp_path / "det")
         assert str(tmp_path / path) in str(exc.value)
         if line_no is not None:
             assert (exc.value.line_no, exc.value.path) == (line_no, str(tmp_path / path))

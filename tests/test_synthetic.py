@@ -6,9 +6,9 @@ import math
 import pytest
 
 from adathresh.bin_stats import compute_bin_stats
-from adathresh.evaluation import MatchConfig, evaluate
-from adathresh.geometry import iou_bev
-from adathresh.kitti_io import FramePair, serialize_records
+from adathresh.evaluation import MatchConfig, evaluate_tables
+from adathresh.geometry import Box3D, iou_bev
+from adathresh.kitti_io import MissingScoreError
 from adathresh.synthetic import (
     MIN_SEPARATION,
     ScenarioSpec,
@@ -16,9 +16,8 @@ from adathresh.synthetic import (
     generate,
     generate_with_truth,
     known_optimal_counts,
-    scenario_totals,
 )
-from adathresh.threshold import ThresholdModel, keep
+from adathresh.threshold import ThresholdModel, keep_rows
 
 BASE_MODEL = ScoreModel(a=-0.00004, b=-0.0075, c=0.92, noise_std=(0.02,) * 6)
 
@@ -94,13 +93,27 @@ class TestScenarioSpec:
             small_spec(score_model=ScoreModel(a=0.0, b=0.0, c=0.5, noise_std=(0.02,) * 4))
 
 
-def dataset_text(frames):
-    parts = []
-    for frame in frames:
-        parts.append(frame.frame_id)
-        parts.append(serialize_records(list(frame.ground_truth)))
-        parts.append(serialize_records(list(frame.detections)))
-    return "\n".join(parts)
+def dataset_text(tables):
+    """The frame ids, frame offsets and label lines of a (gt, det) table pair."""
+    gt, det = tables
+    return repr((gt.frame_ids, gt.files, gt.offsets, gt.lines, det.files, det.offsets, det.lines))
+
+
+def by_frame(table, values):
+    """values, one per row of table, split into the table's frames."""
+    return [values[start:stop] for start, stop in zip(table.offsets, table.offsets[1:])]
+
+
+def boxes(table):
+    """Each row's box, as KittiRecord.to_box3d builds it."""
+    names = ("x", "y", "z", "height", "width", "length", "rotation_y")
+    rows = zip(*(table.column(name) for name in names))
+    return [Box3D(center=(x, y, z), dims=(h, w, l), yaw=yaw) for x, y, z, h, w, l, yaw in rows]
+
+
+def ground_points(table):
+    """Each row's (x, z)."""
+    return list(zip(table.column("x"), table.column("z")))
 
 
 class TestDeterminism:
@@ -114,73 +127,75 @@ class TestDeterminism:
         assert a != b
 
     def test_golden_first_frame(self):
-        frames, truths = generate_with_truth(small_spec())
-        assert serialize_records(list(frames[0].ground_truth)) == GOLDEN_FRAME0_GT
-        assert serialize_records(list(frames[0].detections)) == GOLDEN_FRAME0_DET
-        assert truths[0] == ("tp", "tp", "tp", "fp")
-        assert scenario_totals(frames) == (11, 16)
+        gt, det, kinds = generate_with_truth(small_spec())
+        assert "".join(line + "\n" for line in by_frame(gt, gt.lines)[0]) == GOLDEN_FRAME0_GT
+        assert "".join(line + "\n" for line in by_frame(det, det.lines)[0]) == GOLDEN_FRAME0_DET
+        assert by_frame(det, kinds)[0] == ["tp", "tp", "tp", "fp"]
+        assert (len(gt), len(det)) == (11, 16)
 
 
 class TestGeneratedRecords:
     def setup_method(self):
         self.spec = small_spec(seed=99, n_frames=50)
-        self.frames, self.truths = generate_with_truth(self.spec)
+        self.gt, self.det, self.kinds = generate_with_truth(self.spec)
 
     def test_frame_ids_sequential(self):
-        assert [f.frame_id for f in self.frames] == [f"{i:06d}" for i in range(50)]
+        assert self.gt.frame_ids == self.det.frame_ids == [f"{i:06d}" for i in range(50)]
+        assert self.det.files == [f"{i:06d}.txt" for i in range(50)]
 
     def test_ground_truth_has_no_scores(self):
-        assert all(r.score is None for f in self.frames for r in f.ground_truth)
+        with pytest.raises(MissingScoreError):
+            self.gt.scores()
+        assert all(len(line.split()) == 15 for line in self.gt.lines)
 
     def test_detections_all_scored_in_range(self):
-        scores = [r.score for f in self.frames for r in f.detections]
+        scores = self.det.scores()
         assert scores and all(0.0 <= s <= 1.0 for s in scores)
 
     def test_all_records_are_cars(self):
-        records = [r for f in self.frames for r in (*f.ground_truth, *f.detections)]
-        assert all(r.class_name == "Car" for r in records)
+        assert set(self.gt.class_names + self.det.class_names) == {"Car"}
 
     def test_object_count_bounded(self):
-        for frame in self.frames:
-            assert len(frame.ground_truth) <= self.spec.objects_per_frame[1]
+        for objects in by_frame(self.gt, self.gt.lines):
+            assert len(objects) <= self.spec.objects_per_frame[1]
 
     def test_truth_labels_align_with_detections(self):
-        for frame, kinds in zip(self.frames, self.truths):
-            assert len(kinds) == len(frame.detections)
-            assert set(kinds) <= {"tp", "fp"}
+        assert len(self.kinds) == len(self.det)
+        assert set(self.kinds) <= {"tp", "fp"}
 
     def test_minimum_separation_between_objects(self):
-        for frame, kinds in zip(self.frames, self.truths):
-            points = [(r.location[0], r.location[2]) for r in frame.ground_truth]
-            points += [
-                (r.location[0], r.location[2])
-                for r, kind in zip(frame.detections, kinds)
-                if kind == "fp"
-            ]
+        for gt_points, det_points, kinds in zip(
+            by_frame(self.gt, ground_points(self.gt)),
+            by_frame(self.det, ground_points(self.det)),
+            by_frame(self.det, self.kinds),
+        ):
+            points = gt_points + [point for point, kind in zip(det_points, kinds) if kind == "fp"]
             for i in range(len(points)):
                 for j in range(i + 1, len(points)):
                     dx = points[i][0] - points[j][0]
                     dz = points[i][1] - points[j][1]
                     assert math.hypot(dx, dz) >= MIN_SEPARATION
 
+    def frame_boxes(self):
+        """(ground-truth boxes, detection boxes, detection kinds) of each frame."""
+        return zip(by_frame(self.gt, boxes(self.gt)), by_frame(self.det, boxes(self.det)), by_frame(self.det, self.kinds))
+
     def test_true_detections_overlap_only_their_object(self):
-        for frame, kinds in zip(self.frames, self.truths):
-            gt_boxes = [r.to_box3d() for r in frame.ground_truth]
-            for record, kind in zip(frame.detections, kinds):
+        for gt_boxes, det_boxes, kinds in self.frame_boxes():
+            for box, kind in zip(det_boxes, kinds):
                 if kind != "tp":
                     continue
-                ious = [iou_bev(record.to_box3d(), g) for g in gt_boxes]
+                ious = [iou_bev(box, g) for g in gt_boxes]
                 best = max(range(len(ious)), key=ious.__getitem__)
                 assert ious[best] >= 0.7
                 assert all(v == 0.0 for i, v in enumerate(ious) if i != best)
 
     def test_false_positives_overlap_nothing(self):
-        for frame, kinds in zip(self.frames, self.truths):
-            gt_boxes = [r.to_box3d() for r in frame.ground_truth]
-            for record, kind in zip(frame.detections, kinds):
+        for gt_boxes, det_boxes, kinds in self.frame_boxes():
+            for box, kind in zip(det_boxes, kinds):
                 if kind != "fp":
                     continue
-                assert all(iou_bev(record.to_box3d(), g) == 0.0 for g in gt_boxes)
+                assert all(iou_bev(box, g) == 0.0 for g in gt_boxes)
 
 
 class TestNoiselessScores:
@@ -190,25 +205,23 @@ class TestNoiselessScores:
             n_frames=20,
             score_model=ScoreModel(a=-0.00004, b=-0.0075, c=0.92, noise_std=(0.0,) * 6),
         )
-        frames, truths = generate_with_truth(spec)
+        _, det, kinds = generate_with_truth(spec)
         checked = 0
-        for frame, kinds in zip(frames, truths):
-            for record, kind in zip(frame.detections, kinds):
-                if kind == "tp":
-                    assert record.score == spec.score_model.mean_at(record.ego_distance())
-                    checked += 1
+        for distance, score, kind in zip(det.distances(), det.scores(), kinds):
+            if kind == "tp":
+                assert score == spec.score_model.mean_at(distance)
+                checked += 1
         assert checked > 0
 
     def test_false_positive_scores_below_local_mean(self):
         spec = small_spec(seed=6, n_frames=40, fp_rate_per_bin=(0.8,) * 6)
-        frames, truths = generate_with_truth(spec)
+        _, det, kinds = generate_with_truth(spec)
         checked = 0
-        for frame, kinds in zip(frames, truths):
-            for record, kind in zip(frame.detections, kinds):
-                if kind == "fp":
-                    local = min(max(spec.score_model.mean_at(record.ego_distance()), 0.0), 1.0)
-                    assert 0.45 * local - 1e-9 <= record.score <= 0.85 * local + 1e-9
-                    checked += 1
+        for distance, score, kind in zip(det.distances(), det.scores(), kinds):
+            if kind == "fp":
+                local = min(max(spec.score_model.mean_at(distance), 0.0), 1.0)
+                assert 0.45 * local - 1e-9 <= score <= 0.85 * local + 1e-9
+                checked += 1
         assert checked > 0
 
 
@@ -219,7 +232,7 @@ class TestKnownOptimalCounts:
         spec = small_spec(
             seed=3, n_frames=20, fp_rate_per_bin=(0.0,) * 6, fn_rate_per_bin=(0.0,) * 6
         )
-        total_gt, total_det = scenario_totals(generate(spec))
+        total_gt, total_det = map(len, generate(spec))
         assert total_gt == total_det
         assert known_optimal_counts(spec, self.KEEP_ALL) == (total_gt, 0, 0)
 
@@ -227,7 +240,7 @@ class TestKnownOptimalCounts:
         spec = small_spec(
             seed=4, n_frames=20, objects_per_frame=(0, 0), fp_rate_per_bin=(0.9,) * 6
         )
-        _, total_det = scenario_totals(generate(spec))
+        total_det = len(generate(spec)[1])
         assert total_det > 0
         assert known_optimal_counts(spec, self.KEEP_ALL) == (0, total_det, 0)
 
@@ -235,7 +248,7 @@ class TestKnownOptimalCounts:
         spec = small_spec(
             seed=8, n_frames=30, fp_rate_per_bin=(0.0,) * 6, fn_rate_per_bin=(0.5,) * 6
         )
-        total_gt, total_det = scenario_totals(generate(spec))
+        total_gt, total_det = map(len, generate(spec))
         assert total_det < total_gt
         assert known_optimal_counts(spec, self.KEEP_ALL) == (
             total_det,
@@ -246,19 +259,15 @@ class TestKnownOptimalCounts:
     def test_agrees_with_full_evaluation(self):
         spec = small_spec(seed=12, n_frames=100, objects_per_frame=(2, 5))
         model = ThresholdModel(alpha=-0.0001, beta=-0.004, gamma=0.75, delta=60.0, k=0.35)
-        frames = generate(spec)
-        filtered = [
-            FramePair(f.frame_id, f.ground_truth, tuple(keep(f.detections, model)))
-            for f in frames
-        ]
-        report = evaluate(filtered, MatchConfig(iou_kind="bev", iou_threshold=0.7))
+        gt, det = generate(spec)
+        report = evaluate_tables(gt, det, MatchConfig(iou_kind="bev", iou_threshold=0.7), kept=keep_rows(det, model))
         assert known_optimal_counts(spec, model) == (report.tp, report.fp, report.fn)
 
     def test_clean_scenario_evaluates_perfectly(self):
         spec = small_spec(
             seed=13, n_frames=25, fp_rate_per_bin=(0.0,) * 6, fn_rate_per_bin=(0.0,) * 6
         )
-        report = evaluate(generate(spec), MatchConfig(iou_kind="bev", iou_threshold=0.7))
+        report = evaluate_tables(*generate(spec), MatchConfig(iou_kind="bev", iou_threshold=0.7))
         assert (report.recall, report.precision, report.trade_off) == (1.0, 1.0, 0.0)
         assert report.average_precision == 100.0
 
@@ -276,11 +285,9 @@ class TestScoreDistribution:
             fp_rate_per_bin=(0.0,) * 6,
             fn_rate_per_bin=(0.0,) * 6,
         )
-        frames = generate(spec)
+        _, det = generate(spec)
         bin_spec = spec.bin_spec
-        samples = [
-            (r.ego_distance(), r.score) for f in frames for r in f.detections
-        ]
+        samples = list(zip(det.distances(), det.scores()))
         stats = compute_bin_stats(samples, bin_spec)
         model_sums = [0.0] * bin_spec.n_bins
         counts = [0] * bin_spec.n_bins
@@ -295,11 +302,3 @@ class TestScoreDistribution:
             assert row.count >= 500, "scenario too sparse for the tolerance below"
             expected = model_sums[row.bin_index] / row.count
             assert abs(row.mean - expected) <= 4.0 * sigma / math.sqrt(row.count)
-
-
-class TestScenarioTotals:
-    def test_totals_are_simple_sums(self):
-        frames = generate(small_spec())
-        total_gt, total_det = scenario_totals(frames)
-        assert total_gt == sum(len(f.ground_truth) for f in frames)
-        assert total_det == sum(len(f.detections) for f in frames)

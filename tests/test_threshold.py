@@ -1,6 +1,8 @@
 """Piecewise threshold model: evaluation, filtering, and fitting."""
 
 import math
+from itertools import compress
+from operator import le
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from adathresh.threshold import (
     SingleThreshold,
     ThresholdModel,
     fit_quadratic,
-    keep,
+    keep_rows,
 )
-from helpers import exact_quadratic_fit, make_record
+from helpers import detections, exact_quadratic_fit, make_record
 
 # The tuned reference parameterization used throughout the docs.
 REFERENCE = ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6)
@@ -136,24 +138,24 @@ class TestKeepBoundaries:
     def test_score_equal_to_the_threshold_is_kept(self, schedule, distance):
         t = schedule.threshold_at(distance)
         at, below = make_record(0.0, distance, score=t), make_record(0.0, distance, score=t - 1e-9)
-        assert keep([at, below], schedule) == [at]
+        assert keep_rows(detections([at, below]), schedule) == [True, False]
 
     def test_model_uses_the_quadratic_at_delta_and_k_beyond(self):
         # q(60) is 0.2448 and k is 0.6: a 0.3 score passes at delta only.
         at_delta = make_record(0.0, 60.0, score=0.3)
         beyond = make_record(0.0, 60.001, score=0.3)
-        assert keep([at_delta, beyond], REFERENCE) == [at_delta]
-        assert keep([make_record(0.0, 60.001, score=0.6)], REFERENCE) != []
+        assert keep_rows(detections([at_delta, beyond]), REFERENCE) == [True, False]
+        assert keep_rows(detections([make_record(0.0, 60.001, score=0.6)]), REFERENCE) == [True]
 
     def test_single_zero_drops_a_negative_score(self):
         # 'none' has no schedule and keeps it (test_cli).
-        assert keep([make_record(0.0, 10.0, score=-0.25)], SingleThreshold(0.0)) == []
+        assert keep_rows(detections([make_record(0.0, 10.0, score=-0.25)]), SingleThreshold(0.0)) == [False]
 
 
 class TestApplySingle:
     def test_zero_keeps_all(self):
         recs = det_records([(5.0, 0.1), (50.0, 0.9)])
-        assert keep(recs, SingleThreshold(0.0)) == recs
+        assert keep_rows(detections(recs), SingleThreshold(0.0)) == [True, True]
 
     def test_out_of_range_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -163,49 +165,50 @@ class TestApplySingle:
 
     def test_keeps_on_equality(self):
         recs = det_records([(5.0, 0.3), (5.0, 0.5), (5.0, 0.7)])
-        kept = keep(recs, SingleThreshold(0.5))
+        kept = compress(recs, keep_rows(detections(recs), SingleThreshold(0.5)))
         assert [r.score for r in kept] == [0.5, 0.7]
 
     def test_missing_score_raises(self):
         with pytest.raises(MissingScoreError):
-            keep([make_record(0.0, 5.0)], SingleThreshold(0.5))
+            keep_rows(detections([make_record(0.0, 5.0)]), SingleThreshold(0.5))
 
 
 class TestApplyAdaptive:
     def test_drops_score_below_near_threshold(self):
         # Threshold at d = 5 is 0.6518; a 0.65 score goes.
         rec = make_record(0.0, 5.0, score=0.65)
-        assert keep([rec], REFERENCE) == []
+        assert keep_rows(detections([rec]), REFERENCE) == [False]
 
     def test_keeps_score_above_far_threshold(self):
         # Threshold at d = 40 is about 0.4068; a 0.45 score stays.
         rec = make_record(0.0, 40.0, score=0.45)
-        assert keep([rec], REFERENCE) == [rec]
+        assert keep_rows(detections([rec]), REFERENCE) == [True]
 
     def test_empty_input(self):
-        assert keep([], REFERENCE) == []
+        assert keep_rows(detections([]), REFERENCE) == []
 
     def test_missing_score_raises(self):
         with pytest.raises(MissingScoreError):
-            keep([make_record(0.0, 5.0)], REFERENCE)
+            keep_rows(detections([make_record(0.0, 5.0)]), REFERENCE)
 
     def test_order_preserved(self):
         recs = det_records([(40.0, 0.9), (40.0, 0.5), (40.0, 0.8)])
-        assert [r.score for r in keep(recs, REFERENCE)] == [0.9, 0.5, 0.8]
+        assert [r.score for r in compress(recs, keep_rows(detections(recs), REFERENCE))] == [0.9, 0.5, 0.8]
 
     @given(record_lists(), scores)
     def test_reduces_to_single_threshold(self, records, t):
         flat = ThresholdModel(alpha=0.0, beta=0.0, gamma=t, k=t)
-        assert keep(records, flat) == keep(records, SingleThreshold(t))
+        table = detections(records)
+        assert keep_rows(table, flat) == keep_rows(table, SingleThreshold(t))
 
     @given(record_lists(), threshold_models())
     def test_idempotent(self, records, model):
-        once = keep(records, model)
-        assert keep(once, model) == once
+        once = list(compress(records, keep_rows(detections(records), model)))
+        assert all(keep_rows(detections(once), model))
 
     @given(record_lists(), threshold_models())
     def test_survivors_is_order_preserving_subsequence(self, records, model):
-        kept = keep(records, model)
+        kept = list(compress(records, keep_rows(detections(records), model)))
         it = iter(records)
         assert all(any(r is k for r in it) for k in kept)
 
@@ -213,9 +216,8 @@ class TestApplyAdaptive:
     def test_raising_the_curve_never_adds_survivors(self, records, gamma, lift):
         low = ThresholdModel(alpha=0.0, beta=0.0, gamma=gamma, k=gamma)
         high = ThresholdModel(alpha=0.0, beta=0.0, gamma=gamma + lift, k=gamma + lift)
-        low_ids = {id(r) for r in keep(records, low)}
-        high_ids = {id(r) for r in keep(records, high)}
-        assert high_ids <= low_ids
+        table = detections(records)
+        assert all(map(le, keep_rows(table, high), keep_rows(table, low)))
 
 
 def make_stats(means, stds=None, counts=None, first_bin=0):
