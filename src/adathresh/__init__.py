@@ -33,11 +33,9 @@ _EXPORTS = {
     "iou_bev": "geometry",
     "DatasetError": "kitti_io",
     "KittiIOError": "kitti_io",
-    "KittiRecord": "kitti_io",
     "LabelError": "kitti_io",
     "LabelTable": "kitti_io",
     "load_tables": "kitti_io",
-    "parse_label_file": "kitti_io",
     "read_label_table": "kitti_io",
     "ScenarioSpec": "synthetic",
     "ScoreModel": "synthetic",

@@ -30,8 +30,9 @@ def ground_distance(x: float, z: float) -> float:
 class JsonCodec:
     """to_dict/from_dict for a dataclass that is written to and read from JSON.
 
-    from_dict coerces each value by its field's annotation: float and int
-    with float() and int(), X | None keeps None, tuple[T, ...] and
+    from_dict coerces each value by its field's annotation: float with
+    float(), int from a JSON integer or an integral float (anything else,
+    a boolean included, is a ValueError), X | None keeps None, tuple[T, ...] and
     tuple[T, U] element by element, and a nested dataclass through its
     own from_dict; a str passes through unchanged. Keys that name no
     field are ignored. A key may be missing only when its field defaults
@@ -73,7 +74,17 @@ def _decode(hint, value):
         return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
     if is_dataclass(hint):
         return hint.from_dict(value)
-    return hint(value) if hint in (float, int) else value
+    if hint is int:
+        return _integer(value)
+    return float(value) if hint is float else value
+
+
+def _integer(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

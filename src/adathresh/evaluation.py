@@ -140,7 +140,7 @@ def _greedy(
 
 
 def _box_rows(table: LabelTable, rows: list[int]) -> list[tuple[float, ...]]:
-    """The rows' boxes (KittiRecord.to_box3d) as pair_iou rows."""
+    """The rows' boxes as pair_iou rows: center, dims and yaw, as geometry.Box3D takes them."""
     names = ("x", "y", "z", "height", "width", "length", "rotation_y")
     return list(zip(*(map(table.column(name).__getitem__, rows) for name in names)))
 

@@ -19,17 +19,16 @@ One object per line, whitespace-separated fields:
 Ground-truth files carry 15 columns, detection files 16. Any run of
 spaces or tabs separates fields; LF and CRLF inputs both parse, output
 always uses LF. Only structural invariants are enforced (field count,
-numeric fields, positive dimensions outside DontCare, bbox ordering);
-value ranges such as truncation in [0, 1] are the producer's business.
+finite numeric fields, an occlusion level, positive dimensions outside
+DontCare, bbox ordering); value ranges such as truncation in [0, 1] are
+the producer's business.
 
-parse_label_file reads one file into KittiRecords and is the reference
-for every rule above. read_label_table and load_tables read whole
-directories into a LabelTable, one row per line held by column, without
-building records: each check runs once over all rows, and when any
-fails the files are parsed again one by one, so the error raised is
-the one parse_label_file raises for the first bad file.
-LabelTable.from_records builds a table from records, and write_frames
-writes a table's frames back to files.
+read_label_table and load_tables read whole directories into a
+LabelTable, one row per line held by column. Every table, synthetic
+ones included, is built from label lines by one function, which runs
+each check once over all rows; when any fails, the files are checked
+again line by line, so the error raised names the first bad file and
+line. write_frames writes a table's frames back to files.
 """
 
 from __future__ import annotations
@@ -40,21 +39,17 @@ import sys
 import tempfile
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 from operator import lt
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from .bin_stats import ground_distance
-
-if TYPE_CHECKING:
-    from .geometry import Box3D
 
 DONT_CARE = "DontCare"
 
 _GT_FIELDS = 15
 _DET_FIELDS = 16
-_OCCLUSION_LEVELS = (-1, 0, 1, 2, 3)
 
 
 class KittiIOError(Exception):
@@ -92,37 +87,7 @@ class DatasetError(KittiIOError):
 
 
 class MissingScoreError(KittiIOError):
-    """A record without a score was used where a score is required."""
-
-
-@dataclass(frozen=True)
-class KittiRecord:
-    """One labeled object. ``score`` is None for ground-truth records."""
-
-    class_name: str
-    truncated: float
-    occluded: int
-    alpha: float
-    bbox_2d: tuple[float, float, float, float]
-    dimensions: tuple[float, float, float]
-    location: tuple[float, float, float]
-    rotation_y: float
-    score: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bbox_2d", tuple(map(float, self.bbox_2d)))
-        object.__setattr__(self, "dimensions", tuple(map(float, self.dimensions)))
-        object.__setattr__(self, "location", tuple(map(float, self.location)))
-
-    def ego_distance(self) -> float:
-        """Ground-plane distance from the ego vehicle, sqrt(x^2 + z^2)."""
-        return ground_distance(self.location[0], self.location[2])
-
-    def to_box3d(self) -> Box3D:
-        """Oriented box for this record. Fails for DontCare rows (dims <= 0)."""
-        from .geometry import Box3D  # on use: stats, fit and filter never build boxes
-
-        return Box3D(center=self.location, dims=self.dimensions, yaw=self.rotation_y)
+    """A ground-truth table was used where scores are required."""
 
 
 # The reals of a label line, in file order: every field after the class
@@ -132,7 +97,7 @@ COLUMNS = (
     "height", "width", "length", "x", "y", "z", "rotation_y", "score",
 )
 _COLUMN = {name: index for index, name in enumerate(COLUMNS)}
-_OCCLUSION_VALUES = frozenset(map(float, _OCCLUSION_LEVELS))
+_OCCLUSION_VALUES = frozenset((-1.0, 0.0, 1.0, 2.0, 3.0))
 _CHUNK_LINES = 256  # lines split at once by the bulk reader
 
 
@@ -142,9 +107,8 @@ class LabelTable:
 
     Frame i owns rows offsets[i] to offsets[i + 1]; files[i] is the name
     of the file it was read from (None for a frame without one), or
-    <frame_id>.txt in a table built from records. columns
-    holds one array('d') per name in COLUMNS, the score only in a
-    detection table, where NaN marks a record without a score. lines
+    <frame_id>.txt in a synthetic table. columns holds one array('d')
+    per name in COLUMNS, the score only in a detection table. lines
     holds each row's line as read, without its line break.
     """
 
@@ -166,129 +130,10 @@ class LabelTable:
         return list(map(ground_distance, self.column("x"), self.column("z")))
 
     def scores(self) -> array:
-        """The score column; MissingScoreError when a row has no score."""
-        if len(self.columns) < len(COLUMNS) or any(map(math.isnan, self.columns[-1])):
-            raise MissingScoreError("detection record has no score")
+        """The score column; MissingScoreError for a ground-truth table."""
+        if len(self.columns) < len(COLUMNS):
+            raise MissingScoreError("ground-truth table has no scores")
         return self.columns[-1]
-
-    @classmethod
-    def from_records(
-        cls, frame_ids: Sequence[str], records: Sequence[Sequence[KittiRecord]], with_score: bool
-    ) -> LabelTable:
-        """The table of frames holding records[i] each. Frame i's file is
-        named <frame_ids[i]>.txt, and each row's line is serialize_record's."""
-        rows = list(chain.from_iterable(records))
-        values = array("d")
-        for r in rows:
-            values.extend((r.truncated, r.occluded, r.alpha, *r.bbox_2d, *r.dimensions))
-            values.extend((*r.location, r.rotation_y))
-            if with_score:
-                values.append(math.nan if r.score is None else r.score)
-        width = len(COLUMNS) if with_score else len(COLUMNS) - 1
-        return cls(
-            list(frame_ids),
-            [f"{frame_id}.txt" for frame_id in frame_ids],
-            [0, *accumulate(map(len, records))],
-            [r.class_name for r in rows],
-            tuple(values[j::width] for j in range(width)),
-            list(map(serialize_record, rows)),
-        )
-
-
-def parse_label_file(text: str, expect_score: bool) -> list[KittiRecord]:
-    """Parse one label file. Blank lines are skipped.
-
-    expect_score selects the 16-column detection layout; a mismatch is a
-    LabelFormatError, any other malformed line a LabelParseError. Both
-    carry the 1-based line number.
-    """
-    n_fields = _DET_FIELDS if expect_score else _GT_FIELDS
-    records: list[KittiRecord] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) != n_fields:
-            _raise_field_count(len(tokens), expect_score, line_no)
-        values = _parse_reals(tokens, line_no)
-        if values[1] not in _OCCLUSION_LEVELS:
-            raise LabelFormatError(
-                f"occluded must be one of -1,0,1,2,3, got {tokens[2]!r}", line_no=line_no
-            )
-        class_name = tokens[0]
-        dimensions = (values[7], values[8], values[9])
-        if class_name != DONT_CARE and min(dimensions) <= 0.0:
-            raise LabelFormatError(
-                f"non-positive dimensions {dimensions} for class {class_name!r}",
-                line_no=line_no,
-            )
-        if values[5] < values[3] or values[6] < values[4]:
-            raise LabelFormatError(f"inverted 2D bbox {tuple(values[3:7])}", line_no=line_no)
-        records.append(
-            KittiRecord(
-                class_name,
-                values[0],
-                int(values[1]),
-                values[2],
-                values[3:7],
-                dimensions,
-                values[10:13],
-                values[13],
-                values[14] if expect_score else None,
-            )
-        )
-    return records
-
-
-def _raise_field_count(n_tokens: int, expect_score: bool, line_no: int) -> None:
-    if n_tokens not in (_GT_FIELDS, _DET_FIELDS):
-        raise LabelParseError(f"expected 15 or 16 fields, got {n_tokens}", line_no=line_no)
-    wanted = "16 fields (with score)" if expect_score else "15 fields (no score)"
-    raise LabelFormatError(f"expected {wanted}, got {n_tokens}", line_no=line_no)
-
-
-def _parse_reals(tokens: list[str], line_no: int) -> list[float]:
-    """The line's fields after the class name as floats, all finite."""
-    try:
-        values = list(map(float, tokens[1:]))
-    except ValueError:
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        _raise_first_bad(tokens[1:], line_no)
-    return values
-
-
-def _raise_first_bad(tokens: list[str], line_no: int) -> None:
-    """Raise for the first token that is non-numeric or non-finite."""
-    for tok in tokens:
-        try:
-            v = float(tok)
-        except ValueError:
-            raise LabelParseError(f"non-numeric field {tok!r}", line_no=line_no) from None
-        if not math.isfinite(v):
-            raise LabelParseError(f"non-finite field {tok!r}", line_no=line_no)
-
-
-# One %-format per layout; reals carry six fractional digits.
-_GT_FORMAT = "%s %.6f %s" + " %.6f" * 12
-_DET_FORMAT = _GT_FORMAT + " %.6f"
-
-
-def serialize_record(record: KittiRecord) -> str:
-    """One label line; reals carry six fractional digits."""
-    columns = (
-        record.class_name,
-        record.truncated,
-        record.occluded,
-        record.alpha,
-        *record.bbox_2d,
-        *record.dimensions,
-        *record.location,
-        record.rotation_y,
-    )
-    if record.score is None:
-        return _GT_FORMAT % columns
-    return _DET_FORMAT % (*columns, record.score)
 
 
 def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | None = None) -> None:
@@ -327,7 +172,7 @@ def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, La
     Both tables hold every ground-truth frame, sorted by frame_id; a frame
     without a detection file has no detection rows. A detection file
     without a ground-truth counterpart is a DatasetError naming the
-    frame. A bad file raises read_label_file's error for the first bad
+    frame. A bad file raises _check_label_file's error for the first bad
     file in frame order, ground truth before detections.
     """
     gt_dir = Path(gt_dir)
@@ -359,7 +204,7 @@ def read_label_table(directory: str | Path, role: str, expect_score: bool) -> La
     sorted by frame id.
 
     The files are label_file_names'; a missing directory is a
-    DatasetError naming role. A bad file raises read_label_file's error
+    DatasetError naming role. A bad file raises _check_label_file's error
     for the first bad file in name order.
     """
     directory = Path(directory)
@@ -374,15 +219,8 @@ def read_label_table(directory: str | Path, role: str, expect_score: bool) -> La
 def _read_table(
     directory: Path, frame_ids: list[str], files: list[str | None], expect_score: bool
 ) -> LabelTable | None:
-    """The table of the named files of directory, parsed in bulk; None when
-    a file cannot be read or has a line that parse_label_file rejects.
-
-    parse_label_file's checks run on the whole set at once: the field
-    count of every non-blank line, then one float conversion, one
-    finiteness pass and the occlusion, dimension and bbox rules by
-    column.
-    """
-    width = _DET_FIELDS if expect_score else _GT_FIELDS
+    """The table of the named files of directory; None when a file cannot
+    be read or _table_from_lines rejects a line."""
     prefix = os.path.join(directory, "")  # a Path per file cost a tenth of the load
     lines: list[str] = []
     ends: list[int] = []
@@ -398,6 +236,20 @@ def _read_table(
             except (OSError, UnicodeDecodeError):
                 return None
         ends.append(len(lines))
+    return _table_from_lines(frame_ids, files, lines, ends, expect_score)
+
+
+def _table_from_lines(
+    frame_ids: list[str], files: list[str | None], lines: list[str], ends: list[int], expect_score: bool
+) -> LabelTable | None:
+    """The table of non-blank label lines, frame i holding those after frame
+    i - 1's up to ends[i]; None when a line breaks a rule of _check_line.
+
+    The rules run on all lines at once: the field count of every line,
+    then one float conversion, one finiteness pass and the occlusion,
+    dimension and bbox rules by column.
+    """
+    width = _DET_FIELDS if expect_score else _GT_FIELDS
     # Lines are split a chunk at a time, which bounds the token strings alive at once.
     class_names: list[str] = []
     columns = tuple(array("d") for _ in range(width - 1))
@@ -419,7 +271,7 @@ def _read_table(
 
 
 def _invariants_hold(table: LabelTable) -> bool:
-    """parse_label_file's occlusion, dimension and bbox rules, on every row."""
+    """_check_line's occlusion, dimension and bbox rules, on every row."""
     if not _OCCLUSION_VALUES.issuperset(table.column("occluded")):
         return False
     sized = [name != DONT_CARE for name in table.class_names]
@@ -431,11 +283,11 @@ def _invariants_hold(table: LabelTable) -> bool:
 
 
 def _raise_first_error(paths: list[tuple[Path, bool]]) -> NoReturn:
-    """Raise read_label_file's error for the first bad file of (path,
+    """Raise _check_label_file's error for the first bad file of (path,
     expect_score) pairs, in their order."""
     for path, expect_score in paths:
-        read_label_file(path, expect_score)
-    raise AssertionError("the bulk parser rejected files that parse_label_file accepts")
+        _check_label_file(path, expect_score)
+    raise AssertionError("the bulk parser rejected files that _check_label_file accepts")
 
 
 def _files_by_frame(directory: Path, role: str) -> dict[str, str]:
@@ -460,15 +312,47 @@ def _frame_id(name: str) -> str:
     return name[:-4] or name
 
 
-def read_label_file(path: Path, expect_score: bool) -> list[KittiRecord]:
-    """Read and parse one label file; errors name the file."""
+def _check_label_file(path: Path, expect_score: bool) -> None:
+    """Raise _check_line's error for the first bad line of a label file,
+    with the file and the 1-based line number; blank lines are skipped.
+    An unreadable file is a DatasetError naming it. Builds nothing."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_label_file(text, expect_score=expect_score)
-    except LabelError as exc:
-        exc.path = str(path)
-        raise
+    n_fields = _DET_FIELDS if expect_score else _GT_FIELDS
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens:
+            try:
+                _check_line(tokens, n_fields)
+            except LabelError as exc:
+                exc.line_no, exc.path = line_no, str(path)
+                raise
+
+
+def _check_line(tokens: list[str], n_fields: int) -> None:
+    """Raise for the first rule of the module docstring that a line's tokens
+    break: a field count of the other layout is a LabelFormatError, any
+    other malformed line a LabelParseError."""
+    if len(tokens) != n_fields:
+        if len(tokens) not in (_GT_FIELDS, _DET_FIELDS):
+            raise LabelParseError(f"expected 15 or 16 fields, got {len(tokens)}")
+        wanted = "16 fields (with score)" if n_fields == _DET_FIELDS else "15 fields (no score)"
+        raise LabelFormatError(f"expected {wanted}, got {len(tokens)}")
+    values = []
+    for token in tokens[1:]:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise LabelParseError(f"non-numeric field {token!r}") from None
+        if not math.isfinite(values[-1]):
+            raise LabelParseError(f"non-finite field {token!r}")
+    if values[1] not in _OCCLUSION_VALUES:
+        raise LabelFormatError(f"occluded must be one of -1,0,1,2,3, got {tokens[2]!r}")
+    dimensions = tuple(values[7:10])
+    if tokens[0] != DONT_CARE and min(dimensions) <= 0.0:
+        raise LabelFormatError(f"non-positive dimensions {dimensions} for class {tokens[0]!r}")
+    if values[5] < values[3] or values[6] < values[4]:
+        raise LabelFormatError(f"inverted 2D bbox {tuple(values[3:7])}")

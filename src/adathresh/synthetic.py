@@ -22,19 +22,24 @@ True-detection scores are the scenario quadratic at the detected
 distance plus Gaussian noise, clamped to [0, 1]. False positives score
 a uniform fraction (0.45 to 0.85) of the local true-score mean, i.e.
 always below it on average.
+
+Each generated row is formatted once as a label line, reals with six
+fractional digits, and the tables are read from those lines by
+kitti_io's reader: generate, known_optimal_counts and synth all see
+exactly the values that synth writes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
 from .bin_stats import BinSpec, JsonCodec, ground_distance
 from .geometry import normalize_angle
-from .kitti_io import KittiRecord, LabelTable
+from .kitti_io import LabelTable, _table_from_lines
 from .threshold import ThresholdModel, keep_rows
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length (meters)
@@ -51,6 +56,11 @@ _FP_SCORE_BAND = (0.45, 0.85)  # fraction of the local true-score mean
 TRUE_POSITIVE = "tp"
 FALSE_POSITIVE = "fp"
 
+# The label line of a generated car (truncated 0, occluded 0): the reals
+# from alpha on, with six fractional digits.
+_GT_FORMAT = "Car 0.000000 0" + " %.6f" * 12
+_DET_FORMAT = _GT_FORMAT + " %.6f"
+
 
 @dataclass(frozen=True)
 class ScoreModel(JsonCodec):
@@ -63,8 +73,11 @@ class ScoreModel(JsonCodec):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "noise_std", tuple(float(v) for v in self.noise_std))
-        if any(v < 0.0 for v in self.noise_std):
-            raise ValueError("noise_std entries must be non-negative")
+        for name in ("a", "b", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"score_model.{name} must be finite, got {getattr(self, name)}")
+        if not all(0.0 <= v < math.inf for v in self.noise_std):
+            raise ValueError(f"noise_std entries must be finite and non-negative, got {self.noise_std}")
 
     def mean_at(self, distance: float) -> float:
         """Unclamped mean score at a distance."""
@@ -89,6 +102,8 @@ class ScenarioSpec(JsonCodec):
         object.__setattr__(self, "distance_range", tuple(float(v) for v in self.distance_range))
         object.__setattr__(self, "fp_rate_per_bin", tuple(float(v) for v in self.fp_rate_per_bin))
         object.__setattr__(self, "fn_rate_per_bin", tuple(float(v) for v in self.fn_rate_per_bin))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_frames <= 0:
             raise ValueError("n_frames must be positive")
         lo, hi = self.objects_per_frame
@@ -158,35 +173,25 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
 
 
-def _make_record(
-    x: float,
-    z: float,
-    dims: tuple[float, float, float],
-    yaw: float,
-    score: float | None,
-) -> KittiRecord:
+def _label_line(
+    x: float, z: float, dims: tuple[float, float, float], yaw: float, score: float | None = None
+) -> str:
+    """The label line of a car at ground position (x, z); a ground-truth
+    line when score is None."""
     yaw = normalize_angle(yaw)
-    return KittiRecord(
-        class_name="Car",
-        truncated=0.0,
-        occluded=0,
-        alpha=normalize_angle(yaw - math.atan2(x, z)),
-        bbox_2d=_project_bbox(x, _CAMERA_Y, z, dims),
-        dimensions=dims,
-        location=(x, _CAMERA_Y, z),
-        rotation_y=yaw,
-        score=score,
-    )
+    alpha = normalize_angle(yaw - math.atan2(x, z))
+    reals = (alpha, *_project_bbox(x, _CAMERA_Y, z, dims), *dims, x, _CAMERA_Y, z, yaw)
+    return _GT_FORMAT % reals if score is None else _DET_FORMAT % (*reals, score)
 
 
 def _generate_frame(
     spec: ScenarioSpec, rng: np.random.Generator
-) -> tuple[list[KittiRecord], list[KittiRecord], list[str]]:
+) -> tuple[list[tuple], list[tuple], list[str]]:
     lo, hi = spec.objects_per_frame
     n_objects = int(rng.integers(lo, hi + 1))
     placements: list[tuple[float, float]] = []
-    gt_records: list[KittiRecord] = []
-    det_records: list[KittiRecord] = []
+    gt_rows: list[tuple] = []
+    det_rows: list[tuple] = []
     kinds: list[str] = []
     for _ in range(n_objects):
         position = _place(rng, spec.distance_range[0], spec.distance_range[1], placements)
@@ -196,7 +201,7 @@ def _generate_frame(
         x, z = position
         dims = _car_dims(rng)
         yaw = float(rng.uniform(-math.pi, math.pi))
-        gt_records.append(_make_record(x, z, dims, yaw, score=None))
+        gt_rows.append((x, z, dims, yaw))
         gt_distance = ground_distance(x, z)
         if float(rng.uniform()) < spec.fn_rate_per_bin[_rate_bin(gt_distance, spec.bin_spec)]:
             continue  # missed object: no detection emitted
@@ -208,9 +213,7 @@ def _generate_frame(
         score = spec.score_model.mean_at(det_distance)
         if sigma > 0.0:
             score += sigma * float(rng.standard_normal())
-        det_records.append(
-            _make_record(det_x, det_z, dims, det_yaw, score=_clamp(score, 0.0, 1.0))
-        )
+        det_rows.append((det_x, det_z, dims, det_yaw, _clamp(score, 0.0, 1.0)))
         kinds.append(TRUE_POSITIVE)
     for bin_index in range(spec.bin_spec.n_bins):
         if float(rng.uniform()) >= spec.fp_rate_per_bin[bin_index]:
@@ -225,11 +228,26 @@ def _generate_frame(
         yaw = float(rng.uniform(-math.pi, math.pi))
         local_mean = _clamp(spec.score_model.mean_at(ground_distance(x, z)), 0.0, 1.0)
         fraction = float(rng.uniform(_FP_SCORE_BAND[0], _FP_SCORE_BAND[1]))
-        det_records.append(
-            _make_record(x, z, dims, yaw, score=_clamp(fraction * local_mean, 0.0, 1.0))
-        )
+        det_rows.append((x, z, dims, yaw, _clamp(fraction * local_mean, 0.0, 1.0)))
         kinds.append(FALSE_POSITIVE)
-    return gt_records, det_records, kinds
+    return gt_rows, det_rows, kinds
+
+
+def _raw_frames(spec: ScenarioSpec) -> list[tuple[list[tuple], list[tuple], list[str]]]:
+    """Each frame's ground-truth rows (x, z, dims, yaw), detection rows
+    (x, z, dims, yaw, score) and detection kinds, before formatting."""
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    return [_generate_frame(spec, rng) for _ in range(spec.n_frames)]
+
+
+def _table(frame_ids: list[str], frames: tuple[list[tuple], ...], expect_score: bool) -> LabelTable:
+    """The table read from the label lines of frames' rows."""
+    lines = [_label_line(*row) for rows in frames for row in rows]
+    ends = list(accumulate(map(len, frames)))
+    table = _table_from_lines(frame_ids, [f"{i}.txt" for i in frame_ids], lines, ends, expect_score)
+    if table is None:
+        raise ValueError("the scenario generated a label line that the reader rejects")
+    return table
 
 
 def generate(spec: ScenarioSpec) -> tuple[LabelTable, LabelTable]:
@@ -241,14 +259,9 @@ def generate(spec: ScenarioSpec) -> tuple[LabelTable, LabelTable]:
 
 def generate_with_truth(spec: ScenarioSpec) -> tuple[LabelTable, LabelTable, list[str]]:
     """generate's tables, and each detection row's kind ('tp' or 'fp')."""
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    gt, det, kinds = zip(*(_generate_frame(spec, rng) for _ in range(spec.n_frames)))
+    gt, det, kinds = zip(*_raw_frames(spec))
     frame_ids = [f"{index:06d}" for index in range(spec.n_frames)]
-    return (
-        LabelTable.from_records(frame_ids, gt, with_score=False),
-        LabelTable.from_records(frame_ids, det, with_score=True),
-        list(chain.from_iterable(kinds)),
-    )
+    return _table(frame_ids, gt, False), _table(frame_ids, det, True), list(chain.from_iterable(kinds))
 
 
 def known_optimal_counts(

@@ -1,4 +1,4 @@
-"""Record and table builders and independent oracles shared across test modules.
+"""Fixture records, table builders and independent oracles shared across test modules.
 
 The oracles deliberately re-derive results through different means than
 the library: Monte-Carlo point inclusion instead of polygon clipping, a
@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from adathresh.bin_stats import BinSpec, assign_bin
+from adathresh.bin_stats import BinSpec, assign_bin, ground_distance
 from adathresh.evaluation import (
     _DIFFICULTY_LIMITS,
     BinBreakdown,
@@ -28,7 +29,7 @@ from adathresh.evaluation import (
     trade_off,
 )
 from adathresh.geometry import Box3D, iou_3d, iou_bev
-from adathresh.kitti_io import DONT_CARE, KittiRecord, LabelTable, MissingScoreError, serialize_record
+from adathresh.kitti_io import DONT_CARE, LabelTable, MissingScoreError, _table_from_lines, read_label_table
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
 
@@ -44,6 +45,45 @@ def make_box(
     return Box3D(center=(x, y, z), dims=dims, yaw=yaw)
 
 
+@dataclass(frozen=True)
+class Record:
+    """One labeled object, the values of one label line; score is None in
+    ground truth."""
+
+    class_name: str
+    truncated: float
+    occluded: int
+    alpha: float
+    bbox_2d: tuple[float, float, float, float]
+    dimensions: tuple[float, float, float]
+    location: tuple[float, float, float]
+    rotation_y: float
+    score: float | None = None
+
+    def ego_distance(self) -> float:
+        return ground_distance(self.location[0], self.location[2])
+
+    def to_box3d(self) -> Box3D:
+        return Box3D(center=self.location, dims=self.dimensions, yaw=self.rotation_y)
+
+
+def constructed(line: str) -> Record:
+    """The record of a label line's tokens, parsed here token by token."""
+    tokens = line.split()
+    reals = [float(token) for token in tokens[1:]]
+    return Record(
+        tokens[0],
+        reals[0],
+        int(reals[1]),
+        reals[2],
+        tuple(reals[3:7]),
+        tuple(reals[7:10]),
+        tuple(reals[10:13]),
+        reals[13],
+        reals[14] if len(reals) == 15 else None,
+    )
+
+
 def make_record(
     x: float = 0.0,
     z: float = 10.0,
@@ -56,8 +96,8 @@ def make_record(
     bbox: tuple[float, float, float, float] = (100.0, 100.0, 200.0, 160.0),
     truncated: float = 0.0,
     occluded: int = 0,
-) -> KittiRecord:
-    return KittiRecord(
+) -> Record:
+    return Record(
         class_name=class_name,
         truncated=truncated,
         occluded=occluded,
@@ -74,22 +114,41 @@ class Frame(NamedTuple):
     """The records of one frame, which tables() turns into table rows."""
 
     frame_id: str
-    ground_truth: Sequence[KittiRecord] = ()
-    detections: Sequence[KittiRecord] = ()
+    ground_truth: Sequence[Record] = ()
+    detections: Sequence[Record] = ()
+
+
+def label_line(record: Record) -> str:
+    """record as a label line, each real written with repr, which reads
+    back as the same float; a detection line when record has a score."""
+    reals = [record.truncated, record.occluded, record.alpha, *record.bbox_2d, *record.dimensions]
+    reals += [*record.location, record.rotation_y, *([] if record.score is None else [record.score])]
+    return " ".join([record.class_name, *(repr(float(v)) for v in reals)])
 
 
 def tables(frames: Sequence[Frame]) -> tuple[LabelTable, LabelTable]:
-    """The ground-truth and the detection LabelTable of frames, in their order."""
+    """The ground-truth and the detection LabelTable of frames, in their
+    order, read from label_line's lines by the program's own reader."""
     ids = [frame.frame_id for frame in frames]
-    return (
-        LabelTable.from_records(ids, [frame.ground_truth for frame in frames], with_score=False),
-        LabelTable.from_records(ids, [frame.detections for frame in frames], with_score=True),
-    )
+    return _table(ids, [f.ground_truth for f in frames], False), _table(ids, [f.detections for f in frames], True)
 
 
-def detections(records: Sequence[KittiRecord]) -> LabelTable:
+def _table(ids: list[str], records: list[Sequence[Record]], with_score: bool) -> LabelTable:
+    lines = [label_line(r if with_score else replace(r, score=None)) for rs in records for r in rs]
+    ends = list(accumulate(map(len, records)))
+    table = _table_from_lines(ids, [f"{i}.txt" for i in ids], lines, ends, with_score)
+    assert table is not None, f"the reader rejects a fixture line of {lines}"
+    return table
+
+
+def detections(records: Sequence[Record]) -> LabelTable:
     """The detection table of one frame holding records."""
     return tables([Frame("000000", (), records)])[1]
+
+
+def ground_truth(records: Sequence[Record]) -> LabelTable:
+    """The ground-truth table, without scores, of one frame holding records."""
+    return tables([Frame("000000", records)])[0]
 
 
 def filtered(frames: Sequence[Frame], kept: Sequence[bool]) -> list[Frame]:
@@ -99,32 +158,39 @@ def filtered(frames: Sequence[Frame], kept: Sequence[bool]) -> list[Frame]:
     return [f._replace(detections=tuple(compress(f.detections, flags))) for f in frames]
 
 
-def label_text(records: Sequence[KittiRecord]) -> str:
-    """records as a label file: serialize_record's lines, LF-terminated."""
-    return "".join(serialize_record(r) + "\n" for r in records)
+def label_text(records: Sequence[Record]) -> str:
+    """records as a label file: label_line's lines, LF-terminated."""
+    return "".join(label_line(r) + "\n" for r in records)
 
 
-def write_label(path: Path, records: Sequence[KittiRecord]) -> None:
+def read_text(directory: Path, text: str, expect_score: bool) -> LabelTable:
+    """The table read_label_table reads from directory/000000.txt holding text."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "000000.txt").write_bytes(text.encode("utf-8"))
+    return read_label_table(directory, "label", expect_score)
+
+
+def write_label(path: Path, records: Sequence[Record]) -> None:
     """Write label_text(records) to path, creating its directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(label_text(records), encoding="utf-8")
 
 
-def box_rows(records: list[KittiRecord]) -> list[tuple[float, ...]]:
-    """The records' boxes (KittiRecord.to_box3d) as geometry.pair_iou rows."""
+def box_rows(records: list[Record]) -> list[tuple[float, ...]]:
+    """The records' boxes (Record.to_box3d) as geometry.pair_iou rows."""
     return [(*r.location, *r.dimensions, r.rotation_y) for r in records]
 
 
-def score_list(records: list[KittiRecord]) -> list[float]:
+def score_list(records: list[Record]) -> list[float]:
     return [r.score for r in records]
 
 
-def eval_lists(frame: Frame, config) -> tuple[list[KittiRecord], list[KittiRecord]]:
+def eval_lists(frame: Frame, config) -> tuple[list[Record], list[Record]]:
     """The frame's ground truth and detections that evaluation uses, record
     by record: the configured class, and for ground truth neither DontCare
     nor outside the difficulty stratum (height, occlusion, truncation)."""
 
-    def in_stratum(r: KittiRecord) -> bool:
+    def in_stratum(r: Record) -> bool:
         if config.difficulty is None:
             return True
         min_height, max_occlusion, max_truncation = _DIFFICULTY_LIMITS[config.difficulty]
@@ -181,8 +247,8 @@ def mc_iou_bev(a: Box3D, b: Box3D, n: int = 1_000_000, seed: int = 0) -> float:
 
 
 def brute_force_match(
-    gt: list[KittiRecord],
-    det: list[KittiRecord],
+    gt: list[Record],
+    det: list[Record],
     iou_fn,
     iou_threshold: float,
 ) -> list[tuple[int, int]]:
@@ -249,13 +315,13 @@ def _random_dims(rng: random.Random) -> tuple[float, float, float]:
 
 def random_scene(
     rng: random.Random, max_gt: int = 6, max_det: int = 6
-) -> tuple[list[KittiRecord], list[KittiRecord]]:
+) -> tuple[list[Record], list[Record]]:
     """Random single-frame scene with contested overlaps.
 
     Most detections are jittered copies of some ground-truth box, so
     IoUs spread across the matching threshold and occasionally cross.
     """
-    gt: list[KittiRecord] = []
+    gt: list[Record] = []
     for _ in range(rng.randint(0, max_gt)):
         gt.append(
             make_record(
@@ -265,7 +331,7 @@ def random_scene(
                 yaw=rng.uniform(-math.pi, math.pi),
             )
         )
-    det: list[KittiRecord] = []
+    det: list[Record] = []
     for _ in range(rng.randint(0, max_det)):
         if gt and rng.random() < 0.75:
             base = gt[rng.randrange(len(gt))]

@@ -18,7 +18,7 @@ import numpy as np
 from adathresh.bin_stats import BinSpec, BinStats, compute_bin_stats
 from adathresh.evaluation import MatchConfig, _greedy, evaluate_tables, trade_off
 from adathresh.geometry import iou_bev, pair_iou
-from adathresh.kitti_io import LabelTable, parse_label_file
+from adathresh.kitti_io import DONT_CARE, LabelTable, read_label_table, write_frames
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
 from adathresh.threshold import (
     ModelRangeError,
@@ -30,12 +30,14 @@ from adathresh.threshold import (
 from helpers import (
     box_rows,
     brute_force_match,
+    constructed,
     label_text,
     make_box,
     make_record,
     mc_iou_bev,
     optimal_assignment,
     random_scene,
+    read_text,
     score_list,
 )
 
@@ -329,20 +331,23 @@ def _corpus_files(rng):
         text = label_text(records)
         if index % 3 == 0:
             text = text.replace("\n", "\r\n")
-        files.append((text, with_score))
+        files.append((records, text, with_score))
     return files
 
 
-def test_acceptance_8_parser_round_trip():
+
+def test_acceptance_8_parser_round_trip(tmp_path):
     with criterion(8, "parser round trip"):
         rng = random.Random(20240819)
         corpus = _corpus_files(rng)
         assert len(corpus) == 50
         saw_dontcare = saw_crlf = False
-        for text, with_score in corpus:
+        for index, (records, text, with_score) in enumerate(corpus):
             saw_crlf = saw_crlf or "\r\n" in text
-            first = parse_label_file(text, expect_score=with_score)
-            saw_dontcare = saw_dontcare or any(r.class_name == "DontCare" for r in first)
-            again = parse_label_file(label_text(first), expect_score=with_score)
-            assert again == first
+            first = read_text(tmp_path / f"in{index}", text, with_score)
+            saw_dontcare = saw_dontcare or DONT_CARE in first.class_names
+            assert list(map(constructed, first.lines)) == records
+            write_frames(first, tmp_path / f"out{index}")
+            again = read_label_table(tmp_path / f"out{index}", "label", expect_score=with_score)
+            assert (again.class_names, again.columns, again.lines) == (first.class_names, first.columns, first.lines)
         assert saw_dontcare and saw_crlf

@@ -20,7 +20,7 @@ from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig
 from adathresh.kitti_io import MissingScoreError
 from adathresh.synthetic import ScenarioSpec, ScoreModel
 from adathresh.threshold import ThresholdModel, keep_rows
-from helpers import Frame, detections, make_record, tables
+from helpers import Frame, detections, ground_truth, make_record, tables
 
 DEFAULT = BinSpec()
 
@@ -230,7 +230,7 @@ class TestPreFilter:
         at_cutoff = make_record(0.0, 40.0, score=0.3)
         assert keep_rows(detections([make_record(0.0, 39.999, score=0.4), at_cutoff]), pf) == [False, True]
         with pytest.raises(MissingScoreError):
-            keep_rows(detections([make_record(0.0, 5.0)]), pf)
+            keep_rows(ground_truth([make_record(0.0, 5.0)]), pf)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -318,12 +318,19 @@ class TestJsonCodec:
 
     def test_values_are_coerced_by_annotation(self):
         row = BinBreakdown.from_dict(
-            {"bin_index": 6.0, "lo_m": 60, "hi_m": None, "tp": "3", "fp": 1, "fn": 2, "recall": 1, "precision": "0.5"}
+            {"bin_index": 6.0, "lo_m": 60, "hi_m": None, "tp": 3, "fp": 1, "fn": 2, "recall": 1, "precision": "0.5"}
         )
         assert row == BinBreakdown(6, 60.0, None, 3, 1, 2, 1.0, 0.5)
         assert [type(v) for v in (row.bin_index, row.lo_m, row.tp, row.recall)] == [int, float, int, float]
         stats = BinStats.from_dict({"bin_index": 1, "count": 2, "mean": 1, "std": 0})
         assert type(stats.mean) is float and type(stats.std) is float
+
+    @pytest.mark.parametrize("value", [1.5, True, "3", None, float("inf"), float("nan")])
+    def test_an_int_field_takes_only_an_integral_number(self, value):
+        data = {"bin_index": 1, "count": 2, "mean": 0.5, "std": 0.1}
+        assert BinStats.from_dict({**data, "count": 2.0}) == BinStats(1, 2, 0.5, 0.1)
+        with pytest.raises(ValueError, match="expected an integer"):
+            BinStats.from_dict({**data, "count": value})
 
     def test_tuples_and_nested_dataclasses_are_decoded(self):
         data = TestJsonCodec.INSTANCES[7].to_dict()

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 from dataclasses import replace
 from itertools import compress
 
@@ -12,9 +13,8 @@ import pytest
 from adathresh import cli
 from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats
 from adathresh.cli import main
-from adathresh.kitti_io import parse_label_file
 from adathresh.threshold import ThresholdModel, fit_quadratic, keep_rows
-from helpers import detections, label_text, make_record, write_label
+from helpers import constructed, detections, label_text, make_record, write_label
 
 
 def run(*argv):
@@ -178,7 +178,7 @@ class TestPipeline:
         samples = [
             (r.ego_distance(), r.score)
             for path in sorted((dataset / "det").glob("*.txt"))
-            for r in parse_label_file(path.read_text(), expect_score=True)
+            for r in map(constructed, path.read_text().splitlines())
             if r.class_name == "Car"
         ]
         expected = compute_bin_stats(samples, BinSpec())
@@ -200,9 +200,9 @@ class TestPipeline:
             "--threshold-mode", f"adaptive:{model_path}",
         ) == 0
         for path in sorted((dataset / "det").glob("*.txt")):
-            records = parse_label_file(path.read_text(), expect_score=True)
-            survivors = compress(records, keep_rows(detections(records), model))
-            assert (out / path.name).read_text() == label_text(survivors)
+            lines = path.read_text().splitlines()
+            survivors = compress(lines, keep_rows(detections(list(map(constructed, lines))), model))
+            assert (out / path.name).read_text() == "".join(line + "\n" for line in survivors)
 
     def test_filter_none_keeps_a_negative_score_and_single_zero_drops_it(self, tmp_path):
         det_dir = tmp_path / "det"
@@ -276,7 +276,7 @@ class TestPipeline:
         samples = [
             (r.ego_distance(), r.score)
             for path in sorted((dataset / "det").glob("*.txt"))
-            for r in parse_label_file(path.read_text(), expect_score=True)
+            for r in map(constructed, path.read_text().splitlines())
             if r.class_name == "Car"
         ]
         stats = compute_bin_stats(samples, BinSpec())
@@ -529,10 +529,18 @@ class TestExitCodes:
         assert f"model file {bad}" in capsys.readouterr().err
 
     def test_bad_value_in_scenario_file_is_a_data_error_naming_it(self, tmp_path, capsys):
-        for n_frames in (0, float("inf")):  # inf: int() raises OverflowError
-            bad = write_json(tmp_path / "scenario.json", scenario_payload(n_frames=n_frames))
-            assert run("synth", "--spec", bad, "--out-dir", str(tmp_path / "o")) == 2
+        score_model = scenario_payload()["score_model"]
+        non_finite = [("a", math.inf), ("b", -math.inf), ("c", math.nan), ("noise_std", [0.02] * 5 + [math.nan])]
+        for overrides in (
+            {"n_frames": 0},
+            {"n_frames": math.inf},  # not an integral number
+            *({"seed": seed} for seed in (-1, 1.5, True, "1")),
+            *({"score_model": {**score_model, field: value}} for field, value in non_finite),
+        ):
+            bad = write_json(tmp_path / "scenario.json", scenario_payload(**overrides))
+            assert run("synth", "--spec", bad, "--out-dir", str(tmp_path / "o")) == 2, overrides
             assert f"scenario file {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_value_in_report_file_is_a_data_error_naming_it(self, tmp_path, dataset, capsys):
         good = tmp_path / "eval" / "eval_report.json"

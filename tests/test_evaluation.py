@@ -30,6 +30,7 @@ from helpers import (
     brute_force_match,
     detections,
     filtered,
+    ground_truth,
     loop_interpolated_ap,
     make_record,
     random_scene,
@@ -181,10 +182,10 @@ class TestMatchFrame:
         assert matched.det_hit == [False]
 
     def test_missing_score_raises(self):
-        gt = [make_record(0.0, 10.0)]
-        det = [make_record(0.0, 10.0)]
+        # A table without a score column cannot be matched as detections.
+        gt = ground_truth([make_record(0.0, 10.0)])
         with pytest.raises(MissingScoreError):
-            _match_set(single_frame(gt, det), BEV_CFG)
+            _candidates(gt, gt, BEV_CFG).match()
 
     def test_agrees_with_reference_matcher(self):
         for seed in range(25):
@@ -479,14 +480,12 @@ class TestEvaluateEquivalence:
         assert evaluate_frames(subset, BEV_CFG) == three_pass_evaluate(subset, BEV_CFG)
 
     def test_missing_score_raises(self):
-        gt = [make_record(0.0, 10.0)]
-        unscored = single_frame(gt, [make_record(0.0, 10.0, score=0.9), make_record(0.0, 10.0)])
-        with pytest.raises(MissingScoreError):
-            evaluate_frames(unscored, BEV_CFG)
-        # Kept or not, a row without a score is in the unfiltered sweep.
-        for kept in ([True, False], [False, True]):
+        # A ground-truth table passed as detections has no scores, with or
+        # without kept flags.
+        gt = ground_truth([make_record(0.0, 10.0), make_record(0.0, 30.0)])
+        for kept in (None, [True, False], [False, True]):
             with pytest.raises(MissingScoreError):
-                evaluate_frames(unscored, BEV_CFG, kept=kept)
+                evaluate_tables(gt, gt, BEV_CFG, kept=kept)
 
 
 class TestEvaluate:

@@ -7,10 +7,13 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # threshold_sweep.py's output with its default arguments, captured before
-# the script moved onto the LabelTable pipeline steps.
+# the script moved onto the LabelTable pipeline steps. gamma is the one
+# `adathresh fit --pre-filter none --k continuity` prints for the files
+# `synth` writes for the same scenario, since generated tables hold the
+# values as written (six fractional digits).
 SWEEP_DEFAULT_OUTPUT = textwrap.dedent(
     """\
-    fitted model: alpha=-5.93743e-05 beta=-0.00365797 gamma=0.745975 delta=60 k=0.312749
+    fitted model: alpha=-5.93743e-05 beta=-0.00365797 gamma=0.745976 delta=60 k=0.312749
     weighted rmse=0.0045 over bins (0, 1, 2, 3, 4, 5)
 
     mode            tp    fp    fn  recall precision trade_off near_prec  far_rec

@@ -1,26 +1,25 @@
-"""Label parsing, serialization, and dataset loading."""
+"""Label reading, writing, and dataset loading."""
 
 import math
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from adathresh.evaluation import _box_rows
 from adathresh.kitti_io import (
     DONT_CARE,
     DatasetError,
-    KittiRecord,
     LabelFormatError,
     LabelParseError,
     LabelTable,
     load_tables,
-    parse_label_file,
     read_label_table,
-    serialize_record,
     write_frames,
 )
-from helpers import Frame, label_text, tables
+from helpers import Frame, Record, constructed, detections, label_text, read_text, tables
 
 GT_LINE = (
     "Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59"
@@ -32,56 +31,54 @@ DONTCARE_LINE = (
 
 
 class TestParse:
-    def test_ground_truth_line(self):
-        records = parse_label_file(GT_LINE, expect_score=False)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.class_name == "Car"
-        assert rec.location[2] == 46.70
-        assert rec.score is None
+    def test_ground_truth_line(self, tmp_path):
+        table = read_text(tmp_path, GT_LINE, expect_score=False)
+        assert len(table) == 1
+        assert table.class_names == ["Car"]
+        assert table.column("z")[0] == 46.70
+        assert len(table.columns) == 14  # no score column
 
-    def test_detection_line_with_score(self):
-        rec = parse_label_file(DET_LINE, expect_score=True)[0]
-        assert rec.score == 0.92
+    def test_detection_line_with_score(self, tmp_path):
+        assert list(read_text(tmp_path, DET_LINE, expect_score=True).scores()) == [0.92]
 
-    def test_empty_string(self):
-        assert parse_label_file("", expect_score=False) == []
+    def test_empty_string(self, tmp_path):
+        assert len(read_text(tmp_path, "", expect_score=False)) == 0
 
-    def test_blank_lines_skipped(self):
+    def test_blank_lines_skipped(self, tmp_path):
         text = f"\n{GT_LINE}\n\n   \n{GT_LINE}\n"
-        assert len(parse_label_file(text, expect_score=False)) == 2
+        assert len(read_text(tmp_path, text, expect_score=False)) == 2
 
-    def test_crlf_accepted(self):
+    def test_crlf_accepted(self, tmp_path):
         text = f"{GT_LINE}\r\n{GT_LINE}\r\n"
-        assert len(parse_label_file(text, expect_score=False)) == 2
+        assert read_text(tmp_path, text, expect_score=False).lines == [GT_LINE, GT_LINE]
 
-    def test_tab_separated_fields(self):
-        assert len(parse_label_file(GT_LINE.replace(" ", "\t"), expect_score=False)) == 1
+    def test_tab_separated_fields(self, tmp_path):
+        assert len(read_text(tmp_path, GT_LINE.replace(" ", "\t"), expect_score=False)) == 1
 
-    def test_order_preserved(self):
+    def test_order_preserved(self, tmp_path):
         lines = [GT_LINE, DONTCARE_LINE, GT_LINE.replace("Car", "Van")]
-        records = parse_label_file("\n".join(lines), expect_score=False)
-        assert [r.class_name for r in records] == ["Car", "DontCare", "Van"]
+        table = read_text(tmp_path, "\n".join(lines), expect_score=False)
+        assert table.class_names == ["Car", "DontCare", "Van"]
 
     @pytest.mark.parametrize("n_fields", [14, 17])
-    def test_wrong_field_count_rejected(self, n_fields):
+    def test_wrong_field_count_rejected(self, tmp_path, n_fields):
         tokens = DET_LINE.split()[:n_fields]
         while len(tokens) < n_fields:
             tokens.append("0.0")
         with pytest.raises(LabelParseError) as exc:
-            parse_label_file(" ".join(tokens), expect_score=False)
+            read_text(tmp_path, " ".join(tokens), expect_score=False)
         assert exc.value.line_no == 1
 
-    def test_non_numeric_field_rejected(self):
+    def test_non_numeric_field_rejected(self, tmp_path):
         bad = GT_LINE.replace("46.70", "oops")
         with pytest.raises(LabelParseError):
-            parse_label_file(bad, expect_score=False)
+            read_text(tmp_path, bad, expect_score=False)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-    def test_non_finite_field_rejected(self, token):
+    def test_non_finite_field_rejected(self, tmp_path, token):
         bad = GT_LINE.replace("46.70", token)
         with pytest.raises(LabelParseError):
-            parse_label_file(bad, expect_score=False)
+            read_text(tmp_path, bad, expect_score=False)
 
     @pytest.mark.parametrize(
         "first, second, message",
@@ -91,77 +88,77 @@ class TestParse:
             ("-inf", "1e999", "non-finite field '-inf'"),
         ],
     )
-    def test_message_names_the_first_bad_token(self, first, second, message):
-        # The whole line is converted in one call; the message must still
-        # name the first bad token in line order, whichever kind it is.
+    def test_message_names_the_first_bad_token(self, tmp_path, first, second, message):
+        # The message must name the first bad token in line order,
+        # whichever kind it is.
         tokens = GT_LINE.split()
         tokens[3], tokens[12] = first, second
         text = f"{GT_LINE}\n\n{' '.join(tokens)}\n"
         with pytest.raises(LabelParseError) as exc:
-            parse_label_file(text, expect_score=False)
+            read_text(tmp_path, text, expect_score=False)
         assert exc.value.message == message
-        assert str(exc.value) == f"line 3: {message}"
+        assert str(exc.value) == f"{tmp_path / '000000.txt'}: line 3: {message}"
 
-    def test_fractional_occlusion_message(self):
+    def test_fractional_occlusion_message(self, tmp_path):
         tokens = GT_LINE.split()
         tokens[2] = "0.5"
         with pytest.raises(LabelFormatError) as exc:
-            parse_label_file(f"{GT_LINE}\n{' '.join(tokens)}\n", expect_score=False)
-        assert str(exc.value) == "line 2: occluded must be one of -1,0,1,2,3, got '0.5'"
+            read_text(tmp_path, f"{GT_LINE}\n{' '.join(tokens)}\n", expect_score=False)
+        assert str(exc.value) == f"{tmp_path / '000000.txt'}: line 2: occluded must be one of -1,0,1,2,3, got '0.5'"
 
-    def test_score_expected_but_missing(self):
+    def test_score_expected_but_missing(self, tmp_path):
         with pytest.raises(LabelFormatError):
-            parse_label_file(GT_LINE, expect_score=True)
+            read_text(tmp_path, GT_LINE, expect_score=True)
 
-    def test_score_present_but_unexpected(self):
+    def test_score_present_but_unexpected(self, tmp_path):
         with pytest.raises(LabelFormatError):
-            parse_label_file(DET_LINE, expect_score=False)
+            read_text(tmp_path, DET_LINE, expect_score=False)
 
-    def test_error_carries_line_number(self):
+    def test_error_carries_line_number(self, tmp_path):
         text = f"{GT_LINE}\n{GT_LINE} 0.5 0.5\n"
         with pytest.raises(LabelParseError) as exc:
-            parse_label_file(text, expect_score=False)
+            read_text(tmp_path, text, expect_score=False)
         assert exc.value.line_no == 2
         assert "line 2" in str(exc.value)
 
     @pytest.mark.parametrize("occluded", ["4", "-2", "0.5"])
-    def test_bad_occlusion_rejected(self, occluded):
+    def test_bad_occlusion_rejected(self, tmp_path, occluded):
         bad = GT_LINE.split()
         bad[2] = occluded
         with pytest.raises(LabelFormatError):
-            parse_label_file(" ".join(bad), expect_score=False)
+            read_text(tmp_path, " ".join(bad), expect_score=False)
 
-    def test_unknown_occlusion_minus_one_allowed(self):
+    def test_unknown_occlusion_minus_one_allowed(self, tmp_path):
         line = GT_LINE.split()
         line[2] = "-1"
-        assert parse_label_file(" ".join(line), expect_score=False)[0].occluded == -1
+        assert list(read_text(tmp_path, " ".join(line), expect_score=False).column("occluded")) == [-1.0]
 
-    def test_dontcare_with_negative_dims_parses(self):
-        rec = parse_label_file(DONTCARE_LINE, expect_score=False)[0]
-        assert rec.class_name == DONT_CARE
-        assert rec.dimensions == (-1.0, -1.0, -1.0)
+    def test_dontcare_with_negative_dims_parses(self, tmp_path):
+        table = read_text(tmp_path, DONTCARE_LINE, expect_score=False)
+        assert table.class_names == [DONT_CARE]
+        assert [table.column(name)[0] for name in ("height", "width", "length")] == [-1.0, -1.0, -1.0]
 
-    def test_non_positive_dims_rejected_outside_dontcare(self):
+    def test_non_positive_dims_rejected_outside_dontcare(self, tmp_path):
         bad = GT_LINE.replace(" 1.65 1.67 3.64 ", " 1.65 0.00 3.64 ")
         with pytest.raises(LabelFormatError):
-            parse_label_file(bad, expect_score=False)
+            read_text(tmp_path, bad, expect_score=False)
 
-    def test_inverted_bbox_rejected(self):
+    def test_inverted_bbox_rejected(self, tmp_path):
         bad = GT_LINE.replace("587.01 173.33 614.12 200.12", "614.12 173.33 587.01 200.12")
         with pytest.raises(LabelFormatError):
-            parse_label_file(bad, expect_score=False)
+            read_text(tmp_path, bad, expect_score=False)
 
 
 class TestRecord:
-    def test_ego_distance(self):
-        rec = parse_label_file(GT_LINE, expect_score=False)[0]
-        assert rec.ego_distance() == pytest.approx(math.hypot(-0.65, 46.70))
+    """A row's distance and box, as the commands read them from a table."""
 
-    def test_to_box3d(self):
-        rec = parse_label_file(GT_LINE, expect_score=False)[0]
-        box = rec.to_box3d()
-        assert box.center == (-0.65, 1.71, 46.70)
-        assert box.dims == (1.65, 1.67, 3.64)
+    def test_ego_distance(self, tmp_path):
+        table = read_text(tmp_path, GT_LINE, expect_score=False)
+        assert table.distances() == [pytest.approx(math.hypot(-0.65, 46.70))]
+
+    def test_to_box3d(self, tmp_path):
+        table = read_text(tmp_path, GT_LINE, expect_score=False)
+        assert _box_rows(table, [0]) == [(-0.65, 1.71, 46.70, 1.65, 1.67, 3.64, -1.59)]
 
 
 def real_token(lo: float, hi: float):
@@ -202,38 +199,17 @@ def label_files(draw, with_score: bool):
     return text, lines
 
 
-def constructed(line: str) -> KittiRecord:
-    """The record the public constructor builds from a line's tokens."""
-    tokens = line.split()
-    return KittiRecord(
-        class_name=tokens[0],
-        truncated=float(tokens[1]),
-        occluded=int(float(tokens[2])),
-        alpha=float(tokens[3]),
-        bbox_2d=tokens[4:8],
-        dimensions=tokens[8:11],
-        location=tokens[11:14],
-        rotation_y=float(tokens[14]),
-        score=float(tokens[15]) if len(tokens) == 16 else None,
-    )
-
-
 class TestParsedRecords:
     @given(st.booleans().flatmap(lambda with_score: st.tuples(st.just(with_score), label_files(with_score))))
     def test_parsed_records_equal_constructed_ones(self, case):
         with_score, (text, lines) = case
-        parsed = parse_label_file(text, expect_score=with_score)
-        expected = [constructed(line) for line in lines]
-        assert parsed == expected
-        assert [hash(r) for r in parsed] == [hash(r) for r in expected]
-        for record in parsed:
-            reals = [record.truncated, record.alpha, *record.bbox_2d, *record.dimensions]
-            reals += [*record.location, record.rotation_y]
-            if with_score:
-                reals.append(record.score)
-            assert all(type(v) is float for v in reals)
-            assert type(record.occluded) is int
-            assert all(type(t) is tuple for t in (record.bbox_2d, record.dimensions, record.location))
+        with tempfile.TemporaryDirectory() as tmp:
+            table = read_text(Path(tmp), text, expect_score=with_score)
+        records = [constructed(line) for line in lines]
+        frame = Frame("000000", (), records) if with_score else Frame("000000", records)
+        assert same_rows(table, tables([frame])[with_score])
+        assert table.lines == lines
+        assert all(type(column) is array and column.typecode == "d" for column in table.columns)
 
 
 record_values = st.floats(-100.0, 100.0)
@@ -243,7 +219,7 @@ record_values = st.floats(-100.0, 100.0)
 def records(draw, with_score: bool):
     left = draw(st.floats(0.0, 600.0))
     top = draw(st.floats(0.0, 200.0))
-    return KittiRecord(
+    return Record(
         class_name=draw(st.sampled_from(["Car", "Van", "Pedestrian", "Cyclist"])),
         truncated=draw(st.floats(0.0, 1.0)),
         occluded=draw(st.sampled_from([-1, 0, 1, 2, 3])),
@@ -257,8 +233,8 @@ def records(draw, with_score: bool):
 
 
 def written(directory: Path, records) -> str:
-    """The text write_frames writes for one frame of records."""
-    write_frames(LabelTable.from_records(["000000"], [records], with_score=True), directory)
+    """The text write_frames writes for one frame of detection records."""
+    write_frames(detections(records), directory)
     return (directory / "000000.txt").read_bytes().decode("utf-8")
 
 
@@ -273,45 +249,51 @@ def same_rows(a: LabelTable, b: LabelTable) -> bool:
     return (a.frame_ids, a.offsets, a.class_names, a.columns) == (b.frame_ids, b.offsets, b.class_names, b.columns)
 
 
+def round_trip(text: str) -> tuple[LabelTable, str]:
+    """The detection table read from a file holding text, and the text
+    write_frames writes for that table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        table = read_text(Path(tmp) / "in", text, expect_score=True)
+        write_frames(table, Path(tmp) / "out")
+        return table, (Path(tmp) / "out" / "000000.txt").read_bytes().decode("utf-8")
+
+
 class TestSerialize:
     def test_empty_list(self, tmp_path):
         assert written(tmp_path, []) == ""
 
-    def test_field_counts(self):
-        gt = parse_label_file(GT_LINE, expect_score=False)[0]
-        det = parse_label_file(DET_LINE, expect_score=True)[0]
-        assert len(serialize_record(gt).split()) == 15
-        assert len(serialize_record(det).split()) == 16
+    def test_field_counts(self, tmp_path):
+        gt, det = tables([Frame("000000", [constructed(GT_LINE)], [constructed(DET_LINE)])])
+        write_frames(gt, tmp_path / "gt")
+        write_frames(det, tmp_path / "det")
+        assert len((tmp_path / "gt" / "000000.txt").read_text().split()) == 15
+        assert len((tmp_path / "det" / "000000.txt").read_text().split()) == 16
 
-    def test_lf_line_endings(self):
-        gt = parse_label_file(GT_LINE, expect_score=False)
-        text = rewritten(gt * 2)
+    def test_lf_line_endings(self, tmp_path):
+        write_frames(read_text(tmp_path / "in", f"{GT_LINE}\r\n{GT_LINE}\r\n", expect_score=False), tmp_path / "out")
+        text = (tmp_path / "out" / "000000.txt").read_bytes().decode("utf-8")
         assert "\r" not in text
         assert text.endswith("\n")
 
     @given(st.lists(records(with_score=True), max_size=8))
     def test_round_trip_stabilizes_after_one_pass(self, recs):
-        # First serialization rounds to 6 decimals; after that the text
-        # and values are fixed points of parse/serialize.
-        once = parse_label_file(rewritten(recs), expect_score=True)
-        twice = parse_label_file(rewritten(once), expect_score=True)
+        # Reading written lines and writing them again gives the same
+        # rows and the same text.
+        once = rewritten(recs)
+        table, twice = round_trip(once)
         assert twice == once
-        assert rewritten(twice) == rewritten(once)
+        assert same_rows(table, detections(recs))
 
     @given(st.lists(records(with_score=True), max_size=8))
     def test_round_trip_values_within_format_precision(self, recs):
-        parsed = parse_label_file(rewritten(recs), expect_score=True)
-        assert len(parsed) == len(recs)
-        for before, after in zip(recs, parsed):
-            assert after.class_name == before.class_name
-            assert after.occluded == before.occluded
-            assert after.score == pytest.approx(before.score, abs=5e-7)
-            for a, b in zip(after.location, before.location):
-                assert a == pytest.approx(b, abs=5e-7)
+        # Each real is written with repr, so it reads back exactly.
+        table, _ = round_trip(rewritten(recs))
+        assert [constructed(line) for line in table.lines] == recs
+        assert list(table.scores()) == [r.score for r in recs]
 
-    def test_order_preserved(self):
-        recs = parse_label_file(f"{GT_LINE}\n{DONTCARE_LINE}", expect_score=False)
-        lines = rewritten(recs).splitlines()
+    def test_order_preserved(self, tmp_path):
+        write_frames(read_text(tmp_path / "in", f"{GT_LINE}\n{DONTCARE_LINE}", expect_score=False), tmp_path / "out")
+        lines = (tmp_path / "out" / "000000.txt").read_text().splitlines()
         assert lines[0].startswith("Car ")
         assert lines[1].startswith("DontCare ")
 
@@ -379,20 +361,21 @@ class TestWriteLabelFile:
     """write_frames: one label file per frame of a table."""
 
     def test_writes_parseable_file(self, tmp_path):
-        records = parse_label_file(DET_LINE, expect_score=True)
-        assert parse_label_file(written(tmp_path / "out", records), expect_score=True) == records
+        records = [constructed(DET_LINE)]
+        written(tmp_path / "out", records)
+        assert same_rows(read_label_table(tmp_path / "out", "detection", expect_score=True), detections(records))
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        written(tmp_path, parse_label_file(GT_LINE, expect_score=False))
+        written(tmp_path, [constructed(DET_LINE)])
         leftovers = [p for p in tmp_path.iterdir() if p.name != "000000.txt"]
         assert leftovers == []
 
     def test_overwrites_atomically(self, tmp_path):
-        written(tmp_path, parse_label_file(GT_LINE, expect_score=False))
+        written(tmp_path, [constructed(DET_LINE)])
         assert written(tmp_path, []) == ""
 
     def test_writes_the_flagged_lines_of_every_frame(self, tmp_path):
-        det = parse_label_file(DET_LINE, expect_score=True)[0]
+        det = constructed(DET_LINE)
         _, table = tables([Frame("a", (), [det, det]), Frame("b"), Frame("c", (), [det])])
         write_frames(table, tmp_path / "all")
         write_frames(table, tmp_path / "kept", [False, True, False])
@@ -429,7 +412,7 @@ def _write_tree(root: Path, files: dict) -> None:
 
 
 class TestLabelTable:
-    """The bulk reader against parse_label_file, file by file."""
+    """The bulk reader against a token-by-token parse, file by file."""
 
     @given(label_dirs())
     def test_load_tables_equals_per_file_parse(self, files):
@@ -442,8 +425,8 @@ class TestLabelTable:
         expected = [
             Frame(
                 stem,
-                parse_label_file(files[f"gt/{stem}.txt"], expect_score=False),
-                parse_label_file(files.get(f"det/{stem}.txt", ""), expect_score=True),
+                [constructed(line) for line in files[f"gt/{stem}.txt"].splitlines() if line.split()],
+                [constructed(line) for line in files.get(f"det/{stem}.txt", "").splitlines() if line.split()],
             )
             for stem in stems
         ]
@@ -456,14 +439,15 @@ class TestLabelTable:
             line for text in det_texts for line in text.splitlines() if line.split()
         ]
 
-    def test_from_records_round_trips_records(self, tmp_path):
-        frame = Frame("000000", parse_label_file(f"{GT_LINE}\n{DONTCARE_LINE}", False), parse_label_file(DET_LINE, True))
+    def test_fixture_tables_round_trip_through_files(self, tmp_path):
+        frame = Frame("000000", [constructed(GT_LINE), constructed(DONTCARE_LINE)], [constructed(DET_LINE)])
         gt, det = tables([frame])
-        assert (gt.files, det.lines) == (["000000.txt"], [serialize_record(frame.detections[0])])
+        assert (gt.files, det.lines) == (["000000.txt"], label_text(frame.detections).splitlines())
         write_frames(gt, tmp_path / "gt")
         write_frames(det, tmp_path / "det")
-        assert same_rows(load_tables(tmp_path / "gt", tmp_path / "det")[0], gt)
-        records = [parse_label_file((tmp_path / name / "000000.txt").read_text(), name == "det") for name in ("gt", "det")]
+        read_gt, read_det = load_tables(tmp_path / "gt", tmp_path / "det")
+        assert same_rows(read_gt, gt) and same_rows(read_det, det)
+        records = [list(map(constructed, table.lines)) for table in (read_gt, read_det)]
         assert records == [frame.ground_truth, frame.detections]
 
     def test_field_counts_are_checked_per_line(self, tmp_path):
@@ -485,7 +469,7 @@ class TestLabelTable:
         line = DET_LINE.replace("Car", class_name, 1)
         _write_tree(tmp_path, {"gt/000000.txt": GT_LINE, "det/000000.txt": line})
         _, det = load_tables(tmp_path / "gt", tmp_path / "det")
-        assert same_rows(det, tables([Frame("000000", (), parse_label_file(line, expect_score=True))])[1])
+        assert same_rows(det, detections([constructed(line)]))
         assert det.class_names == [class_name]
 
     BAD_LINE = GT_LINE.replace("46.70", "oops")

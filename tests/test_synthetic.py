@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from adathresh.bin_stats import compute_bin_stats
+from adathresh.bin_stats import compute_bin_stats, ground_distance
+from adathresh.cli import main
 from adathresh.evaluation import MatchConfig, evaluate_tables
 from adathresh.geometry import Box3D, iou_bev
 from adathresh.kitti_io import MissingScoreError
@@ -13,6 +14,7 @@ from adathresh.synthetic import (
     MIN_SEPARATION,
     ScenarioSpec,
     ScoreModel,
+    _raw_frames,
     generate,
     generate_with_truth,
     known_optimal_counts,
@@ -61,6 +63,14 @@ class TestScoreModel:
         with pytest.raises(ValueError):
             ScoreModel(a=0.0, b=0.0, c=0.5, noise_std=(0.01, -0.01, 0.0, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "field, value", [("a", math.inf), ("b", -math.inf), ("c", math.nan), ("noise_std", (0.02,) * 5 + (math.nan,))]
+    )
+    def test_rejects_non_finite_values(self, field, value):
+        fields = {"a": 0.0, "b": 0.0, "c": 0.5, "noise_std": (0.02,) * 6, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            ScoreModel(**fields)
+
     def test_dict_round_trip(self):
         assert ScoreModel.from_dict(BASE_MODEL.to_dict()) == BASE_MODEL
 
@@ -73,6 +83,7 @@ class TestScenarioSpec:
     @pytest.mark.parametrize(
         "overrides",
         [
+            {"seed": -1},
             {"n_frames": 0},
             {"objects_per_frame": (3, 2)},
             {"objects_per_frame": (-1, 2)},
@@ -105,7 +116,7 @@ def by_frame(table, values):
 
 
 def boxes(table):
-    """Each row's box, as KittiRecord.to_box3d builds it."""
+    """Each row's box, from its center, dims and yaw columns."""
     names = ("x", "y", "z", "height", "width", "length", "rotation_y")
     rows = zip(*(table.column(name) for name in names))
     return [Box3D(center=(x, y, z), dims=(h, w, l), yaw=yaw) for x, y, z, h, w, l, yaw in rows]
@@ -200,17 +211,18 @@ class TestGeneratedRecords:
 
 class TestNoiselessScores:
     def test_scores_equal_model_mean_exactly(self):
+        # On the generated values, before they are formatted as label lines.
         spec = small_spec(
             seed=5,
             n_frames=20,
             score_model=ScoreModel(a=-0.00004, b=-0.0075, c=0.92, noise_std=(0.0,) * 6),
         )
-        _, det, kinds = generate_with_truth(spec)
         checked = 0
-        for distance, score, kind in zip(det.distances(), det.scores(), kinds):
-            if kind == "tp":
-                assert score == spec.score_model.mean_at(distance)
-                checked += 1
+        for _, det_rows, kinds in _raw_frames(spec):
+            for (x, z, _, _, score), kind in zip(det_rows, kinds):
+                if kind == "tp":
+                    assert score == spec.score_model.mean_at(ground_distance(x, z))
+                    checked += 1
         assert checked > 0
 
     def test_false_positive_scores_below_local_mean(self):
@@ -262,6 +274,23 @@ class TestKnownOptimalCounts:
         gt, det = generate(spec)
         report = evaluate_tables(gt, det, MatchConfig(iou_kind="bev", iou_threshold=0.7), kept=keep_rows(det, model))
         assert known_optimal_counts(spec, model) == (report.tp, report.fp, report.fn)
+
+    def test_agrees_with_eval_on_the_files_synth_writes(self, tmp_path):
+        # The model's constant threshold is a score as written, so each
+        # detection must be judged by the value synth writes, not by the
+        # generator's unrounded one.
+        spec_path = tmp_path / "scenario.json"
+        spec_path.write_text(json.dumps(small_spec().to_dict()), encoding="utf-8")
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out-dir", str(data)]) == 0
+        score = float((data / "det" / "000000.txt").read_text().split()[15])
+        model = ThresholdModel(alpha=0.0, beta=0.0, gamma=score, k=score)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model.to_dict()), encoding="utf-8")
+        io = ["--gt-dir", str(data / "gt"), "--det-dir", str(data / "det"), "--out-dir", str(tmp_path / "eval")]
+        assert main(["eval", *io, "--threshold-mode", f"adaptive:{model_path}"]) == 0
+        report = json.loads((tmp_path / "eval" / "eval_report.json").read_text(encoding="utf-8"))
+        assert known_optimal_counts(small_spec(), model) == (report["tp"], report["fp"], report["fn"]) == (5, 0, 6)
 
     def test_clean_scenario_evaluates_perfectly(self):
         spec = small_spec(

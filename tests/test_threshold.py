@@ -20,7 +20,7 @@ from adathresh.threshold import (
     fit_quadratic,
     keep_rows,
 )
-from helpers import detections, exact_quadratic_fit, make_record
+from helpers import detections, exact_quadratic_fit, ground_truth, make_record
 
 # The tuned reference parameterization used throughout the docs.
 REFERENCE = ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6)
@@ -170,7 +170,7 @@ class TestApplySingle:
 
     def test_missing_score_raises(self):
         with pytest.raises(MissingScoreError):
-            keep_rows(detections([make_record(0.0, 5.0)]), SingleThreshold(0.5))
+            keep_rows(ground_truth([make_record(0.0, 5.0)]), SingleThreshold(0.5))
 
 
 class TestApplyAdaptive:
@@ -189,7 +189,7 @@ class TestApplyAdaptive:
 
     def test_missing_score_raises(self):
         with pytest.raises(MissingScoreError):
-            keep_rows(detections([make_record(0.0, 5.0)]), REFERENCE)
+            keep_rows(ground_truth([make_record(0.0, 5.0)]), REFERENCE)
 
     def test_order_preserved(self):
         recs = det_records([(40.0, 0.9), (40.0, 0.5), (40.0, 0.8)])
