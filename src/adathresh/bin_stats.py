@@ -30,14 +30,14 @@ def ground_distance(x: float, z: float) -> float:
 class JsonCodec:
     """to_dict/from_dict for a dataclass that is written to and read from JSON.
 
-    from_dict coerces each value by its field's annotation: float with
-    float(), int from a JSON integer or an integral float (anything else,
-    a boolean included, is a ValueError), X | None keeps None, tuple[T, ...] and
-    tuple[T, U] element by element, and a nested dataclass through its
-    own from_dict; a str passes through unchanged. Keys that name no
-    field are ignored. A key may be missing only when its field defaults
-    to None or has a default_factory; any other missing key raises
-    KeyError.
+    from_dict coerces each value by its field's annotation: float from a
+    JSON number, int from a JSON integer or an integral float (anything
+    else, a boolean or a string included, is a ValueError), X | None keeps
+    None, tuple[T, ...] and tuple[T, U] element by element, and a nested
+    dataclass through its own from_dict; a str passes through unchanged.
+    Keys that name no field are ignored. A key may be missing only when
+    its field defaults to None or has a default_factory; any other
+    missing key raises KeyError.
     """
 
     def to_dict(self) -> dict:
@@ -76,7 +76,7 @@ def _decode(hint, value):
         return hint.from_dict(value)
     if hint is int:
         return _integer(value)
-    return float(value) if hint is float else value
+    return _real(value) if hint is float else value
 
 
 def _integer(value) -> int:
@@ -85,6 +85,12 @@ def _integer(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _real(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
 
 
 @dataclass(frozen=True)

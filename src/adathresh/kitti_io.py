@@ -28,13 +28,19 @@ LabelTable, one row per line held by column. Every table, synthetic
 ones included, is built from label lines by one function, which runs
 each check once over all rows; when any fails, the files are checked
 again line by line, so the error raised names the first bad file and
-line. write_frames writes a table's frames back to files.
+line.
+
+write_frames writes a table's frames back to files, one label tree at
+a time: a new tree appears whole or not at all, and an existing one gets
+one atomic replace per file. write_text_atomic writes any other single
+file (JSON, CSV, SVG, markdown) through a temp file and a rename.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import shutil
 import sys
 import tempfile
 from array import array
@@ -137,15 +143,50 @@ class LabelTable:
 
 
 def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | None = None) -> None:
-    """Write each frame's file of table into out_dir, which is created even
-    for a table without frames: the lines of the rows flagged in kept (all
-    rows without kept) as held, LF-terminated, one write_text_atomic per file."""
+    """Write each frame's file of table into out_dir: the lines of the rows
+    flagged in kept (all rows without kept) as held, LF-terminated, mode
+    0o600. A frame without a file has no rows and gets none.
+
+    The files are written into a hidden staging directory first. A new
+    out_dir, even for a table without frames, is then renamed into place
+    whole, so it appears complete or not at all. In an existing out_dir
+    each file replaces its namesake atomically, and files the table does
+    not name stay. On an error the staging directory is removed, and a
+    new out_dir does not exist.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kept = [True] * len(table) if kept is None else kept
-    for name, start, stop in zip(table.files, table.offsets, table.offsets[1:]):
-        lines = compress(table.lines[start:stop], kept[start:stop])
-        write_text_atomic(out_dir / name, "".join(line + "\n" for line in lines))
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    existed = out_dir.is_dir()
+    # Staged in the directory that gets the files, so that no rename
+    # crosses a mount point (out_dir may be one).
+    host = out_dir if existed else out_dir.parent
+    stage = tempfile.mkdtemp(dir=host, prefix=f".{out_dir.name}.", suffix=".tmp")
+    try:
+        tree = os.path.join(stage, "tree")
+        os.mkdir(tree)  # the mode of a plain mkdir, where mkdtemp gives 0o700
+        for name, start, stop in zip(table.files, table.offsets, table.offsets[1:]):
+            if name is not None:
+                lines = compress(table.lines[start:stop], kept[start:stop])
+                with open(os.path.join(tree, name), "w", encoding="utf-8", newline="", opener=_owner_only) as handle:
+                    handle.write("".join(line + "\n" for line in lines))
+        if not existed:
+            try:
+                os.rename(tree, out_dir)
+                return
+            except OSError:
+                # out_dir appeared meanwhile: fill it file by file. Something
+                # other than a directory there is a FileExistsError naming it.
+                out_dir.mkdir(exist_ok=True)
+        for name in os.listdir(tree):
+            os.replace(os.path.join(tree, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _owner_only(path: str, flags: int) -> int:
+    """open()'s opener for mode 0o600, the mode of a tempfile.mkstemp file."""
+    return os.open(path, flags, 0o600)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

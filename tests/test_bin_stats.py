@@ -318,12 +318,21 @@ class TestJsonCodec:
 
     def test_values_are_coerced_by_annotation(self):
         row = BinBreakdown.from_dict(
-            {"bin_index": 6.0, "lo_m": 60, "hi_m": None, "tp": 3, "fp": 1, "fn": 2, "recall": 1, "precision": "0.5"}
+            {"bin_index": 6.0, "lo_m": 60, "hi_m": None, "tp": 3, "fp": 1, "fn": 2, "recall": 1, "precision": 0.5}
         )
         assert row == BinBreakdown(6, 60.0, None, 3, 1, 2, 1.0, 0.5)
         assert [type(v) for v in (row.bin_index, row.lo_m, row.tp, row.recall)] == [int, float, int, float]
         stats = BinStats.from_dict({"bin_index": 1, "count": 2, "mean": 1, "std": 0})
         assert type(stats.mean) is float and type(stats.std) is float
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", "60", None, [1.0]])
+    def test_a_float_field_takes_only_a_number(self, value):
+        with pytest.raises(ValueError, match="expected a number"):
+            BinSpec.from_dict({"bin_width": 10.0, "max_distance": value})
+        with pytest.raises(ValueError, match="expected a number"):
+            BinBreakdown.from_dict(
+                {"bin_index": 0, "lo_m": 0.0, "hi_m": None, "tp": 0, "fp": 0, "fn": 0, "recall": 0.0, "precision": value}
+            )
 
     @pytest.mark.parametrize("value", [1.5, True, "3", None, float("inf"), float("nan")])
     def test_an_int_field_takes_only_an_integral_number(self, value):

@@ -536,6 +536,8 @@ class TestExitCodes:
             {"n_frames": math.inf},  # not an integral number
             *({"seed": seed} for seed in (-1, 1.5, True, "1")),
             *({"score_model": {**score_model, field: value}} for field, value in non_finite),
+            {"score_model": {**score_model, "c": True}},  # a float field takes only a number
+            {"distance_range": ["2", "58"]},
         ):
             bad = write_json(tmp_path / "scenario.json", scenario_payload(**overrides))
             assert run("synth", "--spec", bad, "--out-dir", str(tmp_path / "o")) == 2, overrides

@@ -1,6 +1,8 @@
 """Label reading, writing, and dataset loading."""
 
 import math
+import os
+import stat
 import tempfile
 from array import array
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from adathresh import kitti_io
 from adathresh.evaluation import _box_rows
 from adathresh.kitti_io import (
     DONT_CARE,
@@ -387,6 +390,97 @@ class TestWriteLabelFile:
         }
         write_frames(tables([])[0], tmp_path / "none")
         assert (tmp_path / "none").is_dir() and not any((tmp_path / "none").iterdir())
+
+    def test_frames_without_a_file_get_none(self, tmp_path):
+        _write_tree(tmp_path, {"gt/a.txt": GT_LINE, "gt/b.txt": GT_LINE, "det/b.txt": DET_LINE})
+        _, det = load_tables(tmp_path / "gt", tmp_path / "det")
+        assert det.files == [None, "b.txt"]
+        write_frames(det, tmp_path / "out")
+        assert {p.name: p.read_text() for p in (tmp_path / "out").iterdir()} == {"b.txt": DET_LINE + "\n"}
+
+    @staticmethod
+    def three_frames():
+        det = constructed(DET_LINE)
+        return tables([Frame("a", (), [det]), Frame("b", (), [det]), Frame("c", (), [det])])[1]
+
+    @staticmethod
+    def fail_at(monkeypatch, k):
+        """Make write_frames's write of file k (from 0) raise OSError."""
+        calls = []
+
+        def failing_open(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == k + 1:
+                raise OSError("disk full")
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(kitti_io, "open", failing_open, raising=False)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_a_failed_write_leaves_no_new_tree_and_no_staging(self, tmp_path, monkeypatch, k):
+        self.fail_at(monkeypatch, k)
+        with pytest.raises(OSError, match="disk full"):
+            write_frames(self.three_frames(), tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_a_failed_write_leaves_an_existing_tree_as_it_was(self, tmp_path, monkeypatch, k):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.txt").write_text("old a\n")
+        (out / "z.txt").write_text("old z\n")
+        self.fail_at(monkeypatch, k)
+        with pytest.raises(OSError, match="disk full"):
+            write_frames(self.three_frames(), out)
+        assert {p.name: p.read_text() for p in out.iterdir()} == {"a.txt": "old a\n", "z.txt": "old z\n"}
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002])
+    def test_a_new_tree_has_a_plain_mkdirs_mode_and_0600_files(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            (tmp_path / "plain").mkdir()
+            write_frames(self.three_frames(), tmp_path / "new" / "out")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        assert mode == 0o777 & ~umask
+        for directory in (tmp_path / "new", tmp_path / "new" / "out"):
+            assert stat.S_IMODE(directory.stat().st_mode) == mode
+        files = list((tmp_path / "new" / "out").iterdir())
+        assert len(files) == 3
+        assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o600}
+        assert [p.name for p in (tmp_path / "new").iterdir()] == ["out"]
+
+    def test_a_directory_made_during_the_write_gets_the_files_one_by_one(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        rename = os.rename
+
+        def made_meanwhile(src, dst):
+            out.mkdir()
+            (out / "z.txt").write_text("other\n")
+            rename(src, dst)
+
+        monkeypatch.setattr(kitti_io.os, "rename", made_meanwhile)
+        write_frames(self.three_frames(), out)
+        assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.txt", "c.txt", "z.txt"]
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_a_file_in_place_of_out_dir_is_an_error_naming_it(self, tmp_path):
+        (tmp_path / "out").write_text("a file\n")
+        with pytest.raises(FileExistsError, match="out"):
+            write_frames(self.three_frames(), tmp_path / "out")
+        assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("out", "a file\n")]
+
+    def test_an_existing_empty_directory_is_written_in_place(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir(mode=0o750)
+        before = out.stat()
+        write_frames(self.three_frames(), out)
+        after = out.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, stat.S_IMODE(before.st_mode))
+        assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.txt", "c.txt"]
+        assert {stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {0o600}
 
 
 @st.composite
