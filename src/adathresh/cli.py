@@ -107,7 +107,7 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     data = _read_json(args.config, "config")
     if not isinstance(data, dict):
         raise DatasetError(f"config file {args.config} must hold a JSON object")
-    unknown = sorted(set(data) - (set(vars(args)) - {"command"}))
+    unknown = sorted(set(data) - {row.dest for row in _OPTIONS[args.command]})
     if unknown:
         names = ", ".join(map(repr, unknown))
         raise _UsageError(f"config file {args.config} has keys that name no {args.command} option: {names}")

@@ -19,12 +19,12 @@ rows' boxes go to geometry.pair_iou once, which gives the IoU of every
 same-frame pair that the bounding-circle prune keeps, bit for bit equal
 to the scalar IoU; one sparse greedy loop (_greedy) then matches the
 pairs at or above the threshold, all frames at once. A threshold filter
-selects detection rows, whose pairs are a subset of all pairs, so the
-kernel runs once for the filtered point metrics, per-bin rows and AP and
-the unfiltered AP. Matching never crosses frames, and the global sweep
-order restricted to one frame is that frame's matching order (-score,
-then position), so the match flags sorted in the global (-score,
-frame_id, position, frame position) order are exactly the flags of a
+flags detection rows, and the loop skips the pairs of unflagged ones,
+so the kernel runs once for the filtered point metrics, per-bin rows
+and AP and the unfiltered AP. The tables hold the same frames in
+strictly ascending frame_id order, so row order is (frame_id, position)
+order: the AP sweep is one stable sort of the rows by descending score,
+and matching never crosses frames, so its flags are exactly those of a
 global score-sorted sweep.
 """
 
@@ -33,7 +33,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
-from typing import Sequence
+from operator import lt
+from typing import Iterable, Sequence
 
 from .bin_stats import BinSpec, JsonCodec, assign_bin, ground_distance
 from .geometry import pair_iou
@@ -109,9 +110,9 @@ def _eval_rows(gt: LabelTable, det: LabelTable, config: MatchConfig) -> tuple[li
 
 
 def _greedy(
-    det_idx: Sequence[int],
-    gt_idx: Sequence[int],
-    iou: Sequence[float],
+    det_idx: Iterable[int],
+    gt_idx: Iterable[int],
+    iou: Iterable[float],
     scores: Sequence[float],
     threshold: float,
 ) -> list[tuple[int, int, float]]:
@@ -139,6 +140,23 @@ def _greedy(
     return matches
 
 
+def _match(
+    pairs: tuple[list[int], list[int], list[float]],
+    scores: list[float],
+    threshold: float,
+    n_gt: int,
+    in_set: list[bool],
+) -> tuple[list[bool], list[bool]]:
+    """_greedy over the pairs of the detections flagged in in_set: the
+    matched flags of the ground truth and of every detection."""
+    flags = [in_set[d] for d in pairs[0]]
+    gt_hit = [False] * n_gt
+    det_hit = [False] * len(scores)
+    for d, g, _ in _greedy(*(compress(column, flags) for column in pairs), scores, threshold):
+        det_hit[d] = gt_hit[g] = True
+    return gt_hit, det_hit
+
+
 def _box_rows(table: LabelTable, rows: list[int]) -> list[tuple[float, ...]]:
     """The rows' boxes as pair_iou rows: center, dims and yaw, as geometry.Box3D takes them."""
     names = ("x", "y", "z", "height", "width", "length", "rotation_y")
@@ -148,91 +166,6 @@ def _box_rows(table: LabelTable, rows: list[int]) -> list[tuple[float, ...]]:
 def _offsets(table: LabelTable, rows: list[int]) -> list[int]:
     """The frame offsets into rows, an ascending selection of table rows."""
     return [bisect_left(rows, start) for start in table.offsets]
-
-
-@dataclass(frozen=True)
-class _SetMatch:
-    """The matching pass over one detection set.
-
-    gt_rows and det_rows are the evaluated table rows in frame order;
-    gt_hit and det_hit flag the matched ones; sweep is the positions in
-    det_rows in global AP sweep order.
-    """
-
-    gt_rows: list[int]
-    det_rows: list[int]
-    gt_hit: list[bool]
-    det_hit: list[bool]
-    sweep: list[int]
-
-    def average_precision(self, kind: str) -> float:
-        return _interpolated_ap([self.det_hit[i] for i in self.sweep], len(self.gt_rows), kind)
-
-
-@dataclass(frozen=True)
-class _Candidates:
-    """The evaluated rows of a ground-truth and detection table pair, and
-    the IoU of every same-frame pair of them that the prune keeps.
-
-    det_idx and gt_idx index det_rows and gt_rows; det_frame is each
-    detection's frame and frame_rank each frame's rank by frame_id.
-    """
-
-    gt_rows: list[int]
-    det_rows: list[int]
-    det_frame: list[int]
-    frame_rank: list[int]
-    scores: list[float]
-    det_idx: list[int]
-    gt_idx: list[int]
-    iou: list[float]
-    threshold: float
-
-    def match(self, kept: Sequence[bool] | None = None) -> _SetMatch:
-        """One greedy pass over the detections, or over those flagged in kept.
-
-        A subset's pairs are a subset of the pairs, so the IoU kernel
-        runs once for both.
-        """
-        det_idx, gt_idx, iou = self.det_idx, self.gt_idx, self.iou
-        scores, det_frame, det_rows = self.scores, self.det_frame, self.det_rows
-        if kept is not None:
-            renumbered = [n - 1 for n in accumulate(map(int, kept))]
-            in_set = [kept[d] for d in det_idx]
-            det_idx = [renumbered[d] for d in compress(det_idx, in_set)]
-            gt_idx, iou = list(compress(gt_idx, in_set)), list(compress(iou, in_set))
-            scores, det_frame, det_rows = (list(compress(a, kept)) for a in (scores, det_frame, det_rows))
-        gt_hit = [False] * len(self.gt_rows)
-        det_hit = [False] * len(det_rows)
-        for d, g, _ in _greedy(det_idx, gt_idx, iou, scores, self.threshold):
-            det_hit[d] = gt_hit[g] = True
-        # Global sweep order: (-score, frame_id, position in frame, frame position).
-        first: dict[int, int] = {}
-        position = [i - first.setdefault(f, i) for i, f in enumerate(det_frame)]
-        rank = self.frame_rank
-        sweep = sorted(
-            range(len(det_rows)),
-            key=lambda i: (-scores[i], rank[det_frame[i]], position[i], det_frame[i]),
-        )
-        return _SetMatch(self.gt_rows, det_rows, gt_hit, det_hit, sweep)
-
-
-def _candidates(gt: LabelTable, det: LabelTable, config: MatchConfig) -> _Candidates:
-    """The IoU kernel over every frame of a table pair. gt and det hold
-    the same frames."""
-    gt_rows, det_rows = _eval_rows(gt, det, config)
-    score_column = det.scores()
-    scores = [score_column[r] for r in det_rows]
-    det_offsets = _offsets(det, det_rows)
-    det_idx, gt_idx, iou = pair_iou(
-        _box_rows(det, det_rows), det_offsets, _box_rows(gt, gt_rows), _offsets(gt, gt_rows), config.iou_kind
-    )
-    det_frame = [f for f in range(len(det_offsets) - 1) for _ in range(det_offsets[f], det_offsets[f + 1])]
-    rank = {frame_id: i for i, frame_id in enumerate(sorted(set(gt.frame_ids)))}
-    frame_rank = [rank[frame_id] for frame_id in gt.frame_ids]
-    return _Candidates(
-        gt_rows, det_rows, det_frame, frame_rank, scores, det_idx, gt_idx, iou, config.iou_threshold
-    )
 
 
 def _bins(table: LabelTable, rows: list[int], spec: BinSpec) -> list[int]:
@@ -317,7 +250,12 @@ def evaluate_tables(
     kept: Sequence[bool] | None = None,
 ) -> EvalReport:
     """The full report for the detections of det against the ground truth
-    of gt, two tables of the same frames (kitti_io.load_tables).
+    of gt.
+
+    gt and det hold the same frames in strictly ascending frame_id order,
+    as every table kitti_io and synthetic build does; other tables raise
+    EvaluationError. Equal scores then sweep in row order: by frame_id,
+    then by position in the frame.
 
     Without kept, every detection row is evaluated and average_precision
     sweeps them. With kept (one flag per row, threshold.keep_rows), point
@@ -325,17 +263,27 @@ def evaluate_tables(
     kept rows, and average_precision sweeps every row, so that the sweep
     covers the full score range.
     """
+    ids = gt.frame_ids
+    if det.frame_ids != ids or not all(map(lt, ids, ids[1:])):
+        raise EvaluationError(
+            "ground truth and detections must hold the same frames in strictly ascending frame_id order"
+        )
     spec = bin_spec if bin_spec is not None else BinSpec()
-    candidates = _candidates(gt, det, config)
-    subset = None if kept is None else [bool(kept[r]) for r in candidates.det_rows]
-    matched = candidates.match(subset)
+    gt_rows, det_rows = _eval_rows(gt, det, config)
+    score_column = det.scores()
+    scores = [score_column[r] for r in det_rows]
+    det_boxes, gt_boxes = _box_rows(det, det_rows), _box_rows(gt, gt_rows)
+    pairs = pair_iou(det_boxes, _offsets(det, det_rows), gt_boxes, _offsets(gt, gt_rows), config.iou_kind)
+    every = [True] * len(det_rows)
+    in_set = every if kept is None else [bool(kept[r]) for r in det_rows]
+    gt_hit, det_hit = _match(pairs, scores, config.iou_threshold, len(gt_rows), in_set)
+
     overflow = spec.n_bins
     tp_by_bin, fn_by_bin, fp_by_bin = ([0] * (overflow + 1) for _ in range(3))
-    for b, hit in zip(_bins(gt, matched.gt_rows, spec), matched.gt_hit):
+    for b, hit in zip(_bins(gt, gt_rows, spec), gt_hit):
         (tp_by_bin if hit else fn_by_bin)[b] += 1
-    for b, hit in zip(_bins(det, matched.det_rows, spec), matched.det_hit):
-        if not hit:
-            fp_by_bin[b] += 1
+    for b in _bins(det, [r for r, flag, hit in zip(det_rows, in_set, det_hit) if flag and not hit], spec):
+        fp_by_bin[b] += 1
 
     tp = sum(tp_by_bin)
     fp = sum(fp_by_bin)
@@ -365,11 +313,15 @@ def evaluate_tables(
             )
         )
 
-    ap_filtered = matched.average_precision(config.ap_interpolation)
-    if kept is not None:
-        ap = candidates.match().average_precision(config.ap_interpolation)
-    else:
+    # A reverse sort is stable too: equal scores stay in row order.
+    sweep = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    kind = config.ap_interpolation
+    ap_filtered = _interpolated_ap([det_hit[i] for i in sweep if in_set[i]], len(gt_rows), kind)
+    if kept is None:
         ap, ap_filtered = ap_filtered, None
+    else:
+        all_hit = _match(pairs, scores, config.iou_threshold, len(gt_rows), every)[1]
+        ap = _interpolated_ap([all_hit[i] for i in sweep], len(gt_rows), kind)
     return EvalReport(
         config=config,
         tp=tp,

@@ -17,11 +17,12 @@ One object per line, whitespace-separated fields:
     15     score       float  detection files only
 
 Ground-truth files carry 15 columns, detection files 16. Any run of
-spaces or tabs separates fields; LF and CRLF inputs both parse, output
-always uses LF. Only structural invariants are enforced (field count,
-finite numeric fields, an occlusion level, positive dimensions outside
-DontCare, bbox ordering); value ranges such as truncation in [0, 1] are
-the producer's business.
+spaces or tabs separates fields; LF and CRLF inputs both parse, a
+leading UTF-8 byte-order mark is dropped, and output always uses LF.
+Only structural invariants are enforced (field count, finite numeric
+fields, an occlusion level, positive dimensions outside DontCare, bbox
+ordering); value ranges such as truncation in [0, 1] are the
+producer's business.
 
 read_label_table and load_tables read whole directories into a
 LabelTable, one row per line held by column. Every table, synthetic
@@ -270,8 +271,9 @@ def _read_table(
             try:
                 # Unbuffered bytes read a third faster than a text file; splitlines
                 # breaks at a raw "\r\n" or "\r" as at the "\n" text mode makes of it.
+                # utf-8-sig drops a leading byte-order mark, as _check_label_file does.
                 with open(prefix + name, "rb", buffering=0) as handle:
-                    text = handle.read().decode("utf-8")
+                    text = handle.read().decode("utf-8-sig")
                 # strip() is empty exactly where split() is: a blank line has no row.
                 lines += filter(str.strip, text.splitlines())
             except (OSError, UnicodeDecodeError):
@@ -358,7 +360,7 @@ def _check_label_file(path: Path, expect_score: bool) -> None:
     with the file and the 1-based line number; blank lines are skipped.
     An unreadable file is a DatasetError naming it. Builds nothing."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc

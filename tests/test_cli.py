@@ -53,6 +53,35 @@ def tree_digest(root):
     return digest.hexdigest()
 
 
+# sha256 of eval_report.json and eval_report.csv for the dataset fixture's scenario.
+EVAL_DIGESTS = {
+    ("none", "bev"): [
+        "d1fb0100df3a51aa9c213b01c5bbbdfc7fb0044e6d735cc940f325676ef0a075",
+        "ff74f8ff8d2b5a7bab1398ac9a8d943f17d9f53f172395f14ce1d46a9a518898",
+    ],
+    ("none", "3d"): [
+        "56f94ff09f7acf8fbaf1249e4511817049a5b250e7901ea79f2ba75659b40ec7",
+        "ff74f8ff8d2b5a7bab1398ac9a8d943f17d9f53f172395f14ce1d46a9a518898",
+    ],
+    ("single:0.5", "bev"): [
+        "8c49cc65cc441eacf5fc74a2308713a51b0dab584c9e1e6eb5f75cdbe5a56405",
+        "db3d59bb52013d152dcb480b68ea9d43ef010db50ef8d90fd4722ef438e2f2ab",
+    ],
+    ("single:0.5", "3d"): [
+        "2894a6e55dd368556ccebfa2d96ec37ab121235065d8a13c3724ec7b37dc65d1",
+        "db3d59bb52013d152dcb480b68ea9d43ef010db50ef8d90fd4722ef438e2f2ab",
+    ],
+    ("adaptive:model.json", "bev"): [
+        "d494775040e987bfcdeeb8c46007c6bf03e086f4aa4aa477387afae56381baaa",
+        "9682cea93a2299c64c30d67036bc5db0416c223d29b71d087481bd13086296a0",
+    ],
+    ("adaptive:model.json", "3d"): [
+        "49d0961a41bb07683a2521e90fc21cbc2f828ec97504d7e04fe0c8fb54b9b6cf",
+        "9682cea93a2299c64c30d67036bc5db0416c223d29b71d087481bd13086296a0",
+    ],
+}
+
+
 @pytest.fixture
 def dataset(tmp_path):
     """Synthetic gt/ and det/ directories plus the scenario file."""
@@ -342,6 +371,17 @@ class TestPipeline:
         assert tree_digest(tmp_path / "o" / "gt") == "e984716a5c59727bff1143ad0abbab22fa8d3dc4a0d14c2e51c8e2a8383d4d51"
         assert tree_digest(tmp_path / "o" / "det") == "90d278760ebe07196c954fcdc08da37201d1560fda378a89e1d17fae3d67fba3"
 
+    @pytest.mark.parametrize("mode, iou", list(EVAL_DIGESTS))
+    def test_eval_writes_pinned_bytes(self, tmp_path, dataset, monkeypatch, mode, iou):
+        # eval_report.json holds threshold_mode as typed, so the model path is relative.
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "model.json", ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6).to_dict())
+        out = tmp_path / "e"
+        data = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+        assert run("eval", *data, "--out-dir", str(out), "--iou", iou, "--threshold-mode", mode) == 0
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("eval_report.json", "eval_report.csv")]
+        assert digests == EVAL_DIGESTS[mode, iou]
+
     def test_synth_manifest_writes_whole_numbers_of_float_fields_as_floats(self, tmp_path):
         payload = scenario_payload(n_frames=2, distance_range=[2, 58], bin_spec={"bin_width": 10, "max_distance": 60})
         spec_path = write_json(tmp_path / "scenario.json", payload)
@@ -554,7 +594,7 @@ class TestExitCodes:
         assert run("compare", str(good), bad, "--out-dir", str(tmp_path / "cmp")) == 2
         assert f"report file {bad}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["bin_widht", "jobs"])
+    @pytest.mark.parametrize("key", ["bin_widht", "jobs", "config"])
     def test_unknown_config_key_is_a_usage_error_naming_it(self, tmp_path, dataset, capsys, key):
         cfg = write_json(
             tmp_path / "cfg.json",

@@ -13,16 +13,17 @@ from adathresh.evaluation import (
     EvaluationError,
     MatchConfig,
     MetricDelta,
-    _candidates,
+    _eval_rows,
     _greedy,
     _interpolated_ap,
+    _match,
     _ratio,
     compare_reports,
     evaluate_tables,
     trade_off,
 )
 from adathresh.geometry import iou_bev, pair_iou
-from adathresh.kitti_io import MissingScoreError
+from adathresh.kitti_io import MissingScoreError, load_tables, read_label_table
 from adathresh.threshold import SingleThreshold, keep_rows
 from helpers import (
     Frame,
@@ -37,6 +38,7 @@ from helpers import (
     score_list,
     tables,
     three_pass_evaluate,
+    write_label,
 )
 
 BEV_CFG = MatchConfig(iou_kind="bev", iou_threshold=0.5)
@@ -56,14 +58,28 @@ def frame_matches(gt, det):
     return _greedy(*pairs, score_list(det), BEV_CFG.iou_threshold)
 
 
-def _match_set(frames, config):
-    """The matching pass evaluate_tables makes over the frames' tables."""
-    return _candidates(*tables(frames), config).match()
+def frame_hits(gt, det, in_set=None):
+    """_match over one frame's BEV pair_iou: the (gt_hit, det_hit) flags,
+    matching only the detections flagged in in_set (all without it)."""
+    pairs = pair_iou(box_rows(det), [0, len(det)], box_rows(gt), [0, len(gt)], "bev")
+    flags = [True] * len(det) if in_set is None else in_set
+    return _match(pairs, score_list(det), BEV_CFG.iou_threshold, len(gt), flags)
 
 
 def evaluate_frames(frames, config, bin_spec=None, kept=None):
     """evaluate_tables over the frames' tables."""
     return evaluate_tables(*tables(frames), config, bin_spec, kept)
+
+
+def spare_evaluate(frames, config, kept=None):
+    """evaluate_frames with one more frame holding a lone ground-truth car,
+    so that AP is defined even where no ground truth of frames is left."""
+    spare = frame("000099", [make_record(0.0, 12.0)], [])
+    return evaluate_frames([*frames, spare], config, kept=kept)
+
+
+def counts(report):
+    return report.tp, report.fp, report.fn
 
 
 def point(report):
@@ -138,15 +154,14 @@ class TestGreedyMatch:
 
 
 class TestMatchFrame:
-    """One frame through pair_iou and _greedy, and through the table matching pass."""
+    """One frame through pair_iou, _greedy and _match, and through evaluate_tables."""
 
     def test_single_pair(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 10.0, score=0.9)]
         assert frame_matches(gt, det) == [(0, 0, 1.0)]
-        matched = _match_set(single_frame(gt, det), BEV_CFG)
-        assert matched.gt_hit == [True]
-        assert matched.det_hit == [True]
+        assert frame_hits(gt, det) == ([True], [True])
+        assert counts(evaluate_frames(single_frame(gt, det), BEV_CFG)) == (1, 0, 0)
 
     def test_higher_score_wins_regardless_of_position(self):
         gt = [make_record(0.0, 10.0)]
@@ -155,7 +170,17 @@ class TestMatchFrame:
             make_record(0.0, 10.0, score=0.9),
         ]
         assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(1, 0)]
-        assert _match_set(single_frame(gt, det), BEV_CFG).det_hit == [False, True]
+        assert frame_hits(gt, det)[1] == [False, True]
+        assert counts(evaluate_frames(single_frame(gt, det), BEV_CFG)) == (1, 1, 0)
+
+    def test_unflagged_detections_neither_match_nor_block(self):
+        gt = [make_record(0.0, 10.0)]
+        det = [
+            make_record(0.0, 10.0, score=0.9),
+            make_record(0.1, 10.0, score=0.8),
+        ]
+        assert frame_hits(gt, det, [False, True]) == ([True], [False, True])
+        assert frame_hits(gt, det, [False, False]) == ([False], [False, False])
 
     def test_equal_scores_favor_lower_detection_index(self):
         gt = [make_record(0.0, 10.0)]
@@ -171,21 +196,20 @@ class TestMatchFrame:
         gt = [make_record(0.0, 10.0), make_record(0.0, 10.5)]
         det = [make_record(0.0, 10.4, score=0.9)]
         assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(0, 1)]
-        assert _match_set(single_frame(gt, det), BEV_CFG).gt_hit == [False, True]
+        assert frame_hits(gt, det)[0] == [False, True]
 
     def test_iou_below_threshold_not_matched(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 11.4, score=0.9)]
         assert frame_matches(gt, det) == []
-        matched = _match_set(single_frame(gt, det), BEV_CFG)
-        assert matched.gt_hit == [False]
-        assert matched.det_hit == [False]
+        assert frame_hits(gt, det) == ([False], [False])
+        assert counts(evaluate_frames(single_frame(gt, det), BEV_CFG)) == (0, 1, 1)
 
     def test_missing_score_raises(self):
         # A table without a score column cannot be matched as detections.
         gt = ground_truth([make_record(0.0, 10.0)])
         with pytest.raises(MissingScoreError):
-            _candidates(gt, gt, BEV_CFG).match()
+            evaluate_tables(gt, gt, BEV_CFG)
 
     def test_agrees_with_reference_matcher(self):
         for seed in range(25):
@@ -200,11 +224,11 @@ class TestMatchFrame:
         rng = random.Random(seed)
         gt, det = random_scene(rng)
         matches = frame_matches(gt, det)
-        matched = _match_set(single_frame(gt, det), BEV_CFG)
+        gt_hit, det_hit = frame_hits(gt, det)
         matched_gt = [g for _, g, _ in matches]
         matched_det = [d for d, _, _ in matches]
-        unmatched_gt = [g for g, hit in enumerate(matched.gt_hit) if not hit]
-        unmatched_det = [d for d, hit in enumerate(matched.det_hit) if not hit]
+        unmatched_gt = [g for g, hit in enumerate(gt_hit) if not hit]
+        unmatched_det = [d for d, hit in enumerate(det_hit) if not hit]
         assert len(set(matched_gt)) == len(matched_gt)
         assert len(set(matched_det)) == len(matched_det)
         assert sorted(matched_gt + unmatched_gt) == list(range(len(gt)))
@@ -213,12 +237,12 @@ class TestMatchFrame:
 
 
 class TestPointMetrics:
-    """evaluate's recall, precision and trade-off; _match_set's hits where
-    no ground truth is left, since AP is undefined there."""
+    """evaluate's recall, precision and trade-off; its counts with a spare
+    ground-truth frame where no ground truth is left, since AP is
+    undefined there."""
 
     def test_no_frames_is_vacuously_perfect(self):
-        matched = _match_set([], BEV_CFG)
-        assert (len(matched.gt_rows), len(matched.det_rows)) == (0, 0)
+        assert _eval_rows(*tables([]), BEV_CFG) == ([], [])
         assert (_ratio(0, 0), _ratio(0, 0), trade_off(1.0, 1.0)) == (1.0, 1.0, 0.0)
 
     def test_perfect_detector(self):
@@ -269,8 +293,8 @@ class TestPointMetrics:
     def test_dontcare_excluded_even_as_target_class(self):
         cfg = MatchConfig(iou_kind="bev", iou_threshold=0.5, class_name="DontCare")
         gt = [make_record(0.0, 10.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0))]
-        matched = _match_set(single_frame(gt, []), cfg)
-        assert len(matched.gt_rows) == 0  # no gt survives the filter: recall is vacuous
+        # No gt survives the filter: recall is vacuous.
+        assert _eval_rows(*tables(single_frame(gt, [])), cfg) == ([], [])
 
     def test_difficulty_strata(self):
         # 30 px tall 2D box: hard and moderate keep it, easy does not.
@@ -283,9 +307,9 @@ class TestPointMetrics:
 
         assert point(evaluate_frames(single_frame(gt, det), config_at(None))) == (1.0, 1.0, 0.0)
         assert point(evaluate_frames(single_frame(gt, det), config_at("hard"))) == (1.0, 1.0, 0.0)
-        easy = _match_set(single_frame(gt, det), config_at("easy"))
-        assert len(easy.gt_rows) == 0  # vacuous recall: no gt in stratum
-        assert easy.det_hit == [False]  # the detection is now a false positive
+        # No gt of the frame is in the stratum, so the detection is now a
+        # false positive; the one miss is the spare frame's.
+        assert counts(spare_evaluate(single_frame(gt, det), config_at("easy"))) == (0, 1, 1)
 
     def test_occlusion_limits(self):
         gt = [make_record(0.0, 10.0, occluded=2)]
@@ -293,8 +317,7 @@ class TestPointMetrics:
         hard = MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty="hard")
         moderate = MatchConfig(iou_kind="bev", iou_threshold=0.5, difficulty="moderate")
         assert point(evaluate_frames(single_frame(gt, det), hard)) == (1.0, 1.0, 0.0)
-        matched = _match_set(single_frame(gt, det), moderate)
-        assert matched.det_hit == [False]  # precision 0
+        assert counts(spare_evaluate(single_frame(gt, det), moderate)) == (0, 1, 1)  # precision 0
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_raising_threshold_never_increases_tp_or_fp(self, seed, t_a, t_b):
@@ -305,13 +328,12 @@ class TestPointMetrics:
             gt, det = random_scene(rng)
             frames.append(frame(f"{i:06d}", gt, det))
 
-        def counts(threshold):
+        def tp_fp(threshold):
             kept = keep_rows(tables(frames)[1], SingleThreshold(threshold))
-            matched = _match_set(filtered(frames, kept), BEV_CFG)
-            return matched.det_hit.count(True), matched.det_hit.count(False)
+            return counts(spare_evaluate(frames, BEV_CFG, kept=kept))[:2]
 
-        tp_lo, fp_lo = counts(t_lo)
-        tp_hi, fp_hi = counts(t_hi)
+        tp_lo, fp_lo = tp_fp(t_lo)
+        tp_hi, fp_hi = tp_fp(t_hi)
         assert tp_hi <= tp_lo
         assert fp_hi <= fp_lo
 
@@ -462,15 +484,15 @@ class TestEvaluateEquivalence:
             return
         assert evaluate_frames(frames, config, kept=kept) == expected
 
-    def test_shared_frame_ids_and_renewed_ground_truth(self):
-        # Tied scores across frames of one frame_id leave only the frames'
-        # positions to order the AP sweep.
+    def test_tied_scores_across_frames_and_renewed_ground_truth(self):
+        # Scores tied across frames leave only the frame ids and the
+        # positions in each frame to order the AP sweep.
         rng = random.Random(3)
         raw = []
-        for _ in range(6):
+        for index in range(6):
             gt, det = random_scene(rng)
             det = [dataclasses.replace(r, score=round(r.score, 1)) for r in det]
-            raw.append(frame("000001", gt + [make_record(0.0, 12.0)], det))
+            raw.append(frame(f"{index:06d}", gt + [make_record(0.0, 12.0)], det))
         kept = keep_rows(tables(raw)[1], SingleThreshold(0.3))
         subset = [
             f._replace(ground_truth=_renewed(f.ground_truth)) if i % 2 else f
@@ -486,6 +508,37 @@ class TestEvaluateEquivalence:
         for kept in (None, [True, False], [False, True]):
             with pytest.raises(MissingScoreError):
                 evaluate_tables(gt, gt, BEV_CFG, kept=kept)
+
+
+class TestFrameOrder:
+    """evaluate_tables takes two tables of the same frames, in strictly
+    ascending frame_id order."""
+
+    @pytest.mark.parametrize(
+        "gt_ids, det_ids",
+        [
+            (["000000", "000001"], ["000001"]),
+            (["000000", "000001"], ["000000", "000002"]),
+            (["000001", "000000"], ["000001", "000000"]),
+            (["000001", "000001"], ["000001", "000001"]),
+        ],
+        ids=["fewer", "other", "descending", "duplicate"],
+    )
+    def test_other_tables_raise(self, gt_ids, det_ids):
+        gt = tables([frame(i, [make_record(0.0, 10.0)], []) for i in gt_ids])[0]
+        det = tables([frame(i, [], [make_record(0.0, 10.0, score=0.9)]) for i in det_ids])[1]
+        with pytest.raises(EvaluationError, match="strictly ascending frame_id order"):
+            evaluate_tables(gt, det, BEV_CFG)
+
+    def test_a_detection_table_of_fewer_frames_raises(self, tmp_path):
+        # Zipped frame by frame, the detection would meet frame 000000's car.
+        write_label(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0)])
+        write_label(tmp_path / "gt" / "000001.txt", [make_record(0.0, 25.0)])
+        write_label(tmp_path / "det" / "000001.txt", [make_record(0.0, 25.0, score=0.9)])
+        gt, det = load_tables(tmp_path / "gt", tmp_path / "det")
+        assert counts(evaluate_tables(gt, det, BEV_CFG)) == (1, 0, 1)
+        with pytest.raises(EvaluationError):
+            evaluate_tables(gt, read_label_table(tmp_path / "det", "detection", True), BEV_CFG)
 
 
 class TestEvaluate:

@@ -1,10 +1,16 @@
-"""The example scripts under scripts/, run in-process."""
+"""The example scripts under scripts/ and README's library example, run in-process."""
 
 import importlib.util
+import json
+import re
 import textwrap
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from adathresh.cli import main
+from adathresh.evaluation import EvalReport
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 # threshold_sweep.py's output with its default arguments, captured before
 # the script moved onto the LabelTable pipeline steps. gamma is the one
@@ -48,3 +54,24 @@ def test_synthetic_pipeline_runs(tmp_path, capsys):
     assert (tmp_path / "compare" / "compare.csv").is_file()
     assert (tmp_path / "report" / "threshold_curve.svg").is_file()
     assert "adaptive: tp=" in capsys.readouterr().out
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    scenario = {
+        "seed": 20240817,
+        "n_frames": 25,
+        "objects_per_frame": [2, 5],
+        "distance_range": [2.0, 58.0],
+        "score_model": {"a": -0.00004, "b": -0.0075, "c": 0.92, "noise_std": [0.02] * 6},
+        "fp_rate_per_bin": [0.3] * 6,
+        "fn_rate_per_bin": [0.1] * 6,
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--spec", "scenario.json", "--out-dir", "data"]) == 0
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    report = namespace["report"]
+    assert isinstance(report, EvalReport) and report.average_precision_filtered is not None
+    assert report.tp + report.fn == 83  # the scenario's ground-truth cars, as synth reports

@@ -352,6 +352,26 @@ class TestDataset:
         assert ids == [".b", ".txt", "a"]
         assert same_rows(gt, tables([Frame(i, [constructed(GT_LINE)]) for i in ids])[0])
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_class_name(self, tmp_path):
+        for name, line in (("gt/000000.txt", GT_LINE), ("det/000000.txt", DET_LINE)):
+            self._write(tmp_path, name, "\ufeff" + line + "\n")
+        gt, det = load_tables(tmp_path / "gt", tmp_path / "det")
+        assert (gt.class_names, gt.lines, det.class_names, det.lines) == (["Car"], [GT_LINE], ["Car"], [DET_LINE])
+        for sub, line, expect_score in (("gt", GT_LINE, False), ("det", DET_LINE, True)):
+            table = read_label_table(tmp_path / sub, sub, expect_score)
+            assert (table.class_names, table.lines) == (["Car"], [line])
+        # The lines are written back without the mark.
+        write_frames(det, tmp_path / "out")
+        assert (tmp_path / "out" / "000000.txt").read_bytes() == (DET_LINE + "\n").encode()
+
+    def test_the_line_checker_reads_a_byte_order_mark_as_the_bulk_reader_does(self, tmp_path):
+        # A mark set off by a space would be a 16th field if it were not dropped.
+        self._write(tmp_path, "gt/000000.txt", f"\ufeff {GT_LINE}\nCar 1 2\n")
+        (tmp_path / "det").mkdir()
+        with pytest.raises(LabelParseError) as exc:
+            load_tables(tmp_path / "gt", tmp_path / "det")
+        assert (exc.value.line_no, exc.value.message) == (2, "expected 15 or 16 fields, got 3")
+
     def test_parse_error_names_file(self, tmp_path):
         self._write(tmp_path, "gt/000000.txt", "Car 1 2\n")
         (tmp_path / "det").mkdir()
