@@ -5,14 +5,16 @@ each occupied bin gets the mean and the population standard deviation of
 its scores. Sums use math.fsum, so results do not depend on input order.
 A distance is the ground-plane distance from the ego vehicle
 (ground_distance), the one measure every module bins and thresholds by.
-JsonCodec gives every dataclass that is written to or read from a JSON
-file its to_dict/from_dict.
+Record is the base of every value type in the package. It gives each
+one its fields, checks, equality and repr, and the to_dict/from_dict of
+every JSON file. It stands in for dataclasses, whose import (with
+inspect, ast, dis and tokenize) cost about 14 ms of each command's
+start-up.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache
 from itertools import compress
 from operator import and_
@@ -27,38 +29,116 @@ def ground_distance(x: float, z: float) -> float:
     return math.hypot(x, z)
 
 
-class JsonCodec:
-    """to_dict/from_dict for a dataclass that is written to and read from JSON.
+class Record:
+    """Base of the package's value types: a frozen record of named fields.
 
-    from_dict coerces each value by its field's annotation: float from a
-    JSON number, int from a JSON integer or an integral float (anything
-    else, a boolean or a string included, is a ValueError), X | None keeps
-    None, tuple[T, ...] and tuple[T, U] element by element, and a nested
-    dataclass through its own from_dict; a str passes through unchanged.
-    Keys that name no field are ignored. A key may be missing only when
-    its field defaults to None or has a default_factory; any other
-    missing key raises KeyError.
+    A subclass declares its fields as annotated class attributes, a
+    default as the attribute's value, and its checks and normalisation in
+    __post_init__, which may set a field with object.__setattr__. Record
+    gives it:
+
+    - __init__, taking the fields in order, positionally or by keyword;
+      a missing or unknown argument is a TypeError;
+    - frozen attributes: setting or deleting one is an AttributeError;
+    - __eq__ and __hash__ over the tuple of field values, between records
+      of one class; the class keyword eq=False keeps object identity;
+    - a repr naming each field, as dataclasses writes it;
+    - to_dict, the fields by name in order, with each record inside a
+      field, or inside a tuple field, as its own to_dict;
+    - from_dict, the inverse for a JSON object. It coerces each value by
+      its field's annotation: float from a JSON number, int from a JSON
+      integer or an integral float (anything else, a boolean or a string
+      included, is a ValueError), X | None keeps None, tuple[T, ...] and
+      tuple[T, U] element by element, and a nested record through its own
+      from_dict; a str passes through unchanged. Keys that name no field
+      are ignored. A key may be missing only when its field defaults to
+      None, a tuple or a record; any other missing key raises KeyError.
+
+    Fields and defaults are collected once per class, parents' first.
     """
 
+    _fields = ()  # the field names, in order
+    _defaults = {}  # field name -> default, for the fields that have one
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__  # this class's annotations only
+        cls._fields = (*cls._fields, *(name for name in own if name not in cls._fields))
+        cls._defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments but {len(args)} were given")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name not in cls._fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in cls._fields if name not in values and name not in cls._defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(map(repr, missing))}")
+        self.__dict__.update(cls._defaults, **values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: _plain(getattr(self, name)) for name in self._fields}
 
     @classmethod
     def from_dict(cls, data: dict):
         values = {}
-        for f, hint in _field_hints(cls):
-            if f.name in data:
-                values[f.name] = _decode(hint, data[f.name])
-            elif f.default is not None and f.default_factory is MISSING:
-                raise KeyError(f.name)
+        for name, hint, optional in _field_hints(cls):
+            if name in data:
+                values[name] = _decode(hint, data[name])
+            elif not optional:
+                raise KeyError(name)
         return cls(**values)
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value
 
 
 @cache
 def _field_hints(cls: type) -> tuple:
-    """(field, resolved annotation) of each field of a dataclass."""
+    """(name, resolved annotation, whether the key may be missing) of each
+    field of a record class."""
     hints = get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in fields(cls))
+    optional = {name for name, default in cls._defaults.items() if isinstance(default, (type(None), tuple, Record))}
+    return tuple((name, hints[name], name in optional) for name in cls._fields)
 
 
 def _decode(hint, value):
@@ -72,7 +152,7 @@ def _decode(hint, value):
         if args[-1] is Ellipsis:
             return tuple(_decode(args[0], v) for v in value)
         return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
-    if is_dataclass(hint):
+    if isinstance(hint, type) and issubclass(hint, Record):
         return hint.from_dict(value)
     if hint is int:
         return _integer(value)
@@ -93,8 +173,7 @@ def _real(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class BinSpec(JsonCodec):
+class BinSpec(Record):
     """Uniform binning of [0, max_distance) into bins of bin_width meters."""
 
     bin_width: float = 10.0
@@ -135,8 +214,7 @@ def assign_bin(distance: float, spec: BinSpec) -> int | None:
     return min(int(distance // spec.bin_width), spec.n_bins - 1)
 
 
-@dataclass(frozen=True)
-class BinStats(JsonCodec):
+class BinStats(Record):
     """Score statistics for one bin; mean and std are None when empty."""
 
     bin_index: int
@@ -153,8 +231,7 @@ class BinStats(JsonCodec):
             raise ValueError("std must be non-negative")
 
 
-@dataclass(frozen=True)
-class PreFilter(JsonCodec):
+class PreFilter(Record):
     """Single-threshold pre-filter with a near/far split.
 
     Detections closer than distance_cutoff must score at least

@@ -31,12 +31,11 @@ global score-sorted sweep.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 from operator import lt
 from typing import Iterable, Sequence
 
-from .bin_stats import BinSpec, JsonCodec, assign_bin, ground_distance
+from .bin_stats import BinSpec, Record, assign_bin, ground_distance
 from .geometry import pair_iou
 from .kitti_io import DONT_CARE, LabelTable
 
@@ -55,8 +54,7 @@ class EvaluationError(ValueError):
     """Evaluation was asked for something undefined (e.g. AP without gt)."""
 
 
-@dataclass(frozen=True)
-class MatchConfig(JsonCodec):
+class MatchConfig(Record):
     """Matching and AP settings shared by all evaluation entry points."""
 
     iou_kind: str = "bev"
@@ -208,8 +206,7 @@ def _interpolated_ap(tp_flags: Sequence[bool], total_gt: int, kind: str) -> floa
     return 100.0 * total / len(points)
 
 
-@dataclass(frozen=True)
-class BinBreakdown(JsonCodec):
+class BinBreakdown(Record):
     """Counts and point metrics for one distance bin.
 
     hi_m is None for the overflow bin collecting objects at or beyond
@@ -226,8 +223,7 @@ class BinBreakdown(JsonCodec):
     precision: float
 
 
-@dataclass(frozen=True)
-class EvalReport(JsonCodec):
+class EvalReport(Record):
     """Complete evaluation outcome for one detection set."""
 
     config: MatchConfig
@@ -239,7 +235,7 @@ class EvalReport(JsonCodec):
     trade_off: float
     average_precision: float
     average_precision_filtered: float | None = None
-    per_bin: tuple[BinBreakdown, ...] = field(default_factory=tuple)
+    per_bin: tuple[BinBreakdown, ...] = ()
 
 
 def evaluate_tables(
@@ -336,8 +332,7 @@ def evaluate_tables(
     )
 
 
-@dataclass(frozen=True)
-class MetricDelta:
+class MetricDelta(Record):
     """One row of a report comparison: candidate minus baseline."""
 
     metric: str

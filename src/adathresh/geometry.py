@@ -9,9 +9,10 @@ downward).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
+
+from .bin_stats import Record
 
 # Intersection areas below this are noise from collinear clipping edges.
 _DEGENERATE_AREA = 1e-12
@@ -30,8 +31,7 @@ def normalize_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-@dataclass(frozen=True)
-class Box3D:
+class Box3D(Record):
     """Oriented box: center (x, y, z), dims (height, width, length), yaw.
 
     yaw rotates the footprint about the (downward) y axis and is
@@ -76,8 +76,7 @@ class Box3D:
         return self.footprint.area()
 
 
-@dataclass(frozen=True)
-class Polygon2D:
+class Polygon2D(Record):
     """Convex ground-plane polygon; vertices are (x, z) in CCW order.
 
     Empty polygons (no vertices) are allowed and have zero area.

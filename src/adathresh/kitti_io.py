@@ -45,13 +45,12 @@ import shutil
 import sys
 import tempfile
 from array import array
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import lt
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from .bin_stats import ground_distance
+from .bin_stats import Record, ground_distance
 
 DONT_CARE = "DontCare"
 
@@ -108,8 +107,7 @@ _OCCLUSION_VALUES = frozenset((-1.0, 0.0, 1.0, 2.0, 3.0))
 _CHUNK_LINES = 256  # lines split at once by the bulk reader
 
 
-@dataclass(frozen=True, eq=False)
-class LabelTable:
+class LabelTable(Record, eq=False):
     """The label lines of a sequence of frames, one row per line, by column.
 
     Frame i owns rows offsets[i] to offsets[i + 1]; files[i] is the name
@@ -214,8 +212,9 @@ def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, La
     Both tables hold every ground-truth frame, sorted by frame_id; a frame
     without a detection file has no detection rows. A detection file
     without a ground-truth counterpart is a DatasetError naming the
-    frame. A bad file raises _check_label_file's error for the first bad
-    file in frame order, ground truth before detections.
+    frame, as are two files of one frame id in either directory (see
+    _files_by_frame). A bad file raises _check_label_file's error for the
+    first bad file in frame order, ground truth before detections.
     """
     gt_dir = Path(gt_dir)
     det_dir = Path(det_dir)
@@ -245,16 +244,16 @@ def read_label_table(directory: str | Path, role: str, expect_score: bool) -> La
     """The table of every label file in directory, one frame per file,
     sorted by frame id.
 
-    The files are label_file_names'; a missing directory is a
-    DatasetError naming role. A bad file raises _check_label_file's error
-    for the first bad file in name order.
+    The files are label_file_names'; a missing directory, or two files of
+    one frame id, is a DatasetError (see _files_by_frame). A bad file
+    raises _check_label_file's error for the first bad file in name order.
     """
     directory = Path(directory)
-    names = sorted(label_file_names(directory, role))
-    files = sorted(names, key=_frame_id)
-    table = _read_table(directory, list(map(_frame_id, files)), files, expect_score)
+    files = _files_by_frame(directory, role)
+    frame_ids = sorted(files)
+    table = _read_table(directory, frame_ids, [files[i] for i in frame_ids], expect_score)
     if table is None:
-        _raise_first_error([(directory / name, expect_score) for name in names])
+        _raise_first_error([(directory / name, expect_score) for name in sorted(files.values())])
     return table
 
 
@@ -334,7 +333,16 @@ def _raise_first_error(paths: list[tuple[Path, bool]]) -> NoReturn:
 
 
 def _files_by_frame(directory: Path, role: str) -> dict[str, str]:
-    return {_frame_id(name): name for name in label_file_names(directory, role)}
+    """Frame id -> name of each of label_file_names. Two names of one frame
+    id (".txt" and ".txt.txt") are a DatasetError naming both files."""
+    files: dict[str, str] = {}
+    for name in label_file_names(directory, role):
+        frame_id = _frame_id(name)
+        if frame_id in files:
+            a, b = sorted((files[frame_id], name))
+            raise DatasetError(f"{role} files {directory / a} and {directory / b} have the same frame id {frame_id!r}")
+        files[frame_id] = name
+    return files
 
 
 def label_file_names(directory: Path, role: str) -> list[str]:

@@ -32,12 +32,11 @@ exactly the values that synth writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
 
 import numpy as np
 
-from .bin_stats import BinSpec, JsonCodec, ground_distance
+from .bin_stats import BinSpec, Record, ground_distance
 from .geometry import normalize_angle
 from .kitti_io import LabelTable, _table_from_lines
 from .threshold import ThresholdModel, keep_rows
@@ -62,8 +61,7 @@ _GT_FORMAT = "Car 0.000000 0" + " %.6f" * 12
 _DET_FORMAT = _GT_FORMAT + " %.6f"
 
 
-@dataclass(frozen=True)
-class ScoreModel(JsonCodec):
+class ScoreModel(Record):
     """Quadratic mean score over distance plus per-bin Gaussian noise."""
 
     a: float
@@ -84,8 +82,7 @@ class ScoreModel(JsonCodec):
         return (self.a * distance + self.b) * distance + self.c
 
 
-@dataclass(frozen=True)
-class ScenarioSpec(JsonCodec):
+class ScenarioSpec(Record):
     """Everything needed to regenerate a synthetic dataset."""
 
     seed: int
@@ -95,7 +92,7 @@ class ScenarioSpec(JsonCodec):
     score_model: ScoreModel
     fp_rate_per_bin: tuple[float, ...]
     fn_rate_per_bin: tuple[float, ...]
-    bin_spec: BinSpec = field(default_factory=BinSpec)
+    bin_spec: BinSpec = BinSpec()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects_per_frame", tuple(int(v) for v in self.objects_per_frame))

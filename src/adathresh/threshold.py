@@ -17,11 +17,10 @@ centers, solved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import ge
 from typing import Protocol, Sequence
 
-from .bin_stats import BinSpec, BinStats, JsonCodec
+from .bin_stats import BinSpec, BinStats, Record
 from .kitti_io import LabelTable
 
 SIGMA_FLOOR = 1e-3
@@ -41,8 +40,7 @@ def _quadratic(alpha: float, beta: float, gamma: float, d: float) -> float:
     return (alpha * d + beta) * d + gamma
 
 
-@dataclass(frozen=True)
-class ThresholdModel(JsonCodec):
+class ThresholdModel(Record):
     """Distance-adaptive threshold parameters.
 
     Construction validates that alpha, beta and gamma are finite,
@@ -97,8 +95,7 @@ class ThresholdModel(JsonCodec):
         return _quadratic(self.alpha, self.beta, self.gamma, d)
 
 
-@dataclass(frozen=True)
-class SingleThreshold:
+class SingleThreshold(Record):
     """The constant baseline: the same threshold at every distance."""
 
     threshold: float
@@ -123,8 +120,7 @@ def keep_rows(table: LabelTable, schedule: Schedule) -> list[bool]:
     return list(map(ge, table.scores(), map(schedule.threshold_at, table.distances())))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Outcome of fit_quadratic.
 
     residuals are observed mean minus fitted value, aligned with

@@ -34,6 +34,12 @@ from adathresh.kitti_io import DONT_CARE, LabelTable, MissingScoreError, _table_
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
 
 
+def replaced(record, **changes):
+    """A copy of a package record with the named fields changed: what
+    dataclasses.replace gives for the test-local dataclasses here."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
 def make_box(
     x: float = 0.0,
     z: float = 10.0,

@@ -11,7 +11,6 @@ import random
 import time
 from array import array
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from helpers import (
     optimal_assignment,
     random_scene,
     read_text,
+    replaced,
     score_list,
 )
 
@@ -284,7 +284,7 @@ def test_acceptance_7_average_precision_fixture():
         assert evaluate_tables(*generate(perfect_spec), config).average_precision == 100.0
 
         # The first 80 frames of SCENARIO: frames are drawn one after another.
-        gt, noisy = generate(replace(SCENARIO, n_frames=80))
+        gt, noisy = generate(replaced(SCENARIO, n_frames=80))
         baseline = evaluate_tables(gt, noisy, config).average_precision
         assert abs(evaluate_tables(gt, _reversed_frames(noisy), config).average_precision - baseline) <= 1e-9
 

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,15 +11,17 @@ from adathresh.bin_stats import (
     BinSpec,
     BinStats,
     PreFilter,
+    Record,
     assign_bin,
     compute_bin_stats,
     table_samples,
 )
-from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig
-from adathresh.kitti_io import MissingScoreError
+from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig, MetricDelta
+from adathresh.geometry import Box3D, Polygon2D
+from adathresh.kitti_io import LabelTable, MissingScoreError
 from adathresh.synthetic import ScenarioSpec, ScoreModel
-from adathresh.threshold import ThresholdModel, keep_rows
-from helpers import Frame, detections, ground_truth, make_record, tables
+from adathresh.threshold import FitResult, SingleThreshold, ThresholdModel, keep_rows
+from helpers import Frame, detections, ground_truth, make_record, replaced, tables
 
 DEFAULT = BinSpec()
 
@@ -310,7 +311,7 @@ class TestJsonCodec:
         for key in data:
             rest = {k: v for k, v in data.items() if k != key}
             if key in optional:
-                assert cls.from_dict(rest) == replace(instance, **{key: optional[key]})
+                assert cls.from_dict(rest) == replaced(instance, **{key: optional[key]})
             else:
                 with pytest.raises(KeyError) as excinfo:
                     cls.from_dict(rest)
@@ -354,3 +355,95 @@ class TestJsonCodec:
         assert BinSpec.from_dict({"bin_width": 5, "max_distance": 40, "lo_m": 0.0}) == BinSpec(5.0, 40.0)
         with pytest.raises(ValueError, match="iou_kind"):
             MatchConfig.from_dict({**MatchConfig().to_dict(), "iou_kind": 3})
+
+
+class TestRecord:
+    """Record gives every value type what dataclass(frozen=True) gave it."""
+
+    def test_fields_bind_by_position_keyword_and_default(self):
+        assert BinSpec(5.0, 40.0) == BinSpec(5.0, max_distance=40.0) == BinSpec(max_distance=40.0, bin_width=5.0)
+        assert (BinSpec().bin_width, BinSpec().max_distance) == (10.0, 60.0)
+        model = ThresholdModel(-2e-05, -0.0061, 0.6828)
+        assert (model.delta, model.k) == (60.0, 0.6)
+        assert ThresholdModel._fields == ("alpha", "beta", "gamma", "delta", "k")
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((1, 2), {}, "missing required arguments: 'mean', 'std'"),
+            ((1, 2, None, None, 5), {}, "takes 4 arguments but 5 were given"),
+            ((1, 0, None, None), {"median": None}, "unexpected keyword argument 'median'"),
+            ((1, 0, None), {"mean": None}, "multiple values for argument 'mean'"),
+        ],
+    )
+    def test_a_missing_or_unknown_argument_is_a_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            BinStats(*args, **kwargs)
+
+    def test_fields_are_frozen(self):
+        spec = BinSpec()
+        with pytest.raises(AttributeError, match="frozen BinSpec"):
+            spec.bin_width = 5.0
+        with pytest.raises(AttributeError, match="frozen BinSpec"):
+            del spec.bin_width
+        with pytest.raises(AttributeError):
+            spec.other = 1
+        assert spec == BinSpec()
+
+    def test_equality_and_hash_hold_within_one_class(self):
+        class Wider(BinSpec):
+            pass
+
+        assert BinSpec(5.0, 40.0) == BinSpec(5.0, 40.0)
+        assert hash(BinSpec(5.0, 40.0)) == hash(BinSpec(5.0, 40.0)) == hash((5.0, 40.0))
+        assert BinSpec(5.0, 40.0) != BinSpec(10.0, 40.0)
+        assert Wider(5.0, 40.0) != BinSpec(5.0, 40.0)
+        assert BinStats(1, 2, 0.5, 0.1) != (1, 2, 0.5, 0.1)
+        assert len({MatchConfig(), MatchConfig(), MatchConfig(iou_kind="3d")}) == 2
+
+    def test_a_label_table_compares_by_identity(self):
+        a, b = (LabelTable([], [], [0], [], (), []) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    def test_repr_names_each_field_as_dataclasses_did(self):
+        assert repr(BinSpec()) == "BinSpec(bin_width=10.0, max_distance=60.0)"
+        assert repr(BinStats(0, 0, None, None)) == "BinStats(bin_index=0, count=0, mean=None, std=None)"
+        assert repr(replaced(TestJsonCodec.INSTANCES[5], per_bin=())) == (
+            "EvalReport(config=MatchConfig(iou_kind='bev', iou_threshold=0.7, class_name='Car', "
+            "ap_interpolation='eleven_point', difficulty=None), tp=3, fp=1, fn=2, recall=0.6, "
+            "precision=0.75, trade_off=0.15, average_precision=54.5, average_precision_filtered=50.0, per_bin=())"
+        )
+
+    def test_to_dict_nests_records_and_keeps_tuples(self):
+        assert TestJsonCodec.INSTANCES[5].to_dict() == {
+            "config": {
+                "iou_kind": "bev",
+                "iou_threshold": 0.7,
+                "class_name": "Car",
+                "ap_interpolation": "eleven_point",
+                "difficulty": None,
+            },
+            "tp": 3,
+            "fp": 1,
+            "fn": 2,
+            "recall": 0.6,
+            "precision": 0.75,
+            "trade_off": 0.15,
+            "average_precision": 54.5,
+            "average_precision_filtered": 50.0,
+            "per_bin": (
+                {"bin_index": 0, "lo_m": 0.0, "hi_m": 10.0, "tp": 3, "fp": 1, "fn": 2, "recall": 0.6, "precision": 0.75},
+            ),
+        }
+
+    def test_a_cached_property_is_computed_once(self):
+        box = Box3D((0.0, 1.65, 10.0), (1.5, 1.7, 4.0), 0.0)
+        assert box.footprint is box.footprint
+        assert box.footprint_area == pytest.approx(1.7 * 4.0)
+        assert box == Box3D((0, 1.65, 10), (1.5, 1.7, 4), 0)
+
+    def test_every_value_type_is_a_record(self):
+        classes = [BinSpec, BinStats, PreFilter, BinBreakdown, EvalReport, MatchConfig, MetricDelta, Box3D, Polygon2D]
+        classes += [LabelTable, ScenarioSpec, ScoreModel, FitResult, SingleThreshold, ThresholdModel]
+        assert all(issubclass(cls, Record) for cls in classes)

@@ -519,6 +519,18 @@ class TestExitCodes:
         assert rc == 2
         assert "000042" in capsys.readouterr().err
 
+    def test_two_files_of_one_frame_id(self, tmp_path, capsys):
+        for sub, score in (("gt", None), ("det", 0.9)):
+            for name in (".txt", ".txt.txt"):
+                write_label(tmp_path / sub / name, [make_record(0.0, 10.0, score=score)])
+        io = ("--gt-dir", str(tmp_path / "gt"), "--det-dir", str(tmp_path / "det"))
+        assert run("eval", *io, "--out-dir", str(tmp_path / "o")) == 2
+        assert "have the same frame id '.txt'" in capsys.readouterr().err
+        filtered = ("--det-dir", str(tmp_path / "det"), "--out-dir", str(tmp_path / "f"), "--threshold-mode", "none")
+        assert run("filter", *filtered) == 2
+        assert str(tmp_path / "det" / ".txt.txt") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "f").exists()
+
     def test_parse_error_names_file_and_line(self, tmp_path, capsys):
         det_dir = tmp_path / "det"
         det_dir.mkdir()

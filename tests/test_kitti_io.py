@@ -352,6 +352,24 @@ class TestDataset:
         assert ids == [".b", ".txt", "a"]
         assert same_rows(gt, tables([Frame(i, [constructed(GT_LINE)]) for i in ids])[0])
 
+    def test_two_files_of_one_frame_id_are_a_dataset_error_naming_both(self, tmp_path):
+        # ".txt" is its own stem, and ".txt.txt" has the stem ".txt".
+        self._write(tmp_path, "gt/.txt", GT_LINE + "\n")
+        for name in (".txt", ".txt.txt"):
+            self._write(tmp_path, f"det/{name}", DET_LINE + "\n")
+
+        def raised(read, sub):
+            with pytest.raises(DatasetError) as exc:
+                read()
+            both = f"files {tmp_path / sub / '.txt'} and {tmp_path / sub / '.txt.txt'}"
+            assert both + " have the same frame id '.txt'" in str(exc.value)
+
+        raised(lambda: load_tables(tmp_path / "gt", tmp_path / "det"), "det")
+        raised(lambda: read_label_table(tmp_path / "det", "detection", expect_score=True), "det")
+        self._write(tmp_path, "gt/.txt.txt", GT_LINE + "\n")
+        raised(lambda: load_tables(tmp_path / "gt", tmp_path / "det"), "gt")
+        raised(lambda: read_label_table(tmp_path / "gt", "ground-truth", expect_score=False), "gt")
+
     def test_a_byte_order_mark_is_not_part_of_the_first_class_name(self, tmp_path):
         for name, line in (("gt/000000.txt", GT_LINE), ("det/000000.txt", DET_LINE)):
             self._write(tmp_path, name, "\ufeff" + line + "\n")
