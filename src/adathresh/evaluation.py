@@ -15,16 +15,20 @@ Per-bin rows attribute matched pairs and misses to the ground-truth
 box's distance bin and false positives to the detection's bin.
 
 Every metric comes from columns of kitti_io.LabelTable. The evaluated
-rows' boxes go to geometry.pair_iou once, which gives the IoU of every
-same-frame pair that the bounding-circle prune keeps, bit for bit equal
-to the scalar IoU; one sparse greedy loop (_greedy) then matches the
-pairs at or above the threshold, all frames at once. A threshold filter
-flags detection rows, and the loop skips the pairs of unflagged ones,
-so the kernel runs once for the filtered point metrics, per-bin rows
-and AP and the unfiltered AP. The tables hold the same frames in
-strictly ascending frame_id order, so row order is (frame_id, position)
-order: the AP sweep is one stable sort of the rows by descending score,
-and matching never crosses frames, so its flags are exactly those of a
+rows' boxes go to geometry.pair_iou once, as (x, y, z, h, w, l, yaw)
+rows with frame offsets. It gives the IoU of every same-frame pair that
+the bounding-circle prune keeps, bit for bit equal to the scalar IoU:
+the prune tests only the ground truth in a z window around each
+detection, each row's footprint is built once, and every kept pair goes
+through the package's one clipper. One sparse greedy loop (_greedy)
+then matches the pairs at or above the threshold, all frames at once.
+A threshold filter flags detection rows (one flag per row, or
+EvaluationError), and the loop skips the pairs of unflagged ones, so
+the kernel runs once for the filtered point metrics, per-bin rows and
+AP and the unfiltered AP. The tables hold the same frames in strictly
+ascending frame_id order, so row order is (frame_id, position) order:
+the AP sweep is one stable sort of the rows by descending score, and
+matching never crosses frames, so its flags are exactly those of a
 global score-sorted sweep.
 """
 
@@ -257,13 +261,16 @@ def evaluate_tables(
     sweeps them. With kept (one flag per row, threshold.keep_rows), point
     metrics, per-bin rows and average_precision_filtered come from the
     kept rows, and average_precision sweeps every row, so that the sweep
-    covers the full score range.
+    covers the full score range. A kept of another length raises
+    EvaluationError.
     """
     ids = gt.frame_ids
     if det.frame_ids != ids or not all(map(lt, ids, ids[1:])):
         raise EvaluationError(
             "ground truth and detections must hold the same frames in strictly ascending frame_id order"
         )
+    if kept is not None and len(kept) != len(det):
+        raise EvaluationError(f"kept holds {len(kept)} flags for {len(det)} detection rows")
     spec = bin_spec if bin_spec is not None else BinSpec()
     gt_rows, det_rows = _eval_rows(gt, det, config)
     score_column = det.scores()

@@ -4,11 +4,23 @@ Coordinates follow the KITTI camera frame: x right, y down, z forward.
 The ground plane is (x, z). A box ``center`` sits at the middle of its
 bottom face, so the box spans [y - height, y] vertically (y grows
 downward).
+
+One Sutherland-Hodgman clipper, _intersection_area, serves the scalar
+functions (polygon_intersection_area, iou_bev, iou_3d) and the kernel
+pair_iou; its half-plane step and edge point are written out in one loop.
+pair_iou sorts each frame's ground truth by z once and runs the
+bounding-circle test only on the rows in a z window around each
+detection, wide enough to hold every pair the test keeps. Each row's
+footprint vertices and area come from one function (_footprint), built
+once per row, when the row first reaches the clipper, with the same
+float operations as Box3D's footprint, so every value equals the
+scalar IoU bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import Sequence
 
@@ -152,57 +164,47 @@ def polygon_intersection_area(a: Polygon2D, b: Polygon2D) -> float:
 def _intersection_area(
     va: tuple[tuple[float, float], ...], vb: tuple[tuple[float, float], ...]
 ) -> float:
-    """polygon_intersection_area of two polygons' vertex tuples."""
+    """polygon_intersection_area of two polygons' vertex tuples.
+
+    Clips va to the left of each directed edge p->q of vb in turn
+    (inside, for CCW), then takes the shoelace area of what is left.
+    """
     if len(va) < 3 or len(vb) < 3:
         return 0.0
     if vb < va:
         va, vb = vb, va
-    clipped = list(va)
-    for i in range(len(vb)):
-        if not clipped:
+    clipped = va
+    px, pz = vb[-1]
+    for qx, qz in vb:
+        ex = qx - px
+        ez = qz - pz
+        out = []
+        ax, az = clipped[-1]
+        side_a = ex * (az - pz) - ez * (ax - px)
+        for b in clipped:
+            bx, bz = b
+            side_b = ex * (bz - pz) - ez * (bx - px)
+            if side_b >= 0.0:
+                if side_a < 0.0:
+                    # side_a and side_b have opposite signs, so the
+                    # denominator is nonzero.
+                    t = side_a / (side_a - side_b)
+                    out.append((ax + t * (bx - ax), az + t * (bz - az)))
+                out.append(b)
+            elif side_a >= 0.0:
+                t = side_a / (side_a - side_b)
+                out.append((ax + t * (bx - ax), az + t * (bz - az)))
+            ax, az, side_a = bx, bz, side_b
+        if not out:
             return 0.0
-        clipped = _clip_to_halfplane(clipped, vb[i - 1], vb[i])
+        clipped = out
+        px, pz = qx, qz
     if len(clipped) < 3:
         return 0.0
     area = _signed_area(clipped)
     if area < _DEGENERATE_AREA:
         return 0.0
     return area
-
-
-def _clip_to_halfplane(
-    poly: list[tuple[float, float]],
-    p: tuple[float, float],
-    q: tuple[float, float],
-) -> list[tuple[float, float]]:
-    """Keep the part of poly left of the directed edge p->q (inside, for CCW)."""
-    px, pz = p
-    ex = q[0] - px
-    ez = q[1] - pz
-    out: list[tuple[float, float]] = []
-    prev = poly[-1]
-    side_prev = ex * (prev[1] - pz) - ez * (prev[0] - px)
-    for cur in poly:
-        side_cur = ex * (cur[1] - pz) - ez * (cur[0] - px)
-        if side_cur >= 0.0:
-            if side_prev < 0.0:
-                out.append(_edge_point(prev, cur, side_prev, side_cur))
-            out.append(cur)
-        elif side_prev >= 0.0:
-            out.append(_edge_point(prev, cur, side_prev, side_cur))
-        prev, side_prev = cur, side_cur
-    return out
-
-
-def _edge_point(
-    a: tuple[float, float],
-    b: tuple[float, float],
-    side_a: float,
-    side_b: float,
-) -> tuple[float, float]:
-    # side_a and side_b have opposite signs, so the denominator is nonzero.
-    t = side_a / (side_a - side_b)
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
@@ -255,32 +257,65 @@ def pair_iou(
     (radius half the footprint diagonal) are provably apart is left out:
     its IoU is 0. Every other pair goes through the scalar clipper, so
     each iou equals iou_bev or iou_3d of the pair bit for bit.
-    Non-finite inputs are never pruned.
+
+    The circle test runs only on the frame's ground truth whose z lies
+    within a window of the detection's z: the largest reach the test
+    can keep, with its slack doubled, so the window holds every pair
+    the test keeps. A row with a non-finite circle value is tested
+    against every row of its frame, so non-finite inputs are never
+    pruned. A row's footprint is built once, when it first reaches the
+    clipper, and is dropped when its frame is done.
     """
     if kind not in ("bev", "3d"):
         raise ValueError(f"kind must be 'bev' or '3d', got {kind!r}")
+    hypot, isfinite, clip = math.hypot, math.isfinite, _intersection_area
     det_circles, gt_circles = _circles(det), _circles(gt)
+    # The windows use the largest radius and centre distance over all
+    # finite ground truth, not the frame's, which only widens them.
+    finite = [c for c in gt_circles if isfinite(c[2] + c[3])]
+    max_gr = max([c[2] for c in finite], default=0.0)
+    max_gm = max([c[3] for c in finite], default=0.0)
+    loose = [g for g, c in enumerate(gt_circles) if not isfinite(c[2] + c[3])]
+    gt_z = [c[1] for c in gt_circles]
     det_idx: list[int] = []
     gt_idx: list[int] = []
     iou: list[float] = []
     for d0, d1, g0, g1 in zip(det_offsets, det_offsets[1:], gt_offsets, gt_offsets[1:]):
-        frame_gt = [(g, *gt_circles[g]) for g in range(g0, g1)]
-        start = len(det_idx)
-        for d in range(d0, d1):
-            dx, dz, dr, dm = det_circles[d]
-            for g, gx, gz, gr, gm in frame_gt:
-                reach = dr + gr
-                # Not "<=": a pair whose test involves a NaN is kept.
-                if not math.hypot(dx - gx, dz - gz) - reach > _PRUNE_SLACK * (reach + dm + gm):
-                    det_idx.append(d)
-                    gt_idx.append(g)
+        if d0 == d1 or g0 == g1:
+            continue
+        frame = range(g0, g1)
+        frame_loose = [g for g in loose if g0 <= g < g1]
+        by_z = sorted(set(frame).difference(frame_loose) if frame_loose else frame, key=gt_z.__getitem__)
+        zs = list(map(gt_z.__getitem__, by_z))
         # Footprints live for one frame, which keeps the heap (and the
         # garbage collector's passes over it) small.
-        det_fp = {d: _footprint(det[d]) for d in set(det_idx[start:])}
-        gt_fp = {g: _footprint(gt[g]) for g in set(gt_idx[start:])}
-        for d, g in zip(det_idx[start:], gt_idx[start:]):
-            (va, a), (vb, b) = det_fp[d], gt_fp[g]
-            iou.append(_iou(kind, _intersection_area(va, vb), a, b))
+        gt_footprints = {}
+        for d in range(d0, d1):
+            dx, dz, dr, dm = det_circles[d]
+            # Twice the test's slack, and 2e-9 m more for rounding near
+            # zero: a z gap the test can keep lies far inside.
+            reach = dr + max_gr
+            half = reach + 2.0 * _PRUNE_SLACK * (reach + dm + max_gm + 1.0)
+            if isfinite(half):
+                candidates = by_z[bisect_left(zs, dz - half) : bisect_right(zs, dz + half)]
+                candidates += frame_loose
+                candidates.sort()
+            else:
+                candidates = frame
+            footprint = None
+            for g in candidates:
+                gx, gz, gr, gm = gt_circles[g]
+                reach = dr + gr
+                # Not "<=": a pair whose test involves a NaN is kept.
+                if not hypot(dx - gx, dz - gz) - reach > _PRUNE_SLACK * (reach + dm + gm):
+                    if footprint is None:
+                        footprint, a = _footprint(det[d])
+                    other = gt_footprints.get(g)
+                    if other is None:
+                        other = gt_footprints[g] = _footprint(gt[g])
+                    det_idx.append(d)
+                    gt_idx.append(g)
+                    iou.append(_iou(kind, clip(footprint, other[0]), a, other[1]))
     return det_idx, gt_idx, iou
 
 
@@ -302,7 +337,24 @@ def _footprint(
     row: Sequence[float],
 ) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
     """A box row's footprint vertices and _extent, as Box3D(center, dims,
-    yaw) holds the row: floats, the yaw normalized once."""
+    yaw) holds the row: floats, the yaw normalized once.
+
+    normalize_angle, _corners and the shoelace area are written out,
+    with the same float operations in the same order.
+    """
     x, y, z, h, w, l, yaw = map(float, row)
-    verts = _corners(x, z, w, l, normalize_angle(yaw))
-    return verts, (abs(_signed_area(verts)), y, h)
+    wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
+    if wrapped < 0.0:
+        wrapped += 2.0 * math.pi
+    yaw = wrapped - math.pi
+    c = math.cos(yaw)
+    s = math.sin(yaw)
+    hu = 0.5 * l
+    hv = 0.5 * w
+    uc, us, vc, vs = hu * c, hu * s, hv * c, hv * s
+    x0, z0 = x + uc + vs, z - us + vc
+    x1, z1 = x - uc + vs, z + us + vc
+    x2, z2 = x - uc - vs, z + us - vc
+    x3, z3 = x + uc - vs, z - us - vc
+    area = abs(0.5 * math.fsum((x3 * z0 - x0 * z3, x0 * z1 - x1 * z0, x1 * z2 - x2 * z1, x2 * z3 - x3 * z2)))
+    return ((x0, z0), (x1, z1), (x2, z2), (x3, z3)), (area, y, h)

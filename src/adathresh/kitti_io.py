@@ -151,10 +151,13 @@ def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | 
     whole, so it appears complete or not at all. In an existing out_dir
     each file replaces its namesake atomically, and files the table does
     not name stay. On an error the staging directory is removed, and a
-    new out_dir does not exist.
+    new out_dir does not exist. A kept without exactly one flag per row
+    is a ValueError, raised before anything is written.
     """
     out_dir = Path(out_dir)
     kept = [True] * len(table) if kept is None else kept
+    if len(kept) != len(table):
+        raise ValueError(f"kept holds {len(kept)} flags for a table of {len(table)} rows")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     existed = out_dir.is_dir()
     # Staged in the directory that gets the files, so that no rename

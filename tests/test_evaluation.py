@@ -541,6 +541,20 @@ class TestFrameOrder:
             evaluate_tables(gt, read_label_table(tmp_path / "det", "detection", True), BEV_CFG)
 
 
+class TestKeptLength:
+    """evaluate_tables takes one kept flag per detection row, no more and no fewer."""
+
+    @pytest.mark.parametrize("extra", [-1, 7], ids=["short", "long"])
+    def test_a_kept_of_another_length_raises(self, extra):
+        gt, det = tables(
+            single_frame([make_record(0.0, 10.0)], [make_record(0.0, 10.0, score=0.9), make_record(0.0, 30.0, score=0.8)])
+        )
+        assert len(det) == 2
+        evaluate_tables(gt, det, BEV_CFG, kept=[True] * len(det))
+        with pytest.raises(EvaluationError, match=f"kept holds {len(det) + extra} flags for 2 detection rows"):
+            evaluate_tables(gt, det, BEV_CFG, kept=[True] * (len(det) + extra))
+
+
 class TestEvaluate:
     def test_per_bin_attribution(self):
         gt = [make_record(0.0, 5.0), make_record(0.0, 55.0)]

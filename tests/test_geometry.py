@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from adathresh.bin_stats import ground_distance
 from adathresh.geometry import (
+    _PRUNE_SLACK,
     Box3D,
     Polygon2D,
     bev_polygon,
@@ -376,14 +377,21 @@ class TestIouMatrix:
             one_frame_iou([unit_box()], [unit_box()], "2d")
 
 
-def assert_pairs_equal_scalar(frames, kind):
-    """pair_iou over [(gt, det), ...] frames of pair_iou rows gives, for
-    every same-frame pair in (frame, det, gt) order, the scalar IoU of
-    the rows' Box3D bit for bit; a pair it leaves out has scalar IoU 0."""
+def flatten(frames):
+    """[(gt, det), ...] frames of pair_iou rows as pair_iou's arguments:
+    det rows, det offsets, gt rows, gt offsets."""
     gt = [b for g, _ in frames for b in g]
     det = [b for _, d in frames for b in d]
     gt_offsets = [0, *accumulate(len(g) for g, _ in frames)]
     det_offsets = [0, *accumulate(len(d) for _, d in frames)]
+    return det, det_offsets, gt, gt_offsets
+
+
+def assert_pairs_equal_scalar(frames, kind):
+    """pair_iou over [(gt, det), ...] frames of pair_iou rows gives, for
+    every same-frame pair in (frame, det, gt) order, the scalar IoU of
+    the rows' Box3D bit for bit; a pair it leaves out has scalar IoU 0."""
+    det, det_offsets, gt, gt_offsets = flatten(frames)
     rows, cols, values = pair_iou(det, det_offsets, gt, gt_offsets, kind)
     got = list(zip(rows, cols))
     assert got == sorted(got)
@@ -471,6 +479,128 @@ class TestPairIou:
         one = [row(unit_box())]
         with pytest.raises(ValueError):
             pair_iou(one, [0, 1], one, [0, 1], "2d")
+
+
+def circle_test_pairs(det, det_offsets, gt, gt_offsets):
+    """Every same-frame (det_idx, gt_idx) pair that the bounding-circle
+    test keeps, found by testing every pair, in (frame, det, gt) order."""
+    det_idx, gt_idx = [], []
+    for f in range(len(det_offsets) - 1):
+        for d in range(det_offsets[f], det_offsets[f + 1]):
+            dx, _, dz, _, dw, dl, _ = det[d]
+            dr, dm = 0.5 * math.hypot(dw, dl), math.hypot(dx, dz)
+            for g in range(gt_offsets[f], gt_offsets[f + 1]):
+                gx, _, gz, _, gw, gl, _ = gt[g]
+                gr, gm = 0.5 * math.hypot(gw, gl), math.hypot(gx, gz)
+                reach = dr + gr
+                if not math.hypot(dx - gx, dz - gz) - reach > _PRUNE_SLACK * (reach + dm + gm):
+                    det_idx.append(d)
+                    gt_idx.append(g)
+    return det_idx, gt_idx
+
+
+def _area_raises(values):
+    """Whether the Box3D of a pair_iou row raises ValueError for its footprint's area."""
+    try:
+        box_of(values).footprint_area
+    except ValueError:
+        return True
+    return False
+
+
+def _row_radius(values):
+    return 0.5 * math.hypot(values[4], values[5])
+
+
+@st.composite
+def prune_frames(draw):
+    """[(gt, det), ...] frames of pair_iou rows that stress the windowed
+    prune: frames of one ground-truth box or of many; detections that
+    are crowded-style jittered duplicates of a ground-truth box, or
+    placed straight along z from one (often the largest, whose circle
+    sets the window) at the circles' reach plus c times the test's slack
+    term, so they sit on either side of the test's bound and of the
+    window's edge; and a NaN or infinite x or z in some rows."""
+
+    def box(x, z):
+        w, l = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 6.0))
+        return (x, 1.5, z, 1.5, w, l, draw(yaws))
+
+    frames = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_gt = draw(st.sampled_from([0, 1, 1, 2, 6, 16]))
+        gt = [box(draw(st.floats(-20.0, 20.0)), draw(st.floats(0.0, 60.0))) for _ in range(n_gt)]
+        det = []
+        for kind in draw(st.lists(st.sampled_from(["duplicate", "tangent", "random"]), max_size=8)):
+            if kind == "random" or not gt:
+                det.append(box(draw(st.floats(-20.0, 20.0)), draw(st.floats(0.0, 60.0))))
+                continue
+            if kind == "duplicate":
+                gx, gy, gz, h, w, l, yaw = draw(st.sampled_from(gt))
+                jitter = st.floats(-1.0, 1.0)
+                det.append((gx + 0.6 * draw(jitter), gy, gz + 0.6 * draw(jitter), h, w, l, yaw + 0.3 * draw(jitter)))
+                continue
+            g = max(gt, key=_row_radius) if draw(st.booleans()) else draw(st.sampled_from(gt))
+            d = box(g[0], g[2])
+            reach = _row_radius(d) + _row_radius(g)
+            c = draw(st.sampled_from([-1.0, 0.0, 0.5, 0.999, 1.001, 1.5, 1.999, 2.0, 2.001, 3.0]))
+            step = reach + c * _PRUNE_SLACK * (reach + 2.0 * math.hypot(g[0], g[2]))
+            det.append((d[0], d[1], g[2] + draw(st.sampled_from([-1.0, 1.0])) * step, *d[3:]))
+        frames.append((gt, det))
+    odd = st.sampled_from([(p, v) for p in (0, 2) for v in (math.nan, math.inf, -math.inf)])
+    for _ in range(draw(st.integers(0, 2))):
+        side, f = draw(st.integers(0, 1)), draw(st.integers(0, len(frames) - 1))
+        rows = frames[f][side]
+        if rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            position, value = draw(odd)
+            changed = list(rows[i])
+            changed[position] = value
+            rows[i] = tuple(changed)
+    return frames
+
+
+class TestWindowedPrune:
+    """pair_iou tests the circle formula only inside a z window; it keeps
+    exactly the pairs the formula keeps over every same-frame pair."""
+
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    @given(frames=prune_frames())
+    def test_keeps_exactly_the_pairs_of_the_circle_test(self, kind, frames):
+        det, det_offsets, gt, gt_offsets = flatten(frames)
+        # A non-finite row is never pruned, so it reaches the clipper
+        # whenever its frame holds a row of the other side; an infinite
+        # x or z can make its footprint's area an inf - inf, a
+        # ValueError as in Box3D.
+        clipped = [row for g, d in frames if g and d for row in g + d]
+        if any(_area_raises(row) for row in clipped):
+            with pytest.raises(ValueError, match="inf"):
+                pair_iou(det, det_offsets, gt, gt_offsets, kind)
+            return
+        rows, cols, values = pair_iou(det, det_offsets, gt, gt_offsets, kind)
+        assert (rows, cols) == circle_test_pairs(det, det_offsets, gt, gt_offsets)
+        assert len(values) == len(rows)
+
+    def test_circles_at_the_windows_edge(self):
+        # The detection sits straight along z from the largest box, at
+        # the circles' reach plus c slack terms: the test keeps it up to
+        # c = 1, and the window reaches a little beyond c = 2.
+        big, small = (0.0, 1.5, 40.0, 1.5, 2.0, 5.0, 0.0), (30.0, 1.5, 40.0, 1.5, 1.0, 1.0, 0.0)
+        reach = 0.5 * math.hypot(1.0, 1.0) + 0.5 * math.hypot(2.0, 5.0)
+        for c, kept in ((0.0, True), (0.5, True), (1.0, None), (1.9, False), (2.0, False), (2.1, False)):
+            z = 40.0 + reach + c * _PRUNE_SLACK * (reach + 80.0)
+            det = [(0.0, 1.5, z, 1.5, 1.0, 1.0, 0.0)]
+            got = pair_iou(det, [0, 1], [big, small], [0, 2], "bev")[:2]
+            assert got == circle_test_pairs(det, [0, 1], [big, small], [0, 2])
+            if kept is not None:
+                assert got == (([0], [0]) if kept else ([], []))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_row_meets_every_row_of_its_frame(self, value):
+        far = [(0.0, 1.5, z, 1.5, 1.7, 4.0, 0.0) for z in (5.0, 40.0, 80.0)]
+        odd = (value, 1.5, 40.0, 1.5, 1.7, 4.0, 0.0)
+        assert pair_iou([odd], [0, 1], far, [0, 3], "bev")[:2] == ([0, 0, 0], [0, 1, 2])
+        assert pair_iou(far, [0, 3], [odd], [0, 1], "bev")[:2] == ([0, 1, 2], [0, 0, 0])
 
 
 class TestBoxArrays:

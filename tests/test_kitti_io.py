@@ -473,6 +473,22 @@ class TestWriteLabelFile:
         assert {p.name: p.read_text() for p in out.iterdir()} == {"a.txt": "old a\n", "z.txt": "old z\n"}
         assert list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("n_flags", [0, 2, 4])
+    def test_a_kept_of_another_length_writes_nothing(self, tmp_path, n_flags):
+        # Each frame's slice of a short kept list would be cut silently.
+        with pytest.raises(ValueError, match=f"kept holds {n_flags} flags for a table of 3 rows"):
+            write_frames(self.three_frames(), tmp_path / "new" / "out", [True] * n_flags)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_kept_of_another_length_leaves_an_existing_tree_as_it_was(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.txt").write_text("old a\n")
+        with pytest.raises(ValueError):
+            write_frames(self.three_frames(), out, [True])
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [("a.txt", "old a\n")]
+        assert list(tmp_path.iterdir()) == [out]
+
     @pytest.mark.parametrize("umask", [0o022, 0o002])
     def test_a_new_tree_has_a_plain_mkdirs_mode_and_0600_files(self, tmp_path, umask):
         old = os.umask(umask)
