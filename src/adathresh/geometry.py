@@ -5,16 +5,16 @@ The ground plane is (x, z). A box ``center`` sits at the middle of its
 bottom face, so the box spans [y - height, y] vertically (y grows
 downward).
 
-One Sutherland-Hodgman clipper, _intersection_area, serves the scalar
-functions (polygon_intersection_area, iou_bev, iou_3d) and the kernel
-pair_iou; its half-plane step and edge point are written out in one loop.
-pair_iou sorts each frame's ground truth by z once and runs the
+One function, _footprint, turns a box into its footprint's vertices and
+area, and one Sutherland-Hodgman clipper, _intersection_area, intersects
+two footprints; normalize_angle is the one place a yaw is wrapped.
+Box3D's footprint, iou_bev, iou_3d and the kernel pair_iou all go
+through them, so every pair_iou value equals the scalar IoU bit for
+bit. pair_iou sorts each frame's ground truth by z once and runs the
 bounding-circle test only on the rows in a z window around each
-detection, wide enough to hold every pair the test keeps. Each row's
-footprint vertices and area come from one function (_footprint), built
-once per row, when the row first reaches the clipper, with the same
-float operations as Box3D's footprint, so every value equals the
-scalar IoU bit for bit.
+detection, wide enough to hold every pair the test keeps. A box with a
+value that is not finite (NaN or an infinity) or a dim that is not
+positive is a ValueError, in Box3D and in pair_iou alike.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from .bin_stats import Record
@@ -47,7 +48,8 @@ class Box3D(Record):
     """Oriented box: center (x, y, z), dims (height, width, length), yaw.
 
     yaw rotates the footprint about the (downward) y axis and is
-    normalized to [-pi, pi] at construction. All dims must be positive.
+    normalized to [-pi, pi] at construction. Every value must be finite
+    and every dim positive.
     """
 
     center: tuple[float, float, float]
@@ -59,11 +61,11 @@ class Box3D(Record):
         dims = tuple(float(v) for v in self.dims)
         if len(center) != 3 or len(dims) != 3:
             raise ValueError("center and dims must each have three components")
-        if min(dims) <= 0.0:
-            raise ValueError(f"box dims must be positive, got {dims}")
+        yaw = float(self.yaw)
+        _circles([(*center, *dims, yaw)])  # the checks pair_iou makes of each row
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "yaw", normalize_angle(float(self.yaw)))
+        object.__setattr__(self, "yaw", normalize_angle(yaw))
 
     @property
     def height(self) -> float:
@@ -78,64 +80,32 @@ class Box3D(Record):
         return self.dims[2]
 
     @cached_property
-    def footprint(self) -> Polygon2D:
-        """bev_polygon(self), built once per box."""
-        return bev_polygon(self)
+    def _shape(self) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
+        """_footprint of the box, built once per box."""
+        return _footprint(*self.center, *self.dims, self.yaw)
 
-    @cached_property
+    @property
+    def footprint(self) -> tuple[tuple[float, float], ...]:
+        """The footprint's four (x, z) vertices, CCW."""
+        return self._shape[0]
+
+    @property
     def footprint_area(self) -> float:
-        """Area of the footprint, computed once per box."""
-        return self.footprint.area()
+        """The footprint's area."""
+        return self._shape[1][0]
 
 
-class Polygon2D(Record):
-    """Convex ground-plane polygon; vertices are (x, z) in CCW order.
-
-    Empty polygons (no vertices) are allowed and have zero area.
-    """
-
-    vertices: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        verts = tuple((float(x), float(z)) for x, z in self.vertices)
-        if 0 < len(verts) < 3:
-            raise ValueError("a nonempty polygon needs at least 3 vertices")
-        object.__setattr__(self, "vertices", verts)
-
-    def signed_area(self) -> float:
-        return _signed_area(self.vertices)
-
-    def area(self) -> float:
-        return abs(self.signed_area())
-
-
-def _signed_area(verts: Sequence[tuple[float, float]]) -> float:
-    if len(verts) < 3:
-        return 0.0
-    px, pz = verts[-1]
-    terms = []
-    for x, z in verts:
-        terms.append(px * z - x * pz)
-        px, pz = x, z
-    return 0.5 * math.fsum(terms)
-
-
-def bev_polygon(box: Box3D) -> Polygon2D:
-    """Ground-plane footprint of a box: four vertices, CCW.
+def _footprint(
+    x: float, y: float, z: float, h: float, w: float, l: float, yaw: float
+) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
+    """A box's footprint vertices, CCW, and its _extent, from its values
+    as Box3D holds them: floats, the yaw already normalized.
 
     Length runs along the box's local x axis and width along local z;
     the local frame is rotated by yaw about the downward y axis, so the
-    in-plane rotation matrix is [[cos, sin], [-sin, cos]].
+    vertices are (x + u cos + v sin, z - u sin + v cos) for (u, v) =
+    (l/2, w/2), (-l/2, w/2), (-l/2, -w/2), (l/2, -w/2).
     """
-    _, w, l = box.dims
-    return Polygon2D(_corners(box.center[0], box.center[2], w, l, box.yaw))
-
-
-def _corners(
-    cx: float, cz: float, w: float, l: float, yaw: float
-) -> tuple[tuple[float, float], ...]:
-    """The footprint's vertices (cx + u cos + v sin, cz - u sin + v cos)
-    for (u, v) = (l/2, w/2), (-l/2, w/2), (-l/2, -w/2), (l/2, -w/2)."""
     c = math.cos(yaw)
     s = math.sin(yaw)
     hu = 0.5 * l
@@ -143,31 +113,24 @@ def _corners(
     # Negating a factor negates the product exactly, so each vertex is
     # the sum above with its signs folded in.
     uc, us, vc, vs = hu * c, hu * s, hv * c, hv * s
-    return (
-        (cx + uc + vs, cz - us + vc),
-        (cx - uc + vs, cz + us + vc),
-        (cx - uc - vs, cz + us - vc),
-        (cx + uc - vs, cz - us - vc),
-    )
-
-
-def polygon_intersection_area(a: Polygon2D, b: Polygon2D) -> float:
-    """Area of the intersection of two convex CCW polygons.
-
-    Sutherland-Hodgman clipping followed by the shoelace formula. The
-    argument order is canonicalized first so both call orders run the
-    same arithmetic and the result is exactly symmetric.
-    """
-    return _intersection_area(a.vertices, b.vertices)
+    x0, z0 = x + uc + vs, z - us + vc
+    x1, z1 = x - uc + vs, z + us + vc
+    x2, z2 = x - uc - vs, z + us - vc
+    x3, z3 = x + uc - vs, z - us - vc
+    area = abs(0.5 * math.fsum((x3 * z0 - x0 * z3, x0 * z1 - x1 * z0, x1 * z2 - x2 * z1, x2 * z3 - x3 * z2)))
+    return ((x0, z0), (x1, z1), (x2, z2), (x3, z3)), (area, y, h)
 
 
 def _intersection_area(
-    va: tuple[tuple[float, float], ...], vb: tuple[tuple[float, float], ...]
+    va: Sequence[tuple[float, float]], vb: Sequence[tuple[float, float]]
 ) -> float:
-    """polygon_intersection_area of two polygons' vertex tuples.
+    """Area of the intersection of two convex polygons given as CCW
+    vertex tuples; 0 when either has fewer than 3 vertices.
 
     Clips va to the left of each directed edge p->q of vb in turn
     (inside, for CCW), then takes the shoelace area of what is left.
+    The argument order is canonicalized first so both call orders run
+    the same arithmetic and the result is exactly symmetric.
     """
     if len(va) < 3 or len(vb) < 3:
         return 0.0
@@ -201,7 +164,12 @@ def _intersection_area(
         px, pz = qx, qz
     if len(clipped) < 3:
         return 0.0
-    area = _signed_area(clipped)
+    px, pz = clipped[-1]
+    terms = []
+    for x, z in clipped:
+        terms.append(px * z - x * pz)
+        px, pz = x, z
+    area = 0.5 * math.fsum(terms)
     if area < _DEGENERATE_AREA:
         return 0.0
     return area
@@ -209,17 +177,17 @@ def _intersection_area(
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Bird's-eye-view IoU of two boxes, in [0, 1]."""
-    return _iou("bev", polygon_intersection_area(a.footprint, b.footprint), _extent(a), _extent(b))
+    return _iou("bev", _intersection_area(a.footprint, b.footprint), _extent(a), _extent(b))
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """3D IoU of two boxes whose vertical extent is [y - h, y]."""
-    return _iou("3d", polygon_intersection_area(a.footprint, b.footprint), _extent(a), _extent(b))
+    return _iou("3d", _intersection_area(a.footprint, b.footprint), _extent(a), _extent(b))
 
 
 def _extent(box: Box3D) -> tuple[float, float, float]:
     """A box's footprint area, bottom y and height."""
-    return box.footprint_area, box.center[1], box.height
+    return box._shape[1]
 
 
 def _iou(kind: str, inter: float, a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
@@ -249,33 +217,30 @@ def pair_iou(
     """IoU of every same-frame (detection, ground truth) pair the prune keeps.
 
     det and gt hold one (x, y, z, height, width, length, yaw) row per
-    box, the values Box3D(center, dims, yaw) takes: dims must be
-    positive, the yaw not infinite, and the yaw is normalized once.
-    Frame f holds det rows det_offsets[f]:det_offsets[f + 1] and gt rows
-    likewise. Returns (det_idx, gt_idx, iou) in frame, detection,
-    ground-truth order. A pair whose footprints' bounding circles
-    (radius half the footprint diagonal) are provably apart is left out:
-    its IoU is 0. Every other pair goes through the scalar clipper, so
-    each iou equals iou_bev or iou_3d of the pair bit for bit.
+    box, the values Box3D(center, dims, yaw) takes: every value finite,
+    dims positive, and the yaw is normalized once. Frame f holds det
+    rows det_offsets[f]:det_offsets[f + 1] and gt rows likewise.
+    Returns (det_idx, gt_idx, iou) in frame, detection, ground-truth
+    order. A pair whose footprints' bounding circles (radius half the
+    footprint diagonal) are provably apart is left out: its IoU is 0.
+    Every other pair goes through the one clipper, so each iou equals
+    iou_bev or iou_3d of the pair bit for bit.
 
     The circle test runs only on the frame's ground truth whose z lies
     within a window of the detection's z: the largest reach the test
     can keep, with its slack doubled, so the window holds every pair
-    the test keeps. A row with a non-finite circle value is tested
-    against every row of its frame, so non-finite inputs are never
-    pruned. A row's footprint is built once, when it first reaches the
-    clipper, and is dropped when its frame is done.
+    the test keeps. A window whose half-width overflows to inf spans
+    the whole frame. A row's footprint is built once, when it first
+    reaches the clipper, and is dropped when its frame is done.
     """
     if kind not in ("bev", "3d"):
         raise ValueError(f"kind must be 'bev' or '3d', got {kind!r}")
-    hypot, isfinite, clip = math.hypot, math.isfinite, _intersection_area
+    hypot, clip = math.hypot, _intersection_area
     det_circles, gt_circles = _circles(det), _circles(gt)
     # The windows use the largest radius and centre distance over all
-    # finite ground truth, not the frame's, which only widens them.
-    finite = [c for c in gt_circles if isfinite(c[2] + c[3])]
-    max_gr = max([c[2] for c in finite], default=0.0)
-    max_gm = max([c[3] for c in finite], default=0.0)
-    loose = [g for g, c in enumerate(gt_circles) if not isfinite(c[2] + c[3])]
+    # ground truth, not the frame's, which only widens them.
+    max_gr = max([c[2] for c in gt_circles], default=0.0)
+    max_gm = max([c[3] for c in gt_circles], default=0.0)
     gt_z = [c[1] for c in gt_circles]
     det_idx: list[int] = []
     gt_idx: list[int] = []
@@ -283,9 +248,7 @@ def pair_iou(
     for d0, d1, g0, g1 in zip(det_offsets, det_offsets[1:], gt_offsets, gt_offsets[1:]):
         if d0 == d1 or g0 == g1:
             continue
-        frame = range(g0, g1)
-        frame_loose = [g for g in loose if g0 <= g < g1]
-        by_z = sorted(set(frame).difference(frame_loose) if frame_loose else frame, key=gt_z.__getitem__)
+        by_z = sorted(range(g0, g1), key=gt_z.__getitem__)
         zs = list(map(gt_z.__getitem__, by_z))
         # Footprints live for one frame, which keeps the heap (and the
         # garbage collector's passes over it) small.
@@ -296,23 +259,20 @@ def pair_iou(
             # zero: a z gap the test can keep lies far inside.
             reach = dr + max_gr
             half = reach + 2.0 * _PRUNE_SLACK * (reach + dm + max_gm + 1.0)
-            if isfinite(half):
-                candidates = by_z[bisect_left(zs, dz - half) : bisect_right(zs, dz + half)]
-                candidates += frame_loose
-                candidates.sort()
-            else:
-                candidates = frame
+            candidates = by_z[bisect_left(zs, dz - half) : bisect_right(zs, dz + half)]
+            candidates.sort()
             footprint = None
             for g in candidates:
                 gx, gz, gr, gm = gt_circles[g]
                 reach = dr + gr
-                # Not "<=": a pair whose test involves a NaN is kept.
+                # Not "<=": a pair whose test involves a NaN (an inf - inf
+                # of overflowed terms) is kept.
                 if not hypot(dx - gx, dz - gz) - reach > _PRUNE_SLACK * (reach + dm + gm):
                     if footprint is None:
-                        footprint, a = _footprint(det[d])
+                        footprint, a = _row_footprint(det[d])
                     other = gt_footprints.get(g)
                     if other is None:
-                        other = gt_footprints[g] = _footprint(gt[g])
+                        other = gt_footprints[g] = _row_footprint(gt[g])
                     det_idx.append(d)
                     gt_idx.append(g)
                     iou.append(_iou(kind, clip(footprint, other[0]), a, other[1]))
@@ -322,39 +282,19 @@ def pair_iou(
 def _circles(rows: Sequence[Sequence[float]]) -> list[tuple[float, float, float, float]]:
     """Each box's footprint bounding circle: x, z, radius (half the
     footprint diagonal) and the centre's distance from the origin.
-    ValueError for the rows Box3D rejects."""
+    ValueError for a row with a value that is not finite or a dim that
+    is not positive."""
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError("box values must be finite")
     out = []
-    for x, _, z, h, w, l, yaw in rows:
-        if math.isinf(yaw):
-            raise ValueError("box yaw must not be infinite")
+    for x, _, z, h, w, l, _ in rows:
         if h <= 0.0 or w <= 0.0 or l <= 0.0:
-            raise ValueError("box dims must be positive")
+            raise ValueError(f"box dims must be positive, got {(h, w, l)}")
         out.append((x, z, 0.5 * math.hypot(w, l), math.hypot(x, z)))
     return out
 
 
-def _footprint(
-    row: Sequence[float],
-) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
-    """A box row's footprint vertices and _extent, as Box3D(center, dims,
-    yaw) holds the row: floats, the yaw normalized once.
-
-    normalize_angle, _corners and the shoelace area are written out,
-    with the same float operations in the same order.
-    """
+def _row_footprint(row: Sequence[float]) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
+    """_footprint of a pair_iou row, as Box3D(center, dims, yaw) holds it."""
     x, y, z, h, w, l, yaw = map(float, row)
-    wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
-    if wrapped < 0.0:
-        wrapped += 2.0 * math.pi
-    yaw = wrapped - math.pi
-    c = math.cos(yaw)
-    s = math.sin(yaw)
-    hu = 0.5 * l
-    hv = 0.5 * w
-    uc, us, vc, vs = hu * c, hu * s, hv * c, hv * s
-    x0, z0 = x + uc + vs, z - us + vc
-    x1, z1 = x - uc + vs, z + us + vc
-    x2, z2 = x - uc - vs, z + us - vc
-    x3, z3 = x + uc - vs, z - us - vc
-    area = abs(0.5 * math.fsum((x3 * z0 - x0 * z3, x0 * z1 - x1 * z0, x1 * z2 - x2 * z1, x2 * z3 - x3 * z2)))
-    return ((x0, z0), (x1, z1), (x2, z2), (x3, z3)), (area, y, h)
+    return _footprint(x, y, z, h, w, l, normalize_angle(yaw))

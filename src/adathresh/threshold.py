@@ -90,10 +90,6 @@ class ThresholdModel(Record):
             return _quadratic(self.alpha, self.beta, self.gamma, distance)
         return self.k
 
-    def quadratic_at(self, d: float) -> float:
-        """The quadratic branch evaluated at d, ignoring the k cutover."""
-        return _quadratic(self.alpha, self.beta, self.gamma, d)
-
 
 class SingleThreshold(Record):
     """The constant baseline: the same threshold at every distance."""

@@ -17,7 +17,7 @@ from adathresh.bin_stats import (
     table_samples,
 )
 from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig, MetricDelta
-from adathresh.geometry import Box3D, Polygon2D
+from adathresh.geometry import Box3D
 from adathresh.kitti_io import LabelTable, MissingScoreError
 from adathresh.synthetic import ScenarioSpec, ScoreModel
 from adathresh.threshold import FitResult, SingleThreshold, ThresholdModel, keep_rows
@@ -444,6 +444,6 @@ class TestRecord:
         assert box == Box3D((0, 1.65, 10), (1.5, 1.7, 4), 0)
 
     def test_every_value_type_is_a_record(self):
-        classes = [BinSpec, BinStats, PreFilter, BinBreakdown, EvalReport, MatchConfig, MetricDelta, Box3D, Polygon2D]
+        classes = [BinSpec, BinStats, PreFilter, BinBreakdown, EvalReport, MatchConfig, MetricDelta, Box3D]
         classes += [LabelTable, ScenarioSpec, ScoreModel, FitResult, SingleThreshold, ThresholdModel]
         assert all(issubclass(cls, Record) for cls in classes)

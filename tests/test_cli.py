@@ -121,7 +121,7 @@ class TestPipeline:
         )
         assert rc == 0
         model = ThresholdModel.from_dict(json.loads((fit_dir / "model.json").read_text()))
-        assert model.k == pytest.approx(model.quadratic_at(model.delta), abs=1e-12)
+        assert model.k == pytest.approx(model.threshold_at(model.delta), abs=1e-12)
         assert (fit_dir / "fit_report.csv").exists()
 
         filt_dir = tmp_path / "filtered"

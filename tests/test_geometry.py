@@ -11,13 +11,11 @@ from adathresh.bin_stats import ground_distance
 from adathresh.geometry import (
     _PRUNE_SLACK,
     Box3D,
-    Polygon2D,
-    bev_polygon,
+    _intersection_area,
     iou_3d,
     iou_bev,
     normalize_angle,
     pair_iou,
-    polygon_intersection_area,
 )
 from helpers import make_box, mc_iou_bev
 
@@ -97,75 +95,66 @@ class TestNormalizeAngle:
         assert math.sin(wrapped) == pytest.approx(math.sin(angle), abs=1e-9)
 
 
-class TestPolygon2D:
-    def test_too_few_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            Polygon2D(((0.0, 0.0), (1.0, 0.0)))
-
-    def test_empty_polygon_has_zero_area(self):
-        assert Polygon2D(()).area() == 0.0
-
-    def test_ccw_square_area(self):
-        square = Polygon2D(((0, 0), (1, 0), (1, 1), (0, 1)))
-        assert square.signed_area() == pytest.approx(1.0)
-
-
 class TestBevPolygon:
+    """Box3D.footprint, the box's BEV polygon."""
+
     def test_axis_aligned_unit_square(self):
-        verts = set(bev_polygon(unit_box()).vertices)
+        verts = set(unit_box().footprint)
         assert verts == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
 
     def test_quarter_turn_swaps_width_and_length(self):
-        flat = bev_polygon(make_box(0.0, 0.0, dims=(1.0, 1.0, 3.0), yaw=0.0))
-        turned = bev_polygon(make_box(0.0, 0.0, dims=(1.0, 3.0, 1.0), yaw=math.pi / 2))
-        rounded = lambda poly: {(round(x, 9), round(z, 9)) for x, z in poly.vertices}
+        flat = make_box(0.0, 0.0, dims=(1.0, 1.0, 3.0), yaw=0.0).footprint
+        turned = make_box(0.0, 0.0, dims=(1.0, 3.0, 1.0), yaw=math.pi / 2).footprint
+        rounded = lambda verts: {(round(x, 9), round(z, 9)) for x, z in verts}
         assert rounded(flat) == rounded(turned)
 
     def test_diagonal_unit_square_vertices_on_diagonals(self):
-        poly = bev_polygon(unit_box(yaw=math.pi / 4))
-        for x, z in poly.vertices:
+        for x, z in unit_box(yaw=math.pi / 4).footprint:
             assert math.hypot(x, z) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     @given(boxes())
     def test_footprint_is_ccw_with_expected_area(self, box):
-        poly = bev_polygon(box)
-        assert poly.signed_area() > 0.0
-        assert poly.area() == pytest.approx(box.width * box.length, rel=1e-9)
+        # Clipping keeps what lies left of each edge, so a footprint
+        # clipped by itself keeps its whole area only when it is CCW.
+        assert _intersection_area(box.footprint, box.footprint) == pytest.approx(box.width * box.length, rel=1e-9)
+        assert box.footprint_area == pytest.approx(box.width * box.length, rel=1e-9)
 
 
 class TestPolygonIntersectionArea:
+    """_intersection_area of two CCW vertex tuples."""
+
+    SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("few", [(), ((0.0, 0.0), (1.0, 0.0))], ids=["empty", "two vertices"])
+    def test_fewer_than_three_vertices_give_zero(self, few):
+        assert _intersection_area(few, self.SQUARE) == 0.0
+        assert _intersection_area(self.SQUARE, few) == 0.0
+
+    def test_ccw_square_area(self):
+        assert _intersection_area(self.SQUARE, self.SQUARE) == pytest.approx(1.0)
+
     def test_identical_unit_squares(self):
-        a = bev_polygon(unit_box())
-        b = bev_polygon(unit_box())
-        assert polygon_intersection_area(a, b) == 1.0
+        assert _intersection_area(unit_box().footprint, unit_box().footprint) == 1.0
 
     def test_disjoint(self):
-        a = bev_polygon(unit_box())
-        b = bev_polygon(unit_box(x=10.0))
-        assert polygon_intersection_area(a, b) == 0.0
+        assert _intersection_area(unit_box().footprint, unit_box(x=10.0).footprint) == 0.0
 
     def test_half_offset_rectangle_overlap(self):
-        a = bev_polygon(unit_box())
-        b = bev_polygon(unit_box(x=0.5))
-        assert polygon_intersection_area(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert _intersection_area(unit_box().footprint, unit_box(x=0.5).footprint) == pytest.approx(0.5, abs=1e-12)
 
     def test_edge_touching_counts_as_empty(self):
-        a = bev_polygon(unit_box())
-        b = bev_polygon(unit_box(x=1.0))
-        assert polygon_intersection_area(a, b) == 0.0
+        assert _intersection_area(unit_box().footprint, unit_box(x=1.0).footprint) == 0.0
 
     @given(overlapping_box_pairs())
     def test_symmetric_exactly(self, pair):
         a, b = pair
-        pa, pb = bev_polygon(a), bev_polygon(b)
-        assert polygon_intersection_area(pa, pb) == polygon_intersection_area(pb, pa)
+        assert _intersection_area(a.footprint, b.footprint) == _intersection_area(b.footprint, a.footprint)
 
     @given(overlapping_box_pairs())
     def test_bounded_by_smaller_area(self, pair):
         a, b = pair
-        pa, pb = bev_polygon(a), bev_polygon(b)
-        inter = polygon_intersection_area(pa, pb)
-        assert 0.0 <= inter <= min(pa.area(), pb.area()) + 1e-9
+        inter = _intersection_area(a.footprint, b.footprint)
+        assert 0.0 <= inter <= min(a.footprint_area, b.footprint_area) + 1e-9
 
 
 class TestIouBev:
@@ -366,7 +355,7 @@ class TestIouMatrix:
         det = [make_box(0.2, 10.0), make_box(0.0, 50.0)]
         pairs = one_frame_iou(gt, det, "bev")
 
-        det_fp, gt_fp = [d.footprint.vertices for d in det], [g.footprint.vertices for g in gt]
+        det_fp, gt_fp = [d.footprint for d in det], [g.footprint for g in gt]
         clipped = [(det_fp.index(a), gt_fp.index(b)) for a, b in calls]
         assert clipped == [(0, 0)]
         assert pairs[0, 0] == iou_bev(det[0], gt[0]) > 0.0
@@ -464,7 +453,7 @@ class TestPairIou:
             c, s = math.cos(normalize_angle(yaw)), math.sin(normalize_angle(yaw))
             hu, hv = 0.5 * dims[2], 0.5 * dims[1]
             values = (10.0 - (hu * c + hv * s), 1.0, 20.0 + hu * s - hv * c, *dims, yaw)
-            if box_of(values).footprint.vertices[0] == (10.0, 20.0):
+            if box_of(values).footprint[0] == (10.0, 20.0):
                 family.append(values)
         assert len(family) >= 10
         assert_pairs_equal_scalar([(family[::2], family[1::2]), (family[1::2], family[::2])], kind)
@@ -499,15 +488,6 @@ def circle_test_pairs(det, det_offsets, gt, gt_offsets):
     return det_idx, gt_idx
 
 
-def _area_raises(values):
-    """Whether the Box3D of a pair_iou row raises ValueError for its footprint's area."""
-    try:
-        box_of(values).footprint_area
-    except ValueError:
-        return True
-    return False
-
-
 def _row_radius(values):
     return 0.5 * math.hypot(values[4], values[5])
 
@@ -520,7 +500,7 @@ def prune_frames(draw):
     placed straight along z from one (often the largest, whose circle
     sets the window) at the circles' reach plus c times the test's slack
     term, so they sit on either side of the test's bound and of the
-    window's edge; and a NaN or infinite x or z in some rows."""
+    window's edge."""
 
     def box(x, z):
         w, l = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 6.0))
@@ -547,16 +527,6 @@ def prune_frames(draw):
             step = reach + c * _PRUNE_SLACK * (reach + 2.0 * math.hypot(g[0], g[2]))
             det.append((d[0], d[1], g[2] + draw(st.sampled_from([-1.0, 1.0])) * step, *d[3:]))
         frames.append((gt, det))
-    odd = st.sampled_from([(p, v) for p in (0, 2) for v in (math.nan, math.inf, -math.inf)])
-    for _ in range(draw(st.integers(0, 2))):
-        side, f = draw(st.integers(0, 1)), draw(st.integers(0, len(frames) - 1))
-        rows = frames[f][side]
-        if rows:
-            i = draw(st.integers(0, len(rows) - 1))
-            position, value = draw(odd)
-            changed = list(rows[i])
-            changed[position] = value
-            rows[i] = tuple(changed)
     return frames
 
 
@@ -568,15 +538,6 @@ class TestWindowedPrune:
     @given(frames=prune_frames())
     def test_keeps_exactly_the_pairs_of_the_circle_test(self, kind, frames):
         det, det_offsets, gt, gt_offsets = flatten(frames)
-        # A non-finite row is never pruned, so it reaches the clipper
-        # whenever its frame holds a row of the other side; an infinite
-        # x or z can make its footprint's area an inf - inf, a
-        # ValueError as in Box3D.
-        clipped = [row for g, d in frames if g and d for row in g + d]
-        if any(_area_raises(row) for row in clipped):
-            with pytest.raises(ValueError, match="inf"):
-                pair_iou(det, det_offsets, gt, gt_offsets, kind)
-            return
         rows, cols, values = pair_iou(det, det_offsets, gt, gt_offsets, kind)
         assert (rows, cols) == circle_test_pairs(det, det_offsets, gt, gt_offsets)
         assert len(values) == len(rows)
@@ -595,12 +556,10 @@ class TestWindowedPrune:
             if kept is not None:
                 assert got == (([0], [0]) if kept else ([], []))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_a_non_finite_row_meets_every_row_of_its_frame(self, value):
-        far = [(0.0, 1.5, z, 1.5, 1.7, 4.0, 0.0) for z in (5.0, 40.0, 80.0)]
-        odd = (value, 1.5, 40.0, 1.5, 1.7, 4.0, 0.0)
-        assert pair_iou([odd], [0, 1], far, [0, 3], "bev")[:2] == ([0, 0, 0], [0, 1, 2])
-        assert pair_iou(far, [0, 3], [odd], [0, 1], "bev")[:2] == ([0, 1, 2], [0, 0, 0])
+
+def replaced(position, value, row=(0.0, 1.5, 40.0, 1.5, 1.7, 4.0, 0.0)):
+    """A pair_iou row with the value at position replaced."""
+    return (*row[:position], value, *row[position + 1 :])
 
 
 class TestBoxArrays:
@@ -628,12 +587,25 @@ class TestBoxArrays:
 
     @pytest.mark.parametrize(
         "row",
-        [(0, 0, 0, 1.0, 0.0, 1.0, 0.0), (0, 0, 0, 1.0, 1.0, -1.0, 0.0), (0, 0, 0, 1, 1, 1, math.inf)],
+        [
+            (0, 0, 0, 1.0, 0.0, 1.0, 0.0),
+            (0, 0, 0, 1.0, 1.0, -1.0, 0.0),
+            (0, 0, 0, 1, 1, 1, math.inf),
+            *[
+                pytest.param(replaced(p, v), id=f"{name}-{v}")
+                for p, name in ((0, "x"), (1, "y"), (2, "z"), (4, "width"))
+                for v in (math.nan, math.inf, -math.inf)
+            ],
+            pytest.param(replaced(6, math.nan), id="yaw-nan"),
+        ],
     )
     def test_raw_rows_rejected_like_box3d(self, row):
-        with pytest.raises(ValueError):
+        rule = "box dims must be positive" if all(map(math.isfinite, row)) else "box values must be finite"
+        with pytest.raises(ValueError, match=rule):
             Box3D(row[:3], row[3:6], row[6])
-        with pytest.raises(ValueError):
-            pair_iou([row], [0, 1], [], [0, 0], "bev")
-        with pytest.raises(ValueError):
-            pair_iou([], [0, 0], [row], [0, 1], "bev")
+        # Rows far along z from the rejected one: it is rejected before
+        # any prune could leave it out.
+        far = [(0.0, 1.5, z, 1.5, 1.7, 4.0, 0.0) for z in (5.0, 40.0, 80.0)]
+        for det, gt in (([row], []), ([], [row]), ([row], far), (far, [row])):
+            with pytest.raises(ValueError, match=rule):
+                pair_iou(det, [0, len(det)], gt, [0, len(gt)], "bev")

@@ -23,7 +23,7 @@ SYNTH_ONLY = ("numpy", "dataclasses", "inspect")
 LOADED = f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if m in {SYNTH_ONLY!r} or m.startswith('adathresh'))))"
 
 
-def python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+def python(*args: str, timeout: float = 120, cwd: Path | None = None) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
@@ -31,6 +31,7 @@ def python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=timeout,
+        cwd=cwd,
     )
 
 
@@ -78,6 +79,23 @@ def test_every_public_name_resolves_and_is_listed():
         "fit_quadratic", "generate", "iou_3d", "iou_bev", "keep_rows", "known_optimal_counts",
         "load_tables", "read_label_table", "table_samples", "trade_off",
     ]
+
+
+def test_console_script_entry_point_shows_help(tmp_path):
+    # What the installed script runs: pyproject's [project.scripts] target,
+    # loaded as an entry point by a process started outside the source tree.
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["adathresh"]
+    code = (
+        "import sys\n"
+        "from importlib.metadata import EntryPoint\n"
+        "sys.argv = ['adathresh', '--help']\n"
+        f"sys.exit(EntryPoint('adathresh', {target!r}, 'console_scripts').load()())"
+    )
+    proc = python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: adathresh")
 
 
 def test_cli_import_loads_no_numpy():

@@ -292,7 +292,7 @@ class TestFitQuadratic:
     def test_continuity_k_equals_curve_at_delta(self):
         spec = BinSpec(bin_width=10.0, max_distance=30.0)
         result = fit_quadratic(make_stats([0.7, 0.6, 0.4]), spec, delta=30.0, k=None)
-        assert result.model.k == pytest.approx(result.model.quadratic_at(30.0), abs=1e-12)
+        assert result.model.k == pytest.approx(result.model.threshold_at(30.0), abs=1e-12)
         assert result.model.k == pytest.approx(0.2625, abs=1e-9)
 
     def test_explicit_k_is_kept(self):
@@ -334,7 +334,7 @@ class TestFitQuadratic:
     def test_noiseless_recovery_of_reference_curve(self):
         coeffs = (REFERENCE.alpha, REFERENCE.beta, REFERENCE.gamma)
         spec = BinSpec()
-        means = [REFERENCE.quadratic_at(spec.center(i)) for i in range(6)]
+        means = [REFERENCE.threshold_at(spec.center(i)) for i in range(6)]
         result = fit_quadratic(make_stats(means), spec, delta=60.0, k=0.6)
         assert result.model.alpha == pytest.approx(coeffs[0], abs=1e-9)
         assert result.model.beta == pytest.approx(coeffs[1], abs=1e-9)
@@ -382,8 +382,8 @@ class TestFitQuadratic:
         fit_tight = fit_quadratic(tight_outlier, spec, delta=40.0, k=0.5)
         fit_loose = fit_quadratic(loose_outlier, spec, delta=40.0, k=0.5)
         x = 35.0
-        assert abs(fit_tight.model.quadratic_at(x) - 0.7) < abs(
-            fit_loose.model.quadratic_at(x) - 0.7
+        assert abs(fit_tight.model.threshold_at(x) - 0.7) < abs(
+            fit_loose.model.threshold_at(x) - 0.7
         )
 
     def test_residuals_and_rmse_definitions(self):
