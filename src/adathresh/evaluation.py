@@ -15,13 +15,15 @@ Per-bin rows attribute matched pairs and misses to the ground-truth
 box's distance bin and false positives to the detection's bin.
 
 Every metric comes from columns of kitti_io.LabelTable. The evaluated
-rows' boxes go to geometry.pair_iou once, as (x, y, z, h, w, l, yaw)
-rows with frame offsets. It gives the IoU of every same-frame pair that
-the bounding-circle prune keeps, bit for bit equal to the scalar IoU:
-the prune tests only the ground truth in a z window around each
-detection, each row's footprint is built once, and every kept pair goes
-through the package's one clipper. One sparse greedy loop (_greedy)
-then matches the pairs at or above the threshold, all frames at once.
+rows' boxes go to geometry.pair_iou once, as seven columns (x, y, z, h,
+w, l, yaw), each gathered from the table's column in one pass, with
+frame offsets. It gives the IoU of every same-frame pair that the
+bounding-circle prune keeps, bit for bit equal to the scalar IoU: the
+prune tests only the ground truth in a z window around each detection,
+each row's frame is built once, and every kept pair goes through the
+package's one clipper, in one box's own frame. One sparse greedy loop
+(_greedy) then matches the pairs at or above the threshold, all frames
+at once.
 A threshold filter flags detection rows (one flag per row, or
 EvaluationError), and the loop skips the pairs of unflagged ones, so
 the kernel runs once for the filtered point metrics, per-bin rows and
@@ -159,10 +161,10 @@ def _match(
     return gt_hit, det_hit
 
 
-def _box_rows(table: LabelTable, rows: list[int]) -> list[tuple[float, ...]]:
-    """The rows' boxes as pair_iou rows: center, dims and yaw, as geometry.Box3D takes them."""
+def _box_columns(table: LabelTable, rows: list[int]) -> list[list[float]]:
+    """The rows' boxes as pair_iou columns: x, y, z, height, width, length and yaw."""
     names = ("x", "y", "z", "height", "width", "length", "rotation_y")
-    return list(zip(*(map(table.column(name).__getitem__, rows) for name in names)))
+    return [list(map(table.column(name).__getitem__, rows)) for name in names]
 
 
 def _offsets(table: LabelTable, rows: list[int]) -> list[int]:
@@ -275,7 +277,7 @@ def evaluate_tables(
     gt_rows, det_rows = _eval_rows(gt, det, config)
     score_column = det.scores()
     scores = [score_column[r] for r in det_rows]
-    det_boxes, gt_boxes = _box_rows(det, det_rows), _box_rows(gt, gt_rows)
+    det_boxes, gt_boxes = _box_columns(det, det_rows), _box_columns(gt, gt_rows)
     pairs = pair_iou(det_boxes, _offsets(det, det_rows), gt_boxes, _offsets(gt, gt_rows), config.iou_kind)
     every = [True] * len(det_rows)
     in_set = every if kept is None else [bool(kept[r]) for r in det_rows]

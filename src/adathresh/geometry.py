@@ -5,16 +5,25 @@ The ground plane is (x, z). A box ``center`` sits at the middle of its
 bottom face, so the box spans [y - height, y] vertically (y grows
 downward).
 
-One function, _footprint, turns a box into its footprint's vertices and
-area, and one Sutherland-Hodgman clipper, _intersection_area, intersects
-two footprints; normalize_angle is the one place a yaw is wrapped.
-Box3D's footprint, iou_bev, iou_3d and the kernel pair_iou all go
-through them, so every pair_iou value equals the scalar IoU bit for
-bit. pair_iou sorts each frame's ground truth by z once and runs the
-bounding-circle test only on the rows in a z window around each
-detection, wide enough to hold every pair the test keeps. A box with a
-value that is not finite (NaN or an infinity) or a dim that is not
-positive is a ValueError, in Box3D and in pair_iou alike.
+A box's frame, (x, z, cos yaw, sin yaw, length / 2, width / 2, yaw)
+with the yaw normalized by normalize_angle, is all the clipper needs:
+in its own frame the box's footprint is the axis-aligned rectangle
+|u| <= length / 2, |v| <= width / 2. _clip_area takes the box of the
+smaller frame tuple, turns the other box's four corners into its frame
+and cuts them by that rectangle, one comparison per vertex and side.
+It works on differences of centres, so its rounding error is bounded
+by the boxes' size, not by their distance from the origin: a box
+against itself gives IoU exactly 1 anywhere. A footprint's area is
+width * length. Box3D's footprint, iou_bev, iou_3d and the kernel
+pair_iou all go through _frame and _clip_area, so every pair_iou value
+equals the scalar IoU bit for bit.
+
+pair_iou takes each side as seven columns (x, y, z, height, width,
+length, yaw) with frame offsets. It sorts each frame's ground truth by
+z once and runs the bounding-circle test only on the rows in a z window
+around each detection, wide enough to hold every pair the test keeps.
+A box with a value that is not finite (NaN or an infinity) or a dim
+that is not positive is a ValueError, in Box3D and in pair_iou alike.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ class Box3D(Record):
         if len(center) != 3 or len(dims) != 3:
             raise ValueError("center and dims must each have three components")
         yaw = float(self.yaw)
-        _circles([(*center, *dims, yaw)])  # the checks pair_iou makes of each row
+        _circles([[v] for v in (*center, *dims, yaw)])  # the checks pair_iou makes of each row
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "yaw", normalize_angle(yaw))
@@ -80,95 +89,85 @@ class Box3D(Record):
         return self.dims[2]
 
     @cached_property
-    def _shape(self) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
-        """_footprint of the box, built once per box."""
-        return _footprint(*self.center, *self.dims, self.yaw)
+    def _shape(self) -> tuple[tuple[float, ...], tuple[float, float, float]]:
+        """_frame of the box, built once per box."""
+        return _frame(*self.center, *self.dims, self.yaw)
 
-    @property
+    @cached_property
     def footprint(self) -> tuple[tuple[float, float], ...]:
-        """The footprint's four (x, z) vertices, CCW."""
-        return self._shape[0]
+        """The footprint's four (x, z) vertices, CCW.
+
+        Length runs along the box's local u axis and width along local v;
+        the local frame is rotated by yaw about the downward y axis, so the
+        vertices are (x + u cos + v sin, z - u sin + v cos) for (u, v) =
+        (l/2, w/2), (-l/2, w/2), (-l/2, -w/2), (l/2, -w/2).
+        """
+        x, z, c, s, hu, hv, _ = self._shape[0]
+        uc, us, vc, vs = hu * c, hu * s, hv * c, hv * s
+        return (x + uc + vs, z - us + vc), (x - uc + vs, z + us + vc), (x - uc - vs, z + us - vc), (x + uc - vs, z - us - vc)
 
     @property
     def footprint_area(self) -> float:
-        """The footprint's area."""
+        """The footprint's area, width * length."""
         return self._shape[1][0]
 
 
-def _footprint(
+def _frame(
     x: float, y: float, z: float, h: float, w: float, l: float, yaw: float
-) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
-    """A box's footprint vertices, CCW, and its _extent, from its values
-    as Box3D holds them: floats, the yaw already normalized.
+) -> tuple[tuple[float, ...], tuple[float, float, float]]:
+    """A box's frame and its extent (footprint area w * l, bottom y,
+    height), from its values as Box3D holds them: floats, the yaw
+    already normalized."""
+    return (x, z, math.cos(yaw), math.sin(yaw), 0.5 * l, 0.5 * w, yaw), (w * l, y, h)
 
-    Length runs along the box's local x axis and width along local z;
-    the local frame is rotated by yaw about the downward y axis, so the
-    vertices are (x + u cos + v sin, z - u sin + v cos) for (u, v) =
-    (l/2, w/2), (-l/2, w/2), (-l/2, -w/2), (l/2, -w/2).
+
+def _clip_area(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """Area of the intersection of two boxes' footprints, given as frames.
+
+    The box of the smaller frame tuple is the canonical one, so both
+    call orders run the same arithmetic and the result is exactly
+    symmetric. The other box's corners, CCW, are expressed in its frame
+    (u along its length, v along its width) and clipped to |u| <= l/2,
+    |v| <= w/2 in four passes. Each pass keeps u <= h, then turns the
+    polygon a quarter turn, (u, v) -> (v, -u), so that the next pass
+    cuts the next side; the fourth turn brings the polygon back. The
+    shoelace area of what is left follows.
     """
-    c = math.cos(yaw)
-    s = math.sin(yaw)
-    hu = 0.5 * l
-    hv = 0.5 * w
-    # Negating a factor negates the product exactly, so each vertex is
-    # the sum above with its signs folded in.
-    uc, us, vc, vs = hu * c, hu * s, hv * c, hv * s
-    x0, z0 = x + uc + vs, z - us + vc
-    x1, z1 = x - uc + vs, z + us + vc
-    x2, z2 = x - uc - vs, z + us - vc
-    x3, z3 = x + uc - vs, z - us - vc
-    area = abs(0.5 * math.fsum((x3 * z0 - x0 * z3, x0 * z1 - x1 * z0, x1 * z2 - x2 * z1, x2 * z3 - x3 * z2)))
-    return ((x0, z0), (x1, z1), (x2, z2), (x3, z3)), (area, y, h)
-
-
-def _intersection_area(
-    va: Sequence[tuple[float, float]], vb: Sequence[tuple[float, float]]
-) -> float:
-    """Area of the intersection of two convex polygons given as CCW
-    vertex tuples; 0 when either has fewer than 3 vertices.
-
-    Clips va to the left of each directed edge p->q of vb in turn
-    (inside, for CCW), then takes the shoelace area of what is left.
-    The argument order is canonicalized first so both call orders run
-    the same arithmetic and the result is exactly symmetric.
-    """
-    if len(va) < 3 or len(vb) < 3:
-        return 0.0
-    if vb < va:
-        va, vb = vb, va
-    clipped = va
-    px, pz = vb[-1]
-    for qx, qz in vb:
-        ex = qx - px
-        ez = qz - pz
+    if b < a:
+        a, b = b, a
+    ax, az, ac, as_, al, aw, ayaw = a
+    bx, bz, _, _, bl, bw, byaw = b
+    dx = bx - ax
+    dz = bz - az
+    u = dx * ac - dz * as_
+    v = dx * as_ + dz * ac
+    turn = byaw - ayaw
+    c = math.cos(turn)
+    s = math.sin(turn)
+    # Negating a factor negates the product exactly, so each corner is
+    # Box3D.footprint's sum with its signs folded in.
+    uc, us, vc, vs = bl * c, bl * s, bw * c, bw * s
+    poly = [(u + uc + vs, v - us + vc), (u - uc + vs, v + us + vc), (u - uc - vs, v + us - vc), (u + uc - vs, v - us - vc)]
+    for h in (al, aw, al, aw):
         out = []
-        ax, az = clipped[-1]
-        side_a = ex * (az - pz) - ez * (ax - px)
-        for b in clipped:
-            bx, bz = b
-            side_b = ex * (bz - pz) - ez * (bx - px)
-            if side_b >= 0.0:
-                if side_a < 0.0:
-                    # side_a and side_b have opposite signs, so the
-                    # denominator is nonzero.
-                    t = side_a / (side_a - side_b)
-                    out.append((ax + t * (bx - ax), az + t * (bz - az)))
-                out.append(b)
-            elif side_a >= 0.0:
-                t = side_a / (side_a - side_b)
-                out.append((ax + t * (bx - ax), az + t * (bz - az)))
-            ax, az, side_a = bx, bz, side_b
+        pu, pv = poly[-1]
+        for qu, qv in poly:
+            if qu <= h:
+                if pu > h:
+                    # pu and qu lie on either side of h, so qu - pu is nonzero.
+                    out.append((pv + (h - pu) / (qu - pu) * (qv - pv), -h))
+                out.append((qv, -qu))
+            elif pu <= h:
+                out.append((pv + (h - pu) / (qu - pu) * (qv - pv), -h))
+            pu, pv = qu, qv
         if not out:
             return 0.0
-        clipped = out
-        px, pz = qx, qz
-    if len(clipped) < 3:
-        return 0.0
-    px, pz = clipped[-1]
+        poly = out
+    pu, pv = poly[-1]
     terms = []
-    for x, z in clipped:
-        terms.append(px * z - x * pz)
-        px, pz = x, z
+    for qu, qv in poly:
+        terms.append(pu * qv - qu * pv)
+        pu, pv = qu, qv
     area = 0.5 * math.fsum(terms)
     if area < _DEGENERATE_AREA:
         return 0.0
@@ -177,22 +176,18 @@ def _intersection_area(
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Bird's-eye-view IoU of two boxes, in [0, 1]."""
-    return _iou("bev", _intersection_area(a.footprint, b.footprint), _extent(a), _extent(b))
+    return _iou("bev", _clip_area(a._shape[0], b._shape[0]), a._shape[1], b._shape[1])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """3D IoU of two boxes whose vertical extent is [y - h, y]."""
-    return _iou("3d", _intersection_area(a.footprint, b.footprint), _extent(a), _extent(b))
-
-
-def _extent(box: Box3D) -> tuple[float, float, float]:
-    """A box's footprint area, bottom y and height."""
-    return box._shape[1]
+    return _iou("3d", _clip_area(a._shape[0], b._shape[0]), a._shape[1], b._shape[1])
 
 
 def _iou(kind: str, inter: float, a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
     """The IoU of two boxes from their footprints' intersection and each
-    one's _extent: over footprints for 'bev', over volumes for '3d'."""
+    one's extent (footprint area, bottom y, height): over footprints for
+    'bev', over volumes for '3d'."""
     if inter <= 0.0:
         return 0.0
     (area_a, ya, ha), (area_b, yb, hb) = a, b
@@ -216,32 +211,32 @@ def pair_iou(
 ) -> tuple[list[int], list[int], list[float]]:
     """IoU of every same-frame (detection, ground truth) pair the prune keeps.
 
-    det and gt hold one (x, y, z, height, width, length, yaw) row per
-    box, the values Box3D(center, dims, yaw) takes: every value finite,
-    dims positive, and the yaw is normalized once. Frame f holds det
-    rows det_offsets[f]:det_offsets[f + 1] and gt rows likewise.
-    Returns (det_idx, gt_idx, iou) in frame, detection, ground-truth
-    order. A pair whose footprints' bounding circles (radius half the
-    footprint diagonal) are provably apart is left out: its IoU is 0.
-    Every other pair goes through the one clipper, so each iou equals
-    iou_bev or iou_3d of the pair bit for bit.
+    det and gt each hold seven columns of floats, x, y, z, height,
+    width, length and yaw, one value per box: the values
+    Box3D(center, dims, yaw) holds, every value finite, dims positive;
+    the yaw is normalized once. Frame f holds det rows det_offsets[f]:det_offsets[f + 1] and
+    gt rows likewise. Returns (det_idx, gt_idx, iou) in frame, detection,
+    ground-truth order. A pair whose footprints' bounding circles (radius
+    half the footprint diagonal) are provably apart is left out: its IoU
+    is 0. Every other pair goes through the one clipper, so each iou
+    equals iou_bev or iou_3d of the pair bit for bit.
 
     The circle test runs only on the frame's ground truth whose z lies
     within a window of the detection's z: the largest reach the test
     can keep, with its slack doubled, so the window holds every pair
     the test keeps. A window whose half-width overflows to inf spans
-    the whole frame. A row's footprint is built once, when it first
-    reaches the clipper, and is dropped when its frame is done.
+    the whole frame. A row's frame is built once, when it first reaches
+    the clipper, and is dropped when its frame is done.
     """
     if kind not in ("bev", "3d"):
         raise ValueError(f"kind must be 'bev' or '3d', got {kind!r}")
-    hypot, clip = math.hypot, _intersection_area
-    det_circles, gt_circles = _circles(det), _circles(gt)
+    hypot, clip = math.hypot, _clip_area
+    det_x, det_z, det_r, det_m = _circles(det)
+    gt_x, gt_z, gt_r, gt_m = _circles(gt)
     # The windows use the largest radius and centre distance over all
     # ground truth, not the frame's, which only widens them.
-    max_gr = max([c[2] for c in gt_circles], default=0.0)
-    max_gm = max([c[3] for c in gt_circles], default=0.0)
-    gt_z = [c[1] for c in gt_circles]
+    max_gr = max(gt_r, default=0.0)
+    max_gm = max(gt_m, default=0.0)
     det_idx: list[int] = []
     gt_idx: list[int] = []
     iou: list[float] = []
@@ -250,51 +245,49 @@ def pair_iou(
             continue
         by_z = sorted(range(g0, g1), key=gt_z.__getitem__)
         zs = list(map(gt_z.__getitem__, by_z))
-        # Footprints live for one frame, which keeps the heap (and the
-        # garbage collector's passes over it) small.
-        gt_footprints = {}
+        # Frames live for one frame of boxes, which keeps the heap (and
+        # the garbage collector's passes over it) small.
+        gt_frames = {}
         for d in range(d0, d1):
-            dx, dz, dr, dm = det_circles[d]
+            dx, dz, dr, dm = det_x[d], det_z[d], det_r[d], det_m[d]
             # Twice the test's slack, and 2e-9 m more for rounding near
             # zero: a z gap the test can keep lies far inside.
             reach = dr + max_gr
             half = reach + 2.0 * _PRUNE_SLACK * (reach + dm + max_gm + 1.0)
             candidates = by_z[bisect_left(zs, dz - half) : bisect_right(zs, dz + half)]
             candidates.sort()
-            footprint = None
+            frame = None
             for g in candidates:
-                gx, gz, gr, gm = gt_circles[g]
-                reach = dr + gr
+                reach = dr + gt_r[g]
                 # Not "<=": a pair whose test involves a NaN (an inf - inf
                 # of overflowed terms) is kept.
-                if not hypot(dx - gx, dz - gz) - reach > _PRUNE_SLACK * (reach + dm + gm):
-                    if footprint is None:
-                        footprint, a = _row_footprint(det[d])
-                    other = gt_footprints.get(g)
+                if not hypot(dx - gt_x[g], dz - gt_z[g]) - reach > _PRUNE_SLACK * (reach + dm + gt_m[g]):
+                    if frame is None:
+                        frame, extent = _row_frame(det, d)
+                    other = gt_frames.get(g)
                     if other is None:
-                        other = gt_footprints[g] = _row_footprint(gt[g])
+                        other = gt_frames[g] = _row_frame(gt, g)
                     det_idx.append(d)
                     gt_idx.append(g)
-                    iou.append(_iou(kind, clip(footprint, other[0]), a, other[1]))
+                    iou.append(_iou(kind, clip(frame, other[0]), extent, other[1]))
     return det_idx, gt_idx, iou
 
 
-def _circles(rows: Sequence[Sequence[float]]) -> list[tuple[float, float, float, float]]:
-    """Each box's footprint bounding circle: x, z, radius (half the
-    footprint diagonal) and the centre's distance from the origin.
-    ValueError for a row with a value that is not finite or a dim that
-    is not positive."""
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
+def _circles(columns: Sequence[Sequence[float]]) -> tuple[Sequence[float], Sequence[float], list[float], list[float]]:
+    """The boxes' footprint bounding circles, as columns: x, z, radius
+    (half the footprint diagonal) and the centre's distance from the
+    origin. ValueError for a box with a value that is not finite or a
+    dim that is not positive."""
+    x, _, z, h, w, l, _ = columns
+    if not all(map(math.isfinite, chain.from_iterable(columns))):
         raise ValueError("box values must be finite")
-    out = []
-    for x, _, z, h, w, l, _ in rows:
-        if h <= 0.0 or w <= 0.0 or l <= 0.0:
-            raise ValueError(f"box dims must be positive, got {(h, w, l)}")
-        out.append((x, z, 0.5 * math.hypot(w, l), math.hypot(x, z)))
-    return out
+    if min(chain(h, w, l), default=1.0) <= 0.0:
+        dims = next(dims for dims in zip(h, w, l) if min(dims) <= 0.0)
+        raise ValueError(f"box dims must be positive, got {dims}")
+    return x, z, [0.5 * r for r in map(math.hypot, w, l)], list(map(math.hypot, x, z))
 
 
-def _row_footprint(row: Sequence[float]) -> tuple[tuple[tuple[float, float], ...], tuple[float, float, float]]:
-    """_footprint of a pair_iou row, as Box3D(center, dims, yaw) holds it."""
-    x, y, z, h, w, l, yaw = map(float, row)
-    return _footprint(x, y, z, h, w, l, normalize_angle(yaw))
+def _row_frame(columns: Sequence[Sequence[float]], i: int) -> tuple[tuple[float, ...], tuple[float, float, float]]:
+    """_frame of box i of pair_iou's columns, as Box3D(center, dims, yaw) holds it."""
+    xs, ys, zs, hs, ws, ls, yaws = columns
+    return _frame(xs[i], ys[i], zs[i], hs[i], ws[i], ls[i], normalize_angle(yaws[i]))

@@ -25,14 +25,19 @@ ordering); value ranges such as truncation in [0, 1] are the
 producer's business.
 
 read_label_table and load_tables read whole directories into a
-LabelTable, one row per line held by column. Every table, synthetic
-ones included, is built from label lines by one function, which runs
-each check once over all rows; when any fails, the files are checked
-again line by line, so the error raised names the first bad file and
-line.
+LabelTable, one row per line held by column. Each file is read through
+a raw descriptor (os.open, os.read until end of file, os.close) and
+decoded as strict UTF-8 without one leading byte-order mark: the lines
+a utf-8-sig text file gives, save that a file holding only part of a
+mark is undecodable, not empty. Every table, synthetic ones included,
+is built from label lines by one function, which runs each check once
+over all rows; when any fails, the files are checked again line by
+line, from the same text, so the error raised names the first bad file
+and line.
 
 write_frames writes a table's frames back to files, one label tree at
-a time: a new tree appears whole or not at all, and an existing one gets
+a time, each file's UTF-8 bytes with os.write into a fresh staging
+tree: a new tree appears whole or not at all, and an existing one gets
 one atomic replace per file. write_text_atomic writes any other single
 file (JSON, CSV, SVG, markdown) through a temp file and a rename.
 """
@@ -105,6 +110,7 @@ COLUMNS = (
 _COLUMN = {name: index for index, name in enumerate(COLUMNS)}
 _OCCLUSION_VALUES = frozenset((-1.0, 0.0, 1.0, 2.0, 3.0))
 _CHUNK_LINES = 256  # lines split at once by the bulk reader
+_READ_BYTES = 1 << 16  # bytes asked of each os.read
 
 
 class LabelTable(Record, eq=False):
@@ -170,8 +176,14 @@ def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | 
         for name, start, stop in zip(table.files, table.offsets, table.offsets[1:]):
             if name is not None:
                 lines = compress(table.lines[start:stop], kept[start:stop])
-                with open(os.path.join(tree, name), "w", encoding="utf-8", newline="", opener=_owner_only) as handle:
-                    handle.write("".join(line + "\n" for line in lines))
+                data = memoryview("".join(line + "\n" for line in lines).encode())
+                # Mode 0o600, as tempfile.mkstemp gives; the tree is new, so O_EXCL.
+                fd = os.open(os.path.join(tree, name), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+                try:
+                    while data:
+                        data = data[os.write(fd, data) :]
+                finally:
+                    os.close(fd)
         if not existed:
             try:
                 os.rename(tree, out_dir)
@@ -184,11 +196,6 @@ def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | 
             os.replace(os.path.join(tree, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-
-
-def _owner_only(path: str, flags: int) -> int:
-    """open()'s opener for mode 0o600, the mode of a tempfile.mkstemp file."""
-    return os.open(path, flags, 0o600)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -271,17 +278,28 @@ def _read_table(
     for name in files:
         if name is not None:
             try:
-                # Unbuffered bytes read a third faster than a text file; splitlines
-                # breaks at a raw "\r\n" or "\r" as at the "\n" text mode makes of it.
-                # utf-8-sig drops a leading byte-order mark, as _check_label_file does.
-                with open(prefix + name, "rb", buffering=0) as handle:
-                    text = handle.read().decode("utf-8-sig")
                 # strip() is empty exactly where split() is: a blank line has no row.
-                lines += filter(str.strip, text.splitlines())
+                lines += filter(str.strip, _read_text(prefix + name).splitlines())
             except (OSError, UnicodeDecodeError):
                 return None
         ends.append(len(lines))
     return _table_from_lines(frame_ids, files, lines, ends, expect_score)
+
+
+def _read_text(path: str | Path) -> str:
+    """A label file's text: its bytes, read through a raw descriptor (half
+    the time of a file object's), as strict UTF-8 without one leading
+    byte-order mark. splitlines() breaks it at a "\r\n" or "\r" as at
+    the "\n" a text file makes of them."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_BYTES):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode()
+    return text[1:] if text[:1] == "\ufeff" else text
 
 
 def _table_from_lines(
@@ -371,8 +389,7 @@ def _check_label_file(path: Path, expect_score: bool) -> None:
     with the file and the 1-based line number; blank lines are skipped.
     An unreadable file is a DatasetError naming it. Builds nothing."""
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     n_fields = _DET_FIELDS if expect_score else _GT_FIELDS

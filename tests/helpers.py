@@ -1,7 +1,8 @@
 """Fixture records, table builders and independent oracles shared across test modules.
 
 The oracles deliberately re-derive results through different means than
-the library: Monte-Carlo point inclusion instead of polygon clipping, a
+the library: Monte-Carlo point inclusion instead of polygon clipping,
+the world-frame convex-polygon clipper instead of the own-frame one, a
 from-scratch greedy matcher, exhaustive search over one-to-one
 assignments, the scalar three-pass evaluation with its brute-force
 AP interpolation, and Gaussian elimination over fractions for the fit.
@@ -182,9 +183,14 @@ def write_label(path: Path, records: Sequence[Record]) -> None:
     path.write_text(label_text(records), encoding="utf-8")
 
 
-def box_rows(records: list[Record]) -> list[tuple[float, ...]]:
-    """The records' boxes (Record.to_box3d) as geometry.pair_iou rows."""
-    return [(*r.location, *r.dimensions, r.rotation_y) for r in records]
+def box_columns(records: list[Record]) -> list[list[float]]:
+    """The records' boxes (Record.to_box3d) as geometry.pair_iou columns."""
+    return columns([(*r.location, *r.dimensions, r.rotation_y) for r in records])
+
+
+def columns(rows: Sequence[Sequence[float]]) -> list[list[float]]:
+    """(x, y, z, height, width, length, yaw) rows as pair_iou's seven columns."""
+    return [list(map(float, column)) for column in zip(*rows)] if rows else [[] for _ in range(7)]
 
 
 def score_list(records: list[Record]) -> list[float]:
@@ -223,6 +229,58 @@ def footprint_corners(box: Box3D) -> list[tuple[float, float]]:
             u, v = su * hu, sv * hv
             corners.append((box.center[0] + u * c + v * s, box.center[2] - u * s + v * c))
     return corners
+
+
+def polygon_intersection_area(
+    va: Sequence[tuple[float, float]], vb: Sequence[tuple[float, float]]
+) -> float:
+    """Exact scalar clipper: the area of the intersection of two convex
+    polygons given as CCW vertex tuples in world coordinates; 0 when
+    either has fewer than 3 vertices or the area is below 1e-12.
+
+    Clips va to the left of each directed edge p->q of vb in turn
+    (inside, for CCW; Sutherland-Hodgman), then takes the shoelace area
+    of what is left. The argument order is canonicalized first so both
+    call orders run the same arithmetic. geometry clips in one box's own
+    frame instead, by its four sides.
+    """
+    if len(va) < 3 or len(vb) < 3:
+        return 0.0
+    if vb < va:
+        va, vb = vb, va
+    clipped = va
+    px, pz = vb[-1]
+    for qx, qz in vb:
+        ex = qx - px
+        ez = qz - pz
+        out = []
+        ax, az = clipped[-1]
+        side_a = ex * (az - pz) - ez * (ax - px)
+        for b in clipped:
+            bx, bz = b
+            side_b = ex * (bz - pz) - ez * (bx - px)
+            if side_b >= 0.0:
+                if side_a < 0.0:
+                    t = side_a / (side_a - side_b)
+                    out.append((ax + t * (bx - ax), az + t * (bz - az)))
+                out.append(b)
+            elif side_a >= 0.0:
+                t = side_a / (side_a - side_b)
+                out.append((ax + t * (bx - ax), az + t * (bz - az)))
+            ax, az, side_a = bx, bz, side_b
+        if not out:
+            return 0.0
+        clipped = out
+        px, pz = qx, qz
+    if len(clipped) < 3:
+        return 0.0
+    px, pz = clipped[-1]
+    terms = []
+    for x, z in clipped:
+        terms.append(px * z - x * pz)
+        px, pz = x, z
+    area = 0.5 * math.fsum(terms)
+    return area if area >= 1e-12 else 0.0
 
 
 def _inside_footprint(box: Box3D, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from adathresh.threshold import (
     keep_rows,
 )
 from helpers import (
-    box_rows,
+    box_columns,
     brute_force_match,
     constructed,
     label_text,
@@ -187,7 +187,7 @@ def test_acceptance_5_matching_oracle():
         for seed in range(500):
             rng = random.Random(seed)
             gt, det = random_scene(rng)
-            pairs = pair_iou(box_rows(det), [0, len(det)], box_rows(gt), [0, len(gt)], "bev")
+            pairs = pair_iou(box_columns(det), [0, len(det)], box_columns(gt), [0, len(gt)], "bev")
             matches = _greedy(*pairs, score_list(det), config.iou_threshold)
             greedy_pairs = [(d, g) for d, g, _ in matches]
             assert greedy_pairs == brute_force_match(gt, det, iou_bev, config.iou_threshold)

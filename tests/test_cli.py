@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 from itertools import compress
 
@@ -53,6 +54,17 @@ def tree_digest(root):
     return digest.hexdigest()
 
 
+def eval_digests(cwd, data_dir, mode, iou):
+    """sha256 of the eval_report.json and eval_report.csv that eval writes
+    for data_dir's gt/ and det/ under mode and iou, run from cwd: the
+    report holds threshold_mode as typed, so the model path is relative."""
+    write_json(cwd / "model.json", ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6).to_dict())
+    out = cwd / "e"
+    data = ("--gt-dir", str(data_dir / "gt"), "--det-dir", str(data_dir / "det"))
+    assert run("eval", *data, "--out-dir", str(out), "--iou", iou, "--threshold-mode", mode) == 0
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("eval_report.json", "eval_report.csv")]
+
+
 # sha256 of eval_report.json and eval_report.csv for the dataset fixture's scenario.
 EVAL_DIGESTS = {
     ("none", "bev"): [
@@ -82,12 +94,72 @@ EVAL_DIGESTS = {
 }
 
 
+# The same digests for crowded_dataset's frames.
+CROWDED_EVAL_DIGESTS = {
+    ("none", "bev"): [
+        "009d0ca931ce9026514fb0018ae562a6370935c914ef66098c38fc54ae394d4f",
+        "922de7cfedb431e7a1e8c0d3c358defa2b56d550583c90eb8668cda8322a4967",
+    ],
+    ("none", "3d"): [
+        "200ebe7d69f6b8d4300a95ebef1b3849a191b79f94c360014a852df4a1821285",
+        "922de7cfedb431e7a1e8c0d3c358defa2b56d550583c90eb8668cda8322a4967",
+    ],
+    ("single:0.5", "bev"): [
+        "1f81d3e9c96073fc32d7b3870c094752e27a3b10fd750d721b69f461bd2d4f07",
+        "4df56d94041e6169a779459b7a583f370adfdddef2512cc4462ec2ca901a1ae2",
+    ],
+    ("single:0.5", "3d"): [
+        "cad107b4275cbc60a9eef9a90bbe5dfd151216a71d5b33f3487b56a1ea6ba9bb",
+        "4df56d94041e6169a779459b7a583f370adfdddef2512cc4462ec2ca901a1ae2",
+    ],
+    ("adaptive:model.json", "bev"): [
+        "ada414ff164c0dc691ab23c3916176ed8584bfa68a847438c27864b781acc84c",
+        "b80b7171282876647a9f878bb252b9b2836dcf5df4a6fbc9bd24c3b76c91348e",
+    ],
+    ("adaptive:model.json", "3d"): [
+        "62cf0357fa877d8e7e9a1d2af2c35a27e05ed024fcf242434349d946cc632bb6",
+        "b80b7171282876647a9f878bb252b9b2836dcf5df4a6fbc9bd24c3b76c91348e",
+    ],
+}
+
+
 @pytest.fixture
 def dataset(tmp_path):
     """Synthetic gt/ and det/ directories plus the scenario file."""
     spec_path = write_json(tmp_path / "scenario.json", scenario_payload())
     data_dir = tmp_path / "data"
     assert run("synth", "--spec", spec_path, "--out-dir", str(data_dir)) == 0
+    return data_dir
+
+
+@pytest.fixture
+def crowded_dataset(tmp_path):
+    """Eight cars a frame, and three pre-NMS style duplicates after each
+    detection: one jittered by up to 0.6 m and 0.3 rad (many of its pairs
+    fall below the IoU threshold), one moved by a few micrometres (IoU
+    ties to within rounding) and one at the same place with the score
+    repeated (score ties)."""
+    payload = scenario_payload(n_frames=6, objects_per_frame=[8, 8], distance_range=[2.0, 40.0])
+    spec_path = write_json(tmp_path / "scenario.json", payload)
+    data_dir = tmp_path / "crowded"
+    assert run("synth", "--spec", spec_path, "--out-dir", str(data_dir)) == 0
+    rng = random.Random(17)
+    for path in sorted((data_dir / "det").iterdir()):
+        out = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            tokens = line.split()
+            x, z, yaw, score = (float(tokens[i]) for i in (11, 13, 14, 15))
+            copies = (
+                (0.6 * rng.uniform(-1, 1), 0.6 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1), rng.uniform(0.5, 0.98)),
+                (4e-6 * rng.uniform(-1, 1), 4e-6 * rng.uniform(-1, 1), 0.0, rng.uniform(0.5, 0.98)),
+                (0.0, 0.0, 0.0, 1.0),
+            )
+            out.append(line)
+            for dx, dz, dyaw, factor in copies:
+                tokens[11], tokens[13], tokens[14] = f"{x + dx:.6f}", f"{z + dz:.6f}", f"{yaw + dyaw:.6f}"
+                tokens[15] = f"{score * factor:.6f}"
+                out.append(" ".join(tokens))
+        path.write_text("".join(f"{line}\n" for line in out), encoding="utf-8")
     return data_dir
 
 
@@ -373,14 +445,13 @@ class TestPipeline:
 
     @pytest.mark.parametrize("mode, iou", list(EVAL_DIGESTS))
     def test_eval_writes_pinned_bytes(self, tmp_path, dataset, monkeypatch, mode, iou):
-        # eval_report.json holds threshold_mode as typed, so the model path is relative.
         monkeypatch.chdir(tmp_path)
-        write_json(tmp_path / "model.json", ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6).to_dict())
-        out = tmp_path / "e"
-        data = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
-        assert run("eval", *data, "--out-dir", str(out), "--iou", iou, "--threshold-mode", mode) == 0
-        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("eval_report.json", "eval_report.csv")]
-        assert digests == EVAL_DIGESTS[mode, iou]
+        assert eval_digests(tmp_path, dataset, mode, iou) == EVAL_DIGESTS[mode, iou]
+
+    @pytest.mark.parametrize("mode, iou", list(CROWDED_EVAL_DIGESTS))
+    def test_eval_writes_pinned_bytes_on_crowded_frames(self, tmp_path, crowded_dataset, monkeypatch, mode, iou):
+        monkeypatch.chdir(tmp_path)
+        assert eval_digests(tmp_path, crowded_dataset, mode, iou) == CROWDED_EVAL_DIGESTS[mode, iou]
 
     def test_synth_manifest_writes_whole_numbers_of_float_fields_as_floats(self, tmp_path):
         payload = scenario_payload(n_frames=2, distance_range=[2, 58], bin_spec={"bin_width": 10, "max_distance": 60})

@@ -27,7 +27,7 @@ from adathresh.kitti_io import MissingScoreError, load_tables, read_label_table
 from adathresh.threshold import SingleThreshold, keep_rows
 from helpers import (
     Frame,
-    box_rows,
+    box_columns,
     brute_force_match,
     detections,
     filtered,
@@ -54,14 +54,14 @@ def single_frame(gt, det):
 
 def frame_matches(gt, det):
     """_greedy over one frame's BEV pair_iou: (det_idx, gt_idx, iou) in match order."""
-    pairs = pair_iou(box_rows(det), [0, len(det)], box_rows(gt), [0, len(gt)], "bev")
+    pairs = pair_iou(box_columns(det), [0, len(det)], box_columns(gt), [0, len(gt)], "bev")
     return _greedy(*pairs, score_list(det), BEV_CFG.iou_threshold)
 
 
 def frame_hits(gt, det, in_set=None):
     """_match over one frame's BEV pair_iou: the (gt_hit, det_hit) flags,
     matching only the detections flagged in in_set (all without it)."""
-    pairs = pair_iou(box_rows(det), [0, len(det)], box_rows(gt), [0, len(gt)], "bev")
+    pairs = pair_iou(box_columns(det), [0, len(det)], box_columns(gt), [0, len(gt)], "bev")
     flags = [True] * len(det) if in_set is None else in_set
     return _match(pairs, score_list(det), BEV_CFG.iou_threshold, len(gt), flags)
 

@@ -11,13 +11,13 @@ from adathresh.bin_stats import ground_distance
 from adathresh.geometry import (
     _PRUNE_SLACK,
     Box3D,
-    _intersection_area,
+    _clip_area,
     iou_3d,
     iou_bev,
     normalize_angle,
     pair_iou,
 )
-from helpers import make_box, mc_iou_bev
+from helpers import columns, make_box, mc_iou_bev, polygon_intersection_area
 
 # Unit-footprint box: width = length = 1.
 UNIT = dict(dims=(1.0, 1.0, 1.0))
@@ -44,8 +44,8 @@ def boxes(draw, x=finite_coord, z=finite_coord):
 
 
 @st.composite
-def overlapping_box_pairs(draw):
-    a = draw(boxes(x=st.floats(-10.0, 10.0), z=st.floats(-10.0, 10.0)))
+def overlapping_box_pairs(draw, near=st.floats(-10.0, 10.0)):
+    a = draw(boxes(x=near, z=near))
     dx = draw(st.floats(-4.0, 4.0))
     dz = draw(st.floats(-4.0, 4.0))
     b = Box3D(
@@ -114,47 +114,61 @@ class TestBevPolygon:
 
     @given(boxes())
     def test_footprint_is_ccw_with_expected_area(self, box):
-        # Clipping keeps what lies left of each edge, so a footprint
+        # The oracle keeps what lies left of each edge, so a footprint
         # clipped by itself keeps its whole area only when it is CCW.
-        assert _intersection_area(box.footprint, box.footprint) == pytest.approx(box.width * box.length, rel=1e-9)
-        assert box.footprint_area == pytest.approx(box.width * box.length, rel=1e-9)
+        assert polygon_intersection_area(box.footprint, box.footprint) == pytest.approx(box.width * box.length, rel=1e-9)
+        # In its own frame a box is its rectangle exactly.
+        assert _clip_area(box._shape[0], box._shape[0]) == box.footprint_area == box.width * box.length
+
+
+def clip(a, b):
+    """_clip_area of two boxes' frames."""
+    return _clip_area(a._shape[0], b._shape[0])
 
 
 class TestPolygonIntersectionArea:
-    """_intersection_area of two CCW vertex tuples."""
+    """_clip_area of two boxes' frames, judged by polygon_intersection_area,
+    the world-frame convex-polygon clipper of tests/helpers.py; the first
+    two cases check that oracle on polygons that are not boxes."""
 
     SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
     @pytest.mark.parametrize("few", [(), ((0.0, 0.0), (1.0, 0.0))], ids=["empty", "two vertices"])
     def test_fewer_than_three_vertices_give_zero(self, few):
-        assert _intersection_area(few, self.SQUARE) == 0.0
-        assert _intersection_area(self.SQUARE, few) == 0.0
+        assert polygon_intersection_area(few, self.SQUARE) == 0.0
+        assert polygon_intersection_area(self.SQUARE, few) == 0.0
 
     def test_ccw_square_area(self):
-        assert _intersection_area(self.SQUARE, self.SQUARE) == pytest.approx(1.0)
+        assert polygon_intersection_area(self.SQUARE, self.SQUARE) == pytest.approx(1.0)
 
     def test_identical_unit_squares(self):
-        assert _intersection_area(unit_box().footprint, unit_box().footprint) == 1.0
+        assert clip(unit_box(), unit_box()) == 1.0
 
     def test_disjoint(self):
-        assert _intersection_area(unit_box().footprint, unit_box(x=10.0).footprint) == 0.0
+        assert clip(unit_box(), unit_box(x=10.0)) == 0.0
 
     def test_half_offset_rectangle_overlap(self):
-        assert _intersection_area(unit_box().footprint, unit_box(x=0.5).footprint) == pytest.approx(0.5, abs=1e-12)
+        assert clip(unit_box(), unit_box(x=0.5)) == pytest.approx(0.5, abs=1e-12)
 
     def test_edge_touching_counts_as_empty(self):
-        assert _intersection_area(unit_box().footprint, unit_box(x=1.0).footprint) == 0.0
+        assert clip(unit_box(), unit_box(x=1.0)) == 0.0
 
     @given(overlapping_box_pairs())
     def test_symmetric_exactly(self, pair):
         a, b = pair
-        assert _intersection_area(a.footprint, b.footprint) == _intersection_area(b.footprint, a.footprint)
+        assert clip(a, b) == clip(b, a)
 
     @given(overlapping_box_pairs())
     def test_bounded_by_smaller_area(self, pair):
         a, b = pair
-        inter = _intersection_area(a.footprint, b.footprint)
+        inter = clip(a, b)
         assert 0.0 <= inter <= min(a.footprint_area, b.footprint_area) + 1e-9
+
+    @given(overlapping_box_pairs(near=st.floats(-100.0, 100.0)))
+    def test_matches_the_world_frame_clipper(self, pair):
+        a, b = pair
+        expected = polygon_intersection_area(a.footprint, b.footprint)
+        assert abs(clip(a, b) - expected) <= 1e-9 * max(1.0, expected)
 
 
 class TestIouBev:
@@ -298,7 +312,7 @@ def scalar_matrix(gt, det, iou):
 
 def one_frame_iou(gt, det, kind):
     """pair_iou of one frame's boxes as {(det_idx, gt_idx): iou}."""
-    rows, cols, values = pair_iou([row(b) for b in det], [0, len(det)], [row(b) for b in gt], [0, len(gt)], kind)
+    rows, cols, values = pair_iou(columns([row(b) for b in det]), [0, len(det)], columns([row(b) for b in gt]), [0, len(gt)], kind)
     return dict(zip(zip(rows, cols), values))
 
 
@@ -344,19 +358,18 @@ class TestIouMatrix:
         import adathresh.geometry as geometry
 
         calls = []
-        clip = geometry._intersection_area
 
         def counting(a, b):
             calls.append((a, b))
-            return clip(a, b)
+            return _clip_area(a, b)
 
-        monkeypatch.setattr(geometry, "_intersection_area", counting)
+        monkeypatch.setattr(geometry, "_clip_area", counting)
         gt = [make_box(0.0, 10.0), make_box(0.0, 30.0)]
         det = [make_box(0.2, 10.0), make_box(0.0, 50.0)]
         pairs = one_frame_iou(gt, det, "bev")
 
-        det_fp, gt_fp = [d.footprint for d in det], [g.footprint for g in gt]
-        clipped = [(det_fp.index(a), gt_fp.index(b)) for a, b in calls]
+        det_frames, gt_frames = [d._shape[0] for d in det], [g._shape[0] for g in gt]
+        clipped = [(det_frames.index(a), gt_frames.index(b)) for a, b in calls]
         assert clipped == [(0, 0)]
         assert pairs[0, 0] == iou_bev(det[0], gt[0]) > 0.0
         assert [key for key, value in pairs.items() if value != 0.0] == [(0, 0)]
@@ -381,7 +394,7 @@ def assert_pairs_equal_scalar(frames, kind):
     every same-frame pair in (frame, det, gt) order, the scalar IoU of
     the rows' Box3D bit for bit; a pair it leaves out has scalar IoU 0."""
     det, det_offsets, gt, gt_offsets = flatten(frames)
-    rows, cols, values = pair_iou(det, det_offsets, gt, gt_offsets, kind)
+    rows, cols, values = pair_iou(columns(det), det_offsets, columns(gt), gt_offsets, kind)
     got = list(zip(rows, cols))
     assert got == sorted(got)
     kept = dict(zip(got, values))
@@ -443,20 +456,22 @@ class TestPairIou:
                 assert kept[0, 0] == expected
 
     @pytest.mark.parametrize("kind", ["bev", "3d"])
-    def test_rotated_footprints_sharing_the_first_vertex(self, kind):
-        # Equal first vertices make the canonical swap decide on later
-        # coordinates; the boxes are turned, so the two clip orders round
-        # differently and a wrong swap shows.
+    def test_boxes_of_equal_x_order_by_later_frame_fields(self, kind):
+        # The clipper works in the frame of the box whose frame tuple
+        # (x, z, cos, sin, l/2, w/2, yaw) is smaller. These boxes share x,
+        # and some share z too, so the order is decided by later fields;
+        # they are turned, so the two clip orders round differently and
+        # a wrong order shows as an asymmetric IoU.
         family = []
         for i, yaw in enumerate(np.linspace(-3.0, 3.0, 41).tolist()):
             dims = (1.5, 1.4 + 0.05 * (i % 5), 3.5 + 0.1 * (i % 7))
-            c, s = math.cos(normalize_angle(yaw)), math.sin(normalize_angle(yaw))
-            hu, hv = 0.5 * dims[2], 0.5 * dims[1]
-            values = (10.0 - (hu * c + hv * s), 1.0, 20.0 + hu * s - hv * c, *dims, yaw)
-            if box_of(values).footprint[0] == (10.0, 20.0):
-                family.append(values)
-        assert len(family) >= 10
-        assert_pairs_equal_scalar([(family[::2], family[1::2]), (family[1::2], family[::2])], kind)
+            family.append((10.0, 1.0, 20.0 + 0.25 * (i % 3), *dims, yaw))
+        a, b = family[::2][:20], family[1::2]
+        kept = assert_pairs_equal_scalar([(a, b), (b, a)], kind)
+        assert len(kept) == 2 * 20 * 20
+        for d in range(20):
+            for g in range(20):
+                assert kept[d, g] == kept[20 + g, 20 + d] > 0.0
 
     def test_frames_without_gt_or_detections(self):
         boxes = [_box(0.0, 0.0, 2.0, 4.0), _box(0.5, 0.0, 2.0, 4.0)]
@@ -465,7 +480,7 @@ class TestPairIou:
         assert sorted(kept) == [(2, 2), (2, 3), (3, 2), (3, 3)]
 
     def test_rejects_unknown_kind(self):
-        one = [row(unit_box())]
+        one = columns([row(unit_box())])
         with pytest.raises(ValueError):
             pair_iou(one, [0, 1], one, [0, 1], "2d")
 
@@ -538,7 +553,7 @@ class TestWindowedPrune:
     @given(frames=prune_frames())
     def test_keeps_exactly_the_pairs_of_the_circle_test(self, kind, frames):
         det, det_offsets, gt, gt_offsets = flatten(frames)
-        rows, cols, values = pair_iou(det, det_offsets, gt, gt_offsets, kind)
+        rows, cols, values = pair_iou(columns(det), det_offsets, columns(gt), gt_offsets, kind)
         assert (rows, cols) == circle_test_pairs(det, det_offsets, gt, gt_offsets)
         assert len(values) == len(rows)
 
@@ -551,7 +566,7 @@ class TestWindowedPrune:
         for c, kept in ((0.0, True), (0.5, True), (1.0, None), (1.9, False), (2.0, False), (2.1, False)):
             z = 40.0 + reach + c * _PRUNE_SLACK * (reach + 80.0)
             det = [(0.0, 1.5, z, 1.5, 1.0, 1.0, 0.0)]
-            got = pair_iou(det, [0, 1], [big, small], [0, 2], "bev")[:2]
+            got = pair_iou(columns(det), [0, 1], columns([big, small]), [0, 2], "bev")[:2]
             assert got == circle_test_pairs(det, [0, 1], [big, small], [0, 2])
             if kept is not None:
                 assert got == (([0], [0]) if kept else ([], []))
@@ -571,7 +586,7 @@ class TestBoxArrays:
         for value in (angle, math.pi, -math.pi, 3 * math.pi, -7 * math.pi / 2):
             box = (0.0, 1.0, 0.0, 1.5, 1.7, 4.0, value)
             for kind, iou in (("bev", iou_bev), ("3d", iou_3d)):
-                _, _, values = pair_iou([box], [0, 1], [other], [0, 1], kind)
+                _, _, values = pair_iou(columns([box]), [0, 1], columns([other]), [0, 1], kind)
                 assert values == [iou(box_of(box), box_of(other))]
 
     @given(boxes())
@@ -582,7 +597,7 @@ class TestBoxArrays:
         raw = (*box.center, *box.dims, raw_yaw)
         beside = Box3D((box.center[0] + 0.3, box.center[1], box.center[2] - 0.2), box.dims, 0.1)
         for kind, iou in (("bev", iou_bev), ("3d", iou_3d)):
-            _, _, values = pair_iou([raw], [0, 1], [row(beside)], [0, 1], kind)
+            _, _, values = pair_iou(columns([raw]), [0, 1], columns([row(beside)]), [0, 1], kind)
             assert values == [iou(rebuilt, box_of(row(beside)))]
 
     @pytest.mark.parametrize(
@@ -608,4 +623,39 @@ class TestBoxArrays:
         far = [(0.0, 1.5, z, 1.5, 1.7, 4.0, 0.0) for z in (5.0, 40.0, 80.0)]
         for det, gt in (([row], []), ([], [row]), ([row], far), (far, [row])):
             with pytest.raises(ValueError, match=rule):
-                pair_iou(det, [0, len(det)], gt, [0, len(gt)], "bev")
+                pair_iou(columns(det), [0, len(det)], columns(gt), [0, len(gt)], "bev")
+
+
+FAR = [1e3, 1e7, 1e8, 1e10, 1e12, 1e200]
+FAR_IOUS = {
+    "pair_iou-bev": lambda a, b: pair_iou(columns([a]), [0, 1], columns([b]), [0, 1], "bev")[2],
+    "pair_iou-3d": lambda a, b: pair_iou(columns([a]), [0, 1], columns([b]), [0, 1], "3d")[2],
+    "iou_bev": lambda a, b: [iou_bev(box_of(a), box_of(b))],
+    "iou_3d": lambda a, b: [iou_3d(box_of(a), box_of(b))],
+}
+
+
+def car(x, z):
+    """A 4 m x 1.7 m car turned by 0.3 rad, as a pair_iou row."""
+    return (x, 1.5, z, 1.5, 1.7, 4.0, 0.3)
+
+
+class TestFarFromOrigin:
+    """The clipper works on differences of centres, so an IoU does not
+    depend on how far the pair is from the origin."""
+
+    @pytest.mark.parametrize("name", list(FAR_IOUS))
+    @pytest.mark.parametrize("far", FAR)
+    def test_shifted_copy_gives_the_iou_at_the_origin(self, name, far):
+        # The copy is shifted by the 0.5 m that far + 0.5 keeps: all of it
+        # up to 1e12, none at 1e200.
+        shift = (far + 0.5) - far
+        iou = FAR_IOUS[name]
+        expected = iou(car(0.0, 0.0), car(shift, 0.0))
+        assert expected[0] == pytest.approx(0.672303287881404 if shift else 1.0, abs=1e-12)
+        assert iou(car(far, far), car(far + 0.5, far)) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("name", list(FAR_IOUS))
+    @pytest.mark.parametrize("far", FAR)
+    def test_box_against_itself_gives_one(self, name, far):
+        assert FAR_IOUS[name](car(far, far), car(far, far)) == [1.0]

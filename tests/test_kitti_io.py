@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adathresh import kitti_io
-from adathresh.evaluation import _box_rows
+from adathresh.evaluation import _box_columns
 from adathresh.kitti_io import (
     DONT_CARE,
     DatasetError,
+    LabelError,
     LabelFormatError,
     LabelParseError,
     LabelTable,
+    _check_label_file,
     load_tables,
     read_label_table,
     write_frames,
@@ -161,7 +163,7 @@ class TestRecord:
 
     def test_to_box3d(self, tmp_path):
         table = read_text(tmp_path, GT_LINE, expect_score=False)
-        assert _box_rows(table, [0]) == [(-0.65, 1.71, 46.70, 1.65, 1.67, 3.64, -1.59)]
+        assert _box_columns(table, [0]) == [[-0.65], [1.71], [46.70], [1.65], [1.67], [3.64], [-1.59]]
 
 
 def real_token(lo: float, hi: float):
@@ -443,16 +445,19 @@ class TestWriteLabelFile:
 
     @staticmethod
     def fail_at(monkeypatch, k):
-        """Make write_frames's write of file k (from 0) raise OSError."""
+        """Make write_frames's write of file k (from 0) raise OSError: the
+        k-th os.open that creates a file."""
         calls = []
+        real_open = os.open
 
-        def failing_open(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == k + 1:
-                raise OSError("disk full")
-            return open(*args, **kwargs)
+        def failing_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                calls.append(path)
+                if len(calls) == k + 1:
+                    raise OSError("disk full")
+            return real_open(path, flags, *args, **kwargs)
 
-        monkeypatch.setattr(kitti_io, "open", failing_open, raising=False)
+        monkeypatch.setattr(kitti_io.os, "open", failing_open)
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_a_failed_write_leaves_no_new_tree_and_no_staging(self, tmp_path, monkeypatch, k):
@@ -505,6 +510,22 @@ class TestWriteLabelFile:
         assert len(files) == 3
         assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o600}
         assert [p.name for p in (tmp_path / "new").iterdir()] == ["out"]
+
+    def test_short_writes_are_continued_until_every_byte_is_written(self, tmp_path, monkeypatch):
+        write = os.write
+        sizes = []
+
+        def short(fd, data):
+            sizes.append(len(data))
+            return write(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(kitti_io.os, "write", short)
+        table = tables([Frame("a", (), [constructed(DET_LINE)] * 2), Frame("b")])[1]
+        write_frames(table, tmp_path / "out")
+        text = label_text([constructed(DET_LINE)] * 2)
+        assert (tmp_path / "out" / "a.txt").read_bytes() == text.encode()
+        assert (tmp_path / "out" / "b.txt").read_bytes() == b""
+        assert sizes == list(range(len(text), 0, -7))
 
     def test_a_directory_made_during_the_write_gets_the_files_one_by_one(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -661,3 +682,73 @@ class TestLabelTable:
         (table_dir / "a-b.txt").write_text("")
         table = read_label_table(table_dir, "detection", expect_score=True)
         assert (table.frame_ids, table.files, table.offsets) == (["a", "a-b"], ["a.txt", "a-b.txt"], [0, 1, 1])
+
+
+# Tokens that break a rule of the line checker, or spell a real oddly.
+ODD_TOKENS = ["nan", "NaN", "inf", "-Infinity", "1e400", "oops", "0", "-1", "0.5", "4", "1_0", "+.5", "DontCare"]
+
+
+@st.composite
+def fuzzed_label_bytes(draw, expect_score: bool):
+    """The bytes of a label file built from random lines, most of them
+    good: ground-truth, detection and DontCare lines with 14 to 17
+    fields, odd tokens, separators that str.split and str.splitlines
+    treat alike (tab, form feed, NEL), blank lines, LF, CRLF or lone CR,
+    a byte-order mark and bytes that are not UTF-8."""
+    score = " 0.92" if expect_score else ""
+    good = [GT_LINE + score, DONTCARE_LINE + score]
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        tokens = draw(st.sampled_from(good * 4 + [GT_LINE, DET_LINE])).split()
+        count = draw(st.sampled_from([len(tokens)] * 6 + [14, 15, 16, 17]))
+        tokens = (tokens + ["0.5", "0.5"])[:count]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            tokens[draw(st.integers(0, count - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        separators = [" ", "  ", "\t", " \t"] + ["\x0c", "\x85"] * draw(st.sampled_from([0, 0, 0, 1]))
+        gaps = draw(st.lists(st.sampled_from(separators), min_size=count + 1, max_size=count + 1))
+        line = gaps[0] * draw(st.booleans()) + "".join(map(str.__add__, tokens, gaps[1:]))
+        lines.append(draw(st.sampled_from([line] * 4 + ["", " \t"])))
+    breaks = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    data = "".join(map(str.__add__, lines, breaks)).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xef\xbb"])) + data[at:]
+    return data
+
+
+def reference_rows(path: Path):
+    """(class names, reals by row, lines) of a label file, read line by line
+    from a utf-8-sig text file and converted token by token."""
+    with open(path, encoding="utf-8-sig") as handle:
+        lines = [line for line in handle.read().splitlines() if line.split()]
+    return [line.split()[0] for line in lines], [list(map(float, line.split()[1:])) for line in lines], lines
+
+
+class TestFuzzedLabelFiles:
+    """read_label_table on random files either returns the rows of a
+    per-line parse or raises the error that _check_label_file raises for
+    the first bad line, and nothing else."""
+
+    @given(st.booleans().flatmap(lambda e: st.tuples(st.just(e), st.lists(fuzzed_label_bytes(e), min_size=1, max_size=2))))
+    def test_bulk_reader_agrees_with_the_line_checker(self, case):
+        expect_score, files = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"{i:06d}.txt" for i in range(len(files))]
+            for path, data in zip(paths, files):
+                path.write_bytes(data)
+            try:
+                table = read_label_table(tmp, "label", expect_score)
+            except (LabelError, DatasetError) as exc:
+                with pytest.raises(type(exc)) as expected:
+                    for path in paths:
+                        _check_label_file(path, expect_score)
+                assert str(expected.value) == str(exc)
+                return
+            for path in paths:
+                _check_label_file(path, expect_score)
+            rows = [reference_rows(path) for path in paths]
+        names, reals, lines = (sum((r[i] for r in rows), []) for i in range(3))
+        assert (table.class_names, table.lines) == (names, lines)
+        assert [list(values) for values in zip(*table.columns)] == reals
