@@ -173,6 +173,11 @@ def _real(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
+# Every command holds a few lists of n_bins entries; a spec asking for
+# more bins than this is a mistake, not a binning.
+MAX_BINS = 10_000
+
+
 class BinSpec(Record):
     """Uniform binning of [0, max_distance) into bins of bin_width meters."""
 
@@ -180,11 +185,21 @@ class BinSpec(Record):
     max_distance: float = 60.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.bin_width) and math.isfinite(self.max_distance)):
+            raise ValueError(
+                f"bin_width and max_distance must be finite, got {self.bin_width} and {self.max_distance}"
+            )
         if self.bin_width <= 0.0:
             raise ValueError("bin_width must be positive")
         if self.max_distance <= 0.0:
             raise ValueError("max_distance must be positive")
-        n = round(self.max_distance / self.bin_width)
+        ratio = self.max_distance / self.bin_width
+        if ratio > MAX_BINS + 0.5:
+            raise ValueError(
+                f"max_distance {self.max_distance} / bin_width {self.bin_width} gives {ratio:.6g} bins, "
+                f"more than {MAX_BINS}"
+            )
+        n = round(ratio)
         if n < 1 or abs(n * self.bin_width - self.max_distance) > 1e-9 * max(1.0, self.max_distance):
             raise ValueError(
                 f"max_distance {self.max_distance} is not a multiple of bin_width {self.bin_width}"

@@ -1,6 +1,6 @@
 """Deterministic synthetic scenes with known matching outcomes.
 
-All randomness flows through numpy's Philox counter-based 64-bit
+All randomness flows through numpy's Philox counter-based 64-bit bit
 generator seeded with ScenarioSpec.seed, and the draw order is fixed by
 the generation loop below, so a given spec reproduces a byte-identical
 dataset on any platform. Per frame the order is:
@@ -11,6 +11,21 @@ dataset on any platform. Per frame the order is:
        jitter (x, z), yaw jitter, and one score noise draw
     3. per distance bin: a false-positive draw and, when it fires,
        placement tries, dimension jitters, yaw, and a score fraction
+
+Every draw but two is a uniform one, computed here from one raw 64-bit
+output of the bit generator: a draw in [low, high) is
+low + (high - low) * u, where u = (raw >> 11) * 2**-53 is the output's
+53 high bits as a double in [0, 1). That is what numpy's
+Generator.uniform(low, high) returns (random_uniform over next_double),
+bit for bit, at about a fifth of the cost of the method call, and Python
+rounds each operation, so the value does not depend on how numpy was
+compiled. The object count (Generator.integers) and the score noise
+(Generator.standard_normal, whose ziggurat tables Python cannot reach)
+stay numpy calls on the same generator. random_raw leaves alone the
+32-bit half that integers buffers in the bit generator's state, so the
+one stream stays aligned. numpy (NEP 19) keeps a bit generator's raw
+stream fixed across versions but makes no such promise for Generator
+methods, so only those two draws depend on numpy's algorithms.
 
 Objects are car-like boxes placed at least MIN_SEPARATION apart in the
 ground plane, so every true detection overlaps exactly its own ground
@@ -32,6 +47,7 @@ exactly the values that synth writes.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import accumulate, chain, compress
 
 import numpy as np
@@ -51,6 +67,21 @@ _DIMS_JITTER = 0.05  # relative
 _CENTER_JITTER = 0.05  # meters
 _YAW_JITTER = 0.01  # radians
 _FP_SCORE_BAND = (0.45, 0.85)  # fraction of the local true-score mean
+
+# A uniform draw in [low, high) is low + (high - low) * ((raw >> 11) * _UNIT)
+# for one raw 64-bit output of the bit generator (see the module
+# docstring); each constant range below is its (low, high - low).
+_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+_BEARING_LO = -_MAX_BEARING
+_BEARING_RANGE = _MAX_BEARING - _BEARING_LO
+_YAW_LO = -math.pi
+_YAW_RANGE = math.pi - _YAW_LO
+_CENTER_LO = -_CENTER_JITTER
+_CENTER_RANGE = _CENTER_JITTER - _CENTER_LO
+_YAW_JITTER_LO = -_YAW_JITTER
+_YAW_JITTER_RANGE = _YAW_JITTER - _YAW_JITTER_LO
+_FP_SCORE_LO = _FP_SCORE_BAND[0]
+_FP_SCORE_RANGE = _FP_SCORE_BAND[1] - _FP_SCORE_LO
 
 TRUE_POSITIVE = "tp"
 FALSE_POSITIVE = "fp"
@@ -122,38 +153,44 @@ class ScenarioSpec(Record):
             )
 
 
-def _rate_bin(distance: float, spec: BinSpec) -> int:
-    """Bin index for rate lookups; distances beyond the range use the last bin."""
-    return min(int(distance // spec.bin_width), spec.n_bins - 1)
-
-
 def _place(
-    rng: np.random.Generator,
+    raw: Callable[[], int],
     d_lo: float,
     d_hi: float,
     existing: list[tuple[float, float]],
 ) -> tuple[float, float] | None:
     """Rejection-sample a ground position at least MIN_SEPARATION from others."""
+    d_range = d_hi - d_lo
     for _ in range(_PLACEMENT_TRIES):
-        distance = float(rng.uniform(d_lo, d_hi))
-        bearing = float(rng.uniform(-_MAX_BEARING, _MAX_BEARING))
+        distance = d_lo + d_range * ((raw() >> 11) * _UNIT)
+        bearing = _BEARING_LO + _BEARING_RANGE * ((raw() >> 11) * _UNIT)
         x = distance * math.sin(bearing)
         z = distance * math.cos(bearing)
-        if all(math.hypot(x - ex, z - ez) >= MIN_SEPARATION for ex, ez in existing):
+        for ex, ez in existing:
+            if math.hypot(x - ex, z - ez) < MIN_SEPARATION:
+                break
+        else:
             return x, z
     return None
 
 
-def _car_dims(rng: np.random.Generator) -> tuple[float, float, float]:
-    return tuple(
-        base * (1.0 + _DIMS_JITTER * float(rng.uniform(-1.0, 1.0))) for base in CAR_DIMS
+def _car_dims(raw: Callable[[], int]) -> tuple[float, float, float]:
+    height, width, length = CAR_DIMS
+    return (
+        height * (1.0 + _DIMS_JITTER * (-1.0 + 2.0 * ((raw() >> 11) * _UNIT))),
+        width * (1.0 + _DIMS_JITTER * (-1.0 + 2.0 * ((raw() >> 11) * _UNIT))),
+        length * (1.0 + _DIMS_JITTER * (-1.0 + 2.0 * ((raw() >> 11) * _UNIT))),
     )
 
 
 def _project_bbox(
     x: float, y: float, z: float, dims: tuple[float, float, float]
 ) -> tuple[float, float, float, float]:
-    """Crude pinhole projection so emitted files carry plausible 2D boxes."""
+    """Crude pinhole projection so emitted files carry plausible 2D boxes.
+
+    The corners come out ordered (left <= right, top <= bottom) because
+    dims and depth are positive and clamping is monotone.
+    """
     fu, cu, cv = 721.5377, 609.5593, 172.854
     h, w, _ = dims
     depth = max(z, 0.5)
@@ -161,13 +198,12 @@ def _project_bbox(
     right = cu + fu * (x + 0.5 * w) / depth
     top = cv + fu * (y - h) / depth
     bottom = cv + fu * y / depth
-    left, right = sorted((_clamp(left, 0.0, 1242.0), _clamp(right, 0.0, 1242.0)))
-    top, bottom = sorted((_clamp(top, 0.0, 375.0), _clamp(bottom, 0.0, 375.0)))
-    return left, top, right, bottom
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
+    return (
+        min(max(left, 0.0), 1242.0),
+        min(max(top, 0.0), 375.0),
+        min(max(right, 0.0), 1242.0),
+        min(max(bottom, 0.0), 375.0),
+    )
 
 
 def _label_line(
@@ -184,48 +220,53 @@ def _label_line(
 def _generate_frame(
     spec: ScenarioSpec, rng: np.random.Generator
 ) -> tuple[list[tuple], list[tuple], list[str]]:
+    raw = rng.bit_generator.random_raw
     lo, hi = spec.objects_per_frame
+    d_lo, d_hi = spec.distance_range
+    bin_width = spec.bin_spec.bin_width
+    last_bin = spec.bin_spec.n_bins - 1
+    fn_rates = spec.fn_rate_per_bin
+    model = spec.score_model
     n_objects = int(rng.integers(lo, hi + 1))
     placements: list[tuple[float, float]] = []
     gt_rows: list[tuple] = []
     det_rows: list[tuple] = []
     kinds: list[str] = []
     for _ in range(n_objects):
-        position = _place(rng, spec.distance_range[0], spec.distance_range[1], placements)
+        position = _place(raw, d_lo, d_hi, placements)
         if position is None:
             continue  # frame too crowded; deterministic either way
         placements.append(position)
         x, z = position
-        dims = _car_dims(rng)
-        yaw = float(rng.uniform(-math.pi, math.pi))
+        dims = _car_dims(raw)
+        yaw = _YAW_LO + _YAW_RANGE * ((raw() >> 11) * _UNIT)
         gt_rows.append((x, z, dims, yaw))
         gt_distance = ground_distance(x, z)
-        if float(rng.uniform()) < spec.fn_rate_per_bin[_rate_bin(gt_distance, spec.bin_spec)]:
+        if (raw() >> 11) * _UNIT < fn_rates[min(int(gt_distance // bin_width), last_bin)]:
             continue  # missed object: no detection emitted
-        det_x = x + float(rng.uniform(-_CENTER_JITTER, _CENTER_JITTER))
-        det_z = z + float(rng.uniform(-_CENTER_JITTER, _CENTER_JITTER))
-        det_yaw = yaw + float(rng.uniform(-_YAW_JITTER, _YAW_JITTER))
+        det_x = x + (_CENTER_LO + _CENTER_RANGE * ((raw() >> 11) * _UNIT))
+        det_z = z + (_CENTER_LO + _CENTER_RANGE * ((raw() >> 11) * _UNIT))
+        det_yaw = yaw + (_YAW_JITTER_LO + _YAW_JITTER_RANGE * ((raw() >> 11) * _UNIT))
         det_distance = ground_distance(det_x, det_z)
-        sigma = spec.score_model.noise_std[_rate_bin(det_distance, spec.bin_spec)]
-        score = spec.score_model.mean_at(det_distance)
+        sigma = model.noise_std[min(int(det_distance // bin_width), last_bin)]
+        score = model.mean_at(det_distance)
         if sigma > 0.0:
             score += sigma * float(rng.standard_normal())
-        det_rows.append((det_x, det_z, dims, det_yaw, _clamp(score, 0.0, 1.0)))
+        det_rows.append((det_x, det_z, dims, det_yaw, min(max(score, 0.0), 1.0)))
         kinds.append(TRUE_POSITIVE)
-    for bin_index in range(spec.bin_spec.n_bins):
-        if float(rng.uniform()) >= spec.fp_rate_per_bin[bin_index]:
+    for bin_index, fp_rate in enumerate(spec.fp_rate_per_bin):
+        if (raw() >> 11) * _UNIT >= fp_rate:
             continue
-        bin_lo, bin_hi = spec.bin_spec.edges(bin_index)
-        position = _place(rng, bin_lo, bin_hi, placements)
+        position = _place(raw, bin_index * bin_width, (bin_index + 1) * bin_width, placements)
         if position is None:
             continue
         placements.append(position)
         x, z = position
-        dims = _car_dims(rng)
-        yaw = float(rng.uniform(-math.pi, math.pi))
-        local_mean = _clamp(spec.score_model.mean_at(ground_distance(x, z)), 0.0, 1.0)
-        fraction = float(rng.uniform(_FP_SCORE_BAND[0], _FP_SCORE_BAND[1]))
-        det_rows.append((x, z, dims, yaw, _clamp(fraction * local_mean, 0.0, 1.0)))
+        dims = _car_dims(raw)
+        yaw = _YAW_LO + _YAW_RANGE * ((raw() >> 11) * _UNIT)
+        local_mean = min(max(model.mean_at(ground_distance(x, z)), 0.0), 1.0)
+        fraction = _FP_SCORE_LO + _FP_SCORE_RANGE * ((raw() >> 11) * _UNIT)
+        det_rows.append((x, z, dims, yaw, min(max(fraction * local_mean, 0.0), 1.0)))
         kinds.append(FALSE_POSITIVE)
     return gt_rows, det_rows, kinds
 

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from adathresh.bin_stats import (
+    MAX_BINS,
     BinSpec,
     BinStats,
     PreFilter,
@@ -62,6 +64,19 @@ class TestBinSpec:
     def test_rejects_non_multiple_range(self):
         with pytest.raises(ValueError):
             BinSpec(bin_width=10.0, max_distance=25.0)
+
+    @pytest.mark.parametrize(
+        "width, max_distance", [(math.nan, 60.0), (10.0, math.nan), (math.inf, 60.0), (10.0, math.inf), (-math.inf, 60.0)]
+    )
+    def test_rejects_non_finite_values(self, width, max_distance):
+        with pytest.raises(ValueError, match="must be finite"):
+            BinSpec(bin_width=width, max_distance=max_distance)
+
+    def test_bin_count_is_bounded(self):
+        assert BinSpec(bin_width=0.006, max_distance=60.0).n_bins == MAX_BINS
+        for width, max_distance, count in [(1e-3, 1e6, "1e+09"), (1e-300, 60.0, "6e+301"), (1e-320, 1e6, "inf")]:
+            with pytest.raises(ValueError, match=rf"gives {re.escape(count)} bins, more than {MAX_BINS}"):
+                BinSpec(bin_width=width, max_distance=max_distance)
 
     def test_fractional_width_multiple_accepted(self):
         assert BinSpec(bin_width=2.5, max_distance=10.0).n_bins == 4

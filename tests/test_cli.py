@@ -766,6 +766,45 @@ class TestExitCodes:
         cfg = write_json(tmp_path / "cfg.json", {"bin_width": -5})
         assert run("stats", *io_flags, "--config", cfg, "--out-dir", str(tmp_path / "o"), "--bin-width", "20") == 0
 
+    @pytest.mark.parametrize("command", ["stats", "fit", "eval"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--bin-width", "1e-300"), "gives 6e+301 bins, more than 10000"),
+            (("--bin-width", "1e-3", "--max-distance", "1e6"), "gives 1e+09 bins, more than 10000"),
+            (("--max-distance", "nan"), "must be finite"),
+            (("--bin-width", "inf"), "must be finite"),
+        ],
+    )
+    def test_bin_count_out_of_bounds_as_a_flag_is_a_usage_error(self, tmp_path, dataset, capsys, command, flags, message):
+        io_flags = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+        assert run(command, *io_flags, "--out-dir", str(tmp_path / "o"), *flags) == 1
+        err = capsys.readouterr().err
+        assert "bad --" in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bin_count_out_of_bounds_in_a_file_is_a_data_error_naming_it(self, tmp_path, dataset, capsys):
+        huge = {"bin_width": 1e-3, "max_distance": 1e6}
+        io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
+        cfg = write_json(tmp_path / "cfg.json", {**io, **huge})
+        assert run("stats", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg}" in err and "1e+09 bins" in err
+
+        assert run("stats", "--gt-dir", io["gt_dir"], "--det-dir", io["det_dir"], "--out-dir", str(tmp_path)) == 0
+        payload = {**json.loads((tmp_path / "bin_stats.json").read_text()), **huge}
+        stats = write_json(tmp_path / "bad_stats.json", payload)
+        model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict())
+        assert run("report", "--model", model, "--stats", stats, "--out-dir", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"stats file {stats}" in err and "1e+09 bins" in err
+
+        spec = write_json(tmp_path / "scenario.json", scenario_payload(bin_spec=huge))
+        assert run("synth", "--spec", spec, "--out-dir", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"scenario file {spec}" in err and "1e+09 bins" in err
+        assert not (tmp_path / "o").exists()
+
     def test_corrupt_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2, 3]")
