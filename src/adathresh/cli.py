@@ -3,15 +3,16 @@
 Subcommands: stats, fit, filter, eval, compare, synth, report. Every
 option is one row of _OPTIONS: its config key (the dest), flag, default,
 converter and help. An option resolves with precedence CLI flag > config
-file (--config, a JSON object keyed by the dests; a null value counts
-as not given) > the row's default, and the row's converter turns a
-flag's string and a config value alike into the value the command uses;
-a None default stays None. A switch's config value is a JSON
-boolean. Exit codes: 0 success, 1 usage error (including a bad flag
-value), 2 data or parse error (including a bad config-file value, named
-with its file), 3 numerical failure. Every output file is written
-atomically (temp file + rename); CSV uses RFC 4180 quoting and JSON a
-stable key order.
+file (--config, a JSON object keyed by the dests; a null value counts as
+not given) > the row's default, and the row's converter turns a flag's
+string and a config value alike into the value the command uses; a None
+default stays None. A switch's config value is a JSON boolean. stats and
+fit read only detection files: --gt-dir fixes their frame set by file
+name, and only eval reads ground truth. Exit codes: 0 success, 1 usage
+error (including a bad flag value), 2 data or parse error (including a
+bad config-file value, named with its file), 3 numerical failure. Every
+output file is written atomically (temp file + rename); CSV uses RFC
+4180 quoting and JSON a stable key order.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .bin_stats import BinSpec, BinStats, PreFilter, compute_bin_stats, table_sa
 from .kitti_io import (
     DatasetError,
     KittiIOError,
+    load_detections,
     load_tables,
     read_label_table,
     write_frames,
@@ -173,6 +175,18 @@ def _parse_ap(value) -> str:
     return _AP_MODES[key]
 
 
+def _parse_class_name(value) -> str:
+    """A --class value: a string (in a config file, a JSON string) that is
+    one label-file token, non-empty and free of whitespace."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    if not value:
+        raise ValueError("class_name must be non-empty")
+    if value.split() != [value]:
+        raise ValueError(f"class_name must be one label token without whitespace, got {value!r}")
+    return value
+
+
 def _parse_switch(value) -> bool:
     """A switch: the flag gives True, a config value must be a JSON boolean."""
     if not isinstance(value, bool):
@@ -201,7 +215,7 @@ _DET_DIR = _Option("det_dir", "--det-dir", _REQUIRED, Path, "directory of detect
 _OUT_DIR = _Option("out_dir", "--out-dir", _REQUIRED, Path, "directory for outputs")
 _IO = (_GT_DIR, _DET_DIR, _OUT_DIR)
 _BINNING = (
-    _Option("class_name", "--class", "Car", str, "object class to use"),
+    _Option("class_name", "--class", "Car", _parse_class_name, "object class to use"),
     _Option("bin_width", "--bin-width", "10", float, "bin width in meters"),
     _Option("max_distance", "--max-distance", "60", float, "binning range end in meters"),
     _Option(
@@ -308,7 +322,8 @@ class _Options:
 
 def _stats_pipeline(opts: _Options, normalize_std: bool = False) -> tuple[list[BinStats], BinSpec, int]:
     spec = opts.checked(("bin_width", "max_distance"), lambda: BinSpec(opts.bin_width, opts.max_distance))
-    _, detections = load_tables(opts.gt_dir, opts.det_dir)
+    # --gt-dir only fixes the frame set: no ground-truth file is read.
+    detections = load_detections(opts.gt_dir, opts.det_dir)
     samples = table_samples(detections, opts.class_name, opts.pre_filter)
     stats = compute_bin_stats(samples, spec, normalize_std=normalize_std)
     return stats, spec, len(samples)

@@ -24,16 +24,19 @@ fields, an occlusion level, positive dimensions outside DontCare, bbox
 ordering); value ranges such as truncation in [0, 1] are the
 producer's business.
 
-read_label_table and load_tables read whole directories into a
-LabelTable, one row per line held by column. Each file is read through
-a raw descriptor (os.open, os.read until end of file, os.close) and
-decoded as strict UTF-8 without one leading byte-order mark: the lines
-a utf-8-sig text file gives, save that a file holding only part of a
-mark is undecodable, not empty. Every table, synthetic ones included,
+read_label_table, load_tables and load_detections read whole directories
+into a LabelTable, one row per line held by column. load_tables and
+load_detections take the frame set from one listing of a ground-truth
+and a detection directory, by file name; load_detections opens no
+ground-truth file and builds only the detection table. Each file is read
+through a raw descriptor (os.open, os.read until end of file, os.close)
+and decoded as strict UTF-8 without one leading byte-order mark: the
+lines a utf-8-sig text file gives, save that a file holding only part of
+a mark is undecodable, not empty. Every table, synthetic ones included,
 is built from label lines by one function, which runs each check once
-over all rows; when any fails, the files are checked again line by
-line, from the same text, so the error raised names the first bad file
-and line.
+over all rows; when any fails, the files are checked again line by line,
+from the same text, so the error raised names the first bad file and
+line.
 
 write_frames writes a table's frames back to files, one label tree at
 a time, each file's UTF-8 bytes with os.write into a fresh staging
@@ -220,21 +223,14 @@ def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, La
     """The ground-truth and the detection table of matching <frame_id>.txt files.
 
     Both tables hold every ground-truth frame, sorted by frame_id; a frame
-    without a detection file has no detection rows. A detection file
-    without a ground-truth counterpart is a DatasetError naming the
-    frame, as are two files of one frame id in either directory (see
-    _files_by_frame). A bad file raises _check_label_file's error for the
-    first bad file in frame order, ground truth before detections.
+    without a detection file has no detection rows. The frame set follows
+    _listed_frames: its DatasetErrors come before any file is read. A bad
+    file raises _check_label_file's error for the first bad file in frame
+    order, ground truth before detections. eval reads its input here.
     """
     gt_dir = Path(gt_dir)
     det_dir = Path(det_dir)
-    gt_files = _files_by_frame(gt_dir, "ground-truth")
-    det_files = _files_by_frame(det_dir, "detection")
-    orphans = sorted(set(det_files) - set(gt_files))
-    if orphans:
-        raise DatasetError(
-            "detection files without ground-truth counterparts: " + ", ".join(orphans)
-        )
+    gt_files, det_files = _listed_frames(gt_dir, det_dir)
     frame_ids = sorted(gt_files)
     gt = _read_table(gt_dir, frame_ids, [gt_files[i] for i in frame_ids], expect_score=False)
     det = None
@@ -248,6 +244,26 @@ def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, La
                 order.append((det_dir / det_files[frame_id], True))
         _raise_first_error(order)
     return gt, det
+
+
+def load_detections(gt_dir: str | Path, det_dir: str | Path) -> LabelTable:
+    """load_tables' detection rows, in its order, without reading ground truth.
+
+    gt_dir is listed and no file in it is opened: the frame set and its
+    DatasetErrors are load_tables' (see _listed_frames). The table holds
+    one frame per detection file, sorted by frame_id, so its rows are
+    those of load_tables' detection table. A bad detection file raises
+    _check_label_file's error for the first bad file in frame order.
+    stats and fit read their input here.
+    """
+    det_dir = Path(det_dir)
+    _, det_files = _listed_frames(Path(gt_dir), det_dir)
+    frame_ids = sorted(det_files)
+    names = [det_files[i] for i in frame_ids]
+    det = _read_table(det_dir, frame_ids, names, expect_score=True)
+    if det is None:
+        _raise_first_error([(det_dir / name, True) for name in names])
+    return det
 
 
 def read_label_table(directory: str | Path, role: str, expect_score: bool) -> LabelTable:
@@ -351,6 +367,20 @@ def _raise_first_error(paths: list[tuple[Path, bool]]) -> NoReturn:
     for path, expect_score in paths:
         _check_label_file(path, expect_score)
     raise AssertionError("the bulk parser rejected files that _check_label_file accepts")
+
+
+def _listed_frames(gt_dir: Path, det_dir: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """_files_by_frame of gt_dir, then of det_dir: the frame set, by file
+    name alone. A detection file without a ground-truth counterpart is a
+    DatasetError naming its frame."""
+    gt_files = _files_by_frame(gt_dir, "ground-truth")
+    det_files = _files_by_frame(det_dir, "detection")
+    orphans = sorted(set(det_files) - set(gt_files))
+    if orphans:
+        raise DatasetError(
+            "detection files without ground-truth counterparts: " + ", ".join(orphans)
+        )
+    return gt_files, det_files
 
 
 def _files_by_frame(directory: Path, role: str) -> dict[str, str]:

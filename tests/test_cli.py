@@ -8,10 +8,11 @@ import math
 import random
 from dataclasses import replace
 from itertools import compress
+from pathlib import Path
 
 import pytest
 
-from adathresh import cli
+from adathresh import cli, kitti_io
 from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats
 from adathresh.cli import main
 from adathresh.threshold import ThresholdModel, fit_quadratic, keep_rows
@@ -119,6 +120,74 @@ CROWDED_EVAL_DIGESTS = {
     ("adaptive:model.json", "3d"): [
         "62cf0357fa877d8e7e9a1d2af2c35a27e05ed024fcf242434349d946cc632bb6",
         "b80b7171282876647a9f878bb252b9b2836dcf5df4a6fbc9bd24c3b76c91348e",
+    ],
+}
+
+
+def stats_fit_digests(cwd, data_dir, flags):
+    """fit's exit code, then the sha256 of bin_stats.json, bin_stats.csv,
+    model.json and fit_report.csv (None for a file not written), from
+    stats and fit on data_dir's gt/ and det/ with flags, run from cwd;
+    --normalized-std goes to stats only, which alone has it."""
+    data = ("--gt-dir", str(data_dir / "gt"), "--det-dir", str(data_dir / "det"))
+    assert run("stats", *data, "--out-dir", str(cwd / "s"), *flags) == 0
+    fit_flags = [flag for flag in flags if flag != "--normalized-std"]
+    fit_rc = run("fit", *data, "--out-dir", str(cwd / "f"), *fit_flags)
+    paths = [cwd / name for name in ("s/bin_stats.json", "s/bin_stats.csv", "f/model.json", "f/fit_report.csv")]
+    return [fit_rc, *(hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None for p in paths)]
+
+
+# fit's exit code and the sha256 of bin_stats.json, bin_stats.csv, model.json
+# and fit_report.csv for the dataset fixture's scenario, by the flags given
+# to stats and fit.
+STATS_FIT_DIGESTS = {
+    (): [
+        0,
+        "3953907d7c865dc395ec2e15bd1bed0ae6618aaa3849ad0e8f29d16cbcd455f6",
+        "d639b127b975d395686c06bf643e57a0a88be0cda363e11720bf37df9dcaa711",
+        "415bb104d8ed904137eb1ee8681c9a6b798066adda76a82cca5a84d7fcdd23d0",
+        "76ff1fd350ddeb4e145d89192720020bf75d0792187502637b0b205caa067373",
+    ],
+    ("--normalized-std",): [
+        0,
+        "6cd2acefd7b564aef56dc2f06993ae9db0ecc7a52d24d5b598a93495f733dda8",
+        "fc5944173d91c2978dc177afbb3a6f8a93a0c4c6c1dad253420976e096f94e2b",
+        "415bb104d8ed904137eb1ee8681c9a6b798066adda76a82cca5a84d7fcdd23d0",
+        "76ff1fd350ddeb4e145d89192720020bf75d0792187502637b0b205caa067373",
+    ],
+    ("--pre-filter", "none"): [
+        0,
+        "60320fd0610cbfbf4c62825346a625589033a44eeeba206004646ab70d44c51f",
+        "5c840094a7c1e99ca3cead4f33e01698a823e2ac20f469d69d7a5e8b06af49b5",
+        "2f4785f422f26846a5e557f9b1de9db8ef0693e4a9ba91ef6b96d13404098d25",
+        "535175b08cc18e027725cb45e491766e27bca1a33f155bbb20352092db09b822",
+    ],
+}
+
+
+# The same for crowded_dataset's frames. Without the pre-filter, their
+# quadratic leaves [0, 1] and fit exits 3, writing nothing.
+CROWDED_STATS_FIT_DIGESTS = {
+    (): [
+        0,
+        "643bc55318a375383d6298fb7b4a8467a56029fe98bba51901cbe6a48fc9d0db",
+        "ca5ae18774984bd958ff5db728da955143ec1e6b6f1da38d216ef1ef582e8dba",
+        "0ea4f8106d2f29848884ebb6f925180282923e58401e9cd74a285ea434f746ea",
+        "1ce94cd6e2f90e3c18d6216f0842e99108906db86cceef26cc8ed19881f4c622",
+    ],
+    ("--normalized-std",): [
+        0,
+        "1abb05f4b2befc6cc7e9bfda072322cdff3bf5a7d5ce8cfb883c5d25b59ae5c1",
+        "61a4085f3d537a845684acbc5bc2e538ab5747152cbe775b67ea4194b1f7514a",
+        "0ea4f8106d2f29848884ebb6f925180282923e58401e9cd74a285ea434f746ea",
+        "1ce94cd6e2f90e3c18d6216f0842e99108906db86cceef26cc8ed19881f4c622",
+    ],
+    ("--pre-filter", "none"): [
+        3,
+        "b135c8675ea9dd0a169f3318044ab538ee69b2e8c7f9c1b671743dea39930b88",
+        "1a16db516f1f0e5633e5550b40c0f3aab306b55ba5ad3b72b8ce32896f0b4e67",
+        None,
+        None,
     ],
 }
 
@@ -453,6 +522,14 @@ class TestPipeline:
         monkeypatch.chdir(tmp_path)
         assert eval_digests(tmp_path, crowded_dataset, mode, iou) == CROWDED_EVAL_DIGESTS[mode, iou]
 
+    @pytest.mark.parametrize("flags", list(STATS_FIT_DIGESTS))
+    def test_stats_and_fit_write_pinned_bytes(self, tmp_path, dataset, flags):
+        assert stats_fit_digests(tmp_path, dataset, flags) == STATS_FIT_DIGESTS[flags]
+
+    @pytest.mark.parametrize("flags", list(CROWDED_STATS_FIT_DIGESTS))
+    def test_stats_and_fit_write_pinned_bytes_on_crowded_frames(self, tmp_path, crowded_dataset, flags):
+        assert stats_fit_digests(tmp_path, crowded_dataset, flags) == CROWDED_STATS_FIT_DIGESTS[flags]
+
     def test_synth_manifest_writes_whole_numbers_of_float_fields_as_floats(self, tmp_path):
         payload = scenario_payload(n_frames=2, distance_range=[2, 58], bin_spec={"bin_width": 10, "max_distance": 60})
         spec_path = write_json(tmp_path / "scenario.json", payload)
@@ -754,6 +831,30 @@ class TestExitCodes:
         assert f"config file {cfg} has a bad {key} value" in err and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["stats", "fit", "eval"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (["Car"], "expected a string, got ['Car']"),
+            (5, "expected a string, got 5"),
+            (True, "expected a string, got True"),
+            ({"a": 1}, "expected a string, got {'a': 1}"),
+            ("", "class_name must be non-empty"),
+            ("Car ", "class_name must be one label token without whitespace, got 'Car '"),
+        ],
+    )
+    def test_class_name_that_no_label_line_can_hold_is_rejected(self, tmp_path, dataset, capsys, command, value, message):
+        # None of these can equal the class token of a label line.
+        io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det"), "out_dir": str(tmp_path / "o")}
+        cfg = write_json(tmp_path / "cfg.json", {**io, "class_name": value})
+        assert run(command, "--config", cfg) == 2
+        assert f"config file {cfg} has a bad class_name value: {message}" in capsys.readouterr().err
+        if isinstance(value, str):
+            flags = ["--gt-dir", io["gt_dir"], "--det-dir", io["det_dir"], "--out-dir", io["out_dir"]]
+            assert run(command, *flags, "--class", value) == 1
+            assert f"bad --class value: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_value_as_a_flag_stays_a_usage_error(self, tmp_path, dataset, capsys):
         io_flags = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
         assert run("stats", *io_flags, "--out-dir", str(tmp_path / "o"), "--bin-width", "-5") == 1
@@ -943,6 +1044,57 @@ class TestExitCodes:
         rc = run("stats", "--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path))
         assert rc == 2
         assert capsys.readouterr().err == "adathresh: error: no such statistic\n"
+
+
+class TestGroundTruthIsListedNotRead:
+    """stats and fit take their frame set from gt/'s file names and open no
+    file there; eval reads and checks every one."""
+
+    def test_stats_and_fit_pass_over_bad_ground_truth_that_eval_rejects(self, tmp_path, dataset, capsys):
+        (dataset / "gt" / "000003.txt").write_bytes(b"\xff\xfe not UTF-8\n")
+        (dataset / "gt" / "000007.txt").write_text("Car 1 2\n", encoding="utf-8")
+        assert stats_fit_digests(tmp_path, dataset, ()) == STATS_FIT_DIGESTS[()]
+        capsys.readouterr()
+        data = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+        assert run("eval", *data, "--out-dir", str(tmp_path / "e")) == 2
+        assert f"cannot read {dataset / 'gt' / '000003.txt'}" in capsys.readouterr().err
+        (dataset / "gt" / "000003.txt").write_bytes(b"")
+        assert run("eval", *data, "--out-dir", str(tmp_path / "e")) == 2
+        assert f"{dataset / 'gt' / '000007.txt'}: line 1: expected 15 or 16 fields" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_only_eval_opens_a_ground_truth_file(self, tmp_path, dataset, monkeypatch):
+        opened = []
+        read_text = kitti_io._read_text
+        monkeypatch.setattr(kitti_io, "_read_text", lambda path: opened.append(Path(path)) or read_text(path))
+        for command in ("stats", "fit", "eval"):
+            opened.clear()
+            data = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+            assert run(command, *data, "--out-dir", str(tmp_path / command)) == 0
+            read_dirs = {path.parent for path in opened}
+            assert read_dirs == ({dataset / "gt", dataset / "det"} if command == "eval" else {dataset / "det"})
+
+    @pytest.mark.parametrize("command", ["stats", "fit"])
+    @pytest.mark.parametrize("case", ["orphan", "missing", "same frame id"])
+    def test_the_frame_set_is_checked_as_eval_checks_it(self, tmp_path, capsys, command, case):
+        gt_dir, det_dir = tmp_path / "gt", tmp_path / "det"
+        write_label(gt_dir / "000000.txt", [make_record(0.0, 10.0)])
+        write_label(det_dir / "000000.txt", [make_record(0.0, 10.0, score=0.9)])
+        if case == "orphan":
+            write_label(det_dir / "000042.txt", [make_record(0.0, 12.0, score=0.8)])
+            message = "detection files without ground-truth counterparts: 000042"
+        elif case == "missing":
+            gt_dir = tmp_path / "nope"
+            message = f"ground-truth directory not found: {gt_dir}"
+        else:
+            for name in (".txt", ".txt.txt"):
+                write_label(gt_dir / name, [make_record(0.0, 10.0)])
+            message = f"ground-truth files {gt_dir / '.txt'} and {gt_dir / '.txt.txt'} have the same frame id '.txt'"
+        for name in (command, "eval"):
+            rc = run(name, "--gt-dir", str(gt_dir), "--det-dir", str(det_dir), "--out-dir", str(tmp_path / "o"))
+            assert rc == 2
+            assert capsys.readouterr().err == f"adathresh: error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestOptionTable:

@@ -20,6 +20,7 @@ from adathresh.kitti_io import (
     LabelParseError,
     LabelTable,
     _check_label_file,
+    load_detections,
     load_tables,
     read_label_table,
     write_frames,
@@ -327,15 +328,17 @@ class TestDataset:
     def test_orphan_detection_is_error_naming_frame(self, tmp_path):
         (tmp_path / "gt").mkdir()
         self._write(tmp_path, "det/000042.txt", DET_LINE + "\n")
-        with pytest.raises(DatasetError, match="000042"):
-            load_tables(tmp_path / "gt", tmp_path / "det")
+        for load in (load_tables, load_detections):
+            with pytest.raises(DatasetError, match="detection files without ground-truth counterparts: 000042"):
+                load(tmp_path / "gt", tmp_path / "det")
 
     def test_missing_directories(self, tmp_path):
         (tmp_path / "gt").mkdir()
-        with pytest.raises(DatasetError):
-            load_tables(tmp_path / "nope", tmp_path / "gt")
-        with pytest.raises(DatasetError):
-            load_tables(tmp_path / "gt", tmp_path / "nope")
+        for load in (load_tables, load_detections):
+            with pytest.raises(DatasetError, match="ground-truth directory not found"):
+                load(tmp_path / "nope", tmp_path / "nope")
+            with pytest.raises(DatasetError, match="detection directory not found"):
+                load(tmp_path / "gt", tmp_path / "nope")
 
     def test_sorted_by_frame_id(self, tmp_path):
         for frame in ("000002", "000000", "000001"):
@@ -367,9 +370,11 @@ class TestDataset:
             assert both + " have the same frame id '.txt'" in str(exc.value)
 
         raised(lambda: load_tables(tmp_path / "gt", tmp_path / "det"), "det")
+        raised(lambda: load_detections(tmp_path / "gt", tmp_path / "det"), "det")
         raised(lambda: read_label_table(tmp_path / "det", "detection", expect_score=True), "det")
         self._write(tmp_path, "gt/.txt.txt", GT_LINE + "\n")
         raised(lambda: load_tables(tmp_path / "gt", tmp_path / "det"), "gt")
+        raised(lambda: load_detections(tmp_path / "gt", tmp_path / "det"), "gt")
         raised(lambda: read_label_table(tmp_path / "gt", "ground-truth", expect_score=False), "gt")
 
     def test_a_byte_order_mark_is_not_part_of_the_first_class_name(self, tmp_path):
@@ -590,6 +595,7 @@ class TestLabelTable:
             _write_tree(root, files)
             gt_table, det_table = load_tables(root / "gt", root / "det")
             det_dir_table = read_label_table(root / "det", "detection", expect_score=True)
+            det_only = load_detections(root / "gt", root / "det")
         stems = sorted(name[3:-4] for name in files if name.startswith("gt/"))
         expected = [
             Frame(
@@ -607,6 +613,11 @@ class TestLabelTable:
         assert det_dir_table.lines == [
             line for text in det_texts for line in text.splitlines() if line.split()
         ]
+        # load_detections: one frame per detection file, load_tables' rows.
+        assert det_only.frame_ids == sorted(name[4:-4] for name in files if name.startswith("det/"))
+        assert (det_only.class_names, det_only.columns, det_only.lines) == (
+            det_table.class_names, det_table.columns, det_table.lines
+        )
 
     def test_fixture_tables_round_trip_through_files(self, tmp_path):
         frame = Frame("000000", [constructed(GT_LINE), constructed(DONTCARE_LINE)], [constructed(DET_LINE)])
@@ -659,6 +670,25 @@ class TestLabelTable:
         ],
     )
     def test_first_bad_file_is_reported(self, tmp_path, files, error, path, line_no):
+        self._raised_for(tmp_path, files, load_tables, error, path, line_no)
+
+    @pytest.mark.parametrize(
+        "files, path",
+        [
+            # Ground truth is never opened: neither b's bad line nor c's bytes count.
+            ({"gt/b.txt": f"{GT_LINE}\n{BAD_LINE}", "gt/c.txt": b"\xff\n", "det/c.txt": BAD_DET}, "det/c.txt"),
+            ({"gt/a.txt": None, "det/b.txt": BAD_DET}, "det/b.txt"),
+            # Frame order, as load_tables: a before a-b, which sorts first by name.
+            ({"gt/a-b.txt": GT_LINE, "det/a-b.txt": BAD_DET, "det/a.txt": BAD_DET}, "det/a.txt"),
+        ],
+    )
+    def test_load_detections_reports_the_first_bad_detection_file(self, tmp_path, files, path):
+        self._raised_for(tmp_path, files, load_detections, LabelFormatError, path, 1)
+
+    @staticmethod
+    def _raised_for(tmp_path, files, load, error, path, line_no):
+        """load of gt/ and det/ (gt/a, b and c good unless files says
+        otherwise; None makes a directory) raises error for path."""
         tree = {"gt/a.txt": GT_LINE, "gt/b.txt": GT_LINE, "gt/c.txt": GT_LINE}
         tree.update(files)
         directories = [name for name, text in tree.items() if text is None]
@@ -666,7 +696,7 @@ class TestLabelTable:
         for name in directories:
             (tmp_path / name).mkdir()
         with pytest.raises(error) as exc:
-            load_tables(tmp_path / "gt", tmp_path / "det")
+            load(tmp_path / "gt", tmp_path / "det")
         assert str(tmp_path / path) in str(exc.value)
         if line_no is not None:
             assert (exc.value.line_no, exc.value.path) == (line_no, str(tmp_path / path))
