@@ -6,13 +6,14 @@ converter and help. An option resolves with precedence CLI flag > config
 file (--config, a JSON object keyed by the dests; a null value counts as
 not given) > the row's default, and the row's converter turns a flag's
 string and a config value alike into the value the command uses; a None
-default stays None. A switch's config value is a JSON boolean. stats and
-fit read only detection files: --gt-dir fixes their frame set by file
-name, and only eval reads ground truth. Exit codes: 0 success, 1 usage
-error (including a bad flag value), 2 data or parse error (including a
-bad config-file value, named with its file), 3 numerical failure. Every
-output file is written atomically (temp file + rename); CSV uses RFC
-4180 quoting and JSON a stable key order.
+default stays None. A switch's config value is a JSON boolean, and a
+real option's is never one. stats and fit read only detection files:
+--gt-dir fixes their frame set by file name, and only eval reads ground
+truth. Exit codes: 0 success, 1 usage error (including a bad flag
+value), 2 data or parse error (including a bad config-file value, named
+with its file), 3 numerical failure. Every output file is written
+atomically (temp file + rename); CSV uses RFC 4180 quoting and JSON a
+stable key order.
 """
 
 from __future__ import annotations
@@ -157,12 +158,20 @@ def _parse_threshold_mode(value: str) -> tuple[str, Schedule | None]:
     raise ValueError(f"unknown threshold mode {kind!r}")
 
 
+def _parse_real(value) -> float:
+    """A real option's value: float() of a flag's string or of a JSON
+    number or string. A JSON boolean is a ValueError, not 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_k(value) -> float | None:
     """A --k value: a number, or None for 'continuity'."""
     if isinstance(value, str) and value.strip().lower() == "continuity":
         return None
     try:
-        return float(value)
+        return _parse_real(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"expected a number or 'continuity', got {value!r}") from exc
 
@@ -216,8 +225,8 @@ _OUT_DIR = _Option("out_dir", "--out-dir", _REQUIRED, Path, "directory for outpu
 _IO = (_GT_DIR, _DET_DIR, _OUT_DIR)
 _BINNING = (
     _Option("class_name", "--class", "Car", _parse_class_name, "object class to use"),
-    _Option("bin_width", "--bin-width", "10", float, "bin width in meters"),
-    _Option("max_distance", "--max-distance", "60", float, "binning range end in meters"),
+    _Option("bin_width", "--bin-width", "10", _parse_real, "bin width in meters"),
+    _Option("max_distance", "--max-distance", "60", _parse_real, "binning range end in meters"),
     _Option(
         "pre_filter",
         "--pre-filter",
@@ -245,16 +254,16 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
     "fit": (
         *_IO,
         *_BINNING,
-        _Option("delta", "--delta", "60", float, "quadratic/constant cutover distance"),
+        _Option("delta", "--delta", "60", _parse_real, "quadratic/constant cutover distance"),
         _Option("k", "--k", "0.6", _parse_k, "far-range constant threshold, or 'continuity'"),
-        _Option("sigma_floor", "--sigma-floor", str(SIGMA_FLOOR), float, "minimum std used in weights"),
+        _Option("sigma_floor", "--sigma-floor", str(SIGMA_FLOOR), _parse_real, "minimum std used in weights"),
     ),
     "filter": (_DET_DIR, _OUT_DIR, _THRESHOLD_MODE),
     "eval": (
         *_IO,
         *_BINNING,
         _Option("iou", "--iou", "bev", str, "IoU kind: bev or 3d"),
-        _Option("iou_thr", "--iou-thr", "0.7", float, "matching IoU threshold"),
+        _Option("iou_thr", "--iou-thr", "0.7", _parse_real, "matching IoU threshold"),
         _Option("ap", "--ap", "11", _parse_ap, "AP interpolation points: 11 or 40"),
         _Option(
             "difficulty", "--difficulty", None, str, "ground-truth stratum: easy, moderate or hard"
@@ -371,9 +380,9 @@ def cmd_stats(opts: _Options) -> int:
 def cmd_fit(opts: _Options) -> int:
     """fit the quadratic threshold to binned statistics"""
     stats, spec, _ = _stats_pipeline(opts)
-    # fit_quadratic checks sigma_floor; a fit failure is a FitError.
+    # fit_quadratic checks sigma_floor, delta and k; a fit failure is a FitError.
     result = opts.checked(
-        ("sigma_floor",),
+        ("sigma_floor", "delta", "k"),
         lambda: fit_quadratic(stats, spec, delta=opts.delta, k=opts.k, sigma_floor=opts.sigma_floor),
     )
     model_path = opts.out_dir / "model.json"

@@ -25,18 +25,19 @@ ordering); value ranges such as truncation in [0, 1] are the
 producer's business.
 
 read_label_table, load_tables and load_detections read whole directories
-into a LabelTable, one row per line held by column. load_tables and
-load_detections take the frame set from one listing of a ground-truth
-and a detection directory, by file name; load_detections opens no
-ground-truth file and builds only the detection table. Each file is read
-through a raw descriptor (os.open, os.read until end of file, os.close)
-and decoded as strict UTF-8 without one leading byte-order mark: the
-lines a utf-8-sig text file gives, save that a file holding only part of
-a mark is undecodable, not empty. Every table, synthetic ones included,
-is built from label lines by one function, which runs each check once
-over all rows; when any fails, the files are checked again line by line,
-from the same text, so the error raised names the first bad file and
-line.
+into a LabelTable, one row per line held by column, through one reader.
+load_tables and load_detections take the frame set from one listing of a
+ground-truth and a detection directory, by file name; load_detections
+opens no ground-truth file and builds only the detection table. Each
+file is read through a raw descriptor (os.open, os.read until end of
+file, os.close) and decoded as strict UTF-8 without one leading
+byte-order mark: the lines a utf-8-sig text file gives, save that a file
+holding only part of a mark is undecodable, not empty. Every table,
+synthetic ones included, is built from label lines by one function,
+which runs each check once over all rows. When any fails, or a file
+cannot be read, the files are read again and checked line by line in
+frame order, ground truth first within a frame, and the error raised
+names the first bad file and line.
 
 write_frames writes a table's frames back to files, one label tree at
 a time, each file's UTF-8 bytes with os.write into a fresh staging
@@ -56,7 +57,7 @@ from array import array
 from itertools import chain, compress
 from operator import lt
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 from .bin_stats import Record, ground_distance
 
@@ -225,24 +226,12 @@ def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, La
     Both tables hold every ground-truth frame, sorted by frame_id; a frame
     without a detection file has no detection rows. The frame set follows
     _listed_frames: its DatasetErrors come before any file is read. A bad
-    file raises _check_label_file's error for the first bad file in frame
-    order, ground truth before detections. eval reads its input here.
+    file raises _read_tables' error: the first bad file in frame order,
+    ground truth before detections. eval reads its input here.
     """
-    gt_dir = Path(gt_dir)
-    det_dir = Path(det_dir)
+    gt_dir, det_dir = Path(gt_dir), Path(det_dir)
     gt_files, det_files = _listed_frames(gt_dir, det_dir)
-    frame_ids = sorted(gt_files)
-    gt = _read_table(gt_dir, frame_ids, [gt_files[i] for i in frame_ids], expect_score=False)
-    det = None
-    if gt is not None:
-        det = _read_table(det_dir, frame_ids, [det_files.get(i) for i in frame_ids], expect_score=True)
-    if det is None:
-        order = []
-        for frame_id in frame_ids:
-            order.append((gt_dir / gt_files[frame_id], False))
-            if frame_id in det_files:
-                order.append((det_dir / det_files[frame_id], True))
-        _raise_first_error(order)
+    gt, det = _read_tables(sorted(gt_files), [(gt_dir, gt_files, False), (det_dir, det_files, True)])
     return gt, det
 
 
@@ -253,53 +242,59 @@ def load_detections(gt_dir: str | Path, det_dir: str | Path) -> LabelTable:
     DatasetErrors are load_tables' (see _listed_frames). The table holds
     one frame per detection file, sorted by frame_id, so its rows are
     those of load_tables' detection table. A bad detection file raises
-    _check_label_file's error for the first bad file in frame order.
-    stats and fit read their input here.
+    _read_tables' error: the first bad file in frame order. stats and fit
+    read their input here.
     """
     det_dir = Path(det_dir)
     _, det_files = _listed_frames(Path(gt_dir), det_dir)
-    frame_ids = sorted(det_files)
-    names = [det_files[i] for i in frame_ids]
-    det = _read_table(det_dir, frame_ids, names, expect_score=True)
-    if det is None:
-        _raise_first_error([(det_dir / name, True) for name in names])
+    [det] = _read_tables(sorted(det_files), [(det_dir, det_files, True)])
     return det
 
 
 def read_label_table(directory: str | Path, role: str, expect_score: bool) -> LabelTable:
     """The table of every label file in directory, one frame per file,
-    sorted by frame id.
-
-    The files are label_file_names'; a missing directory, or two files of
-    one frame id, is a DatasetError (see _files_by_frame). A bad file
-    raises _check_label_file's error for the first bad file in name order.
-    """
+    sorted by frame id. A missing directory or two files of one frame id
+    is a DatasetError (see _files_by_frame); a bad file raises
+    _read_tables' error for the first bad file in frame order. filter
+    reads its input here."""
     directory = Path(directory)
     files = _files_by_frame(directory, role)
-    frame_ids = sorted(files)
-    table = _read_table(directory, frame_ids, [files[i] for i in frame_ids], expect_score)
-    if table is None:
-        _raise_first_error([(directory / name, expect_score) for name in sorted(files.values())])
+    [table] = _read_tables(sorted(files), [(directory, files, expect_score)])
     return table
 
 
-def _read_table(
-    directory: Path, frame_ids: list[str], files: list[str | None], expect_score: bool
-) -> LabelTable | None:
-    """The table of the named files of directory; None when a file cannot
-    be read or _table_from_lines rejects a line."""
-    prefix = os.path.join(directory, "")  # a Path per file cost a tenth of the load
-    lines: list[str] = []
-    ends: list[int] = []
-    for name in files:
-        if name is not None:
-            try:
-                # strip() is empty exactly where split() is: a blank line has no row.
-                lines += filter(str.strip, _read_text(prefix + name).splitlines())
-            except (OSError, UnicodeDecodeError):
-                return None
-        ends.append(len(lines))
-    return _table_from_lines(frame_ids, files, lines, ends, expect_score)
+def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], bool]]) -> list[LabelTable]:
+    """One table per (directory, frame id -> file name, expect_score) tree,
+    each holding every frame of frame_ids (no rows where the tree has no
+    file of the frame). When a file cannot be read or _table_from_lines
+    rejects a line, every file is read again and checked line by line in
+    frame order, trees in the given order within a frame, and
+    _check_label_file's error for the first bad file is raised."""
+    tables = []
+    for directory, by_frame, expect_score in trees:
+        files = [by_frame.get(frame_id) for frame_id in frame_ids]
+        prefix = os.path.join(directory, "")  # a Path per file cost a tenth of the load
+        lines: list[str] = []
+        ends: list[int] = []
+        try:
+            for name in files:
+                if name is not None:
+                    # strip() is empty exactly where split() is: a blank line has no row.
+                    lines += filter(str.strip, _read_text(prefix + name).splitlines())
+                ends.append(len(lines))
+        except (OSError, UnicodeDecodeError):
+            break
+        table = _table_from_lines(frame_ids, files, lines, ends, expect_score)
+        if table is None:
+            break
+        tables.append(table)
+    else:
+        return tables
+    for frame_id in frame_ids:
+        for directory, by_frame, expect_score in trees:
+            if frame_id in by_frame:
+                _check_label_file(directory / by_frame[frame_id], expect_score)
+    raise AssertionError("the bulk parser rejected files that _check_label_file accepts")
 
 
 def _read_text(path: str | Path) -> str:
@@ -361,14 +356,6 @@ def _invariants_hold(table: LabelTable) -> bool:
     return not (any(map(lt, right, left)) or any(map(lt, bottom, top)))
 
 
-def _raise_first_error(paths: list[tuple[Path, bool]]) -> NoReturn:
-    """Raise _check_label_file's error for the first bad file of (path,
-    expect_score) pairs, in their order."""
-    for path, expect_score in paths:
-        _check_label_file(path, expect_score)
-    raise AssertionError("the bulk parser rejected files that _check_label_file accepts")
-
-
 def _listed_frames(gt_dir: Path, det_dir: Path) -> tuple[dict[str, str], dict[str, str]]:
     """_files_by_frame of gt_dir, then of det_dir: the frame set, by file
     name alone. A detection file without a ground-truth counterpart is a
@@ -384,34 +371,26 @@ def _listed_frames(gt_dir: Path, det_dir: Path) -> tuple[dict[str, str], dict[st
 
 
 def _files_by_frame(directory: Path, role: str) -> dict[str, str]:
-    """Frame id -> name of each of label_file_names. Two names of one frame
-    id (".txt" and ".txt.txt") are a DatasetError naming both files."""
+    """Frame id -> name of each label file in directory, from one listing.
+
+    The names are those Path.glob("*.txt") yields: case-sensitive, hidden
+    names included. A frame id is the name's stem, and ".txt" is its own
+    stem. A missing directory is a DatasetError naming role, and two names
+    of one frame id (".txt" and ".txt.txt") a DatasetError naming both.
+    """
+    try:
+        with os.scandir(directory) as entries:
+            names = [entry.name for entry in entries if entry.name.endswith(".txt")]
+    except (FileNotFoundError, NotADirectoryError):
+        raise DatasetError(f"{role} directory not found: {directory}") from None
     files: dict[str, str] = {}
-    for name in label_file_names(directory, role):
-        frame_id = _frame_id(name)
+    for name in names:
+        frame_id = name[:-4] or name
         if frame_id in files:
             a, b = sorted((files[frame_id], name))
             raise DatasetError(f"{role} files {directory / a} and {directory / b} have the same frame id {frame_id!r}")
         files[frame_id] = name
     return files
-
-
-def label_file_names(directory: Path, role: str) -> list[str]:
-    """Names in directory ending in ".txt", from one listing.
-
-    This is the set Path.glob("*.txt") yields: case-sensitive, hidden
-    names included. A missing directory is a DatasetError naming role.
-    """
-    try:
-        with os.scandir(directory) as entries:
-            return [entry.name for entry in entries if entry.name.endswith(".txt")]
-    except (FileNotFoundError, NotADirectoryError):
-        raise DatasetError(f"{role} directory not found: {directory}") from None
-
-
-def _frame_id(name: str) -> str:
-    """Path(name).stem for a name ending in ".txt"; ".txt" itself is its own stem."""
-    return name[:-4] or name
 
 
 def _check_label_file(path: Path, expect_score: bool) -> None:

@@ -151,14 +151,19 @@ def fit_quadratic(
     normal equations are solved exactly over the float inputs, so each
     coefficient is the correctly rounded least-squares solution, the
     same on every platform. Pass k=None to set the flat tail by
-    continuity, k = q(delta). sigma_floor must be finite and positive
-    (ValueError). Fewer than 3 occupied bins, a weight that is not
-    finite, or singular normal equations raise FitError; a fitted curve
-    leaving [0, 1] on [0, delta] raises ModelRangeError from model
-    construction.
+    continuity, k = q(delta). sigma_floor must be finite and positive,
+    delta positive and a given k within [0, 1] (ValueError). Fewer than
+    3 occupied bins, a weight that is not finite, or singular normal
+    equations raise FitError; a fitted curve leaving [0, 1] on [0, delta],
+    or a k set by continuity outside it, raises ModelRangeError from
+    model construction.
     """
     if not (math.isfinite(sigma_floor) and sigma_floor > 0.0):
         raise ValueError(f"sigma_floor must be finite and positive, got {sigma_floor!r}")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    if k is not None and not 0.0 <= k <= 1.0:
+        raise ValueError(f"k must be within [0, 1], got {k!r}")
     usable = [s for s in stats if s.count > 0]
     if len(usable) < 3:
         raise FitError(f"need at least 3 occupied bins, got {len(usable)}")

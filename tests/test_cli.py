@@ -6,11 +6,14 @@ import hashlib
 import json
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from io import StringIO
 from itertools import compress
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adathresh import cli, kitti_io
 from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats
@@ -695,6 +698,25 @@ class TestExitCodes:
         assert "000000.txt" in err
         assert "line 2" in err
 
+    def test_every_command_names_the_first_bad_file_in_frame_order(self, tmp_path, capsys):
+        # "a-b.txt" sorts before "a.txt" by name but after it by frame id.
+        line = label_text([make_record(0.0, 10.0, score=0.9)]).replace("\n", " 0.5\n")
+        (tmp_path / "det").mkdir()
+        for frame_id in ("a", "a-b"):
+            write_label(tmp_path / "gt" / f"{frame_id}.txt", [make_record(0.0, 10.0)])
+            (tmp_path / "det" / f"{frame_id}.txt").write_text(line, encoding="utf-8")
+        data = ("--gt-dir", str(tmp_path / "gt"), "--det-dir", str(tmp_path / "det"))
+        message = f"{tmp_path / 'det' / 'a.txt'}: line 1: expected 15 or 16 fields, got 17"
+        for argv in (
+            ("stats", *data),
+            ("fit", *data),
+            ("filter", "--det-dir", str(tmp_path / "det"), "--threshold-mode", "none"),
+            ("eval", *data),
+        ):
+            assert run(*argv, "--out-dir", str(tmp_path / "o")) == 2
+            assert capsys.readouterr().err == f"adathresh: error: {message}\n", argv[0]
+        assert not (tmp_path / "o").exists()
+
     def test_label_file_that_is_not_utf8_is_a_data_error_naming_it(self, tmp_path, capsys):
         det_dir = tmp_path / "det"
         det_dir.mkdir()
@@ -961,6 +983,41 @@ class TestExitCodes:
         assert rc == 1
         assert "sigma_floor must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, flag_value, config_value, message",
+        [
+            ("k", "2", 2, "k must be within [0, 1], got 2.0"),
+            ("k", "-0.5", -0.5, "k must be within [0, 1], got -0.5"),
+            ("k", "nan", math.nan, "k must be within [0, 1], got nan"),
+            ("delta", "-1", -1, "delta must be positive, got -1.0"),
+            ("delta", "nan", math.nan, "delta must be positive, got nan"),
+        ],
+    )
+    def test_fit_with_k_or_delta_out_of_range(self, tmp_path, dataset, capsys, key, flag_value, config_value, message):
+        # A bad value, named as a flag (exit 1) or with its config file (exit 2), not a numerical failure.
+        io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det"), "out_dir": str(tmp_path / "o")}
+        flags = ["--gt-dir", io["gt_dir"], "--det-dir", io["det_dir"], "--out-dir", io["out_dir"]]
+        assert run("fit", *flags, f"--{key}", flag_value) == 1
+        assert f"bad --{key} value: {message}" in capsys.readouterr().err
+        cfg = write_json(tmp_path / "cfg.json", {**io, key: config_value})
+        assert run("fit", "--config", cfg) == 2
+        assert f"config file {cfg} has a bad {key} value: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command in ("stats", "fit", "eval") for key in ("bin_width", "max_distance")]
+        + [("fit", "delta"), ("fit", "k"), ("fit", "sigma_floor"), ("eval", "iou_thr")],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_json_boolean_is_not_a_real_value(self, tmp_path, dataset, capsys, command, key, value):
+        io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det"), "out_dir": str(tmp_path / "o")}
+        cfg = write_json(tmp_path / "cfg.json", {**io, key: value})
+        assert run(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg} has a bad {key} value: expected a number" in err and f"got {value}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_fit_leaving_unit_interval(self, tmp_path):
         # Means 0.9 / 0.5 / 0.1 at 5 / 15 / 25 m extrapolate to 1.1 at
         # zero distance, which the model rejects.
@@ -1095,6 +1152,80 @@ class TestGroundTruthIsListedNotRead:
             assert rc == 2
             assert capsys.readouterr().err == f"adathresh: error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+
+# JSON values for a config key: scalars, odd numbers, spellings the
+# converters know, and small lists and objects (PreFilter's field names
+# among their keys).
+SPELLINGS = [
+    "none", "continuity", "single:0.5", "single:2", "adaptive:", "40:0.3:0.5", "nan:0:1", "bev", "3d",
+    "11", "40", "easy", "hard", "Car", "DontCare", "", " ", "1e400", "-5", "0", "nan", "true",
+]
+NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1e-300, 0, -0.0, 0.5, 20, 10**30, 10**400]
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.sampled_from(NUMBERS) | st.floats() | st.sampled_from(SPELLINGS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["distance_cutoff", "low_threshold", "high_threshold", "x"]), inner, max_size=3),
+    max_leaves=4,
+)
+FUZZED = ["stats", "fit", "filter", "eval"]
+
+
+@pytest.fixture(scope="class")
+def small_dataset(tmp_path_factory):
+    """A six-frame synthetic gt/ and det/ on which every fuzzed command
+    exits 0 under its defaults."""
+    root = tmp_path_factory.mktemp("small")
+    spec_path = write_json(root / "scenario.json", scenario_payload(n_frames=6))
+    assert run("synth", "--spec", spec_path, "--out-dir", str(root)) == 0
+    for command in FUZZED:
+        assert main(TestFuzzedConfigValues.argv(root, command, {})) == 0, command
+    return root
+
+
+class TestFuzzedConfigValues:
+    """stats, fit, filter and eval under a config file of random values for
+    their own option keys, the directories given as flags: main returns an
+    exit code and never raises, and a value makes an exit 2 only with a
+    message naming the config file."""
+
+    # An exit 2 that follows from the data under a well-formed value.
+    DATA_ERRORS = ("average precision is undefined without ground truth",)
+
+    @staticmethod
+    def argv(root, command, config):
+        argv = [command, "--det-dir", str(root / "det"), "--out-dir", str(root / "out")]
+        if command != "filter":
+            argv += ["--gt-dir", str(root / "gt")]
+        elif "threshold_mode" not in config:
+            argv += ["--threshold-mode", "none"]
+        return argv + ["--config", write_json(root / "cfg.json", config)]
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(FUZZED).flatmap(
+            lambda command: st.tuples(
+                st.just(command),
+                st.dictionaries(
+                    st.sampled_from([row.dest for row in cli._OPTIONS[command] if row not in cli._IO]),
+                    CONFIG_VALUES,
+                    max_size=2,
+                ),
+            )
+        )
+    )
+    def test_main_exits_with_a_code_and_names_the_config_file(self, small_dataset, case):
+        command, config = case
+        argv = self.argv(small_dataset, command, config)
+        err = StringIO()
+        with redirect_stderr(err), redirect_stdout(StringIO()):
+            rc = main(argv)
+        # Only a missing required value, filter's threshold_mode set to null, is a usage error.
+        missing = command == "filter" and config.get("threshold_mode", "") is None
+        assert rc in (0, 2, 3) or (rc == 1 and missing), (rc, err.getvalue())
+        if rc == 2:
+            named = f"config file {small_dataset / 'cfg.json'}" in err.getvalue()
+            assert named or any(message in err.getvalue() for message in self.DATA_ERRORS), err.getvalue()
 
 
 class TestOptionTable:

@@ -701,11 +701,12 @@ class TestLabelTable:
         if line_no is not None:
             assert (exc.value.line_no, exc.value.path) == (line_no, str(tmp_path / path))
 
-    def test_read_label_table_reports_the_first_bad_file_by_name(self, tmp_path):
+    def test_read_label_table_reports_the_first_bad_file_in_frame_order(self, tmp_path):
         # "a-b.txt" sorts before "a.txt" by name but after it by frame id.
         _write_tree(tmp_path, {"det/a.txt": self.BAD_DET, "det/a-b.txt": b"\xff"})
-        with pytest.raises(DatasetError, match="a-b.txt"):
+        with pytest.raises(LabelFormatError) as exc:
             read_label_table(tmp_path / "det", "detection", expect_score=True)
+        assert (exc.value.line_no, exc.value.path) == (1, str(tmp_path / "det" / "a.txt"))
         table_dir = tmp_path / "ok"
         table_dir.mkdir()
         (table_dir / "a.txt").write_text(DET_LINE)

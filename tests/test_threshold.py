@@ -437,6 +437,23 @@ class TestFitQuadratic:
             fit_quadratic(make_stats([0.7, 0.6, 0.4]), BinSpec(10.0, 30.0), sigma_floor=sigma_floor)
 
     @pytest.mark.parametrize(
+        "delta, k, message",
+        [
+            (0.0, 0.6, "delta must be positive, got 0.0"),
+            (-1.0, 0.6, "delta must be positive, got -1.0"),
+            (math.nan, 0.6, "delta must be positive, got nan"),
+            (30.0, 2.0, "k must be within \\[0, 1\\], got 2.0"),
+            (30.0, -0.5, "k must be within \\[0, 1\\], got -0.5"),
+            (30.0, math.nan, "k must be within \\[0, 1\\], got nan"),
+        ],
+    )
+    def test_delta_and_a_given_k_out_of_range_are_value_errors(self, delta, k, message):
+        # A bad argument, not a fitted model leaving [0, 1].
+        with pytest.raises(ValueError, match=message) as exc:
+            fit_quadratic(make_stats([0.7, 0.6, 0.4]), BinSpec(10.0, 30.0), delta=delta, k=k)
+        assert not isinstance(exc.value, ModelRangeError)
+
+    @pytest.mark.parametrize(
         "sigma_floor, stds",
         [
             (1e-160, [0.0, 0.1, 0.1, 0.1]),  # 1 / 1e-320 overflows to inf
