@@ -11,9 +11,10 @@ real option's is never one. stats and fit read only detection files:
 --gt-dir fixes their frame set by file name, and only eval reads ground
 truth. Exit codes: 0 success, 1 usage error (including a bad flag
 value), 2 data or parse error (including a bad config-file value, named
-with its file), 3 numerical failure. Every output file is written
-atomically (temp file + rename); CSV uses RFC 4180 quoting and JSON a
-stable key order.
+with its file), 3 numerical failure. A command's report files go through
+one kitti_io.write_files call, so a new --out-dir gets all or none of
+them; CSV uses RFC 4180 quoting and JSON a stable key order. JSON inputs
+are decoded as label files are (strict UTF-8, one leading BOM dropped).
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .bin_stats import BinSpec, BinStats, PreFilter, compute_bin_stats, table_sa
 from .kitti_io import (
     DatasetError,
     KittiIOError,
+    _read_text,
     load_detections,
     load_tables,
     read_label_table,
+    write_files,
     write_frames,
-    write_text_atomic,
 )
 from .threshold import (
     SIGMA_FLOOR,
@@ -68,23 +70,30 @@ def _err(message: object) -> None:
     print(f"adathresh: error: {message}", file=sys.stderr)
 
 
-def _write_json(path: Path, payload: object) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: object) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
+def _csv_text(header: list[str], rows: list[list[object]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
     writer.writerows(rows)
-    write_text_atomic(path, buffer.getvalue())
+    return buffer.getvalue()
+
+
+def _write(out_dir: Path, files: dict[str, str]) -> str:
+    """write_files of files into out_dir; the line that names what was written."""
+    write_files(out_dir, files.items())
+    return "wrote " + " and ".join(str(out_dir / name) for name in files)
 
 
 def _read_json(path: str | Path, kind: str):
-    """The JSON value in a `kind` file; DatasetError naming the file otherwise."""
+    """The JSON value in a `kind` file, decoded as label files are;
+    DatasetError naming the file otherwise."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+        return json.loads(_read_text(path))
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {kind} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{kind} file {path} is not valid JSON: {exc}") from exc
@@ -227,13 +236,9 @@ _BINNING = (
     _Option("class_name", "--class", "Car", _parse_class_name, "object class to use"),
     _Option("bin_width", "--bin-width", "10", _parse_real, "bin width in meters"),
     _Option("max_distance", "--max-distance", "60", _parse_real, "binning range end in meters"),
-    _Option(
-        "pre_filter",
-        "--pre-filter",
-        "40:0.3:0.5",
-        _parse_pre_filter,
-        "'CUTOFF:LOW:HIGH' score pre-filter or 'none'",
-    ),
+)
+_PRE_FILTER = _Option(
+    "pre_filter", "--pre-filter", "40:0.3:0.5", _parse_pre_filter, "'CUTOFF:LOW:HIGH' score pre-filter or 'none'"
 )
 _THRESHOLD_MODE = _Option(
     "threshold_mode",
@@ -247,6 +252,7 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
     "stats": (
         *_IO,
         *_BINNING,
+        _PRE_FILTER,
         _Option(
             "normalized_std", "--normalized-std", False, _parse_switch, "divide each bin's std by its mean"
         ),
@@ -254,6 +260,7 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
     "fit": (
         *_IO,
         *_BINNING,
+        _PRE_FILTER,
         _Option("delta", "--delta", "60", _parse_real, "quadratic/constant cutover distance"),
         _Option("k", "--k", "0.6", _parse_k, "far-range constant threshold, or 'continuity'"),
         _Option("sigma_floor", "--sigma-floor", str(SIGMA_FLOOR), _parse_real, "minimum std used in weights"),
@@ -368,12 +375,10 @@ def cmd_stats(opts: _Options) -> int:
             dict(zip(("lo_m", "hi_m"), spec.edges(entry.bin_index)), **entry.to_dict()) for entry in stats
         ],
     }
-    csv_path = opts.out_dir / "bin_stats.csv"
-    json_path = opts.out_dir / "bin_stats.json"
-    _write_csv(csv_path, ["bin_index", "lo_m", "hi_m", "count", "mean", "std"], _stats_rows(stats, spec))
-    _write_json(json_path, payload)
+    csv_text = _csv_text(["bin_index", "lo_m", "hi_m", "count", "mean", "std"], _stats_rows(stats, spec))
+    wrote = _write(opts.out_dir, {"bin_stats.csv": csv_text, "bin_stats.json": _json_text(payload)})
     print(f"binned {n_used} {opts.class_name} detections into {spec.n_bins} bins")
-    print(f"wrote {csv_path} and {json_path}")
+    print(wrote)
     return EXIT_OK
 
 
@@ -385,9 +390,6 @@ def cmd_fit(opts: _Options) -> int:
         ("sigma_floor", "delta", "k"),
         lambda: fit_quadratic(stats, spec, delta=opts.delta, k=opts.k, sigma_floor=opts.sigma_floor),
     )
-    model_path = opts.out_dir / "model.json"
-    report_path = opts.out_dir / "fit_report.csv"
-    _write_json(model_path, result.model.to_dict())
     by_index = {entry.bin_index: entry for entry in stats}
     rows: list[list[object]] = []
     for bin_index, x, fitted, residual in zip(
@@ -395,14 +397,15 @@ def cmd_fit(opts: _Options) -> int:
     ):
         entry = by_index[bin_index]
         rows.append([bin_index, x, repr(entry.mean), repr(entry.std), repr(fitted), repr(residual)])
-    _write_csv(report_path, ["bin_index", "x_m", "mean", "std", "fitted", "residual"], rows)
+    csv_text = _csv_text(["bin_index", "x_m", "mean", "std", "fitted", "residual"], rows)
+    wrote = _write(opts.out_dir, {"model.json": _json_text(result.model.to_dict()), "fit_report.csv": csv_text})
     model = result.model
     print(
         f"fit over {result.bins_used} bins: alpha={model.alpha:.6g} beta={model.beta:.6g} "
         f"gamma={model.gamma:.6g} delta={model.delta:.6g} k={model.k:.6g} "
         f"(weighted rmse {result.weighted_rmse:.6g})"
     )
-    print(f"wrote {model_path} and {report_path}")
+    print(wrote)
     return EXIT_OK
 
 
@@ -436,26 +439,11 @@ def cmd_eval(opts: _Options) -> int:
     kept = None if schedule is None else keep_rows(det, schedule)
     report = evaluate_tables(gt, det, config, spec, kept)
     payload = {**report.to_dict(), "threshold_mode": label, "n_frames": len(gt.frame_ids)}
-    json_path = opts.out_dir / "eval_report.json"
-    csv_path = opts.out_dir / "eval_report.csv"
-    _write_json(json_path, payload)
-    rows: list[list[object]] = [
-        ["all", "", "", report.tp, report.fp, report.fn, repr(report.recall), repr(report.precision)]
-    ]
-    for row in report.per_bin:
-        rows.append(
-            [
-                f"bin{row.bin_index}",
-                row.lo_m,
-                "" if row.hi_m is None else row.hi_m,
-                row.tp,
-                row.fp,
-                row.fn,
-                repr(row.recall),
-                repr(row.precision),
-            ]
-        )
-    _write_csv(csv_path, ["scope", "lo_m", "hi_m", "tp", "fp", "fn", "recall", "precision"], rows)
+    scopes = [("all", "", "", report)]
+    scopes += [(f"bin{row.bin_index}", row.lo_m, "" if row.hi_m is None else row.hi_m, row) for row in report.per_bin]
+    rows = [[*scope, row.tp, row.fp, row.fn, repr(row.recall), repr(row.precision)] for *scope, row in scopes]
+    csv_text = _csv_text(["scope", "lo_m", "hi_m", "tp", "fp", "fn", "recall", "precision"], rows)
+    wrote = _write(opts.out_dir, {"eval_report.json": _json_text(payload), "eval_report.csv": csv_text})
     filtered_note = (
         ""
         if report.average_precision_filtered is None
@@ -465,7 +453,7 @@ def cmd_eval(opts: _Options) -> int:
         f"mode {label}: recall={report.recall:.3f} precision={report.precision:.3f} "
         f"trade_off={report.trade_off:.3f} ap={report.average_precision:.2f}{filtered_note}"
     )
-    print(f"wrote {json_path} and {csv_path}")
+    print(wrote)
     return EXIT_OK
 
 
@@ -489,9 +477,8 @@ def cmd_compare(opts: _Options) -> int:
             print(f"{row.metric:<28}{base:>12d}{cand:>12d}{formatted:>12}")
         else:
             print(f"{row.metric:<28}{base:>12.3f}{cand:>12.3f}{formatted:>12}")
-    csv_path = opts.out_dir / "compare.csv"
-    _write_csv(csv_path, ["metric", "baseline", "candidate", "delta", "formatted"], csv_rows)
-    print(f"wrote {csv_path}")
+    csv_text = _csv_text(["metric", "baseline", "candidate", "delta", "formatted"], csv_rows)
+    print(_write(opts.out_dir, {"compare.csv": csv_text}))
     return EXIT_OK
 
 
@@ -504,7 +491,7 @@ def cmd_synth(opts: _Options) -> int:
     gt, det = generate(spec)
     write_frames(gt, out_dir / "gt")
     write_frames(det, out_dir / "det")
-    _write_json(out_dir / "manifest.json", spec.to_dict())
+    _write(out_dir, {"manifest.json": _json_text(spec.to_dict())})
     print(
         f"generated {len(gt.frame_ids)} frames ({len(gt)} ground-truth objects, {len(det)} detections) "
         f"from seed {spec.seed}"
@@ -515,7 +502,9 @@ def cmd_synth(opts: _Options) -> int:
 
 def _decode_stats(data: dict) -> tuple[BinSpec, list[BinStats]]:
     """The BinSpec and the bins of a bin_stats.json object; ValueError for a
-    bin outside that spec."""
+    bin outside that spec or a std divided by its mean (not in score units)."""
+    if data.get("normalized_std"):
+        raise ValueError("normalized_std is true: the report draws std in score units")
     spec = BinSpec.from_dict(data)
     bins = [BinStats.from_dict(entry) for entry in data["bins"]]
     for entry in bins:
@@ -531,11 +520,8 @@ def cmd_report(opts: _Options) -> int:
     spec, bins = BinSpec(), []
     if opts.stats is not None:
         spec, bins = _load_json(opts.stats, "stats", _decode_stats)
-    svg_path = opts.out_dir / "threshold_curve.svg"
-    md_path = opts.out_dir / "summary.md"
-    write_text_atomic(svg_path, render_threshold_svg(model, bins, spec))
-    write_text_atomic(md_path, render_summary_md(model, bins, spec))
-    print(f"wrote {svg_path} and {md_path}")
+    svg, md = render_threshold_svg(model, bins, spec), render_summary_md(model, bins, spec)
+    print(_write(opts.out_dir, {"threshold_curve.svg": svg, "summary.md": md}))
     return EXIT_OK
 
 

@@ -39,11 +39,12 @@ cannot be read, the files are read again and checked line by line in
 frame order, ground truth first within a frame, and the error raised
 names the first bad file and line.
 
-write_frames writes a table's frames back to files, one label tree at
-a time, each file's UTF-8 bytes with os.write into a fresh staging
-tree: a new tree appears whole or not at all, and an existing one gets
-one atomic replace per file. write_text_atomic writes any other single
-file (JSON, CSV, SVG, markdown) through a temp file and a rename.
+write_files is the one writer of output files: label trees, and the
+JSON, CSV, SVG and markdown reports. It writes a directory's files, each
+one's UTF-8 bytes with os.write, into a fresh staging tree: a new
+directory appears whole or not at all, and an existing one gets one
+atomic replace per file. write_frames hands it a table's frames, one
+label file each.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from array import array
 from itertools import chain, compress
 from operator import lt
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bin_stats import Record, ground_distance
 
@@ -152,22 +153,37 @@ class LabelTable(Record, eq=False):
 
 
 def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | None = None) -> None:
-    """Write each frame's file of table into out_dir: the lines of the rows
-    flagged in kept (all rows without kept) as held, LF-terminated, mode
-    0o600. A frame without a file has no rows and gets none.
-
-    The files are written into a hidden staging directory first. A new
-    out_dir, even for a table without frames, is then renamed into place
-    whole, so it appears complete or not at all. In an existing out_dir
-    each file replaces its namesake atomically, and files the table does
-    not name stay. On an error the staging directory is removed, and a
-    new out_dir does not exist. A kept without exactly one flag per row
-    is a ValueError, raised before anything is written.
+    """write_files of each frame's file of table: the lines of the rows
+    flagged in kept (all rows without kept) as held, LF-terminated. A
+    frame without a file has no rows and gets none. A kept without
+    exactly one flag per row is a ValueError, raised before anything is
+    written.
     """
-    out_dir = Path(out_dir)
     kept = [True] * len(table) if kept is None else kept
     if len(kept) != len(table):
         raise ValueError(f"kept holds {len(kept)} flags for a table of {len(table)} rows")
+    write_files(
+        out_dir,
+        (
+            (name, "".join(line + "\n" for line in compress(table.lines[start:stop], kept[start:stop])))
+            for name, start, stop in zip(table.files, table.offsets, table.offsets[1:])
+            if name is not None
+        ),
+    )
+
+
+def write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> None:
+    """Write each (name, text) of files into out_dir as UTF-8, newlines as
+    given, mode 0o600; parent directories are created.
+
+    The files are written into a hidden staging directory first. A new
+    out_dir, even for no files, is then renamed into place whole, so it
+    appears complete or not at all. In an existing out_dir each file
+    replaces its namesake atomically, and files not named stay. On an
+    error the staging directory is removed, and a new out_dir does not
+    exist.
+    """
+    out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     existed = out_dir.is_dir()
     # Staged in the directory that gets the files, so that no rename
@@ -177,17 +193,15 @@ def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | 
     try:
         tree = os.path.join(stage, "tree")
         os.mkdir(tree)  # the mode of a plain mkdir, where mkdtemp gives 0o700
-        for name, start, stop in zip(table.files, table.offsets, table.offsets[1:]):
-            if name is not None:
-                lines = compress(table.lines[start:stop], kept[start:stop])
-                data = memoryview("".join(line + "\n" for line in lines).encode())
-                # Mode 0o600, as tempfile.mkstemp gives; the tree is new, so O_EXCL.
-                fd = os.open(os.path.join(tree, name), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-                try:
-                    while data:
-                        data = data[os.write(fd, data) :]
-                finally:
-                    os.close(fd)
+        for name, text in files:
+            data = memoryview(text.encode())
+            # Mode 0o600, as tempfile.mkstemp gives; the tree is new, so O_EXCL.
+            fd = os.open(os.path.join(tree, name), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            try:
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
         if not existed:
             try:
                 os.rename(tree, out_dir)
@@ -200,24 +214,6 @@ def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | 
             os.replace(os.path.join(tree, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text (UTF-8, newlines as given) to a temp file beside path,
-    then rename it over path; parent directories are created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, LabelTable]:

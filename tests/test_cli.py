@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -335,8 +336,8 @@ class TestPipeline:
         assert svg.lstrip().startswith("<svg")
         assert (rpt_dir / "summary.md").read_text().strip()
 
-        leftovers = [p for p in tmp_path.rglob("*.tmp") if p.is_file()]
-        assert leftovers == []
+        # Files and staging directories alike.
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_stats_matches_library(self, tmp_path, dataset):
         out = tmp_path / "stats"
@@ -725,6 +726,36 @@ class TestExitCodes:
         assert rc == 2
         assert "000000.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["model", "config", "scenario", "stats", "report"])
+    def test_json_file_that_is_not_utf8_is_a_data_error_naming_it(self, tmp_path, capsys, kind):
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_bytes(b"\xff{}")
+        model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict())
+        out = ("--out-dir", str(tmp_path / "o"))
+        argv = {
+            "model": ["report", "--model", str(bad), *out],
+            "config": ["stats", "--config", str(bad), *out],
+            "scenario": ["synth", "--spec", str(bad), *out],
+            "stats": ["report", "--model", model, "--stats", str(bad), *out],
+            "report": ["compare", str(bad), str(bad), *out],
+        }[kind]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"adathresh: error: cannot read {kind} file {bad}: 'utf-8' codec")
+        assert not (tmp_path / "o").exists()
+
+    def test_json_files_drop_one_leading_byte_order_mark(self, tmp_path, dataset, capsys):
+        # As label files do: the rest is read as if the mark were not there.
+        model = ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict()
+        config = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
+        for name, payload in (("model", model), ("cfg", config)):
+            path = Path(write_json(tmp_path / f"{name}.json", payload))
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run("report", "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "r")) == 0
+        assert run("stats", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path / "s")) == 0
+        (tmp_path / "model.json").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "model.json").read_bytes())
+        assert run("report", "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "r")) == 2
+        assert f"model file {tmp_path / 'model.json'} is not valid JSON" in capsys.readouterr().err
+
     def test_corrupt_model_file(self, tmp_path, dataset):
         bad = tmp_path / "model.json"
         bad.write_text("{not json")
@@ -1085,6 +1116,58 @@ class TestExitCodes:
         assert f"stats file {stats}" in err and "out of range" in err
         assert not (tmp_path / "rpt").exists()
 
+    def test_stats_file_with_a_normalized_std_is_a_data_error_naming_it(self, tmp_path, dataset, capsys):
+        # report draws each bin's std as a band in score units; a std divided
+        # by its mean is not one.
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+        assert run("stats", *io, "--out-dir", str(tmp_path / "s"), "--normalized-std") == 0
+        stats = tmp_path / "s" / "bin_stats.json"
+        model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict())
+        assert run("report", "--model", model, "--stats", str(stats), "--out-dir", str(tmp_path / "rpt")) == 2
+        err = capsys.readouterr().err
+        assert f"stats file {stats} has a missing or bad value" in err and "normalized_std is true" in err
+        assert not (tmp_path / "rpt").exists()
+
+    def test_eval_has_no_pre_filter(self, tmp_path, dataset, capsys):
+        # eval counts every detection; a pre-filter shapes only stats and fit.
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        assert run("eval", *io, "--pre-filter", "none") == 1
+        assert "unrecognized arguments: --pre-filter none" in capsys.readouterr().err
+        cfg = write_json(tmp_path / "cfg.json", {"pre_filter": "none"})
+        assert run("eval", *io, "--config", cfg) == 1
+        assert f"config file {cfg} has keys that name no eval option: 'pre_filter'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "eval"])
+    def test_a_failed_second_file_leaves_the_out_dir_as_it_was(self, tmp_path, dataset, monkeypatch, capsys, command):
+        """A command's report files are written in one staged call: a new
+        --out-dir gets none of them, and an existing one keeps its files."""
+        names = {"stats": ["bin_stats.csv", "bin_stats.json"], "eval": ["eval_report.csv", "eval_report.json"]}[command]
+        old = tmp_path / "old"
+        old.mkdir()
+        for name in names:
+            (old / name).write_text("old\n")
+        created = []
+        real_open = os.open
+
+        def failing_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                created.append(path)
+                if len(created) == 2:
+                    raise OSError("disk full")
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", failing_open)
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
+        for out in (tmp_path / "new", old):
+            created.clear()
+            assert run(command, *io, "--out-dir", str(out)) == 2
+            assert capsys.readouterr().err == "adathresh: error: disk full\n"
+            assert len(created) == 2
+        assert not (tmp_path / "new").exists()
+        assert {p.name: p.read_text() for p in old.iterdir()} == dict.fromkeys(names, "old\n")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_eval_of_the_dontcare_class_has_no_ground_truth(self, tmp_path, capsys):
         dont_care = make_record(0.0, 30.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0))
         write_label(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0), dont_care])
@@ -1247,19 +1330,20 @@ class TestOptionTable:
         "eval": {
             "--gt-dir": "gt_dir", "--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config",
             "--class": "class_name", "--bin-width": "bin_width", "--max-distance": "max_distance",
-            "--pre-filter": "pre_filter", "--iou": "iou", "--iou-thr": "iou_thr", "--ap": "ap",
+            "--iou": "iou", "--iou-thr": "iou_thr", "--ap": "ap",
             "--difficulty": "difficulty", "--threshold-mode": "threshold_mode",
         },
         "compare": {"baseline": "baseline", "candidate": "candidate", "--out-dir": "out_dir", "--config": "config"},
         "synth": {"--spec": "spec", "--out-dir": "out_dir", "--config": "config"},
         "report": {"--model": "model", "--stats": "stats", "--out-dir": "out_dir", "--config": "config"},
     }
-    BINNING = {"class_name": "Car", "bin_width": 10.0, "max_distance": 60.0, "pre_filter": PreFilter(40.0, 0.3, 0.5)}
+    BINNING = {"class_name": "Car", "bin_width": 10.0, "max_distance": 60.0}
+    PRE_FILTER = {"pre_filter": PreFilter(40.0, 0.3, 0.5)}
     # The value of each option that neither a flag nor a config key gives;
     # every other option but --config is required.
     DEFAULTS = {
-        "stats": {**BINNING, "normalized_std": False},
-        "fit": {**BINNING, "delta": 60.0, "k": 0.6, "sigma_floor": 1e-3},
+        "stats": {**BINNING, **PRE_FILTER, "normalized_std": False},
+        "fit": {**BINNING, **PRE_FILTER, "delta": 60.0, "k": 0.6, "sigma_floor": 1e-3},
         "filter": {},
         "eval": {
             **BINNING,

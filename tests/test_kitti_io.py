@@ -23,6 +23,7 @@ from adathresh.kitti_io import (
     load_detections,
     load_tables,
     read_label_table,
+    write_files,
     write_frames,
 )
 from helpers import Frame, Record, constructed, detections, label_text, read_text, tables
@@ -406,7 +407,16 @@ class TestDataset:
 
 
 class TestWriteLabelFile:
-    """write_frames: one label file per frame of a table."""
+    """write_frames: one label file per frame of a table, through write_files."""
+
+    def test_write_files_writes_each_text_as_utf8_with_its_newlines_as_given(self, tmp_path):
+        # The reports: CSV ends its rows with CRLF, markdown may hold non-ASCII.
+        files = {"a.csv": "x,y\r\n1,2\r\n", "b.md": "σ ≥ 0\n", "c.json": "{}"}
+        out = tmp_path / "new" / "out"
+        write_files(out, iter(files.items()))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {name: text.encode() for name, text in files.items()}
+        assert {stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {0o600}
+        assert [p.name for p in (tmp_path / "new").iterdir()] == ["out"]
 
     def test_writes_parseable_file(self, tmp_path):
         records = [constructed(DET_LINE)]
