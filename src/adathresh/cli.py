@@ -11,10 +11,11 @@ real option's is never one. stats and fit read only detection files:
 --gt-dir fixes their frame set by file name, and only eval reads ground
 truth. Exit codes: 0 success, 1 usage error (including a bad flag
 value), 2 data or parse error (including a bad config-file value, named
-with its file), 3 numerical failure. A command's report files go through
-one kitti_io.write_files call, so a new --out-dir gets all or none of
-them; CSV uses RFC 4180 quoting and JSON a stable key order. JSON inputs
-are decoded as label files are (strict UTF-8, one leading BOM dropped).
+with its file), 3 numerical failure. A command's output files (synth's
+gt/, det/ and manifest.json too) go through one kitti_io.write_files
+call, so a new --out-dir gets all or none of them; CSV uses RFC 4180
+quoting and JSON a stable key order. JSON inputs are decoded as label
+files are (strict UTF-8, one leading BOM dropped).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import io
 import json
 import sys
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -33,6 +35,7 @@ from .kitti_io import (
     DatasetError,
     KittiIOError,
     _read_text,
+    label_files,
     load_detections,
     load_tables,
     read_label_table,
@@ -51,8 +54,8 @@ from .threshold import (
 )
 
 # evaluation, synthetic and report load inside the commands that use them:
-# synthetic imports numpy, which only synth needs, and stats, fit and
-# filter never load the IoU and matching code.
+# only synth generates scenes, and stats, fit and filter never load the
+# IoU and matching code.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -489,9 +492,12 @@ def cmd_synth(opts: _Options) -> int:
     out_dir = opts.out_dir
     spec = _load_json(opts.spec, "scenario", ScenarioSpec.from_dict)
     gt, det = generate(spec)
-    write_frames(gt, out_dir / "gt")
-    write_frames(det, out_dir / "det")
-    _write(out_dir, {"manifest.json": _json_text(spec.to_dict())})
+    files = chain(
+        ((f"gt/{name}", text) for name, text in label_files(gt)),
+        ((f"det/{name}", text) for name, text in label_files(det)),
+        [("manifest.json", _json_text(spec.to_dict()))],
+    )
+    write_files(out_dir, files)
     print(
         f"generated {len(gt.frame_ids)} frames ({len(gt)} ground-truth objects, {len(det)} detections) "
         f"from seed {spec.seed}"

@@ -41,10 +41,11 @@ names the first bad file and line.
 
 write_files is the one writer of output files: label trees, and the
 JSON, CSV, SVG and markdown reports. It writes a directory's files, each
-one's UTF-8 bytes with os.write, into a fresh staging tree: a new
-directory appears whole or not at all, and an existing one gets one
-atomic replace per file. write_frames hands it a table's frames, one
-label file each.
+one's UTF-8 bytes with os.write, into a fresh staging tree, names with a
+subdirectory included: a new directory appears whole or not at all, and
+an existing one gets one atomic replace per file. label_files gives a
+table's frames as files, one label file each, and write_frames hands
+them to write_files.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from array import array
 from itertools import chain, compress
 from operator import lt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bin_stats import Record, ground_distance
 
@@ -152,31 +153,34 @@ class LabelTable(Record, eq=False):
         return self.columns[-1]
 
 
-def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | None = None) -> None:
-    """write_files of each frame's file of table: the lines of the rows
-    flagged in kept (all rows without kept) as held, LF-terminated. A
-    frame without a file has no rows and gets none. A kept without
-    exactly one flag per row is a ValueError, raised before anything is
-    written.
+def label_files(table: LabelTable, kept: Sequence[bool] | None = None) -> Iterator[tuple[str, str]]:
+    """(file name, text) of each frame's file of table: the lines of the
+    rows flagged in kept (all rows without kept) as held, LF-terminated.
+    A frame without a file has no rows and gets none. A kept without
+    exactly one flag per row is a ValueError, raised at the call, before
+    anything is written.
     """
     kept = [True] * len(table) if kept is None else kept
     if len(kept) != len(table):
         raise ValueError(f"kept holds {len(kept)} flags for a table of {len(table)} rows")
-    write_files(
-        out_dir,
-        (
-            (name, "".join(line + "\n" for line in compress(table.lines[start:stop], kept[start:stop])))
-            for name, start, stop in zip(table.files, table.offsets, table.offsets[1:])
-            if name is not None
-        ),
+    return (
+        (name, "".join(line + "\n" for line in compress(table.lines[start:stop], kept[start:stop])))
+        for name, start, stop in zip(table.files, table.offsets, table.offsets[1:])
+        if name is not None
     )
+
+
+def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | None = None) -> None:
+    """write_files of table's label_files into out_dir."""
+    write_files(out_dir, label_files(table, kept))
 
 
 def write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> None:
     """Write each (name, text) of files into out_dir as UTF-8, newlines as
-    given, mode 0o600; parent directories are created.
+    given, mode 0o600; parent directories are created. A name may hold
+    subdirectories (gt/000000.txt), made as needed.
 
-    The files are written into a hidden staging directory first. A new
+    The files are written into a hidden staging tree first. A new
     out_dir, even for no files, is then renamed into place whole, so it
     appears complete or not at all. In an existing out_dir each file
     replaces its namesake atomically, and files not named stay. On an
@@ -193,7 +197,13 @@ def write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> None:
     try:
         tree = os.path.join(stage, "tree")
         os.mkdir(tree)  # the mode of a plain mkdir, where mkdtemp gives 0o700
+        names = []
+        subdirs = {""}
         for name, text in files:
+            subdir = os.path.dirname(name)
+            if subdir not in subdirs:
+                os.makedirs(os.path.join(tree, subdir), exist_ok=True)
+                subdirs.add(subdir)
             data = memoryview(text.encode())
             # Mode 0o600, as tempfile.mkstemp gives; the tree is new, so O_EXCL.
             fd = os.open(os.path.join(tree, name), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
@@ -202,6 +212,7 @@ def write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> None:
                     data = data[os.write(fd, data) :]
             finally:
                 os.close(fd)
+            names.append(name)
         if not existed:
             try:
                 os.rename(tree, out_dir)
@@ -210,7 +221,9 @@ def write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> None:
                 # out_dir appeared meanwhile: fill it file by file. Something
                 # other than a directory there is a FileExistsError naming it.
                 out_dir.mkdir(exist_ok=True)
-        for name in os.listdir(tree):
+        for subdir in subdirs:
+            os.makedirs(os.path.join(out_dir, subdir), exist_ok=True)
+        for name in names:
             os.replace(os.path.join(tree, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)

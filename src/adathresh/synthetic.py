@@ -1,9 +1,10 @@
 """Deterministic synthetic scenes with known matching outcomes.
 
-All randomness flows through numpy's Philox counter-based 64-bit bit
-generator seeded with ScenarioSpec.seed, and the draw order is fixed by
-the generation loop below, so a given spec reproduces a byte-identical
-dataset on any platform. Per frame the order is:
+All randomness flows through one philox.PhiloxStream seeded with
+ScenarioSpec.seed: numpy's Philox counter-based 64-bit generator, drawn
+bit for bit in pure Python, so synth needs no numpy. The draw order is
+fixed by the generation loop below, so a given spec reproduces a
+byte-identical dataset on any platform. Per frame the order is:
 
     1. object count
     2. per true object: placement tries (distance, bearing), three
@@ -13,19 +14,18 @@ dataset on any platform. Per frame the order is:
        placement tries, dimension jitters, yaw, and a score fraction
 
 Every draw but two is a uniform one, computed here from one raw 64-bit
-output of the bit generator: a draw in [low, high) is
-low + (high - low) * u, where u = (raw >> 11) * 2**-53 is the output's
-53 high bits as a double in [0, 1). That is what numpy's
-Generator.uniform(low, high) returns (random_uniform over next_double),
-bit for bit, at about a fifth of the cost of the method call, and Python
-rounds each operation, so the value does not depend on how numpy was
-compiled. The object count (Generator.integers) and the score noise
-(Generator.standard_normal, whose ziggurat tables Python cannot reach)
-stay numpy calls on the same generator. random_raw leaves alone the
-32-bit half that integers buffers in the bit generator's state, so the
-one stream stays aligned. numpy (NEP 19) keeps a bit generator's raw
-stream fixed across versions but makes no such promise for Generator
-methods, so only those two draws depend on numpy's algorithms.
+output of the stream: a draw in [low, high) is low + (high - low) * u,
+where u = (raw >> 11) * 2**-53 is the output's 53 high bits as a double
+in [0, 1). That is what numpy's Generator.uniform(low, high) returns
+(random_uniform over next_double), bit for bit, and Python rounds each
+operation, so the value does not depend on how anything was compiled.
+The object count is the stream's integers (numpy's Generator.integers)
+and the score noise its standard_normal (numpy's ziggurat
+Generator.standard_normal). A raw draw leaves alone the 32-bit half
+that integers buffers, so the one stream stays aligned. numpy (NEP 19)
+keeps a bit generator's raw stream fixed across versions but makes no
+such promise for Generator methods; the tests compare all three draws
+with the installed numpy and pin the digests of three datasets.
 
 Objects are car-like boxes placed at least MIN_SEPARATION apart in the
 ground plane, so every true detection overlaps exactly its own ground
@@ -50,11 +50,10 @@ import math
 from collections.abc import Callable
 from itertools import accumulate, chain, compress
 
-import numpy as np
-
 from .bin_stats import BinSpec, Record, ground_distance
 from .geometry import normalize_angle
 from .kitti_io import LabelTable, _table_from_lines
+from .philox import _UNIT, PhiloxStream
 from .threshold import ThresholdModel, keep_rows
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length (meters)
@@ -69,9 +68,8 @@ _YAW_JITTER = 0.01  # radians
 _FP_SCORE_BAND = (0.45, 0.85)  # fraction of the local true-score mean
 
 # A uniform draw in [low, high) is low + (high - low) * ((raw >> 11) * _UNIT)
-# for one raw 64-bit output of the bit generator (see the module
-# docstring); each constant range below is its (low, high - low).
-_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+# for one raw 64-bit output of the stream, _UNIT being 2**-53 (see the
+# module docstring); each constant range below is its (low, high - low).
 _BEARING_LO = -_MAX_BEARING
 _BEARING_RANGE = _MAX_BEARING - _BEARING_LO
 _YAW_LO = -math.pi
@@ -218,16 +216,16 @@ def _label_line(
 
 
 def _generate_frame(
-    spec: ScenarioSpec, rng: np.random.Generator
+    spec: ScenarioSpec, stream: PhiloxStream
 ) -> tuple[list[tuple], list[tuple], list[str]]:
-    raw = rng.bit_generator.random_raw
+    raw = stream.raw
     lo, hi = spec.objects_per_frame
     d_lo, d_hi = spec.distance_range
     bin_width = spec.bin_spec.bin_width
     last_bin = spec.bin_spec.n_bins - 1
     fn_rates = spec.fn_rate_per_bin
     model = spec.score_model
-    n_objects = int(rng.integers(lo, hi + 1))
+    n_objects = stream.integers(lo, hi + 1)
     placements: list[tuple[float, float]] = []
     gt_rows: list[tuple] = []
     det_rows: list[tuple] = []
@@ -251,7 +249,7 @@ def _generate_frame(
         sigma = model.noise_std[min(int(det_distance // bin_width), last_bin)]
         score = model.mean_at(det_distance)
         if sigma > 0.0:
-            score += sigma * float(rng.standard_normal())
+            score += sigma * stream.standard_normal()
         det_rows.append((det_x, det_z, dims, det_yaw, min(max(score, 0.0), 1.0)))
         kinds.append(TRUE_POSITIVE)
     for bin_index, fp_rate in enumerate(spec.fp_rate_per_bin):
@@ -274,8 +272,8 @@ def _generate_frame(
 def _raw_frames(spec: ScenarioSpec) -> list[tuple[list[tuple], list[tuple], list[str]]]:
     """Each frame's ground-truth rows (x, z, dims, yaw), detection rows
     (x, z, dims, yaw, score) and detection kinds, before formatting."""
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    return [_generate_frame(spec, rng) for _ in range(spec.n_frames)]
+    stream = PhiloxStream(spec.seed)
+    return [_generate_frame(spec, stream) for _ in range(spec.n_frames)]
 
 
 def _table(frame_ids: list[str], frames: tuple[list[tuple], ...], expect_score: bool) -> LabelTable:

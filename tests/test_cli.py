@@ -1168,6 +1168,30 @@ class TestExitCodes:
         assert {p.name: p.read_text() for p in old.iterdir()} == dict.fromkeys(names, "old\n")
         assert list(tmp_path.rglob("*.tmp")) == []
 
+    def test_a_failed_synth_write_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys):
+        """synth stages gt/, det/ and manifest.json as one tree: when the
+        first file of det/ cannot be created, a new --out-dir gets none of
+        them, gt/ included."""
+        spec_path = write_json(tmp_path / "scenario.json", scenario_payload(n_frames=3))
+        created = []
+        real_open = os.open
+
+        def failing_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                created.append(Path(path))
+                if len(created) == 4:
+                    raise OSError("disk full")
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", failing_open)
+        assert run("synth", "--spec", spec_path, "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "adathresh: error: disk full\n"
+        assert [p.parent.name + "/" + p.name for p in created] == [
+            "gt/000000.txt", "gt/000001.txt", "gt/000002.txt", "det/000000.txt"
+        ]
+        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_eval_of_the_dontcare_class_has_no_ground_truth(self, tmp_path, capsys):
         dont_care = make_record(0.0, 30.0, class_name="DontCare", dims=(-1.0, -1.0, -1.0))
         write_label(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0), dont_care])

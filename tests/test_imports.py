@@ -12,15 +12,17 @@ from pathlib import Path
 
 import pytest
 
+from adathresh.synthetic import ScenarioSpec, ScoreModel
 from adathresh.threshold import ThresholdModel
 from helpers import make_record, write_label
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Modules that only synth may load. dataclasses and inspect (which numpy
-# imports itself) would add about 14 ms to any other command's start-up.
-SYNTH_ONLY = ("numpy", "dataclasses", "inspect")
-LOADED = f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if m in {SYNTH_ONLY!r} or m.startswith('adathresh'))))"
+# Modules no command may load: numpy, and dataclasses and inspect (which
+# numpy imports itself), which would add about 14 ms to a command's
+# start-up.
+HEAVY = ("numpy", "dataclasses", "inspect")
+LOADED = f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if m in {HEAVY!r} or m.startswith('adathresh'))))"
 
 
 def python(*args: str, timeout: float = 120, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -43,7 +45,7 @@ def loaded_after(code: str) -> set[str]:
 
 @pytest.fixture
 def data(tmp_path):
-    """Ground truth, detections and a model file for every command."""
+    """Ground truth, detections, a model and a scenario file for every command."""
     write_label(tmp_path / "gt" / "000000.txt", [make_record(0.0, 5.0), make_record(0.0, 25.0)])
     # One detection in each of four 10 m bins, means falling 0.1 a bin.
     write_label(
@@ -52,6 +54,16 @@ def data(tmp_path):
     )
     model = ThresholdModel(alpha=0.0, beta=-0.005, gamma=0.8, delta=60.0, k=0.5)
     (tmp_path / "model.json").write_text(json.dumps(model.to_dict()), encoding="utf-8")
+    scenario = ScenarioSpec(
+        seed=3,
+        n_frames=4,
+        objects_per_frame=(1, 4),
+        distance_range=(5.0, 55.0),
+        score_model=ScoreModel(a=0.0, b=-0.005, c=0.9, noise_std=(0.05,) * 6),
+        fp_rate_per_bin=(0.3,) * 6,
+        fn_rate_per_bin=(0.1,) * 6,
+    )
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario.to_dict()), encoding="utf-8")
     return tmp_path
 
 
@@ -106,6 +118,7 @@ def _commands(data: Path) -> dict[str, list[str]]:
     io = ["--gt-dir", str(data / "gt"), "--det-dir", str(data / "det")]
     model = f"adaptive:{data / 'model.json'}"
     return {
+        "synth": ["synth", "--spec", str(data / "scenario.json"), "--out-dir", str(data / "synth")],
         "stats": ["stats", *io, "--out-dir", str(data / "stats")],
         "filter": ["filter", "--det-dir", str(data / "det"), "--out-dir", str(data / "filtered"), "--threshold-mode", model],
         "report": ["report", "--model", str(data / "model.json"), "--out-dir", str(data / "report")],
@@ -118,13 +131,14 @@ def _commands(data: Path) -> dict[str, list[str]]:
 
 # Modules each command must leave unloaded.
 NOT_LOADED = {
-    "stats": {*SYNTH_ONLY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
-    "filter": {*SYNTH_ONLY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
-    "report": {*SYNTH_ONLY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic"},
-    "fit": {*SYNTH_ONLY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
-    "eval": {*SYNTH_ONLY, "adathresh.synthetic", "adathresh.report"},
-    "eval-adaptive-3d": {*SYNTH_ONLY, "adathresh.synthetic", "adathresh.report"},
-    "compare": {*SYNTH_ONLY, "adathresh.synthetic", "adathresh.report"},
+    "synth": {*HEAVY, "adathresh.evaluation", "adathresh.report"},
+    "stats": {*HEAVY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "filter": {*HEAVY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "report": {*HEAVY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic"},
+    "fit": {*HEAVY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "eval": {*HEAVY, "adathresh.synthetic", "adathresh.report"},
+    "eval-adaptive-3d": {*HEAVY, "adathresh.synthetic", "adathresh.report"},
+    "compare": {*HEAVY, "adathresh.synthetic", "adathresh.report"},
 }
 
 

@@ -418,6 +418,24 @@ class TestWriteLabelFile:
         assert {stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {0o600}
         assert [p.name for p in (tmp_path / "new").iterdir()] == ["out"]
 
+    def test_names_with_a_subdirectory_are_staged_in_one_tree(self, tmp_path):
+        files = {"gt/a.txt": "new gt a\n", "det/a.txt": "new det a\n", "manifest.json": "{}\n"}
+        write_files(tmp_path / "new", files.items())
+        existing = tmp_path / "existing"
+        (existing / "gt").mkdir(parents=True)
+        (existing / "gt" / "a.txt").write_text("old gt a\n")
+        (existing / "gt" / "b.txt").write_text("old gt b\n")
+        (existing / "z.txt").write_text("old z\n")
+        write_files(existing, files.items())
+
+        def tree(root):
+            return {p.relative_to(root).as_posix(): p.read_text() for p in root.rglob("*") if p.is_file()}
+
+        assert tree(tmp_path / "new") == files
+        assert tree(existing) == {**files, "gt/b.txt": "old gt b\n", "z.txt": "old z\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "new"]
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_writes_parseable_file(self, tmp_path):
         records = [constructed(DET_LINE)]
         written(tmp_path / "out", records)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adathresh.cli import main
 from adathresh.evaluation import MatchConfig, evaluate_tables
 from adathresh.geometry import Box3D, iou_bev
 from adathresh.kitti_io import MissingScoreError
+from adathresh.philox import _FI, _KI, _WI, PhiloxStream, seed_key
 from adathresh.synthetic import (
     MIN_SEPARATION,
     ScenarioSpec,
@@ -191,22 +193,25 @@ draws = st.lists(
 )
 
 
-def plain(state):
-    """A bit generator's state with its arrays as lists, comparable with ==."""
-    if isinstance(state, dict):
-        return {key: plain(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
-
-
 def raw_uniform_pairs(seed, low, high, lo, span, n):
-    """n draws of Generator.uniform(low, high) and, from a second generator
-    with the same seed, n of the frame loop's lo + span * u, as hex."""
+    """n draws of numpy's Generator.uniform(low, high) and n of the frame
+    loop's lo + span * u from the stream of the same seed, as hex."""
     numpy_rng = np.random.Generator(np.random.Philox(seed))
-    raw = np.random.Generator(np.random.Philox(seed)).bit_generator.random_raw
+    raw = PhiloxStream(seed).raw
     return [
         (float(numpy_rng.uniform(low, high)).hex(), (lo + span * ((raw() >> 11) * synthetic._UNIT)).hex())
         for _ in range(n)
     ]
+
+
+def assert_aligned(stream, numpy_rng):
+    """The stream and numpy's generator hold the same buffered 32-bit half
+    and give the same next raw outputs."""
+    state = numpy_rng.bit_generator.state
+    assert state["has_uint32"] == (stream._half is not None)
+    if stream._half is not None:
+        assert state["uinteger"] == stream._half
+    assert [stream.raw() for _ in range(5)] == [int(v) for v in numpy_rng.bit_generator.random_raw(5)]
 
 
 class TestUniformDraws:
@@ -220,23 +225,139 @@ class TestUniformDraws:
 
     @given(st.integers(0, 2**64 - 1), draws)
     def test_raw_uniform_is_generator_uniform_bit_for_bit(self, seed, sequence):
-        # The frame loop's uniform, from one raw output of the bit generator,
-        # against numpy's Generator.uniform; integers and standard_normal go
-        # to numpy on both sides, and the streams must stay aligned.
+        # The frame loop's uniform from one raw output of the stream, and the
+        # stream's integers and standard_normal, against numpy's Generator
+        # on the same seed; the two must stay aligned.
         numpy_rng = np.random.Generator(np.random.Philox(seed))
-        raw_rng = np.random.Generator(np.random.Philox(seed))
-        raw = raw_rng.bit_generator.random_raw
+        stream = PhiloxStream(seed)
         for kind, args in sequence:
             if kind == "uniform":
                 (low, high), (lo, span) = args
                 expected = float(numpy_rng.uniform(low, high))
-                got = lo + span * ((raw() >> 11) * synthetic._UNIT)
+                got = lo + span * ((stream.raw() >> 11) * synthetic._UNIT)
                 assert got.hex() == expected.hex(), (low, high)
             elif kind == "integers":
-                assert int(raw_rng.integers(args[0], args[1] + 1)) == int(numpy_rng.integers(args[0], args[1] + 1))
+                assert stream.integers(args[0], args[1] + 1) == int(numpy_rng.integers(args[0], args[1] + 1))
             else:
-                assert float(raw_rng.standard_normal()).hex() == float(numpy_rng.standard_normal()).hex()
-        assert plain(raw_rng.bit_generator.state) == plain(numpy_rng.bit_generator.state)
+                assert stream.standard_normal().hex() == float(numpy_rng.standard_normal()).hex()
+        assert_aligned(stream, numpy_rng)
+
+
+def normal_after(output, then=(0, 0, 0)):
+    """standard_normal from numpy and from the stream, each fed the raw
+    outputs output, then the three of then, then seed 0's stream: both
+    values, and how many outputs each used."""
+    bit_generator = np.random.Philox(0)
+    state = bit_generator.state
+    state["buffer"] = np.array([output, *then], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bit_generator.state = state
+    expected = float(np.random.Generator(bit_generator).standard_normal())
+    after = bit_generator.state
+    # Past the set buffer, each four outputs are one more counter step.
+    numpy_used = 4 * int(after["state"]["counter"][0]) + after["buffer_pos"]
+    stream = PhiloxStream(0)
+    outputs = chain([output, *then], iter(stream.raw, None))
+    used = []
+    stream.raw = lambda: used.append(1) or next(outputs)
+    return expected, stream.standard_normal(), numpy_used, len(used)
+
+
+def ziggurat_output(idx, rabs, sign=0):
+    """The raw output whose ziggurat layer is idx, sign bit sign and
+    52-bit magnitude rabs."""
+    return rabs << 9 | sign << 8 | idx
+
+
+class TestPhiloxStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 - 2**100 + 12345])
+    def test_key_is_numpys_seed_sequence_state(self, seed):
+        expected = tuple(int(v) for v in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+        assert seed_key(seed) == expected
+        assert [int(v) for v in np.random.Philox(seed).state["state"]["key"]] == list(expected)
+
+    def test_raw_outputs_cross_batches_as_numpys(self):
+        # 3,000 outputs span three of the stream's 1,024-output batches.
+        numpy_raw = np.random.Philox(7).random_raw(3000)
+        stream = PhiloxStream(7)
+        assert [stream.raw() for _ in range(3000)] == [int(v) for v in numpy_raw]
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (0, 1), (3, 4), (0, 2), (-5, 16), (0, 2**31), (0, 2**32 - 1), (0, 2**32),
+            (7, 2**32 + 8), (0, 2**40 + 3), (-(2**63), 0), (-(2**63), 2**63),
+        ],
+    )
+    def test_integers_of_every_range_width_are_numpys(self, low, high):
+        # Widths below, at and above 32 bits: the 32-bit rejection, the
+        # plain 32-bit draw, the 64-bit rejection and the plain 64-bit draw,
+        # interleaved with raw draws that must leave the buffered half alone.
+        numpy_rng = np.random.Generator(np.random.Philox(11))
+        stream = PhiloxStream(11)
+        for i in range(300):
+            if i % 3 == 2:
+                assert stream.raw() == int(numpy_rng.bit_generator.random_raw())
+            assert stream.integers(low, high) == int(numpy_rng.integers(low, high))
+        assert_aligned(stream, numpy_rng)
+
+    @pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2**63 + 1), (-(2**63) - 1, 0)])
+    def test_integers_outside_int64_or_of_an_empty_range_is_a_value_error(self, low, high):
+        with pytest.raises(ValueError):
+            PhiloxStream(0).integers(low, high)
+
+    @pytest.mark.parametrize("idx", range(256))
+    def test_each_ziggurat_layer_is_numpys(self, idx):
+        # rabs = 1 gives exactly the layer's width wi[idx] (layer 1, whose
+        # ki is 0, by its wedge with a zero uniform); rabs = ki - 1 returns
+        # from one output, and rabs = ki goes on to the wedge or the tail.
+        for sign in (0, 1):
+            expected, got, numpy_used, used = normal_after(ziggurat_output(idx, 1, sign))
+            assert expected == got == (-_WI[idx] if sign else _WI[idx])
+            assert numpy_used == used
+        if _KI[idx] > 0:
+            expected, got, numpy_used, used = normal_after(ziggurat_output(idx, _KI[idx] - 1))
+            assert expected.hex() == got.hex() and numpy_used == used == 1
+        expected, got, numpy_used, used = normal_after(ziggurat_output(idx, _KI[idx]))
+        assert expected.hex() == got.hex() and numpy_used == used > 1
+
+    @pytest.mark.parametrize("idx", range(1, 256))
+    def test_each_wedge_rejects_from_numpys_uniform(self, idx):
+        # A point halfway out in layer idx, so past ki, and k the first
+        # uniform k * 2**-53 whose wedge height reaches the density there:
+        # the wedge accepts with k - 1 and rejects with k, in numpy as in
+        # the stream. One ulp more or less in fi[idx - 1] or fi[idx] moves
+        # that k by about fi / (fi[idx - 1] - fi[idx]) steps.
+        rabs = (_KI[idx] + 2**52) // 2
+        x = rabs * _WI[idx]
+
+        def rejects(k):
+            return (_FI[idx - 1] - _FI[idx]) * (k * synthetic._UNIT) + _FI[idx] >= math.exp(-0.5 * x * x)
+
+        low, high = 0, 2**53 - 1
+        assert not rejects(low) and rejects(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (low, middle) if rejects(middle) else (middle, high)
+        # The output after a rejection, 0, is layer 0 at rabs 0: 0.0 at once.
+        for k, value, n_used in ((high - 1, x, 2), (high, 0.0, 3)):
+            expected, got, numpy_used, used = normal_after(ziggurat_output(idx, rabs), (k << 11, 0, 0))
+            assert expected == got == value and numpy_used == used == n_used
+
+    def test_normals_through_the_tail_and_the_wedges_are_numpys(self):
+        numpy_rng = np.random.Generator(np.random.Philox(20240817))
+        stream = PhiloxStream(20240817)
+        draw = stream.raw
+        first = []
+        stream.raw = lambda: first.append(value := draw()) or value
+        branches = set()
+        for _ in range(50000):
+            first.clear()
+            assert stream.standard_normal().hex() == float(numpy_rng.standard_normal()).hex()
+            if len(first) > 1:
+                branches.add("tail" if first[0] & 0xFF == 0 else "wedge")
+        assert branches == {"tail", "wedge"}
+        assert_aligned(stream, numpy_rng)
 
 
 class TestGeneratedRecords:
