@@ -115,6 +115,8 @@ class Record:
 
     @classmethod
     def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object for {cls.__name__}, got {type(data).__name__}")
         values = {}
         for name, hint, optional in _field_hints(cls):
             if name in data:

@@ -509,9 +509,9 @@ def cmd_synth(opts: _Options) -> int:
 def _decode_stats(data: dict) -> tuple[BinSpec, list[BinStats]]:
     """The BinSpec and the bins of a bin_stats.json object; ValueError for a
     bin outside that spec or a std divided by its mean (not in score units)."""
+    spec = BinSpec.from_dict(data)
     if data.get("normalized_std"):
         raise ValueError("normalized_std is true: the report draws std in score units")
-    spec = BinSpec.from_dict(data)
     bins = [BinStats.from_dict(entry) for entry in data["bins"]]
     for entry in bins:
         spec.edges(entry.bin_index)
@@ -526,7 +526,11 @@ def cmd_report(opts: _Options) -> int:
     spec, bins = BinSpec(), []
     if opts.stats is not None:
         spec, bins = _load_json(opts.stats, "stats", _decode_stats)
-    svg, md = render_threshold_svg(model, bins, spec), render_summary_md(model, bins, spec)
+    try:
+        svg = render_threshold_svg(model, bins, spec)
+    except ValueError as exc:
+        raise DatasetError(f"model file {opts.model} cannot be plotted: {exc}") from exc
+    md = render_summary_md(model, bins, spec)
     print(_write(opts.out_dir, {"threshold_curve.svg": svg, "summary.md": md}))
     return EXIT_OK
 

@@ -21,23 +21,21 @@ frame offsets. It gives the IoU of every same-frame pair that the
 bounding-circle prune keeps, bit for bit equal to the scalar IoU: the
 prune tests only the ground truth in a z window around each detection,
 each row's frame is built once, and every kept pair goes through the
-package's one clipper, in one box's own frame. One sparse greedy loop
-(_greedy) then matches the pairs at or above the threshold, all frames
-at once.
-A threshold filter flags detection rows (one flag per row, or
-EvaluationError), and the loop skips the pairs of unflagged ones, so
-the kernel runs once for the filtered point metrics, per-bin rows and
-AP and the unfiltered AP. The tables hold the same frames in strictly
-ascending frame_id order, so row order is (frame_id, position) order:
-the AP sweep is one stable sort of the rows by descending score, and
-matching never crosses frames, so its flags are exactly those of a
-global score-sorted sweep.
+package's one clipper, in one box's own frame. _candidates lists each
+detection's ground truth at or above the threshold once, best first. The
+AP sweep (_sweep, one stable sort of the rows by descending score) is
+also the matching order: _match walks it. A threshold filter flags
+detection rows (one flag per row, or EvaluationError); the filtered
+metrics walk the flagged part of the sweep and the unfiltered AP all of
+it, over the same candidates. The tables hold the same frames in
+strictly ascending frame_id order, so row order is (frame_id, position)
+order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -113,52 +111,39 @@ def _eval_rows(gt: LabelTable, det: LabelTable, config: MatchConfig) -> tuple[li
     return gt_rows, det_rows
 
 
-def _greedy(
-    det_idx: Iterable[int],
-    gt_idx: Iterable[int],
-    iou: Iterable[float],
-    scores: Sequence[float],
-    threshold: float,
-) -> list[tuple[int, int, float]]:
-    """The greedy matcher, over sparse (det_idx, gt_idx, iou) pairs.
+def _sweep(scores: Sequence[float]) -> list[int]:
+    """Detection indices by descending score, equal scores in index order
+    (a reverse sort is stable too): the one order of matching and of AP."""
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
-    Detections are taken in (-score, index) order; each takes the free
-    ground truth of highest IoU at or above threshold, the lowest index
-    on ties. Indices may span many frames as long as no ground-truth
-    index is shared between frames. Returns (det_idx, gt_idx, iou) in
-    the order the matches were made.
-    """
-    order = sorted(
-        (-scores[d], d, -value, g)
-        for d, g, value in zip(det_idx, gt_idx, iou)
-        if value >= threshold and value > 0.0
-    )
-    done: set[int] = set()
+
+def _candidates(pairs: tuple[list[int], list[int], list[float]], n_det: int, threshold: float) -> list[list]:
+    """Each detection's candidates among the (det_idx, gt_idx, iou) pairs:
+    (-iou, gt_idx) for each pair at or above threshold, highest IoU first,
+    ties to the lower ground-truth index."""
+    candidates: list[list[tuple[float, int]]] = [[] for _ in range(n_det)]
+    for d, g, value in zip(*pairs):
+        if value >= threshold and value > 0.0:
+            candidates[d].append((-value, g))
+    for row in candidates:
+        row.sort()
+    return candidates
+
+
+def _match(order: Iterable[int], candidates: list[list]) -> list[tuple[int, int]]:
+    """The greedy matcher: each detection of order, in turn, takes its
+    first candidate not yet taken. Ground-truth indices may span many
+    frames as long as no index is shared between frames. Returns the
+    (det_idx, gt_idx) matches in the order they were made."""
     taken: set[int] = set()
-    matches: list[tuple[int, int, float]] = []
-    for _, d, negated, g in order:
-        if d not in done and g not in taken:
-            done.add(d)
-            taken.add(g)
-            matches.append((d, g, -negated))
+    matches: list[tuple[int, int]] = []
+    for d in order:
+        for _, g in candidates[d]:
+            if g not in taken:
+                taken.add(g)
+                matches.append((d, g))
+                break
     return matches
-
-
-def _match(
-    pairs: tuple[list[int], list[int], list[float]],
-    scores: list[float],
-    threshold: float,
-    n_gt: int,
-    in_set: list[bool],
-) -> tuple[list[bool], list[bool]]:
-    """_greedy over the pairs of the detections flagged in in_set: the
-    matched flags of the ground truth and of every detection."""
-    flags = [in_set[d] for d in pairs[0]]
-    gt_hit = [False] * n_gt
-    det_hit = [False] * len(scores)
-    for d, g, _ in _greedy(*(compress(column, flags) for column in pairs), scores, threshold):
-        det_hit[d] = gt_hit[g] = True
-    return gt_hit, det_hit
 
 
 def _box_columns(table: LabelTable, rows: list[int]) -> list[list[float]]:
@@ -275,19 +260,21 @@ def evaluate_tables(
         raise EvaluationError(f"kept holds {len(kept)} flags for {len(det)} detection rows")
     spec = bin_spec if bin_spec is not None else BinSpec()
     gt_rows, det_rows = _eval_rows(gt, det, config)
-    score_column = det.scores()
-    scores = [score_column[r] for r in det_rows]
+    scores = list(map(det.scores().__getitem__, det_rows))
     det_boxes, gt_boxes = _box_columns(det, det_rows), _box_columns(gt, gt_rows)
     pairs = pair_iou(det_boxes, _offsets(det, det_rows), gt_boxes, _offsets(gt, gt_rows), config.iou_kind)
-    every = [True] * len(det_rows)
-    in_set = every if kept is None else [bool(kept[r]) for r in det_rows]
-    gt_hit, det_hit = _match(pairs, scores, config.iou_threshold, len(gt_rows), in_set)
+    candidates = _candidates(pairs, len(det_rows), config.iou_threshold)
+    sweep = _sweep(scores)
+    kept_sweep = sweep if kept is None else [i for i in sweep if kept[det_rows[i]]]
+    gt_hit, det_hit = [False] * len(gt_rows), [False] * len(det_rows)
+    for d, g in _match(kept_sweep, candidates):
+        det_hit[d] = gt_hit[g] = True
 
     overflow = spec.n_bins
     tp_by_bin, fn_by_bin, fp_by_bin = ([0] * (overflow + 1) for _ in range(3))
     for b, hit in zip(_bins(gt, gt_rows, spec), gt_hit):
         (tp_by_bin if hit else fn_by_bin)[b] += 1
-    for b in _bins(det, [r for r, flag, hit in zip(det_rows, in_set, det_hit) if flag and not hit], spec):
+    for b in _bins(det, [det_rows[i] for i in kept_sweep if not det_hit[i]], spec):
         fp_by_bin[b] += 1
 
     tp = sum(tp_by_bin)
@@ -318,15 +305,13 @@ def evaluate_tables(
             )
         )
 
-    # A reverse sort is stable too: equal scores stay in row order.
-    sweep = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     kind = config.ap_interpolation
-    ap_filtered = _interpolated_ap([det_hit[i] for i in sweep if in_set[i]], len(gt_rows), kind)
+    ap_filtered = _interpolated_ap([det_hit[i] for i in kept_sweep], len(gt_rows), kind)
     if kept is None:
         ap, ap_filtered = ap_filtered, None
     else:
-        all_hit = _match(pairs, scores, config.iou_threshold, len(gt_rows), every)[1]
-        ap = _interpolated_ap([all_hit[i] for i in sweep], len(gt_rows), kind)
+        all_hit = {d for d, _ in _match(sweep, candidates)}
+        ap = _interpolated_ap([i in all_hit for i in sweep], len(gt_rows), kind)
     return EvalReport(
         config=config,
         tp=tp,

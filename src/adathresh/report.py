@@ -7,7 +7,7 @@ diffs cleanly in golden tests.
 
 from __future__ import annotations
 
-from .bin_stats import BinSpec, BinStats
+from .bin_stats import MAX_BINS, BinSpec, BinStats
 from .threshold import ThresholdModel
 
 _WIDTH = 720
@@ -23,6 +23,8 @@ _BAND_COLOR = "#2ecc71"
 _AXIS_COLOR = "#444444"
 _GRID_COLOR = "#dddddd"
 
+_CURVE_STEP = 0.5  # meters between curve samples
+
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
@@ -33,10 +35,14 @@ def render_threshold_svg(
     bins: list[BinStats] | None = None,
     bin_spec: BinSpec | None = None,
 ) -> str:
-    """Threshold-over-distance plot with optional bin means and a std band."""
+    """Threshold-over-distance plot with optional bin means and a std band;
+    ValueError when the axis needs more than MAX_BINS ticks or curve samples."""
     bins = bins or []
     spec = bin_spec if bin_spec is not None else BinSpec()
     x_max = max(spec.max_distance, model.delta)
+    steps = max(x_max / spec.bin_width, model.delta / _CURVE_STEP)
+    if steps > MAX_BINS + 0.5:
+        raise ValueError(f"delta {model.delta:g} m needs {steps:.6g} plot ticks or curve samples, more than {MAX_BINS}")
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
@@ -100,7 +106,7 @@ def render_threshold_svg(
 
     # threshold curve: quadratic branch, then the flat tail beyond delta
     quad_end = min(model.delta, x_max)
-    samples = _sample_range(0.0, quad_end, step=0.5)
+    samples = _sample_range(0.0, quad_end, step=_CURVE_STEP)
     curve = " ".join(f"{sx(d):.2f},{sy(model.threshold_at(d)):.2f}" for d in samples)
     parts.append(
         f'<polyline points="{curve}" fill="none" stroke="{_CURVE_COLOR}" stroke-width="2"/>'

@@ -43,7 +43,7 @@ def _quadratic(alpha: float, beta: float, gamma: float, d: float) -> float:
 class ThresholdModel(Record):
     """Distance-adaptive threshold parameters.
 
-    Construction validates that alpha, beta and gamma are finite,
+    Construction validates that alpha, beta, gamma and delta are finite,
     delta > 0, k in [0, 1], and that the quadratic stays within [0, 1]
     on [0, delta]; violations raise ModelRangeError rather than being
     clamped.
@@ -58,7 +58,7 @@ class ThresholdModel(Record):
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta", "k"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("alpha", "beta", "gamma"):
+        for name in ("alpha", "beta", "gamma", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ModelRangeError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta > 0.0:
@@ -151,8 +151,8 @@ def fit_quadratic(
     normal equations are solved exactly over the float inputs, so each
     coefficient is the correctly rounded least-squares solution, the
     same on every platform. Pass k=None to set the flat tail by
-    continuity, k = q(delta). sigma_floor must be finite and positive,
-    delta positive and a given k within [0, 1] (ValueError). Fewer than
+    continuity, k = q(delta). sigma_floor and delta must be finite and
+    positive, and a given k within [0, 1] (ValueError). Fewer than
     3 occupied bins, a weight that is not finite, or singular normal
     equations raise FitError; a fitted curve leaving [0, 1] on [0, delta],
     or a k set by continuity outside it, raises ModelRangeError from
@@ -160,8 +160,8 @@ def fit_quadratic(
     """
     if not (math.isfinite(sigma_floor) and sigma_floor > 0.0):
         raise ValueError(f"sigma_floor must be finite and positive, got {sigma_floor!r}")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if k is not None and not 0.0 <= k <= 1.0:
         raise ValueError(f"k must be within [0, 1], got {k!r}")
     usable = [s for s in stats if s.count > 0]

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from adathresh.bin_stats import BinSpec, BinStats, compute_bin_stats
-from adathresh.evaluation import MatchConfig, _greedy, evaluate_tables, trade_off
+from adathresh.evaluation import MatchConfig, _candidates, _match, _sweep, evaluate_tables, trade_off
 from adathresh.geometry import iou_bev, pair_iou
 from adathresh.kitti_io import DONT_CARE, LabelTable, read_label_table, write_frames
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
@@ -188,8 +188,8 @@ def test_acceptance_5_matching_oracle():
             rng = random.Random(seed)
             gt, det = random_scene(rng)
             pairs = pair_iou(box_columns(det), [0, len(det)], box_columns(gt), [0, len(gt)], "bev")
-            matches = _greedy(*pairs, score_list(det), config.iou_threshold)
-            greedy_pairs = [(d, g) for d, g, _ in matches]
+            candidates = _candidates(pairs, len(det), config.iou_threshold)
+            greedy_pairs = _match(_sweep(score_list(det)), candidates)
             assert greedy_pairs == brute_force_match(gt, det, iou_bev, config.iou_threshold)
 
             matrix = [[iou_bev(d.to_box3d(), g.to_box3d()) for g in gt] for d in det]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from io import StringIO
@@ -743,6 +744,43 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"adathresh: error: cannot read {kind} file {bad}: 'utf-8' codec")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind", ["model", "config", "scenario", "stats", "report"])
+    @pytest.mark.parametrize("value", [[], 5, "x", None, True])
+    def test_json_file_that_holds_no_object_is_a_data_error_naming_it(self, tmp_path, capsys, kind, value):
+        bad = write_json(tmp_path / f"bad_{kind}.json", value)
+        model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict())
+        out = ("--out-dir", str(tmp_path / "o"))
+        argv = {
+            "model": ["report", "--model", bad, *out],
+            "config": ["stats", "--config", bad, *out],
+            "scenario": ["synth", "--spec", bad, *out],
+            "stats": ["report", "--model", model, "--stats", bad, *out],
+            "report": ["compare", bad, bad, *out],
+        }[kind]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{kind} file {bad}" in err and "JSON object" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "delta, rc, message",
+        [
+            (5000.0, 0, ""),  # 10,000 curve samples every 0.5 m
+            (5000.5, 2, "plot ticks or curve samples, more than 10000"),
+            (1e9, 2, "plot ticks or curve samples, more than 10000"),
+            (math.inf, 3, "delta must be finite, got inf"),
+        ],
+    )
+    def test_report_of_a_far_delta_returns(self, tmp_path, capsys, delta, rc, message):
+        # A flat curve stays within [0, 1] at any delta, and the plot's axis
+        # ticks and curve samples run out to delta.
+        model = write_json(tmp_path / "model.json", {"alpha": 0.0, "beta": 0.0, "gamma": 0.5, "delta": delta, "k": 0.5})
+        assert run("report", "--model", model, "--out-dir", str(tmp_path / "o")) == rc
+        err = capsys.readouterr().err
+        assert message in err
+        assert (f"model file {model} cannot be plotted" in err) == (rc == 2)
+        assert (tmp_path / "o").exists() == (rc == 0)
+
     def test_json_files_drop_one_leading_byte_order_mark(self, tmp_path, dataset, capsys):
         # As label files do: the rest is read as if the mark were not there.
         model = ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict()
@@ -1020,8 +1058,9 @@ class TestExitCodes:
             ("k", "2", 2, "k must be within [0, 1], got 2.0"),
             ("k", "-0.5", -0.5, "k must be within [0, 1], got -0.5"),
             ("k", "nan", math.nan, "k must be within [0, 1], got nan"),
-            ("delta", "-1", -1, "delta must be positive, got -1.0"),
-            ("delta", "nan", math.nan, "delta must be positive, got nan"),
+            ("delta", "-1", -1, "delta must be finite and positive, got -1.0"),
+            ("delta", "nan", math.nan, "delta must be finite and positive, got nan"),
+            ("delta", "inf", math.inf, "delta must be finite and positive, got inf"),
         ],
     )
     def test_fit_with_k_or_delta_out_of_range(self, tmp_path, dataset, capsys, key, flag_value, config_value, message):
@@ -1332,6 +1371,107 @@ class TestFuzzedConfigValues:
         assert rc in (0, 2, 3) or (rc == 1 and missing), (rc, err.getvalue())
         if rc == 2:
             named = f"config file {small_dataset / 'cfg.json'}" in err.getvalue()
+            assert named or any(message in err.getvalue() for message in self.DATA_ERRORS), err.getvalue()
+
+
+# JSON values for a whole input file or one of its fields: scalars, odd
+# numbers, strings, and small lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.sampled_from(NUMBERS) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+# synth's work grows with n_frames and objects_per_frame by design, so
+# values drawn for them stay small.
+SMALL_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2.0, 4.0) | st.sampled_from(NUMBERS[:3]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=3,
+)
+_DELETE = object()
+
+
+def json_paths(value, prefix=()):
+    """The path (keys and list indices) of value and of every value inside it."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    yield prefix
+    for key, inner in items:
+        yield from json_paths(inner, (*prefix, key))
+
+
+def replaced(payload, path, value):
+    """A copy of payload with the value at path replaced by value, or
+    removed when value is _DELETE; value itself at the empty path."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(payload))
+    *head, last = path
+    parent = copy
+    for key in head:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return copy
+
+
+@pytest.fixture(scope="class")
+def json_inputs(tmp_path_factory):
+    """A valid payload of each JSON input: scenario, model, stats and report."""
+    root = tmp_path_factory.mktemp("json")
+    scenario = scenario_payload(n_frames=2, objects_per_frame=[1, 2])
+    assert run("synth", "--spec", write_json(root / "scenario.json", scenario), "--out-dir", str(root)) == 0
+    data = ("--gt-dir", str(root / "gt"), "--det-dir", str(root / "det"))
+    assert run("stats", *data, "--out-dir", str(root / "s")) == 0
+    assert run("eval", *data, "--out-dir", str(root / "e"), "--threshold-mode", "single:0.5") == 0
+    return {
+        "scenario": scenario,
+        # A flat curve stays within [0, 1] at any delta, so delta alone bounds the plot.
+        "model": ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, k=0.6).to_dict(),
+        "stats": json.loads((root / "s" / "bin_stats.json").read_text(encoding="utf-8")),
+        "report": json.loads((root / "e" / "eval_report.json").read_text(encoding="utf-8")),
+    }
+
+
+class TestFuzzedJsonFiles:
+    """Scenario files through synth, model and stats files through report,
+    and report files through compare, each valid but for one random JSON
+    value, as the whole file or in place of one field (or that field
+    removed): main returns an exit code and never raises, and an exit 2
+    names the file."""
+
+    # An exit 2 that follows from two reports, not from one file.
+    DATA_ERRORS = ("reports were produced under different configurations",)
+
+    @staticmethod
+    def argv(root, kind, path, inputs):
+        out = ["--out-dir", str(root / "out")]
+        if kind == "scenario":
+            return ["synth", "--spec", path, *out]
+        if kind == "model":
+            return ["report", "--model", path, *out]
+        if kind == "stats":
+            return ["report", "--model", write_json(root / "valid.json", inputs["model"]), "--stats", path, *out]
+        return ["compare", write_json(root / "valid.json", inputs["report"]), path, *out]
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", ["scenario", "model", "stats", "report"])
+    def test_main_exits_with_a_code_and_names_the_file(self, json_inputs, kind, data):
+        base = json_inputs[kind]
+        path = data.draw(st.sampled_from(list(json_paths(base))), label="path")
+        small = kind == "scenario" and path[:1] in (("n_frames",), ("objects_per_frame",))
+        values = SMALL_VALUES if small else JSON_VALUES
+        value = data.draw(values | st.just(_DELETE) if path else values, label="value")
+        err = StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            fuzzed = write_json(Path(tmp) / f"{kind}.json", replaced(base, path, value))
+            with redirect_stderr(err), redirect_stdout(StringIO()):
+                rc = main(self.argv(Path(tmp), kind, fuzzed, json_inputs))
+        assert rc in (0, 2, 3), (rc, err.getvalue())
+        if rc == 2:
+            named = f"file {fuzzed}" in err.getvalue()
             assert named or any(message in err.getvalue() for message in self.DATA_ERRORS), err.getvalue()
 
 

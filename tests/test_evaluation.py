@@ -13,11 +13,12 @@ from adathresh.evaluation import (
     EvaluationError,
     MatchConfig,
     MetricDelta,
+    _candidates,
     _eval_rows,
-    _greedy,
     _interpolated_ap,
     _match,
     _ratio,
+    _sweep,
     compare_reports,
     evaluate_tables,
     trade_off,
@@ -52,18 +53,27 @@ def single_frame(gt, det):
     return [frame("000000", gt, det)]
 
 
-def frame_matches(gt, det):
-    """_greedy over one frame's BEV pair_iou: (det_idx, gt_idx, iou) in match order."""
+def frame_candidates(gt, det):
+    """_candidates of one frame's BEV pair_iou."""
     pairs = pair_iou(box_columns(det), [0, len(det)], box_columns(gt), [0, len(gt)], "bev")
-    return _greedy(*pairs, score_list(det), BEV_CFG.iou_threshold)
+    return _candidates(pairs, len(det), BEV_CFG.iou_threshold)
+
+
+def frame_matches(gt, det):
+    """_match over one frame's candidates along the _sweep of its scores:
+    (det_idx, gt_idx) in match order."""
+    return _match(_sweep(score_list(det)), frame_candidates(gt, det))
 
 
 def frame_hits(gt, det, in_set=None):
-    """_match over one frame's BEV pair_iou: the (gt_hit, det_hit) flags,
-    matching only the detections flagged in in_set (all without it)."""
-    pairs = pair_iou(box_columns(det), [0, len(det)], box_columns(gt), [0, len(gt)], "bev")
-    flags = [True] * len(det) if in_set is None else in_set
-    return _match(pairs, score_list(det), BEV_CFG.iou_threshold, len(gt), flags)
+    """The (gt_hit, det_hit) flags of _match over one frame's candidates,
+    walking only the detections of the sweep flagged in in_set (all
+    without it), as evaluate_tables walks the kept rows."""
+    order = [d for d in _sweep(score_list(det)) if in_set is None or in_set[d]]
+    gt_hit, det_hit = [False] * len(gt), [False] * len(det)
+    for d, g in _match(order, frame_candidates(gt, det)):
+        det_hit[d] = gt_hit[g] = True
+    return gt_hit, det_hit
 
 
 def evaluate_frames(frames, config, bin_spec=None, kept=None):
@@ -130,36 +140,49 @@ class TestTradeOff:
         assert trade_off(0.813, 0.786) == pytest.approx(0.027, abs=1e-12)
 
 
-class TestGreedyMatch:
-    """_greedy over sparse (det_idx, gt_idx, iou) pairs."""
+class TestSweepAndMatch:
+    """_sweep, _candidates and _match over sparse (det_idx, gt_idx, iou) pairs."""
 
-    def test_rows_in_score_order_take_best_free_column(self):
-        # The IoU matrix [[0.8, 0.9], [0.95, 0.0]], row = detection.
-        matches = _greedy([0, 0, 1], [0, 1, 0], [0.8, 0.9, 0.95], [0.5, 0.9], 0.5)
-        assert matches == [(1, 0, 0.95), (0, 1, 0.9)]
+    def test_sweep_order_takes_best_free_candidate(self):
+        # The IoU matrix [[0.9, 0.8], [0.95, 0.0]], row = detection. The
+        # higher-scored detection 1 takes ground truth 0 first, so
+        # detection 0 falls back to its second candidate.
+        candidates = _candidates(([0, 0, 1], [0, 1, 0], [0.9, 0.8, 0.95]), 2, 0.5)
+        assert candidates == [[(-0.9, 0), (-0.8, 1)], [(-0.95, 0)]]
+        assert _sweep([0.5, 0.9]) == [1, 0]
+        assert _match(_sweep([0.5, 0.9]), candidates) == [(1, 0), (0, 1)]
 
-    def test_ties_go_to_lower_row_and_lower_column(self):
-        matches = _greedy([0, 0, 1, 1], [0, 1, 0, 1], [0.7] * 4, [0.6, 0.6], 0.5)
-        assert matches == [(0, 0, 0.7), (1, 1, 0.7)]
+    def test_ties_go_to_lower_detection_and_ground_truth_index(self):
+        # Pairs listed with the higher ground-truth index first.
+        candidates = _candidates(([0, 0, 1, 1], [1, 0, 1, 0], [0.7] * 4), 2, 0.5)
+        assert candidates == [[(-0.7, 0), (-0.7, 1)], [(-0.7, 0), (-0.7, 1)]]
+        assert _sweep([0.6, 0.6]) == [0, 1]
+        assert _sweep([0.6, 0.9, 0.6, 0.6]) == [1, 0, 2, 3]
+        assert _match(_sweep([0.6, 0.6]), candidates) == [(0, 0), (1, 1)]
 
     def test_threshold_is_inclusive(self):
         pairs = ([0, 0], [0, 1], [0.5, 0.4999999999999999])
-        assert _greedy(*pairs, [0.9], 0.5) == [(0, 0, 0.5)]
-        assert _greedy(*pairs, [0.9], 0.6) == []
+        assert _candidates(pairs, 1, 0.5) == [[(-0.5, 0)]]
+        assert _match([0], _candidates(pairs, 1, 0.5)) == [(0, 0)]
+        assert _candidates(pairs, 1, 0.6) == [[]]
+        assert _match([0], _candidates(pairs, 1, 0.6)) == []
 
-    def test_empty_matrices(self):
+    def test_empty_input(self):
         none = ([], [], [])
-        assert _greedy(*none, [], 0.5) == []
-        assert _greedy(*none, [0.9, 0.8], 0.5) == []
+        assert _sweep([]) == []
+        assert _candidates(none, 0, 0.5) == []
+        assert _match([], []) == []
+        assert _candidates(none, 2, 0.5) == [[], []]
+        assert _match(_sweep([0.9, 0.8]), [[], []]) == []
 
 
 class TestMatchFrame:
-    """One frame through pair_iou, _greedy and _match, and through evaluate_tables."""
+    """One frame through pair_iou, _candidates, _sweep and _match, and through evaluate_tables."""
 
     def test_single_pair(self):
         gt = [make_record(0.0, 10.0)]
         det = [make_record(0.0, 10.0, score=0.9)]
-        assert frame_matches(gt, det) == [(0, 0, 1.0)]
+        assert frame_matches(gt, det) == [(0, 0)]
         assert frame_hits(gt, det) == ([True], [True])
         assert counts(evaluate_frames(single_frame(gt, det), BEV_CFG)) == (1, 0, 0)
 
@@ -169,7 +192,7 @@ class TestMatchFrame:
             make_record(0.1, 10.0, score=0.8),
             make_record(0.0, 10.0, score=0.9),
         ]
-        assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(1, 0)]
+        assert frame_matches(gt, det) == [(1, 0)]
         assert frame_hits(gt, det)[1] == [False, True]
         assert counts(evaluate_frames(single_frame(gt, det), BEV_CFG)) == (1, 1, 0)
 
@@ -188,14 +211,14 @@ class TestMatchFrame:
             make_record(0.1, 10.0, score=0.8),
             make_record(0.0, 10.0, score=0.8),
         ]
-        assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(0, 0)]
+        assert frame_matches(gt, det) == [(0, 0)]
 
     def test_detection_takes_highest_iou_ground_truth(self):
         # At yaw 0 the 1.7 m width lies along z; the detection overlaps
         # both boxes but the second (IoU 0.89 vs 0.62) more.
         gt = [make_record(0.0, 10.0), make_record(0.0, 10.5)]
         det = [make_record(0.0, 10.4, score=0.9)]
-        assert [(d, g) for d, g, _ in frame_matches(gt, det)] == [(0, 1)]
+        assert frame_matches(gt, det) == [(0, 1)]
         assert frame_hits(gt, det)[0] == [False, True]
 
     def test_iou_below_threshold_not_matched(self):
@@ -215,9 +238,8 @@ class TestMatchFrame:
         for seed in range(25):
             rng = random.Random(seed)
             gt, det = random_scene(rng)
-            matches = frame_matches(gt, det)
             expected = brute_force_match(gt, det, iou_bev, BEV_CFG.iou_threshold)
-            assert [(d, g) for d, g, _ in matches] == expected, f"seed {seed}"
+            assert frame_matches(gt, det) == expected, f"seed {seed}"
 
     @given(st.integers(0, 2**32 - 1))
     def test_conservation(self, seed):
@@ -225,15 +247,16 @@ class TestMatchFrame:
         gt, det = random_scene(rng)
         matches = frame_matches(gt, det)
         gt_hit, det_hit = frame_hits(gt, det)
-        matched_gt = [g for _, g, _ in matches]
-        matched_det = [d for d, _, _ in matches]
+        matched_gt = [g for _, g in matches]
+        matched_det = [d for d, _ in matches]
         unmatched_gt = [g for g, hit in enumerate(gt_hit) if not hit]
         unmatched_det = [d for d, hit in enumerate(det_hit) if not hit]
         assert len(set(matched_gt)) == len(matched_gt)
         assert len(set(matched_det)) == len(matched_det)
         assert sorted(matched_gt + unmatched_gt) == list(range(len(gt)))
         assert sorted(matched_det + unmatched_det) == list(range(len(det)))
-        assert all(iou >= BEV_CFG.iou_threshold for _, _, iou in matches)
+        ious = [iou_bev(det[d].to_box3d(), gt[g].to_box3d()) for d, g in matches]
+        assert all(iou >= BEV_CFG.iou_threshold for iou in ious)
 
 
 class TestPointMetrics:

@@ -71,6 +71,13 @@ class TestThresholdModelConstruction:
         with pytest.raises(ModelRangeError):
             ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_rejects_delta_that_is_not_finite(self, delta):
+        # A flat quadratic stays in [0, 1] on any range, so only the
+        # finiteness check stops an infinite delta.
+        with pytest.raises(ModelRangeError, match=f"delta must be finite, got {delta}"):
+            ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=delta)
+
     @pytest.mark.parametrize("k", [-0.01, 1.01])
     def test_rejects_out_of_range_k(self, k):
         with pytest.raises(ModelRangeError):
@@ -439,9 +446,10 @@ class TestFitQuadratic:
     @pytest.mark.parametrize(
         "delta, k, message",
         [
-            (0.0, 0.6, "delta must be positive, got 0.0"),
-            (-1.0, 0.6, "delta must be positive, got -1.0"),
-            (math.nan, 0.6, "delta must be positive, got nan"),
+            (0.0, 0.6, "delta must be finite and positive, got 0.0"),
+            (-1.0, 0.6, "delta must be finite and positive, got -1.0"),
+            (math.nan, 0.6, "delta must be finite and positive, got nan"),
+            (math.inf, 0.6, "delta must be finite and positive, got inf"),
             (30.0, 2.0, "k must be within \\[0, 1\\], got 2.0"),
             (30.0, -0.5, "k must be within \\[0, 1\\], got -0.5"),
             (30.0, math.nan, "k must be within \\[0, 1\\], got nan"),
