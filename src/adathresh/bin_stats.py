@@ -33,28 +33,27 @@ class Record:
     """Base of the package's value types: a frozen record of named fields.
 
     A subclass declares its fields as annotated class attributes, a
-    default as the attribute's value, and its checks and normalisation in
-    __post_init__, which may set a field with object.__setattr__. Record
-    gives it:
+    default as the attribute's value, and its value checks and
+    normalisation in __post_init__, which may set a field with
+    object.__setattr__. Record gives it:
 
     - __init__, taking the fields in order, positionally or by keyword;
-      a missing or unknown argument is a TypeError;
+      a missing or unknown argument is a TypeError. _decode converts and
+      checks each value given by its field's annotation;
     - frozen attributes: setting or deleting one is an AttributeError;
     - __eq__ and __hash__ over the tuple of field values, between records
       of one class; the class keyword eq=False keeps object identity;
     - a repr naming each field, as dataclasses writes it;
     - to_dict, the fields by name in order, with each record inside a
       field, or inside a tuple field, as its own to_dict;
-    - from_dict, the inverse for a JSON object. It coerces each value by
-      its field's annotation: float from a JSON number, int from a JSON
-      integer or an integral float (anything else, a boolean or a string
-      included, is a ValueError), X | None keeps None, tuple[T, ...] and
-      tuple[T, U] element by element, and a nested record through its own
-      from_dict; a str passes through unchanged. Keys that name no field
-      are ignored. A key may be missing only when its field defaults to
-      None, a tuple or a record; any other missing key raises KeyError.
+    - from_dict, the inverse for a JSON object: __init__ of its values by
+      field name, so a file and a call accept the same values. Keys that
+      name no field are ignored. A key may be missing only when its field
+      defaults to None, a tuple or a record; any other missing key raises
+      KeyError.
 
-    Fields and defaults are collected once per class, parents' first.
+    Fields and defaults are collected once per class, parents' first;
+    the annotations are resolved when the class is first built.
     """
 
     _fields = ()  # the field names, in order
@@ -83,6 +82,9 @@ class Record:
         missing = [name for name in cls._fields if name not in values and name not in cls._defaults]
         if missing:
             raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(map(repr, missing))}")
+        for name, hint, _ in _field_hints(cls):
+            if name in values:
+                values[name] = _decode(hint, values[name], name)
         self.__dict__.update(cls._defaults, **values)
         self.__post_init__()
 
@@ -117,13 +119,10 @@ class Record:
     def from_dict(cls, data: dict):
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object for {cls.__name__}, got {type(data).__name__}")
-        values = {}
-        for name, hint, optional in _field_hints(cls):
-            if name in data:
-                values[name] = _decode(hint, data[name])
-            elif not optional:
+        for name, _, optional in _field_hints(cls):
+            if name not in data and not optional:
                 raise KeyError(name)
-        return cls(**values)
+        return cls(**{name: data[name] for name in cls._fields if name in data})
 
 
 def _plain(value):
@@ -136,14 +135,21 @@ def _plain(value):
 
 @cache
 def _field_hints(cls: type) -> tuple:
-    """(name, resolved annotation, whether the key may be missing) of each
-    field of a record class."""
+    """(name, resolved annotation, whether from_dict may miss its key) of
+    each field of a record class, resolved when the class is first built."""
     hints = get_type_hints(cls)
     optional = {name for name, default in cls._defaults.items() if isinstance(default, (type(None), tuple, Record))}
     return tuple((name, hints[name], name in optional) for name in cls._fields)
 
 
-def _decode(hint, value):
+def _decode(hint, value, name: str):
+    """value as a field annotated hint holds it: float from an int or a
+    float, int from an int or an integral float, X | None keeping None,
+    tuple[T, ...] and tuple[T, U] from a list or a tuple, element by
+    element, a record from an instance or a dict (through its
+    from_dict), and any other value unchanged. Anything else, such as a
+    boolean or a string for a number or a fixed-length tuple of another
+    length, is a ValueError naming the field name."""
     args = get_args(hint)
     if type(None) in args:  # X | None
         if value is None:
@@ -151,28 +157,26 @@ def _decode(hint, value):
         (hint,) = (a for a in args if a is not type(None))
         args = get_args(hint)
     if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name}: expected a list, got {value!r}")
         if args[-1] is Ellipsis:
-            return tuple(_decode(args[0], v) for v in value)
-        return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
+            return tuple(_decode(args[0], v, name) for v in value)
+        if len(value) != len(args):
+            raise ValueError(f"{name}: expected {len(args)} values, got {len(value)}")
+        return tuple(_decode(a, v, name) for a, v in zip(args, value))
     if isinstance(hint, type) and issubclass(hint, Record):
-        return hint.from_dict(value)
+        return value if isinstance(value, hint) else hint.from_dict(value)
     if hint is int:
-        return _integer(value)
-    return _real(value) if hint is float else value
-
-
-def _integer(value) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _real(value) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if hint is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    return value
 
 
 # Every command holds a few lists of n_bins entries; a spec asking for
@@ -244,8 +248,10 @@ class BinStats(Record):
             raise ValueError("count must be non-negative")
         if (self.count == 0) != (self.mean is None) or (self.count == 0) != (self.std is None):
             raise ValueError("mean and std must be None exactly when count is 0")
-        if self.std is not None and self.std < 0.0:
-            raise ValueError("std must be non-negative")
+        if self.mean is not None and not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if self.std is not None and not 0.0 <= self.std < math.inf:
+            raise ValueError(f"std must be finite and non-negative, got {self.std}")
 
 
 class PreFilter(Record):
@@ -302,7 +308,9 @@ def compute_bin_stats(
     samples are (distance, score) pairs; entries at or beyond
     max_distance are ignored, negative distances raise. With
     normalize_std the std of each bin is divided by the bin mean
-    (0 when the mean is 0). Returns one BinStats per bin, in order.
+    (0 when the mean is 0). Returns one BinStats per bin, in order. A
+    bin whose mean or std is not finite (scores near the float range
+    overflow its sums) is an OverflowError naming the bin.
     """
     buckets: list[list[float]] = [[] for _ in range(spec.n_bins)]
     for distance, score in samples:
@@ -315,13 +323,17 @@ def compute_bin_stats(
         if n == 0:
             out.append(BinStats(index, 0, None, None))
             continue
-        mean = math.fsum(scores) / n
-        # A product, not ** 2: libm pow need not round correctly, and
-        # then scaling every score by a power of two would not scale
-        # the variance exactly.
-        variance = math.fsum((s - mean) * (s - mean) for s in scores) / n
-        std = math.sqrt(variance)
-        if normalize_std:
-            std = std / mean if mean > 0.0 else 0.0
-        out.append(BinStats(index, n, mean, std))
+        try:
+            mean = math.fsum(scores) / n
+            # A product, not ** 2: libm pow need not round correctly, and
+            # then scaling every score by a power of two would not scale
+            # the variance exactly.
+            variance = math.fsum((s - mean) * (s - mean) for s in scores) / n
+            std = math.sqrt(variance)
+            if normalize_std:
+                std = std / mean if mean > 0.0 else 0.0
+            out.append(BinStats(index, n, mean, std))
+        except (OverflowError, ValueError) as exc:  # fsum's overflow, or BinStats's finiteness check
+            lo, hi = spec.edges(index)
+            raise OverflowError(f"bin {index} [{lo:g}, {hi:g}) m: the mean or std of its {n} scores is not finite") from exc
     return out

@@ -11,11 +11,12 @@ real option's is never one. stats and fit read only detection files:
 --gt-dir fixes their frame set by file name, and only eval reads ground
 truth. Exit codes: 0 success, 1 usage error (including a bad flag
 value), 2 data or parse error (including a bad config-file value, named
-with its file), 3 numerical failure. A command's output files (synth's
-gt/, det/ and manifest.json too) go through one kitti_io.write_files
-call, so a new --out-dir gets all or none of them; CSV uses RFC 4180
-quoting and JSON a stable key order. JSON inputs are decoded as label
-files are (strict UTF-8, one leading BOM dropped).
+with its file), 3 numerical failure (an OverflowError out of a command
+included). A command's output files (synth's gt/, det/ and
+manifest.json too) go through one kitti_io.write_files call, so a new
+--out-dir gets all or none of them; CSV uses RFC 4180 quoting and JSON
+a stable key order. JSON inputs are decoded as label files are
+(strict UTF-8, one leading BOM dropped).
 """
 
 from __future__ import annotations
@@ -104,12 +105,13 @@ def _read_json(path: str | Path, kind: str):
 
 def _load_json(path: str | Path, kind: str, from_dict):
     """from_dict of a `kind` file's JSON. A missing key or a bad value is a
-    DatasetError naming the file; a ModelRangeError passes through (exit 3)."""
+    DatasetError naming the file; a ModelRangeError stays one (exit 3),
+    its message prefixed with the file's name."""
     data = _read_json(path, kind)
     try:
         return from_dict(data)
-    except ModelRangeError:
-        raise
+    except ModelRangeError as exc:
+        raise ModelRangeError(f"{kind} file {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{kind} file {path} has a missing or bad value: {exc}") from exc
 
@@ -588,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _err(exc)
         return EXIT_USAGE
-    except (FitError, ModelRangeError) as exc:
+    except (FitError, ModelRangeError, OverflowError) as exc:
         _err(exc)
         return EXIT_NUMERIC
     except (KittiIOError, OSError, ValueError) as exc:

@@ -66,15 +66,8 @@ class Box3D(Record):
     yaw: float
 
     def __post_init__(self) -> None:
-        center = tuple(float(v) for v in self.center)
-        dims = tuple(float(v) for v in self.dims)
-        if len(center) != 3 or len(dims) != 3:
-            raise ValueError("center and dims must each have three components")
-        yaw = float(self.yaw)
-        _circles([[v] for v in (*center, *dims, yaw)])  # the checks pair_iou makes of each row
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "yaw", normalize_angle(yaw))
+        _circles([[v] for v in (*self.center, *self.dims, self.yaw)])  # the checks pair_iou makes of each row
+        object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
     @property
     def height(self) -> float:

@@ -99,7 +99,6 @@ class ScoreModel(Record):
     noise_std: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "noise_std", tuple(float(v) for v in self.noise_std))
         for name in ("a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"score_model.{name} must be finite, got {getattr(self, name)}")
@@ -124,10 +123,6 @@ class ScenarioSpec(Record):
     bin_spec: BinSpec = BinSpec()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objects_per_frame", tuple(int(v) for v in self.objects_per_frame))
-        object.__setattr__(self, "distance_range", tuple(float(v) for v in self.distance_range))
-        object.__setattr__(self, "fp_rate_per_bin", tuple(float(v) for v in self.fp_rate_per_bin))
-        object.__setattr__(self, "fn_rate_per_bin", tuple(float(v) for v in self.fn_rate_per_bin))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_frames <= 0:

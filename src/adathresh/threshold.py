@@ -56,8 +56,6 @@ class ThresholdModel(Record):
     k: float = 0.6
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta", "k"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("alpha", "beta", "gamma", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ModelRangeError(f"{name} must be finite, got {getattr(self, name)}")

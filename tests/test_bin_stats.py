@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -130,6 +131,14 @@ class TestBinStats:
         with pytest.raises(ValueError):
             BinStats(0, 2, 0.5, -0.1)
 
+    @pytest.mark.parametrize("mean, std", [(math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)])
+    def test_a_mean_or_std_that_is_not_finite_is_rejected(self, mean, std):
+        name = "mean" if not math.isfinite(mean) else "std"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BinStats(0, 2, mean, std)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BinStats.from_dict({"bin_index": 0, "count": 2, "mean": mean, "std": std})
+
 
 class TestComputeBinStats:
     def test_two_point_bin(self):
@@ -215,6 +224,21 @@ class TestComputeBinStats:
         plain = compute_bin_stats(samples, DEFAULT)[0]
         normalized = compute_bin_stats(samples, DEFAULT, normalize_std=True)[0]
         assert normalized.std == pytest.approx(plain.std / plain.mean, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "scores, normalize_std",
+        [
+            ([1e308, 1e308], False),  # the sum overflows
+            ([1e308, 0.0], False),  # the sum of squares overflows
+            ([1e308, -1e308], False),
+            ([1.0, -1.0, 1e-323, 1e-323], True),  # std / mean overflows
+        ],
+    )
+    def test_a_mean_or_std_that_is_not_finite_is_an_overflow_error_naming_the_bin(self, scores, normalize_std):
+        samples = [(0.5, 0.5)] + [(15.0, s) for s in scores]
+        message = rf"bin 1 \[10, 20\) m: the mean or std of its {len(scores)} scores is not finite"
+        with pytest.raises(OverflowError, match=message):
+            compute_bin_stats(samples, DEFAULT, normalize_std=normalize_std)
 
     def test_normalized_std_zero_mean(self):
         normalized = compute_bin_stats([(5.0, 0.0), (5.0, 0.0)], DEFAULT, normalize_std=True)
@@ -462,3 +486,106 @@ class TestRecord:
         classes = [BinSpec, BinStats, PreFilter, BinBreakdown, EvalReport, MatchConfig, MetricDelta, Box3D]
         classes += [LabelTable, ScenarioSpec, ScoreModel, FitResult, SingleThreshold, ThresholdModel]
         assert all(issubclass(cls, Record) for cls in classes)
+
+
+def _record_classes(cls=Record):
+    """Every Record subclass the package defines, by name."""
+    found = {}
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("adathresh."):
+            found[sub.__name__] = sub
+        found.update(_record_classes(sub))
+    return found
+
+
+RECORD_CLASSES = _record_classes()
+
+
+def _typed(value):
+    """value with the type of every field and element beside it, so that
+    two equal records of different value types compare unequal."""
+    if isinstance(value, Record):
+        return type(value), tuple(map(_typed, value._values()))
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(_typed, value))
+    return type(value), value
+
+
+def _outcome(build):
+    """The typed record build() returns, or the type of what it raises."""
+    try:
+        return _typed(build())
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # KeyError: a nested record's missing key
+        return type(exc)
+
+
+class TestOneValueRule:
+    """A call and a JSON file turn a value into a field value by one rule."""
+
+    # One JSON-like object per record class that both ways accept.
+    VALID = {
+        type(instance).__name__: json.loads(json.dumps(instance.to_dict())) for instance in TestJsonCodec.INSTANCES
+    }
+    VALID.update(
+        MetricDelta={"metric": "recall", "baseline": 0.5, "candidate": 0.75},
+        SingleThreshold={"threshold": 0.5},
+        FitResult={
+            "model": VALID["ThresholdModel"],
+            "bin_indices": [0, 1, 2],
+            "abscissas": [5.0, 15.0, 25.0],
+            "fitted": [0.9, 0.8, 0.7],
+            "residuals": [0.0, 0.01, -0.01],
+            "weighted_rmse": 0.01,
+            "bins_used": 3,
+        },
+        Box3D={"center": [0.0, 1.65, 10.0], "dims": [1.5, 1.7, 4.0], "yaw": 0.5},
+        LabelTable={
+            "frame_ids": ["000000"],
+            "files": ["000000.txt"],
+            "offsets": [0, 0],
+            "class_names": [],
+            "columns": [array("d")] * 15,
+            "lines": [],
+        },
+    )
+    # Booleans, strings, integral and non-integral numbers, non-finite
+    # numbers, None, lists of every length a field here holds, and a dict.
+    PROBES = [
+        True, False, "0.5", "", 0, 2, -1, 10**400, 0.0, 0.5, 2.0, 2.7, -1.0, math.nan, math.inf, None,
+        [], [0.5], [2, 5], [2.0, 5.7], [0.0, 1.65, 10.0], [1, 2, 3], [True, 1.0, 2.0], [0.5, "x", 0.5], [0.1] * 6, {},
+    ]
+
+    @pytest.mark.parametrize("name", sorted(RECORD_CLASSES))
+    def test_a_call_and_from_dict_accept_and_reject_the_same_values(self, name):
+        cls, valid = RECORD_CLASSES[name], self.VALID[name]
+        for field in cls._fields:
+            for probe in [valid[field], *self.PROBES]:
+                data = {**valid, field: probe}
+                assert _outcome(lambda: cls(**data)) == _outcome(lambda: cls.from_dict(data)), (field, probe)
+        # A nested record may also be given as an instance of its class.
+        record = cls.from_dict(valid)
+        nested = {field: value for field, value in zip(cls._fields, record._values()) if isinstance(value, Record)}
+        assert _typed(cls(**valid)) == _typed(cls(**{**valid, **nested})) == _typed(record)
+
+    def test_integer_fields_take_only_integral_numbers(self):
+        scenario = self.VALID["ScenarioSpec"]
+        with pytest.raises(ValueError, match="objects_per_frame: expected an integer, got 2.7"):
+            ScenarioSpec(**{**scenario, "objects_per_frame": (2.7, 5)})
+        with pytest.raises(ValueError, match="seed: expected an integer, got 1.9"):
+            ScenarioSpec(**{**scenario, "seed": 1.9})
+
+    def test_a_boolean_is_not_a_number(self):
+        with pytest.raises(ValueError, match="gamma: expected a number, got True"):
+            ThresholdModel(alpha=0.0, beta=0.0, gamma=True)
+        with pytest.raises(ValueError, match="threshold: expected a number, got True"):
+            SingleThreshold(True)
+
+    def test_a_float_field_holds_a_float_whatever_number_it_was_given(self):
+        written = '{"bin_width": 10.0, "max_distance": 60.0}'
+        assert json.dumps(BinSpec(10, 60).to_dict()) == written
+        assert json.dumps(BinSpec.from_dict({"bin_width": 10, "max_distance": 60}).to_dict()) == written
+
+    @pytest.mark.parametrize("center", [(0.0, 1.65), (0.0, 1.65, 10.0, 1.0)])
+    def test_a_tuple_of_the_wrong_length_names_the_field_and_the_count(self, center):
+        with pytest.raises(ValueError, match=f"center: expected 3 values, got {len(center)}"):
+            Box3D(center, (1.5, 1.7, 4.0), 0.0)

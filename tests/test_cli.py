@@ -1128,6 +1128,41 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ["report", "filter", "eval"])
+    def test_out_of_range_model_file_exits_3_naming_it(self, tmp_path, dataset, capsys, command):
+        bad = write_json(tmp_path / "model.json", {"alpha": 0.0, "beta": 0.0, "gamma": 0.5, "delta": 60.0, "k": 1.5})
+        io = ("--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        argv = {
+            "report": ("report", "--model", bad, "--out-dir", str(tmp_path / "o")),
+            "filter": ("filter", *io, "--threshold-mode", f"adaptive:{bad}"),
+            "eval": ("eval", "--gt-dir", str(dataset / "gt"), *io, "--threshold-mode", f"adaptive:{bad}"),
+        }[command]
+        assert run(*argv) == 3
+        assert f"model file {bad}: k must be within [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [("stats",), ("stats", "--normalized-std"), ("fit",)])
+    def test_a_bin_whose_mean_or_std_overflows_exits_3_naming_it(self, tmp_path, capsys, command):
+        write_label(tmp_path / "gt" / "000000.txt", [make_record(1.0, 10.0)])
+        write_label(tmp_path / "det" / "000000.txt", [make_record(1.0, 10.0, score=1e308), make_record(5.0, 12.0, score=1e308)])
+        io = ("--gt-dir", str(tmp_path / "gt"), "--det-dir", str(tmp_path / "det"), "--out-dir", str(tmp_path / "o"))
+        assert run(*command, *io) == 3
+        assert "bin 1 [10, 20) m: the mean or std of its 2 scores is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value", [("mean", math.nan), ("mean", math.inf), ("std", math.nan), ("std", math.inf)])
+    def test_stats_file_with_a_mean_or_std_that_is_not_finite_is_a_data_error_naming_it(
+        self, tmp_path, dataset, capsys, field, value
+    ):
+        assert run("stats", "--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "bin_stats.json").read_text())
+        payload["bins"][1][field] = value
+        stats = write_json(tmp_path / "bad_stats.json", payload)  # json writes NaN and Infinity
+        model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict())
+        assert run("report", "--model", model, "--stats", stats, "--out-dir", str(tmp_path / "rpt")) == 2
+        assert f"stats file {stats} has a missing or bad value: {field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rpt").exists()
+
     @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1])
     def test_config_switch_must_be_a_json_boolean(self, tmp_path, dataset, capsys, value):
         io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
