@@ -144,12 +144,13 @@ def _field_hints(cls: type) -> tuple:
 
 def _decode(hint, value, name: str):
     """value as a field annotated hint holds it: float from an int or a
-    float, int from an int or an integral float, X | None keeping None,
-    tuple[T, ...] and tuple[T, U] from a list or a tuple, element by
-    element, a record from an instance or a dict (through its
-    from_dict), and any other value unchanged. Anything else, such as a
-    boolean or a string for a number or a fixed-length tuple of another
-    length, is a ValueError naming the field name."""
+    float, int from an int or an integral float, a str from a str,
+    X | None keeping None, tuple[T, ...] and tuple[T, U] from a list or
+    a tuple, element by element, a record from an instance or a dict
+    (through its from_dict), and any other value unchanged. Anything
+    else, such as a boolean or a string for a number, a number for a
+    string or a fixed-length tuple of another length, is a ValueError
+    naming the field name."""
     args = get_args(hint)
     if type(None) in args:  # X | None
         if value is None:
@@ -176,6 +177,8 @@ def _decode(hint, value, name: str):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
         raise ValueError(f"{name}: expected a number, got {value!r}")
+    if hint is str and not isinstance(value, str):
+        raise ValueError(f"{name}: expected a string, got {value!r}")
     return value
 
 

@@ -510,13 +510,19 @@ def cmd_synth(opts: _Options) -> int:
 
 def _decode_stats(data: dict) -> tuple[BinSpec, list[BinStats]]:
     """The BinSpec and the bins of a bin_stats.json object; ValueError for a
-    bin outside that spec or a std divided by its mean (not in score units)."""
+    bin outside that spec, a std divided by its mean (not in score units),
+    or a mean or std off the [0, 1] score axis the report draws."""
     spec = BinSpec.from_dict(data)
     if data.get("normalized_std"):
         raise ValueError("normalized_std is true: the report draws std in score units")
     bins = [BinStats.from_dict(entry) for entry in data["bins"]]
     for entry in bins:
         spec.edges(entry.bin_index)
+        if entry.count and not (0.0 <= entry.mean <= 1.0 and entry.std <= 1.0):
+            raise ValueError(
+                f"bin {entry.bin_index}: mean {entry.mean!r} and std {entry.std!r} must lie within "
+                "the [0, 1] score axis the report draws"
+            )
     return spec, bins
 
 

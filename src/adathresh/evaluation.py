@@ -34,6 +34,7 @@ order.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from itertools import accumulate, repeat
 from operator import lt
@@ -197,6 +198,24 @@ def _interpolated_ap(tp_flags: Sequence[bool], total_gt: int, kind: str) -> floa
     return 100.0 * total / len(points)
 
 
+# The range of each metric a report holds, by name: its upper bound and
+# the rule it spells. Every lower bound is 0, and every upper bound is
+# finite, so a check also rejects NaN and infinities.
+_METRIC_RANGES = {
+    **dict.fromkeys(("tp", "fp", "fn"), (sys.float_info.max, "a non-negative count")),
+    **dict.fromkeys(("recall", "precision", "trade_off"), (1.0, "within [0, 1]")),
+    **dict.fromkeys(("average_precision", "average_precision_filtered"), (100.0, "within [0, 100]")),
+}
+
+
+def _check_metric(name: str, value: float | None, metric: str | None = None) -> None:
+    """ValueError naming field name unless value is None or within the
+    range of metric (name by default)."""
+    hi, rule = _METRIC_RANGES[metric or name]
+    if value is not None and not 0.0 <= value <= hi:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 class BinBreakdown(Record):
     """Counts and point metrics for one distance bin.
 
@@ -213,6 +232,10 @@ class BinBreakdown(Record):
     recall: float
     precision: float
 
+    def __post_init__(self) -> None:
+        for name in ("tp", "fp", "fn", "recall", "precision"):
+            _check_metric(name, getattr(self, name))
+
 
 class EvalReport(Record):
     """Complete evaluation outcome for one detection set."""
@@ -227,6 +250,10 @@ class EvalReport(Record):
     average_precision: float
     average_precision_filtered: float | None = None
     per_bin: tuple[BinBreakdown, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in _METRIC_RANGES:
+            _check_metric(name, getattr(self, name))
 
 
 def evaluate_tables(
@@ -332,6 +359,12 @@ class MetricDelta(Record):
     metric: str
     baseline: float
     candidate: float
+
+    def __post_init__(self) -> None:
+        if self.metric not in _METRIC_RANGES:
+            raise ValueError(f"unknown metric {self.metric!r}")
+        for name in ("baseline", "candidate"):
+            _check_metric(name, getattr(self, name), self.metric)
 
     @property
     def delta(self) -> float:

@@ -39,6 +39,20 @@ cannot be read, the files are read again and checked line by line in
 frame order, ground truth first within a frame, and the error raised
 names the first bad file and line.
 
+The table cache spares a command the split and the float conversion of
+a tree it has read before. Its key is the exact input of that parse: a
+format version, whether rows carry a score, the frame ids, file names
+and row ends, and every non-blank line. An entry holds the key, the real
+columns and the class names, in a file named by the key's crc32 under
+$XDG_CACHE_HOME/adathresh, else $HOME/.cache/adathresh (no cache when
+neither is an absolute path). A hit needs the stored key to equal the
+current one byte for byte and the entry's checksum to hold; its rows
+still go through the finiteness pass and the invariants. Entries are
+written through write_files, and only the newest _CACHE_ENTRIES are
+kept. Any cache error (an unwritable or missing root, a truncated or
+foreign entry) falls back to parsing, so the cache changes no table,
+error or output.
+
 write_files is the one writer of output files: label trees, and the
 JSON, CSV, SVG and markdown reports. It writes a directory's files, each
 one's UTF-8 bytes with os.write, into a fresh staging tree, names with a
@@ -55,6 +69,7 @@ import os
 import shutil
 import sys
 import tempfile
+import zlib
 from array import array
 from itertools import chain, compress
 from operator import lt
@@ -116,7 +131,14 @@ COLUMNS = (
 _COLUMN = {name: index for index, name in enumerate(COLUMNS)}
 _OCCLUSION_VALUES = frozenset((-1.0, 0.0, 1.0, 2.0, 3.0))
 _CHUNK_LINES = 256  # lines split at once by the bulk reader
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0  # a double's sign-and-exponent byte in array("d") bytes
 _READ_BYTES = 1 << 16  # bytes asked of each os.read
+# The table cache (see the module docstring). A new entry layout, or a
+# parser that makes other rows of a line, changes _CACHE_FORMAT, so
+# that no older entry matches; array("d") bytes are in native order.
+_CACHE_FORMAT = f"adathresh label table 1 {sys.byteorder}"
+_CACHE_ENTRIES = 16  # the newest entries kept after each write
+_CACHE_SUFFIX = ".table"
 
 
 class LabelTable(Record, eq=False):
@@ -175,10 +197,11 @@ def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | 
     write_files(out_dir, label_files(table, kept))
 
 
-def write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> None:
-    """Write each (name, text) of files into out_dir as UTF-8, newlines as
-    given, mode 0o600; parent directories are created. A name may hold
-    subdirectories (gt/000000.txt), made as needed.
+def write_files(out_dir: str | Path, files: Iterable[tuple[str, str | bytes]]) -> None:
+    """Write each (name, text) of files into out_dir, a str as UTF-8 with
+    newlines as given and bytes as they are, mode 0o600; parent
+    directories are created. A name may hold subdirectories
+    (gt/000000.txt), made as needed.
 
     The files are written into a hidden staging tree first. A new
     out_dir, even for no files, is then renamed into place whole, so it
@@ -204,7 +227,7 @@ def write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> None:
             if subdir not in subdirs:
                 os.makedirs(os.path.join(tree, subdir), exist_ok=True)
                 subdirs.add(subdir)
-            data = memoryview(text.encode())
+            data = memoryview(text if isinstance(text, bytes) else text.encode())
             # Mode 0o600, as tempfile.mkstemp gives; the tree is new, so O_EXCL.
             fd = os.open(os.path.join(tree, name), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
             try:
@@ -293,7 +316,7 @@ def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], b
                 ends.append(len(lines))
         except (OSError, UnicodeDecodeError):
             break
-        table = _table_from_lines(frame_ids, files, lines, ends, expect_score)
+        table = _cached_table(frame_ids, files, lines, ends, expect_score)
         if table is None:
             break
         tables.append(table)
@@ -307,10 +330,16 @@ def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], b
 
 
 def _read_text(path: str | Path) -> str:
-    """A label file's text: its bytes, read through a raw descriptor (half
-    the time of a file object's), as strict UTF-8 without one leading
-    byte-order mark. splitlines() breaks it at a "\r\n" or "\r" as at
-    the "\n" a text file makes of them."""
+    """A label file's text: its _read_bytes as strict UTF-8 without one
+    leading byte-order mark. splitlines() breaks it at a "\r\n" or "\r"
+    as at the "\n" a text file makes of them."""
+    text = _read_bytes(path).decode()
+    return text[1:] if text[:1] == "\ufeff" else text
+
+
+def _read_bytes(path: str | Path) -> bytes:
+    """A file's bytes, read through a raw descriptor (half the time of a
+    file object's)."""
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks = []
@@ -318,8 +347,7 @@ def _read_text(path: str | Path) -> str:
             chunks.append(chunk)
     finally:
         os.close(fd)
-    text = b"".join(chunks).decode()
-    return text[1:] if text[:1] == "\ufeff" else text
+    return b"".join(chunks)
 
 
 def _table_from_lines(
@@ -329,8 +357,7 @@ def _table_from_lines(
     i - 1's up to ends[i]; None when a line breaks a rule of _check_line.
 
     The rules run on all lines at once: the field count of every line,
-    then one float conversion, one finiteness pass and the occlusion,
-    dimension and bbox rules by column.
+    then one float conversion, then _checked_table's rules.
     """
     width = _DET_FIELDS if expect_score else _GT_FIELDS
     # Lines are split a chunk at a time, which bounds the token strings alive at once.
@@ -347,10 +374,116 @@ def _table_from_lines(
                 column.extend(map(float, tokens[j::width]))
         except ValueError:
             return None
-    if not all(map(math.isfinite, chain.from_iterable(columns))):
-        return None
+    return _checked_table(frame_ids, files, lines, ends, class_names, columns)
+
+
+def _checked_table(
+    frame_ids: list[str],
+    files: list[str | None],
+    lines: list[str],
+    ends: list[int],
+    class_names: list[str],
+    columns: tuple[array, ...],
+) -> LabelTable | None:
+    """The table of rows given as class names and real columns; None when
+    a real is not finite or a row breaks _invariants_hold."""
+    for column in columns:
+        # A double whose sign-and-exponent byte is neither 0x7f nor 0xff
+        # is finite (below 2**1009 in magnitude): scanning those bytes
+        # takes a tenth of the time of math.isfinite on every value.
+        top = column.tobytes()[_TOP_BYTE::8]
+        if (b"\x7f" in top or b"\xff" in top) and not all(map(math.isfinite, column)):
+            return None
     table = LabelTable(frame_ids, files, [0, *ends], class_names, columns, lines)
     return table if _invariants_hold(table) else None
+
+
+def _cache_root() -> str | None:
+    """The table cache's directory: $XDG_CACHE_HOME/adathresh, else
+    $HOME/.cache/adathresh; None when neither variable is an absolute
+    path (a relative XDG_CACHE_HOME is ignored, as the XDG spec asks)."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        home = os.environ.get("HOME", "")
+        base = os.path.join(home, ".cache") if os.path.isabs(home) else ""
+    return os.path.join(base, "adathresh") if base else None
+
+
+def _cached_table(
+    frame_ids: list[str], files: list[str | None], lines: list[str], ends: list[int], expect_score: bool
+) -> LabelTable | None:
+    """_table_from_lines of these arguments, its split and float
+    conversion taken from the table cache when an entry holds this exact
+    input; _checked_table still runs on the entry's rows. A parse that
+    succeeds stores its entry. A cache error is a miss, and a failed
+    store is ignored: the result never depends on the cache."""
+    root = _cache_root()
+    if root is None:
+        return _table_from_lines(frame_ids, files, lines, ends, expect_score)
+    # The exact parser input. Frame ids and file names hold no NUL and
+    # lines no newline, and ends fixes how many ids, names and lines
+    # there are, so two inputs never share a key.
+    fields = [_CACHE_FORMAT, str(int(expect_score)), " ".join(map(str, ends)), *frame_ids]
+    key = "\0".join([*fields, *(name or "" for name in files), "\n".join(lines)]).encode("utf-8", "surrogatepass")
+    key_crc = zlib.crc32(key)
+    name = f"{key_crc:08x}{_CACHE_SUFFIX}"
+    width = (_DET_FIELDS if expect_score else _GT_FIELDS) - 1
+    try:
+        rows = _cache_rows(os.path.join(root, name), key, key_crc, width, len(lines))
+    except (OSError, ValueError):
+        rows = None
+    table = None if rows is None else _checked_table(frame_ids, files, lines, ends, *rows)
+    if table is None:
+        table = _table_from_lines(frame_ids, files, lines, ends, expect_score)
+        if table is not None:
+            try:
+                _cache_store(root, name, key, key_crc, table)
+            except OSError:
+                pass
+    return table
+
+
+def _cache_rows(
+    path: str, key: bytes, key_crc: int, width: int, n_rows: int
+) -> tuple[list[str], tuple[array, ...]] | None:
+    """(class names, columns) of the entry at path, when it holds exactly
+    key and rows of width reals that its checksum covers; None otherwise.
+    An entry is a line "<key length> <crc32 of key and rows>", the key,
+    each column's n_rows native doubles, and the class names joined by
+    newlines."""
+    data = _read_bytes(path)
+    head_end = data.find(b"\n") + 1
+    key_size, crc = map(int, data[:head_end].split())
+    body = memoryview(data)[head_end + key_size :]
+    # A slice of data, not of a memoryview, which compares item by item.
+    if key_size != len(key) or data[head_end : head_end + key_size] != key or zlib.crc32(body, key_crc) != crc:
+        return None
+    size = 8 * n_rows
+    columns = tuple(array("d") for _ in range(width))
+    for j, column in enumerate(columns):
+        column.frombytes(body[j * size : (j + 1) * size])
+    names = bytes(body[width * size :]).decode()
+    class_names = list(map(sys.intern, names.split("\n"))) if names else []
+    if len(class_names) != n_rows or len(columns[-1]) != n_rows:
+        return None
+    return class_names, columns
+
+
+def _cache_store(root: str, name: str, key: bytes, key_crc: int, table: LabelTable) -> None:
+    """Write table's entry for key as root/name (see _cache_rows), through
+    write_files, then delete all but the _CACHE_ENTRIES newest entries.
+    write_files' staging directories in root are not entries."""
+    body = b"".join([*(column.tobytes() for column in table.columns), "\n".join(table.class_names).encode()])
+    head = b"%d %d\n" % (len(key), zlib.crc32(body, key_crc))
+    write_files(root, [(name, b"".join([head, key, body]))])
+    with os.scandir(root) as listing:
+        entries = sorted(
+            (entry.stat().st_mtime_ns, entry.name)
+            for entry in listing
+            if entry.name.endswith(_CACHE_SUFFIX) and entry.is_file()
+        )
+    for _, old in entries[:-_CACHE_ENTRIES]:
+        os.unlink(os.path.join(root, old))
 
 
 def _invariants_hold(table: LabelTable) -> bool:

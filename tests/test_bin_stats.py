@@ -395,6 +395,14 @@ class TestJsonCodec:
         with pytest.raises(ValueError, match="iou_kind"):
             MatchConfig.from_dict({**MatchConfig().to_dict(), "iou_kind": 3})
 
+    @pytest.mark.parametrize("value", [5, 0.5, True, ["Car"], {"name": "Car"}])
+    def test_a_str_field_takes_only_a_string(self, value):
+        with pytest.raises(ValueError, match="class_name: expected a string"):
+            MatchConfig.from_dict({**MatchConfig().to_dict(), "class_name": value})
+        with pytest.raises(ValueError, match="metric: expected a string"):
+            MetricDelta(value, 0.0, 0.0)
+        assert MatchConfig.from_dict({**MatchConfig().to_dict(), "difficulty": None}).difficulty is None
+
 
 class TestRecord:
     """Record gives every value type what dataclass(frozen=True) gave it."""

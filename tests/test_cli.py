@@ -7,6 +7,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -1215,7 +1217,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["stats", "eval"])
     def test_a_failed_second_file_leaves_the_out_dir_as_it_was(self, tmp_path, dataset, monkeypatch, capsys, command):
         """A command's report files are written in one staged call: a new
-        --out-dir gets none of them, and an existing one keeps its files."""
+        --out-dir gets none of them, and an existing one keeps its files.
+        Only files under tmp_path count: a table cache entry (written on a
+        miss, elsewhere) is not a report file."""
         names = {"stats": ["bin_stats.csv", "bin_stats.json"], "eval": ["eval_report.csv", "eval_report.json"]}[command]
         old = tmp_path / "old"
         old.mkdir()
@@ -1225,7 +1229,7 @@ class TestExitCodes:
         real_open = os.open
 
         def failing_open(path, flags, *args, **kwargs):
-            if flags & os.O_CREAT:
+            if flags & os.O_CREAT and str(path).startswith(str(tmp_path)):
                 created.append(path)
                 if len(created) == 2:
                     raise OSError("disk full")
@@ -1509,6 +1513,38 @@ class TestFuzzedJsonFiles:
             named = f"file {fuzzed}" in err.getvalue()
             assert named or any(message in err.getvalue() for message in self.DATA_ERRORS), err.getvalue()
 
+    @pytest.mark.parametrize(
+        "kind, path, value",
+        [
+            # Values of the right JSON type that no eval writes: compare
+            # printed them and exited 0.
+            ("report", ("tp",), -7),
+            ("report", ("recall",), 1e300),
+            ("report", ("precision",), -0.5),
+            ("report", ("trade_off",), float("nan")),
+            ("report", ("average_precision",), 100.5),
+            ("report", ("average_precision_filtered",), float("inf")),
+            ("report", ("per_bin", 0, "fn"), -1),
+            ("report", ("per_bin", 0, "recall"), 1.5),
+            ("report", ("config", "class_name"), 5),
+            # A bin off the score axis the report draws: summary.md got
+            # 309-digit cells and the SVG clamped the point.
+            ("stats", ("bins", "occupied", "mean"), 1e308),
+            ("stats", ("bins", "occupied", "std"), 1e308),
+            ("stats", ("bins", "occupied", "mean"), -0.25),
+            ("stats", ("bins", "occupied", "std"), 1.5),
+        ],
+    )
+    def test_a_value_no_command_writes_exits_2_naming_the_file(self, json_inputs, tmp_path, capsys, kind, path, value):
+        base = json_inputs[kind]
+        if path[1:2] == ("occupied",):
+            path = (path[0], next(i for i, entry in enumerate(base["bins"]) if entry["count"]), *path[2:])
+        fuzzed = write_json(tmp_path / f"{kind}.json", replaced(base, path, value))
+        assert main(self.argv(tmp_path, kind, fuzzed, json_inputs)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"file {fuzzed}" in err, err
+        assert not (tmp_path / "out").exists()
+
 
 class TestOptionTable:
     # Each command's flags and their dests, as the parser took them before
@@ -1642,3 +1678,126 @@ def test_a_value_as_a_flag_or_a_config_key_writes_the_same_files(tmp_path, datas
         assert run(*argv) == 0, argv
         written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
     assert written[0] == written[1] and written[0]
+
+
+class TestTableCacheChangesNoOutput:
+    """Whatever state the table cache is in, every command writes the same
+    bytes, returns the same exit code and prints the same messages as
+    with no cache at all."""
+
+    def chain(self, data: Path, out: Path, capsys) -> list:
+        """Exit code, stdout and stderr (out spelt <out>) and the files
+        written, of each command of a stats-fit-filter-eval chain over
+        data, and of stats and eval over a copy of it with one bad file."""
+        io = ("--gt-dir", str(data / "gt"), "--det-dir", str(data / "det"))
+        bad_io = ("--gt-dir", str(data / "gt"), "--det-dir", str(data / "bad"))
+        model = f"adaptive:{out / 'fit' / 'model.json'}"
+        commands = {
+            "stats": ["stats", *io],
+            "fit": ["fit", *io, "--k", "continuity"],
+            "filter": ["filter", "--det-dir", str(data / "det"), "--threshold-mode", model],
+            "eval": ["eval", *io, "--threshold-mode", model],
+            "eval-3d": ["eval", *io, "--iou", "3d"],
+            "bad-stats": ["stats", *bad_io],
+            "bad-eval": ["eval", *bad_io],
+        }
+        results = []
+        for name, argv in commands.items():
+            rc = main([*argv, "--out-dir", str(out / name)])
+            said = tuple(text.replace(str(out), "<out>") for text in capsys.readouterr())
+            results.append((name, rc, said, self.written(out, out / name)))
+        return results
+
+    @staticmethod
+    def written(out: Path, directory: Path) -> list:
+        """(name relative to out, bytes with out spelt <out>) of each file
+        under directory: an adaptive eval report holds the model's path."""
+        files = (p for p in directory.rglob("*") if p.is_file())
+        return sorted((str(p.relative_to(out)), p.read_bytes().replace(str(out).encode(), b"<out>")) for p in files)
+
+    @pytest.fixture
+    def data(self, dataset):
+        bad = dataset / "bad"
+        bad.mkdir()
+        for path in (dataset / "det").iterdir():
+            (bad / path.name).write_bytes(path.read_bytes())
+        (bad / "000004.txt").write_text("Car 0 0 0 1 2 3 4 1 1 1 0 0 10 0 oops\n", encoding="utf-8")
+        return dataset
+
+    @pytest.fixture
+    def no_cache(self, data, tmp_path, monkeypatch, capsys):
+        with monkeypatch.context() as patch:
+            patch.delenv("XDG_CACHE_HOME")
+            patch.delenv("HOME", raising=False)
+            assert kitti_io._cache_root() is None
+            return self.chain(data, tmp_path / "no-cache", capsys)
+
+    def test_a_fresh_and_a_warm_cache(self, data, no_cache, tmp_path, monkeypatch, capsys):
+        cache_home = tmp_path / "xdg"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+        assert self.chain(data, tmp_path / "fresh", capsys) == no_cache
+        entries = sorted((cache_home / "adathresh").iterdir())
+        # gt/ and det/: every frame has a detection file, so all five
+        # commands read det/ as one input; the bad tree stores nothing.
+        assert len(entries) == 2 and all(p.suffix == ".table" for p in entries)
+        assert self.chain(data, tmp_path / "warm", capsys) == no_cache
+        assert sorted((cache_home / "adathresh").iterdir()) == entries
+
+    def test_a_root_that_is_a_regular_file(self, data, no_cache, tmp_path, monkeypatch, capsys):
+        (tmp_path / "file").write_text("not a directory\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        assert self.chain(data, tmp_path / "out", capsys) == no_cache
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
+    def test_an_unwritable_root(self, data, no_cache, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "xdg" / "adathresh"
+        root.mkdir(parents=True)
+        root.chmod(0o555)
+        # Permission bits do not bind the superuser: refuse what the
+        # kernel would refuse anyone else, a new name under root.
+        real_open, real_mkdir = os.open, os.mkdir
+
+        def refused(path):
+            if str(path).startswith(str(root)):
+                raise PermissionError(13, "Permission denied", str(path))
+
+        def guarded_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                refused(path)
+            return real_open(path, flags, *args, **kwargs)
+
+        def guarded_mkdir(path, *args, **kwargs):
+            refused(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", guarded_open)
+        monkeypatch.setattr(os, "mkdir", guarded_mkdir)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        try:
+            assert self.chain(data, tmp_path / "out", capsys) == no_cache
+            assert list(root.iterdir()) == []
+        finally:
+            root.chmod(0o755)
+
+    def test_two_processes_storing_one_entry_at_once(self, data, no_cache, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"), PYTHONPATH=str(src))
+        io = ["--gt-dir", str(data / "gt"), "--det-dir", str(data / "det"), "--iou", "3d"]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "adathresh.cli", "eval", *io, "--out-dir", str(tmp_path / f"p{i}" / "eval-3d")],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            for i in range(2)
+        ]
+        said = [proc.communicate(timeout=120) for proc in procs]
+        expected = next(entry for entry in no_cache if entry[0] == "eval-3d")
+        for i, (proc, (stdout, stderr)) in enumerate(zip(procs, said)):
+            out = tmp_path / f"p{i}"
+            assert (proc.returncode, stderr) == (0, b"")
+            assert stdout.decode().replace(str(out), "<out>") == expected[2][0]
+            assert self.written(out, out) == expected[3]
+        root = tmp_path / "xdg" / "adathresh"
+        assert len(list(root.glob("*.table"))) == 2 and list(root.glob("*.tmp")) == []

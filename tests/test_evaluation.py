@@ -725,3 +725,26 @@ class TestCompareReports:
         assert row.delta == pytest.approx(-0.137, abs=1e-12)
         assert row.formatted_delta() == "(-0.137)"
         assert MetricDelta("recall", 0.5, 0.75).formatted_delta() == "(+0.250)"
+
+    @pytest.mark.parametrize(
+        "metric, value, rule",
+        [
+            ("tp", -1.0, "a non-negative count"),
+            ("fn", float("inf"), "a non-negative count"),
+            ("recall", 1.5, r"within \[0, 1\]"),
+            ("trade_off", float("nan"), r"within \[0, 1\]"),
+            ("average_precision", 100.5, r"within \[0, 100\]"),
+            ("average_precision_filtered", -1e-9, r"within \[0, 100\]"),
+        ],
+    )
+    def test_a_value_out_of_its_metrics_range_is_rejected(self, metric, value, rule):
+        with pytest.raises(ValueError, match=f"candidate must be {rule}"):
+            MetricDelta(metric, 0.0, value)
+        # An infinite count is no integer, and _decode says so first.
+        with pytest.raises(ValueError, match=f"^{metric}"):
+            self._report(**{metric: value})
+        assert MetricDelta(metric, 0.0, 1.0).delta == 1.0
+
+    def test_an_unknown_metric_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric 'f1'"):
+            MetricDelta("f1", 0.5, 0.5)

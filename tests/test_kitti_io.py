@@ -785,12 +785,53 @@ def reference_rows(path: Path):
     return [line.split()[0] for line in lines], [list(map(float, line.split()[1:])) for line in lines], lines
 
 
+# (expect_score, the bytes of one or two label files of that layout)
+FUZZED_TREES = st.booleans().flatmap(lambda e: st.tuples(st.just(e), st.lists(fuzzed_label_bytes(e), min_size=1, max_size=2)))
+
+
+def table_fields(table: LabelTable) -> tuple:
+    """A table's fields, each column as its bytes."""
+    columns = [column.tobytes() for column in table.columns]
+    return table.frame_ids, table.files, table.offsets, table.class_names, columns, table.lines
+
+
+def table_or_error(read) -> tuple:
+    """The table_fields of what read returns, or the type and message of
+    the error it raised."""
+    try:
+        return table_fields(read())
+    except (LabelError, DatasetError) as exc:
+        return type(exc), str(exc)
+
+
+def cache_entries(cache_home: Path) -> list[Path]:
+    return sorted((cache_home / "adathresh").glob("*.table"))
+
+
 class TestFuzzedLabelFiles:
     """read_label_table on random files either returns the rows of a
     per-line parse or raises the error that _check_label_file raises for
     the first bad line, and nothing else."""
 
-    @given(st.booleans().flatmap(lambda e: st.tuples(st.just(e), st.lists(fuzzed_label_bytes(e), min_size=1, max_size=2))))
+    @given(FUZZED_TREES)
+    def test_a_cache_miss_and_a_hit_read_the_same_table_or_raise_the_same_error(self, case):
+        expect_score, files = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            tree, cache_home = Path(tmp) / "tree", Path(tmp) / "cache"
+            tree.mkdir()
+            for i, data in enumerate(files):
+                (tree / f"{i:06d}.txt").write_bytes(data)
+            patch.setenv("XDG_CACHE_HOME", str(cache_home))
+            miss = table_or_error(lambda: read_label_table(tree, "label", expect_score))
+            parsed = not isinstance(miss[0], type)
+            # Only a table is stored, and a hit does not parse.
+            assert len(cache_entries(cache_home)) == parsed
+            if parsed:
+                patch.setattr(kitti_io, "_table_from_lines", None)
+            hit = table_or_error(lambda: read_label_table(tree, "label", expect_score))
+        assert hit == miss
+
+    @given(FUZZED_TREES)
     def test_bulk_reader_agrees_with_the_line_checker(self, case):
         expect_score, files = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -811,3 +852,150 @@ class TestFuzzedLabelFiles:
         names, reals, lines = (sum((r[i] for r in rows), []) for i in range(3))
         assert (table.class_names, table.lines) == (names, lines)
         assert [list(values) for values in zip(*table.columns)] == reals
+
+
+class TestTableCache:
+    """The table cache of _read_tables: what it stores, what counts as a
+    hit, and that nothing a command writes or says depends on it."""
+
+    @pytest.fixture
+    def cache_home(self, tmp_path, monkeypatch):
+        home = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        return home
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        _write_tree(tmp_path, {"gt/a.txt": f"{GT_LINE}\n{DONTCARE_LINE}\n", "gt/b.txt": GT_LINE, "det/a.txt": DET_LINE})
+        return tmp_path
+
+    @staticmethod
+    def read(tree):
+        return list(map(table_fields, load_tables(tree / "gt", tree / "det")))
+
+    @pytest.mark.parametrize(
+        "environment, root",
+        [
+            ({"XDG_CACHE_HOME": "/x", "HOME": "/h"}, "/x/adathresh"),
+            ({"HOME": "/h"}, "/h/.cache/adathresh"),
+            ({"XDG_CACHE_HOME": "", "HOME": "/h"}, "/h/.cache/adathresh"),
+            ({"XDG_CACHE_HOME": "relative", "HOME": "/h"}, "/h/.cache/adathresh"),
+            ({"XDG_CACHE_HOME": "relative", "HOME": "also/relative"}, None),
+            ({}, None),
+        ],
+    )
+    def test_the_root_is_xdg_cache_home_else_home_dot_cache(self, monkeypatch, environment, root):
+        for name in ("XDG_CACHE_HOME", "HOME"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in environment.items():
+            monkeypatch.setenv(name, value)
+        assert kitti_io._cache_root() == root
+
+    def test_each_tree_is_stored_once_and_then_read_without_parsing(self, tree, cache_home, monkeypatch):
+        parsed = self.read(tree)
+        assert len(cache_entries(cache_home)) == 2  # gt/ and det/
+        entries = {path: path.read_bytes() for path in cache_entries(cache_home)}
+        monkeypatch.setattr(kitti_io, "_table_from_lines", None)
+        assert self.read(tree) == parsed
+        assert {path: path.read_bytes() for path in cache_entries(cache_home)} == entries
+        assert list(cache_home.rglob("*.tmp")) == []
+
+    def test_an_edited_line_misses(self, tree, cache_home):
+        self.read(tree)
+        (tree / "det" / "a.txt").write_text(DET_LINE.replace("0.92", "0.93"))
+        _, det = load_tables(tree / "gt", tree / "det")
+        assert det.scores().tolist() == [0.93]
+        assert len(cache_entries(cache_home)) == 3
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: b"",
+            lambda data: data[:-1],
+            lambda data: data[: len(data) // 2],
+            lambda data: b"garbage " + data,
+            lambda data: data[:-20] + bytes([data[-20] ^ 1]) + data[-19:],  # one bit of a column
+            lambda data: data + b"\nCar",
+        ],
+        ids=["empty", "last byte cut", "halved", "header garbled", "column bit flipped", "name appended"],
+    )
+    def test_a_damaged_entry_is_ignored_and_replaced(self, tree, cache_home, damage):
+        parsed = self.read(tree)
+        entries = {path: path.read_bytes() for path in cache_entries(cache_home)}
+        for path, data in entries.items():
+            path.write_bytes(damage(data))
+        assert self.read(tree) == parsed
+        assert {path: path.read_bytes() for path in cache_entries(cache_home)} == entries
+
+    def test_an_entry_of_another_key_under_this_name_is_ignored_and_replaced(self, tmp_path, cache_home):
+        """An entry that holds another tree's key and rows is no hit: not as
+        it was written, and not with its checksum redone from this key's
+        crc32, which only the byte-for-byte key comparison then rejects."""
+        trees = [tmp_path / "a", tmp_path / "b"]
+        for tree, score in zip(trees, ("0.92", "0.93")):
+            tree.mkdir()
+            (tree / "a.txt").write_text(DET_LINE.replace("0.92", score))
+        read = lambda tree: table_fields(read_label_table(tree, "detection", expect_score=True))
+        parsed = read(trees[0])
+        [entry_a] = cache_entries(cache_home)
+        read(trees[1])
+        [entry_b] = [path for path in cache_entries(cache_home) if path != entry_a]
+        original = entry_a.read_bytes()
+        head, _, rest = entry_b.read_bytes().partition(b"\n")
+        key_b, body_b = rest[: int(head.split()[0])], rest[int(head.split()[0]) :]
+        key_a = original.partition(b"\n")[2][: len(key_b)]
+        crc_from_key_a = kitti_io.zlib.crc32(body_b, kitti_io.zlib.crc32(key_a))
+        for crc in (int(head.split()[1]), crc_from_key_a):
+            entry_a.write_bytes(b"%d %d\n" % (len(key_b), crc) + key_b + body_b)
+            assert read(trees[0]) == parsed
+            assert entry_a.read_bytes() == original
+
+    def test_an_entry_whose_rows_break_a_rule_is_not_a_hit(self, tree, cache_home):
+        """The finiteness pass and the invariants run on every hit: an
+        entry whose checksum holds over a NaN, or over an occlusion level
+        no line can hold, is parsed again and replaced."""
+        parsed = self.read(tree)
+        for path in cache_entries(cache_home):
+            original = path.read_bytes()
+            head, _, rest = original.partition(b"\n")
+            key_size = int(head.split()[0])
+            key, body = rest[:key_size], rest[key_size:]
+            n_rows = 1 if key.split(b"\0")[1] == b"1" else 3  # det/ holds one row, gt/ three
+            for value in (math.nan, 0.5):
+                bad = bytearray(body)
+                # The occluded column (the second) of the first row.
+                bad[8 * n_rows : 8 * n_rows + 8] = array("d", [value]).tobytes()
+                crc = kitti_io.zlib.crc32(bytes(bad), kitti_io.zlib.crc32(key))
+                path.write_bytes(b"%d %d\n" % (key_size, crc) + key + bytes(bad))
+                assert self.read(tree) == parsed
+                assert path.read_bytes() == original
+
+    @given(st.lists(st.floats(), min_size=1, max_size=3))
+    def test_a_value_is_read_exactly_when_it_is_finite(self, values):
+        """The finiteness pass scans sign-and-exponent bytes first: every
+        double, the largest ones and NaN payloads included, is accepted
+        exactly when math.isfinite accepts it, by a parse and by a hit."""
+        lines = [DET_LINE.replace("Car 0.00", f"Car {value!r}", 1) for value in values]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            (Path(tmp) / "a.txt").write_text("\n".join(lines))
+            patch.setenv("XDG_CACHE_HOME", tmp)
+            for _ in range(2):
+                if all(map(math.isfinite, values)):
+                    table = read_label_table(tmp, "detection", expect_score=True)
+                    assert table.column("truncated").tobytes() == array("d", values).tobytes()
+                else:
+                    with pytest.raises(LabelParseError, match="non-finite field"):
+                        read_label_table(tmp, "detection", expect_score=True)
+
+    def test_only_the_newest_entries_are_kept_and_staging_directories_stay(self, tmp_path, cache_home):
+        staging = cache_home / "adathresh" / ".adathresh.x.tmp"
+        staging.mkdir(parents=True)
+        for i in range(kitti_io._CACHE_ENTRIES + 4):
+            directory = tmp_path / f"tree{i}"
+            directory.mkdir()
+            (directory / "a.txt").write_text(DET_LINE.replace("0.92", f"0.{i:02d}"))
+            read_label_table(directory, "detection", expect_score=True)
+            assert len(cache_entries(cache_home)) == min(i + 1, kitti_io._CACHE_ENTRIES)
+        assert staging.is_dir()
+        newest = read_label_table(tmp_path / f"tree{i}", "detection", expect_score=True)
+        assert newest.scores().tolist() == [float(f"0.{i:02d}")]
