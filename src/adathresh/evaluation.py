@@ -21,31 +21,39 @@ frame offsets. It gives the IoU of every same-frame pair that the
 bounding-circle prune keeps, bit for bit equal to the scalar IoU: the
 prune tests only the ground truth in a z window around each detection,
 each row's frame is built once, and every kept pair goes through the
-package's one clipper, in one box's own frame. _candidates lists each
-detection's ground truth at or above the threshold once, best first. The
-AP sweep (_sweep, one stable sort of the rows by descending score) is
-also the matching order: _match walks it. A threshold filter flags
-detection rows (one flag per row, or EvaluationError); the filtered
-metrics walk the flagged part of the sweep and the unfiltered AP all of
-it, over the same candidates. The tables hold the same frames in
-strictly ascending frame_id order, so row order is (frame_id, position)
-order.
+package's one clipper, in one box's own frame. The pairs do not depend
+on the threshold mode, so _cached_pairs keeps them in kitti_io's cache,
+keyed by pair_iou's exact input and geometry.py's source: every eval
+after the first over the same boxes reads them instead of clipping.
+_candidates lists each detection's ground truth at or above the
+threshold once, best first. The AP sweep (_sweep, one stable sort of the
+rows by descending score) is also the matching order: _match walks it. A
+threshold filter flags detection rows (one flag per row, or
+EvaluationError); the filtered metrics walk the flagged part of the
+sweep and the unfiltered AP all of it, over the same candidates. The
+tables hold the same frames in strictly ascending frame_id order, so row
+order is (frame_id, position) order.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from bisect import bisect_left
 from itertools import accumulate, repeat
 from operator import lt
 from typing import Iterable, Sequence
 
+from . import geometry
 from .bin_stats import BinSpec, Record, assign_bin, ground_distance
 from .geometry import pair_iou
-from .kitti_io import DONT_CARE, LabelTable
+from .kitti_io import DONT_CARE, LabelTable, cache_get, cache_put
 
 ELEVEN_POINT = "eleven_point"
 FORTY_POINT = "forty_point"
+
+# The first field of a pair entry's key; a new key or body layout changes it.
+_PAIR_FORMAT = f"adathresh iou pairs 1 {sys.byteorder}"
 
 # Minimum 2D box height (pixels), maximum occlusion, maximum truncation.
 _DIFFICULTY_LIMITS = {
@@ -151,6 +159,44 @@ def _box_columns(table: LabelTable, rows: list[int]) -> list[list[float]]:
     """The rows' boxes as pair_iou columns: x, y, z, height, width, length and yaw."""
     names = ("x", "y", "z", "height", "width", "length", "rotation_y")
     return [list(map(table.column(name).__getitem__, rows)) for name in names]
+
+
+def _cached_pairs(
+    det: list[list[float]], det_offsets: list[int], gt: list[list[float]], gt_offsets: list[int], kind: str
+) -> tuple[Sequence[int], Sequence[int], Sequence[float]]:
+    """pair_iou of these arguments, read from kitti_io's cache when a
+    pairs entry holds this exact input, else computed and stored.
+
+    The key is _PAIR_FORMAT, sys.version, geometry.py's own bytes, the
+    kind, both offset lists and the fourteen columns as native doubles,
+    so that an edit of the kernel misses every older entry; the body is
+    det_idx, gt_idx and iou as native 8-byte values. An unreadable
+    geometry.py, a cache error, or a body that is not three arrays of
+    one length or holds an index outside its side's rows is a miss: the
+    result never depends on the cache.
+    """
+    try:
+        with open(geometry.__file__, "rb") as file:
+            source = file.read()
+    except OSError:
+        return pair_iou(det, det_offsets, gt, gt_offsets, kind)
+    n_det, n_gt = len(det[0]), len(gt[0])
+    # repr quotes sys.version's newline, and the sizes in head fix where
+    # each later part ends, so two inputs never share a key.
+    head = repr((_PAIR_FORMAT, sys.version, kind, len(source), len(det_offsets), len(gt_offsets), n_det, n_gt))
+    offsets = [*det_offsets, *gt_offsets]
+    values = [struct.pack(f"{len(offsets)}q", *offsets), *(struct.pack(f"{len(c)}d", *c) for c in (*det, *gt))]
+    key = b"".join([head.encode(), b"\n", source, *values])
+    body = cache_get("pairs", key)
+    if body is not None and len(body) % 24 == 0:
+        n = len(body) // 24
+        det_idx, gt_idx, iou = (struct.unpack_from(f"{n}{code}", body, 8 * n * j) for j, code in enumerate("qqd"))
+        sides = ((det_idx, n_det), (gt_idx, n_gt))
+        if all(min(idx, default=0) >= 0 and max(idx, default=-1) < n_rows for idx, n_rows in sides):
+            return det_idx, gt_idx, iou
+    pairs = pair_iou(det, det_offsets, gt, gt_offsets, kind)
+    cache_put("pairs", key, b"".join(struct.pack(f"{len(v)}{code}", *v) for code, v in zip("qqd", pairs)))
+    return pairs
 
 
 def _offsets(table: LabelTable, rows: list[int]) -> list[int]:
@@ -289,7 +335,7 @@ def evaluate_tables(
     gt_rows, det_rows = _eval_rows(gt, det, config)
     scores = list(map(det.scores().__getitem__, det_rows))
     det_boxes, gt_boxes = _box_columns(det, det_rows), _box_columns(gt, gt_rows)
-    pairs = pair_iou(det_boxes, _offsets(det, det_rows), gt_boxes, _offsets(gt, gt_rows), config.iou_kind)
+    pairs = _cached_pairs(det_boxes, _offsets(det, det_rows), gt_boxes, _offsets(gt, gt_rows), config.iou_kind)
     candidates = _candidates(pairs, len(det_rows), config.iou_threshold)
     sweep = _sweep(scores)
     kept_sweep = sweep if kept is None else [i for i in sweep if kept[det_rows[i]]]

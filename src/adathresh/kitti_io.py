@@ -39,19 +39,19 @@ cannot be read, the files are read again and checked line by line in
 frame order, ground truth first within a frame, and the error raised
 names the first bad file and line.
 
-The table cache spares a command the split and the float conversion of
-a tree it has read before. Its key is the exact input of that parse: a
-format version, whether rows carry a score, the frame ids, file names
-and row ends, and every non-blank line. An entry holds the key, the real
-columns and the class names, in a file named by the key's crc32 under
+The cache spares a command work done before on the same input, under
 $XDG_CACHE_HOME/adathresh, else $HOME/.cache/adathresh (no cache when
-neither is an absolute path). A hit needs the stored key to equal the
-current one byte for byte and the entry's checksum to hold; its rows
-still go through the finiteness pass and the invariants. Entries are
-written through write_files, and only the newest _CACHE_ENTRIES are
-kept. Any cache error (an unwritable or missing root, a truncated or
-foreign entry) falls back to parsing, so the cache changes no table,
-error or output.
+neither is an absolute path). cache_put stores a body under a key, and
+cache_get reads it back. A table entry's body is the real columns and
+class names of a tree's parse, and its key the exact parser input: a
+format version, whether rows carry a score, the frame ids, file names
+and row ends, and every non-blank line. A pairs entry holds
+evaluation's IoU pairs. A hit needs the stored key to equal the current
+one byte for byte and a crc32 to hold; a table hit's rows still go
+through the finiteness pass and the invariants. Only the newest
+_CACHE_ENTRIES entries of both kinds are kept. Any cache error (an
+unwritable or missing root, a truncated or foreign entry) is a miss, so
+the cache changes no table, error or output.
 
 write_files is the one writer of output files: label trees, and the
 JSON, CSV, SVG and markdown reports. It writes a directory's files, each
@@ -133,12 +133,12 @@ _OCCLUSION_VALUES = frozenset((-1.0, 0.0, 1.0, 2.0, 3.0))
 _CHUNK_LINES = 256  # lines split at once by the bulk reader
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0  # a double's sign-and-exponent byte in array("d") bytes
 _READ_BYTES = 1 << 16  # bytes asked of each os.read
-# The table cache (see the module docstring). A new entry layout, or a
+# The cache (see the module docstring). A new table entry layout, or a
 # parser that makes other rows of a line, changes _CACHE_FORMAT, so
 # that no older entry matches; array("d") bytes are in native order.
 _CACHE_FORMAT = f"adathresh label table 1 {sys.byteorder}"
-_CACHE_ENTRIES = 16  # the newest entries kept after each write
-_CACHE_SUFFIX = ".table"
+_CACHE_ENTRIES = 16  # the newest entries, of both kinds, kept after each write
+_CACHE_SUFFIXES = (".table", ".pairs")  # label tables, and evaluation's IoU pairs
 
 
 class LabelTable(Record, eq=False):
@@ -399,7 +399,7 @@ def _checked_table(
 
 
 def _cache_root() -> str | None:
-    """The table cache's directory: $XDG_CACHE_HOME/adathresh, else
+    """The cache's directory: $XDG_CACHE_HOME/adathresh, else
     $HOME/.cache/adathresh; None when neither variable is an absolute
     path (a relative XDG_CACHE_HOME is ignored, as the XDG spec asks)."""
     base = os.environ.get("XDG_CACHE_HOME", "")
@@ -413,51 +413,35 @@ def _cached_table(
     frame_ids: list[str], files: list[str | None], lines: list[str], ends: list[int], expect_score: bool
 ) -> LabelTable | None:
     """_table_from_lines of these arguments, its split and float
-    conversion taken from the table cache when an entry holds this exact
+    conversion taken from the cache when a table entry holds this exact
     input; _checked_table still runs on the entry's rows. A parse that
     succeeds stores its entry. A cache error is a miss, and a failed
     store is ignored: the result never depends on the cache."""
-    root = _cache_root()
-    if root is None:
-        return _table_from_lines(frame_ids, files, lines, ends, expect_score)
     # The exact parser input. Frame ids and file names hold no NUL and
     # lines no newline, and ends fixes how many ids, names and lines
     # there are, so two inputs never share a key.
     fields = [_CACHE_FORMAT, str(int(expect_score)), " ".join(map(str, ends)), *frame_ids]
     key = "\0".join([*fields, *(name or "" for name in files), "\n".join(lines)]).encode("utf-8", "surrogatepass")
-    key_crc = zlib.crc32(key)
-    name = f"{key_crc:08x}{_CACHE_SUFFIX}"
+    body = cache_get("table", key)
     width = (_DET_FIELDS if expect_score else _GT_FIELDS) - 1
     try:
-        rows = _cache_rows(os.path.join(root, name), key, key_crc, width, len(lines))
-    except (OSError, ValueError):
+        rows = None if body is None else _table_rows(body, width, len(lines))
+    except ValueError:
         rows = None
     table = None if rows is None else _checked_table(frame_ids, files, lines, ends, *rows)
     if table is None:
         table = _table_from_lines(frame_ids, files, lines, ends, expect_score)
         if table is not None:
-            try:
-                _cache_store(root, name, key, key_crc, table)
-            except OSError:
-                pass
+            names = "\n".join(table.class_names).encode()
+            cache_put("table", key, b"".join([*(column.tobytes() for column in table.columns), names]))
     return table
 
 
-def _cache_rows(
-    path: str, key: bytes, key_crc: int, width: int, n_rows: int
-) -> tuple[list[str], tuple[array, ...]] | None:
-    """(class names, columns) of the entry at path, when it holds exactly
-    key and rows of width reals that its checksum covers; None otherwise.
-    An entry is a line "<key length> <crc32 of key and rows>", the key,
-    each column's n_rows native doubles, and the class names joined by
-    newlines."""
-    data = _read_bytes(path)
-    head_end = data.find(b"\n") + 1
-    key_size, crc = map(int, data[:head_end].split())
-    body = memoryview(data)[head_end + key_size :]
-    # A slice of data, not of a memoryview, which compares item by item.
-    if key_size != len(key) or data[head_end : head_end + key_size] != key or zlib.crc32(body, key_crc) != crc:
-        return None
+def _table_rows(body: memoryview, width: int, n_rows: int) -> tuple[list[str], tuple[array, ...]] | None:
+    """(class names, columns) of a table entry's body: each of width
+    columns' n_rows native doubles, then the class names joined by
+    newlines. None for a body of other sizes; a ValueError for one cut
+    inside a double or holding names that are not UTF-8."""
     size = 8 * n_rows
     columns = tuple(array("d") for _ in range(width))
     for j, column in enumerate(columns):
@@ -469,21 +453,66 @@ def _cache_rows(
     return class_names, columns
 
 
-def _cache_store(root: str, name: str, key: bytes, key_crc: int, table: LabelTable) -> None:
-    """Write table's entry for key as root/name (see _cache_rows), through
-    write_files, then delete all but the _CACHE_ENTRIES newest entries.
-    write_files' staging directories in root are not entries."""
-    body = b"".join([*(column.tobytes() for column in table.columns), "\n".join(table.class_names).encode()])
+def cache_get(kind: str, key: bytes) -> memoryview | None:
+    """The body of the cache entry of kind ("table" or "pairs") for key.
+
+    An entry is the file <crc32 of key>.<kind> in _cache_root(): a line
+    "<key length> <crc32 of key and body>", the key and the body. None
+    without a root, without an entry, or when the entry does not hold
+    exactly key or its checksum fails.
+    """
+    root = _cache_root()
+    if root is None:
+        return None
+    key_crc = zlib.crc32(key)
+    try:
+        data = _read_bytes(os.path.join(root, f"{key_crc:08x}.{kind}"))
+        head_end = data.find(b"\n") + 1
+        key_size, crc = map(int, data[:head_end].split())
+    except (OSError, ValueError):
+        return None
+    body = memoryview(data)[head_end + key_size :]
+    # A slice of data, not of a memoryview, which compares item by item.
+    if key_size != len(key) or data[head_end : head_end + key_size] != key or zlib.crc32(body, key_crc) != crc:
+        return None
+    return body
+
+
+def cache_put(kind: str, key: bytes, body: bytes) -> None:
+    """Store body as the entry of kind for key (see cache_get), through
+    write_files, then delete all but the _CACHE_ENTRIES newest entries of
+    every kind (write_files' staging directories are not entries). A
+    missing root and its missing parents are made with mode 0o700, as
+    the XDG base directory spec asks. An OSError is ignored."""
+    root = _cache_root()
+    if root is None:
+        return
+    key_crc = zlib.crc32(key)
     head = b"%d %d\n" % (len(key), zlib.crc32(body, key_crc))
-    write_files(root, [(name, b"".join([head, key, body]))])
-    with os.scandir(root) as listing:
-        entries = sorted(
-            (entry.stat().st_mtime_ns, entry.name)
-            for entry in listing
-            if entry.name.endswith(_CACHE_SUFFIX) and entry.is_file()
-        )
-    for _, old in entries[:-_CACHE_ENTRIES]:
-        os.unlink(os.path.join(root, old))
+    try:
+        _private_dirs(root)
+        write_files(root, [(f"{key_crc:08x}.{kind}", b"".join([head, key, body]))])
+        with os.scandir(root) as listing:
+            entries = sorted(
+                (entry.stat().st_mtime_ns, entry.name)
+                for entry in listing
+                if entry.name.endswith(_CACHE_SUFFIXES) and entry.is_file()
+            )
+        for _, old in entries[:-_CACHE_ENTRIES]:
+            os.unlink(os.path.join(root, old))
+    except OSError:
+        pass
+
+
+def _private_dirs(path: str) -> None:
+    """Make directory path and each missing parent of it with mode 0o700
+    (os.makedirs gives its mode to the last level only)."""
+    if not os.path.isdir(path):
+        _private_dirs(os.path.dirname(path))  # "/" is a directory, which ends the walk
+        try:
+            os.mkdir(path, 0o700)
+        except FileExistsError:
+            pass
 
 
 def _invariants_hold(table: LabelTable) -> bool:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adathresh import cli, kitti_io
+from adathresh import cli, evaluation, kitti_io
 from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats
 from adathresh.cli import main
 from adathresh.threshold import ThresholdModel, fit_quadratic, keep_rows
@@ -1681,9 +1682,9 @@ def test_a_value_as_a_flag_or_a_config_key_writes_the_same_files(tmp_path, datas
 
 
 class TestTableCacheChangesNoOutput:
-    """Whatever state the table cache is in, every command writes the same
-    bytes, returns the same exit code and prints the same messages as
-    with no cache at all."""
+    """Whatever state the cache (label tables and eval's IoU pairs) is
+    in, every command writes the same bytes, returns the same exit code
+    and prints the same messages as with no cache at all."""
 
     def chain(self, data: Path, out: Path, capsys) -> list:
         """Exit code, stdout and stderr (out spelt <out>) and the files
@@ -1737,9 +1738,11 @@ class TestTableCacheChangesNoOutput:
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
         assert self.chain(data, tmp_path / "fresh", capsys) == no_cache
         entries = sorted((cache_home / "adathresh").iterdir())
-        # gt/ and det/: every frame has a detection file, so all five
-        # commands read det/ as one input; the bad tree stores nothing.
-        assert len(entries) == 2 and all(p.suffix == ".table" for p in entries)
+        # Tables of gt/ and det/: every frame has a detection file, so all
+        # five commands read det/ as one input; the bad tree stores nothing.
+        # Pairs of the bev eval and of the 3d eval.
+        assert sorted(p.suffix for p in entries) == [".pairs", ".pairs", ".table", ".table"]
+        monkeypatch.setattr(evaluation, "pair_iou", None)  # a warm eval reads its pairs
         assert self.chain(data, tmp_path / "warm", capsys) == no_cache
         assert sorted((cache_home / "adathresh").iterdir()) == entries
 
@@ -1800,4 +1803,22 @@ class TestTableCacheChangesNoOutput:
             assert stdout.decode().replace(str(out), "<out>") == expected[2][0]
             assert self.written(out, out) == expected[3]
         root = tmp_path / "xdg" / "adathresh"
-        assert len(list(root.glob("*.table"))) == 2 and list(root.glob("*.tmp")) == []
+        assert len(list(root.glob("*.table"))) == 2 and len(list(root.glob("*.pairs"))) == 1
+        assert list(root.glob("*.tmp")) == []
+
+    def test_a_missing_root_and_its_missing_parents_are_made_mode_0700(self, data, tmp_path, monkeypatch):
+        """As the XDG base directory spec asks; the parents of --out-dir
+        keep the umask's mode."""
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(home))
+        umask = os.umask(0o022)
+        try:
+            argv = ["eval", "--gt-dir", str(data / "gt"), "--det-dir", str(data / "det")]
+            assert main([*argv, "--out-dir", str(home / "runs" / "eval")]) == 0
+        finally:
+            os.umask(umask)
+        modes = [stat.S_IMODE(path.stat().st_mode) for path in (home / ".cache", home / ".cache" / "adathresh", home / "runs")]
+        assert modes == [0o700, 0o700, 0o755]
+        assert len(list((home / ".cache" / "adathresh").glob("*.pairs"))) == 1

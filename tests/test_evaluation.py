@@ -3,10 +3,15 @@
 import dataclasses
 import json
 import random
+import struct
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from adathresh import evaluation, geometry, kitti_io
 from adathresh.bin_stats import BinSpec
 from adathresh.evaluation import (
     EvalReport,
@@ -36,6 +41,7 @@ from helpers import (
     loop_interpolated_ap,
     make_record,
     random_scene,
+    replaced,
     score_list,
     tables,
     three_pass_evaluate,
@@ -748,3 +754,150 @@ class TestCompareReports:
     def test_an_unknown_metric_is_rejected(self):
         with pytest.raises(ValueError, match="unknown metric 'f1'"):
             MetricDelta("f1", 0.5, 0.5)
+
+
+def report_or_error(gt, det, config, kept):
+    """evaluate_tables' report, or the type and message of its error."""
+    try:
+        return evaluate_tables(gt, det, config, kept=kept)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+def pair_entries(cache_home: Path) -> list[Path]:
+    return sorted((cache_home / "adathresh").glob("*.pairs"))
+
+
+def _body(entry: bytes) -> bytes:
+    """The body of a cache entry."""
+    head, _, rest = entry.partition(b"\n")
+    return rest[int(head.split()[0]) :]
+
+
+def rewritten(entry: bytes, body: bytes) -> bytes:
+    """entry with its body replaced by body, under a checksum that holds."""
+    head, _, rest = entry.partition(b"\n")
+    key = rest[: int(head.split()[0])]
+    return b"%d %d\n" % (len(key), zlib.crc32(body, zlib.crc32(key))) + key + body
+
+
+def other_value(body: bytes, array_index: int, pair: int, code: str, value) -> bytes:
+    """body, three arrays of one length, with one value of one array replaced."""
+    n = len(body) // 24
+    at = 8 * (array_index * n + pair % n)
+    return body[:at] + struct.pack(code, value) + body[at + 8 :]
+
+
+class TestPairCache:
+    """evaluate_tables reads its IoU pairs from the cache when an entry
+    holds the same input; no report depends on the cache."""
+
+    @pytest.fixture
+    def cache_home(self, tmp_path, monkeypatch):
+        home = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        return home
+
+    @pytest.fixture
+    def scene(self):
+        rng = random.Random(11)
+        gt, det = tables([frame(f"{i:06d}", *random_scene(rng)) for i in range(4)])
+        assert len(det) > 2 and len(gt) > 2
+        return gt, det
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """The arguments of each pair_iou call evaluate_tables makes from now on."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pair_iou(*args)
+
+        monkeypatch.setattr(evaluation, "pair_iou", counting)
+        return calls
+
+    @given(evaluation_inputs(), st.sampled_from([None, "easy", "moderate", "hard"]))
+    def test_a_miss_a_hit_and_no_cache_give_one_report(self, inputs, difficulty):
+        frames, kept, config = inputs
+        config = replaced(config, difficulty=difficulty)
+        gt, det = tables(frames)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", tmp)
+            miss = report_or_error(gt, det, config, kept)
+            assert len(pair_entries(Path(tmp))) == 1
+            patch.setattr(evaluation, "pair_iou", None)  # a hit computes no pair
+            hit = report_or_error(gt, det, config, kept)
+            patch.undo()
+            patch.delenv("XDG_CACHE_HOME")
+            patch.delenv("HOME", raising=False)
+            assert kitti_io._cache_root() is None
+            uncached = report_or_error(gt, det, config, kept)
+        assert miss == hit == uncached
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda entry, n_det, n_gt: entry[:-1],
+            lambda entry, n_det, n_gt: b"garbage " + entry,
+            lambda entry, n_det, n_gt: rewritten(entry, _body(entry)[:-8]),
+            lambda entry, n_det, n_gt: rewritten(entry, _body(entry) + struct.pack("d", 0.5)),
+            lambda entry, n_det, n_gt: rewritten(entry, other_value(_body(entry), 0, 0, "q", n_det)),
+            lambda entry, n_det, n_gt: rewritten(entry, other_value(_body(entry), 1, -1, "q", n_gt)),
+            lambda entry, n_det, n_gt: rewritten(entry, other_value(_body(entry), 1, 0, "q", -1)),
+        ],
+        ids=["truncated", "garbled", "a value cut", "a value appended", "det index", "gt index", "negative index"],
+    )
+    def test_a_damaged_entry_is_recomputed_and_replaced(self, scene, cache_home, monkeypatch, damage):
+        gt, det = scene
+        report = evaluate_tables(gt, det, BEV_CFG)
+        [path] = pair_entries(cache_home)
+        entry = path.read_bytes()
+        path.write_bytes(damage(entry, len(det), len(gt)))
+        calls = self.counted(monkeypatch)
+        assert evaluate_tables(gt, det, BEV_CFG) == report
+        assert len(calls) == 1 and path.read_bytes() == entry
+
+    def test_an_entry_of_another_input_under_this_name_is_recomputed(self, scene, cache_home, monkeypatch):
+        gt, det = scene
+        report = evaluate_tables(gt, det, BEV_CFG)
+        [path] = pair_entries(cache_home)
+        entry = path.read_bytes()
+        path.unlink()
+        evaluate_tables(gt, det, replaced(BEV_CFG, iou_kind="3d"))
+        [other] = pair_entries(cache_home)
+        other.rename(path)
+        calls = self.counted(monkeypatch)
+        assert evaluate_tables(gt, det, BEV_CFG) == report
+        assert len(calls) == 1 and path.read_bytes() == entry
+
+    def test_an_entry_of_other_geometry_source_is_recomputed(self, scene, cache_home, monkeypatch, tmp_path):
+        """An edit of geometry.py, even one that keeps its length, misses
+        every entry stored before it."""
+        gt, det = scene
+        edited = tmp_path / "geometry.py"
+        edited.write_bytes(Path(geometry.__file__).read_bytes().swapcase())
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "__file__", str(edited))
+            report = evaluate_tables(gt, det, BEV_CFG)
+        calls = self.counted(monkeypatch)
+        assert evaluate_tables(gt, det, BEV_CFG) == report
+        assert len(calls) == 1 and len(pair_entries(cache_home)) == 2
+        assert evaluate_tables(gt, det, BEV_CFG) == report
+        assert len(calls) == 1
+
+    def test_pairs_and_tables_share_one_cap(self, scene, cache_home):
+        for i in range(kitti_io._CACHE_ENTRIES):
+            kitti_io.cache_put("table", b"key %d" % i, b"")
+        evaluate_tables(*scene, BEV_CFG)
+        assert len(list((cache_home / "adathresh").iterdir())) == kitti_io._CACHE_ENTRIES
+        assert len(pair_entries(cache_home)) == 1
+
+    def test_an_unreadable_geometry_source_is_a_miss_that_stores_nothing(self, scene, cache_home, monkeypatch, tmp_path):
+        gt, det = scene
+        report = evaluate_tables(gt, det, BEV_CFG)
+        monkeypatch.setattr(geometry, "__file__", str(tmp_path / "missing.py"))
+        calls = self.counted(monkeypatch)
+        assert evaluate_tables(gt, det, BEV_CFG) == report
+        assert len(calls) == 1 and len(pair_entries(cache_home)) == 1
+

@@ -20,8 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Modules no command may load: numpy, and dataclasses and inspect (which
 # numpy imports itself), which would add about 14 ms to a command's
-# start-up.
-HEAVY = ("numpy", "dataclasses", "inspect")
+# start-up; and hashlib (3-5 ms), which the cache keys do without.
+HEAVY = ("numpy", "dataclasses", "inspect", "hashlib")
 LOADED = f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if m in {HEAVY!r} or m.startswith('adathresh'))))"
 
 

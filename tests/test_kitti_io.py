@@ -891,6 +891,17 @@ class TestTableCache:
             monkeypatch.setenv(name, value)
         assert kitti_io._cache_root() == root
 
+    def test_each_missing_level_of_the_root_is_made_mode_0700(self, tree, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "new" / "xdg"))
+        umask = os.umask(0o022)
+        try:
+            self.read(tree)
+        finally:
+            os.umask(umask)
+        levels = [tmp_path / "new", tmp_path / "new" / "xdg", tmp_path / "new" / "xdg" / "adathresh"]
+        assert [stat.S_IMODE(level.stat().st_mode) for level in levels] == [0o700] * 3
+        assert len(cache_entries(tmp_path / "new" / "xdg")) == 2
+
     def test_each_tree_is_stored_once_and_then_read_without_parsing(self, tree, cache_home, monkeypatch):
         parsed = self.read(tree)
         assert len(cache_entries(cache_home)) == 2  # gt/ and det/
