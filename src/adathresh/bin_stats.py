@@ -24,9 +24,9 @@ if TYPE_CHECKING:
     from .kitti_io import LabelTable
 
 
-def ground_distance(x: float, z: float) -> float:
-    """Horizontal distance from the ego vehicle to a ground-plane point."""
-    return math.hypot(x, z)
+# Horizontal distance from the ego vehicle to the ground-plane point (x, z):
+# math.hypot itself, so that a map over a table's rows makes no Python call.
+ground_distance = math.hypot
 
 
 class Record:
@@ -238,6 +238,16 @@ def assign_bin(distance: float, spec: BinSpec) -> int | None:
     return min(int(distance // spec.bin_width), spec.n_bins - 1)
 
 
+def assign_bins(distances: Iterable[float], spec: BinSpec) -> list[int]:
+    """assign_bin of each distance in one pass, spec.n_bins in place of None."""
+    width, top, overflow = spec.bin_width, spec.max_distance, spec.n_bins
+    # NaN fails d >= top, then int(), as in assign_bin. Below top, d // width may round up to overflow.
+    bins = [overflow if d >= top else b if (b := int(d // width)) < overflow else overflow - 1 for d in distances]
+    if min(bins, default=0) < 0:  # d // width < 0 exactly where d < 0
+        raise ValueError("distance must be non-negative")
+    return bins
+
+
 class BinStats(Record):
     """Score statistics for one bin; mean and std are None when empty."""
 
@@ -315,13 +325,12 @@ def compute_bin_stats(
     bin whose mean or std is not finite (scores near the float range
     overflow its sums) is an OverflowError naming the bin.
     """
-    buckets: list[list[float]] = [[] for _ in range(spec.n_bins)]
-    for distance, score in samples:
-        index = assign_bin(distance, spec)
-        if index is not None:
-            buckets[index].append(score)
+    samples = list(samples)
+    buckets: list[list[float]] = [[] for _ in range(spec.n_bins + 1)]  # the last one beyond the range
+    for index, (_, score) in zip(assign_bins([distance for distance, _ in samples], spec), samples):
+        buckets[index].append(score)
     out: list[BinStats] = []
-    for index, scores in enumerate(buckets):
+    for index, scores in enumerate(buckets[:-1]):
         n = len(scores)
         if n == 0:
             out.append(BinStats(index, 0, None, None))

@@ -35,7 +35,8 @@ from .bin_stats import BinSpec, BinStats, PreFilter, compute_bin_stats, table_sa
 from .kitti_io import (
     DatasetError,
     KittiIOError,
-    _read_text,
+    _read_bytes,
+    _text,
     label_files,
     load_detections,
     load_tables,
@@ -96,7 +97,7 @@ def _read_json(path: str | Path, kind: str):
     """The JSON value in a `kind` file, decoded as label files are;
     DatasetError naming the file otherwise."""
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_text(_read_bytes(path)))
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {kind} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

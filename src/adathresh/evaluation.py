@@ -23,8 +23,9 @@ prune tests only the ground truth in a z window around each detection,
 each row's frame is built once, and every kept pair goes through the
 package's one clipper, in one box's own frame. The pairs do not depend
 on the threshold mode, so _cached_pairs keeps them in kitti_io's cache,
-keyed by pair_iou's exact input and geometry.py's source: every eval
-after the first over the same boxes reads them instead of clipping.
+keyed by the bytes of both tables' box columns, the evaluated rows and
+geometry.py's source: every eval after the first over the same boxes
+reads them, and neither gathers the boxes nor imports geometry.
 _candidates lists each detection's ground truth at or above the
 threshold once, best first. The AP sweep (_sweep, one stable sort of the
 rows by descending score) is also the matching order: _match walks it. A
@@ -37,23 +38,25 @@ order is (frame_id, position) order.
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
+from array import array
 from bisect import bisect_left
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import lt
 from typing import Iterable, Sequence
 
-from . import geometry
-from .bin_stats import BinSpec, Record, assign_bin, ground_distance
-from .geometry import pair_iou
-from .kitti_io import DONT_CARE, LabelTable, cache_get, cache_put
+from .bin_stats import BinSpec, Record, assign_bins, ground_distance
+from .kitti_io import DONT_CARE, LabelTable, _read_bytes, cache_get, cache_put
 
 ELEVEN_POINT = "eleven_point"
 FORTY_POINT = "forty_point"
 
 # The first field of a pair entry's key; a new key or body layout changes it.
-_PAIR_FORMAT = f"adathresh iou pairs 1 {sys.byteorder}"
+_PAIR_FORMAT = f"adathresh iou pairs 2 {sys.byteorder}"
+_GEOMETRY_SOURCE = os.path.join(os.path.dirname(__file__), "geometry.py")  # pair_iou's, in a pairs key
+_BOX_COLUMNS = ("x", "y", "z", "height", "width", "length", "rotation_y")  # pair_iou's column order
 
 # Minimum 2D box height (pixels), maximum occlusion, maximum truncation.
 _DIFFICULTY_LIMITS = {
@@ -157,45 +160,48 @@ def _match(order: Iterable[int], candidates: list[list]) -> list[tuple[int, int]
 
 def _box_columns(table: LabelTable, rows: list[int]) -> list[list[float]]:
     """The rows' boxes as pair_iou columns: x, y, z, height, width, length and yaw."""
-    names = ("x", "y", "z", "height", "width", "length", "rotation_y")
-    return [list(map(table.column(name).__getitem__, rows)) for name in names]
+    return [list(map(table.column(name).__getitem__, rows)) for name in _BOX_COLUMNS]
 
 
 def _cached_pairs(
-    det: list[list[float]], det_offsets: list[int], gt: list[list[float]], gt_offsets: list[int], kind: str
+    det: LabelTable, det_rows: list[int], gt: LabelTable, gt_rows: list[int], kind: str
 ) -> tuple[Sequence[int], Sequence[int], Sequence[float]]:
-    """pair_iou of these arguments, read from kitti_io's cache when a
-    pairs entry holds this exact input, else computed and stored.
+    """geometry.pair_iou of the boxes of det_rows of det and gt_rows of gt,
+    from kitti_io's cache when a pairs entry holds this input, else
+    computed (the only use of geometry and _box_columns) and stored.
 
     The key is _PAIR_FORMAT, sys.version, geometry.py's own bytes, the
-    kind, both offset lists and the fourteen columns as native doubles,
-    so that an edit of the kernel misses every older entry; the body is
-    det_idx, gt_idx and iou as native 8-byte values. An unreadable
-    geometry.py, a cache error, or a body that is not three arrays of
-    one length or holds an index outside its side's rows is a miss: the
-    result never depends on the cache.
+    kind, both offset and row lists, and both tables' seven box columns
+    as native doubles, so that an edit of the kernel misses every older
+    entry; the body is det_idx, gt_idx and iou as native 8-byte values.
+    An unreadable geometry.py, a cache error, or a body that is not three
+    arrays of one length or holds an index outside its side's rows is a
+    miss: the result never depends on the cache.
     """
+    det_offsets, gt_offsets = _offsets(det, det_rows), _offsets(gt, gt_rows)
     try:
-        with open(geometry.__file__, "rb") as file:
-            source = file.read()
+        source = _read_bytes(_GEOMETRY_SOURCE)
     except OSError:
-        return pair_iou(det, det_offsets, gt, gt_offsets, kind)
-    n_det, n_gt = len(det[0]), len(gt[0])
-    # repr quotes sys.version's newline, and the sizes in head fix where
-    # each later part ends, so two inputs never share a key.
-    head = repr((_PAIR_FORMAT, sys.version, kind, len(source), len(det_offsets), len(gt_offsets), n_det, n_gt))
-    offsets = [*det_offsets, *gt_offsets]
-    values = [struct.pack(f"{len(offsets)}q", *offsets), *(struct.pack(f"{len(c)}d", *c) for c in (*det, *gt))]
-    key = b"".join([head.encode(), b"\n", source, *values])
-    body = cache_get("pairs", key)
-    if body is not None and len(body) % 24 == 0:
-        n = len(body) // 24
-        det_idx, gt_idx, iou = (struct.unpack_from(f"{n}{code}", body, 8 * n * j) for j, code in enumerate("qqd"))
-        sides = ((det_idx, n_det), (gt_idx, n_gt))
-        if all(min(idx, default=0) >= 0 and max(idx, default=-1) < n_rows for idx, n_rows in sides):
-            return det_idx, gt_idx, iou
-    pairs = pair_iou(det, det_offsets, gt, gt_offsets, kind)
-    cache_put("pairs", key, b"".join(struct.pack(f"{len(v)}{code}", *v) for code, v in zip("qqd", pairs)))
+        source = key = None
+    if source is not None:
+        # repr quotes sys.version's newline, and the sizes in head fix where
+        # each later part ends, so two inputs never share a key.
+        sizes = map(len, (source, det_offsets, gt_offsets, det_rows, gt_rows, det, gt))
+        head = repr((_PAIR_FORMAT, sys.version, kind, *sizes)).encode()
+        indices = array("q", [*det_offsets, *gt_offsets, *det_rows, *gt_rows]).tobytes()
+        columns = [table.column(name).tobytes() for table in (det, gt) for name in _BOX_COLUMNS]
+        key = b"".join([head, b"\n", source, indices, *columns])
+        body = cache_get("pairs", key)
+        if body is not None and len(body) % 24 == 0:
+            n = len(body) // 24
+            det_idx, gt_idx, iou = (struct.unpack_from(f"{n}{code}", body, 8 * n * j) for j, code in enumerate("qqd"))
+            sides = ((det_idx, len(det_rows)), (gt_idx, len(gt_rows)))
+            if all(min(idx, default=0) >= 0 and max(idx, default=-1) < n_rows for idx, n_rows in sides):
+                return det_idx, gt_idx, iou
+    from .geometry import pair_iou  # a hit needs no kernel, and eval no other part of geometry
+    pairs = pair_iou(_box_columns(det, det_rows), det_offsets, _box_columns(gt, gt_rows), gt_offsets, kind)
+    if key is not None:
+        cache_put("pairs", key, b"".join(struct.pack(f"{len(v)}{code}", *v) for code, v in zip("qqd", pairs)))
     return pairs
 
 
@@ -205,11 +211,9 @@ def _offsets(table: LabelTable, rows: list[int]) -> list[int]:
 
 
 def _bins(table: LabelTable, rows: list[int], spec: BinSpec) -> list[int]:
-    """Each row's assign_bin of its ground_distance; spec.n_bins beyond the range."""
+    """Each row's assign_bins of its ground_distance; spec.n_bins beyond the range."""
     x, z = table.column("x"), table.column("z")
-    distances = map(ground_distance, map(x.__getitem__, rows), map(z.__getitem__, rows))
-    bins = map(assign_bin, distances, repeat(spec))
-    return [spec.n_bins if b is None else b for b in bins]
+    return assign_bins(map(ground_distance, map(x.__getitem__, rows), map(z.__getitem__, rows)), spec)
 
 
 def _ratio(numerator: int, denominator: int) -> float:
@@ -334,8 +338,7 @@ def evaluate_tables(
     spec = bin_spec if bin_spec is not None else BinSpec()
     gt_rows, det_rows = _eval_rows(gt, det, config)
     scores = list(map(det.scores().__getitem__, det_rows))
-    det_boxes, gt_boxes = _box_columns(det, det_rows), _box_columns(gt, gt_rows)
-    pairs = _cached_pairs(det_boxes, _offsets(det, det_rows), gt_boxes, _offsets(gt, gt_rows), config.iou_kind)
+    pairs = _cached_pairs(det, det_rows, gt, gt_rows, config.iou_kind)
     candidates = _candidates(pairs, len(det_rows), config.iou_threshold)
     sweep = _sweep(scores)
     kept_sweep = sweep if kept is None else [i for i in sweep if kept[det_rows[i]]]

@@ -28,30 +28,31 @@ read_label_table, load_tables and load_detections read whole directories
 into a LabelTable, one row per line held by column, through one reader.
 load_tables and load_detections take the frame set from one listing of a
 ground-truth and a detection directory, by file name; load_detections
-opens no ground-truth file and builds only the detection table. Each
-file is read through a raw descriptor (os.open, os.read until end of
-file, os.close) and decoded as strict UTF-8 without one leading
-byte-order mark: the lines a utf-8-sig text file gives, save that a file
-holding only part of a mark is undecodable, not empty. Every table,
-synthetic ones included, is built from label lines by one function,
-which runs each check once over all rows. When any fails, or a file
-cannot be read, the files are read again and checked line by line in
-frame order, ground truth first within a frame, and the error raised
-names the first bad file and line.
+opens no ground-truth file and builds only the detection table; only
+read_label_table keeps each row's line. Each file is read through a raw
+descriptor (os.open, os.read until end of file, os.close) and decoded
+as strict UTF-8 without one leading byte-order mark: the lines a
+utf-8-sig text file gives, save that a file holding only part of a mark
+is undecodable, not empty. Every table, synthetic ones included, is
+built from label lines by one function, which runs each check once over
+all rows. When any fails, or a file cannot be read, the files are read
+again and checked line by line in frame order, ground truth first
+within a frame, and the error raised names the first bad file and line.
 
 The cache spares a command work done before on the same input, under
 $XDG_CACHE_HOME/adathresh, else $HOME/.cache/adathresh (no cache when
 neither is an absolute path). cache_put stores a body under a key, and
-cache_get reads it back. A table entry's body is the real columns and
-class names of a tree's parse, and its key the exact parser input: a
-format version, whether rows carry a score, the frame ids, file names
-and row ends, and every non-blank line. A pairs entry holds
-evaluation's IoU pairs. A hit needs the stored key to equal the current
-one byte for byte and a crc32 to hold; a table hit's rows still go
-through the finiteness pass and the invariants. Only the newest
-_CACHE_ENTRIES entries of both kinds are kept. Any cache error (an
-unwritable or missing root, a truncated or foreign entry) is a miss, so
-the cache changes no table, error or output.
+cache_get reads it back. A table entry's key is a format version,
+whether rows carry a score, each file's size, the frame ids and file
+names, and the files' bytes; its body is their parse: each frame's row
+end, the real columns and the class names, so that a hit decodes no
+file unless its table keeps lines. A pairs entry holds evaluation's IoU
+pairs. A hit needs the stored key to equal the current one byte for
+byte and a crc32 to hold; a table hit's rows still go through the
+finiteness pass and the invariants. Only the newest _CACHE_ENTRIES
+entries of both kinds are kept. Any cache error (an unwritable or
+missing root, a truncated or foreign entry) is a miss, so the cache
+changes no table, error or output.
 
 write_files is the one writer of output files: label trees, and the
 JSON, CSV, SVG and markdown reports. It writes a directory's files, each
@@ -59,7 +60,7 @@ one's UTF-8 bytes with os.write, into a fresh staging tree, names with a
 subdirectory included: a new directory appears whole or not at all, and
 an existing one gets one atomic replace per file. label_files gives a
 table's frames as files, one label file each, and write_frames hands
-them to write_files.
+them to write_files; both refuse a table without lines.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import tempfile
 import zlib
 from array import array
 from itertools import chain, compress
-from operator import lt
+from operator import le, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -134,9 +135,9 @@ _CHUNK_LINES = 256  # lines split at once by the bulk reader
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0  # a double's sign-and-exponent byte in array("d") bytes
 _READ_BYTES = 1 << 16  # bytes asked of each os.read
 # The cache (see the module docstring). A new table entry layout, or a
-# parser that makes other rows of a line, changes _CACHE_FORMAT, so
-# that no older entry matches; array("d") bytes are in native order.
-_CACHE_FORMAT = f"adathresh label table 1 {sys.byteorder}"
+# parser that makes other rows of a file, changes _CACHE_FORMAT, so
+# that no older entry matches; array bytes are in native order.
+_CACHE_FORMAT = f"adathresh label table 2 {sys.byteorder}"
 _CACHE_ENTRIES = 16  # the newest entries, of both kinds, kept after each write
 _CACHE_SUFFIXES = (".table", ".pairs")  # label tables, and evaluation's IoU pairs
 
@@ -148,7 +149,8 @@ class LabelTable(Record, eq=False):
     of the file it was read from (None for a frame without one), or
     <frame_id>.txt in a synthetic table. columns holds one array('d')
     per name in COLUMNS, the score only in a detection table. lines
-    holds each row's line as read, without its line break.
+    holds each row's line as read, without its line break; None in a
+    table from load_tables or load_detections, which none writes back.
     """
 
     frame_ids: list[str]
@@ -156,7 +158,7 @@ class LabelTable(Record, eq=False):
     offsets: list[int]
     class_names: list[str]
     columns: tuple[array, ...]
-    lines: list[str]
+    lines: list[str] | None
 
     def __len__(self) -> int:
         return len(self.class_names)
@@ -179,14 +181,16 @@ def label_files(table: LabelTable, kept: Sequence[bool] | None = None) -> Iterat
     """(file name, text) of each frame's file of table: the lines of the
     rows flagged in kept (all rows without kept) as held, LF-terminated.
     A frame without a file has no rows and gets none. A kept without
-    exactly one flag per row is a ValueError, raised at the call, before
-    anything is written.
+    exactly one flag per row, or a table without lines, is a ValueError,
+    raised at the call, before anything is written.
     """
+    if table.lines is None:
+        raise ValueError("the table holds no lines to write (load_tables and load_detections keep none)")
     kept = [True] * len(table) if kept is None else kept
     if len(kept) != len(table):
         raise ValueError(f"kept holds {len(kept)} flags for a table of {len(table)} rows")
     return (
-        (name, "".join(line + "\n" for line in compress(table.lines[start:stop], kept[start:stop])))
+        (name, "\n".join([*compress(table.lines[start:stop], kept[start:stop]), ""]))
         for name, start, stop in zip(table.files, table.offsets, table.offsets[1:])
         if name is not None
     )
@@ -263,7 +267,7 @@ def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, La
     """
     gt_dir, det_dir = Path(gt_dir), Path(det_dir)
     gt_files, det_files = _listed_frames(gt_dir, det_dir)
-    gt, det = _read_tables(sorted(gt_files), [(gt_dir, gt_files, False), (det_dir, det_files, True)])
+    gt, det = _read_tables(sorted(gt_files), [(gt_dir, gt_files, False), (det_dir, det_files, True)], False)
     return gt, det
 
 
@@ -279,7 +283,7 @@ def load_detections(gt_dir: str | Path, det_dir: str | Path) -> LabelTable:
     """
     det_dir = Path(det_dir)
     _, det_files = _listed_frames(Path(gt_dir), det_dir)
-    [det] = _read_tables(sorted(det_files), [(det_dir, det_files, True)])
+    [det] = _read_tables(sorted(det_files), [(det_dir, det_files, True)], False)
     return det
 
 
@@ -287,36 +291,29 @@ def read_label_table(directory: str | Path, role: str, expect_score: bool) -> La
     """The table of every label file in directory, one frame per file,
     sorted by frame id. A missing directory or two files of one frame id
     is a DatasetError (see _files_by_frame); a bad file raises
-    _read_tables' error for the first bad file in frame order. filter
-    reads its input here."""
+    _read_tables' error for the first bad file in frame order. The table
+    keeps its lines: filter reads its input here."""
     directory = Path(directory)
     files = _files_by_frame(directory, role)
-    [table] = _read_tables(sorted(files), [(directory, files, expect_score)])
+    [table] = _read_tables(sorted(files), [(directory, files, expect_score)], True)
     return table
 
 
-def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], bool]]) -> list[LabelTable]:
+def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], bool]], keep_lines: bool) -> list[LabelTable]:
     """One table per (directory, frame id -> file name, expect_score) tree,
-    each holding every frame of frame_ids (no rows where the tree has no
-    file of the frame). When a file cannot be read or _table_from_lines
-    rejects a line, every file is read again and checked line by line in
-    frame order, trees in the given order within a frame, and
-    _check_label_file's error for the first bad file is raised."""
+    holding every frame of frame_ids (no rows where the tree has no file
+    of the frame) and its lines when keep_lines. When a file cannot be
+    read or _table_from_lines rejects a line, every file is read again and
+    checked line by line in frame order, trees in the given order within
+    a frame, and _check_label_file's error for the first bad file is raised."""
     tables = []
     for directory, by_frame, expect_score in trees:
         files = [by_frame.get(frame_id) for frame_id in frame_ids]
         prefix = os.path.join(directory, "")  # a Path per file cost a tenth of the load
-        lines: list[str] = []
-        ends: list[int] = []
         try:
-            for name in files:
-                if name is not None:
-                    # strip() is empty exactly where split() is: a blank line has no row.
-                    lines += filter(str.strip, _read_text(prefix + name).splitlines())
-                ends.append(len(lines))
+            table = _cached_table(frame_ids, prefix, files, expect_score, keep_lines)
         except (OSError, UnicodeDecodeError):
             break
-        table = _cached_table(frame_ids, files, lines, ends, expect_score)
         if table is None:
             break
         tables.append(table)
@@ -329,12 +326,25 @@ def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], b
     raise AssertionError("the bulk parser rejected files that _check_label_file accepts")
 
 
-def _read_text(path: str | Path) -> str:
-    """A label file's text: its _read_bytes as strict UTF-8 without one
-    leading byte-order mark. splitlines() breaks it at a "\r\n" or "\r"
-    as at the "\n" a text file makes of them."""
-    text = _read_bytes(path).decode()
+def _text(data: bytes | memoryview) -> str:
+    """A label file's text: its bytes as strict UTF-8 without one leading
+    byte-order mark. splitlines() breaks it at a "\r\n" or "\r" as at
+    the "\n" a text file makes of them."""
+    text = str(data, "utf-8")
     return text[1:] if text[:1] == "\ufeff" else text
+
+
+def _nonblank_lines(key: bytes, sizes: list[int]) -> tuple[list[str], list[int]]:
+    """The non-blank lines of the files of sizes that end key, and their count at each file's end."""
+    view, at = memoryview(key), len(key) - sum(sizes) - len(sizes)  # the NUL before the first file
+    lines: list[str] = []
+    ends: list[int] = []
+    for size in sizes:
+        data, at = view[at + 1 : at + 1 + size], at + 1 + size
+        # strip() is empty exactly where split() is: a blank line has no row.
+        lines += filter(str.strip, _text(data).splitlines())
+        ends.append(len(lines))
+    return lines, ends
 
 
 def _read_bytes(path: str | Path) -> bytes:
@@ -351,10 +361,10 @@ def _read_bytes(path: str | Path) -> bytes:
 
 
 def _table_from_lines(
-    frame_ids: list[str], files: list[str | None], lines: list[str], ends: list[int], expect_score: bool
+    frame_ids: list[str], files: list[str | None], lines: list[str], ends: list[int], expect_score: bool, keep_lines: bool
 ) -> LabelTable | None:
-    """The table of non-blank label lines, frame i holding those after frame
-    i - 1's up to ends[i]; None when a line breaks a rule of _check_line.
+    """The table of label lines (kept when keep_lines), frame i holding
+    those after i - 1's up to ends[i]; None when one breaks _check_line.
 
     The rules run on all lines at once: the field count of every line,
     then one float conversion, then _checked_table's rules.
@@ -374,27 +384,18 @@ def _table_from_lines(
                 column.extend(map(float, tokens[j::width]))
         except ValueError:
             return None
-    return _checked_table(frame_ids, files, lines, ends, class_names, columns)
+    return _checked_table(LabelTable(frame_ids, files, [0, *ends], class_names, columns, lines if keep_lines else None))
 
 
-def _checked_table(
-    frame_ids: list[str],
-    files: list[str | None],
-    lines: list[str],
-    ends: list[int],
-    class_names: list[str],
-    columns: tuple[array, ...],
-) -> LabelTable | None:
-    """The table of rows given as class names and real columns; None when
-    a real is not finite or a row breaks _invariants_hold."""
-    for column in columns:
+def _checked_table(table: LabelTable) -> LabelTable | None:
+    """table; None when a real is not finite or a row breaks _invariants_hold."""
+    for column in table.columns:
         # A double whose sign-and-exponent byte is neither 0x7f nor 0xff
         # is finite (below 2**1009 in magnitude): scanning those bytes
         # takes a tenth of the time of math.isfinite on every value.
         top = column.tobytes()[_TOP_BYTE::8]
         if (b"\x7f" in top or b"\xff" in top) and not all(map(math.isfinite, column)):
             return None
-    table = LabelTable(frame_ids, files, [0, *ends], class_names, columns, lines)
     return table if _invariants_hold(table) else None
 
 
@@ -410,38 +411,53 @@ def _cache_root() -> str | None:
 
 
 def _cached_table(
-    frame_ids: list[str], files: list[str | None], lines: list[str], ends: list[int], expect_score: bool
+    frame_ids: list[str], prefix: str, files: list[str | None], expect_score: bool, keep_lines: bool
 ) -> LabelTable | None:
-    """_table_from_lines of these arguments, its split and float
-    conversion taken from the cache when a table entry holds this exact
-    input; _checked_table still runs on the entry's rows. A parse that
-    succeeds stores its entry. A cache error is a miss, and a failed
-    store is ignored: the result never depends on the cache."""
-    # The exact parser input. Frame ids and file names hold no NUL and
-    # lines no newline, and ends fixes how many ids, names and lines
-    # there are, so two inputs never share a key.
-    fields = [_CACHE_FORMAT, str(int(expect_score)), " ".join(map(str, ends)), *frame_ids]
-    key = "\0".join([*fields, *(name or "" for name in files), "\n".join(lines)]).encode("utf-8", "surrogatepass")
+    """_table_from_lines of the _nonblank_lines of prefix + each of files
+    (none for None), from the cache when a table entry holds the files'
+    bytes; a hit decodes them only to keep lines, which must then end
+    each frame where its rows do. _checked_table still runs on a hit. A
+    parse that succeeds stores its entry. A cache error is a miss, and a
+    failed store is ignored: the result never depends on the cache."""
+    raw = [b"" if name is None else _read_bytes(prefix + name) for name in files]
+    sizes = list(map(len, raw))
+    # Frame ids and file names hold no NUL, and the sizes fix how many
+    # ids, names and files there are and where each file ends, so two
+    # inputs never share a key.
+    fields = [_CACHE_FORMAT, str(int(expect_score)), " ".join(map(str, sizes)), *frame_ids]
+    key = b"\0".join(["\0".join([*fields, *(name or "" for name in files)]).encode("utf-8", "surrogatepass"), *raw])
+    del raw  # the key holds the one copy of the bytes that stays alive
+    lines, ends = _nonblank_lines(key, sizes) if keep_lines else (None, None)
     body = cache_get("table", key)
     width = (_DET_FIELDS if expect_score else _GT_FIELDS) - 1
     try:
-        rows = None if body is None else _table_rows(body, width, len(lines))
+        rows = None if body is None else _table_rows(body, width, len(frame_ids))
     except ValueError:
         rows = None
-    table = None if rows is None else _checked_table(frame_ids, files, lines, ends, *rows)
+    hit = rows is not None and (ends is None or rows[0][1:] == ends)
+    table = _checked_table(LabelTable(frame_ids, files, *rows, lines)) if hit else None
     if table is None:
-        table = _table_from_lines(frame_ids, files, lines, ends, expect_score)
+        if lines is None:
+            lines, ends = _nonblank_lines(key, sizes)
+        table = _table_from_lines(frame_ids, files, lines, ends, expect_score, keep_lines)
         if table is not None:
             names = "\n".join(table.class_names).encode()
-            cache_put("table", key, b"".join([*(column.tobytes() for column in table.columns), names]))
+            cache_put("table", key, b"".join([array("q", ends).tobytes(), *(c.tobytes() for c in table.columns), names]))
     return table
 
 
-def _table_rows(body: memoryview, width: int, n_rows: int) -> tuple[list[str], tuple[array, ...]] | None:
-    """(class names, columns) of a table entry's body: each of width
-    columns' n_rows native doubles, then the class names joined by
-    newlines. None for a body of other sizes; a ValueError for one cut
-    inside a double or holding names that are not UTF-8."""
+def _table_rows(body: memoryview, width: int, n_frames: int) -> tuple[list[int], list[str], tuple[array, ...]] | None:
+    """(offsets, class names, columns) of a table entry's body: n_frames
+    native 8-byte row ends, width columns of one native double per row,
+    and the class names joined by newlines. None for ends that are not one
+    per frame, non-decreasing and ending at the row count, or other sizes;
+    a ValueError for a body cut inside a value or names not UTF-8."""
+    ends = array("q")
+    ends.frombytes(body[: 8 * n_frames])
+    offsets = [0, *ends]
+    if len(ends) != n_frames or not all(map(le, offsets, offsets[1:])):
+        return None
+    n_rows, body = offsets[-1], body[8 * n_frames :]
     size = 8 * n_rows
     columns = tuple(array("d") for _ in range(width))
     for j, column in enumerate(columns):
@@ -450,7 +466,7 @@ def _table_rows(body: memoryview, width: int, n_rows: int) -> tuple[list[str], t
     class_names = list(map(sys.intern, names.split("\n"))) if names else []
     if len(class_names) != n_rows or len(columns[-1]) != n_rows:
         return None
-    return class_names, columns
+    return offsets, class_names, columns
 
 
 def cache_get(kind: str, key: bytes) -> memoryview | None:
@@ -472,8 +488,8 @@ def cache_get(kind: str, key: bytes) -> memoryview | None:
     except (OSError, ValueError):
         return None
     body = memoryview(data)[head_end + key_size :]
-    # A slice of data, not of a memoryview, which compares item by item.
-    if key_size != len(key) or data[head_end : head_end + key_size] != key or zlib.crc32(body, key_crc) != crc:
+    # startswith compares in place: no copy, and not item by item as a memoryview does.
+    if key_size != len(key) or not data.startswith(key, head_end) or zlib.crc32(body, key_crc) != crc:
         return None
     return body
 
@@ -569,7 +585,7 @@ def _check_label_file(path: Path, expect_score: bool) -> None:
     with the file and the 1-based line number; blank lines are skipped.
     An unreadable file is a DatasetError naming it. Builds nothing."""
     try:
-        text = _read_text(path)
+        text = _text(_read_bytes(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     n_fields = _DET_FIELDS if expect_score else _GT_FIELDS

@@ -275,7 +275,7 @@ def _table(frame_ids: list[str], frames: tuple[list[tuple], ...], expect_score: 
     """The table read from the label lines of frames' rows."""
     lines = [_label_line(*row) for rows in frames for row in rows]
     ends = list(accumulate(map(len, frames)))
-    table = _table_from_lines(frame_ids, [f"{i}.txt" for i in frame_ids], lines, ends, expect_score)
+    table = _table_from_lines(frame_ids, [f"{i}.txt" for i in frame_ids], lines, ends, expect_score, True)
     if table is None:
         raise ValueError("the scenario generated a label line that the reader rejects")
     return table

@@ -143,7 +143,7 @@ def tables(frames: Sequence[Frame]) -> tuple[LabelTable, LabelTable]:
 def _table(ids: list[str], records: list[Sequence[Record]], with_score: bool) -> LabelTable:
     lines = [label_line(r if with_score else replace(r, score=None)) for rs in records for r in rs]
     ends = list(accumulate(map(len, records)))
-    table = _table_from_lines(ids, [f"{i}.txt" for i in ids], lines, ends, with_score)
+    table = _table_from_lines(ids, [f"{i}.txt" for i in ids], lines, ends, with_score, True)
     assert table is not None, f"the reader rejects a fixture line of {lines}"
     return table
 

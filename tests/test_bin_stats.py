@@ -16,6 +16,7 @@ from adathresh.bin_stats import (
     PreFilter,
     Record,
     assign_bin,
+    assign_bins,
     compute_bin_stats,
     table_samples,
 )
@@ -117,6 +118,49 @@ class TestAssignBin:
         index = assign_bin(distance, DEFAULT)
         lo, hi = DEFAULT.edges(index)
         assert lo <= distance < hi
+
+
+# Specs whose edges and range are not all exact doubles (0.1 * 3 > 0.3;
+# in BinSpec(0.009, 0.117), the double just below 0.117 floor-divides by
+# 0.009 to 13, one past the last bin), and any width with a whole number
+# of bins.
+ODD_SPECS = st.sampled_from(
+    [DEFAULT, BinSpec(0.1, 0.3), BinSpec(0.7, 2.1), BinSpec(1e-3, 1.0), BinSpec(3.0, 3.0), BinSpec(0.009, 0.117)]
+) | st.builds(
+    lambda width, n: BinSpec(width, width * n), st.floats(1e-3, 100.0), st.integers(1, 40)
+)
+
+
+@st.composite
+def binned_distances(draw):
+    """(spec, distances): a spec of ODD_SPECS and distances at and around
+    its edges and range, huge and infinite ones among them."""
+    spec = draw(ODD_SPECS)
+    edges = [i * spec.bin_width for i in range(spec.n_bins + 1)] + [spec.max_distance]
+    near = [math.nextafter(edge, direction) for edge in edges for direction in (0.0, math.inf)]
+    special = st.sampled_from([0.0, -0.0, sys.float_info.max, math.inf, *edges, *near])
+    return spec, draw(st.lists(special | st.floats(0.0, 2.0 * spec.max_distance) | st.floats(0.0), max_size=40))
+
+
+class TestAssignBins:
+    """assign_bins is assign_bin of each distance in one pass."""
+
+    @given(binned_distances())
+    @example((BinSpec(0.009, 0.117), [math.nextafter(0.117, 0.0), 0.117, 0.0, math.inf]))
+    def test_equals_assign_bin_element_by_element(self, case):
+        spec, distances = case
+        expected = [assign_bin(distance, spec) for distance in distances]
+        assert assign_bins(distances, spec) == [spec.n_bins if b is None else b for b in expected]
+        assert assign_bins(iter(distances), spec) == assign_bins(distances, spec)
+
+    @given(binned_distances(), st.sampled_from([-0.1, -sys.float_info.min, -math.inf, math.nan]), st.integers(0, 40))
+    def test_a_negative_or_nan_distance_raises_as_in_assign_bin(self, case, bad, at):
+        spec, distances = case
+        distances.insert(min(at, len(distances)), bad)
+        with pytest.raises(ValueError):
+            assign_bin(bad, spec)
+        with pytest.raises(ValueError):
+            assign_bins(distances, spec)
 
 
 class TestBinStats:

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adathresh import cli, evaluation, kitti_io
+from adathresh import cli, geometry, kitti_io
 from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats
 from adathresh.cli import main
 from adathresh.threshold import ThresholdModel, fit_quadratic, keep_rows
@@ -1308,13 +1308,14 @@ class TestGroundTruthIsListedNotRead:
 
     def test_only_eval_opens_a_ground_truth_file(self, tmp_path, dataset, monkeypatch):
         opened = []
-        read_text = kitti_io._read_text
-        monkeypatch.setattr(kitti_io, "_read_text", lambda path: opened.append(Path(path)) or read_text(path))
+        read_bytes = kitti_io._read_bytes
+        monkeypatch.setattr(kitti_io, "_read_bytes", lambda path: opened.append(Path(path)) or read_bytes(path))
         for command in ("stats", "fit", "eval"):
             opened.clear()
             data = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
             assert run(command, *data, "--out-dir", str(tmp_path / command)) == 0
-            read_dirs = {path.parent for path in opened}
+            # Label files only: cache entries are read through _read_bytes too.
+            read_dirs = {path.parent for path in opened if path.suffix == ".txt"}
             assert read_dirs == ({dataset / "gt", dataset / "det"} if command == "eval" else {dataset / "det"})
 
     @pytest.mark.parametrize("command", ["stats", "fit"])
@@ -1742,7 +1743,7 @@ class TestTableCacheChangesNoOutput:
         # five commands read det/ as one input; the bad tree stores nothing.
         # Pairs of the bev eval and of the 3d eval.
         assert sorted(p.suffix for p in entries) == [".pairs", ".pairs", ".table", ".table"]
-        monkeypatch.setattr(evaluation, "pair_iou", None)  # a warm eval reads its pairs
+        monkeypatch.setattr(geometry, "pair_iou", None)  # a warm eval reads its pairs
         assert self.chain(data, tmp_path / "warm", capsys) == no_cache
         assert sorted((cache_home / "adathresh").iterdir()) == entries
 

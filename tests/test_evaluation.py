@@ -814,7 +814,7 @@ class TestPairCache:
             calls.append(args)
             return pair_iou(*args)
 
-        monkeypatch.setattr(evaluation, "pair_iou", counting)
+        monkeypatch.setattr(geometry, "pair_iou", counting)  # evaluation imports it on a miss
         return calls
 
     @given(evaluation_inputs(), st.sampled_from([None, "easy", "moderate", "hard"]))
@@ -826,7 +826,9 @@ class TestPairCache:
             patch.setenv("XDG_CACHE_HOME", tmp)
             miss = report_or_error(gt, det, config, kept)
             assert len(pair_entries(Path(tmp))) == 1
-            patch.setattr(evaluation, "pair_iou", None)  # a hit computes no pair
+            # A hit computes no pair and gathers no box.
+            patch.setattr(geometry, "pair_iou", None)
+            patch.setattr(evaluation, "_box_columns", None)
             hit = report_or_error(gt, det, config, kept)
             patch.undo()
             patch.delenv("XDG_CACHE_HOME")
@@ -876,9 +878,9 @@ class TestPairCache:
         every entry stored before it."""
         gt, det = scene
         edited = tmp_path / "geometry.py"
-        edited.write_bytes(Path(geometry.__file__).read_bytes().swapcase())
+        edited.write_bytes(Path(evaluation._GEOMETRY_SOURCE).read_bytes().swapcase())
         with monkeypatch.context() as patch:
-            patch.setattr(geometry, "__file__", str(edited))
+            patch.setattr(evaluation, "_GEOMETRY_SOURCE", str(edited))
             report = evaluate_tables(gt, det, BEV_CFG)
         calls = self.counted(monkeypatch)
         assert evaluate_tables(gt, det, BEV_CFG) == report
@@ -893,10 +895,44 @@ class TestPairCache:
         assert len(list((cache_home / "adathresh").iterdir())) == kitti_io._CACHE_ENTRIES
         assert len(pair_entries(cache_home)) == 1
 
+    def test_other_rows_of_the_same_tables_get_their_own_entry(self, cache_home, monkeypatch):
+        """The key holds the evaluated rows, not only the tables' columns:
+        each difficulty stratum and class of one pair of tables has its own
+        entry, and each report is the one computed without a cache."""
+        rng = random.Random(5)
+        scenes = [random_scene(rng) for _ in range(4)]
+        # Occlusion levels 0 to 3 put the ground truth in different strata.
+        scenes = [([dataclasses.replace(g, occluded=i % 4) for i, g in enumerate(gt)], det) for gt, det in scenes]
+        gt, det = tables([frame(f"{i:06d}", *scene) for i, scene in enumerate(scenes)])
+        configs = [replaced(BEV_CFG, difficulty=d) for d in (None, "easy", "moderate", "hard")]
+        configs.append(replaced(BEV_CFG, class_name="Pedestrian"))
+        with monkeypatch.context() as patch:
+            patch.delenv("XDG_CACHE_HOME")
+            patch.delenv("HOME", raising=False)
+            uncached = [report_or_error(gt, det, config, None) for config in configs]
+        assert [report_or_error(gt, det, config, None) for config in configs] == uncached
+        selections = {tuple(map(tuple, _eval_rows(gt, det, config))) for config in configs}
+        assert len(pair_entries(cache_home)) == len(selections) == len(configs)
+        assert [report_or_error(gt, det, config, None) for config in configs] == uncached
+
+    def test_other_rows_with_the_same_offsets_get_their_own_entry(self, cache_home):
+        """Each frame holds a Car and a Van on both sides, so both classes
+        select one row a frame: equal offsets, other rows. The detected
+        Van lies 10 m from the true one, which the Car's pairs would hide."""
+        gt_car, gt_van = make_record(0.0, 10.0), make_record(3.0, 30.0, class_name="Van")
+        det_car, det_van = make_record(0.0, 10.0, score=0.9), make_record(3.0, 40.0, score=0.8, class_name="Van")
+        gt, det = tables([frame(f"{i:06d}", [gt_car, gt_van], [det_car, det_van]) for i in range(3)])
+        car, van = (evaluate_tables(gt, det, replaced(BEV_CFG, class_name=name)) for name in ("Car", "Van"))
+        assert (car.tp, car.fp, van.tp, van.fp) == (3, 0, 0, 3)
+        assert len(pair_entries(cache_home)) == 2
+
+    def test_the_source_in_the_key_is_the_module_that_computes_the_pairs(self):
+        assert Path(evaluation._GEOMETRY_SOURCE).resolve() == Path(geometry.__file__).resolve()
+
     def test_an_unreadable_geometry_source_is_a_miss_that_stores_nothing(self, scene, cache_home, monkeypatch, tmp_path):
         gt, det = scene
         report = evaluate_tables(gt, det, BEV_CFG)
-        monkeypatch.setattr(geometry, "__file__", str(tmp_path / "missing.py"))
+        monkeypatch.setattr(evaluation, "_GEOMETRY_SOURCE", str(tmp_path / "missing.py"))
         calls = self.counted(monkeypatch)
         assert evaluate_tables(gt, det, BEV_CFG) == report
         assert len(calls) == 1 and len(pair_entries(cache_home)) == 1

@@ -154,6 +154,18 @@ def test_command_loads_only_what_it_runs(data, command):
     assert not loaded & NOT_LOADED[command]
 
 
+@pytest.mark.parametrize("command", ["eval", "eval-adaptive-3d"])
+def test_only_an_eval_that_misses_its_pairs_loads_geometry(data, tmp_path, monkeypatch, command):
+    """geometry holds the IoU kernel, which an eval needs only when the
+    cache holds no pairs of its input: a cold eval loads it, and the same
+    eval in a fresh interpreter over a warm cache does not."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    run = f"from adathresh.cli import main\nassert main({_commands(data)[command]!r}) == 0"
+    cold, warm = loaded_after(run), loaded_after(run)
+    assert "adathresh.geometry" in cold
+    assert "adathresh.geometry" not in warm and "adathresh.evaluation" in warm
+
+
 def test_eval_without_ground_truth_of_the_class_exits_2(tmp_path):
     write_label(tmp_path / "gt" / "000000.txt", [make_record(0.0, 10.0, class_name="Pedestrian")])
     write_label(tmp_path / "det" / "000000.txt", [make_record(0.0, 10.0, score=0.9)])

@@ -3,6 +3,7 @@
 import math
 import os
 import stat
+import sys
 import tempfile
 from array import array
 from pathlib import Path
@@ -382,12 +383,12 @@ class TestDataset:
         for name, line in (("gt/000000.txt", GT_LINE), ("det/000000.txt", DET_LINE)):
             self._write(tmp_path, name, "\ufeff" + line + "\n")
         gt, det = load_tables(tmp_path / "gt", tmp_path / "det")
-        assert (gt.class_names, gt.lines, det.class_names, det.lines) == (["Car"], [GT_LINE], ["Car"], [DET_LINE])
+        assert (gt.class_names, det.class_names) == (["Car"], ["Car"])
         for sub, line, expect_score in (("gt", GT_LINE, False), ("det", DET_LINE, True)):
             table = read_label_table(tmp_path / sub, sub, expect_score)
             assert (table.class_names, table.lines) == (["Car"], [line])
         # The lines are written back without the mark.
-        write_frames(det, tmp_path / "out")
+        write_frames(table, tmp_path / "out")
         assert (tmp_path / "out" / "000000.txt").read_bytes() == (DET_LINE + "\n").encode()
 
     def test_the_line_checker_reads_a_byte_order_mark_as_the_bulk_reader_does(self, tmp_path):
@@ -468,7 +469,10 @@ class TestWriteLabelFile:
         _write_tree(tmp_path, {"gt/a.txt": GT_LINE, "gt/b.txt": GT_LINE, "det/b.txt": DET_LINE})
         _, det = load_tables(tmp_path / "gt", tmp_path / "det")
         assert det.files == [None, "b.txt"]
-        write_frames(det, tmp_path / "out")
+        # The same frames with their lines, as read_label_table keeps them.
+        read = read_label_table(tmp_path / "det", "detection", expect_score=True)
+        table = LabelTable(det.frame_ids, det.files, det.offsets, det.class_names, det.columns, read.lines)
+        write_frames(table, tmp_path / "out")
         assert {p.name: p.read_text() for p in (tmp_path / "out").iterdir()} == {"b.txt": DET_LINE + "\n"}
 
     @staticmethod
@@ -636,16 +640,19 @@ class TestLabelTable:
         expected_gt, expected_det = tables(expected)
         assert same_rows(gt_table, expected_gt) and same_rows(det_table, expected_det)
         assert gt_table.frame_ids == det_table.frame_ids == stems
-        # Each row keeps its line as read, without the line break.
+        # Each row of read_label_table keeps its line as read, without the
+        # line break; load_tables and load_detections keep none.
         det_texts = [files[f"det/{stem}.txt"] for stem in stems if f"det/{stem}.txt" in files]
         assert det_dir_table.lines == [
             line for text in det_texts for line in text.splitlines() if line.split()
         ]
-        # load_detections: one frame per detection file, load_tables' rows.
+        assert gt_table.lines is det_table.lines is det_only.lines is None
+        # load_detections: one frame per detection file, load_tables' rows,
+        # each the row of read_label_table's line.
         assert det_only.frame_ids == sorted(name[4:-4] for name in files if name.startswith("det/"))
-        assert (det_only.class_names, det_only.columns, det_only.lines) == (
-            det_table.class_names, det_table.columns, det_table.lines
-        )
+        assert (det_only.class_names, det_only.columns) == (det_table.class_names, det_table.columns)
+        lined = tables([Frame("0", [], list(map(constructed, det_dir_table.lines)))])[1]
+        assert (det_only.class_names, det_only.columns) == (lined.class_names, lined.columns)
 
     def test_fixture_tables_round_trip_through_files(self, tmp_path):
         frame = Frame("000000", [constructed(GT_LINE), constructed(DONTCARE_LINE)], [constructed(DET_LINE)])
@@ -655,7 +662,8 @@ class TestLabelTable:
         write_frames(det, tmp_path / "det")
         read_gt, read_det = load_tables(tmp_path / "gt", tmp_path / "det")
         assert same_rows(read_gt, gt) and same_rows(read_det, det)
-        records = [list(map(constructed, table.lines)) for table in (read_gt, read_det)]
+        read = [read_label_table(tmp_path / sub, sub, expect_score) for sub, expect_score in (("gt", False), ("det", True))]
+        records = [list(map(constructed, table.lines)) for table in read]
         assert records == [frame.ground_truth, frame.detections]
 
     def test_field_counts_are_checked_per_line(self, tmp_path):
@@ -808,6 +816,18 @@ def cache_entries(cache_home: Path) -> list[Path]:
     return sorted((cache_home / "adathresh").glob("*.table"))
 
 
+def split_entry(entry: bytes) -> tuple[bytes, bytes]:
+    """(key, body) of a cache entry."""
+    head, _, rest = entry.partition(b"\n")
+    key_size = int(head.split()[0])
+    return rest[:key_size], rest[key_size:]
+
+
+def entry_of(key: bytes, body: bytes) -> bytes:
+    """A cache entry of key and body, under a checksum that holds."""
+    return b"%d %d\n" % (len(key), kitti_io.zlib.crc32(body, kitti_io.zlib.crc32(key))) + key + body
+
+
 class TestFuzzedLabelFiles:
     """read_label_table on random files either returns the rows of a
     per-line parse or raises the error that _check_label_file raises for
@@ -826,10 +846,24 @@ class TestFuzzedLabelFiles:
             parsed = not isinstance(miss[0], type)
             # Only a table is stored, and a hit does not parse.
             assert len(cache_entries(cache_home)) == parsed
+            # The readers that keep no lines read the same entry: the tree as
+            # load_detections' detections, or as load_tables' ground truth
+            # (whose empty detection tree is stored before parsing stops).
+            other = Path(tmp) / "other"
+            other.mkdir()
+            if expect_score:
+                for i in range(len(files)):
+                    (other / f"{i:06d}.txt").touch()
+                load = lambda: load_detections(other, tree)
+            else:
+                load = lambda: load_tables(tree, other)[0]
+                table_or_error(load)
             if parsed:
                 patch.setattr(kitti_io, "_table_from_lines", None)
             hit = table_or_error(lambda: read_label_table(tree, "label", expect_score))
+            no_lines = table_or_error(load)
         assert hit == miss
+        assert no_lines == ((*miss[:-1], None) if parsed else miss)
 
     @given(FUZZED_TREES)
     def test_bulk_reader_agrees_with_the_line_checker(self, case):
@@ -968,18 +1002,135 @@ class TestTableCache:
         parsed = self.read(tree)
         for path in cache_entries(cache_home):
             original = path.read_bytes()
-            head, _, rest = original.partition(b"\n")
-            key_size = int(head.split()[0])
-            key, body = rest[:key_size], rest[key_size:]
+            key, body = split_entry(original)
             n_rows = 1 if key.split(b"\0")[1] == b"1" else 3  # det/ holds one row, gt/ three
             for value in (math.nan, 0.5):
                 bad = bytearray(body)
-                # The occluded column (the second) of the first row.
-                bad[8 * n_rows : 8 * n_rows + 8] = array("d", [value]).tobytes()
-                crc = kitti_io.zlib.crc32(bytes(bad), kitti_io.zlib.crc32(key))
-                path.write_bytes(b"%d %d\n" % (key_size, crc) + key + bytes(bad))
+                # The occluded column (the second) of the first row, after
+                # the row ends of the tree's two frames.
+                at = 16 + 8 * n_rows
+                bad[at : at + 8] = array("d", [value]).tobytes()
+                path.write_bytes(entry_of(key, bytes(bad)))
                 assert self.read(tree) == parsed
                 assert path.read_bytes() == original
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda ends: ends[1:],
+            lambda ends: [ends[-1] + 1, ends[-1]],
+            lambda ends: [ends[0], ends[-1] + 1],
+            lambda ends: [end - 1 for end in ends],
+            lambda ends: [-1, ends[-1]],
+        ],
+        ids=["an end cut", "decreasing", "more rows than held", "fewer rows than held", "negative"],
+    )
+    def test_an_entry_whose_row_ends_break_a_rule_is_not_a_hit(self, tree, cache_home, damage):
+        """A hit's row ends must be one per frame, non-decreasing and end
+        at the row count: an entry whose checksum holds over other ends is
+        parsed again and replaced."""
+        parsed = self.read(tree)
+        for path in cache_entries(cache_home):
+            original = path.read_bytes()
+            key, body = split_entry(original)
+            ends = array("q", body[:16]).tolist()  # the tree's two frames
+            path.write_bytes(entry_of(key, array("q", damage(ends)).tobytes() + body[16:]))
+            assert self.read(tree) == parsed
+            assert path.read_bytes() == original
+
+    def test_an_entry_of_rowless_files_needs_an_end_per_frame(self, tmp_path, cache_home):
+        """With no rows, a body is only its row ends: one cut short still
+        holds no columns and no names, and is a miss all the same, for a
+        reader that keeps no lines to check the ends against."""
+        _write_tree(tmp_path, {f"{sub}/{name}": "\n" for sub in ("gt", "det") for name in ("a.txt", "b.txt")})
+        read = lambda: table_fields(load_detections(tmp_path / "gt", tmp_path / "det"))
+        parsed = read()
+        [path] = cache_entries(cache_home)
+        original = path.read_bytes()
+        key, body = split_entry(original)
+        assert body == array("q", [0, 0]).tobytes()
+        path.write_bytes(entry_of(key, body[8:]))
+        assert read() == parsed
+        assert path.read_bytes() == original
+
+    def test_a_table_that_keeps_its_lines_needs_the_row_ends_of_its_lines(self, tmp_path, cache_home):
+        """Ends that keep every rule but are not those of the files' lines
+        are a hit for no reader that keeps lines."""
+        for name in ("a.txt", "b.txt"):
+            (tmp_path / name).write_text(DET_LINE)
+        read = lambda: table_fields(read_label_table(tmp_path, "detection", expect_score=True))
+        parsed = read()
+        [path] = cache_entries(cache_home)
+        original = path.read_bytes()
+        key, body = split_entry(original)
+        assert array("q", body[:16]).tolist() == [1, 2]
+        path.write_bytes(entry_of(key, array("q", [0, 2]).tobytes() + body[16:]))
+        assert read() == parsed
+        assert path.read_bytes() == original
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda text: text.replace(b"\n", b"\r\n"),
+            lambda text: b"\xef\xbb\xbf" + text,
+            lambda text: text + b"\n",
+            lambda text: text.rstrip(b"\n"),
+        ],
+        ids=["crlf", "byte-order mark", "trailing blank line", "no last line break"],
+    )
+    def test_equal_lines_in_other_bytes_get_their_own_entry_and_an_equal_table(self, tmp_path, cache_home, variant):
+        text = f"{DET_LINE}\n{DONTCARE_LINE} 0.5\n".encode()
+        trees = [tmp_path / "lf", tmp_path / "other"]
+        for directory, data in zip(trees, (text, variant(text))):
+            directory.mkdir()
+            (directory / "a.txt").write_bytes(data)
+        read = lambda directory: table_fields(read_label_table(directory, "detection", expect_score=True))
+        tables = [read(directory) for directory in trees]
+        assert tables[0] == tables[1]
+        assert len(cache_entries(cache_home)) == 2
+        assert [read(directory) for directory in trees] == tables
+        assert len(cache_entries(cache_home)) == 2
+
+    def test_an_entry_of_the_first_format_under_this_name_is_ignored_and_replaced(self, tree, cache_home):
+        """An entry keyed and laid out as the first table format was (the
+        decoded lines and row ends in the key, no ends in the body) is no
+        hit, even under this key's name with a checksum that holds."""
+        parsed = self.read(tree)
+        for path, (directory, expect_score) in zip(cache_entries(cache_home), self.entry_trees(tree, cache_home)):
+            original = path.read_bytes()
+            table = read_label_table(directory, "label", expect_score)
+            old_key = "\0".join(
+                [
+                    f"adathresh label table 1 {sys.byteorder}",
+                    str(int(expect_score)),
+                    " ".join(map(str, table.offsets[1:])),
+                    *table.frame_ids,
+                    *table.files,
+                    "\n".join(table.lines),
+                ]
+            ).encode()
+            old_body = b"".join([*(column.tobytes() for column in table.columns), "\n".join(table.class_names).encode()])
+            path.write_bytes(entry_of(old_key, old_body))
+            assert self.read(tree) == parsed
+            assert path.read_bytes() == original
+
+    @staticmethod
+    def entry_trees(tree, cache_home) -> list:
+        """(directory, expect_score) of each entry of cache_entries, in their order."""
+        scored = [split_entry(path.read_bytes())[0].split(b"\0")[1] == b"1" for path in cache_entries(cache_home)]
+        return [(tree / "det", True) if score else (tree / "gt", False) for score in scored]
+
+    def test_only_read_label_table_keeps_lines_and_a_table_without_them_is_not_written(self, tree, cache_home):
+        gt, det = load_tables(tree / "gt", tree / "det")
+        only = load_detections(tree / "gt", tree / "det")
+        assert gt.lines is det.lines is only.lines is None
+        assert read_label_table(tree / "det", "detection", expect_score=True).lines == [DET_LINE]
+        for table in (gt, det, only):
+            with pytest.raises(ValueError, match="holds no lines"):
+                write_frames(table, tree / "out")
+            with pytest.raises(ValueError, match="holds no lines"):
+                kitti_io.label_files(table)
+        assert not (tree / "out").exists()
 
     @given(st.lists(st.floats(), min_size=1, max_size=3))
     def test_a_value_is_read_exactly_when_it_is_finite(self, values):
