@@ -19,7 +19,6 @@ _EXPORTS = {
     "BinSpec": "bin_stats",
     "BinStats": "bin_stats",
     "PreFilter": "bin_stats",
-    "assign_bin": "bin_stats",
     "compute_bin_stats": "bin_stats",
     "table_samples": "bin_stats",
     "EvalReport": "evaluation",
@@ -28,9 +27,6 @@ _EXPORTS = {
     "compare_reports": "evaluation",
     "evaluate_tables": "evaluation",
     "trade_off": "evaluation",
-    "Box3D": "geometry",
-    "iou_3d": "geometry",
-    "iou_bev": "geometry",
     "DatasetError": "kitti_io",
     "KittiIOError": "kitti_io",
     "LabelError": "kitti_io",

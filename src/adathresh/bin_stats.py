@@ -229,19 +229,13 @@ class BinSpec(Record):
         return 0.5 * (lo + hi)
 
 
-def assign_bin(distance: float, spec: BinSpec) -> int | None:
-    """Bin index for a distance; None when at or beyond max_distance."""
-    if distance < 0.0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
-    if distance >= spec.max_distance:
-        return None
-    return min(int(distance // spec.bin_width), spec.n_bins - 1)
-
-
 def assign_bins(distances: Iterable[float], spec: BinSpec) -> list[int]:
-    """assign_bin of each distance in one pass, spec.n_bins in place of None."""
+    """The bin index of each distance, in one pass: int(d // bin_width),
+    capped at the last bin, or spec.n_bins for a distance at or beyond
+    max_distance. A negative or NaN distance is a ValueError.
+    tests/helpers.py's assign_bin is the scalar form of the rule."""
     width, top, overflow = spec.bin_width, spec.max_distance, spec.n_bins
-    # NaN fails d >= top, then int(), as in assign_bin. Below top, d // width may round up to overflow.
+    # NaN fails d >= top, then int() raises. Below top, d // width may round up to overflow.
     bins = [overflow if d >= top else b if (b := int(d // width)) < overflow else overflow - 1 for d in distances]
     if min(bins, default=0) < 0:  # d // width < 0 exactly where d < 0
         raise ValueError("distance must be non-negative")
@@ -310,20 +304,14 @@ def table_samples(
     return list(compress(zip(detections.distances(), detections.scores()), wanted))
 
 
-def compute_bin_stats(
-    samples: Iterable[tuple[float, float]],
-    spec: BinSpec,
-    *,
-    normalize_std: bool = False,
-) -> list[BinStats]:
+def compute_bin_stats(samples: Iterable[tuple[float, float]], spec: BinSpec) -> list[BinStats]:
     """Per-bin mean and population std of scores.
 
     samples are (distance, score) pairs; entries at or beyond
-    max_distance are ignored, negative distances raise. With
-    normalize_std the std of each bin is divided by the bin mean
-    (0 when the mean is 0). Returns one BinStats per bin, in order. A
-    bin whose mean or std is not finite (scores near the float range
-    overflow its sums) is an OverflowError naming the bin.
+    max_distance are ignored, negative distances raise. Returns one
+    BinStats per bin, in order. A bin whose mean or std is not finite
+    (scores near the float range overflow its sums) is an OverflowError
+    naming the bin.
     """
     samples = list(samples)
     buckets: list[list[float]] = [[] for _ in range(spec.n_bins + 1)]  # the last one beyond the range
@@ -341,10 +329,7 @@ def compute_bin_stats(
             # then scaling every score by a power of two would not scale
             # the variance exactly.
             variance = math.fsum((s - mean) * (s - mean) for s in scores) / n
-            std = math.sqrt(variance)
-            if normalize_std:
-                std = std / mean if mean > 0.0 else 0.0
-            out.append(BinStats(index, n, mean, std))
+            out.append(BinStats(index, n, mean, math.sqrt(variance)))
         except (OverflowError, ValueError) as exc:  # fsum's overflow, or BinStats's finiteness check
             lo, hi = spec.edges(index)
             raise OverflowError(f"bin {index} [{lo:g}, {hi:g}) m: the mean or std of its {n} scores is not finite") from exc

@@ -6,8 +6,8 @@ converter and help. An option resolves with precedence CLI flag > config
 file (--config, a JSON object keyed by the dests; a null value counts as
 not given) > the row's default, and the row's converter turns a flag's
 string and a config value alike into the value the command uses; a None
-default stays None. A switch's config value is a JSON boolean, and a
-real option's is never one. stats and fit read only detection files:
+default stays None. A real option's config value is never a JSON
+boolean. stats and fit read only detection files:
 --gt-dir fixes their frame set by file name, and only eval reads ground
 truth. Exit codes: 0 success, 1 usage error (including a bad flag
 value), 2 data or parse error (including a bad config-file value, named
@@ -211,13 +211,6 @@ def _parse_class_name(value) -> str:
     return value
 
 
-def _parse_switch(value) -> bool:
-    """A switch: the flag gives True, a config value must be a JSON boolean."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
 _REQUIRED = object()
 
 
@@ -255,14 +248,7 @@ _THRESHOLD_MODE = _Option(
 )
 
 _OPTIONS: dict[str, tuple[_Option, ...]] = {
-    "stats": (
-        *_IO,
-        *_BINNING,
-        _PRE_FILTER,
-        _Option(
-            "normalized_std", "--normalized-std", False, _parse_switch, "divide each bin's std by its mean"
-        ),
-    ),
+    "stats": (*_IO, *_BINNING, _PRE_FILTER),
     "fit": (
         *_IO,
         *_BINNING,
@@ -342,12 +328,12 @@ class _Options:
             raise _UsageError(f"bad {flags} value: {exc}" if flags else str(exc)) from exc
 
 
-def _stats_pipeline(opts: _Options, normalize_std: bool = False) -> tuple[list[BinStats], BinSpec, int]:
+def _stats_pipeline(opts: _Options) -> tuple[list[BinStats], BinSpec, int]:
     spec = opts.checked(("bin_width", "max_distance"), lambda: BinSpec(opts.bin_width, opts.max_distance))
     # --gt-dir only fixes the frame set: no ground-truth file is read.
     detections = load_detections(opts.gt_dir, opts.det_dir)
     samples = table_samples(detections, opts.class_name, opts.pre_filter)
-    stats = compute_bin_stats(samples, spec, normalize_std=normalize_std)
+    stats = compute_bin_stats(samples, spec)
     return stats, spec, len(samples)
 
 
@@ -370,11 +356,10 @@ def _stats_rows(stats: list[BinStats], spec: BinSpec) -> list[list[object]]:
 
 def cmd_stats(opts: _Options) -> int:
     """distance-binned score statistics"""
-    stats, spec, n_used = _stats_pipeline(opts, opts.normalized_std)
+    stats, spec, n_used = _stats_pipeline(opts)
     payload = {
         **spec.to_dict(),
         "class_name": opts.class_name,
-        "normalized_std": opts.normalized_std,
         "pre_filter": None if opts.pre_filter is None else opts.pre_filter.to_dict(),
         "n_detections_used": n_used,
         "bins": [
@@ -511,8 +496,9 @@ def cmd_synth(opts: _Options) -> int:
 
 def _decode_stats(data: dict) -> tuple[BinSpec, list[BinStats]]:
     """The BinSpec and the bins of a bin_stats.json object; ValueError for a
-    bin outside that spec, a std divided by its mean (not in score units),
-    or a mean or std off the [0, 1] score axis the report draws."""
+    bin outside that spec, a std divided by its mean (not in score units;
+    an older stats --normalized-std wrote such files), or a mean or std
+    off the [0, 1] score axis the report draws."""
     spec = BinSpec.from_dict(data)
     if data.get("normalized_std"):
         raise ValueError("normalized_std is true: the report draws std in score units")
@@ -565,8 +551,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, one argument per _OPTIONS row. Every
-    argument collects the raw string (a switch collects True); _Options
-    converts it."""
+    argument collects the raw string; _Options converts it."""
     parser = _ArgumentParser(
         prog="adathresh",
         description="Distance-adaptive confidence thresholding and evaluation for KITTI-format detections.",
@@ -578,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
             text = f"{row.help} (default {row.default})" if isinstance(row.default, str) else row.help
             if row.flag == row.dest:
                 p.add_argument(row.dest, help=text)
-            elif row.convert is _parse_switch:
-                p.add_argument(row.flag, dest=row.dest, action="store_const", const=True, help=text)
             else:
                 p.add_argument(row.flag, dest=row.dest, help=text)
         p.add_argument("--config", help="JSON config file; CLI flags override its keys")

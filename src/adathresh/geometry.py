@@ -14,27 +14,24 @@ and cuts them by that rectangle, one comparison per vertex and side.
 It works on differences of centres, so its rounding error is bounded
 by the boxes' size, not by their distance from the origin: a box
 against itself gives IoU exactly 1 anywhere. A footprint's area is
-width * length. Box3D's footprint, iou_bev, iou_3d and the kernel
-pair_iou all go through _frame and _clip_area, so every pair_iou value
-equals the scalar IoU bit for bit.
+width * length. pair_iou goes through _frame, _clip_area and _iou, and
+so does the scalar IoU of two boxes that tests/helpers.py builds on
+them as the oracle, so every pair_iou value equals it bit for bit.
 
 pair_iou takes each side as seven columns (x, y, z, height, width,
 length, yaw) with frame offsets. It sorts each frame's ground truth by
 z once and runs the bounding-circle test only on the rows in a z window
 around each detection, wide enough to hold every pair the test keeps.
 A box with a value that is not finite (NaN or an infinity) or a dim
-that is not positive is a ValueError, in Box3D and in pair_iou alike.
+that is not positive is a ValueError (_circles checks each row).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property
 from itertools import chain
 from typing import Sequence
-
-from .bin_stats import Record
 
 # Intersection areas below this are noise from collinear clipping edges.
 _DEGENERATE_AREA = 1e-12
@@ -53,64 +50,11 @@ def normalize_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-class Box3D(Record):
-    """Oriented box: center (x, y, z), dims (height, width, length), yaw.
-
-    yaw rotates the footprint about the (downward) y axis and is
-    normalized to [-pi, pi] at construction. Every value must be finite
-    and every dim positive.
-    """
-
-    center: tuple[float, float, float]
-    dims: tuple[float, float, float]
-    yaw: float
-
-    def __post_init__(self) -> None:
-        _circles([[v] for v in (*self.center, *self.dims, self.yaw)])  # the checks pair_iou makes of each row
-        object.__setattr__(self, "yaw", normalize_angle(self.yaw))
-
-    @property
-    def height(self) -> float:
-        return self.dims[0]
-
-    @property
-    def width(self) -> float:
-        return self.dims[1]
-
-    @property
-    def length(self) -> float:
-        return self.dims[2]
-
-    @cached_property
-    def _shape(self) -> tuple[tuple[float, ...], tuple[float, float, float]]:
-        """_frame of the box, built once per box."""
-        return _frame(*self.center, *self.dims, self.yaw)
-
-    @cached_property
-    def footprint(self) -> tuple[tuple[float, float], ...]:
-        """The footprint's four (x, z) vertices, CCW.
-
-        Length runs along the box's local u axis and width along local v;
-        the local frame is rotated by yaw about the downward y axis, so the
-        vertices are (x + u cos + v sin, z - u sin + v cos) for (u, v) =
-        (l/2, w/2), (-l/2, w/2), (-l/2, -w/2), (l/2, -w/2).
-        """
-        x, z, c, s, hu, hv, _ = self._shape[0]
-        uc, us, vc, vs = hu * c, hu * s, hv * c, hv * s
-        return (x + uc + vs, z - us + vc), (x - uc + vs, z + us + vc), (x - uc - vs, z + us - vc), (x + uc - vs, z - us - vc)
-
-    @property
-    def footprint_area(self) -> float:
-        """The footprint's area, width * length."""
-        return self._shape[1][0]
-
-
 def _frame(
     x: float, y: float, z: float, h: float, w: float, l: float, yaw: float
 ) -> tuple[tuple[float, ...], tuple[float, float, float]]:
     """A box's frame and its extent (footprint area w * l, bottom y,
-    height), from its values as Box3D holds them: floats, the yaw
-    already normalized."""
+    height), from its values as floats, the yaw already normalized."""
     return (x, z, math.cos(yaw), math.sin(yaw), 0.5 * l, 0.5 * w, yaw), (w * l, y, h)
 
 
@@ -137,8 +81,8 @@ def _clip_area(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     turn = byaw - ayaw
     c = math.cos(turn)
     s = math.sin(turn)
-    # Negating a factor negates the product exactly, so each corner is
-    # Box3D.footprint's sum with its signs folded in.
+    # Negating a factor negates the product exactly, so the four corners
+    # share these four products, each with its signs folded in.
     uc, us, vc, vs = bl * c, bl * s, bw * c, bw * s
     poly = [(u + uc + vs, v - us + vc), (u - uc + vs, v + us + vc), (u - uc - vs, v + us - vc), (u + uc - vs, v - us - vc)]
     for h in (al, aw, al, aw):
@@ -165,16 +109,6 @@ def _clip_area(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     if area < _DEGENERATE_AREA:
         return 0.0
     return area
-
-
-def iou_bev(a: Box3D, b: Box3D) -> float:
-    """Bird's-eye-view IoU of two boxes, in [0, 1]."""
-    return _iou("bev", _clip_area(a._shape[0], b._shape[0]), a._shape[1], b._shape[1])
-
-
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """3D IoU of two boxes whose vertical extent is [y - h, y]."""
-    return _iou("3d", _clip_area(a._shape[0], b._shape[0]), a._shape[1], b._shape[1])
 
 
 def _iou(kind: str, inter: float, a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
@@ -205,14 +139,14 @@ def pair_iou(
     """IoU of every same-frame (detection, ground truth) pair the prune keeps.
 
     det and gt each hold seven columns of floats, x, y, z, height,
-    width, length and yaw, one value per box: the values
-    Box3D(center, dims, yaw) holds, every value finite, dims positive;
-    the yaw is normalized once. Frame f holds det rows det_offsets[f]:det_offsets[f + 1] and
+    width, length and yaw, one value per box, every value finite, dims
+    positive; the yaw is normalized once. Frame f holds det rows det_offsets[f]:det_offsets[f + 1] and
     gt rows likewise. Returns (det_idx, gt_idx, iou) in frame, detection,
     ground-truth order. A pair whose footprints' bounding circles (radius
     half the footprint diagonal) are provably apart is left out: its IoU
     is 0. Every other pair goes through the one clipper, so each iou
-    equals iou_bev or iou_3d of the pair bit for bit.
+    equals the scalar IoU of the pair (tests/helpers.py's oracle) bit
+    for bit.
 
     The circle test runs only on the frame's ground truth whose z lies
     within a window of the detection's z: the largest reach the test
@@ -281,6 +215,6 @@ def _circles(columns: Sequence[Sequence[float]]) -> tuple[Sequence[float], Seque
 
 
 def _row_frame(columns: Sequence[Sequence[float]], i: int) -> tuple[tuple[float, ...], tuple[float, float, float]]:
-    """_frame of box i of pair_iou's columns, as Box3D(center, dims, yaw) holds it."""
+    """_frame of box i of pair_iou's columns, its yaw normalized."""
     xs, ys, zs, hs, ws, ls, yaws = columns
     return _frame(xs[i], ys[i], zs[i], hs[i], ws[i], ls[i], normalize_angle(yaws[i]))

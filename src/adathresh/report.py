@@ -30,6 +30,12 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _metres(value: float) -> str:
+    """A distance label: a whole number without decimals, any other value
+    to 12 significant digits (2.5 reads 2.5, and 0.1 + 0.2 reads 0.3)."""
+    return f"{value:.0f}" if value.is_integer() else f"{value:.12g}"
+
+
 def render_threshold_svg(
     model: ThresholdModel,
     bins: list[BinStats] | None = None,
@@ -73,7 +79,7 @@ def render_threshold_svg(
         )
         parts.append(
             f'<text x="{_fmt(x)}" y="{sy(0.0) + 18:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="{_AXIS_COLOR}">{tick:.0f}</text>'
+            f'font-family="sans-serif" font-size="11" fill="{_AXIS_COLOR}">{_metres(tick)}</text>'
         )
         tick += spec.bin_width
     for i in range(11):
@@ -204,7 +210,7 @@ def render_summary_md(
     lines.append("")
     lines.append(
         f"Threshold runs from {model.threshold_at(0.0):.4f} at 0 m to "
-        f"{model.threshold_at(model.delta):.4f} at {model.delta:.0f} m, then holds at "
+        f"{model.threshold_at(model.delta):.4f} at {_metres(model.delta)} m, then holds at "
         f"{model.k:.4f}."
     )
     lines.append("")
@@ -215,7 +221,7 @@ def render_summary_md(
             lo, hi = spec.edges(b.bin_index)
             mean = "-" if b.mean is None else f"{b.mean:.4f}"
             std = "-" if b.std is None else f"{b.std:.4f}"
-            lines.append(f"| {b.bin_index} | {lo:.0f}-{hi:.0f} | {b.count} | {mean} | {std} |")
+            lines.append(f"| {b.bin_index} | {_metres(lo)}-{_metres(hi)} | {b.count} | {mean} | {std} |")
     else:
         lines.append("No bin statistics were provided; the plot shows the curve only.")
     lines.append("")

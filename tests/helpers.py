@@ -1,6 +1,12 @@
 """Fixture records, table builders and independent oracles shared across test modules.
 
-The oracles deliberately re-derive results through different means than
+Box3D with iou_bev and iou_3d, and assign_bin, are the scalar forms of
+what the package computes in bulk: the IoU of one pair of boxes through
+geometry's own frame, clipper and IoU, which geometry.pair_iou must equal
+bit for bit, and the bin of one distance, which bin_stats.assign_bins
+must equal element by element.
+
+The other oracles deliberately re-derive results through different means than
 the library: Monte-Carlo point inclusion instead of polygon clipping,
 the world-frame convex-polygon clipper instead of the own-frame one, a
 from-scratch greedy matcher, exhaustive search over one-to-one
@@ -14,14 +20,15 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from adathresh.bin_stats import BinSpec, assign_bin, ground_distance
+from adathresh import bin_stats
+from adathresh.bin_stats import BinSpec, ground_distance
 from adathresh.evaluation import (
     _DIFFICULTY_LIMITS,
     BinBreakdown,
@@ -29,7 +36,7 @@ from adathresh.evaluation import (
     EvaluationError,
     trade_off,
 )
-from adathresh.geometry import Box3D, iou_3d, iou_bev
+from adathresh.geometry import _circles, _clip_area, _frame, _iou, normalize_angle
 from adathresh.kitti_io import DONT_CARE, LabelTable, MissingScoreError, _table_from_lines, read_label_table
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
@@ -39,6 +46,77 @@ def replaced(record, **changes):
     """A copy of a package record with the named fields changed: what
     dataclasses.replace gives for the test-local dataclasses here."""
     return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
+class Box3D(bin_stats.Record):
+    """Oriented box: center (x, y, z), dims (height, width, length), yaw.
+
+    yaw rotates the footprint about the (downward) y axis and is
+    normalized to [-pi, pi] at construction. Every value must be finite
+    and every dim positive: the checks pair_iou makes of each row.
+    """
+
+    center: tuple[float, float, float]
+    dims: tuple[float, float, float]
+    yaw: float
+
+    def __post_init__(self) -> None:
+        _circles([[v] for v in (*self.center, *self.dims, self.yaw)])
+        object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+
+    @property
+    def height(self) -> float:
+        return self.dims[0]
+
+    @property
+    def width(self) -> float:
+        return self.dims[1]
+
+    @property
+    def length(self) -> float:
+        return self.dims[2]
+
+    @cached_property
+    def _shape(self) -> tuple[tuple[float, ...], tuple[float, float, float]]:
+        """geometry._frame of the box, built once per box."""
+        return _frame(*self.center, *self.dims, self.yaw)
+
+    @cached_property
+    def footprint(self) -> tuple[tuple[float, float], ...]:
+        """The footprint's four (x, z) vertices, CCW.
+
+        Length runs along the box's local u axis and width along local v;
+        the local frame is rotated by yaw about the downward y axis, so the
+        vertices are (x + u cos + v sin, z - u sin + v cos) for (u, v) =
+        (l/2, w/2), (-l/2, w/2), (-l/2, -w/2), (l/2, -w/2).
+        """
+        x, z, c, s, hu, hv, _ = self._shape[0]
+        uc, us, vc, vs = hu * c, hu * s, hv * c, hv * s
+        return (x + uc + vs, z - us + vc), (x - uc + vs, z + us + vc), (x - uc - vs, z + us - vc), (x + uc - vs, z - us - vc)
+
+    @property
+    def footprint_area(self) -> float:
+        """The footprint's area, width * length."""
+        return self._shape[1][0]
+
+
+def iou_bev(a: Box3D, b: Box3D) -> float:
+    """Bird's-eye-view IoU of two boxes, in [0, 1]."""
+    return _iou("bev", _clip_area(a._shape[0], b._shape[0]), a._shape[1], b._shape[1])
+
+
+def iou_3d(a: Box3D, b: Box3D) -> float:
+    """3D IoU of two boxes whose vertical extent is [y - h, y]."""
+    return _iou("3d", _clip_area(a._shape[0], b._shape[0]), a._shape[1], b._shape[1])
+
+
+def assign_bin(distance: float, spec: BinSpec) -> int | None:
+    """Bin index for a distance; None when at or beyond max_distance."""
+    if distance < 0.0:
+        raise ValueError(f"distance must be non-negative, got {distance}")
+    if distance >= spec.max_distance:
+        return None
+    return min(int(distance // spec.bin_width), spec.n_bins - 1)
 
 
 def make_box(

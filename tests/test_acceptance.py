@@ -16,7 +16,7 @@ import numpy as np
 
 from adathresh.bin_stats import BinSpec, BinStats, compute_bin_stats
 from adathresh.evaluation import MatchConfig, _candidates, _match, _sweep, evaluate_tables, trade_off
-from adathresh.geometry import iou_bev, pair_iou
+from adathresh.geometry import pair_iou
 from adathresh.kitti_io import DONT_CARE, LabelTable, read_label_table, write_frames
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
 from adathresh.threshold import (
@@ -30,6 +30,7 @@ from helpers import (
     box_columns,
     brute_force_match,
     constructed,
+    iou_bev,
     label_text,
     make_box,
     make_record,

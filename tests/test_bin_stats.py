@@ -15,17 +15,15 @@ from adathresh.bin_stats import (
     BinStats,
     PreFilter,
     Record,
-    assign_bin,
     assign_bins,
     compute_bin_stats,
     table_samples,
 )
 from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig, MetricDelta
-from adathresh.geometry import Box3D
 from adathresh.kitti_io import LabelTable, MissingScoreError
 from adathresh.synthetic import ScenarioSpec, ScoreModel
 from adathresh.threshold import FitResult, SingleThreshold, ThresholdModel, keep_rows
-from helpers import Frame, detections, ground_truth, make_record, replaced, tables
+from helpers import Box3D, Frame, assign_bin, detections, ground_truth, make_record, replaced, tables
 
 DEFAULT = BinSpec()
 
@@ -263,30 +261,19 @@ class TestComputeBinStats:
         rng.shuffle(shuffled)
         assert compute_bin_stats(shuffled, DEFAULT) == compute_bin_stats(samples, DEFAULT)
 
-    def test_normalized_std_divides_by_mean(self):
-        samples = [(5.0, 0.4), (5.0, 0.6)]
-        plain = compute_bin_stats(samples, DEFAULT)[0]
-        normalized = compute_bin_stats(samples, DEFAULT, normalize_std=True)[0]
-        assert normalized.std == pytest.approx(plain.std / plain.mean, abs=1e-12)
-
     @pytest.mark.parametrize(
-        "scores, normalize_std",
+        "scores",
         [
-            ([1e308, 1e308], False),  # the sum overflows
-            ([1e308, 0.0], False),  # the sum of squares overflows
-            ([1e308, -1e308], False),
-            ([1.0, -1.0, 1e-323, 1e-323], True),  # std / mean overflows
+            [1e308, 1e308],  # the sum overflows
+            [1e308, 0.0],  # the sum of squares overflows
+            [1e308, -1e308],
         ],
     )
-    def test_a_mean_or_std_that_is_not_finite_is_an_overflow_error_naming_the_bin(self, scores, normalize_std):
+    def test_a_mean_or_std_that_is_not_finite_is_an_overflow_error_naming_the_bin(self, scores):
         samples = [(0.5, 0.5)] + [(15.0, s) for s in scores]
         message = rf"bin 1 \[10, 20\) m: the mean or std of its {len(scores)} scores is not finite"
         with pytest.raises(OverflowError, match=message):
-            compute_bin_stats(samples, DEFAULT, normalize_std=normalize_std)
-
-    def test_normalized_std_zero_mean(self):
-        normalized = compute_bin_stats([(5.0, 0.0), (5.0, 0.0)], DEFAULT, normalize_std=True)
-        assert normalized[0].std == 0.0
+            compute_bin_stats(samples, DEFAULT)
 
 
 class TestPreFilter:
@@ -541,10 +528,10 @@ class TestRecord:
 
 
 def _record_classes(cls=Record):
-    """Every Record subclass the package defines, by name."""
+    """Every Record subclass the package defines, and the tests' Box3D, by name."""
     found = {}
     for sub in cls.__subclasses__():
-        if sub.__module__.startswith("adathresh."):
+        if sub.__module__.startswith("adathresh.") or sub is Box3D:
             found[sub.__name__] = sub
         found.update(_record_classes(sub))
     return found

@@ -135,12 +135,10 @@ CROWDED_EVAL_DIGESTS = {
 def stats_fit_digests(cwd, data_dir, flags):
     """fit's exit code, then the sha256 of bin_stats.json, bin_stats.csv,
     model.json and fit_report.csv (None for a file not written), from
-    stats and fit on data_dir's gt/ and det/ with flags, run from cwd;
-    --normalized-std goes to stats only, which alone has it."""
+    stats and fit on data_dir's gt/ and det/ with flags, run from cwd."""
     data = ("--gt-dir", str(data_dir / "gt"), "--det-dir", str(data_dir / "det"))
     assert run("stats", *data, "--out-dir", str(cwd / "s"), *flags) == 0
-    fit_flags = [flag for flag in flags if flag != "--normalized-std"]
-    fit_rc = run("fit", *data, "--out-dir", str(cwd / "f"), *fit_flags)
+    fit_rc = run("fit", *data, "--out-dir", str(cwd / "f"), *flags)
     paths = [cwd / name for name in ("s/bin_stats.json", "s/bin_stats.csv", "f/model.json", "f/fit_report.csv")]
     return [fit_rc, *(hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None for p in paths)]
 
@@ -151,21 +149,14 @@ def stats_fit_digests(cwd, data_dir, flags):
 STATS_FIT_DIGESTS = {
     (): [
         0,
-        "3953907d7c865dc395ec2e15bd1bed0ae6618aaa3849ad0e8f29d16cbcd455f6",
+        "d2f3fea44a31eb429764ce4e6b92e679ce5aed141673945d32ce7f35fcae4c38",
         "d639b127b975d395686c06bf643e57a0a88be0cda363e11720bf37df9dcaa711",
-        "415bb104d8ed904137eb1ee8681c9a6b798066adda76a82cca5a84d7fcdd23d0",
-        "76ff1fd350ddeb4e145d89192720020bf75d0792187502637b0b205caa067373",
-    ],
-    ("--normalized-std",): [
-        0,
-        "6cd2acefd7b564aef56dc2f06993ae9db0ecc7a52d24d5b598a93495f733dda8",
-        "fc5944173d91c2978dc177afbb3a6f8a93a0c4c6c1dad253420976e096f94e2b",
         "415bb104d8ed904137eb1ee8681c9a6b798066adda76a82cca5a84d7fcdd23d0",
         "76ff1fd350ddeb4e145d89192720020bf75d0792187502637b0b205caa067373",
     ],
     ("--pre-filter", "none"): [
         0,
-        "60320fd0610cbfbf4c62825346a625589033a44eeeba206004646ab70d44c51f",
+        "71df593312ebd170a6ea72bd003f1d5b939102818288ce0dde8e1c1dfc21f61e",
         "5c840094a7c1e99ca3cead4f33e01698a823e2ac20f469d69d7a5e8b06af49b5",
         "2f4785f422f26846a5e557f9b1de9db8ef0693e4a9ba91ef6b96d13404098d25",
         "535175b08cc18e027725cb45e491766e27bca1a33f155bbb20352092db09b822",
@@ -178,21 +169,14 @@ STATS_FIT_DIGESTS = {
 CROWDED_STATS_FIT_DIGESTS = {
     (): [
         0,
-        "643bc55318a375383d6298fb7b4a8467a56029fe98bba51901cbe6a48fc9d0db",
+        "5c16f31a672de86db16c4a56f0e0635fe5ea1554d4e8d2650ce998276866d5c6",
         "ca5ae18774984bd958ff5db728da955143ec1e6b6f1da38d216ef1ef582e8dba",
-        "0ea4f8106d2f29848884ebb6f925180282923e58401e9cd74a285ea434f746ea",
-        "1ce94cd6e2f90e3c18d6216f0842e99108906db86cceef26cc8ed19881f4c622",
-    ],
-    ("--normalized-std",): [
-        0,
-        "1abb05f4b2befc6cc7e9bfda072322cdff3bf5a7d5ce8cfb883c5d25b59ae5c1",
-        "61a4085f3d537a845684acbc5bc2e538ab5747152cbe775b67ea4194b1f7514a",
         "0ea4f8106d2f29848884ebb6f925180282923e58401e9cd74a285ea434f746ea",
         "1ce94cd6e2f90e3c18d6216f0842e99108906db86cceef26cc8ed19881f4c622",
     ],
     ("--pre-filter", "none"): [
         3,
-        "b135c8675ea9dd0a169f3318044ab538ee69b2e8c7f9c1b671743dea39930b88",
+        "23a1c898bc4c513b1aa2bb46f6037846256cf55813fbb146a42047ef5e91ba80",
         "1a16db516f1f0e5633e5550b40c0f3aab306b55ba5ad3b72b8ce32896f0b4e67",
         None,
         None,
@@ -556,6 +540,19 @@ class TestPipeline:
         assert (out / "threshold_curve.svg").exists()
         assert (out / "summary.md").exists()
 
+    def test_report_prints_fractional_metres_as_the_spec_holds_them(self, tmp_path):
+        model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 27.5, 0.5).to_dict())
+        bins = [{"bin_index": i, "count": 1, "mean": 0.5, "std": 0.1} for i in range(12)]
+        stats = write_json(tmp_path / "bin_stats.json", {"bin_width": 2.5, "max_distance": 30.0, "bins": bins})
+        assert run("report", "--model", model, "--stats", stats, "--out-dir", str(tmp_path / "rpt")) == 0
+        md = (tmp_path / "rpt" / "summary.md").read_text(encoding="utf-8")
+        assert "0.5000 at 27.5 m, then holds" in md
+        for row in ("| 0 | 0-2.5 |", "| 1 | 2.5-5 |", "| 3 | 7.5-10 |", "| 11 | 27.5-30 |"):
+            assert row in md
+        svg = (tmp_path / "rpt" / "threshold_curve.svg").read_text(encoding="utf-8")
+        ticks = [line.rsplit(">", 2)[1][: -len("</text")] for line in svg.splitlines() if 'font-size="11"' in line]
+        assert ticks[:13] == ["0", "2.5", "5", "7.5", "10", "12.5", "15", "17.5", "20", "22.5", "25", "27.5", "30"]
+
     def test_eval_3d_iou_and_difficulty(self, tmp_path, dataset):
         out = tmp_path / "eval3d"
         rc = run(
@@ -605,7 +602,7 @@ class TestConfigPrecedence:
         ) == 0
         assert json.loads((no_cfg / "bin_stats.json").read_text())["bin_width"] == 10.0
 
-    @pytest.mark.parametrize("key", ["class_name", "bin_width", "pre_filter", "normalized_std"])
+    @pytest.mark.parametrize("key", ["class_name", "bin_width", "pre_filter"])
     def test_a_null_config_value_is_not_given(self, tmp_path, dataset, capsys, key):
         io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
         for name, payload in (("absent", io), ("null", {**io, key: None})):
@@ -1144,7 +1141,7 @@ class TestExitCodes:
         assert f"model file {bad}: k must be within [0, 1], got 1.5" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", [("stats",), ("stats", "--normalized-std"), ("fit",)])
+    @pytest.mark.parametrize("command", [("stats",), ("fit",)])
     def test_a_bin_whose_mean_or_std_overflows_exits_3_naming_it(self, tmp_path, capsys, command):
         write_label(tmp_path / "gt" / "000000.txt", [make_record(1.0, 10.0)])
         write_label(tmp_path / "det" / "000000.txt", [make_record(1.0, 10.0, score=1e308), make_record(5.0, 12.0, score=1e308)])
@@ -1166,17 +1163,16 @@ class TestExitCodes:
         assert f"stats file {stats} has a missing or bad value: {field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "rpt").exists()
 
-    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1])
-    def test_config_switch_must_be_a_json_boolean(self, tmp_path, dataset, capsys, value):
-        io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
-        cfg = write_json(tmp_path / "cfg.json", {**io, "normalized_std": value})
-        assert run("stats", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 2
-        assert f"config file {cfg} has a bad normalized_std value" in capsys.readouterr().err
+    def test_stats_has_no_normalized_std(self, tmp_path, dataset, capsys):
+        # The retired flag and config key exit 1, whatever the key's value.
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        assert run("stats", *io, "--normalized-std") == 1
+        assert "unrecognized arguments: --normalized-std" in capsys.readouterr().err
+        for value in (False, True):
+            cfg = write_json(tmp_path / "cfg.json", {"normalized_std": value})
+            assert run("stats", *io, "--config", cfg) == 1
+            assert f"config file {cfg} has keys that name no stats option: 'normalized_std'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-        for switch in (False, True):
-            cfg = write_json(tmp_path / "cfg.json", {**io, "normalized_std": switch})
-            assert run("stats", "--config", cfg, "--out-dir", str(tmp_path / "o")) == 0
-            assert json.loads((tmp_path / "o" / "bin_stats.json").read_text())["normalized_std"] is switch
 
     @pytest.mark.parametrize("change", ["bin_index", "bin_width"])
     def test_stats_file_with_a_bin_outside_its_spec_is_a_data_error_naming_it(self, tmp_path, dataset, capsys, change):
@@ -1195,15 +1191,23 @@ class TestExitCodes:
 
     def test_stats_file_with_a_normalized_std_is_a_data_error_naming_it(self, tmp_path, dataset, capsys):
         # report draws each bin's std as a band in score units; a std divided
-        # by its mean is not one.
+        # by its mean, as an older stats --normalized-std wrote it, is not one.
         io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))
-        assert run("stats", *io, "--out-dir", str(tmp_path / "s"), "--normalized-std") == 0
-        stats = tmp_path / "s" / "bin_stats.json"
+        assert run("stats", *io, "--out-dir", str(tmp_path / "s")) == 0
+        payload = json.loads((tmp_path / "s" / "bin_stats.json").read_text())
+        assert "normalized_std" not in payload
+        stats = write_json(tmp_path / "normalized.json", {**payload, "normalized_std": True})
         model = write_json(tmp_path / "model.json", ThresholdModel(0.0, 0.0, 0.5, 60.0, 0.5).to_dict())
-        assert run("report", "--model", model, "--stats", str(stats), "--out-dir", str(tmp_path / "rpt")) == 2
+        assert run("report", "--model", model, "--stats", stats, "--out-dir", str(tmp_path / "rpt")) == 2
         err = capsys.readouterr().err
         assert f"stats file {stats} has a missing or bad value" in err and "normalized_std is true" in err
         assert not (tmp_path / "rpt").exists()
+        # A file that an older stats wrote without the switch holds false.
+        plain = write_json(tmp_path / "plain.json", {**payload, "normalized_std": False})
+        assert run("report", "--model", model, "--stats", plain, "--out-dir", str(tmp_path / "plain")) == 0
+        assert run("report", "--model", model, "--stats", str(tmp_path / "s" / "bin_stats.json"), "--out-dir", str(tmp_path / "now")) == 0
+        for name in ("threshold_curve.svg", "summary.md"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "now" / name).read_bytes()
 
     def test_eval_has_no_pre_filter(self, tmp_path, dataset, capsys):
         # eval counts every detection; a pre-filter shapes only stats and fit.
@@ -1556,7 +1560,7 @@ class TestOptionTable:
         "stats": {
             "--gt-dir": "gt_dir", "--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config",
             "--class": "class_name", "--bin-width": "bin_width", "--max-distance": "max_distance",
-            "--pre-filter": "pre_filter", "--normalized-std": "normalized_std",
+            "--pre-filter": "pre_filter",
         },
         "fit": {
             "--gt-dir": "gt_dir", "--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config",
@@ -1579,7 +1583,7 @@ class TestOptionTable:
     # The value of each option that neither a flag nor a config key gives;
     # every other option but --config is required.
     DEFAULTS = {
-        "stats": {**BINNING, **PRE_FILTER, "normalized_std": False},
+        "stats": {**BINNING, **PRE_FILTER},
         "fit": {**BINNING, **PRE_FILTER, "delta": 60.0, "k": 0.6, "sigma_floor": 1e-3},
         "filter": {},
         "eval": {
@@ -1618,15 +1622,26 @@ class TestOptionTable:
         required = {row.dest for row in cli._OPTIONS[command] if row.default is cli._REQUIRED}
         assert required == set(self.SURFACE[command].values()) - {"config"} - set(self.DEFAULTS[command])
 
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_each_commands_help_names_its_options_and_string_defaults(self, command, capsys, monkeypatch):
+        # argparse wraps help at the terminal's width, and breaks a token longer than a line.
+        monkeypatch.setenv("COLUMNS", "100")
+        assert run(command, "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for row in cli._OPTIONS[command]:
+            assert row.flag in text
+            if isinstance(row.default, str):
+                assert f"{row.help} (default {row.default})" in text
+        assert "--config" in text and "--normalized-std" not in text
+
 
 # A non-default value of each option that has a default, as a flag spells
-# it and as a config file gives it; None is a switch given as a flag.
+# it and as a config file gives it.
 PARITY = {
     "class_name": ("Car", "Car"),
     "bin_width": ("20", 20),
     "max_distance": ("40", 40),
     "pre_filter": ("30:0.2:0.4", {"distance_cutoff": 30, "low_threshold": 0.2, "high_threshold": 0.4}),
-    "normalized_std": (None, True),
     "delta": ("50", 50),
     "k": ("continuity", "continuity"),
     "sigma_floor": ("0.01", 0.01),
@@ -1674,7 +1689,7 @@ def test_a_value_as_a_flag_or_a_config_key_writes_the_same_files(tmp_path, datas
                 argv += [other.flag, values[other.dest]]
         flag_value, config_value = PARITY.get(row.dest, (values.get(row.dest),) * 2)
         if how == "flag":
-            argv += [row.flag] if flag_value is None else [row.flag, flag_value]
+            argv += [row.flag, flag_value]
         else:
             argv += ["--config", write_json(tmp_path / "cfg.json", {row.dest: config_value})]
         assert run(*argv) == 0, argv

@@ -28,7 +28,7 @@ from adathresh.evaluation import (
     evaluate_tables,
     trade_off,
 )
-from adathresh.geometry import iou_bev, pair_iou
+from adathresh.geometry import pair_iou
 from adathresh.kitti_io import MissingScoreError, load_tables, read_label_table
 from adathresh.threshold import SingleThreshold, keep_rows
 from helpers import (
@@ -38,6 +38,7 @@ from helpers import (
     detections,
     filtered,
     ground_truth,
+    iou_bev,
     loop_interpolated_ap,
     make_record,
     random_scene,

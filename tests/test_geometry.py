@@ -8,16 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adathresh.bin_stats import ground_distance
-from adathresh.geometry import (
-    _PRUNE_SLACK,
-    Box3D,
-    _clip_area,
-    iou_3d,
-    iou_bev,
-    normalize_angle,
-    pair_iou,
-)
-from helpers import columns, make_box, mc_iou_bev, polygon_intersection_area
+from adathresh.geometry import _PRUNE_SLACK, _clip_area, normalize_angle, pair_iou
+from helpers import Box3D, columns, iou_3d, iou_bev, make_box, mc_iou_bev, polygon_intersection_area
 
 # Unit-footprint box: width = length = 1.
 UNIT = dict(dims=(1.0, 1.0, 1.0))

@@ -84,11 +84,11 @@ def test_every_public_name_resolves_and_is_listed():
     assert unlisted == [] and unresolved == []
     # Adding or dropping an export is an edit of this list.
     assert names == [
-        "BinSpec", "BinStats", "Box3D", "DatasetError", "EvalReport", "EvaluationError", "FitError",
+        "BinSpec", "BinStats", "DatasetError", "EvalReport", "EvaluationError", "FitError",
         "FitResult", "KittiIOError", "LabelError", "LabelTable", "MatchConfig",
         "ModelRangeError", "PreFilter", "ScenarioSpec", "ScoreModel", "SingleThreshold", "ThresholdModel",
-        "__version__", "assign_bin", "compare_reports", "compute_bin_stats", "evaluate_tables",
-        "fit_quadratic", "generate", "iou_3d", "iou_bev", "keep_rows", "known_optimal_counts",
+        "__version__", "compare_reports", "compute_bin_stats", "evaluate_tables",
+        "fit_quadratic", "generate", "keep_rows", "known_optimal_counts",
         "load_tables", "read_label_table", "table_samples", "trade_off",
     ]
 

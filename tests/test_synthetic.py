@@ -13,7 +13,6 @@ from adathresh import synthetic
 from adathresh.bin_stats import compute_bin_stats, ground_distance
 from adathresh.cli import main
 from adathresh.evaluation import MatchConfig, evaluate_tables
-from adathresh.geometry import Box3D, iou_bev
 from adathresh.kitti_io import MissingScoreError
 from adathresh.philox import _FI, _KI, _WI, PhiloxStream, seed_key
 from adathresh.synthetic import (
@@ -26,6 +25,7 @@ from adathresh.synthetic import (
     known_optimal_counts,
 )
 from adathresh.threshold import ThresholdModel, keep_rows
+from helpers import Box3D, iou_bev
 
 BASE_MODEL = ScoreModel(a=-0.00004, b=-0.0075, c=0.92, noise_std=(0.02,) * 6)
 
