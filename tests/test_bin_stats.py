@@ -265,6 +265,7 @@ class TestComputeBinStats:
         "scores",
         [
             [1e308, 1e308],  # the sum overflows
+            [-1e308, -1e308],  # the sum overflows below
             [1e308, 0.0],  # the sum of squares overflows
             [1e308, -1e308],
         ],

@@ -161,6 +161,13 @@ STATS_FIT_DIGESTS = {
         "2f4785f422f26846a5e557f9b1de9db8ef0693e4a9ba91ef6b96d13404098d25",
         "535175b08cc18e027725cb45e491766e27bca1a33f155bbb20352092db09b822",
     ],
+    ("--bin-width", "7.5"): [
+        0,
+        "b9ef5e5957080a767ed93b90789dab0fcda7751eb4fce7c4f6fce3fb3ed5e7d3",
+        "8d1fd7136388735c2352fe3b7beb61cb5430408f599eca54972839fd1d019f3e",
+        "220bb529da029f1c99f033f9fdfd4e75b2b663f0d8eebc60906804a2a5efc2f6",
+        "25472379b6c18941577f4700e82778d74d0a536b0f8751d235ce924e561e47fc",
+    ],
 }
 
 
@@ -180,6 +187,13 @@ CROWDED_STATS_FIT_DIGESTS = {
         "1a16db516f1f0e5633e5550b40c0f3aab306b55ba5ad3b72b8ce32896f0b4e67",
         None,
         None,
+    ],
+    ("--bin-width", "7.5"): [
+        0,
+        "3006e1c7566aee4da939d9ada3c5c106d54a5c146367b8e6dbe6aede908422c2",
+        "dd96eeb8c5c109e951b6a114f558aeb1486f0c1ff6641baed1e4f452c687ff04",
+        "72e6a1a81129463768bacefa6ba83bde2eb721ed065d23c00138f4eb4f7a9347",
+        "a6a82fb51d8f3b7b89401e9e7e93bed25c734d4133027b3edd0001ee16f89c04",
     ],
 }
 
@@ -602,7 +616,7 @@ class TestConfigPrecedence:
         ) == 0
         assert json.loads((no_cfg / "bin_stats.json").read_text())["bin_width"] == 10.0
 
-    @pytest.mark.parametrize("key", ["class_name", "bin_width", "pre_filter"])
+    @pytest.mark.parametrize("key", ["class_name", "bin_width", "max_distance", "pre_filter"])
     def test_a_null_config_value_is_not_given(self, tmp_path, dataset, capsys, key):
         io = {"gt_dir": str(dataset / "gt"), "det_dir": str(dataset / "det")}
         for name, payload in (("absent", io), ("null", {**io, key: None})):
