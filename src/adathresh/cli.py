@@ -2,9 +2,10 @@
 
 Subcommands: stats, fit, filter, eval, compare, synth, report. Every
 option is one row of _OPTIONS: its config key (the dest), flag, default,
-converter and help. An option resolves with precedence CLI flag > config
-file (--config, a JSON object keyed by the dests; a null value counts as
-not given) > the row's default, and the row's converter turns a flag's
+converter and help; _parse_argv reads the command line from those rows.
+An option resolves with precedence CLI flag > config file (--config, a
+JSON object keyed by the flags' dests; a null value counts as not
+given) > the row's default, and the row's converter turns a flag's
 string and a config value alike into the value the command uses; a None
 default stays None. A real option's config value is never a JSON
 boolean. stats and fit read only detection files:
@@ -21,7 +22,6 @@ a stable key order. JSON inputs are decoded as label files are
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -117,18 +117,18 @@ def _load_json(path: str | Path, kind: str, from_dict):
         raise DatasetError(f"{kind} file {path} has a missing or bad value: {exc}") from exc
 
 
-def _load_config_file(args: argparse.Namespace) -> dict:
+def _load_config_file(command: str, path: str | None) -> dict:
     """The --config file's object. A key that names none of the command's
-    options is a usage error."""
-    if args.config is None:
+    flags (a positional argument has no key) is a usage error."""
+    if path is None:
         return {}
-    data = _read_json(args.config, "config")
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
-        raise DatasetError(f"config file {args.config} must hold a JSON object")
-    unknown = sorted(set(data) - {row.dest for row in _OPTIONS[args.command]})
+        raise DatasetError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(data) - {row.dest for row in _OPTIONS[command] if row.flag != row.dest})
     if unknown:
         names = ", ".join(map(repr, unknown))
-        raise _UsageError(f"config file {args.config} has keys that name no {args.command} option: {names}")
+        raise _UsageError(f"config file {path} has keys that name no {command} option: {names}")
     return data
 
 
@@ -289,13 +289,13 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
 class _Options:
     """A command's option values, as attributes named by the dests."""
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        file_cfg = _load_config_file(args)
-        self._config = args.config
+    def __init__(self, command: str, given: dict[str, str]) -> None:
+        self._config = given.get("config")
+        file_cfg = _load_config_file(command, self._config)
         self._from_flag: dict[str, str] = {}  # dest -> flag
         self._from_file: set[str] = set()
-        for row in _OPTIONS[args.command]:
-            value = getattr(args, row.dest)
+        for row in _OPTIONS[command]:
+            value = given.get(row.dest)
             if value is not None:
                 self._from_flag[row.dest] = row.flag
             elif file_cfg.get(row.dest) is not None:
@@ -304,7 +304,8 @@ class _Options:
             else:
                 value = row.default
             if value is _REQUIRED:
-                raise _UsageError(f"missing required option {row.flag} (or config key '{row.dest}')")
+                what = f"argument {row.dest}" if row.flag == row.dest else f"option {row.flag} (or config key '{row.dest}')"
+                raise _UsageError(f"missing required {what}")
             if value is not None:
                 value = self.checked((row.dest,), partial(row.convert, value))
             setattr(self, row.dest, value)
@@ -541,42 +542,80 @@ _COMMANDS = {
 }
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; this project uses 1."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+_CONFIG = _Option("config", "--config", None, str, "JSON config file; CLI flags override its keys")
+_HELP = {"-h": "help", "--help": "help"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, one argument per _OPTIONS row. Every
-    argument collects the raw string; _Options converts it."""
-    parser = _ArgumentParser(
-        prog="adathresh",
-        description="Distance-adaptive confidence thresholding and evaluation for KITTI-format detections.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
-    for command, run in _COMMANDS.items():
-        p = sub.add_parser(command, help=run.__doc__)
-        for row in _OPTIONS[command]:
-            text = f"{row.help} (default {row.default})" if isinstance(row.default, str) else row.help
-            if row.flag == row.dest:
-                p.add_argument(row.dest, help=text)
-            else:
-                p.add_argument(row.flag, dest=row.dest, help=text)
-        p.add_argument("--config", help="JSON config file; CLI flags override its keys")
-    return parser
+def _is_flag(token: str) -> bool:
+    """A flag starts with '-' and is neither '-' alone nor a negative number."""
+    return token[:1] == "-" and token[1:2] not in ("", *"0123456789.")
+
+
+def _match(token: str, flags: dict[str, str]) -> str | None:
+    """The flag that token (up to any '=') names, in full or as the prefix
+    of one flag only; None when it names none."""
+    name = token.partition("=")[0]
+    found = [name] if name in flags else [flag for flag in flags if len(name) > 2 and flag.startswith(name)]
+    if len(found) > 1:
+        raise _UsageError(f"ambiguous option: {name} could match {', '.join(found)}")
+    return found[0] if found else None
+
+
+def _help(commands: list[str]) -> str:
+    """The usage line, then each command's flags with their help."""
+    lines = [f"usage: adathresh {commands[0] if len(commands) == 1 else 'COMMAND'} [--FLAG VALUE ...]", ""]
+    lines.append("Distance-adaptive confidence thresholding and evaluation for KITTI-format detections.")
+    for command in commands:
+        lines += ["", f"{command}: {_COMMANDS[command].__doc__}"]
+        for row in (*_OPTIONS[command], _CONFIG):
+            usage = row.dest if row.flag == row.dest else f"{row.flag} {row.dest.upper()}"
+            note = f" (default {row.default})" if isinstance(row.default, str) else ""
+            lines.append(f"  {usage:<30}{row.help}{' (required)' if row.default is _REQUIRED else note}")
+    return "\n".join([*lines, "", f"  {'-h, --help':<30}show this help and exit", ""])
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, dict[str, str]] | None:
+    """The command and the string each of its options was given (the last
+    one for a repeated flag), or None once help is printed. A flag takes
+    the next token as its value, or the text after '='. A token that the
+    command does not take is a usage error."""
+    command = argv[0] if argv else ""
+    if _is_flag(command) and _match(command, _HELP):
+        print(_help(list(_COMMANDS)), end="")
+        return None
+    if command not in _COMMANDS:
+        got = f"unknown command {command!r}" if command else "no command"
+        raise _UsageError(f"{got}; expected one of {', '.join(_COMMANDS)}")
+    rows = (*_OPTIONS[command], _CONFIG)
+    flags = {row.flag: row.dest for row in rows if row.flag != row.dest} | _HELP
+    positionals = [row.dest for row in rows if row.flag == row.dest]
+    given, unknown = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = _match(token, flags) if _is_flag(token) else None
+        if flag in _HELP:
+            print(_help([command]), end="")
+            return None
+        if flag is None and positionals and not _is_flag(token):
+            given[positionals.pop(0)] = token
+        elif flag is None:
+            unknown.append(token)
+        elif "=" in token:
+            given[flags[flag]] = token.partition("=")[2]
+        else:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise _UsageError(f"argument {flag}: expected one value")
+            given[flags[flag]] = value
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, given
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](_Options(args))
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+        return EXIT_OK if parsed is None else _COMMANDS[parsed[0]](_Options(*parsed))
     except _UsageError as exc:
         _err(exc)
         return EXIT_USAGE

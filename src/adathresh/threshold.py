@@ -203,15 +203,15 @@ def _solve_weighted_quadratic(
 ) -> tuple[float, float, float]:
     """(alpha, beta, gamma) minimizing sum w*(y - alpha*x^2 - beta*x - gamma)^2.
 
-    The 3x3 normal equations are formed and solved by Cramer's rule in
-    exact rational arithmetic over the float inputs; each coefficient is
-    rounded to float once.
+    The 3x3 normal equations are formed and solved by Cramer's rule over
+    integers: the float inputs times one power of two, 2**e, which shifts
+    then undo. Each coefficient is one correctly rounded int division.
     """
-    from fractions import Fraction  # loads decimal; filter and eval never need it
-
-    moments = [Fraction(0)] * 5  # sum w x^j, j = 0..4
-    rhs = [Fraction(0)] * 3  # sum w y x^j, j = 0..2
-    for xi, yi, wi in zip(map(Fraction, x), map(Fraction, y), map(Fraction, w)):
+    scale = max(v.as_integer_ratio()[1] for v in (*x, *y, *w))  # a power of two, 2**e
+    xs, ys, ws = ([n * (scale // d) for n, d in (v.as_integer_ratio() for v in vs)] for vs in (x, y, w))
+    moments = [0] * 5  # sum W X^j, j = 0..4, over the scaled inputs X, Y, W
+    rhs = [0] * 3  # sum W Y X^j, j = 0..2
+    for xi, yi, wi in zip(xs, ys, ws):
         term = wi
         for j in range(5):
             moments[j] += term
@@ -223,16 +223,17 @@ def _solve_weighted_quadratic(
     det = _det3(s4, s3, s2, s3, s2, s1, s2, s1, s0)
     if det == 0:
         raise FitError("singular normal equations: bin abscissas do not span a quadratic")
-    numerators = (
-        _det3(t2, s3, s2, t1, s2, s1, t0, s1, s0),
-        _det3(s4, t2, s2, s3, t1, s1, s2, t0, s0),
-        _det3(s4, s3, t2, s3, s2, t1, s2, s1, t0),
-    )
+    # Against the unscaled system, det and the beta numerator carry a factor
+    # 2**(9e), the alpha numerator 2**(8e) and the gamma numerator 2**(10e).
+    e = scale.bit_length() - 1
     try:
-        alpha, beta, gamma = (float(n / det) for n in numerators)
+        return (
+            (_det3(t2, s3, s2, t1, s2, s1, t0, s1, s0) << e) / det,
+            _det3(s4, t2, s2, s3, t1, s1, s2, t0, s0) / det,
+            _det3(s4, s3, t2, s3, s2, t1, s2, s1, t0) / (det << e),
+        )
     except OverflowError:
         raise FitError("fitted coefficients exceed the float range") from None
-    return alpha, beta, gamma
 
 
 def _det3(a, b, c, d, e, f, g, h, i):

@@ -12,6 +12,8 @@ the world-frame convex-polygon clipper instead of the own-frame one, a
 from-scratch greedy matcher, exhaustive search over one-to-one
 assignments, the scalar three-pass evaluation with its brute-force
 AP interpolation, and Gaussian elimination over fractions for the fit.
+fraction_cramer_solve is the fit's own Cramer's rule over fractions,
+which the package's integer solve must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from adathresh.evaluation import (
 )
 from adathresh.geometry import _circles, _clip_area, _frame, _iou, normalize_angle
 from adathresh.kitti_io import DONT_CARE, LabelTable, MissingScoreError, _table_from_lines, read_label_table
+from adathresh.threshold import FitError
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
 
@@ -664,3 +667,37 @@ def exact_quadratic_fit(xs, ys, weights) -> tuple[float, float, float]:
         known = sum(system[r][j] * coeffs[j] for j in range(r + 1, 3))
         coeffs[r] = (system[r][3] - known) / system[r][r]
     return tuple(float(c) for c in coeffs)
+
+
+def fraction_cramer_solve(x, y, w) -> tuple[float, float, float]:
+    """threshold._solve_weighted_quadratic over fractions: the same normal
+    equations and Cramer determinants, each coefficient one Fraction
+    rounded to float. Raises the same FitError for singular equations and
+    for a coefficient beyond the float range."""
+    moments = [Fraction(0)] * 5  # sum w x^j, j = 0..4
+    rhs = [Fraction(0)] * 3  # sum w y x^j, j = 0..2
+    for xi, yi, wi in zip(map(Fraction, x), map(Fraction, y), map(Fraction, w)):
+        term = wi
+        for j in range(5):
+            moments[j] += term
+            if j < 3:
+                rhs[j] += term * yi
+            term *= xi
+    s0, s1, s2, s3, s4 = moments
+    t0, t1, t2 = rhs
+
+    def det3(a, b, c, d, e, f, g, h, i):
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+    det = det3(s4, s3, s2, s3, s2, s1, s2, s1, s0)
+    if det == 0:
+        raise FitError("singular normal equations: bin abscissas do not span a quadratic")
+    numerators = (
+        det3(t2, s3, s2, t1, s2, s1, t0, s1, s0),
+        det3(s4, t2, s2, s3, t1, s1, s2, t0, s0),
+        det3(s4, s3, t2, s3, s2, t1, s2, s1, t0),
+    )
+    try:
+        return tuple(float(n / det) for n in numerators)
+    except OverflowError:
+        raise FitError("fitted coefficients exceed the float range") from None

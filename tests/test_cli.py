@@ -1,6 +1,5 @@
 """End-to-end CLI coverage: pipelines, config precedence, exit codes."""
 
-import argparse
 import csv
 import hashlib
 import json
@@ -1623,30 +1622,119 @@ class TestOptionTable:
     }
 
     def test_each_commands_flags_and_dests_are_pinned(self):
-        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(subparsers.choices) == list(self.SURFACE)
-        for command, subparser in subparsers.choices.items():
-            flags = {(a.option_strings or [a.dest])[0]: a.dest for a in subparser._actions if a.dest != "help"}
-            assert flags == self.SURFACE[command], command
+        assert list(cli._COMMANDS) == list(self.SURFACE)
+        for command, surface in self.SURFACE.items():
+            # The parser takes each flag into its dest, and compare's words
+            # into its positional arguments in order; help lists no other.
+            for flag, dest in surface.items():
+                if flag != dest:
+                    assert cli._parse_argv([command, f"{flag}=v"]) == (command, {dest: "v"}), flag
+            positionals = [dest for flag, dest in surface.items() if flag == dest]
+            words = [f"w{i}" for i in range(len(positionals))]
+            assert cli._parse_argv([command, *words]) == (command, dict(zip(positionals, words)))
+            listed = {line.split()[0] for line in cli._help([command]).splitlines() if line.startswith("  ")}
+            assert listed == {*surface, "-h,"}, command
 
     @pytest.mark.parametrize("command", list(DEFAULTS))
     def test_each_commands_defaults_are_pinned(self, command):
-        opts = cli._Options(cli.build_parser().parse_args([command, *self.REQUIRED_FLAGS[command]]))
+        opts = cli._Options(*cli._parse_argv([command, *self.REQUIRED_FLAGS[command]]))
         assert {dest: getattr(opts, dest) for dest in self.DEFAULTS[command]} == self.DEFAULTS[command]
         required = {row.dest for row in cli._OPTIONS[command] if row.default is cli._REQUIRED}
         assert required == set(self.SURFACE[command].values()) - {"config"} - set(self.DEFAULTS[command])
 
     @pytest.mark.parametrize("command", list(SURFACE))
-    def test_each_commands_help_names_its_options_and_string_defaults(self, command, capsys, monkeypatch):
-        # argparse wraps help at the terminal's width, and breaks a token longer than a line.
-        monkeypatch.setenv("COLUMNS", "100")
+    def test_each_commands_help_names_its_options_and_string_defaults(self, command, capsys):
         assert run(command, "--help") == 0
-        text = " ".join(capsys.readouterr().out.split())
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: adathresh {command} ")
         for row in cli._OPTIONS[command]:
             assert row.flag in text
             if isinstance(row.default, str):
                 assert f"{row.help} (default {row.default})" in text
         assert "--config" in text and "--normalized-std" not in text
+
+
+class TestCommandLine:
+    """The command-line grammar that cli._parse_argv reads from _OPTIONS."""
+
+    def test_a_value_follows_its_flag_or_an_equals_sign(self):
+        assert cli._parse_argv(["eval", "--iou-thr", "0.5", "--class=Van", "--ap="]) == (
+            "eval",
+            {"iou_thr": "0.5", "class_name": "Van", "ap": ""},
+        )
+
+    def test_a_unique_prefix_names_its_flag(self):
+        assert cli._parse_argv(["eval", "--iou-t", "0.5", "--th=none"]) == (
+            "eval",
+            {"iou_thr": "0.5", "threshold_mode": "none"},
+        )
+        # A flag given in full is taken even where it prefixes another.
+        assert cli._parse_argv(["eval", "--iou", "3d"]) == ("eval", {"iou": "3d"})
+
+    @pytest.mark.parametrize("prefix, matches", [("--io", "--iou, --iou-thr"), ("--c", "--class, --config")])
+    def test_an_ambiguous_prefix_is_a_usage_error(self, capsys, prefix, matches):
+        assert run("eval", prefix, "x") == 1
+        assert f"ambiguous option: {prefix} could match {matches}" in capsys.readouterr().err
+
+    def test_the_last_of_a_repeated_flag_wins(self, tmp_path, dataset):
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        assert cli._parse_argv(["stats", "--bin-width", "5", "--bin-width=20"])[1] == {"bin_width": "20"}
+        assert run("stats", *io, "--bin-width", "5", "--bin-width", "20") == 0
+        assert json.loads((tmp_path / "o" / "bin_stats.json").read_text())["bin_width"] == 20.0
+
+    @pytest.mark.parametrize("argv", [["--gt-dir"], ["--gt-dir", "--det-dir", "d"], ["--gt-dir", "-inf"]])
+    def test_a_flag_without_a_value_is_a_usage_error(self, capsys, argv):
+        assert run("stats", *argv) == 1
+        assert "adathresh: error: argument --gt-dir: expected one value" in capsys.readouterr().err
+
+    def test_a_negative_number_is_a_value(self, tmp_path, dataset, capsys):
+        assert cli._parse_argv(["fit", "--k", "-0.1", "--delta", "-.5", "--sigma-floor", "-1e-3"])[1] == {
+            "k": "-0.1",
+            "delta": "-.5",
+            "sigma_floor": "-1e-3",
+        }
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        assert run("fit", *io, "--k", "-0.1") == 1
+        assert "bad --k value: k must be within [0, 1], got -0.1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, got", [([], "no command"), (["frobnicate"], "unknown command 'frobnicate'")])
+    def test_no_command_or_an_unknown_one_lists_the_commands(self, capsys, argv, got):
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"{got}; expected one of stats, fit, filter, eval, compare, synth, report" in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_help_lists_every_commands_flags_and_exits_0(self, capsys, flag):
+        assert run(flag) == 0
+        assert run("compare", flag, "--bogus") == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: adathresh COMMAND ") and err == ""
+        top, compare = out.split("usage: adathresh compare ")
+        for command, rows in cli._OPTIONS.items():
+            assert f"{command}: {cli._COMMANDS[command].__doc__}" in top
+            assert all(row.flag in top for row in rows)
+        assert "baseline" in compare and "candidate" in compare and "--out-dir" in compare
+
+    def test_unrecognized_tokens_are_reported_together(self, tmp_path, dataset, capsys):
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        assert run("stats", "--bogus", "x", *io, "-q", "--", "--iou=3d") == 1
+        assert "adathresh: error: unrecognized arguments: --bogus x -q -- --iou=3d" in capsys.readouterr().err
+        assert run("compare", "a.json", "b.json", "c.json", "--out-dir", str(tmp_path / "o")) == 1
+        assert "unrecognized arguments: c.json" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["baseline", "candidate"])
+    def test_a_config_key_of_a_positional_argument_is_a_usage_error(self, tmp_path, capsys, key):
+        cfg = write_json(tmp_path / "cfg.json", {key: "nonexistent.json"})
+        assert run("compare", "a.json", "a.json", "--out-dir", str(tmp_path / "o"), "--config", cfg) == 1
+        assert f"config file {cfg} has keys that name no compare option: '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_missing_positional_argument_suggests_no_config_key(self, tmp_path, capsys):
+        assert run("compare", "a.json", "--out-dir", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "adathresh: error: missing required argument candidate" in err and "config" not in err
 
 
 # A non-default value of each option that has a default, as a flag spells

@@ -20,9 +20,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Modules no command may load: numpy, and dataclasses and inspect (which
 # numpy imports itself), which would add about 14 ms to a command's
-# start-up; and hashlib (3-5 ms), which the cache keys do without.
-HEAVY = ("numpy", "dataclasses", "inspect", "hashlib")
-LOADED = f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if m in {HEAVY!r} or m.startswith('adathresh'))))"
+# start-up; hashlib (3-5 ms), which the cache keys do without; and
+# argparse with its gettext (2-3 ms to import, about 5 ms more to build
+# and run a parser), since cli reads the command line from its own table.
+HEAVY = ("numpy", "dataclasses", "inspect", "hashlib", "argparse", "gettext")
+# Nor fractions, with the decimal it imports: 2.4 ms that fit's solve
+# saves by computing over integers.
+NEVER = (*HEAVY, "fractions", "decimal")
+LOADED = f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if m in {NEVER!r} or m.startswith('adathresh'))))"
 
 
 def python(*args: str, timeout: float = 120, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -131,14 +136,14 @@ def _commands(data: Path) -> dict[str, list[str]]:
 
 # Modules each command must leave unloaded.
 NOT_LOADED = {
-    "synth": {*HEAVY, "adathresh.evaluation", "adathresh.report"},
-    "stats": {*HEAVY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
-    "filter": {*HEAVY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
-    "report": {*HEAVY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic"},
-    "fit": {*HEAVY, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
-    "eval": {*HEAVY, "adathresh.synthetic", "adathresh.report"},
-    "eval-adaptive-3d": {*HEAVY, "adathresh.synthetic", "adathresh.report"},
-    "compare": {*HEAVY, "adathresh.synthetic", "adathresh.report"},
+    "synth": {*NEVER, "adathresh.evaluation", "adathresh.report"},
+    "stats": {*NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "filter": {*NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "report": {*NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic"},
+    "fit": {*NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "eval": {*NEVER, "adathresh.synthetic", "adathresh.report"},
+    "eval-adaptive-3d": {*NEVER, "adathresh.synthetic", "adathresh.report"},
+    "compare": {*NEVER, "adathresh.synthetic", "adathresh.report"},
 }
 
 

@@ -6,7 +6,7 @@ from operator import le
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from adathresh.bin_stats import BinSpec, BinStats, PreFilter
 from adathresh.kitti_io import MissingScoreError
@@ -17,10 +17,11 @@ from adathresh.threshold import (
     ModelRangeError,
     SingleThreshold,
     ThresholdModel,
+    _solve_weighted_quadratic,
     fit_quadratic,
     keep_rows,
 )
-from helpers import detections, exact_quadratic_fit, ground_truth, make_record
+from helpers import detections, exact_quadratic_fit, fraction_cramer_solve, ground_truth, make_record
 
 # The tuned reference parameterization used throughout the docs.
 REFERENCE = ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6)
@@ -251,6 +252,40 @@ def noisy_bins(draw):
         mean = (alpha * x + beta) * x + y0 + draw(st.floats(-0.02, 0.02))
         stats.append(BinStats(i, draw(st.integers(1, 50)), mean, draw(stds)))
     return stats
+
+
+@st.composite
+def solve_inputs(draw):
+    """Bin centers, means and weights as fit_quadratic passes them: 3 to 12
+    bins of a width that may be fractional or tiny (a tiny one can push a
+    coefficient past the float range), and weights 1 / max(std, floor)^2
+    with stds at 0, at the floor and at 1e-300. Sometimes all centers are
+    one point, which makes the equations singular."""
+    n = draw(st.integers(3, 12))
+    width = draw(st.one_of(st.just(10.0), st.floats(0.01, 50.0), st.floats(1e-300, 1e-100)))
+    indices = sorted(draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        indices = [indices[0]] * n
+    floor = draw(st.sampled_from([SIGMA_FLOOR, 1e-150]))
+    stds = draw(st.lists(st.one_of(st.just(0.0), st.just(1e-300), st.floats(0.0, 0.3)), min_size=n, max_size=n))
+    means = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return [(i + 0.5) * width for i in indices], means, [1.0 / (max(s, floor) ** 2) for s in stds]
+
+
+def solved(solve, x, y, w):
+    """solve's coefficients, or its FitError message."""
+    try:
+        return solve(x, y, w)
+    except FitError as exc:
+        return str(exc)
+
+
+@given(solve_inputs())
+@example(([5.0, 5.0, 5.0], [0.1, 0.2, 0.3], [1.0, 1.0, 1.0]))  # singular
+@example(([1e-200, 2e-200, 3e-200], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]))  # alpha beyond the float range
+def test_the_integer_solve_equals_the_fraction_solve_bit_for_bit(inputs):
+    got, expected = solved(_solve_weighted_quadratic, *inputs), solved(fraction_cramer_solve, *inputs)
+    assert repr(got) == repr(expected)
 
 
 class TestFitQuadratic:
