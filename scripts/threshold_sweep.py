@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from adathresh.bin_stats import compute_bin_stats, table_samples
+from adathresh.bin_stats import compute_bin_stats, keep_rows, table_samples
 from adathresh.evaluation import EvalReport, MatchConfig, evaluate_tables
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate
-from adathresh.threshold import SingleThreshold, fit_quadratic, keep_rows
+from adathresh.threshold import SingleThreshold, fit_quadratic
 
 
 def build_spec(seed: int, n_frames: int) -> ScenarioSpec:

@@ -21,6 +21,9 @@ _EXPORTS = {
     "PreFilter": "bin_stats",
     "compute_bin_stats": "bin_stats",
     "table_samples": "bin_stats",
+    "FitError": "bin_stats",
+    "ModelRangeError": "bin_stats",
+    "keep_rows": "bin_stats",
     "EvalReport": "evaluation",
     "EvaluationError": "evaluation",
     "MatchConfig": "evaluation",
@@ -37,13 +40,10 @@ _EXPORTS = {
     "ScoreModel": "synthetic",
     "generate": "synthetic",
     "known_optimal_counts": "synthetic",
-    "FitError": "threshold",
     "FitResult": "threshold",
-    "ModelRangeError": "threshold",
     "SingleThreshold": "threshold",
     "ThresholdModel": "threshold",
     "fit_quadratic": "threshold",
-    "keep_rows": "threshold",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])

@@ -5,6 +5,8 @@ each occupied bin gets the mean and the population standard deviation of
 its scores. Sums use math.fsum, so results do not depend on input order.
 A distance is the ground-plane distance from the ego vehicle
 (ground_distance), the one measure every module bins and thresholds by.
+keep_rows is the one filter rule: the rows a Schedule (the PreFilter
+here, threshold's models) keeps.
 Record is the base of every value type in the package. It gives each
 one its fields, checks, equality and repr, and the to_dict/from_dict of
 every JSON file. It stands in for dataclasses, whose import (with
@@ -17,8 +19,8 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import compress
-from operator import and_
-from typing import TYPE_CHECKING, Iterable, get_args, get_origin, get_type_hints
+from operator import and_, ge
+from typing import TYPE_CHECKING, Iterable, Protocol, get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
     from .kitti_io import LabelTable
@@ -288,16 +290,38 @@ class PreFilter(Record):
         return self.high_threshold if distance < self.distance_cutoff else self.low_threshold
 
 
+class Schedule(Protocol):
+    """A score threshold as a function of ego distance."""
+
+    def threshold_at(self, distance: float) -> float: ...
+
+
+def keep_rows(table: LabelTable, schedule: Schedule) -> list[bool]:
+    """Whether each row of table scores at least schedule.threshold_at(its
+    ego distance). A ground-truth table raises MissingScoreError."""
+    return list(map(ge, table.scores(), map(schedule.threshold_at, table.distances())))
+
+
+# threshold's default sigma floor and errors, which cli needs before it loads threshold.
+SIGMA_FLOOR = 1e-3
+
+
+class ModelRangeError(ValueError):
+    """Model parameters describe a threshold outside [0, 1]."""
+
+
+class FitError(RuntimeError):
+    """The quadratic fit is underdetermined or numerically singular."""
+
+
 def table_samples(
     detections: LabelTable, class_name: str, pre_filter: PreFilter | None
 ) -> list[tuple[float, float]]:
     """(distance, score) of every class_name row the pre-filter keeps.
 
-    The pre-filter, when given, keeps what threshold.keep_rows keeps.
-    Order is row order: frame order, then file order.
+    The pre-filter, when given, keeps what keep_rows keeps. Order is
+    row order: frame order, then file order.
     """
-    from .threshold import keep_rows  # threshold imports this module
-
     wanted = list(map(class_name.__eq__, detections.class_names))
     if pre_filter is not None:
         wanted = list(map(and_, wanted, keep_rows(detections, pre_filter)))

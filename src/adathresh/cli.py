@@ -23,6 +23,7 @@ a stable key order. JSON inputs are decoded as label files are
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import sys
@@ -31,7 +32,10 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .bin_stats import BinSpec, BinStats, PreFilter, compute_bin_stats, table_samples
+from .bin_stats import (
+    SIGMA_FLOOR, BinSpec, BinStats, FitError, ModelRangeError, PreFilter, Schedule, compute_bin_stats, keep_rows,
+    table_samples,
+)
 from .kitti_io import (
     DatasetError,
     KittiIOError,
@@ -44,20 +48,10 @@ from .kitti_io import (
     write_files,
     write_frames,
 )
-from .threshold import (
-    SIGMA_FLOOR,
-    FitError,
-    ModelRangeError,
-    Schedule,
-    SingleThreshold,
-    ThresholdModel,
-    fit_quadratic,
-    keep_rows,
-)
 
-# evaluation, synthetic and report load inside the commands that use them:
-# only synth generates scenes, and stats, fit and filter never load the
-# IoU and matching code.
+# threshold, evaluation, synthetic and report load inside the commands that
+# use them: stats loads none of them, fit and filter no evaluation, eval
+# --threshold-mode none no threshold, and only synth generates scenes.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,10 +126,6 @@ def _load_config_file(command: str, path: str | None) -> dict:
     return data
 
 
-def _load_model(path: str | Path) -> ThresholdModel:
-    return _load_json(path, "model", ThresholdModel.from_dict)
-
-
 def _parse_pre_filter(value) -> PreFilter | None:
     """The schedule of a pre_filter value: 'CUTOFF:LOW:HIGH', 'none' or a
     dict of PreFilter fields; ValueError otherwise."""
@@ -160,6 +150,8 @@ def _parse_threshold_mode(value: str) -> tuple[str, Schedule | None]:
     text = str(value).strip()
     if text.lower() == "none":
         return "none", None
+    from .threshold import SingleThreshold, ThresholdModel
+
     kind, sep, payload = text.partition(":")
     if not sep:
         raise ValueError(f"expected 'none', 'single:<t>' or 'adaptive:<model.json>', got {value!r}")
@@ -169,7 +161,7 @@ def _parse_threshold_mode(value: str) -> tuple[str, Schedule | None]:
     if kind == "adaptive":
         if not payload:
             raise ValueError("adaptive mode needs a model file: adaptive:<model.json>")
-        return f"adaptive:{payload}", _load_model(payload)
+        return f"adaptive:{payload}", _load_json(payload, "model", ThresholdModel.from_dict)
     raise ValueError(f"unknown threshold mode {kind!r}")
 
 
@@ -376,6 +368,8 @@ def cmd_stats(opts: _Options) -> int:
 
 def cmd_fit(opts: _Options) -> int:
     """fit the quadratic threshold to binned statistics"""
+    from .threshold import fit_quadratic
+
     stats, spec, _ = _stats_pipeline(opts)
     # fit_quadratic checks sigma_floor, delta and k; a fit failure is a FitError.
     result = opts.checked(
@@ -517,8 +511,9 @@ def _decode_stats(data: dict) -> tuple[BinSpec, list[BinStats]]:
 def cmd_report(opts: _Options) -> int:
     """render the threshold curve and a summary"""
     from .report import render_summary_md, render_threshold_svg
+    from .threshold import ThresholdModel
 
-    model = _load_model(opts.model)
+    model = _load_json(opts.model, "model", ThresholdModel.from_dict)
     spec, bins = BinSpec(), []
     if opts.stats is not None:
         spec, bins = _load_json(opts.stats, "stats", _decode_stats)
@@ -625,6 +620,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KittiIOError, OSError, ValueError) as exc:
         _err(exc)
         return EXIT_DATA
+    finally:
+        if argv is None:  # the process's own command line: spare its shutdown collection a walk over the heap
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -30,14 +30,15 @@ load_tables and load_detections take the frame set from one listing of a
 ground-truth and a detection directory, by file name; load_detections
 opens no ground-truth file and builds only the detection table; only
 read_label_table keeps each row's line. Each file is read through a raw
-descriptor (os.open, os.read until end of file, os.close) and decoded
-as strict UTF-8 without one leading byte-order mark: the lines a
-utf-8-sig text file gives, save that a file holding only part of a mark
-is undecodable, not empty. Every table, synthetic ones included, is
-built from label lines by one function, which runs each check once over
-all rows. When any fails, or a file cannot be read, the files are read
-again and checked line by line in frame order, ground truth first
-within a frame, and the error raised names the first bad file and line.
+descriptor (os.open, os.read until end of file, os.close; a listed
+regular file ends at its first short read) and decoded as strict UTF-8
+without one leading byte-order mark: the lines a utf-8-sig text file
+gives, save that a file holding only part of a mark is undecodable, not
+empty. Every table, synthetic ones included, is built from label lines
+by one function, which runs each check once over all rows. When any
+fails, or a file cannot be read, the files are read again and checked
+line by line in frame order, ground truth first within a frame, and the
+error raised names the first bad file and line (kitti_parse holds both).
 
 The cache spares a command work done before on the same input, under
 $XDG_CACHE_HOME/adathresh, else $HOME/.cache/adathresh (no cache when
@@ -131,7 +132,6 @@ COLUMNS = (
 )
 _COLUMN = {name: index for index, name in enumerate(COLUMNS)}
 _OCCLUSION_VALUES = frozenset((-1.0, 0.0, 1.0, 2.0, 3.0))
-_CHUNK_LINES = 256  # lines split at once by the bulk reader
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0  # a double's sign-and-exponent byte in array("d") bytes
 _READ_BYTES = 1 << 16  # bytes asked of each os.read
 # The cache (see the module docstring). A new table entry layout, or a
@@ -299,8 +299,10 @@ def read_label_table(directory: str | Path, role: str, expect_score: bool) -> La
     return table
 
 
-def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], bool]], keep_lines: bool) -> list[LabelTable]:
-    """One table per (directory, frame id -> file name, expect_score) tree,
+def _read_tables(
+    frame_ids: list[str], trees: list[tuple[Path, dict[str, os.DirEntry], bool]], keep_lines: bool
+) -> list[LabelTable]:
+    """One table per (directory, frame id -> file entry, expect_score) tree,
     holding every frame of frame_ids (no rows where the tree has no file
     of the frame) and its lines when keep_lines. When a file cannot be
     read or _table_from_lines rejects a line, every file is read again and
@@ -308,10 +310,9 @@ def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], b
     a frame, and _check_label_file's error for the first bad file is raised."""
     tables = []
     for directory, by_frame, expect_score in trees:
-        files = [by_frame.get(frame_id) for frame_id in frame_ids]
-        prefix = os.path.join(directory, "")  # a Path per file cost a tenth of the load
+        entries = [by_frame.get(frame_id) for frame_id in frame_ids]
         try:
-            table = _cached_table(frame_ids, prefix, files, expect_score, keep_lines)
+            table = _cached_table(frame_ids, entries, expect_score, keep_lines)
         except (OSError, UnicodeDecodeError):
             break
         if table is None:
@@ -319,10 +320,12 @@ def _read_tables(frame_ids: list[str], trees: list[tuple[Path, dict[str, str], b
         tables.append(table)
     else:
         return tables
+    from .kitti_parse import _check_label_file
+
     for frame_id in frame_ids:
         for directory, by_frame, expect_score in trees:
             if frame_id in by_frame:
-                _check_label_file(directory / by_frame[frame_id], expect_score)
+                _check_label_file(directory / by_frame[frame_id].name, expect_score)
     raise AssertionError("the bulk parser rejected files that _check_label_file accepts")
 
 
@@ -347,44 +350,20 @@ def _nonblank_lines(key: bytes, sizes: list[int]) -> tuple[list[str], list[int]]
     return lines, ends
 
 
-def _read_bytes(path: str | Path) -> bytes:
+def _read_bytes(path: str | Path, regular: bool = False) -> bytes:
     """A file's bytes, read through a raw descriptor (half the time of a
-    file object's)."""
+    file object's) until os.read returns nothing, or, for a regular file,
+    until its first short read, which is its end."""
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks = []
         while chunk := os.read(fd, _READ_BYTES):
             chunks.append(chunk)
+            if regular and len(chunk) < _READ_BYTES:
+                break
     finally:
         os.close(fd)
     return b"".join(chunks)
-
-
-def _table_from_lines(
-    frame_ids: list[str], files: list[str | None], lines: list[str], ends: list[int], expect_score: bool, keep_lines: bool
-) -> LabelTable | None:
-    """The table of label lines (kept when keep_lines), frame i holding
-    those after i - 1's up to ends[i]; None when one breaks _check_line.
-
-    The rules run on all lines at once: the field count of every line,
-    then one float conversion, then _checked_table's rules.
-    """
-    width = _DET_FIELDS if expect_score else _GT_FIELDS
-    # Lines are split a chunk at a time, which bounds the token strings alive at once.
-    class_names: list[str] = []
-    columns = tuple(array("d") for _ in range(width - 1))
-    for start in range(0, len(lines), _CHUNK_LINES):
-        rows = list(map(str.split, lines[start : start + _CHUNK_LINES]))
-        if set(map(len, rows)) - {width}:
-            return None
-        tokens = list(chain.from_iterable(rows))
-        class_names += map(sys.intern, tokens[::width])  # rows share one string per name
-        try:
-            for j, column in enumerate(columns, start=1):
-                column.extend(map(float, tokens[j::width]))
-        except ValueError:
-            return None
-    return _checked_table(LabelTable(frame_ids, files, [0, *ends], class_names, columns, lines if keep_lines else None))
 
 
 def _checked_table(table: LabelTable) -> LabelTable | None:
@@ -411,15 +390,16 @@ def _cache_root() -> str | None:
 
 
 def _cached_table(
-    frame_ids: list[str], prefix: str, files: list[str | None], expect_score: bool, keep_lines: bool
+    frame_ids: list[str], entries: list[os.DirEntry | None], expect_score: bool, keep_lines: bool
 ) -> LabelTable | None:
-    """_table_from_lines of the _nonblank_lines of prefix + each of files
+    """_table_from_lines of the _nonblank_lines of each file of entries
     (none for None), from the cache when a table entry holds the files'
     bytes; a hit decodes them only to keep lines, which must then end
     each frame where its rows do. _checked_table still runs on a hit. A
     parse that succeeds stores its entry. A cache error is a miss, and a
     failed store is ignored: the result never depends on the cache."""
-    raw = [b"" if name is None else _read_bytes(prefix + name) for name in files]
+    raw = [b"" if e is None else _read_bytes(e.path, e.is_file(follow_symlinks=False)) for e in entries]
+    files = [None if e is None else e.name for e in entries]
     sizes = list(map(len, raw))
     # Frame ids and file names hold no NUL, and the sizes fix how many
     # ids, names and files there are and where each file ends, so two
@@ -437,6 +417,8 @@ def _cached_table(
     hit = rows is not None and (ends is None or rows[0][1:] == ends)
     table = _checked_table(LabelTable(frame_ids, files, *rows, lines)) if hit else None
     if table is None:
+        from .kitti_parse import _table_from_lines
+
         if lines is None:
             lines, ends = _nonblank_lines(key, sizes)
         table = _table_from_lines(frame_ids, files, lines, ends, expect_score, keep_lines)
@@ -557,8 +539,9 @@ def _listed_frames(gt_dir: Path, det_dir: Path) -> tuple[dict[str, str], dict[st
     return gt_files, det_files
 
 
-def _files_by_frame(directory: Path, role: str) -> dict[str, str]:
-    """Frame id -> name of each label file in directory, from one listing.
+def _files_by_frame(directory: Path, role: str) -> dict[str, os.DirEntry]:
+    """Frame id -> os.DirEntry of each label file in directory, from one
+    listing (whose d_type answers entry.is_file without a stat).
 
     The names are those Path.glob("*.txt") yields: case-sensitive, hidden
     names included. A frame id is the name's stem, and ".txt" is its own
@@ -567,59 +550,14 @@ def _files_by_frame(directory: Path, role: str) -> dict[str, str]:
     """
     try:
         with os.scandir(directory) as entries:
-            names = [entry.name for entry in entries if entry.name.endswith(".txt")]
+            listed = [entry for entry in entries if entry.name.endswith(".txt")]
     except (FileNotFoundError, NotADirectoryError):
         raise DatasetError(f"{role} directory not found: {directory}") from None
-    files: dict[str, str] = {}
-    for name in names:
-        frame_id = name[:-4] or name
+    files: dict[str, os.DirEntry] = {}
+    for entry in listed:
+        frame_id = entry.name[:-4] or entry.name
         if frame_id in files:
-            a, b = sorted((files[frame_id], name))
+            a, b = sorted((files[frame_id].name, entry.name))
             raise DatasetError(f"{role} files {directory / a} and {directory / b} have the same frame id {frame_id!r}")
-        files[frame_id] = name
+        files[frame_id] = entry
     return files
-
-
-def _check_label_file(path: Path, expect_score: bool) -> None:
-    """Raise _check_line's error for the first bad line of a label file,
-    with the file and the 1-based line number; blank lines are skipped.
-    An unreadable file is a DatasetError naming it. Builds nothing."""
-    try:
-        text = _text(_read_bytes(path))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    n_fields = _DET_FIELDS if expect_score else _GT_FIELDS
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if tokens:
-            try:
-                _check_line(tokens, n_fields)
-            except LabelError as exc:
-                exc.line_no, exc.path = line_no, str(path)
-                raise
-
-
-def _check_line(tokens: list[str], n_fields: int) -> None:
-    """Raise for the first rule of the module docstring that a line's tokens
-    break: a field count of the other layout is a LabelFormatError, any
-    other malformed line a LabelParseError."""
-    if len(tokens) != n_fields:
-        if len(tokens) not in (_GT_FIELDS, _DET_FIELDS):
-            raise LabelParseError(f"expected 15 or 16 fields, got {len(tokens)}")
-        wanted = "16 fields (with score)" if n_fields == _DET_FIELDS else "15 fields (no score)"
-        raise LabelFormatError(f"expected {wanted}, got {len(tokens)}")
-    values = []
-    for token in tokens[1:]:
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise LabelParseError(f"non-numeric field {token!r}") from None
-        if not math.isfinite(values[-1]):
-            raise LabelParseError(f"non-finite field {token!r}")
-    if values[1] not in _OCCLUSION_VALUES:
-        raise LabelFormatError(f"occluded must be one of -1,0,1,2,3, got {tokens[2]!r}")
-    dimensions = tuple(values[7:10])
-    if tokens[0] != DONT_CARE and min(dimensions) <= 0.0:
-        raise LabelFormatError(f"non-positive dimensions {dimensions} for class {tokens[0]!r}")
-    if values[5] < values[3] or values[6] < values[4]:
-        raise LabelFormatError(f"inverted 2D bbox {tuple(values[3:7])}")

@@ -6,8 +6,8 @@ The threshold schedule is
     t(d) = k                            for d > delta
 
 A detection survives when its score is greater than or equal to the
-threshold at its ego distance. That one rule, keep_rows() over a
-kitti_io.LabelTable, serves every schedule: this model, the constant
+threshold at its ego distance. That one rule, bin_stats.keep_rows() over
+a kitti_io.LabelTable, serves every schedule: this model, the constant
 SingleThreshold baseline, and the near/far bin_stats.PreFilter. Fitting
 recovers (alpha, beta, gamma) from binned score statistics by weighted
 least squares with weights 1 / max(std, sigma_floor)^2 at the bin
@@ -17,23 +17,11 @@ centers, solved exactly.
 from __future__ import annotations
 
 import math
-from operator import ge
-from typing import Protocol, Sequence
+from typing import Sequence
 
-from .bin_stats import BinSpec, BinStats, Record
-from .kitti_io import LabelTable
-
-SIGMA_FLOOR = 1e-3
+from .bin_stats import SIGMA_FLOOR, BinSpec, BinStats, FitError, ModelRangeError, Record
 
 _RANGE_TOL = 1e-9
-
-
-class ModelRangeError(ValueError):
-    """Model parameters describe a threshold outside [0, 1]."""
-
-
-class FitError(RuntimeError):
-    """The quadratic fit is underdetermined or numerically singular."""
 
 
 def _quadratic(alpha: float, beta: float, gamma: float, d: float) -> float:
@@ -100,18 +88,6 @@ class SingleThreshold(Record):
 
     def threshold_at(self, distance: float) -> float:
         return self.threshold
-
-
-class Schedule(Protocol):
-    """A score threshold as a function of ego distance."""
-
-    def threshold_at(self, distance: float) -> float: ...
-
-
-def keep_rows(table: LabelTable, schedule: Schedule) -> list[bool]:
-    """Whether each row of table scores at least schedule.threshold_at(its
-    ego distance). A ground-truth table raises MissingScoreError."""
-    return list(map(ge, table.scores(), map(schedule.threshold_at, table.distances())))
 
 
 class FitResult(Record):

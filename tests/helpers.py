@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from adathresh import bin_stats
-from adathresh.bin_stats import BinSpec, ground_distance
+from adathresh.bin_stats import BinSpec, FitError, ground_distance
 from adathresh.evaluation import (
     _DIFFICULTY_LIMITS,
     BinBreakdown,
@@ -39,8 +39,8 @@ from adathresh.evaluation import (
     trade_off,
 )
 from adathresh.geometry import _circles, _clip_area, _frame, _iou, normalize_angle
-from adathresh.kitti_io import DONT_CARE, LabelTable, MissingScoreError, _table_from_lines, read_label_table
-from adathresh.threshold import FitError
+from adathresh.kitti_io import DONT_CARE, LabelTable, MissingScoreError, read_label_table
+from adathresh.kitti_parse import _table_from_lines
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
 

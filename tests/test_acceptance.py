@@ -14,18 +14,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from adathresh.bin_stats import BinSpec, BinStats, compute_bin_stats
+from adathresh.bin_stats import BinSpec, BinStats, ModelRangeError, compute_bin_stats, keep_rows
 from adathresh.evaluation import MatchConfig, _candidates, _match, _sweep, evaluate_tables, trade_off
 from adathresh.geometry import pair_iou
 from adathresh.kitti_io import DONT_CARE, LabelTable, read_label_table, write_frames
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
-from adathresh.threshold import (
-    ModelRangeError,
-    SingleThreshold,
-    ThresholdModel,
-    fit_quadratic,
-    keep_rows,
-)
+from adathresh.threshold import SingleThreshold, ThresholdModel, fit_quadratic
 from helpers import (
     box_columns,
     brute_force_match,

@@ -17,12 +17,13 @@ from adathresh.bin_stats import (
     Record,
     assign_bins,
     compute_bin_stats,
+    keep_rows,
     table_samples,
 )
 from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig, MetricDelta
 from adathresh.kitti_io import LabelTable, MissingScoreError
 from adathresh.synthetic import ScenarioSpec, ScoreModel
-from adathresh.threshold import FitResult, SingleThreshold, ThresholdModel, keep_rows
+from adathresh.threshold import FitResult, SingleThreshold, ThresholdModel
 from helpers import Box3D, Frame, assign_bin, detections, ground_truth, make_record, replaced, tables
 
 DEFAULT = BinSpec()

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adathresh import cli, geometry, kitti_io
-from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats
+from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats, keep_rows
 from adathresh.cli import main
-from adathresh.threshold import ThresholdModel, fit_quadratic, keep_rows
+from adathresh.threshold import ThresholdModel, fit_quadratic
 from helpers import constructed, detections, label_text, make_record, write_label
 
 
@@ -1326,7 +1326,7 @@ class TestGroundTruthIsListedNotRead:
     def test_only_eval_opens_a_ground_truth_file(self, tmp_path, dataset, monkeypatch):
         opened = []
         read_bytes = kitti_io._read_bytes
-        monkeypatch.setattr(kitti_io, "_read_bytes", lambda path: opened.append(Path(path)) or read_bytes(path))
+        monkeypatch.setattr(kitti_io, "_read_bytes", lambda path, *args: opened.append(Path(path)) or read_bytes(path, *args))
         for command in ("stats", "fit", "eval"):
             opened.clear()
             data = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adathresh import evaluation, geometry, kitti_io
-from adathresh.bin_stats import BinSpec
+from adathresh.bin_stats import BinSpec, keep_rows
 from adathresh.evaluation import (
     EvalReport,
     EvaluationError,
@@ -30,7 +30,7 @@ from adathresh.evaluation import (
 )
 from adathresh.geometry import pair_iou
 from adathresh.kitti_io import MissingScoreError, load_tables, read_label_table
-from adathresh.threshold import SingleThreshold, keep_rows
+from adathresh.threshold import SingleThreshold
 from helpers import (
     Frame,
     box_columns,

@@ -4,6 +4,7 @@ The test process has imported every module long before these tests run,
 so each check starts its own ``python`` and reports ``sys.modules`` back.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -134,16 +135,20 @@ def _commands(data: Path) -> dict[str, list[str]]:
     }
 
 
-# Modules each command must leave unloaded.
+# Modules each command must leave unloaded. threshold loads only where a
+# model, a single threshold or a fit is built: stats, eval
+# --threshold-mode none ("eval") and compare build none.
 NOT_LOADED = {
     "synth": {*NEVER, "adathresh.evaluation", "adathresh.report"},
-    "stats": {*NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
+    "stats": {
+        *NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report", "adathresh.threshold"
+    },
     "filter": {*NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
     "report": {*NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic"},
     "fit": {*NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report"},
-    "eval": {*NEVER, "adathresh.synthetic", "adathresh.report"},
+    "eval": {*NEVER, "adathresh.synthetic", "adathresh.report", "adathresh.threshold"},
     "eval-adaptive-3d": {*NEVER, "adathresh.synthetic", "adathresh.report"},
-    "compare": {*NEVER, "adathresh.synthetic", "adathresh.report"},
+    "compare": {*NEVER, "adathresh.synthetic", "adathresh.report", "adathresh.threshold"},
 }
 
 
@@ -169,6 +174,46 @@ def test_only_an_eval_that_misses_its_pairs_loads_geometry(data, tmp_path, monke
     cold, warm = loaded_after(run), loaded_after(run)
     assert "adathresh.geometry" in cold
     assert "adathresh.geometry" not in warm and "adathresh.evaluation" in warm
+
+
+@pytest.mark.parametrize("command", ["stats", "fit", "filter", "eval"])
+def test_only_a_command_that_misses_its_tables_loads_the_parser(data, tmp_path, monkeypatch, command):
+    """kitti_parse holds the label-line parser and the line checker: a
+    cold command loads it to parse its trees, and the same command in a
+    fresh interpreter over a warm cache reads every table from there and
+    does not."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    run = f"from adathresh.cli import main\nassert main({_commands(data)[command]!r}) == 0"
+    cold, warm = loaded_after(run), loaded_after(run)
+    assert "adathresh.kitti_parse" in cold
+    assert "adathresh.kitti_parse" not in warm and "adathresh.kitti_io" in warm
+
+
+def test_main_with_argv_leaves_the_gc_state_alone(data):
+    from adathresh.cli import main
+
+    frozen = gc.get_freeze_count()
+    assert main(_commands(data)["stats"]) == 0
+    assert main(["stats", "--bogus"]) == 1
+    assert gc.get_freeze_count() == frozen
+
+
+def test_main_without_argv_freezes_the_heap_on_its_way_out(data):
+    """The console script's call: what main leaves on the heap is frozen,
+    so the interpreter's shutdown collection skips it. So is it after a
+    usage error."""
+    code = (
+        "import gc, sys\n"
+        "from adathresh.cli import main\n"
+        "sys.argv = ['adathresh', *sys.argv[1:]]\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "code = main()\n"
+        "print(code, gc.get_freeze_count() > 0)"
+    )
+    for argv, expected in ((_commands(data)["stats"], "0 True"), (["stats", "--bogus"], "1 True")):
+        proc = python("-c", code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == expected
 
 
 def test_eval_without_ground_truth_of_the_class_exits_2(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from adathresh import kitti_io
+from adathresh import kitti_io, kitti_parse
 from adathresh.evaluation import _box_columns
 from adathresh.kitti_io import (
     DONT_CARE,
@@ -20,13 +20,13 @@ from adathresh.kitti_io import (
     LabelFormatError,
     LabelParseError,
     LabelTable,
-    _check_label_file,
     load_detections,
     load_tables,
     read_label_table,
     write_files,
     write_frames,
 )
+from adathresh.kitti_parse import _check_label_file
 from helpers import Frame, Record, constructed, detections, label_text, read_text, tables
 
 GT_LINE = (
@@ -405,6 +405,28 @@ class TestDataset:
         with pytest.raises(LabelParseError) as exc:
             load_tables(tmp_path / "gt", tmp_path / "det")
         assert "000000.txt" in str(exc.value)
+
+    def test_a_listed_regular_file_ends_at_its_first_short_read(self, tmp_path, monkeypatch):
+        """One os.read for a regular file shorter than a read, two for one
+        longer; a symlink is read until os.read returns nothing, as every
+        unlisted path (a cache entry, a JSON input) is."""
+        long_text = (DET_LINE + "\n") * (kitti_io._READ_BYTES // len(DET_LINE) + 1)
+        assert kitti_io._READ_BYTES < len(long_text) < 2 * kitti_io._READ_BYTES
+        self._write(tmp_path, "det/a.txt", DET_LINE + "\n")
+        self._write(tmp_path, "det/b.txt", long_text)
+        self._write(tmp_path, "elsewhere.txt", DET_LINE + "\n")
+        (tmp_path / "det" / "c.txt").symlink_to(tmp_path / "elsewhere.txt")
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)  # no cache root: no entry is read
+        reads = []
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: reads.append(fd) or read(fd, n))
+        table = read_label_table(tmp_path / "det", "detection", expect_score=True)
+        assert table.offsets == [0, 1, 1 + long_text.count("\n"), 2 + long_text.count("\n")]
+        assert len(reads) == 1 + 2 + 2
+        reads.clear()
+        assert kitti_io._read_bytes(tmp_path / "det" / "a.txt") == (DET_LINE + "\n").encode()
+        assert len(reads) == 2
 
 
 class TestWriteLabelFile:
@@ -859,7 +881,7 @@ class TestFuzzedLabelFiles:
                 load = lambda: load_tables(tree, other)[0]
                 table_or_error(load)
             if parsed:
-                patch.setattr(kitti_io, "_table_from_lines", None)
+                patch.setattr(kitti_parse, "_table_from_lines", None)
             hit = table_or_error(lambda: read_label_table(tree, "label", expect_score))
             no_lines = table_or_error(load)
         assert hit == miss
@@ -940,7 +962,7 @@ class TestTableCache:
         parsed = self.read(tree)
         assert len(cache_entries(cache_home)) == 2  # gt/ and det/
         entries = {path: path.read_bytes() for path in cache_entries(cache_home)}
-        monkeypatch.setattr(kitti_io, "_table_from_lines", None)
+        monkeypatch.setattr(kitti_parse, "_table_from_lines", None)
         assert self.read(tree) == parsed
         assert {path: path.read_bytes() for path in cache_entries(cache_home)} == entries
         assert list(cache_home.rglob("*.tmp")) == []

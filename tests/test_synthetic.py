@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adathresh import synthetic
-from adathresh.bin_stats import compute_bin_stats, ground_distance
+from adathresh.bin_stats import compute_bin_stats, ground_distance, keep_rows
 from adathresh.cli import main
 from adathresh.evaluation import MatchConfig, evaluate_tables
 from adathresh.kitti_io import MissingScoreError
@@ -24,7 +24,7 @@ from adathresh.synthetic import (
     generate_with_truth,
     known_optimal_counts,
 )
-from adathresh.threshold import ThresholdModel, keep_rows
+from adathresh.threshold import ThresholdModel
 from helpers import Box3D, iou_bev
 
 BASE_MODEL = ScoreModel(a=-0.00004, b=-0.0075, c=0.92, noise_std=(0.02,) * 6)

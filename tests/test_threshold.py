@@ -8,18 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from adathresh.bin_stats import BinSpec, BinStats, PreFilter
+from adathresh.bin_stats import SIGMA_FLOOR, BinSpec, BinStats, FitError, ModelRangeError, PreFilter, keep_rows
 from adathresh.kitti_io import MissingScoreError
 from adathresh.threshold import (
-    SIGMA_FLOOR,
-    FitError,
     FitResult,
-    ModelRangeError,
     SingleThreshold,
     ThresholdModel,
     _solve_weighted_quadratic,
     fit_quadratic,
-    keep_rows,
 )
 from helpers import detections, exact_quadratic_fit, fraction_cramer_solve, ground_truth, make_record
 
