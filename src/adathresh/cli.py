@@ -46,7 +46,6 @@ from .kitti_io import (
     load_tables,
     read_label_table,
     write_files,
-    write_frames,
 )
 
 # threshold, evaluation, synthetic and report load inside the commands that
@@ -387,7 +386,7 @@ def cmd_fit(opts: _Options) -> int:
     wrote = _write(opts.out_dir, {"model.json": _json_text(result.model.to_dict()), "fit_report.csv": csv_text})
     model = result.model
     print(
-        f"fit over {result.bins_used} bins: alpha={model.alpha:.6g} beta={model.beta:.6g} "
+        f"fit over {len(result.bin_indices)} bins: alpha={model.alpha:.6g} beta={model.beta:.6g} "
         f"gamma={model.gamma:.6g} delta={model.delta:.6g} k={model.k:.6g} "
         f"(weighted rmse {result.weighted_rmse:.6g})"
     )
@@ -400,7 +399,7 @@ def cmd_filter(opts: _Options) -> int:
     label, schedule = opts.threshold_mode
     table = read_label_table(opts.det_dir, "detection", expect_score=True)
     kept = [True] * len(table) if schedule is None else keep_rows(table, schedule)
-    write_frames(table, opts.out_dir, kept)  # each kept line as read, LF-terminated
+    write_files(opts.out_dir, label_files(table, kept))  # each kept line as read, LF-terminated
     print(f"kept {sum(kept)} of {len(table)} detections under mode {label}; wrote {opts.out_dir}")
     return EXIT_OK
 
@@ -452,17 +451,12 @@ def cmd_compare(opts: _Options) -> int:
     rows = compare_reports(baseline, candidate)
     csv_rows: list[list[object]] = []
     print(f"{'metric':<28}{'baseline':>12}{'candidate':>12}{'delta':>12}")
-    for row in rows:
-        is_count = row.metric in ("tp", "fp", "fn")
-        base = int(row.baseline) if is_count else row.baseline
-        cand = int(row.candidate) if is_count else row.candidate
+    for metric, base, cand in rows:
         delta = cand - base
-        formatted = f"({delta:+d})" if is_count else row.formatted_delta()
-        csv_rows.append([row.metric, base, cand, delta, formatted])
-        if is_count:
-            print(f"{row.metric:<28}{base:>12d}{cand:>12d}{formatted:>12}")
-        else:
-            print(f"{row.metric:<28}{base:>12.3f}{cand:>12.3f}{formatted:>12}")
+        spec = "d" if isinstance(delta, int) else ".3f"  # tp, fp and fn are ints
+        formatted = f"({delta:+{spec}})"
+        csv_rows.append([metric, base, cand, delta, formatted])
+        print(f"{metric:<28}{base:>12{spec}}{cand:>12{spec}}{formatted:>12}")
     csv_text = _csv_text(["metric", "baseline", "candidate", "delta", "formatted"], csv_rows)
     print(_write(opts.out_dir, {"compare.csv": csv_text}))
     return EXIT_OK

@@ -258,10 +258,9 @@ _METRIC_RANGES = {
 }
 
 
-def _check_metric(name: str, value: float | None, metric: str | None = None) -> None:
-    """ValueError naming field name unless value is None or within the
-    range of metric (name by default)."""
-    hi, rule = _METRIC_RANGES[metric or name]
+def _check_metric(name: str, value: float | None) -> None:
+    """ValueError naming metric name unless value is None or within its range."""
+    hi, rule = _METRIC_RANGES[name]
     if value is not None and not 0.0 <= value <= hi:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
@@ -402,51 +401,14 @@ def evaluate_tables(
     )
 
 
-class MetricDelta(Record):
-    """One row of a report comparison: candidate minus baseline."""
-
-    metric: str
-    baseline: float
-    candidate: float
-
-    def __post_init__(self) -> None:
-        if self.metric not in _METRIC_RANGES:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        for name in ("baseline", "candidate"):
-            _check_metric(name, getattr(self, name), self.metric)
-
-    @property
-    def delta(self) -> float:
-        return self.candidate - self.baseline
-
-    def formatted_delta(self) -> str:
-        return f"({self.delta:+.3f})"
-
-
-def compare_reports(baseline: EvalReport, candidate: EvalReport) -> list[MetricDelta]:
-    """Per-metric deltas between two reports sharing a config."""
+def compare_reports(baseline: EvalReport, candidate: EvalReport) -> list[tuple[str, float, float]]:
+    """(metric, baseline value, candidate value) for each metric of
+    _METRIC_RANGES, in its order, that both reports hold (not None), as
+    the reports hold it: an int for tp, fp and fn. Reports under
+    different configs raise EvaluationError."""
     if baseline.config != candidate.config:
         raise EvaluationError(
             "reports were produced under different configurations and cannot be compared"
         )
-    rows = [
-        MetricDelta("tp", baseline.tp, candidate.tp),
-        MetricDelta("fp", baseline.fp, candidate.fp),
-        MetricDelta("fn", baseline.fn, candidate.fn),
-        MetricDelta("recall", baseline.recall, candidate.recall),
-        MetricDelta("precision", baseline.precision, candidate.precision),
-        MetricDelta("trade_off", baseline.trade_off, candidate.trade_off),
-        MetricDelta("average_precision", baseline.average_precision, candidate.average_precision),
-    ]
-    if (
-        baseline.average_precision_filtered is not None
-        and candidate.average_precision_filtered is not None
-    ):
-        rows.append(
-            MetricDelta(
-                "average_precision_filtered",
-                baseline.average_precision_filtered,
-                candidate.average_precision_filtered,
-            )
-        )
-    return rows
+    rows = ((name, getattr(baseline, name), getattr(candidate, name)) for name in _METRIC_RANGES)
+    return [row for row in rows if None not in row]

@@ -60,8 +60,8 @@ JSON, CSV, SVG and markdown reports. It writes a directory's files, each
 one's UTF-8 bytes with os.write, into a fresh staging tree, names with a
 subdirectory included: a new directory appears whole or not at all, and
 an existing one gets one atomic replace per file. label_files gives a
-table's frames as files, one label file each, and write_frames hands
-them to write_files; both refuse a table without lines.
+table's frames as files, one label file each, for write_files; it
+refuses a table without lines.
 """
 
 from __future__ import annotations
@@ -196,11 +196,6 @@ def label_files(table: LabelTable, kept: Sequence[bool] | None = None) -> Iterat
     )
 
 
-def write_frames(table: LabelTable, out_dir: str | Path, kept: Sequence[bool] | None = None) -> None:
-    """write_files of table's label_files into out_dir."""
-    write_files(out_dir, label_files(table, kept))
-
-
 def write_files(out_dir: str | Path, files: Iterable[tuple[str, str | bytes]]) -> None:
     """Write each (name, text) of files into out_dir, a str as UTF-8 with
     newlines as given and bytes as they are, mode 0o600; parent
@@ -307,7 +302,9 @@ def _read_tables(
     of the frame) and its lines when keep_lines. When a file cannot be
     read or _table_from_lines rejects a line, every file is read again and
     checked line by line in frame order, trees in the given order within
-    a frame, and _check_label_file's error for the first bad file is raised."""
+    a frame, and _check_label_file's error for the first bad file is raised;
+    when it finds none, a file changed between the two reads, and the
+    error is a DatasetError naming the directory."""
     tables = []
     for directory, by_frame, expect_score in trees:
         entries = [by_frame.get(frame_id) for frame_id in frame_ids]
@@ -326,7 +323,7 @@ def _read_tables(
         for directory, by_frame, expect_score in trees:
             if frame_id in by_frame:
                 _check_label_file(directory / by_frame[frame_id].name, expect_score)
-    raise AssertionError("the bulk parser rejected files that _check_label_file accepts")
+    raise DatasetError(f"files in {trees[len(tables)][0]} changed while being read; run the command again")
 
 
 def _text(data: bytes | memoryview) -> str:

@@ -49,13 +49,16 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from itertools import accumulate, chain, compress
+from typing import TYPE_CHECKING
 
 from .bin_stats import BinSpec, Record, ground_distance, keep_rows
 from .geometry import normalize_angle
 from .kitti_io import LabelTable
 from .kitti_parse import _table_from_lines
 from .philox import _UNIT, PhiloxStream
-from .threshold import ThresholdModel
+
+if TYPE_CHECKING:
+    from .threshold import ThresholdModel
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length (meters)
 MIN_SEPARATION = 6.0

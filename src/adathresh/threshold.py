@@ -104,11 +104,6 @@ class FitResult(Record):
     fitted: tuple[float, ...]
     residuals: tuple[float, ...]
     weighted_rmse: float
-    bins_used: int
-
-    def __post_init__(self) -> None:
-        if self.bins_used < 3:
-            raise ValueError("a quadratic fit needs at least 3 bins")
 
 
 def fit_quadratic(
@@ -157,7 +152,6 @@ def fit_quadratic(
         fitted=tuple(fitted),
         residuals=tuple(residuals),
         weighted_rmse=weighted_rmse,
-        bins_used=len(usable),
     )
 
 

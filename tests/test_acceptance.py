@@ -17,7 +17,7 @@ import numpy as np
 from adathresh.bin_stats import BinSpec, BinStats, ModelRangeError, compute_bin_stats, keep_rows
 from adathresh.evaluation import MatchConfig, _candidates, _match, _sweep, evaluate_tables, trade_off
 from adathresh.geometry import pair_iou
-from adathresh.kitti_io import DONT_CARE, LabelTable, read_label_table, write_frames
+from adathresh.kitti_io import DONT_CARE, LabelTable, label_files, read_label_table, write_files
 from adathresh.synthetic import ScenarioSpec, ScoreModel, generate, known_optimal_counts
 from adathresh.threshold import SingleThreshold, ThresholdModel, fit_quadratic
 from helpers import (
@@ -342,7 +342,7 @@ def test_acceptance_8_parser_round_trip(tmp_path):
             first = read_text(tmp_path / f"in{index}", text, with_score)
             saw_dontcare = saw_dontcare or DONT_CARE in first.class_names
             assert list(map(constructed, first.lines)) == records
-            write_frames(first, tmp_path / f"out{index}")
+            write_files(tmp_path / f"out{index}", label_files(first))
             again = read_label_table(tmp_path / f"out{index}", "label", expect_score=with_score)
             assert (again.class_names, again.columns, again.lines) == (first.class_names, first.columns, first.lines)
         assert saw_dontcare and saw_crlf

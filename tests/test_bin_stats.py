@@ -20,7 +20,7 @@ from adathresh.bin_stats import (
     keep_rows,
     table_samples,
 )
-from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig, MetricDelta
+from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig
 from adathresh.kitti_io import LabelTable, MissingScoreError
 from adathresh.synthetic import ScenarioSpec, ScoreModel
 from adathresh.threshold import FitResult, SingleThreshold, ThresholdModel
@@ -432,8 +432,6 @@ class TestJsonCodec:
     def test_a_str_field_takes_only_a_string(self, value):
         with pytest.raises(ValueError, match="class_name: expected a string"):
             MatchConfig.from_dict({**MatchConfig().to_dict(), "class_name": value})
-        with pytest.raises(ValueError, match="metric: expected a string"):
-            MetricDelta(value, 0.0, 0.0)
         assert MatchConfig.from_dict({**MatchConfig().to_dict(), "difficulty": None}).difficulty is None
 
 
@@ -524,7 +522,7 @@ class TestRecord:
         assert box == Box3D((0, 1.65, 10), (1.5, 1.7, 4), 0)
 
     def test_every_value_type_is_a_record(self):
-        classes = [BinSpec, BinStats, PreFilter, BinBreakdown, EvalReport, MatchConfig, MetricDelta, Box3D]
+        classes = [BinSpec, BinStats, PreFilter, BinBreakdown, EvalReport, MatchConfig, Box3D]
         classes += [LabelTable, ScenarioSpec, ScoreModel, FitResult, SingleThreshold, ThresholdModel]
         assert all(issubclass(cls, Record) for cls in classes)
 
@@ -568,7 +566,6 @@ class TestOneValueRule:
         type(instance).__name__: json.loads(json.dumps(instance.to_dict())) for instance in TestJsonCodec.INSTANCES
     }
     VALID.update(
-        MetricDelta={"metric": "recall", "baseline": 0.5, "candidate": 0.75},
         SingleThreshold={"threshold": 0.5},
         FitResult={
             "model": VALID["ThresholdModel"],
@@ -577,7 +574,6 @@ class TestOneValueRule:
             "fitted": [0.9, 0.8, 0.7],
             "residuals": [0.0, 0.01, -0.01],
             "weighted_rmse": 0.01,
-            "bins_used": 3,
         },
         Box3D={"center": [0.0, 1.65, 10.0], "dims": [1.5, 1.7, 4.0], "yaw": 0.5},
         LabelTable={

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adathresh import cli, geometry, kitti_io
+from adathresh import cli, geometry, kitti_io, kitti_parse
 from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats, keep_rows
 from adathresh.cli import main
 from adathresh.threshold import ThresholdModel, fit_quadratic
@@ -195,6 +195,61 @@ CROWDED_STATS_FIT_DIGESTS = {
         "a6a82fb51d8f3b7b89401e9e7e93bed25c734d4133027b3edd0001ee16f89c04",
     ],
 }
+
+
+def compare_digests(data_dir, baseline, candidate, capsys):
+    """compare's exit code, then the sha256 of the compare.csv it writes and
+    of its stdout, for the eval reports of data_dir's gt/ and det/ under
+    threshold modes baseline and candidate, run from the current
+    directory (eval_digests' model.json there, relative paths in stdout)."""
+    write_json(Path("model.json"), ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6).to_dict())
+    data = ("--gt-dir", str(data_dir / "gt"), "--det-dir", str(data_dir / "det"))
+    for out, mode in (("base", baseline), ("cand", candidate)):
+        assert run("eval", *data, "--out-dir", out, "--threshold-mode", mode) == 0
+    capsys.readouterr()
+    rc = run("compare", "base/eval_report.json", "cand/eval_report.json", "--out-dir", "cmp")
+    stdout = capsys.readouterr().out.encode()
+    return [rc, hashlib.sha256(Path("cmp/compare.csv").read_bytes()).hexdigest(), hashlib.sha256(stdout).hexdigest()]
+
+
+# compare's exit code and the sha256 of compare.csv and of its stdout for
+# the dataset fixture's scenario, by (baseline, candidate) threshold mode:
+# both sides hold average_precision_filtered, then one side lacks it.
+COMPARE_DIGESTS = {
+    ("single:0.5", "adaptive:model.json"): [
+        0,
+        "84dc94d84b312cbd9a552259e9bbd921ffbdb415195c40d5a4d48b22d6be4203",
+        "6fa5951fed83b69ffa2a310a8ffa3e1395b81051b9f514bb6c5cd075bcd58765",
+    ],
+    ("none", "adaptive:model.json"): [
+        0,
+        "4b4b05f4db43d315c75ea8f7beb719c255361a096c490987b075808f09469614",
+        "b041780e1f3dbc4356889252410403055701639729fe987013071e6f17b1fff4",
+    ],
+}
+
+
+def report_digests(data_dir, capsys):
+    """The sha256 of the threshold_curve.svg and summary.md that report
+    --stats writes, and of its stdout, for the model and bin_stats.json
+    that fit and stats write on data_dir's gt/ and det/, run from the
+    current directory."""
+    data = ("--gt-dir", str(data_dir / "gt"), "--det-dir", str(data_dir / "det"))
+    assert run("stats", *data, "--out-dir", "s") == 0
+    assert run("fit", *data, "--out-dir", "f") == 0
+    capsys.readouterr()
+    assert run("report", "--model", "f/model.json", "--stats", "s/bin_stats.json", "--out-dir", "r") == 0
+    stdout = capsys.readouterr().out.encode()
+    files = [Path("r", name).read_bytes() for name in ("threshold_curve.svg", "summary.md")]
+    return [hashlib.sha256(data).hexdigest() for data in (*files, stdout)]
+
+
+# The same for report --stats on the dataset fixture's scenario.
+REPORT_DIGESTS = [
+    "0004b1339c84cffcc22c2a0ea115897489e56301b6f093d8c823973fc09a2730",
+    "6f4b4bffee3b612d852e83e31bb11ce440b4773e5981570027f01e3149a72f47",
+    "f33b6dc6e143cb28cd771d9344d3e23eb17c2a7001045eb51e816b1e1326c340",
+]
 
 
 @pytest.fixture
@@ -535,6 +590,15 @@ class TestPipeline:
     def test_stats_and_fit_write_pinned_bytes_on_crowded_frames(self, tmp_path, crowded_dataset, flags):
         assert stats_fit_digests(tmp_path, crowded_dataset, flags) == CROWDED_STATS_FIT_DIGESTS[flags]
 
+    @pytest.mark.parametrize("baseline, candidate", list(COMPARE_DIGESTS))
+    def test_compare_writes_pinned_bytes(self, tmp_path, dataset, monkeypatch, capsys, baseline, candidate):
+        monkeypatch.chdir(tmp_path)
+        assert compare_digests(dataset, baseline, candidate, capsys) == COMPARE_DIGESTS[baseline, candidate]
+
+    def test_report_writes_pinned_bytes(self, tmp_path, dataset, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert report_digests(dataset, capsys) == REPORT_DIGESTS
+
     def test_synth_manifest_writes_whole_numbers_of_float_fields_as_floats(self, tmp_path):
         payload = scenario_payload(n_frames=2, distance_range=[2, 58], bin_spec={"bin_width": 10, "max_distance": 60})
         spec_path = write_json(tmp_path / "scenario.json", payload)
@@ -696,6 +760,22 @@ class TestExitCodes:
         assert run("filter", *filtered) == 2
         assert str(tmp_path / "det" / ".txt.txt") in capsys.readouterr().err
         assert not (tmp_path / "o").exists() and not (tmp_path / "f").exists()
+
+    def test_a_file_rewritten_between_the_bulk_read_and_the_line_checker(self, tmp_path, monkeypatch, capsys):
+        # On disk the line has occluded 0.5, which the bulk parser rejects;
+        # the checker's re-read gets a valid line, as when a detector
+        # rewrites the file between the two reads.
+        good = label_text([make_record(0.0, 10.0, score=0.9)])
+        tokens = good.split()
+        tokens[2] = "0.5"
+        (tmp_path / "det").mkdir()
+        (tmp_path / "det" / "000000.txt").write_text(" ".join(tokens) + "\n", encoding="utf-8")
+        monkeypatch.setattr(kitti_parse, "_read_bytes", lambda *args: good.encode())
+        argv = ("filter", "--det-dir", str(tmp_path / "det"), "--out-dir", str(tmp_path / "f"), "--threshold-mode", "none")
+        assert run(*argv) == 2
+        message = f"adathresh: error: files in {tmp_path / 'det'} changed while being read; run the command again\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "f").exists()
 
     def test_parse_error_names_file_and_line(self, tmp_path, capsys):
         det_dir = tmp_path / "det"

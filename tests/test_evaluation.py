@@ -17,7 +17,6 @@ from adathresh.evaluation import (
     EvalReport,
     EvaluationError,
     MatchConfig,
-    MetricDelta,
     _candidates,
     _eval_rows,
     _interpolated_ap,
@@ -703,7 +702,7 @@ class TestCompareReports:
     def test_identical_reports_zero_deltas(self):
         report = self._report()
         rows = compare_reports(report, report)
-        assert [r.metric for r in rows] == [
+        assert [metric for metric, _, _ in rows] == [
             "tp",
             "fp",
             "fn",
@@ -712,26 +711,29 @@ class TestCompareReports:
             "trade_off",
             "average_precision",
         ]
-        assert all(r.delta == 0.0 for r in rows)
+        assert all(cand - base == 0 for _, base, cand in rows)
 
-    def test_filtered_ap_row_present_when_both_sides_have_it(self):
+    def test_values_are_as_the_reports_hold_them(self):
+        a = self._report(fp=2, precision=0.5)
+        b = self._report(fp=7, precision=0.25)
+        rows = {metric: (base, cand) for metric, base, cand in compare_reports(a, b)}
+        assert rows["fp"] == (2, 7) and type(rows["fp"][0]) is int and type(rows["fp"][1]) is int
+        assert rows["precision"] == (0.5, 0.25) and type(rows["precision"][0]) is float
+
+    def test_filtered_ap_row_present_only_when_both_sides_have_it(self):
         a = self._report(average_precision_filtered=70.0)
         b = self._report(average_precision_filtered=71.5)
         rows = compare_reports(a, b)
-        assert rows[-1].metric == "average_precision_filtered"
-        assert rows[-1].delta == pytest.approx(1.5, abs=1e-12)
+        assert rows[-1] == ("average_precision_filtered", 70.0, 71.5)
+        assert len(rows) == 8
+        none = self._report()
+        assert len(compare_reports(none, b)) == len(compare_reports(b, none)) == 7
 
     def test_config_mismatch_raises(self):
         a = self._report()
         b = self._report(config=MatchConfig(iou_threshold=0.5))
         with pytest.raises(EvaluationError):
             compare_reports(a, b)
-
-    def test_delta_sign_and_formatting(self):
-        row = MetricDelta("trade_off", 0.238, 0.101)
-        assert row.delta == pytest.approx(-0.137, abs=1e-12)
-        assert row.formatted_delta() == "(-0.137)"
-        assert MetricDelta("recall", 0.5, 0.75).formatted_delta() == "(+0.250)"
 
     @pytest.mark.parametrize(
         "metric, value, rule",
@@ -745,16 +747,9 @@ class TestCompareReports:
         ],
     )
     def test_a_value_out_of_its_metrics_range_is_rejected(self, metric, value, rule):
-        with pytest.raises(ValueError, match=f"candidate must be {rule}"):
-            MetricDelta(metric, 0.0, value)
         # An infinite count is no integer, and _decode says so first.
-        with pytest.raises(ValueError, match=f"^{metric}"):
+        with pytest.raises(ValueError, match=f"^{metric}( must be {rule}|: expected an integer)"):
             self._report(**{metric: value})
-        assert MetricDelta(metric, 0.0, 1.0).delta == 1.0
-
-    def test_an_unknown_metric_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric 'f1'"):
-            MetricDelta("f1", 0.5, 0.5)
 
 
 def report_or_error(gt, det, config, kept):

@@ -139,7 +139,7 @@ def _commands(data: Path) -> dict[str, list[str]]:
 # model, a single threshold or a fit is built: stats, eval
 # --threshold-mode none ("eval") and compare build none.
 NOT_LOADED = {
-    "synth": {*NEVER, "adathresh.evaluation", "adathresh.report"},
+    "synth": {*NEVER, "adathresh.evaluation", "adathresh.report", "adathresh.threshold"},
     "stats": {
         *NEVER, "adathresh.geometry", "adathresh.evaluation", "adathresh.synthetic", "adathresh.report", "adathresh.threshold"
     },

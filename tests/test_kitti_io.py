@@ -24,7 +24,6 @@ from adathresh.kitti_io import (
     load_tables,
     read_label_table,
     write_files,
-    write_frames,
 )
 from adathresh.kitti_parse import _check_label_file
 from helpers import Frame, Record, constructed, detections, label_text, read_text, tables
@@ -241,8 +240,9 @@ def records(draw, with_score: bool):
 
 
 def written(directory: Path, records) -> str:
-    """The text write_frames writes for one frame of detection records."""
-    write_frames(detections(records), directory)
+    """The text filter writes for one frame of detection records: write_files
+    of the table's label_files."""
+    write_files(directory, kitti_io.label_files(detections(records)))
     return (directory / "000000.txt").read_bytes().decode("utf-8")
 
 
@@ -259,10 +259,10 @@ def same_rows(a: LabelTable, b: LabelTable) -> bool:
 
 def round_trip(text: str) -> tuple[LabelTable, str]:
     """The detection table read from a file holding text, and the text
-    write_frames writes for that table."""
+    filter writes for that table."""
     with tempfile.TemporaryDirectory() as tmp:
         table = read_text(Path(tmp) / "in", text, expect_score=True)
-        write_frames(table, Path(tmp) / "out")
+        write_files(Path(tmp) / "out", kitti_io.label_files(table))
         return table, (Path(tmp) / "out" / "000000.txt").read_bytes().decode("utf-8")
 
 
@@ -272,13 +272,14 @@ class TestSerialize:
 
     def test_field_counts(self, tmp_path):
         gt, det = tables([Frame("000000", [constructed(GT_LINE)], [constructed(DET_LINE)])])
-        write_frames(gt, tmp_path / "gt")
-        write_frames(det, tmp_path / "det")
+        write_files(tmp_path / "gt", kitti_io.label_files(gt))
+        write_files(tmp_path / "det", kitti_io.label_files(det))
         assert len((tmp_path / "gt" / "000000.txt").read_text().split()) == 15
         assert len((tmp_path / "det" / "000000.txt").read_text().split()) == 16
 
     def test_lf_line_endings(self, tmp_path):
-        write_frames(read_text(tmp_path / "in", f"{GT_LINE}\r\n{GT_LINE}\r\n", expect_score=False), tmp_path / "out")
+        table = read_text(tmp_path / "in", f"{GT_LINE}\r\n{GT_LINE}\r\n", expect_score=False)
+        write_files(tmp_path / "out", kitti_io.label_files(table))
         text = (tmp_path / "out" / "000000.txt").read_bytes().decode("utf-8")
         assert "\r" not in text
         assert text.endswith("\n")
@@ -300,7 +301,8 @@ class TestSerialize:
         assert list(table.scores()) == [r.score for r in recs]
 
     def test_order_preserved(self, tmp_path):
-        write_frames(read_text(tmp_path / "in", f"{GT_LINE}\n{DONTCARE_LINE}", expect_score=False), tmp_path / "out")
+        table = read_text(tmp_path / "in", f"{GT_LINE}\n{DONTCARE_LINE}", expect_score=False)
+        write_files(tmp_path / "out", kitti_io.label_files(table))
         lines = (tmp_path / "out" / "000000.txt").read_text().splitlines()
         assert lines[0].startswith("Car ")
         assert lines[1].startswith("DontCare ")
@@ -388,7 +390,7 @@ class TestDataset:
             table = read_label_table(tmp_path / sub, sub, expect_score)
             assert (table.class_names, table.lines) == (["Car"], [line])
         # The lines are written back without the mark.
-        write_frames(table, tmp_path / "out")
+        write_files(tmp_path / "out", kitti_io.label_files(table))
         assert (tmp_path / "out" / "000000.txt").read_bytes() == (DET_LINE + "\n").encode()
 
     def test_the_line_checker_reads_a_byte_order_mark_as_the_bulk_reader_does(self, tmp_path):
@@ -430,7 +432,7 @@ class TestDataset:
 
 
 class TestWriteLabelFile:
-    """write_frames: one label file per frame of a table, through write_files."""
+    """label_files: one label file per frame of a table, through write_files."""
 
     def test_write_files_writes_each_text_as_utf8_with_its_newlines_as_given(self, tmp_path):
         # The reports: CSV ends its rows with CRLF, markdown may hold non-ASCII.
@@ -476,15 +478,15 @@ class TestWriteLabelFile:
     def test_writes_the_flagged_lines_of_every_frame(self, tmp_path):
         det = constructed(DET_LINE)
         _, table = tables([Frame("a", (), [det, det]), Frame("b"), Frame("c", (), [det])])
-        write_frames(table, tmp_path / "all")
-        write_frames(table, tmp_path / "kept", [False, True, False])
+        write_files(tmp_path / "all", kitti_io.label_files(table))
+        write_files(tmp_path / "kept", kitti_io.label_files(table, [False, True, False]))
         assert {p.name: p.read_text() for p in (tmp_path / "all").iterdir()} == {
             "a.txt": label_text([det, det]), "b.txt": "", "c.txt": label_text([det])
         }
         assert {p.name: p.read_text() for p in (tmp_path / "kept").iterdir()} == {
             "a.txt": label_text([det]), "b.txt": "", "c.txt": ""
         }
-        write_frames(tables([])[0], tmp_path / "none")
+        write_files(tmp_path / "none", kitti_io.label_files(tables([])[0]))
         assert (tmp_path / "none").is_dir() and not any((tmp_path / "none").iterdir())
 
     def test_frames_without_a_file_get_none(self, tmp_path):
@@ -494,7 +496,7 @@ class TestWriteLabelFile:
         # The same frames with their lines, as read_label_table keeps them.
         read = read_label_table(tmp_path / "det", "detection", expect_score=True)
         table = LabelTable(det.frame_ids, det.files, det.offsets, det.class_names, det.columns, read.lines)
-        write_frames(table, tmp_path / "out")
+        write_files(tmp_path / "out", kitti_io.label_files(table))
         assert {p.name: p.read_text() for p in (tmp_path / "out").iterdir()} == {"b.txt": DET_LINE + "\n"}
 
     @staticmethod
@@ -504,7 +506,7 @@ class TestWriteLabelFile:
 
     @staticmethod
     def fail_at(monkeypatch, k):
-        """Make write_frames's write of file k (from 0) raise OSError: the
+        """Make write_files's write of file k (from 0) raise OSError: the
         k-th os.open that creates a file."""
         calls = []
         real_open = os.open
@@ -522,7 +524,7 @@ class TestWriteLabelFile:
     def test_a_failed_write_leaves_no_new_tree_and_no_staging(self, tmp_path, monkeypatch, k):
         self.fail_at(monkeypatch, k)
         with pytest.raises(OSError, match="disk full"):
-            write_frames(self.three_frames(), tmp_path / "out")
+            write_files(tmp_path / "out", kitti_io.label_files(self.three_frames()))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("k", [0, 2])
@@ -533,7 +535,7 @@ class TestWriteLabelFile:
         (out / "z.txt").write_text("old z\n")
         self.fail_at(monkeypatch, k)
         with pytest.raises(OSError, match="disk full"):
-            write_frames(self.three_frames(), out)
+            write_files(out, kitti_io.label_files(self.three_frames()))
         assert {p.name: p.read_text() for p in out.iterdir()} == {"a.txt": "old a\n", "z.txt": "old z\n"}
         assert list(tmp_path.iterdir()) == [out]
 
@@ -541,7 +543,7 @@ class TestWriteLabelFile:
     def test_a_kept_of_another_length_writes_nothing(self, tmp_path, n_flags):
         # Each frame's slice of a short kept list would be cut silently.
         with pytest.raises(ValueError, match=f"kept holds {n_flags} flags for a table of 3 rows"):
-            write_frames(self.three_frames(), tmp_path / "new" / "out", [True] * n_flags)
+            write_files(tmp_path / "new" / "out", kitti_io.label_files(self.three_frames(), [True] * n_flags))
         assert list(tmp_path.iterdir()) == []
 
     def test_a_kept_of_another_length_leaves_an_existing_tree_as_it_was(self, tmp_path):
@@ -549,7 +551,7 @@ class TestWriteLabelFile:
         out.mkdir()
         (out / "a.txt").write_text("old a\n")
         with pytest.raises(ValueError):
-            write_frames(self.three_frames(), out, [True])
+            write_files(out, kitti_io.label_files(self.three_frames(), [True]))
         assert [(p.name, p.read_text()) for p in out.iterdir()] == [("a.txt", "old a\n")]
         assert list(tmp_path.iterdir()) == [out]
 
@@ -558,7 +560,7 @@ class TestWriteLabelFile:
         old = os.umask(umask)
         try:
             (tmp_path / "plain").mkdir()
-            write_frames(self.three_frames(), tmp_path / "new" / "out")
+            write_files(tmp_path / "new" / "out", kitti_io.label_files(self.three_frames()))
         finally:
             os.umask(old)
         mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
@@ -580,7 +582,7 @@ class TestWriteLabelFile:
 
         monkeypatch.setattr(kitti_io.os, "write", short)
         table = tables([Frame("a", (), [constructed(DET_LINE)] * 2), Frame("b")])[1]
-        write_frames(table, tmp_path / "out")
+        write_files(tmp_path / "out", kitti_io.label_files(table))
         text = label_text([constructed(DET_LINE)] * 2)
         assert (tmp_path / "out" / "a.txt").read_bytes() == text.encode()
         assert (tmp_path / "out" / "b.txt").read_bytes() == b""
@@ -596,21 +598,21 @@ class TestWriteLabelFile:
             rename(src, dst)
 
         monkeypatch.setattr(kitti_io.os, "rename", made_meanwhile)
-        write_frames(self.three_frames(), out)
+        write_files(out, kitti_io.label_files(self.three_frames()))
         assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.txt", "c.txt", "z.txt"]
         assert list(tmp_path.iterdir()) == [out]
 
     def test_a_file_in_place_of_out_dir_is_an_error_naming_it(self, tmp_path):
         (tmp_path / "out").write_text("a file\n")
         with pytest.raises(FileExistsError, match="out"):
-            write_frames(self.three_frames(), tmp_path / "out")
+            write_files(tmp_path / "out", kitti_io.label_files(self.three_frames()))
         assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("out", "a file\n")]
 
     def test_an_existing_empty_directory_is_written_in_place(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir(mode=0o750)
         before = out.stat()
-        write_frames(self.three_frames(), out)
+        write_files(out, kitti_io.label_files(self.three_frames()))
         after = out.stat()
         assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, stat.S_IMODE(before.st_mode))
         assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.txt", "c.txt"]
@@ -680,8 +682,8 @@ class TestLabelTable:
         frame = Frame("000000", [constructed(GT_LINE), constructed(DONTCARE_LINE)], [constructed(DET_LINE)])
         gt, det = tables([frame])
         assert (gt.files, det.lines) == (["000000.txt"], label_text(frame.detections).splitlines())
-        write_frames(gt, tmp_path / "gt")
-        write_frames(det, tmp_path / "det")
+        write_files(tmp_path / "gt", kitti_io.label_files(gt))
+        write_files(tmp_path / "det", kitti_io.label_files(det))
         read_gt, read_det = load_tables(tmp_path / "gt", tmp_path / "det")
         assert same_rows(read_gt, gt) and same_rows(read_det, det)
         read = [read_label_table(tmp_path / sub, sub, expect_score) for sub, expect_score in (("gt", False), ("det", True))]
@@ -1149,9 +1151,7 @@ class TestTableCache:
         assert read_label_table(tree / "det", "detection", expect_score=True).lines == [DET_LINE]
         for table in (gt, det, only):
             with pytest.raises(ValueError, match="holds no lines"):
-                write_frames(table, tree / "out")
-            with pytest.raises(ValueError, match="holds no lines"):
-                kitti_io.label_files(table)
+                write_files(tree / "out", kitti_io.label_files(table))
         assert not (tree / "out").exists()
 
     @given(st.lists(st.floats(), min_size=1, max_size=3))

@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, strategies as st
 from adathresh.bin_stats import SIGMA_FLOOR, BinSpec, BinStats, FitError, ModelRangeError, PreFilter, keep_rows
 from adathresh.kitti_io import MissingScoreError
 from adathresh.threshold import (
-    FitResult,
     SingleThreshold,
     ThresholdModel,
     _solve_weighted_quadratic,
@@ -365,7 +364,6 @@ class TestFitQuadratic:
             BinStats(5, 0, None, None),
         ]
         result = fit_quadratic(stats, spec, delta=60.0, k=None)
-        assert result.bins_used == 3
         assert result.bin_indices == (0, 2, 4)
         assert result.abscissas == (5.0, 25.0, 45.0)
 
@@ -515,16 +513,3 @@ class TestFitQuadratic:
         spec = BinSpec(bin_width=10.0, max_distance=30.0)
         with pytest.raises(ModelRangeError):
             fit_quadratic(make_stats([0.9, 0.5, 0.1]), spec, delta=60.0, k=0.5)
-
-    def test_fit_result_requires_three_bins(self):
-        model = ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5)
-        with pytest.raises(ValueError):
-            FitResult(
-                model=model,
-                bin_indices=(0, 1),
-                abscissas=(5.0, 15.0),
-                fitted=(0.5, 0.5),
-                residuals=(0.0, 0.0),
-                weighted_rmse=0.0,
-                bins_used=2,
-            )
