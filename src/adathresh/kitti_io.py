@@ -28,13 +28,13 @@ read_label_table, load_tables and load_detections read whole directories
 into a LabelTable, one row per line held by column, through one reader.
 load_tables and load_detections take the frame set from one listing of a
 ground-truth and a detection directory, by file name; load_detections
-opens no ground-truth file and builds only the detection table; only
-read_label_table keeps each row's line. Each file is read through a raw
-descriptor (os.open, os.read until end of file, os.close; a listed
-regular file ends at its first short read) and decoded as strict UTF-8
-without one leading byte-order mark: the lines a utf-8-sig text file
-gives, save that a file holding only part of a mark is undecodable, not
-empty. Every table, synthetic ones included, is built from label lines
+opens no ground-truth file and builds only the detection table, the
+one load_tables builds; only read_label_table keeps each row's line.
+Each file is read through a raw descriptor (os.open, os.read until end
+of file, os.close; a listed regular file ends at its first short read)
+and decoded as strict UTF-8 without one leading byte-order mark: the
+lines a utf-8-sig text file gives, save that a file holding only part
+of a mark is undecodable, not empty. Every table, synthetic ones included, is built from label lines
 by one function, which runs each check once over all rows. When any
 fails, or a file cannot be read, the files are read again and checked
 line by line in frame order, ground truth first within a frame, and the
@@ -267,18 +267,18 @@ def load_tables(gt_dir: str | Path, det_dir: str | Path) -> tuple[LabelTable, La
 
 
 def load_detections(gt_dir: str | Path, det_dir: str | Path) -> LabelTable:
-    """load_tables' detection rows, in its order, without reading ground truth.
+    """load_tables' detection table, without reading ground truth.
 
     gt_dir is listed and no file in it is opened: the frame set and its
     DatasetErrors are load_tables' (see _listed_frames). The table holds
-    one frame per detection file, sorted by frame_id, so its rows are
-    those of load_tables' detection table. A bad detection file raises
+    every ground-truth frame, sorted by frame_id, as load_tables' does, so
+    both read det_dir under one cache key. A bad detection file raises
     _read_tables' error: the first bad file in frame order. stats and fit
     read their input here.
     """
     det_dir = Path(det_dir)
-    _, det_files = _listed_frames(Path(gt_dir), det_dir)
-    [det] = _read_tables(sorted(det_files), [(det_dir, det_files, True)], False)
+    gt_files, det_files = _listed_frames(Path(gt_dir), det_dir)
+    [det] = _read_tables(sorted(gt_files), [(det_dir, det_files, True)], False)
     return det
 
 

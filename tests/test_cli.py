@@ -1645,6 +1645,59 @@ class TestFuzzedJsonFiles:
         assert not (tmp_path / "out").exists()
 
 
+class TestFuzzedLabelTrees:
+    """A small synthetic tree with one to three lines of one gt/ or det/
+    file changed by one token each (replaced, inserted or deleted), through
+    stats, fit, filter and eval: main returns 0 to 3 and never raises, and
+    a command that fails leaves no --out-dir behind."""
+
+    TOKENS = ["nan", "inf", "-inf", "1e309", "-1", "0", "4", "DontCare", "Car", "", "\ufeff", "\x0c", "x"]
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """The tree's files (name -> text) and an adaptive model file."""
+        root = tmp_path_factory.mktemp("labels")
+        spec = write_json(root / "scenario.json", scenario_payload(n_frames=3))
+        assert run("synth", "--spec", spec, "--out-dir", str(root)) == 0
+        model = write_json(root / "model.json", ThresholdModel(alpha=0.0, beta=-0.005, gamma=0.8, k=0.5).to_dict())
+        return {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8") for p in root.glob("*/*.txt")}, model
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_main_exits_0_to_3_and_a_failure_writes_nothing(self, base, data):
+        files, model = base
+        name = data.draw(st.sampled_from(sorted(name for name, text in files.items() if text)), label="file")
+        lines = files[name].splitlines()
+        indices = st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3, unique=True)
+        for index in data.draw(indices, label="lines"):
+            tokens = lines[index].split(" ")
+            at = data.draw(st.integers(0, len(tokens) - 1), label="at")
+            edit = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="edit")
+            token = data.draw(st.sampled_from(self.TOKENS), label="token")
+            tokens[at : at + (edit != "insert")] = [] if edit == "delete" else [token]
+            lines[index] = " ".join(tokens)
+        iou = data.draw(st.sampled_from(["bev", "3d"]), label="iou")
+        difficulty = data.draw(st.sampled_from(["easy", "moderate", "hard"]), label="difficulty")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for path, text in {**files, name: "\n".join(lines) + "\n"}.items():
+                (root / path).parent.mkdir(exist_ok=True)
+                (root / path).write_bytes(text.encode())
+            io = ["--gt-dir", str(root / "gt"), "--det-dir", str(root / "det")]
+            commands = {
+                "stats": ["stats", *io],
+                "fit": ["fit", *io, "--pre-filter", "none"],
+                "filter": ["filter", "--det-dir", str(root / "det"), "--threshold-mode", f"adaptive:{model}"],
+                "eval": ["eval", *io, "--iou", iou, "--difficulty", difficulty],
+            }
+            for out, argv in commands.items():
+                err = StringIO()
+                with redirect_stderr(err), redirect_stdout(StringIO()):
+                    rc = main([*argv, "--out-dir", str(root / out)])
+                assert rc in (0, 1, 2, 3), err.getvalue()
+                assert rc == 0 or not (root / out).exists(), (out, err.getvalue())
+
+
 class TestOptionTable:
     # Each command's flags and their dests, as the parser took them before
     # the options moved into one table; compare's positional report files

@@ -1,8 +1,12 @@
-"""The example scripts under scripts/ and README's library example, run in-process."""
+"""README's quick start and library example, and scripts/threshold_sweep.py, run as written."""
 
 import importlib.util
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -49,11 +53,40 @@ def test_threshold_sweep_output_is_pinned(capsys):
     assert capsys.readouterr().out == SWEEP_DEFAULT_OUTPUT
 
 
-def test_synthetic_pipeline_runs(tmp_path, capsys):
-    assert load("run_synthetic_pipeline").main(["--out-dir", str(tmp_path)]) == 0
-    assert (tmp_path / "compare" / "compare.csv").is_file()
-    assert (tmp_path / "report" / "threshold_curve.svg").is_file()
-    assert "adaptive: tp=" in capsys.readouterr().out
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    """README's quick start: the scenario file, then each adathresh line
+    (continuations joined). First every command runs as the console script
+    runs it, in its own process through main() without argv, with numpy
+    unimportable and an empty cache; then all of them in this process
+    through main(argv) over the cache the first run filled. Every exit is
+    0, and both runs print the same and write the same files."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Quick start\n") :].split("\n## ", 1)[0]
+    scenario, script = re.findall(r"```(?:json|sh)\n(.*?)```", section, re.S)
+    lines = script.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("adathresh ")]
+    cache = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    console = "import sys; sys.modules['numpy'] = None; from adathresh.cli import main; sys.exit(main())"
+    runs = []
+    for name in ("script", "in-process"):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "scenario.json").write_text(scenario, encoding="utf-8")
+        monkeypatch.chdir(work)
+        said = []
+        for argv in commands:
+            if name == "script":
+                proc = subprocess.run([sys.executable, "-c", console, *argv], env=env, capture_output=True, text=True, timeout=120)
+                said.append((proc.returncode, proc.stdout, proc.stderr))
+            else:
+                said.append((main(argv), *capsys.readouterr()))
+        assert [rc for rc, _, _ in said] == [0] * len(commands), said
+        runs.append((said, sorted((str(p.relative_to(work)), p.read_bytes()) for p in work.rglob("*") if p.is_file())))
+        assert {p.suffix for p in (cache / "adathresh").iterdir()} == {".table", ".pairs"}
+    assert runs[0] == runs[1]
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

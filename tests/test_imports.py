@@ -168,10 +168,12 @@ def test_command_loads_only_what_it_runs(data, command):
 def test_only_an_eval_that_misses_its_pairs_loads_geometry(data, tmp_path, monkeypatch, command):
     """geometry holds the IoU kernel, which an eval needs only when the
     cache holds no pairs of its input: a cold eval loads it, and the same
-    eval in a fresh interpreter over a warm cache does not."""
+    eval in a fresh interpreter over a warm cache does not. Neither loads
+    a NEVER module."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     run = f"from adathresh.cli import main\nassert main({_commands(data)[command]!r}) == 0"
     cold, warm = loaded_after(run), loaded_after(run)
+    assert not (cold | warm) & set(NEVER)
     assert "adathresh.geometry" in cold
     assert "adathresh.geometry" not in warm and "adathresh.evaluation" in warm
 
@@ -181,10 +183,11 @@ def test_only_a_command_that_misses_its_tables_loads_the_parser(data, tmp_path, 
     """kitti_parse holds the label-line parser and the line checker: a
     cold command loads it to parse its trees, and the same command in a
     fresh interpreter over a warm cache reads every table from there and
-    does not."""
+    does not. Neither loads a NEVER module."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     run = f"from adathresh.cli import main\nassert main({_commands(data)[command]!r}) == 0"
     cold, warm = loaded_after(run), loaded_after(run)
+    assert not (cold | warm) & set(NEVER)
     assert "adathresh.kitti_parse" in cold
     assert "adathresh.kitti_parse" not in warm and "adathresh.kitti_io" in warm
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adathresh import kitti_io, kitti_parse
+from adathresh.cli import main
 from adathresh.evaluation import _box_columns
 from adathresh.kitti_io import (
     DONT_CARE,
@@ -671,10 +672,9 @@ class TestLabelTable:
             line for text in det_texts for line in text.splitlines() if line.split()
         ]
         assert gt_table.lines is det_table.lines is det_only.lines is None
-        # load_detections: one frame per detection file, load_tables' rows,
-        # each the row of read_label_table's line.
-        assert det_only.frame_ids == sorted(name[4:-4] for name in files if name.startswith("det/"))
-        assert (det_only.class_names, det_only.columns) == (det_table.class_names, det_table.columns)
+        # load_detections: load_tables' detection table, each row that of
+        # read_label_table's line.
+        assert same_rows(det_only, det_table)
         lined = tables([Frame("0", [], list(map(constructed, det_dir_table.lines)))])[1]
         assert (det_only.class_names, det_only.columns) == (lined.class_names, lined.columns)
 
@@ -939,6 +939,7 @@ class TestTableCache:
             ({"XDG_CACHE_HOME": "", "HOME": "/h"}, "/h/.cache/adathresh"),
             ({"XDG_CACHE_HOME": "relative", "HOME": "/h"}, "/h/.cache/adathresh"),
             ({"XDG_CACHE_HOME": "relative", "HOME": "also/relative"}, None),
+            ({"HOME": "relative"}, None),
             ({}, None),
         ],
     )
@@ -968,6 +969,14 @@ class TestTableCache:
         assert self.read(tree) == parsed
         assert {path: path.read_bytes() for path in cache_entries(cache_home)} == entries
         assert list(cache_home.rglob("*.tmp")) == []
+
+    def test_stats_and_eval_read_det_under_one_key(self, tree, cache_home):
+        """stats reads det/ through load_detections, eval through
+        load_tables: one entry for it, though gt/b.txt has no detection file."""
+        io = ["--gt-dir", str(tree / "gt"), "--det-dir", str(tree / "det")]
+        for command in ("stats", "eval"):
+            assert main([command, *io, "--out-dir", str(tree / command)]) == 0
+        assert len(cache_entries(cache_home)) == 2  # gt/ and det/
 
     def test_an_edited_line_misses(self, tree, cache_home):
         self.read(tree)
