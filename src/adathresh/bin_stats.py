@@ -298,7 +298,7 @@ class Schedule(Protocol):
 
 def keep_rows(table: LabelTable, schedule: Schedule) -> list[bool]:
     """Whether each row of table scores at least schedule.threshold_at(its
-    ego distance). A ground-truth table raises MissingScoreError."""
+    ego distance). A ground-truth table raises ValueError."""
     return list(map(ge, table.scores(), map(schedule.threshold_at, table.distances())))
 
 

@@ -73,6 +73,8 @@ def _json_text(payload: object) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list[object]]) -> str:
+    """The CSV of header and rows, each cell as csv.writer makes it: None
+    an empty field, a float its repr."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
@@ -329,23 +331,6 @@ def _stats_pipeline(opts: _Options) -> tuple[list[BinStats], BinSpec, int]:
     return stats, spec, len(samples)
 
 
-def _stats_rows(stats: list[BinStats], spec: BinSpec) -> list[list[object]]:
-    rows: list[list[object]] = []
-    for entry in stats:
-        lo, hi = spec.edges(entry.bin_index)
-        rows.append(
-            [
-                entry.bin_index,
-                lo,
-                hi,
-                entry.count,
-                "" if entry.mean is None else repr(entry.mean),
-                "" if entry.std is None else repr(entry.std),
-            ]
-        )
-    return rows
-
-
 def cmd_stats(opts: _Options) -> int:
     """distance-binned score statistics"""
     stats, spec, n_used = _stats_pipeline(opts)
@@ -358,7 +343,8 @@ def cmd_stats(opts: _Options) -> int:
             dict(zip(("lo_m", "hi_m"), spec.edges(entry.bin_index)), **entry.to_dict()) for entry in stats
         ],
     }
-    csv_text = _csv_text(["bin_index", "lo_m", "hi_m", "count", "mean", "std"], _stats_rows(stats, spec))
+    header = ["bin_index", "lo_m", "hi_m", "count", "mean", "std"]
+    csv_text = _csv_text(header, [[entry[name] for name in header] for entry in payload["bins"]])
     wrote = _write(opts.out_dir, {"bin_stats.csv": csv_text, "bin_stats.json": _json_text(payload)})
     print(f"binned {n_used} {opts.class_name} detections into {spec.n_bins} bins")
     print(wrote)
@@ -376,12 +362,10 @@ def cmd_fit(opts: _Options) -> int:
         lambda: fit_quadratic(stats, spec, delta=opts.delta, k=opts.k, sigma_floor=opts.sigma_floor),
     )
     by_index = {entry.bin_index: entry for entry in stats}
-    rows: list[list[object]] = []
-    for bin_index, x, fitted, residual in zip(
-        result.bin_indices, result.abscissas, result.fitted, result.residuals
-    ):
-        entry = by_index[bin_index]
-        rows.append([bin_index, x, repr(entry.mean), repr(entry.std), repr(fitted), repr(residual)])
+    rows = [
+        [bin_index, x, by_index[bin_index].mean, by_index[bin_index].std, fitted, residual]
+        for bin_index, x, fitted, residual in zip(result.bin_indices, result.abscissas, result.fitted, result.residuals)
+    ]
     csv_text = _csv_text(["bin_index", "x_m", "mean", "std", "fitted", "residual"], rows)
     wrote = _write(opts.out_dir, {"model.json": _json_text(result.model.to_dict()), "fit_report.csv": csv_text})
     model = result.model
@@ -425,8 +409,8 @@ def cmd_eval(opts: _Options) -> int:
     report = evaluate_tables(gt, det, config, spec, kept)
     payload = {**report.to_dict(), "threshold_mode": label, "n_frames": len(gt.frame_ids)}
     scopes = [("all", "", "", report)]
-    scopes += [(f"bin{row.bin_index}", row.lo_m, "" if row.hi_m is None else row.hi_m, row) for row in report.per_bin]
-    rows = [[*scope, row.tp, row.fp, row.fn, repr(row.recall), repr(row.precision)] for *scope, row in scopes]
+    scopes += [(f"bin{row.bin_index}", row.lo_m, row.hi_m, row) for row in report.per_bin]
+    rows = [[*scope, row.tp, row.fp, row.fn, row.recall, row.precision] for *scope, row in scopes]
     csv_text = _csv_text(["scope", "lo_m", "hi_m", "tp", "fp", "fn", "recall", "precision"], rows)
     wrote = _write(opts.out_dir, {"eval_report.json": _json_text(payload), "eval_report.csv": csv_text})
     filtered_note = (

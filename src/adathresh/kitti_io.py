@@ -39,6 +39,9 @@ by one function, which runs each check once over all rows. When any
 fails, or a file cannot be read, the files are read again and checked
 line by line in frame order, ground truth first within a frame, and the
 error raised names the first bad file and line (kitti_parse holds both).
+A bad line is a LabelError holding the rule it breaks, its file's path
+and its 1-based line number; any other bad input (an unreadable file or
+directory, a frame set that does not pair up) is a DatasetError.
 
 The cache spares a command work done before on the same input, under
 $XDG_CACHE_HOME/adathresh, else $HOME/.cache/adathresh (no cache when
@@ -91,37 +94,21 @@ class KittiIOError(Exception):
 
 
 class LabelError(KittiIOError):
-    """Problem with a specific label line."""
+    """A label line that breaks a rule of the module docstring: the message
+    names the rule, path the file and line_no the 1-based line."""
 
-    def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
+    def __init__(self, message: str, line_no: int, path: str):
         super().__init__(message)
         self.message = message
         self.line_no = line_no
         self.path = path
 
     def __str__(self) -> str:
-        where = ""
-        if self.path:
-            where += f"{self.path}: "
-        if self.line_no is not None:
-            where += f"line {self.line_no}: "
-        return where + self.message
-
-
-class LabelParseError(LabelError):
-    """Line cannot be read at all: bad field count or non-numeric field."""
-
-
-class LabelFormatError(LabelError):
-    """Line parses but violates the expected shape or an invariant."""
+        return f"{self.path}: line {self.line_no}: {self.message}"
 
 
 class DatasetError(KittiIOError):
     """Unreadable or inconsistent input files."""
-
-
-class MissingScoreError(KittiIOError):
-    """A ground-truth table was used where scores are required."""
 
 
 # The reals of a label line, in file order: every field after the class
@@ -171,9 +158,9 @@ class LabelTable(Record, eq=False):
         return list(map(ground_distance, self.column("x"), self.column("z")))
 
     def scores(self) -> array:
-        """The score column; MissingScoreError for a ground-truth table."""
+        """The score column; ValueError for a ground-truth table."""
         if len(self.columns) < len(COLUMNS):
-            raise MissingScoreError("ground-truth table has no scores")
+            raise ValueError("ground-truth table has no scores")
         return self.columns[-1]
 
 

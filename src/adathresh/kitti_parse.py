@@ -1,7 +1,7 @@
-"""kitti_io's label-line parser, and the line checker that names a bad
-file's first bad line (kitti_io's docstring gives the rules). Loaded on
-a table cache miss, to diagnose a bad file, or by synthetic: a command
-over a warm cache compiles none of it."""
+"""kitti_io's label-line parser, and the line checker that raises one
+LabelError for a bad file's first bad line (kitti_io's docstring gives
+the rules). Loaded on a table cache miss, to diagnose a bad file, or by
+synthetic: a command over a warm cache compiles none of it."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from itertools import chain
 from pathlib import Path
 
 from .kitti_io import (
-    _DET_FIELDS, _GT_FIELDS, _OCCLUSION_VALUES, DONT_CARE, DatasetError, LabelError, LabelFormatError,
-    LabelParseError, LabelTable, _checked_table, _read_bytes, _text,
+    _DET_FIELDS, _GT_FIELDS, _OCCLUSION_VALUES, DONT_CARE, DatasetError, LabelError, LabelTable, _checked_table,
+    _read_bytes, _text,
 )
 
 _CHUNK_LINES = 256  # lines split at once by the bulk reader
@@ -47,9 +47,10 @@ def _table_from_lines(
 
 
 def _check_label_file(path: Path, expect_score: bool) -> None:
-    """Raise _check_line's error for the first bad line of a label file,
-    with the file and the 1-based line number; blank lines are skipped.
-    An unreadable file is a DatasetError naming it. Builds nothing."""
+    """Raise a LabelError for the first line of a label file that breaks
+    _check_line, with its message, the file and the 1-based line number;
+    blank lines are skipped. An unreadable file is a DatasetError naming
+    it. Builds nothing."""
     try:
         text = _text(_read_bytes(path))
     except (OSError, UnicodeDecodeError) as exc:
@@ -57,35 +58,32 @@ def _check_label_file(path: Path, expect_score: bool) -> None:
     n_fields = _DET_FIELDS if expect_score else _GT_FIELDS
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if tokens:
-            try:
-                _check_line(tokens, n_fields)
-            except LabelError as exc:
-                exc.line_no, exc.path = line_no, str(path)
-                raise
+        message = _check_line(tokens, n_fields) if tokens else None
+        if message is not None:
+            raise LabelError(message, line_no, str(path))
 
 
-def _check_line(tokens: list[str], n_fields: int) -> None:
-    """Raise for the first rule of the module docstring that a line's tokens
-    break: a field count of the other layout is a LabelFormatError, any
-    other malformed line a LabelParseError."""
+def _check_line(tokens: list[str], n_fields: int) -> str | None:
+    """The message of the first rule of the module docstring that a line's
+    tokens break; None when they break none."""
     if len(tokens) != n_fields:
         if len(tokens) not in (_GT_FIELDS, _DET_FIELDS):
-            raise LabelParseError(f"expected 15 or 16 fields, got {len(tokens)}")
+            return f"expected 15 or 16 fields, got {len(tokens)}"
         wanted = "16 fields (with score)" if n_fields == _DET_FIELDS else "15 fields (no score)"
-        raise LabelFormatError(f"expected {wanted}, got {len(tokens)}")
+        return f"expected {wanted}, got {len(tokens)}"
     values = []
     for token in tokens[1:]:
         try:
             values.append(float(token))
         except ValueError:
-            raise LabelParseError(f"non-numeric field {token!r}") from None
+            return f"non-numeric field {token!r}"
         if not math.isfinite(values[-1]):
-            raise LabelParseError(f"non-finite field {token!r}")
+            return f"non-finite field {token!r}"
     if values[1] not in _OCCLUSION_VALUES:
-        raise LabelFormatError(f"occluded must be one of -1,0,1,2,3, got {tokens[2]!r}")
+        return f"occluded must be one of -1,0,1,2,3, got {tokens[2]!r}"
     dimensions = tuple(values[7:10])
     if tokens[0] != DONT_CARE and min(dimensions) <= 0.0:
-        raise LabelFormatError(f"non-positive dimensions {dimensions} for class {tokens[0]!r}")
+        return f"non-positive dimensions {dimensions} for class {tokens[0]!r}"
     if values[5] < values[3] or values[6] < values[4]:
-        raise LabelFormatError(f"inverted 2D bbox {tuple(values[3:7])}")
+        return f"inverted 2D bbox {tuple(values[3:7])}"
+    return None

@@ -27,7 +27,8 @@ _CURVE_STEP = 0.5  # meters between curve samples
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+    """A coordinate: a float to two decimals, an int as it is."""
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
 def _metres(value: float) -> str:
@@ -58,119 +59,80 @@ def render_threshold_svg(
     def sy(v: float) -> float:
         return _MARGIN_T + plot_h * (1.0 - v)
 
-    parts: list[str] = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
-    parts.append(
-        f'<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="14" fill="{_AXIS_COLOR}">Score threshold over distance</text>'
-    )
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+    ]
+
+    def line(x1, y1, x2, y2, stroke: str, width: float, dasharray: str | None = None) -> None:
+        dash = "" if dasharray is None else f' stroke-dasharray="{dasharray}"'
+        parts.append(
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
+        )
+
+    def circle(cx, cy) -> None:
+        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" fill="{_MEAN_COLOR}"/>')
+
+    def text(x, y, size: int, body: str, anchor: str | None = None, transform: str | None = None) -> None:
+        align = "" if anchor is None else f' text-anchor="{anchor}"'
+        turn = "" if transform is None else f' transform="{transform}"'
+        parts.append(
+            f'<text x="{_fmt(x)}" y="{_fmt(y)}"{align} font-family="sans-serif" '
+            f'font-size="{size}" fill="{_AXIS_COLOR}"{turn}>{body}</text>'
+        )
+
+    text(_WIDTH // 2, 22, 14, "Score threshold over distance", "middle")
 
     # grid and ticks
     tick = 0.0
     while tick <= x_max + 1e-9:
-        x = sx(tick)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{sy(0.0):.2f}" x2="{_fmt(x)}" y2="{sy(1.0):.2f}" '
-            f'stroke="{_GRID_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{sy(0.0) + 18:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="{_AXIS_COLOR}">{_metres(tick)}</text>'
-        )
+        line(sx(tick), sy(0.0), sx(tick), sy(1.0), _GRID_COLOR, 1)
+        text(sx(tick), sy(0.0) + 18, 11, _metres(tick), "middle")
         tick += spec.bin_width
     for i in range(11):
         v = i / 10.0
-        y = sy(v)
-        parts.append(
-            f'<line x1="{sx(0.0):.2f}" y1="{_fmt(y)}" x2="{sx(x_max):.2f}" y2="{_fmt(y)}" '
-            f'stroke="{_GRID_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{sx(0.0) - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{_AXIS_COLOR}">{v:.1f}</text>'
-        )
+        line(sx(0.0), sy(v), sx(x_max), sy(v), _GRID_COLOR, 1)
+        text(sx(0.0) - 8, sy(v) + 4, 11, f"{v:.1f}", "end")
 
     # std band over consecutive occupied bins
     occupied = [b for b in bins if b.count > 0]
     for group in _consecutive_groups(occupied):
         if len(group) < 2:
             continue
-        upper = [
-            (spec.center(b.bin_index), min(b.mean + b.std, 1.0)) for b in group
-        ]
-        lower = [
-            (spec.center(b.bin_index), max(b.mean - b.std, 0.0)) for b in reversed(group)
-        ]
+        upper = [(spec.center(b.bin_index), min(b.mean + b.std, 1.0)) for b in group]
+        lower = [(spec.center(b.bin_index), max(b.mean - b.std, 0.0)) for b in reversed(group)]
         points = " ".join(f"{sx(d):.2f},{sy(v):.2f}" for d, v in upper + lower)
-        parts.append(
-            f'<polygon points="{points}" fill="{_BAND_COLOR}" fill-opacity="0.25" stroke="none"/>'
-        )
+        parts.append(f'<polygon points="{points}" fill="{_BAND_COLOR}" fill-opacity="0.25" stroke="none"/>')
 
     # threshold curve: quadratic branch, then the flat tail beyond delta
-    quad_end = min(model.delta, x_max)
-    samples = _sample_range(0.0, quad_end, step=_CURVE_STEP)
+    samples = _sample_range(0.0, min(model.delta, x_max), step=_CURVE_STEP)
     curve = " ".join(f"{sx(d):.2f},{sy(model.threshold_at(d)):.2f}" for d in samples)
-    parts.append(
-        f'<polyline points="{curve}" fill="none" stroke="{_CURVE_COLOR}" stroke-width="2"/>'
-    )
+    parts.append(f'<polyline points="{curve}" fill="none" stroke="{_CURVE_COLOR}" stroke-width="2"/>')
     if x_max > model.delta:
-        y_k = sy(model.k)
-        parts.append(
-            f'<line x1="{sx(model.delta):.2f}" y1="{_fmt(y_k)}" x2="{sx(x_max):.2f}" '
-            f'y2="{_fmt(y_k)}" stroke="{_CURVE_COLOR}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<line x1="{sx(model.delta):.2f}" y1="{sy(0.0):.2f}" x2="{sx(model.delta):.2f}" '
-            f'y2="{sy(1.0):.2f}" stroke="{_AXIS_COLOR}" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
+        line(sx(model.delta), sy(model.k), sx(x_max), sy(model.k), _CURVE_COLOR, 2)
+        line(sx(model.delta), sy(0.0), sx(model.delta), sy(1.0), _AXIS_COLOR, 1, "4 3")
 
     # bin means on top of the band
     for b in occupied:
-        parts.append(
-            f'<circle cx="{sx(spec.center(b.bin_index)):.2f}" cy="{sy(min(max(b.mean, 0.0), 1.0)):.2f}" '
-            f'r="3.5" fill="{_MEAN_COLOR}"/>'
-        )
+        circle(sx(spec.center(b.bin_index)), sy(min(max(b.mean, 0.0), 1.0)))
 
     # axes
-    parts.append(
-        f'<line x1="{sx(0.0):.2f}" y1="{sy(0.0):.2f}" x2="{sx(x_max):.2f}" y2="{sy(0.0):.2f}" '
-        f'stroke="{_AXIS_COLOR}" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{sx(0.0):.2f}" y1="{sy(0.0):.2f}" x2="{sx(0.0):.2f}" y2="{sy(1.0):.2f}" '
-        f'stroke="{_AXIS_COLOR}" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}" y="{_HEIGHT - 10}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-        f'fill="{_AXIS_COLOR}">distance (m)</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="{_AXIS_COLOR}" '
-        f'transform="rotate(-90 16 {(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2:.0f})">score</text>'
-    )
+    line(sx(0.0), sy(0.0), sx(x_max), sy(0.0), _AXIS_COLOR, 1.5)
+    line(sx(0.0), sy(0.0), sx(0.0), sy(1.0), _AXIS_COLOR, 1.5)
+    text((_MARGIN_L + _WIDTH - _MARGIN_R) // 2, _HEIGHT - 10, 12, "distance (m)", "middle")
+    mid_y = (_MARGIN_T + _HEIGHT - _MARGIN_B) // 2
+    text(16, mid_y, 12, "score", "middle", f"rotate(-90 16 {mid_y})")
 
     # legend
     lx = _MARGIN_L + 12
     ly = _MARGIN_T + 12
-    parts.append(
-        f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" stroke="{_CURVE_COLOR}" stroke-width="2"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" font-size="11" '
-        f'fill="{_AXIS_COLOR}">threshold</text>'
-    )
+    line(lx, ly, lx + 22, ly, _CURVE_COLOR, 2)
+    text(lx + 28, ly + 4, 11, "threshold")
     if occupied:
-        parts.append(f'<circle cx="{lx + 11}" cy="{ly + 16}" r="3.5" fill="{_MEAN_COLOR}"/>')
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly + 20}" font-family="sans-serif" font-size="11" '
-            f'fill="{_AXIS_COLOR}">bin mean &#177; std</text>'
-        )
+        circle(lx + 11, ly + 16)
+        text(lx + 28, ly + 20, 11, "bin mean &#177; std")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -140,7 +140,7 @@ def fit_quadratic(
     means = [s.mean for s in usable]
     weights = [_weight(s, sigma_floor) for s in usable]
     alpha, beta, gamma = _solve_weighted_quadratic(x, means, weights)
-    fitted = [alpha * v * v + beta * v + gamma for v in x]
+    fitted = [_quadratic(alpha, beta, gamma, v) for v in x]
     residuals = [m - f for m, f in zip(means, fitted)]
     weighted_rmse = math.sqrt(sum(w * r * r for w, r in zip(weights, residuals)) / sum(weights))
     k_value = _quadratic(alpha, beta, gamma, delta) if k is None else float(k)

@@ -39,7 +39,7 @@ from adathresh.evaluation import (
     trade_off,
 )
 from adathresh.geometry import _circles, _clip_area, _frame, _iou, normalize_angle
-from adathresh.kitti_io import DONT_CARE, LabelTable, MissingScoreError, read_label_table
+from adathresh.kitti_io import DONT_CARE, LabelTable, read_label_table
 from adathresh.kitti_parse import _table_from_lines
 
 CAR_DIMS = (1.5, 1.7, 4.0)  # height, width, length
@@ -515,7 +515,7 @@ def three_pass_evaluate(frames, config, bin_spec=None, ap_frames=None):
 
     def score_of(record):
         if record.score is None:
-            raise MissingScoreError("detection record has no score")
+            raise ValueError("detection record has no score")
         return record.score
 
     def ratio(numerator, denominator):

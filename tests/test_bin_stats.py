@@ -21,7 +21,7 @@ from adathresh.bin_stats import (
     table_samples,
 )
 from adathresh.evaluation import BinBreakdown, EvalReport, MatchConfig
-from adathresh.kitti_io import LabelTable, MissingScoreError
+from adathresh.kitti_io import LabelTable
 from adathresh.synthetic import ScenarioSpec, ScoreModel
 from adathresh.threshold import FitResult, SingleThreshold, ThresholdModel
 from helpers import Box3D, Frame, assign_bin, detections, ground_truth, make_record, replaced, tables
@@ -302,7 +302,7 @@ class TestPreFilter:
         # At the cutoff itself the low threshold applies.
         at_cutoff = make_record(0.0, 40.0, score=0.3)
         assert keep_rows(detections([make_record(0.0, 39.999, score=0.4), at_cutoff]), pf) == [False, True]
-        with pytest.raises(MissingScoreError):
+        with pytest.raises(ValueError, match="ground-truth table has no scores"):
             keep_rows(ground_truth([make_record(0.0, 5.0)]), pf)
 
     def test_validation(self):

@@ -2,9 +2,11 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import random
 import stat
 import subprocess
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import adathresh
 from adathresh import cli, geometry, kitti_io, kitti_parse
 from adathresh.bin_stats import BinSpec, PreFilter, compute_bin_stats, keep_rows
 from adathresh.cli import main
@@ -158,14 +161,14 @@ STATS_FIT_DIGESTS = {
         "71df593312ebd170a6ea72bd003f1d5b939102818288ce0dde8e1c1dfc21f61e",
         "5c840094a7c1e99ca3cead4f33e01698a823e2ac20f469d69d7a5e8b06af49b5",
         "2f4785f422f26846a5e557f9b1de9db8ef0693e4a9ba91ef6b96d13404098d25",
-        "535175b08cc18e027725cb45e491766e27bca1a33f155bbb20352092db09b822",
+        "04e9cdb843643a66c985e5f952b63410e38929e7718cf589eb7ea673464bf0c7",
     ],
     ("--bin-width", "7.5"): [
         0,
         "b9ef5e5957080a767ed93b90789dab0fcda7751eb4fce7c4f6fce3fb3ed5e7d3",
         "8d1fd7136388735c2352fe3b7beb61cb5430408f599eca54972839fd1d019f3e",
         "220bb529da029f1c99f033f9fdfd4e75b2b663f0d8eebc60906804a2a5efc2f6",
-        "25472379b6c18941577f4700e82778d74d0a536b0f8751d235ce924e561e47fc",
+        "0c8ba6e95bbfc52babbb2e78c02197566626d0250e2c049467c19d9233ce924b",
     ],
 }
 
@@ -178,7 +181,7 @@ CROWDED_STATS_FIT_DIGESTS = {
         "5c16f31a672de86db16c4a56f0e0635fe5ea1554d4e8d2650ce998276866d5c6",
         "ca5ae18774984bd958ff5db728da955143ec1e6b6f1da38d216ef1ef582e8dba",
         "0ea4f8106d2f29848884ebb6f925180282923e58401e9cd74a285ea434f746ea",
-        "1ce94cd6e2f90e3c18d6216f0842e99108906db86cceef26cc8ed19881f4c622",
+        "d73bfeaca7fe2b5b54ff990a6c68afff87e3e611497699c9c24423306b987c53",
     ],
     ("--pre-filter", "none"): [
         3,
@@ -192,7 +195,7 @@ CROWDED_STATS_FIT_DIGESTS = {
         "3006e1c7566aee4da939d9ada3c5c106d54a5c146367b8e6dbe6aede908422c2",
         "dd96eeb8c5c109e951b6a114f558aeb1486f0c1ff6641baed1e4f452c687ff04",
         "72e6a1a81129463768bacefa6ba83bde2eb721ed065d23c00138f4eb4f7a9347",
-        "a6a82fb51d8f3b7b89401e9e7e93bed25c734d4133027b3edd0001ee16f89c04",
+        "190c532b5b7ee578cc4f594b0df58899dc96f839ba88ac18665ee51df3a4e99c",
     ],
 }
 
@@ -250,6 +253,66 @@ REPORT_DIGESTS = [
     "6f4b4bffee3b612d852e83e31bb11ce440b4773e5981570027f01e3149a72f47",
     "f33b6dc6e143cb28cd771d9344d3e23eb17c2a7001045eb51e816b1e1326c340",
 ]
+
+
+# report's inputs beyond the pinned pipeline's, by case: a model and the
+# bin_stats.json object given with --stats (None: no --stats).
+REPORT_CASES = {
+    # the curve alone, and the legend without the bin-mean entry
+    "without stats": (ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6), None),
+    # delta short of 60 m bins: the flat tail and the dashed delta line,
+    # and a band broken by an empty bin
+    "delta 40": (
+        ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=40.0, k=0.6),
+        {
+            "bin_width": 10.0,
+            "max_distance": 60.0,
+            "bins": [
+                {"bin_index": i, "count": count, "mean": mean, "std": std}
+                for i, (count, mean, std) in enumerate(
+                    [(9, 0.81, 0.05), (7, 0.74, 0.08), (6, 0.66, 0.1), (0, None, None), (3, 0.52, 0.2), (1, 0.5, 0.0)]
+                )
+            ],
+        },
+    ),
+    # fractional metres: 2.5 m bins and a delta of 27.5 m
+    "2.5 m bins": (
+        ThresholdModel(0.0, 0.0, 0.5, 27.5, 0.5),
+        {
+            "bin_width": 2.5,
+            "max_distance": 30.0,
+            "bins": [{"bin_index": i, "count": 1, "mean": 0.5, "std": 0.1} for i in range(12)],
+        },
+    ),
+}
+
+
+# The sha256 of threshold_curve.svg and summary.md that report writes, by case.
+REPORT_CASE_DIGESTS = {
+    "without stats": [
+        "edc96f387fae27a8bd0757cf65ba8f0cd3d0ec07cb211e475f04cf6e716bb24b",
+        "0e5d9b4a76c48a99039f6821b5df81803877fcbb454de72381918b75336b88c8",
+    ],
+    "delta 40": [
+        "f4a3c59c91649802f744e236c1fd3a0f863f21bd13760e683c34bc3afc08b617",
+        "617eb1ea1dff2903e116afbdcff31fd15184396a877c6db83b5d62503b08eee9",
+    ],
+    "2.5 m bins": [
+        "9f1afaa1c801c2a93448af7ddf64130385bd657a821846ce6f200aff3440597b",
+        "980a8ca7a5e10138672228ebf344d02ce0f0534d27a7cf59519e4fca04e2abfb",
+    ],
+}
+
+
+def report_case_digests(tmp_path, case):
+    """The sha256 of the threshold_curve.svg and summary.md that report
+    writes for REPORT_CASES[case]."""
+    model, stats = REPORT_CASES[case]
+    argv = ["report", "--model", write_json(tmp_path / "model.json", model.to_dict()), "--out-dir", str(tmp_path / "r")]
+    if stats is not None:
+        argv += ["--stats", write_json(tmp_path / "bin_stats.json", stats)]
+    assert main(argv) == 0
+    return [hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest() for name in ("threshold_curve.svg", "summary.md")]
 
 
 @pytest.fixture
@@ -590,6 +653,23 @@ class TestPipeline:
     def test_stats_and_fit_write_pinned_bytes_on_crowded_frames(self, tmp_path, crowded_dataset, flags):
         assert stats_fit_digests(tmp_path, crowded_dataset, flags) == CROWDED_STATS_FIT_DIGESTS[flags]
 
+    @pytest.mark.parametrize(
+        "data, flags",
+        [*(("dataset", flags) for flags in STATS_FIT_DIGESTS), ("crowded_dataset", ()), ("crowded_dataset", ("--bin-width", "7.5"))],
+    )
+    def test_fit_report_holds_the_curve_of_model_json(self, tmp_path, request, data, flags):
+        # Each fitted value is the threshold model.json gives at its bin
+        # center, to the bit, and each residual is the mean less it.
+        assert stats_fit_digests(tmp_path, request.getfixturevalue(data), flags)[0] == 0
+        model = ThresholdModel.from_dict(json.loads((tmp_path / "f" / "model.json").read_text(encoding="utf-8")))
+        with open(tmp_path / "f" / "fit_report.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) >= 3
+        for row in rows:
+            fitted = float(row["fitted"])
+            assert fitted == model.threshold_at(float(row["x_m"])), row
+            assert float(row["residual"]) == float(row["mean"]) - fitted, row
+
     @pytest.mark.parametrize("baseline, candidate", list(COMPARE_DIGESTS))
     def test_compare_writes_pinned_bytes(self, tmp_path, dataset, monkeypatch, capsys, baseline, candidate):
         monkeypatch.chdir(tmp_path)
@@ -598,6 +678,10 @@ class TestPipeline:
     def test_report_writes_pinned_bytes(self, tmp_path, dataset, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert report_digests(dataset, capsys) == REPORT_DIGESTS
+
+    @pytest.mark.parametrize("case", list(REPORT_CASES))
+    def test_report_writes_pinned_bytes_for_each_case(self, tmp_path, case):
+        assert report_case_digests(tmp_path, case) == REPORT_CASE_DIGESTS[case]
 
     def test_synth_manifest_writes_whole_numbers_of_float_fields_as_floats(self, tmp_path):
         payload = scenario_payload(n_frames=2, distance_range=[2, 58], bin_spec={"bin_width": 10, "max_distance": 60})
@@ -698,6 +782,44 @@ class TestConfigPrecedence:
 
 
 class TestExitCodes:
+    # Each exception class defined in adathresh: the exit code main
+    # returns for it (the cli docstring's), and the arguments its
+    # constructor needs. Adding an exception class is an edit of this table.
+    EXCEPTIONS = {
+        "adathresh.cli._UsageError": (1, ("bad flag",)),
+        "adathresh.bin_stats.FitError": (3, ("singular",)),
+        "adathresh.bin_stats.ModelRangeError": (3, ("out of [0, 1]",)),
+        "adathresh.evaluation.EvaluationError": (2, ("no ground truth",)),
+        "adathresh.kitti_io.KittiIOError": (2, ("bad input",)),
+        "adathresh.kitti_io.LabelError": (2, ("bad field", 3, "gt/000001.txt")),
+        "adathresh.kitti_io.DatasetError": (2, ("unreadable",)),
+    }
+
+    @staticmethod
+    def defined_exceptions():
+        """{module.qualname: class} of each BaseException subclass defined in a module of adathresh."""
+        names = ["adathresh", *(f"adathresh.{m.name}" for m in pkgutil.iter_modules(adathresh.__path__))]
+        return {
+            f"{value.__module__}.{value.__qualname__}": value
+            for module in map(importlib.import_module, names)
+            for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__.startswith("adathresh")
+        }
+
+    def test_every_exception_class_has_its_exit_code(self, monkeypatch, capsys):
+        classes = self.defined_exceptions()
+        assert sorted(classes) == sorted(self.EXCEPTIONS)
+        monkeypatch.setattr(cli, "_Options", lambda command, given: None)
+        for name, (code, args) in self.EXCEPTIONS.items():
+            exc = classes[name](*args)
+
+            def stub(opts, exc=exc):
+                raise exc
+
+            monkeypatch.setitem(cli._COMMANDS, "stats", stub)
+            assert main(["stats"]) == code, name
+            assert capsys.readouterr() == ("", f"adathresh: error: {exc}\n"), name
+
     def test_missing_required_option_is_usage_error(self, tmp_path, capsys):
         assert run("stats", "--out-dir", str(tmp_path)) == 1
         assert "--gt-dir" in capsys.readouterr().err
@@ -1648,8 +1770,10 @@ class TestFuzzedJsonFiles:
 class TestFuzzedLabelTrees:
     """A small synthetic tree with one to three lines of one gt/ or det/
     file changed by one token each (replaced, inserted or deleted), through
-    stats, fit, filter and eval: main returns 0 to 3 and never raises, and
-    a command that fails leaves no --out-dir behind."""
+    stats, fit, filter and eval: main returns 0 to 3 and never raises, a
+    command that fails leaves no --out-dir behind, an error that names a
+    line names the changed file, and a changed gt/ file fails only eval,
+    the one command that opens ground truth."""
 
     TOKENS = ["nan", "inf", "-inf", "1e309", "-1", "0", "4", "DontCare", "Car", "", "\ufeff", "\x0c", "x"]
 
@@ -1694,8 +1818,13 @@ class TestFuzzedLabelTrees:
                 err = StringIO()
                 with redirect_stderr(err), redirect_stdout(StringIO()):
                     rc = main([*argv, "--out-dir", str(root / out)])
-                assert rc in (0, 1, 2, 3), err.getvalue()
-                assert rc == 0 or not (root / out).exists(), (out, err.getvalue())
+                message = err.getvalue()
+                assert rc in (0, 1, 2, 3), message
+                assert rc == 0 or not (root / out).exists(), (out, message)
+                if ": line " in message:
+                    assert message.startswith(f"adathresh: error: {root / name}: line "), (out, message)
+                if name.startswith("gt/") and out != "eval":
+                    assert rc == 0, (out, message)
 
 
 class TestOptionTable:

@@ -28,7 +28,7 @@ from adathresh.evaluation import (
     trade_off,
 )
 from adathresh.geometry import pair_iou
-from adathresh.kitti_io import MissingScoreError, load_tables, read_label_table
+from adathresh.kitti_io import load_tables, read_label_table
 from adathresh.threshold import SingleThreshold
 from helpers import (
     Frame,
@@ -237,7 +237,7 @@ class TestMatchFrame:
     def test_missing_score_raises(self):
         # A table without a score column cannot be matched as detections.
         gt = ground_truth([make_record(0.0, 10.0)])
-        with pytest.raises(MissingScoreError):
+        with pytest.raises(ValueError, match="ground-truth table has no scores"):
             evaluate_tables(gt, gt, BEV_CFG)
 
     def test_agrees_with_reference_matcher(self):
@@ -535,7 +535,7 @@ class TestEvaluateEquivalence:
         # without kept flags.
         gt = ground_truth([make_record(0.0, 10.0), make_record(0.0, 30.0)])
         for kept in (None, [True, False], [False, True]):
-            with pytest.raises(MissingScoreError):
+            with pytest.raises(ValueError, match="ground-truth table has no scores"):
                 evaluate_tables(gt, gt, BEV_CFG, kept=kept)
 
 

@@ -18,8 +18,6 @@ from adathresh.kitti_io import (
     DONT_CARE,
     DatasetError,
     LabelError,
-    LabelFormatError,
-    LabelParseError,
     LabelTable,
     load_detections,
     load_tables,
@@ -73,19 +71,19 @@ class TestParse:
         tokens = DET_LINE.split()[:n_fields]
         while len(tokens) < n_fields:
             tokens.append("0.0")
-        with pytest.raises(LabelParseError) as exc:
+        with pytest.raises(LabelError) as exc:
             read_text(tmp_path, " ".join(tokens), expect_score=False)
-        assert exc.value.line_no == 1
+        assert (exc.value.line_no, exc.value.message) == (1, f"expected 15 or 16 fields, got {n_fields}")
 
     def test_non_numeric_field_rejected(self, tmp_path):
         bad = GT_LINE.replace("46.70", "oops")
-        with pytest.raises(LabelParseError):
+        with pytest.raises(LabelError, match="non-numeric field 'oops'"):
             read_text(tmp_path, bad, expect_score=False)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_field_rejected(self, tmp_path, token):
         bad = GT_LINE.replace("46.70", token)
-        with pytest.raises(LabelParseError):
+        with pytest.raises(LabelError, match=f"non-finite field '{token}'"):
             read_text(tmp_path, bad, expect_score=False)
 
     @pytest.mark.parametrize(
@@ -102,7 +100,7 @@ class TestParse:
         tokens = GT_LINE.split()
         tokens[3], tokens[12] = first, second
         text = f"{GT_LINE}\n\n{' '.join(tokens)}\n"
-        with pytest.raises(LabelParseError) as exc:
+        with pytest.raises(LabelError) as exc:
             read_text(tmp_path, text, expect_score=False)
         assert exc.value.message == message
         assert str(exc.value) == f"{tmp_path / '000000.txt'}: line 3: {message}"
@@ -110,30 +108,30 @@ class TestParse:
     def test_fractional_occlusion_message(self, tmp_path):
         tokens = GT_LINE.split()
         tokens[2] = "0.5"
-        with pytest.raises(LabelFormatError) as exc:
+        with pytest.raises(LabelError) as exc:
             read_text(tmp_path, f"{GT_LINE}\n{' '.join(tokens)}\n", expect_score=False)
         assert str(exc.value) == f"{tmp_path / '000000.txt'}: line 2: occluded must be one of -1,0,1,2,3, got '0.5'"
 
     def test_score_expected_but_missing(self, tmp_path):
-        with pytest.raises(LabelFormatError):
+        with pytest.raises(LabelError, match=r"expected 16 fields \(with score\), got 15"):
             read_text(tmp_path, GT_LINE, expect_score=True)
 
     def test_score_present_but_unexpected(self, tmp_path):
-        with pytest.raises(LabelFormatError):
+        with pytest.raises(LabelError, match=r"expected 15 fields \(no score\), got 16"):
             read_text(tmp_path, DET_LINE, expect_score=False)
 
     def test_error_carries_line_number(self, tmp_path):
         text = f"{GT_LINE}\n{GT_LINE} 0.5 0.5\n"
-        with pytest.raises(LabelParseError) as exc:
+        with pytest.raises(LabelError) as exc:
             read_text(tmp_path, text, expect_score=False)
-        assert exc.value.line_no == 2
+        assert (exc.value.line_no, exc.value.message) == (2, "expected 15 or 16 fields, got 17")
         assert "line 2" in str(exc.value)
 
     @pytest.mark.parametrize("occluded", ["4", "-2", "0.5"])
     def test_bad_occlusion_rejected(self, tmp_path, occluded):
         bad = GT_LINE.split()
         bad[2] = occluded
-        with pytest.raises(LabelFormatError):
+        with pytest.raises(LabelError, match=f"occluded must be one of -1,0,1,2,3, got '{occluded}'"):
             read_text(tmp_path, " ".join(bad), expect_score=False)
 
     def test_unknown_occlusion_minus_one_allowed(self, tmp_path):
@@ -148,12 +146,12 @@ class TestParse:
 
     def test_non_positive_dims_rejected_outside_dontcare(self, tmp_path):
         bad = GT_LINE.replace(" 1.65 1.67 3.64 ", " 1.65 0.00 3.64 ")
-        with pytest.raises(LabelFormatError):
+        with pytest.raises(LabelError, match=r"non-positive dimensions \(1.65, 0.0, 3.64\) for class 'Car'"):
             read_text(tmp_path, bad, expect_score=False)
 
     def test_inverted_bbox_rejected(self, tmp_path):
         bad = GT_LINE.replace("587.01 173.33 614.12 200.12", "614.12 173.33 587.01 200.12")
-        with pytest.raises(LabelFormatError):
+        with pytest.raises(LabelError, match="inverted 2D bbox"):
             read_text(tmp_path, bad, expect_score=False)
 
 
@@ -398,16 +396,16 @@ class TestDataset:
         # A mark set off by a space would be a 16th field if it were not dropped.
         self._write(tmp_path, "gt/000000.txt", f"\ufeff {GT_LINE}\nCar 1 2\n")
         (tmp_path / "det").mkdir()
-        with pytest.raises(LabelParseError) as exc:
+        with pytest.raises(LabelError) as exc:
             load_tables(tmp_path / "gt", tmp_path / "det")
         assert (exc.value.line_no, exc.value.message) == (2, "expected 15 or 16 fields, got 3")
 
     def test_parse_error_names_file(self, tmp_path):
         self._write(tmp_path, "gt/000000.txt", "Car 1 2\n")
         (tmp_path / "det").mkdir()
-        with pytest.raises(LabelParseError) as exc:
+        with pytest.raises(LabelError) as exc:
             load_tables(tmp_path / "gt", tmp_path / "det")
-        assert "000000.txt" in str(exc.value)
+        assert str(exc.value) == f"{tmp_path / 'gt' / '000000.txt'}: line 1: expected 15 or 16 fields, got 3"
 
     def test_a_listed_regular_file_ends_at_its_first_short_read(self, tmp_path, monkeypatch):
         """One os.read for a regular file shorter than a read, two for one
@@ -698,7 +696,7 @@ class TestLabelTable:
             lambda: load_tables(tmp_path / "gt", tmp_path / "det"),
             lambda: read_label_table(tmp_path / "det", "detection", expect_score=True),
         ):
-            with pytest.raises(LabelParseError) as exc:
+            with pytest.raises(LabelError) as exc:
                 read()
             assert exc.value.line_no == 1
             assert exc.value.message == "expected 15 or 16 fields, got 17"
@@ -716,21 +714,21 @@ class TestLabelTable:
     BAD_DET = DET_LINE.replace("587.01 173.33 614.12", "614.12 173.33 587.01")
 
     @pytest.mark.parametrize(
-        "files, error, path, line_no",
+        "files, message, path, line_no",
         [
             # Frame order first: a's detections before b's ground truth.
-            ({"gt/b.txt": f"{GT_LINE}\n{BAD_LINE}", "det/a.txt": BAD_DET}, LabelFormatError, "det/a.txt", 1),
+            ({"gt/b.txt": f"{GT_LINE}\n{BAD_LINE}", "det/a.txt": BAD_DET}, "inverted 2D bbox", "det/a.txt", 1),
             # Within a frame, ground truth first.
-            ({"gt/a.txt": f"{GT_LINE}\n{BAD_LINE}", "det/a.txt": BAD_DET}, LabelParseError, "gt/a.txt", 2),
+            ({"gt/a.txt": f"{GT_LINE}\n{BAD_LINE}", "det/a.txt": BAD_DET}, "non-numeric field 'oops'", "gt/a.txt", 2),
             # A file that is not UTF-8 in its place in that order.
-            ({"det/a.txt": b"\xff\n", "gt/b.txt": BAD_LINE}, DatasetError, "det/a.txt", None),
-            ({"gt/b.txt": b"\xff\n", "det/b.txt": BAD_DET, "det/a.txt": BAD_DET}, LabelFormatError, "det/a.txt", 1),
+            ({"det/a.txt": b"\xff\n", "gt/b.txt": BAD_LINE}, "cannot read", "det/a.txt", None),
+            ({"gt/b.txt": b"\xff\n", "det/b.txt": BAD_DET, "det/a.txt": BAD_DET}, "inverted 2D bbox", "det/a.txt", 1),
             # A read error (a directory named like a label file) likewise.
-            ({"gt/b.txt": None, "det/c.txt": BAD_DET}, DatasetError, "gt/b.txt", None),
+            ({"gt/b.txt": None, "det/c.txt": BAD_DET}, "cannot read", "gt/b.txt", None),
         ],
     )
-    def test_first_bad_file_is_reported(self, tmp_path, files, error, path, line_no):
-        self._raised_for(tmp_path, files, load_tables, error, path, line_no)
+    def test_first_bad_file_is_reported(self, tmp_path, files, message, path, line_no):
+        self._raised_for(tmp_path, files, load_tables, message, path, line_no)
 
     @pytest.mark.parametrize(
         "files, path",
@@ -743,28 +741,32 @@ class TestLabelTable:
         ],
     )
     def test_load_detections_reports_the_first_bad_detection_file(self, tmp_path, files, path):
-        self._raised_for(tmp_path, files, load_detections, LabelFormatError, path, 1)
+        self._raised_for(tmp_path, files, load_detections, "inverted 2D bbox", path, 1)
 
     @staticmethod
-    def _raised_for(tmp_path, files, load, error, path, line_no):
+    def _raised_for(tmp_path, files, load, message, path, line_no):
         """load of gt/ and det/ (gt/a, b and c good unless files says
-        otherwise; None makes a directory) raises error for path."""
+        otherwise; None makes a directory) raises an error for path whose
+        message starts with message: a LabelError at line_no, or with
+        line_no None a DatasetError."""
         tree = {"gt/a.txt": GT_LINE, "gt/b.txt": GT_LINE, "gt/c.txt": GT_LINE}
         tree.update(files)
         directories = [name for name, text in tree.items() if text is None]
         _write_tree(tmp_path, {name: text for name, text in tree.items() if text is not None})
         for name in directories:
             (tmp_path / name).mkdir()
-        with pytest.raises(error) as exc:
+        with pytest.raises(DatasetError if line_no is None else LabelError) as exc:
             load(tmp_path / "gt", tmp_path / "det")
-        assert str(tmp_path / path) in str(exc.value)
-        if line_no is not None:
+        if line_no is None:
+            assert str(exc.value).startswith(f"{message} {tmp_path / path}: ")
+        else:
             assert (exc.value.line_no, exc.value.path) == (line_no, str(tmp_path / path))
+            assert exc.value.message.startswith(message)
 
     def test_read_label_table_reports_the_first_bad_file_in_frame_order(self, tmp_path):
         # "a-b.txt" sorts before "a.txt" by name but after it by frame id.
         _write_tree(tmp_path, {"det/a.txt": self.BAD_DET, "det/a-b.txt": b"\xff"})
-        with pytest.raises(LabelFormatError) as exc:
+        with pytest.raises(LabelError, match="inverted 2D bbox") as exc:
             read_label_table(tmp_path / "det", "detection", expect_score=True)
         assert (exc.value.line_no, exc.value.path) == (1, str(tmp_path / "det" / "a.txt"))
         table_dir = tmp_path / "ok"
@@ -1177,7 +1179,7 @@ class TestTableCache:
                     table = read_label_table(tmp, "detection", expect_score=True)
                     assert table.column("truncated").tobytes() == array("d", values).tobytes()
                 else:
-                    with pytest.raises(LabelParseError, match="non-finite field"):
+                    with pytest.raises(LabelError, match="non-finite field"):
                         read_label_table(tmp, "detection", expect_score=True)
 
     def test_only_the_newest_entries_are_kept_and_staging_directories_stay(self, tmp_path, cache_home):

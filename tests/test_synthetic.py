@@ -13,7 +13,6 @@ from adathresh import synthetic
 from adathresh.bin_stats import compute_bin_stats, ground_distance, keep_rows
 from adathresh.cli import main
 from adathresh.evaluation import MatchConfig, evaluate_tables
-from adathresh.kitti_io import MissingScoreError
 from adathresh.philox import _FI, _KI, _WI, PhiloxStream, seed_key
 from adathresh.synthetic import (
     MIN_SEPARATION,
@@ -370,7 +369,7 @@ class TestGeneratedRecords:
         assert self.det.files == [f"{i:06d}.txt" for i in range(50)]
 
     def test_ground_truth_has_no_scores(self):
-        with pytest.raises(MissingScoreError):
+        with pytest.raises(ValueError, match="ground-truth table has no scores"):
             self.gt.scores()
         assert all(len(line.split()) == 15 for line in self.gt.lines)
 

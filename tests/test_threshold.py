@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from adathresh.bin_stats import SIGMA_FLOOR, BinSpec, BinStats, FitError, ModelRangeError, PreFilter, keep_rows
-from adathresh.kitti_io import MissingScoreError
 from adathresh.threshold import (
     SingleThreshold,
     ThresholdModel,
@@ -172,7 +171,7 @@ class TestApplySingle:
         assert [r.score for r in kept] == [0.5, 0.7]
 
     def test_missing_score_raises(self):
-        with pytest.raises(MissingScoreError):
+        with pytest.raises(ValueError, match="ground-truth table has no scores"):
             keep_rows(ground_truth([make_record(0.0, 5.0)]), SingleThreshold(0.5))
 
 
@@ -191,7 +190,7 @@ class TestApplyAdaptive:
         assert keep_rows(detections([]), REFERENCE) == []
 
     def test_missing_score_raises(self):
-        with pytest.raises(MissingScoreError):
+        with pytest.raises(ValueError, match="ground-truth table has no scores"):
             keep_rows(ground_truth([make_record(0.0, 5.0)]), REFERENCE)
 
     def test_order_preserved(self):
