@@ -52,7 +52,9 @@ class Record:
       field name, so a file and a call accept the same values. Keys that
       name no field are ignored. A key may be missing only when its field
       defaults to None, a tuple or a record; any other missing key raises
-      KeyError.
+      KeyError. So a number or string default (BinSpec's, PreFilter's,
+      MatchConfig's) serves calls only; ThresholdModel has no default,
+      and a call, like a model file, gives every field.
 
     Fields and defaults are collected once per class, parents' first;
     the annotations are resolved when the class is first built.
@@ -302,10 +304,7 @@ def keep_rows(table: LabelTable, schedule: Schedule) -> list[bool]:
     return list(map(ge, table.scores(), map(schedule.threshold_at, table.distances())))
 
 
-# threshold's default sigma floor and errors, which cli needs before it loads threshold.
-SIGMA_FLOOR = 1e-3
-
-
+# threshold's errors, which cli needs before it loads threshold.
 class ModelRangeError(ValueError):
     """Model parameters describe a threshold outside [0, 1]."""
 

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .bin_stats import (
-    SIGMA_FLOOR, BinSpec, BinStats, FitError, ModelRangeError, PreFilter, Schedule, compute_bin_stats, keep_rows,
+    BinSpec, BinStats, FitError, ModelRangeError, PreFilter, Schedule, compute_bin_stats, keep_rows,
     table_samples,
 )
 from .kitti_io import (
@@ -248,7 +248,6 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
         _PRE_FILTER,
         _Option("delta", "--delta", "60", _parse_real, "quadratic/constant cutover distance"),
         _Option("k", "--k", "0.6", _parse_k, "far-range constant threshold, or 'continuity'"),
-        _Option("sigma_floor", "--sigma-floor", str(SIGMA_FLOOR), _parse_real, "minimum std used in weights"),
     ),
     "filter": (_DET_DIR, _OUT_DIR, _THRESHOLD_MODE),
     "eval": (
@@ -356,11 +355,8 @@ def cmd_fit(opts: _Options) -> int:
     from .threshold import fit_quadratic
 
     stats, spec, _ = _stats_pipeline(opts)
-    # fit_quadratic checks sigma_floor, delta and k; a fit failure is a FitError.
-    result = opts.checked(
-        ("sigma_floor", "delta", "k"),
-        lambda: fit_quadratic(stats, spec, delta=opts.delta, k=opts.k, sigma_floor=opts.sigma_floor),
-    )
+    # fit_quadratic checks delta and k; a fit failure is a FitError.
+    result = opts.checked(("delta", "k"), lambda: fit_quadratic(stats, spec, opts.delta, opts.k))
     by_index = {entry.bin_index: entry for entry in stats}
     rows = [
         [bin_index, x, by_index[bin_index].mean, by_index[bin_index].std, fitted, residual]

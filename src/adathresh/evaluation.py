@@ -39,7 +39,6 @@ order is (frame_id, position) order.
 from __future__ import annotations
 
 import os
-import struct
 import sys
 from array import array
 from bisect import bisect_left
@@ -193,15 +192,17 @@ def _cached_pairs(
         key = b"".join([head, b"\n", source, indices, *columns])
         body = cache_get("pairs", key)
         if body is not None and len(body) % 24 == 0:
-            n = len(body) // 24
-            det_idx, gt_idx, iou = (struct.unpack_from(f"{n}{code}", body, 8 * n * j) for j, code in enumerate("qqd"))
-            sides = ((det_idx, len(det_rows)), (gt_idx, len(gt_rows)))
+            size = len(body) // 3
+            pairs = array("q"), array("q"), array("d")
+            for j, part in enumerate(pairs):
+                part.frombytes(body[j * size : (j + 1) * size])
+            sides = ((pairs[0], len(det_rows)), (pairs[1], len(gt_rows)))
             if all(min(idx, default=0) >= 0 and max(idx, default=-1) < n_rows for idx, n_rows in sides):
-                return det_idx, gt_idx, iou
+                return pairs
     from .geometry import pair_iou  # a hit needs no kernel, and eval no other part of geometry
     pairs = pair_iou(_box_columns(det, det_rows), det_offsets, _box_columns(gt, gt_rows), gt_offsets, kind)
     if key is not None:
-        cache_put("pairs", key, b"".join(struct.pack(f"{len(v)}{code}", *v) for code, v in zip("qqd", pairs)))
+        cache_put("pairs", key, b"".join(array(code, v).tobytes() for code, v in zip("qqd", pairs)))
     return pairs
 
 

@@ -37,15 +37,10 @@ def _metres(value: float) -> str:
     return f"{value:.0f}" if value.is_integer() else f"{value:.12g}"
 
 
-def render_threshold_svg(
-    model: ThresholdModel,
-    bins: list[BinStats] | None = None,
-    bin_spec: BinSpec | None = None,
-) -> str:
-    """Threshold-over-distance plot with optional bin means and a std band;
-    ValueError when the axis needs more than MAX_BINS ticks or curve samples."""
-    bins = bins or []
-    spec = bin_spec if bin_spec is not None else BinSpec()
+def render_threshold_svg(model: ThresholdModel, bins: list[BinStats], spec: BinSpec) -> str:
+    """Threshold-over-distance plot, with the means and a std band of bins
+    (none when empty) on spec's axis; ValueError when the axis needs more
+    than MAX_BINS ticks or curve samples."""
     x_max = max(spec.max_distance, model.delta)
     steps = max(x_max / spec.bin_width, model.delta / _CURVE_STEP)
     if steps > MAX_BINS + 0.5:
@@ -157,13 +152,9 @@ def _consecutive_groups(bins: list[BinStats]) -> list[list[BinStats]]:
     return groups
 
 
-def render_summary_md(
-    model: ThresholdModel,
-    bins: list[BinStats] | None = None,
-    bin_spec: BinSpec | None = None,
-) -> str:
-    """Markdown companion to the SVG: parameters, endpoints, bin table."""
-    spec = bin_spec if bin_spec is not None else BinSpec()
+def render_summary_md(model: ThresholdModel, bins: list[BinStats], spec: BinSpec) -> str:
+    """Markdown companion to the SVG: parameters, endpoints, and the table
+    of bins on spec's edges."""
     lines = ["# Threshold model summary", ""]
     lines.append("| parameter | value |")
     lines.append("| --- | --- |")

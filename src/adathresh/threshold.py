@@ -10,7 +10,7 @@ threshold at its ego distance. That one rule, bin_stats.keep_rows() over
 a kitti_io.LabelTable, serves every schedule: this model, the constant
 SingleThreshold baseline, and the near/far bin_stats.PreFilter. Fitting
 recovers (alpha, beta, gamma) from binned score statistics by weighted
-least squares with weights 1 / max(std, sigma_floor)^2 at the bin
+least squares with weights 1 / max(std, SIGMA_FLOOR)^2 at the bin
 centers, solved exactly.
 """
 
@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .bin_stats import SIGMA_FLOOR, BinSpec, BinStats, FitError, ModelRangeError, Record
+from .bin_stats import BinSpec, BinStats, FitError, ModelRangeError, Record
 
 _RANGE_TOL = 1e-9
+# The least std a fit weight uses: a bin of equal scores weighs 1e6, not infinity.
+SIGMA_FLOOR = 1e-3
 
 
 def _quadratic(alpha: float, beta: float, gamma: float, d: float) -> float:
@@ -40,8 +42,8 @@ class ThresholdModel(Record):
     alpha: float
     beta: float
     gamma: float
-    delta: float = 60.0
-    k: float = 0.6
+    delta: float
+    k: float
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta"):
@@ -109,26 +111,21 @@ class FitResult(Record):
 def fit_quadratic(
     stats: Sequence[BinStats],
     spec: BinSpec,
-    delta: float = 60.0,
-    k: float | None = 0.6,
-    *,
-    sigma_floor: float = SIGMA_FLOOR,
+    delta: float,
+    k: float | None,
 ) -> FitResult:
     """Weighted least-squares quadratic through occupied bin means.
 
-    Abscissas are bin centers, weights 1 / max(std, sigma_floor)^2. The
+    Abscissas are bin centers, weights 1 / max(std, SIGMA_FLOOR)^2. The
     normal equations are solved exactly over the float inputs, so each
     coefficient is the correctly rounded least-squares solution, the
     same on every platform. Pass k=None to set the flat tail by
-    continuity, k = q(delta). sigma_floor and delta must be finite and
-    positive, and a given k within [0, 1] (ValueError). Fewer than
-    3 occupied bins, a weight that is not finite, or singular normal
-    equations raise FitError; a fitted curve leaving [0, 1] on [0, delta],
-    or a k set by continuity outside it, raises ModelRangeError from
-    model construction.
+    continuity, k = q(delta). delta must be finite and positive, and a
+    given k within [0, 1] (ValueError). Fewer than 3 occupied bins or
+    singular normal equations raise FitError; a fitted curve leaving
+    [0, 1] on [0, delta], or a k set by continuity outside it, raises
+    ModelRangeError from model construction.
     """
-    if not (math.isfinite(sigma_floor) and sigma_floor > 0.0):
-        raise ValueError(f"sigma_floor must be finite and positive, got {sigma_floor!r}")
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if k is not None and not 0.0 <= k <= 1.0:
@@ -138,7 +135,9 @@ def fit_quadratic(
         raise FitError(f"need at least 3 occupied bins, got {len(usable)}")
     x = [spec.center(s.bin_index) for s in usable]
     means = [s.mean for s in usable]
-    weights = [_weight(s, sigma_floor) for s in usable]
+    # scale * scale, not ** 2, which raises OverflowError past 1e154; the
+    # product overflows to inf there, a weight of 0.
+    weights = [1.0 / (scale * scale) for scale in (max(s.std, SIGMA_FLOOR) for s in usable)]
     alpha, beta, gamma = _solve_weighted_quadratic(x, means, weights)
     fitted = [_quadratic(alpha, beta, gamma, v) for v in x]
     residuals = [m - f for m, f in zip(means, fitted)]
@@ -153,19 +152,6 @@ def fit_quadratic(
         residuals=tuple(residuals),
         weighted_rmse=weighted_rmse,
     )
-
-
-def _weight(entry: BinStats, sigma_floor: float) -> float:
-    """1 / max(std, sigma_floor)^2; FitError when that is not a finite float."""
-    scale = max(entry.std, sigma_floor)
-    variance = scale * scale  # not ** 2, which raises OverflowError past 1e154
-    weight = 1.0 / variance if variance > 0.0 else math.inf
-    if not math.isfinite(weight):
-        raise FitError(
-            f"bin {entry.bin_index}: weight 1/max(std, sigma_floor)^2 is {weight} "
-            f"(std {entry.std!r}, sigma_floor {sigma_floor!r}); raise --sigma-floor"
-        )
-    return weight
 
 
 def _solve_weighted_quadratic(

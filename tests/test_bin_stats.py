@@ -441,8 +441,8 @@ class TestRecord:
     def test_fields_bind_by_position_keyword_and_default(self):
         assert BinSpec(5.0, 40.0) == BinSpec(5.0, max_distance=40.0) == BinSpec(max_distance=40.0, bin_width=5.0)
         assert (BinSpec().bin_width, BinSpec().max_distance) == (10.0, 60.0)
-        model = ThresholdModel(-2e-05, -0.0061, 0.6828)
-        assert (model.delta, model.k) == (60.0, 0.6)
+        with pytest.raises(TypeError, match="missing required arguments: 'delta', 'k'"):
+            ThresholdModel(-2e-05, -0.0061, 0.6828)
         assert ThresholdModel._fields == ("alpha", "beta", "gamma", "delta", "k")
 
     @pytest.mark.parametrize(
@@ -613,7 +613,7 @@ class TestOneValueRule:
 
     def test_a_boolean_is_not_a_number(self):
         with pytest.raises(ValueError, match="gamma: expected a number, got True"):
-            ThresholdModel(alpha=0.0, beta=0.0, gamma=True)
+            ThresholdModel(alpha=0.0, beta=0.0, gamma=True, delta=60.0, k=0.6)
         with pytest.raises(ValueError, match="threshold: expected a number, got True"):
             SingleThreshold(True)
 

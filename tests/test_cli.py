@@ -69,7 +69,7 @@ def eval_digests(cwd, data_dir, mode, iou):
     """sha256 of the eval_report.json and eval_report.csv that eval writes
     for data_dir's gt/ and det/ under mode and iou, run from cwd: the
     report holds threshold_mode as typed, so the model path is relative."""
-    write_json(cwd / "model.json", ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6).to_dict())
+    write_json(cwd / "model.json", ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6).to_dict())
     out = cwd / "e"
     data = ("--gt-dir", str(data_dir / "gt"), "--det-dir", str(data_dir / "det"))
     assert run("eval", *data, "--out-dir", str(out), "--iou", iou, "--threshold-mode", mode) == 0
@@ -137,9 +137,12 @@ CROWDED_EVAL_DIGESTS = {
 def stats_fit_digests(cwd, data_dir, flags):
     """fit's exit code, then the sha256 of bin_stats.json, bin_stats.csv,
     model.json and fit_report.csv (None for a file not written), from
-    stats and fit on data_dir's gt/ and det/ with flags, run from cwd."""
+    stats and fit on data_dir's gt/ and det/ with flags (flag, value
+    pairs; stats gets those it takes), run from cwd."""
     data = ("--gt-dir", str(data_dir / "gt"), "--det-dir", str(data_dir / "det"))
-    assert run("stats", *data, "--out-dir", str(cwd / "s"), *flags) == 0
+    stats_flags = {row.flag for row in cli._OPTIONS["stats"]}
+    pairs = [pair for pair in zip(flags[::2], flags[1::2]) if pair[0] in stats_flags]
+    assert run("stats", *data, "--out-dir", str(cwd / "s"), *(token for pair in pairs for token in pair)) == 0
     fit_rc = run("fit", *data, "--out-dir", str(cwd / "f"), *flags)
     paths = [cwd / name for name in ("s/bin_stats.json", "s/bin_stats.csv", "f/model.json", "f/fit_report.csv")]
     return [fit_rc, *(hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None for p in paths)]
@@ -169,6 +172,15 @@ STATS_FIT_DIGESTS = {
         "8d1fd7136388735c2352fe3b7beb61cb5430408f599eca54972839fd1d019f3e",
         "220bb529da029f1c99f033f9fdfd4e75b2b663f0d8eebc60906804a2a5efc2f6",
         "0c8ba6e95bbfc52babbb2e78c02197566626d0250e2c049467c19d9233ce924b",
+    ],
+    # Bins 4 and 5 (45 and 55 m) lie past delta: the fit goes through them,
+    # and model.json applies k there.
+    ("--delta", "40"): [
+        0,
+        "d2f3fea44a31eb429764ce4e6b92e679ce5aed141673945d32ce7f35fcae4c38",
+        "d639b127b975d395686c06bf643e57a0a88be0cda363e11720bf37df9dcaa711",
+        "f47ef8926f1717dd213468d617131f2770c0131c3463ed83c9d3dc6bb1ab8a42",
+        "76ff1fd350ddeb4e145d89192720020bf75d0792187502637b0b205caa067373",
     ],
 }
 
@@ -205,7 +217,7 @@ def compare_digests(data_dir, baseline, candidate, capsys):
     of its stdout, for the eval reports of data_dir's gt/ and det/ under
     threshold modes baseline and candidate, run from the current
     directory (eval_digests' model.json there, relative paths in stdout)."""
-    write_json(Path("model.json"), ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6).to_dict())
+    write_json(Path("model.json"), ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6).to_dict())
     data = ("--gt-dir", str(data_dir / "gt"), "--det-dir", str(data_dir / "det"))
     for out, mode in (("base", baseline), ("cand", candidate)):
         assert run("eval", *data, "--out-dir", out, "--threshold-mode", mode) == 0
@@ -259,7 +271,7 @@ REPORT_DIGESTS = [
 # bin_stats.json object given with --stats (None: no --stats).
 REPORT_CASES = {
     # the curve alone, and the legend without the bin-mean entry
-    "without stats": (ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6), None),
+    "without stats": (ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6), None),
     # delta short of 60 m bins: the flat tail and the dashed delta line,
     # and a band broken by an empty bin
     "delta 40": (
@@ -658,16 +670,16 @@ class TestPipeline:
         [*(("dataset", flags) for flags in STATS_FIT_DIGESTS), ("crowded_dataset", ()), ("crowded_dataset", ("--bin-width", "7.5"))],
     )
     def test_fit_report_holds_the_curve_of_model_json(self, tmp_path, request, data, flags):
-        # Each fitted value is the threshold model.json gives at its bin
-        # center, to the bit, and each residual is the mean less it.
+        # Each fitted value is model.json's quadratic at its bin center, to
+        # the bit, past delta too, and each residual is the mean less it.
         assert stats_fit_digests(tmp_path, request.getfixturevalue(data), flags)[0] == 0
         model = ThresholdModel.from_dict(json.loads((tmp_path / "f" / "model.json").read_text(encoding="utf-8")))
         with open(tmp_path / "f" / "fit_report.csv", newline="", encoding="utf-8") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) >= 3
         for row in rows:
-            fitted = float(row["fitted"])
-            assert fitted == model.threshold_at(float(row["x_m"])), row
+            x, fitted = float(row["x_m"]), float(row["fitted"])
+            assert fitted == (model.alpha * x + model.beta) * x + model.gamma, row
             assert float(row["residual"]) == float(row["mean"]) - fitted, row
 
     @pytest.mark.parametrize("baseline, candidate", list(COMPARE_DIGESTS))
@@ -694,7 +706,7 @@ class TestPipeline:
     def test_report_without_stats(self, tmp_path):
         model_path = write_json(
             tmp_path / "model.json",
-            ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, k=0.6).to_dict(),
+            ThresholdModel(alpha=-0.00002, beta=-0.0061, gamma=0.6828, delta=60.0, k=0.6).to_dict(),
         )
         out = tmp_path / "rpt"
         assert run("report", "--model", model_path, "--out-dir", str(out)) == 0
@@ -1110,7 +1122,6 @@ class TestExitCodes:
             ("stats", "pre_filter", "1:2", "expected 'CUTOFF:LOW:HIGH'"),
             ("fit", "delta", "far", ""),
             ("fit", "k", [0.5], "expected a number or 'continuity'"),
-            ("fit", "sigma_floor", -1, "sigma_floor must be finite and positive"),
             ("filter", "threshold_mode", "single:abc", ""),
             ("eval", "iou_thr", "abc", "could not convert string to float: 'abc'"),
             ("eval", "iou", "2d", ""),
@@ -1255,18 +1266,6 @@ class TestExitCodes:
         )
         assert rc == 3
 
-    @pytest.mark.parametrize("sigma_floor", ["nan", "inf", "0", "-1"])
-    def test_fit_with_sigma_floor_that_is_not_finite_and_positive(self, tmp_path, dataset, capsys, sigma_floor):
-        rc = run(
-            "fit",
-            "--gt-dir", str(dataset / "gt"),
-            "--det-dir", str(dataset / "det"),
-            "--out-dir", str(tmp_path / "o"),
-            f"--sigma-floor={sigma_floor}",
-        )
-        assert rc == 1
-        assert "sigma_floor must be finite and positive" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "key, flag_value, config_value, message",
         [
@@ -1292,7 +1291,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, key",
         [(command, key) for command in ("stats", "fit", "eval") for key in ("bin_width", "max_distance")]
-        + [("fit", "delta"), ("fit", "k"), ("fit", "sigma_floor"), ("eval", "iou_thr")],
+        + [("fit", "delta"), ("fit", "k"), ("eval", "iou_thr")],
     )
     @pytest.mark.parametrize("value", [True, False])
     def test_a_json_boolean_is_not_a_real_value(self, tmp_path, dataset, capsys, command, key, value):
@@ -1387,6 +1386,16 @@ class TestExitCodes:
             cfg = write_json(tmp_path / "cfg.json", {"normalized_std": value})
             assert run("stats", *io, "--config", cfg) == 1
             assert f"config file {cfg} has keys that name no stats option: 'normalized_std'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_fit_has_no_sigma_floor(self, tmp_path, dataset, capsys):
+        # The retired flag and config key exit 1: the floor is threshold.SIGMA_FLOOR.
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        assert run("fit", *io, "--sigma-floor", "0.001") == 1
+        assert "unrecognized arguments: --sigma-floor 0.001" in capsys.readouterr().err
+        cfg = write_json(tmp_path / "cfg.json", {"sigma_floor": 0.001})
+        assert run("fit", *io, "--config", cfg) == 1
+        assert f"config file {cfg} has keys that name no fit option: 'sigma_floor'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("change", ["bin_index", "bin_width"])
@@ -1688,7 +1697,7 @@ def json_inputs(tmp_path_factory):
     return {
         "scenario": scenario,
         # A flat curve stays within [0, 1] at any delta, so delta alone bounds the plot.
-        "model": ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, k=0.6).to_dict(),
+        "model": ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=60.0, k=0.6).to_dict(),
         "stats": json.loads((root / "s" / "bin_stats.json").read_text(encoding="utf-8")),
         "report": json.loads((root / "e" / "eval_report.json").read_text(encoding="utf-8")),
     }
@@ -1783,7 +1792,7 @@ class TestFuzzedLabelTrees:
         root = tmp_path_factory.mktemp("labels")
         spec = write_json(root / "scenario.json", scenario_payload(n_frames=3))
         assert run("synth", "--spec", spec, "--out-dir", str(root)) == 0
-        model = write_json(root / "model.json", ThresholdModel(alpha=0.0, beta=-0.005, gamma=0.8, k=0.5).to_dict())
+        model = write_json(root / "model.json", ThresholdModel(alpha=0.0, beta=-0.005, gamma=0.8, delta=60.0, k=0.5).to_dict())
         return {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8") for p in root.glob("*/*.txt")}, model
 
     @settings(max_examples=100)
@@ -1840,7 +1849,7 @@ class TestOptionTable:
         "fit": {
             "--gt-dir": "gt_dir", "--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config",
             "--class": "class_name", "--bin-width": "bin_width", "--max-distance": "max_distance",
-            "--pre-filter": "pre_filter", "--delta": "delta", "--k": "k", "--sigma-floor": "sigma_floor",
+            "--pre-filter": "pre_filter", "--delta": "delta", "--k": "k",
         },
         "filter": {"--det-dir": "det_dir", "--out-dir": "out_dir", "--config": "config", "--threshold-mode": "threshold_mode"},
         "eval": {
@@ -1859,7 +1868,7 @@ class TestOptionTable:
     # every other option but --config is required.
     DEFAULTS = {
         "stats": {**BINNING, **PRE_FILTER},
-        "fit": {**BINNING, **PRE_FILTER, "delta": 60.0, "k": 0.6, "sigma_floor": 1e-3},
+        "fit": {**BINNING, **PRE_FILTER, "delta": 60.0, "k": 0.6},
         "filter": {},
         "eval": {
             **BINNING,
@@ -1950,11 +1959,7 @@ class TestCommandLine:
         assert "adathresh: error: argument --gt-dir: expected one value" in capsys.readouterr().err
 
     def test_a_negative_number_is_a_value(self, tmp_path, dataset, capsys):
-        assert cli._parse_argv(["fit", "--k", "-0.1", "--delta", "-.5", "--sigma-floor", "-1e-3"])[1] == {
-            "k": "-0.1",
-            "delta": "-.5",
-            "sigma_floor": "-1e-3",
-        }
+        assert cli._parse_argv(["fit", "--k", "-0.1", "--delta", "-.5"])[1] == {"k": "-0.1", "delta": "-.5"}
         io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
         assert run("fit", *io, "--k", "-0.1") == 1
         assert "bad --k value: k must be within [0, 1], got -0.1" in capsys.readouterr().err
@@ -2008,7 +2013,6 @@ PARITY = {
     "pre_filter": ("30:0.2:0.4", {"distance_cutoff": 30, "low_threshold": 0.2, "high_threshold": 0.4}),
     "delta": ("50", 50),
     "k": ("continuity", "continuity"),
-    "sigma_floor": ("0.01", 0.01),
     "iou": ("3d", "3d"),
     "iou_thr": ("0.5", 0.5),
     "ap": ("40", 40),

@@ -48,9 +48,18 @@ def load(name):
     return module
 
 
-def test_threshold_sweep_output_is_pinned(capsys):
+def test_threshold_sweep_output_is_pinned(tmp_path, monkeypatch, capsys):
+    """The output, and the one file the sweep writes: evaluate_tables's
+    pairs entry in the cache. Its tables are generated, not read, so it
+    stores no table entry, and it writes nothing in its directory."""
+    cache, work = tmp_path / "xdg", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.chdir(work)
     assert load("threshold_sweep").main([]) == 0
     assert capsys.readouterr().out == SWEEP_DEFAULT_OUTPUT
+    written = [path.relative_to(tmp_path) for path in sorted(tmp_path.rglob("*")) if path.is_file()]
+    assert len(written) == 1 and written[0].parent == Path("xdg", "adathresh") and written[0].suffix == ".pairs"
 
 
 def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):

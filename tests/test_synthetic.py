@@ -452,7 +452,7 @@ class TestNoiselessScores:
 
 
 class TestKnownOptimalCounts:
-    KEEP_ALL = ThresholdModel(alpha=0.0, beta=0.0, gamma=0.0, k=0.0)
+    KEEP_ALL = ThresholdModel(alpha=0.0, beta=0.0, gamma=0.0, delta=60.0, k=0.0)
 
     def test_perfect_scenario(self):
         spec = small_spec(
@@ -498,7 +498,7 @@ class TestKnownOptimalCounts:
         data = tmp_path / "data"
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(data)]) == 0
         score = float((data / "det" / "000000.txt").read_text().split()[15])
-        model = ThresholdModel(alpha=0.0, beta=0.0, gamma=score, k=score)
+        model = ThresholdModel(alpha=0.0, beta=0.0, gamma=score, delta=60.0, k=score)
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(model.to_dict()), encoding="utf-8")
         io = ["--gt-dir", str(data / "gt"), "--det-dir", str(data / "det"), "--out-dir", str(tmp_path / "eval")]

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from adathresh.bin_stats import SIGMA_FLOOR, BinSpec, BinStats, FitError, ModelRangeError, PreFilter, keep_rows
+from adathresh.bin_stats import BinSpec, BinStats, FitError, ModelRangeError, PreFilter, keep_rows
 from adathresh.threshold import (
+    SIGMA_FLOOR,
     SingleThreshold,
     ThresholdModel,
     _solve_weighted_quadratic,
@@ -64,28 +65,28 @@ class TestThresholdModelConstruction:
 
     def test_rejects_non_positive_delta(self):
         with pytest.raises(ModelRangeError):
-            ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=0.0)
+            ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=0.0, k=0.6)
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan])
     def test_rejects_delta_that_is_not_finite(self, delta):
         # A flat quadratic stays in [0, 1] on any range, so only the
         # finiteness check stops an infinite delta.
         with pytest.raises(ModelRangeError, match=f"delta must be finite, got {delta}"):
-            ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=delta)
+            ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=delta, k=0.6)
 
     @pytest.mark.parametrize("k", [-0.01, 1.01])
     def test_rejects_out_of_range_k(self, k):
         with pytest.raises(ModelRangeError):
-            ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, k=k)
+            ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=60.0, k=k)
 
     def test_rejects_gamma_above_one(self):
         with pytest.raises(ModelRangeError):
-            ThresholdModel(alpha=0.0, beta=0.0, gamma=1.2)
+            ThresholdModel(alpha=0.0, beta=0.0, gamma=1.2, delta=60.0, k=0.6)
 
     def test_rejects_negative_curve_at_far_end(self):
         # 0.5 - 0.02 * 60 = -0.7 at the far end of the default range.
         with pytest.raises(ModelRangeError):
-            ThresholdModel(alpha=0.0, beta=-0.02, gamma=0.5)
+            ThresholdModel(alpha=0.0, beta=-0.02, gamma=0.5, delta=60.0, k=0.6)
 
     def test_rejects_interior_vertex_dip(self):
         # Endpoints stay in range but the vertex at d = 50 dips to -2.
@@ -93,12 +94,12 @@ class TestThresholdModelConstruction:
             ThresholdModel(alpha=0.001, beta=-0.1, gamma=0.5, delta=60.0, k=0.5)
 
     def test_boundary_values_allowed(self):
-        ThresholdModel(alpha=0.0, beta=0.0, gamma=1.0)
-        ThresholdModel(alpha=0.0, beta=0.0, gamma=0.0, k=0.0)
+        ThresholdModel(alpha=0.0, beta=0.0, gamma=1.0, delta=60.0, k=0.6)
+        ThresholdModel(alpha=0.0, beta=0.0, gamma=0.0, delta=60.0, k=0.0)
 
     def test_rejection_not_clamping(self):
         with pytest.raises(ModelRangeError):
-            ThresholdModel(alpha=0.0, beta=0.0, gamma=1.01)
+            ThresholdModel(alpha=0.0, beta=0.0, gamma=1.01, delta=60.0, k=0.6)
 
     def test_dict_round_trip(self):
         assert ThresholdModel.from_dict(REFERENCE.to_dict()) == REFERENCE
@@ -123,7 +124,7 @@ class TestThresholdAt:
             REFERENCE.threshold_at(-1.0)
 
     def test_constant_model_reduces_to_single_value(self):
-        flat = ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, k=0.5)
+        flat = ThresholdModel(alpha=0.0, beta=0.0, gamma=0.5, delta=60.0, k=0.5)
         for d in (0.0, 13.0, 59.9, 60.0, 75.0):
             assert flat.threshold_at(d) == 0.5
 
@@ -199,7 +200,7 @@ class TestApplyAdaptive:
 
     @given(record_lists(), scores)
     def test_reduces_to_single_threshold(self, records, t):
-        flat = ThresholdModel(alpha=0.0, beta=0.0, gamma=t, k=t)
+        flat = ThresholdModel(alpha=0.0, beta=0.0, gamma=t, delta=60.0, k=t)
         table = detections(records)
         assert keep_rows(table, flat) == keep_rows(table, SingleThreshold(t))
 
@@ -216,8 +217,8 @@ class TestApplyAdaptive:
 
     @given(record_lists(), st.floats(0.0, 0.5), st.floats(0.0, 0.4))
     def test_raising_the_curve_never_adds_survivors(self, records, gamma, lift):
-        low = ThresholdModel(alpha=0.0, beta=0.0, gamma=gamma, k=gamma)
-        high = ThresholdModel(alpha=0.0, beta=0.0, gamma=gamma + lift, k=gamma + lift)
+        low = ThresholdModel(alpha=0.0, beta=0.0, gamma=gamma, delta=60.0, k=gamma)
+        high = ThresholdModel(alpha=0.0, beta=0.0, gamma=gamma + lift, delta=60.0, k=gamma + lift)
         table = detections(records)
         assert all(map(le, keep_rows(table, high), keep_rows(table, low)))
 
@@ -337,7 +338,7 @@ class TestFitQuadratic:
         assert result.model.k == 0.42
 
     def test_constant_means_give_constant_fit(self):
-        result = fit_quadratic(make_stats([0.55] * 6), BinSpec())
+        result = fit_quadratic(make_stats([0.55] * 6), BinSpec(), delta=60.0, k=0.6)
         assert result.model.alpha == pytest.approx(0.0, abs=1e-9)
         assert result.model.beta == pytest.approx(0.0, abs=1e-9)
         assert result.model.gamma == pytest.approx(0.55, abs=1e-9)
@@ -345,12 +346,12 @@ class TestFitQuadratic:
     def test_too_few_occupied_bins(self):
         stats = make_stats([0.7, 0.6]) + [BinStats(2, 0, None, None)]
         with pytest.raises(FitError):
-            fit_quadratic(stats, BinSpec(bin_width=10.0, max_distance=30.0))
+            fit_quadratic(stats, BinSpec(bin_width=10.0, max_distance=30.0), delta=60.0, k=0.6)
 
     def test_identical_abscissas_are_singular(self):
         stats = [BinStats(1, 5, m, 0.05) for m in (0.5, 0.6, 0.7)]
         with pytest.raises(FitError):
-            fit_quadratic(stats, BinSpec())
+            fit_quadratic(stats, BinSpec(), delta=60.0, k=0.6)
 
     def test_empty_bins_skipped(self):
         spec = BinSpec()
@@ -462,15 +463,6 @@ class TestFitQuadratic:
         )
         assert result.model.gamma == pytest.approx(0.7125, abs=1e-9)
 
-    def test_sigma_floor_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fit_quadratic(make_stats([0.7, 0.6, 0.4]), BinSpec(10.0, 30.0), sigma_floor=0.0)
-
-    @pytest.mark.parametrize("sigma_floor", [math.nan, math.inf])
-    def test_sigma_floor_must_be_finite(self, sigma_floor):
-        with pytest.raises(ValueError, match="finite"):
-            fit_quadratic(make_stats([0.7, 0.6, 0.4]), BinSpec(10.0, 30.0), sigma_floor=sigma_floor)
-
     @pytest.mark.parametrize(
         "delta, k, message",
         [
@@ -489,23 +481,11 @@ class TestFitQuadratic:
             fit_quadratic(make_stats([0.7, 0.6, 0.4]), BinSpec(10.0, 30.0), delta=delta, k=k)
         assert not isinstance(exc.value, ModelRangeError)
 
-    @pytest.mark.parametrize(
-        "sigma_floor, stds",
-        [
-            (1e-160, [0.0, 0.1, 0.1, 0.1]),  # 1 / 1e-320 overflows to inf
-            (1e-160, [0.0, 0.0, 0.0, 0.0]),
-            (1e-170, [0.0, 0.1, 0.1, 0.1]),  # the floor squares to 0
-        ],
-    )
-    def test_weight_that_is_not_finite_is_a_fit_error(self, sigma_floor, stds):
-        with pytest.raises(FitError, match="--sigma-floor"):
-            fit_quadratic(make_stats([0.9, 0.8, 0.7, 0.6], stds=stds), BinSpec(), sigma_floor=sigma_floor)
-
     def test_coefficient_beyond_the_float_range_is_a_fit_error(self):
         # The interpolating alpha is 4 * 1.7e308 / 2, past the largest float.
         spec = BinSpec(bin_width=1.0, max_distance=3.0)
         with pytest.raises(FitError, match="float range"):
-            fit_quadratic(make_stats([1.7e308, -1.7e308, 1.7e308]), spec, delta=3.0)
+            fit_quadratic(make_stats([1.7e308, -1.7e308, 1.7e308]), spec, delta=3.0, k=0.6)
 
     def test_out_of_range_fit_is_loud(self):
         # Steep drop: the interpolating quadratic crosses 1 on [0, 60].
