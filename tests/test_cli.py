@@ -1398,6 +1398,28 @@ class TestExitCodes:
         assert f"config file {cfg} has keys that name no fit option: 'sigma_floor'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e-160"])
+    def test_fit_rejects_the_sigma_floor_flag_before_reading_its_value(self, tmp_path, dataset, capsys, value):
+        # A value fit once refused, or took and then overflowed a weight on,
+        # is now an unrecognized argument like any other.
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        assert run("fit", *io, f"--sigma-floor={value}") == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --sigma-floor={value}" in err
+        assert "must be" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [True, False, -1, 0.0, 1e-160])
+    def test_fit_rejects_the_sigma_floor_config_key_before_reading_its_value(self, tmp_path, dataset, capsys, value):
+        # The unknown key is reported, not the value's type or range.
+        io = ("--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path / "o"))
+        cfg = write_json(tmp_path / "cfg.json", {"sigma_floor": value})
+        assert run("fit", *io, "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert f"config file {cfg} has keys that name no fit option: 'sigma_floor'" in err
+        assert "expected a number" not in err and "must be" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("change", ["bin_index", "bin_width"])
     def test_stats_file_with_a_bin_outside_its_spec_is_a_data_error_naming_it(self, tmp_path, dataset, capsys, change):
         assert run("stats", "--gt-dir", str(dataset / "gt"), "--det-dir", str(dataset / "det"), "--out-dir", str(tmp_path)) == 0

@@ -463,6 +463,36 @@ class TestFitQuadratic:
         )
         assert result.model.gamma == pytest.approx(0.7125, abs=1e-9)
 
+    @pytest.mark.parametrize("std", [0.0, 1e-170, 1e-160, SIGMA_FLOOR / 2])
+    def test_std_below_the_floor_weighs_as_the_floor(self, std):
+        # 1e-160 once squared to a weight of inf, and 1e-170 to a variance
+        # of 0; under the fixed floor each is the floor, to the bit.
+        means = [0.9, 0.8, 0.75, 0.6]
+        below = fit_quadratic(make_stats(means, stds=[std, 0.1, 0.1, 0.1]), BinSpec(), delta=60.0, k=0.6)
+        at = fit_quadratic(make_stats(means, stds=[SIGMA_FLOOR, 0.1, 0.1, 0.1]), BinSpec(), delta=60.0, k=0.6)
+        assert below == at
+        assert math.isfinite(below.weighted_rmse)
+
+    def test_std_past_1e154_weighs_nothing(self):
+        # Its variance overflows to inf, a weight of exactly 0, so the fit
+        # is the interpolation through the other three bins.
+        means = [0.9, 0.8, 0.75, 0.6]
+        spec = BinSpec()
+        with_huge = fit_quadratic(make_stats(means, stds=[0.1, 0.1, 1e200, 0.1]), spec, delta=60.0, k=0.6)
+        stats = make_stats(means)
+        without = fit_quadratic([stats[0], stats[1], stats[3]], spec, delta=60.0, k=0.6)
+        assert with_huge.model == without.model
+
+    def test_delta_and_k_are_the_callers_and_the_floor_is_not(self):
+        stats, spec = make_stats([0.7, 0.6, 0.4]), BinSpec(10.0, 30.0)
+        with pytest.raises(TypeError, match="delta"):
+            fit_quadratic(stats, spec)
+        with pytest.raises(TypeError, match="k"):
+            fit_quadratic(stats, spec, 30.0)
+        with pytest.raises(TypeError, match="sigma_floor"):
+            fit_quadratic(stats, spec, 30.0, None, sigma_floor=1e-3)
+        assert ThresholdModel._defaults == {}
+
     @pytest.mark.parametrize(
         "delta, k, message",
         [
