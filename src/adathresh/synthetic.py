@@ -13,19 +13,9 @@ byte-identical dataset on any platform. Per frame the order is:
     3. per distance bin: a false-positive draw and, when it fires,
        placement tries, dimension jitters, yaw, and a score fraction
 
-Every draw but two is a uniform one, computed here from one raw 64-bit
-output of the stream: a draw in [low, high) is low + (high - low) * u,
-where u = (raw >> 11) * 2**-53 is the output's 53 high bits as a double
-in [0, 1). That is what numpy's Generator.uniform(low, high) returns
-(random_uniform over next_double), bit for bit, and Python rounds each
-operation, so the value does not depend on how anything was compiled.
-The object count is the stream's integers (numpy's Generator.integers)
-and the score noise its standard_normal (numpy's ziggurat
-Generator.standard_normal). A raw draw leaves alone the 32-bit half
-that integers buffers, so the one stream stays aligned. numpy (NEP 19)
-keeps a bit generator's raw stream fixed across versions but makes no
-such promise for Generator methods; the tests compare all three draws
-with the installed numpy and pin the digests of three datasets.
+Draws go through the stream's uniform, integers and standard_normal,
+which are numpy's Generator calls of the same names, so generation runs
+unchanged on np.random.Generator(np.random.Philox(seed)).
 
 Objects are car-like boxes placed at least MIN_SEPARATION apart in the
 ground plane, so every true detection overlaps exactly its own ground
@@ -55,7 +45,7 @@ from .bin_stats import BinSpec, Record, ground_distance, keep_rows
 from .geometry import normalize_angle
 from .kitti_io import LabelTable
 from .kitti_parse import _table_from_lines
-from .philox import _UNIT, PhiloxStream
+from .philox import PhiloxStream
 
 if TYPE_CHECKING:
     from .threshold import ThresholdModel
@@ -70,20 +60,6 @@ _DIMS_JITTER = 0.05  # relative
 _CENTER_JITTER = 0.05  # meters
 _YAW_JITTER = 0.01  # radians
 _FP_SCORE_BAND = (0.45, 0.85)  # fraction of the local true-score mean
-
-# A uniform draw in [low, high) is low + (high - low) * ((raw >> 11) * _UNIT)
-# for one raw 64-bit output of the stream, _UNIT being 2**-53 (see the
-# module docstring); each constant range below is its (low, high - low).
-_BEARING_LO = -_MAX_BEARING
-_BEARING_RANGE = _MAX_BEARING - _BEARING_LO
-_YAW_LO = -math.pi
-_YAW_RANGE = math.pi - _YAW_LO
-_CENTER_LO = -_CENTER_JITTER
-_CENTER_RANGE = _CENTER_JITTER - _CENTER_LO
-_YAW_JITTER_LO = -_YAW_JITTER
-_YAW_JITTER_RANGE = _YAW_JITTER - _YAW_JITTER_LO
-_FP_SCORE_LO = _FP_SCORE_BAND[0]
-_FP_SCORE_RANGE = _FP_SCORE_BAND[1] - _FP_SCORE_LO
 
 TRUE_POSITIVE = "tp"
 FALSE_POSITIVE = "fp"
@@ -150,34 +126,33 @@ class ScenarioSpec(Record):
             )
 
 
-def _place(
-    raw: Callable[[], int],
+def _car(
+    uniform: Callable[[float, float], float],
     d_lo: float,
     d_hi: float,
-    existing: list[tuple[float, float]],
-) -> tuple[float, float] | None:
-    """Rejection-sample a ground position at least MIN_SEPARATION from others."""
-    d_range = d_hi - d_lo
+    placements: list[tuple[float, float]],
+) -> tuple[float, float, tuple[float, float, float], float] | None:
+    """A car (x, z, dims, yaw) at a distance in [d_lo, d_hi) and at least
+    MIN_SEPARATION from every position in placements, which gains its
+    (x, z); None when _PLACEMENT_TRIES rejection-sampled positions all fail."""
     for _ in range(_PLACEMENT_TRIES):
-        distance = d_lo + d_range * ((raw() >> 11) * _UNIT)
-        bearing = _BEARING_LO + _BEARING_RANGE * ((raw() >> 11) * _UNIT)
+        distance = uniform(d_lo, d_hi)
+        bearing = uniform(-_MAX_BEARING, _MAX_BEARING)
         x = distance * math.sin(bearing)
         z = distance * math.cos(bearing)
-        for ex, ez in existing:
+        for ex, ez in placements:
             if math.hypot(x - ex, z - ez) < MIN_SEPARATION:
                 break
         else:
-            return x, z
+            placements.append((x, z))
+            height, width, length = CAR_DIMS
+            dims = (
+                height * (1.0 + _DIMS_JITTER * uniform(-1.0, 1.0)),
+                width * (1.0 + _DIMS_JITTER * uniform(-1.0, 1.0)),
+                length * (1.0 + _DIMS_JITTER * uniform(-1.0, 1.0)),
+            )
+            return x, z, dims, uniform(-math.pi, math.pi)
     return None
-
-
-def _car_dims(raw: Callable[[], int]) -> tuple[float, float, float]:
-    height, width, length = CAR_DIMS
-    return (
-        height * (1.0 + _DIMS_JITTER * (-1.0 + 2.0 * ((raw() >> 11) * _UNIT))),
-        width * (1.0 + _DIMS_JITTER * (-1.0 + 2.0 * ((raw() >> 11) * _UNIT))),
-        length * (1.0 + _DIMS_JITTER * (-1.0 + 2.0 * ((raw() >> 11) * _UNIT))),
-    )
 
 
 def _project_bbox(
@@ -217,7 +192,7 @@ def _label_line(
 def _generate_frame(
     spec: ScenarioSpec, stream: PhiloxStream
 ) -> tuple[list[tuple], list[tuple], list[str]]:
-    raw = stream.raw
+    uniform = stream.uniform
     lo, hi = spec.objects_per_frame
     d_lo, d_hi = spec.distance_range
     bin_width = spec.bin_spec.bin_width
@@ -230,20 +205,17 @@ def _generate_frame(
     det_rows: list[tuple] = []
     kinds: list[str] = []
     for _ in range(n_objects):
-        position = _place(raw, d_lo, d_hi, placements)
-        if position is None:
+        car = _car(uniform, d_lo, d_hi, placements)
+        if car is None:
             continue  # frame too crowded; deterministic either way
-        placements.append(position)
-        x, z = position
-        dims = _car_dims(raw)
-        yaw = _YAW_LO + _YAW_RANGE * ((raw() >> 11) * _UNIT)
-        gt_rows.append((x, z, dims, yaw))
+        gt_rows.append(car)
+        x, z, dims, yaw = car
         gt_distance = ground_distance(x, z)
-        if (raw() >> 11) * _UNIT < fn_rates[min(int(gt_distance // bin_width), last_bin)]:
+        if uniform(0.0, 1.0) < fn_rates[min(int(gt_distance // bin_width), last_bin)]:
             continue  # missed object: no detection emitted
-        det_x = x + (_CENTER_LO + _CENTER_RANGE * ((raw() >> 11) * _UNIT))
-        det_z = z + (_CENTER_LO + _CENTER_RANGE * ((raw() >> 11) * _UNIT))
-        det_yaw = yaw + (_YAW_JITTER_LO + _YAW_JITTER_RANGE * ((raw() >> 11) * _UNIT))
+        det_x = x + uniform(-_CENTER_JITTER, _CENTER_JITTER)
+        det_z = z + uniform(-_CENTER_JITTER, _CENTER_JITTER)
+        det_yaw = yaw + uniform(-_YAW_JITTER, _YAW_JITTER)
         det_distance = ground_distance(det_x, det_z)
         sigma = model.noise_std[min(int(det_distance // bin_width), last_bin)]
         score = model.mean_at(det_distance)
@@ -252,17 +224,14 @@ def _generate_frame(
         det_rows.append((det_x, det_z, dims, det_yaw, min(max(score, 0.0), 1.0)))
         kinds.append(TRUE_POSITIVE)
     for bin_index, fp_rate in enumerate(spec.fp_rate_per_bin):
-        if (raw() >> 11) * _UNIT >= fp_rate:
+        if uniform(0.0, 1.0) >= fp_rate:
             continue
-        position = _place(raw, bin_index * bin_width, (bin_index + 1) * bin_width, placements)
-        if position is None:
+        car = _car(uniform, bin_index * bin_width, (bin_index + 1) * bin_width, placements)
+        if car is None:
             continue
-        placements.append(position)
-        x, z = position
-        dims = _car_dims(raw)
-        yaw = _YAW_LO + _YAW_RANGE * ((raw() >> 11) * _UNIT)
+        x, z, dims, yaw = car
         local_mean = min(max(model.mean_at(ground_distance(x, z)), 0.0), 1.0)
-        fraction = _FP_SCORE_LO + _FP_SCORE_RANGE * ((raw() >> 11) * _UNIT)
+        fraction = uniform(*_FP_SCORE_BAND)
         det_rows.append((x, z, dims, yaw, min(max(fraction * local_mean, 0.0), 1.0)))
         kinds.append(FALSE_POSITIVE)
     return gt_rows, det_rows, kinds
@@ -287,7 +256,8 @@ def _table(frame_ids: list[str], frames: tuple[list[tuple], ...], expect_score: 
 
 def generate(spec: ScenarioSpec) -> tuple[LabelTable, LabelTable]:
     """The ground-truth and the detection table of a scenario, frames
-    000000, 000001, ... in order; identical for identical specs."""
+    000000, 000001, ... in order (ids of at least six digits, all of one
+    width, so that they ascend as strings); identical for identical specs."""
     gt, det, _ = generate_with_truth(spec)
     return gt, det
 
@@ -295,7 +265,8 @@ def generate(spec: ScenarioSpec) -> tuple[LabelTable, LabelTable]:
 def generate_with_truth(spec: ScenarioSpec) -> tuple[LabelTable, LabelTable, list[str]]:
     """generate's tables, and each detection row's kind ('tp' or 'fp')."""
     gt, det, kinds = zip(*_raw_frames(spec))
-    frame_ids = [f"{index:06d}" for index in range(spec.n_frames)]
+    width = max(6, len(str(spec.n_frames - 1)))
+    frame_ids = [f"{index:0{width}d}" for index in range(spec.n_frames)]
     return _table(frame_ids, gt, False), _table(frame_ids, det, True), list(chain.from_iterable(kinds))
 
 

@@ -13,7 +13,7 @@ from adathresh import synthetic
 from adathresh.bin_stats import compute_bin_stats, ground_distance, keep_rows
 from adathresh.cli import main
 from adathresh.evaluation import MatchConfig, evaluate_tables
-from adathresh.philox import _FI, _KI, _WI, PhiloxStream, seed_key
+from adathresh.philox import _FI, _KI, _UNIT, _WI, PhiloxStream, seed_key
 from adathresh.synthetic import (
     MIN_SEPARATION,
     ScenarioSpec,
@@ -132,6 +132,25 @@ def ground_points(table):
     return list(zip(table.column("x"), table.column("z")))
 
 
+# sha256 of dataset_text(generate(spec)) for small_spec(**overrides),
+# recorded from the generator that drew every uniform with
+# Generator.uniform: a drifted stream or a changed float operation anywhere
+# in a frame changes these. In the last, crowded scenario most placements
+# fail, of true objects and of false positives alike.
+PINNED_DIGESTS = [
+    ({"n_frames": 200}, "45e045391ae050c0cea9e167590710ce65a1d6cf39a4e184f9d5cb9dd05cd742"),
+    ({"n_frames": 200, "seed": 99}, "9606dc508c2dae9bd802f9a717421f82016c018959704cdd14a0536e0fec44e8"),
+    (
+        {"seed": 5, "n_frames": 60, "objects_per_frame": (16, 16), "distance_range": (2.0, 60.0)},
+        "530785e22ca0b4e0b6e486e9c061625da8a51ec58cb5ab44b0dbe40c0ba427a9",
+    ),
+    (
+        {"n_frames": 20, "objects_per_frame": (30, 40), "distance_range": (2.0, 20.0), "fp_rate_per_bin": (0.9,) * 6},
+        "10f8d783515fd7f4ec4da9a070b413de1260f179ce1ef7082486ba4d2c97e67a",
+    ),
+]
+
+
 class TestDeterminism:
     def test_same_spec_reproduces_bytes(self):
         spec = small_spec(n_frames=10)
@@ -149,39 +168,34 @@ class TestDeterminism:
         assert by_frame(det, kinds)[0] == ["tp", "tp", "tp", "fp"]
         assert (len(gt), len(det)) == (11, 16)
 
-    # sha256 of dataset_text(generate(spec)), recorded from the generator
-    # that drew every uniform with Generator.uniform: a drifted stream or a
-    # changed float operation anywhere in a frame changes these.
-    @pytest.mark.parametrize(
-        "overrides, digest",
-        [
-            ({"n_frames": 200}, "45e045391ae050c0cea9e167590710ce65a1d6cf39a4e184f9d5cb9dd05cd742"),
-            ({"n_frames": 200, "seed": 99}, "9606dc508c2dae9bd802f9a717421f82016c018959704cdd14a0536e0fec44e8"),
-            (
-                {"seed": 5, "n_frames": 60, "objects_per_frame": (16, 16), "distance_range": (2.0, 60.0)},
-                "530785e22ca0b4e0b6e486e9c061625da8a51ec58cb5ab44b0dbe40c0ba427a9",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("overrides, digest", PINNED_DIGESTS)
     def test_pinned_dataset_digest(self, overrides, digest):
         text = dataset_text(generate(small_spec(**overrides)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("overrides", [overrides for overrides, _ in PINNED_DIGESTS])
+    def test_numpys_own_generator_writes_the_same_dataset(self, monkeypatch, overrides):
+        # The generator draws only through calls numpy's Generator has
+        # under the same names, so numpy's stream is a drop-in.
+        spec = small_spec(**overrides)
+        expected = dataset_text(generate(spec))
+        monkeypatch.setattr(synthetic, "PhiloxStream", lambda seed: np.random.Generator(np.random.Philox(seed)))
+        assert dataset_text(generate(spec)) == expected
 
-# (low, high) of every uniform draw the frame loop makes, with the
-# (low, high - low) constants it computes that draw from.
+
+# (low, high) of every uniform draw the frame loop makes.
 FRAME_LOOP_RANGES = [
-    ((-synthetic._MAX_BEARING, synthetic._MAX_BEARING), (synthetic._BEARING_LO, synthetic._BEARING_RANGE)),
-    ((-math.pi, math.pi), (synthetic._YAW_LO, synthetic._YAW_RANGE)),
-    ((-synthetic._CENTER_JITTER, synthetic._CENTER_JITTER), (synthetic._CENTER_LO, synthetic._CENTER_RANGE)),
-    ((-synthetic._YAW_JITTER, synthetic._YAW_JITTER), (synthetic._YAW_JITTER_LO, synthetic._YAW_JITTER_RANGE)),
-    (synthetic._FP_SCORE_BAND, (synthetic._FP_SCORE_LO, synthetic._FP_SCORE_RANGE)),
-    ((-1.0, 1.0), (-1.0, 2.0)),  # dimension jitter
-    ((0.0, 1.0), (0.0, 1.0)),  # miss and false-positive draws
+    (-synthetic._MAX_BEARING, synthetic._MAX_BEARING),
+    (-math.pi, math.pi),
+    (-synthetic._CENTER_JITTER, synthetic._CENTER_JITTER),
+    (-synthetic._YAW_JITTER, synthetic._YAW_JITTER),
+    synthetic._FP_SCORE_BAND,
+    (-1.0, 1.0),  # dimension jitter
+    (0.0, 1.0),  # miss and false-positive draws
 ]
 
 finite = st.floats(-1e300, 1e300)
-any_range = st.tuples(finite, finite).map(sorted).map(lambda r: (tuple(r), (r[0], r[1] - r[0])))
+any_range = st.tuples(finite, finite).map(sorted).map(tuple)
 draws = st.lists(
     st.one_of(
         st.tuples(st.just("uniform"), st.sampled_from(FRAME_LOOP_RANGES) | any_range),
@@ -192,15 +206,12 @@ draws = st.lists(
 )
 
 
-def raw_uniform_pairs(seed, low, high, lo, span, n):
-    """n draws of numpy's Generator.uniform(low, high) and n of the frame
-    loop's lo + span * u from the stream of the same seed, as hex."""
+def uniform_pairs(seed, low, high, n):
+    """n draws of numpy's Generator.uniform(low, high) and n of the
+    stream's uniform(low, high) from the same seed, as hex."""
     numpy_rng = np.random.Generator(np.random.Philox(seed))
-    raw = PhiloxStream(seed).raw
-    return [
-        (float(numpy_rng.uniform(low, high)).hex(), (lo + span * ((raw() >> 11) * synthetic._UNIT)).hex())
-        for _ in range(n)
-    ]
+    stream = PhiloxStream(seed)
+    return [(float(numpy_rng.uniform(low, high)).hex(), stream.uniform(low, high).hex()) for _ in range(n)]
 
 
 def assert_aligned(stream, numpy_rng):
@@ -214,27 +225,24 @@ def assert_aligned(stream, numpy_rng):
 
 
 class TestUniformDraws:
-    @pytest.mark.parametrize("bounds, constants", FRAME_LOOP_RANGES)
-    def test_each_frame_loop_range_draws_numpy_uniforms(self, bounds, constants):
+    @pytest.mark.parametrize("bounds", FRAME_LOOP_RANGES)
+    def test_each_frame_loop_range_draws_numpy_uniforms(self, bounds):
         # Many draws per range: a range one ulp off changed 431 of these
         # 2,000 fp-fraction draws, too few for the property below to be
         # sure to see.
-        for expected, got in raw_uniform_pairs(20240817, *bounds, *constants, 2000):
+        for expected, got in uniform_pairs(20240817, *bounds, 2000):
             assert got == expected
 
     @given(st.integers(0, 2**64 - 1), draws)
     def test_raw_uniform_is_generator_uniform_bit_for_bit(self, seed, sequence):
-        # The frame loop's uniform from one raw output of the stream, and the
-        # stream's integers and standard_normal, against numpy's Generator
-        # on the same seed; the two must stay aligned.
+        # The stream's uniform, integers and standard_normal against
+        # numpy's Generator on the same seed; the two must stay aligned.
         numpy_rng = np.random.Generator(np.random.Philox(seed))
         stream = PhiloxStream(seed)
         for kind, args in sequence:
             if kind == "uniform":
-                (low, high), (lo, span) = args
-                expected = float(numpy_rng.uniform(low, high))
-                got = lo + span * ((stream.raw() >> 11) * synthetic._UNIT)
-                assert got.hex() == expected.hex(), (low, high)
+                expected = float(numpy_rng.uniform(*args))
+                assert stream.uniform(*args).hex() == expected.hex(), args
             elif kind == "integers":
                 assert stream.integers(args[0], args[1] + 1) == int(numpy_rng.integers(args[0], args[1] + 1))
             else:
@@ -331,7 +339,7 @@ class TestPhiloxStream:
         x = rabs * _WI[idx]
 
         def rejects(k):
-            return (_FI[idx - 1] - _FI[idx]) * (k * synthetic._UNIT) + _FI[idx] >= math.exp(-0.5 * x * x)
+            return (_FI[idx - 1] - _FI[idx]) * (k * _UNIT) + _FI[idx] >= math.exp(-0.5 * x * x)
 
         low, high = 0, 2**53 - 1
         assert not rejects(low) and rejects(high)
@@ -367,6 +375,16 @@ class TestGeneratedRecords:
     def test_frame_ids_sequential(self):
         assert self.gt.frame_ids == self.det.frame_ids == [f"{i:06d}" for i in range(50)]
         assert self.det.files == [f"{i:06d}.txt" for i in range(50)]
+
+    def test_frame_ids_past_six_digits_still_ascend(self, monkeypatch):
+        # Only the ids matter here, so every frame after small_spec's first is empty.
+        first = _raw_frames(small_spec(n_frames=1))
+        monkeypatch.setattr(synthetic, "_raw_frames", lambda spec: first + [([], [], [])] * (spec.n_frames - 1))
+        gt, det, _ = generate_with_truth(small_spec(n_frames=1_000_001))
+        assert gt.frame_ids[-2:] == ["0999999", "1000000"]
+        assert all(a < b for a, b in zip(gt.frame_ids, gt.frame_ids[1:]))
+        report = evaluate_tables(gt, det, MatchConfig())
+        assert (report.tp, report.fp, report.fn) == (3, 1, 0)
 
     def test_ground_truth_has_no_scores(self):
         with pytest.raises(ValueError, match="ground-truth table has no scores"):
